@@ -74,9 +74,9 @@ pub struct SimConfig {
     pub sim_workers: usize,
     /// Workers in the farm of statistical engines.
     pub stat_workers: usize,
-    /// Sliding-window width, in cuts.
+    /// Cuts in the first window handed to the statistical farm.
     pub window_width: usize,
-    /// Sliding-window slide, in cuts.
+    /// Cuts in every later window (see [`SimConfig::window`]).
     pub window_slide: usize,
     /// Base RNG seed; instance `i` uses a seed derived from it.
     pub base_seed: u64,
@@ -414,7 +414,9 @@ impl SimConfig {
         self
     }
 
-    /// Sets the sliding-window geometry (width and slide, in cuts).
+    /// Sets the window geometry in cuts — the statistical farm's block
+    /// grain: `width` cuts in the first window, `slide` in every later
+    /// one. Each cut is analysed exactly once, so rows never depend on it.
     pub fn window(mut self, width: usize, slide: usize) -> Self {
         self.window_width = width;
         self.window_slide = slide;

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use cwc::model::Model;
 use fastflow::metrics::RunStats;
-use fastflow::node::flat_stage;
+use fastflow::node::{flat_stage, Outbox, Stage};
 use fastflow::pipeline::Pipeline;
 use gillespie::trajectory::Cut;
 
@@ -259,7 +259,7 @@ pub fn run_simulation_steered(
             move |w: Window| set.analyse(&w)
         })
         .stage(flat_stage(
-            |block: StatBlock, out: &mut fastflow::node::Outbox<'_, StatRow>| {
+            |block: StatBlock, out: &mut Outbox<'_, StatRow>| {
                 for row in block.rows {
                     out.push(row);
                 }
@@ -336,43 +336,31 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
         });
     }
 
-    // Alignment.
+    // Alignment → summary → windows → statistics: whatever a stage emits
+    // is consumed before the next item is fed, so one window is held at a
+    // time. The whole-run summary is fed cut by cut like the parallel path.
     let mut alignment = Alignment::new(cfg.instances, cfg.sample_period);
-    let mut cuts: Vec<Cut> = Vec::new();
-    {
-        use fastflow::node::Stage;
-        let (tx, rx) = fastflow::channel::unbounded();
-        let mut out = fastflow::node::Outbox::new(&tx);
-        for b in batches {
-            alignment.on_item(b, &mut out);
-        }
-        drop(tx); // close the channel so the drain below terminates
-        cuts.extend(rx.iter());
-    }
-
-    // Whole-run streaming summary, fed cut by cut like the parallel path.
+    let mut gen = WindowGen::new(cfg.window_width, cfg.window_slide);
     let mut summary = crate::merge::RunSummary::new(cfg.engines.clone());
-    for cut in &cuts {
-        summary.push_cut(cut);
-    }
-
-    // Windows + statistics.
     let set = StatEngineSet::new(cfg.engines.clone());
     let mut rows: Vec<StatRow> = Vec::new();
-    {
-        use fastflow::node::Stage;
-        let mut gen = WindowGen::new(cfg.window_width, cfg.window_slide);
-        let (tx, rx) = fastflow::channel::unbounded();
-        let mut out = fastflow::node::Outbox::new(&tx);
-        for cut in cuts {
-            gen.on_item(cut, &mut out);
-        }
-        gen.on_end(&mut out);
-        drop(tx); // close the channel so the drain below terminates
-        for window in rx.iter() {
+    let (cut_tx, cut_rx) = fastflow::channel::unbounded();
+    let (window_tx, window_rx) = fastflow::channel::unbounded();
+    let mut analyse_due = || {
+        while let Ok(window) = window_rx.try_recv() {
             rows.extend(set.analyse(&window).rows);
         }
+    };
+    for b in batches {
+        alignment.on_item(b, &mut Outbox::new(&cut_tx));
+        while let Ok(cut) = cut_rx.try_recv() {
+            summary.push_cut(&cut);
+            gen.on_item(cut, &mut Outbox::new(&window_tx));
+            analyse_due();
+        }
     }
+    gen.on_end(&mut Outbox::new(&window_tx));
+    analyse_due();
 
     Ok(SimReport {
         rows,

@@ -238,6 +238,26 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
 
+    type Samples = Vec<(f64, Vec<u64>)>;
+
+    /// Each instance's samples, sorted by time. Consecutive quanta of one
+    /// instance run on different workers and `merge_channels` keeps no
+    /// order across workers, so batches of an instance may arrive out of
+    /// order here; restoring stream order is `Alignment`'s job, not the
+    /// farm's.
+    fn samples_by_instance(batches: &[SampleBatch]) -> HashMap<u64, Samples> {
+        let mut per: HashMap<u64, Samples> = HashMap::new();
+        for b in batches {
+            per.entry(b.instance)
+                .or_default()
+                .extend(b.samples.iter().cloned());
+        }
+        for samples in per.values_mut() {
+            samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        per
+    }
+
     #[test]
     fn farm_completes_all_instances_with_full_sample_grids() {
         let model = Arc::new(decay(30, 0.5));
@@ -252,25 +272,16 @@ mod tests {
             .collect()
             .unwrap();
         // Each instance must produce the full grid 0..=4.0 step 0.5 = 9
-        // samples, in order, exactly once.
-        let mut per_instance: HashMap<u64, Vec<f64>> = HashMap::new();
-        let mut finishes = 0;
-        for b in &batches {
-            let times = per_instance.entry(b.instance).or_default();
-            for (t, _) in &b.samples {
-                times.push(*t);
-            }
-            if b.finished {
-                finishes += 1;
-            }
-        }
+        // samples, each grid point exactly once.
+        let per_instance = samples_by_instance(&batches);
+        let finishes = batches.iter().filter(|b| b.finished).count();
         assert_eq!(per_instance.len(), instances as usize);
-        assert_eq!(finishes, instances);
-        for (inst, times) in per_instance {
-            assert_eq!(times.len(), 9, "instance {inst} sample count");
+        assert_eq!(finishes, instances as usize);
+        for (inst, samples) in per_instance {
+            assert_eq!(samples.len(), 9, "instance {inst} sample count");
             assert!(
-                times.windows(2).all(|w| w[0] < w[1]),
-                "instance {inst} order"
+                samples.windows(2).all(|w| w[0].0 < w[1].0),
+                "instance {inst} repeats a grid point"
             );
         }
     }
@@ -284,7 +295,7 @@ mod tests {
                 .collect()
         };
         // Sequential reference.
-        let mut expected: HashMap<u64, Vec<(f64, Vec<u64>)>> = HashMap::new();
+        let mut expected: HashMap<u64, Samples> = HashMap::new();
         for mut task in mk_tasks() {
             let samples = expected.entry(task.instance()).or_default();
             while !task.is_done() {
@@ -299,11 +310,11 @@ mod tests {
             )
             .collect()
             .unwrap();
-        let mut got: HashMap<u64, Vec<(f64, Vec<u64>)>> = HashMap::new();
-        for b in batches {
-            got.entry(b.instance).or_default().extend(b.samples);
-        }
-        assert_eq!(got, expected, "farm must not change trajectories");
+        assert_eq!(
+            samples_by_instance(&batches),
+            expected,
+            "farm must not change trajectories"
+        );
     }
 
     #[test]
@@ -365,17 +376,16 @@ mod tests {
 
         // Per-instance sample streams, event totals and finish flags must
         // agree exactly (batch order across instances may differ).
-        type PerInstance = HashMap<u64, (Vec<(f64, Vec<u64>)>, u64, u32)>;
-        let collate = |batches: &[SampleBatch]| {
-            let mut per: PerInstance = HashMap::new();
+        let totals = |batches: &[SampleBatch]| {
+            let mut per: HashMap<u64, (u64, u32)> = HashMap::new();
             for b in batches {
                 let e = per.entry(b.instance).or_default();
-                e.0.extend(b.samples.iter().cloned());
-                e.1 += b.events;
-                e.2 += b.finished as u32;
+                e.0 += b.events;
+                e.1 += b.finished as u32;
             }
             per
         };
-        assert_eq!(collate(&batched), collate(&scalar));
+        assert_eq!(samples_by_instance(&batched), samples_by_instance(&scalar));
+        assert_eq!(totals(&batched), totals(&scalar));
     }
 }

@@ -1,24 +1,26 @@
-//! Generation of sliding windows of trajectory cuts.
+//! Generation of windows of trajectory cuts.
 //!
 //! First stage of the analysis pipeline (Fig. 2): "the incoming stream is
 //! passed through sliding windows of trajectory cuts. Each sliding window
-//! can be processed in parallel."
+//! can be processed in parallel." Every statistical engine here reduces
+//! one cut across trajectories, so a window is the analysis farm's unit of
+//! scheduling, not a time context: each cut travels in exactly one window,
+//! by move. An engine that needs context across time (such as
+//! `streamstat::period`) would carry its own ring of per-cut summaries,
+//! not of raw trajectories.
 
 use fastflow::node::{Flow, Outbox, Stage};
 use gillespie::trajectory::Cut;
-use streamstat::window::SlidingWindow;
 
-/// A window of consecutive cuts plus its sequence number for reordering.
+/// A block of consecutive cuts, owned by whoever analyses it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Window {
-    /// Monotone sequence number (assigned by the window generator).
+    /// Monotone sequence number, for reordering after the farm.
     pub seq: u64,
-    /// The cuts in the window, oldest first.
+    /// The cuts this window is responsible for analysing, oldest first.
     pub cuts: Vec<Cut>,
-    /// How many trailing cuts of this window are *new* (not seen by the
-    /// previous window). Statistical engines produce one output row per new
-    /// cut, so each cut is analysed exactly once while engines still see
-    /// the full window context.
+    /// Trailing cuts of `cuts` that get an output row. Retained for API
+    /// stability: [`WindowGen`] always sets it to `cuts.len()`.
     pub fresh: usize,
 }
 
@@ -39,13 +41,17 @@ impl Window {
     }
 }
 
-/// Stage turning the cut stream into overlapping [`Window`]s.
+/// Stage partitioning the cut stream into [`Window`]s: `width` cuts in the
+/// first, `slide` in every later one, the tail flushed at end of stream.
+/// The geometry sets the analysis farm's block grain; no cut is cloned.
 #[derive(Debug)]
 pub struct WindowGen {
-    window: SlidingWindow<Cut>,
+    /// Cuts received since the last emitted window.
+    pending: Vec<Cut>,
+    /// Size of the block being filled: `width` first, `slide` afterwards.
+    block: usize,
+    slide: usize,
     seq: u64,
-    /// Cuts received since the last emitted window (the un-analysed tail).
-    unanalysed: usize,
 }
 
 impl WindowGen {
@@ -53,26 +59,29 @@ impl WindowGen {
     ///
     /// # Panics
     ///
-    /// Panics on zero width/slide or `slide > width` (see
-    /// [`SlidingWindow::new`]).
+    /// Panics on zero width/slide or `slide > width` (gapped windows would
+    /// silently drop cuts).
     pub fn new(width: usize, slide: usize) -> Self {
+        assert!(width > 0, "window width must be non-zero");
+        assert!(slide > 0, "window slide must be non-zero");
+        assert!(slide <= width, "slide must not exceed width");
         WindowGen {
-            window: SlidingWindow::new(width, slide),
+            pending: Vec::with_capacity(width),
+            block: width,
+            slide,
             seq: 0,
-            unanalysed: 0,
         }
     }
 
-    fn make_window(&mut self, cuts: Vec<Cut>) -> Window {
-        let fresh = self.unanalysed.min(cuts.len());
-        self.unanalysed = 0;
-        let w = Window {
+    fn emit(&mut self, out: &mut Outbox<'_, Window>) {
+        self.block = self.slide;
+        let cuts = std::mem::replace(&mut self.pending, Vec::with_capacity(self.slide));
+        out.push(Window {
             seq: self.seq,
+            fresh: cuts.len(),
             cuts,
-            fresh,
-        };
+        });
         self.seq += 1;
-        w
     }
 }
 
@@ -81,21 +90,17 @@ impl Stage for WindowGen {
     type Out = Window;
 
     fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) -> Flow {
-        self.unanalysed += 1;
-        if let Some(cuts) = self.window.push(cut) {
-            let w = self.make_window(cuts);
-            out.push(w);
+        self.pending.push(cut);
+        if self.pending.len() == self.block {
+            self.emit(out);
         }
         Flow::Continue
     }
 
     fn on_end(&mut self, out: &mut Outbox<'_, Window>) {
         // Flush the tail so trailing cuts are analysed too.
-        if self.unanalysed > 0 {
-            if let Some(cuts) = self.window.flush() {
-                let w = self.make_window(cuts);
-                out.push(w);
-            }
+        if !self.pending.is_empty() {
+            self.emit(out);
         }
     }
 }
@@ -103,6 +108,63 @@ impl Stage for WindowGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use streamstat::window::SlidingWindow;
+
+    /// The generator this module shipped before windows moved their cuts:
+    /// a `SlidingWindow<Cut>` ring whose every emission deep-clones the
+    /// whole context, with the fresh suffix marking the cuts to analyse.
+    /// Kept as the reference [`WindowGen`] must partition identically to.
+    struct ContextWindowGen {
+        window: SlidingWindow<Cut>,
+        seq: u64,
+        unanalysed: usize,
+    }
+
+    impl ContextWindowGen {
+        fn new(width: usize, slide: usize) -> Self {
+            ContextWindowGen {
+                window: SlidingWindow::new(width, slide),
+                seq: 0,
+                unanalysed: 0,
+            }
+        }
+
+        fn make_window(&mut self, cuts: Vec<Cut>) -> Window {
+            let fresh = self.unanalysed.min(cuts.len());
+            self.unanalysed = 0;
+            let w = Window {
+                seq: self.seq,
+                cuts,
+                fresh,
+            };
+            self.seq += 1;
+            w
+        }
+    }
+
+    impl Stage for ContextWindowGen {
+        type In = Cut;
+        type Out = Window;
+
+        fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) -> Flow {
+            self.unanalysed += 1;
+            if let Some(cuts) = self.window.push(cut) {
+                let w = self.make_window(cuts);
+                out.push(w);
+            }
+            Flow::Continue
+        }
+
+        fn on_end(&mut self, out: &mut Outbox<'_, Window>) {
+            if self.unanalysed > 0 {
+                if let Some(cuts) = self.window.flush() {
+                    let w = self.make_window(cuts);
+                    out.push(w);
+                }
+            }
+        }
+    }
 
     fn cut(k: u64) -> Cut {
         Cut {
@@ -111,9 +173,8 @@ mod tests {
         }
     }
 
-    fn run(width: usize, slide: usize, n: u64) -> Vec<Window> {
-        let mut stage = WindowGen::new(width, slide);
-        let (tx, rx) = fastflow::channel::bounded(256);
+    fn drive(mut stage: impl Stage<In = Cut, Out = Window>, n: u64) -> Vec<Window> {
+        let (tx, rx) = fastflow::channel::unbounded();
         let mut out = Outbox::new(&tx);
         for k in 0..n {
             stage.on_item(cut(k), &mut out);
@@ -121,6 +182,58 @@ mod tests {
         stage.on_end(&mut out);
         drop(tx); // close the channel so the drain terminates
         rx.iter().collect()
+    }
+
+    fn run(width: usize, slide: usize, n: u64) -> Vec<Window> {
+        drive(WindowGen::new(width, slide), n)
+    }
+
+    /// What the stat farm consumes of a window stream.
+    fn analysed(ws: &[Window]) -> Vec<(u64, &[Cut])> {
+        ws.iter().map(|w| (w.seq, w.fresh_cuts())).collect()
+    }
+
+    fn assert_matches_reference(width: usize, slide: usize, n: u64) {
+        let got = run(width, slide, n);
+        let want = drive(ContextWindowGen::new(width, slide), n);
+        assert_eq!(
+            analysed(&got),
+            analysed(&want),
+            "width={width} slide={slide} n={n}"
+        );
+        assert!(
+            got.iter().all(|w| w.fresh == w.cuts.len()),
+            "a window owns exactly the cuts it analyses"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn partition_equals_the_context_window_reference(
+            width in 1usize..12,
+            slide_raw in 1usize..12,
+            n in 0u64..80,
+        ) {
+            assert_matches_reference(width, slide_raw.min(width), n);
+        }
+    }
+
+    #[test]
+    fn partition_equals_the_reference_at_the_edges() {
+        for (width, slide) in [(1, 1), (4, 1), (4, 2), (4, 4), (10, 1), (7, 3)] {
+            // Empty, shorter than a window, exactly one window, a tail that
+            // was just emitted (nothing to flush), and one cut past it.
+            let just_emitted = (width + 2 * slide) as u64;
+            for n in [
+                0,
+                width as u64 - 1,
+                width as u64,
+                just_emitted,
+                just_emitted + 1,
+            ] {
+                assert_matches_reference(width, slide, n);
+            }
+        }
     }
 
     #[test]
@@ -168,5 +281,11 @@ mod tests {
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].cuts.len(), 3);
         assert_eq!(ws[0].fresh, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "slide must not exceed width")]
+    fn gapped_windows_are_rejected() {
+        let _ = WindowGen::new(2, 3);
     }
 }

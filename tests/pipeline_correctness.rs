@@ -176,6 +176,36 @@ fn worker_count_does_not_change_results() {
 }
 
 #[test]
+fn window_geometry_does_not_change_results() {
+    // Every cut is analysed exactly once, whichever window carries it to
+    // the stat farm: width and slide set the farm's grain, never the rows.
+    // 17 cuts: a partial tail under (4, 2), nothing to flush under (10, 1).
+    let model = Arc::new(biomodels::simple::birth_death(30.0, 1.0, 5));
+    let mk = |width: usize, slide: usize| {
+        SimConfig::new(8, 2.0)
+            .quantum(0.3)
+            .sample_period(0.125)
+            .sim_workers(2)
+            .stat_workers(2)
+            .window(width, slide)
+            .engines(vec![
+                StatEngineKind::MeanVariance,
+                StatEngineKind::Quantile { p: 0.5 },
+            ])
+            .seed(9)
+    };
+    let reference = run_simulation(Arc::clone(&model), &mk(1, 1)).unwrap();
+    assert_eq!(reference.rows.len(), 17);
+    for (width, slide) in [(4, 2), (10, 1), (30, 30)] {
+        let cfg = mk(width, slide);
+        let par = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        let seq = run_sequential(Arc::clone(&model), &cfg).unwrap();
+        assert_eq!(par.rows, reference.rows, "window({width}, {slide})");
+        assert_eq!(seq.rows, reference.rows, "window({width}, {slide}) seq");
+    }
+}
+
+#[test]
 fn all_engine_kinds_flow_through_the_pipeline() {
     let model = Arc::new(biomodels::simple::birth_death(40.0, 1.0, 0));
     let cfg = SimConfig::new(10, 2.0)

@@ -15,6 +15,10 @@
 //! allocation could only occur if a species' count crossed zero in a way
 //! that empties or splits a node, which does not happen in these
 //! steady-state regimes (the assertion would catch it).
+//!
+//! The same allocator pins the window layer: [`WindowGen`] hands each cut
+//! downstream by move, so a cut through it costs a small constant number
+//! of allocations whatever the instance count and window width.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +27,10 @@ use std::sync::Arc;
 use cwc_repro::biomodels::{
     neurospora_compartments, neurospora_flat, schlogl, NeurosporaParams, SchloglParams,
 };
+use cwc_repro::cwcsim::windows::WindowGen;
+use cwc_repro::fastflow::node::{Outbox, Stage};
 use cwc_repro::gillespie::engine::{EngineKind, EngineStep};
+use cwc_repro::gillespie::trajectory::Cut;
 
 struct CountingAllocator;
 
@@ -115,4 +122,42 @@ fn ssa_step_is_allocation_free_on_flat_models() {
         Arc::new(schlogl(SchloglParams::default())),
         "schlogl/ssa",
     );
+}
+
+/// Heap allocations `WindowGen` makes per cut at slide 1, emitted windows
+/// included.
+fn window_allocations_per_cut(instances: usize, width: usize) -> f64 {
+    const CUTS: usize = 200;
+    let cuts: Vec<Cut> = (0..CUTS)
+        .map(|k| Cut {
+            time: k as f64,
+            values: vec![vec![k as u64; 3]; instances],
+        })
+        .collect();
+    let mut gen = WindowGen::new(width, 1);
+    let (tx, rx) = cwc_repro::fastflow::channel::unbounded();
+    let mut out = Outbox::new(&tx);
+    let mut analysed = 0;
+    let before = allocations();
+    for cut in cuts {
+        gen.on_item(cut, &mut out);
+        while let Ok(window) = rx.try_recv() {
+            analysed += window.fresh_cuts().len();
+        }
+    }
+    let after = allocations();
+    assert_eq!(analysed, CUTS, "every cut handed on");
+    (after - before) as f64 / CUTS as f64
+}
+
+#[test]
+fn window_generation_allocates_a_constant_per_cut() {
+    // The paper's Fig. 3 regime: 1024 trajectories through window(10, 1).
+    // A generator that clones the window context pays about
+    // instances × width allocations per cut here (~10 k).
+    let dense = window_allocations_per_cut(1024, 10);
+    assert!(dense <= 4.0, "{dense} allocations per 1024-instance cut");
+    // ... and the cost depends on neither instances nor width.
+    assert_eq!(dense, window_allocations_per_cut(8, 10));
+    assert!(window_allocations_per_cut(1024, 40) <= dense);
 }
