@@ -1,6 +1,5 @@
-//! Ablation: statistical engine cost vs window width and engine set
-//! (DESIGN.md §6.4) — what the paper's "farm of statistical engines"
-//! amortises.
+//! Ablation: statistical engine cost vs window width and engine set —
+//! what the paper's "farm of statistical engines" amortises.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cwcsim::engines::{StatEngineKind, StatEngineSet};

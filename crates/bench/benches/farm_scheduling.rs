@@ -1,5 +1,5 @@
-//! Ablation: farm scheduling policies on heavily unbalanced work
-//! (DESIGN.md §6.1). On-demand assignment is the paper's answer to the
+//! Ablation: farm scheduling policies on heavily unbalanced work.
+//! On-demand assignment is the paper's answer to the
 //! "typically heavily unbalanced" simulations.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,5 +1,5 @@
 //! Ablation: bounded vs unbounded lock-free SPSC queues vs a mutex
-//! baseline (DESIGN.md §6.3) — the paper's building-block claim is that
+//! baseline — the paper's building-block claim is that
 //! lock-free queues keep streaming overhead negligible.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -7,10 +7,10 @@
 //! at it when optimising the incremental draw; it prints the firing
 //! count so the loop cannot be optimised away.
 //!
-//! `CWC_PROFILE_REFRESH=full|incidence` forces the propensity refresh
-//! strategy (default: the engine's rule-count heuristic) — a stopwatch
-//! over both at varying species counts is how the
-//! `FULL_RECOMPUTE_MAX_RULES` crossover is derived.
+//! `CWC_PROFILE_REFRESH=full` switches to the full-recompute diagnostic
+//! replica (default: the incidence cache every engine runs on) — a
+//! stopwatch over both at varying species counts shows what the cache
+//! buys.
 use std::sync::Arc;
 
 use biomodels::simple::conversion_cycle;
@@ -20,7 +20,6 @@ use gillespie::deps::ModelDeps;
 fn apply_refresh(engine: AdaptiveTauEngine) -> AdaptiveTauEngine {
     match std::env::var("CWC_PROFILE_REFRESH").as_deref() {
         Ok("full") => engine.with_full_recompute(),
-        Ok("incidence") => engine.with_incidence_cache(),
         _ => engine,
     }
 }

@@ -81,21 +81,11 @@ const SSA_RATIO_FLOORS: [(&str, f64, f64); 2] = [
 /// effect grows with rule count — see the `wide_flat_cycle` case).
 const FULL_RECOMPUTE_ENGINE: &str = "adaptive-0.05-fullrecompute";
 
-/// The forced-incidence replica: identical draws, incidence-list cache
-/// refresh regardless of rule count. The `FULL_RECOMPUTE_MAX_RULES`
-/// heuristic currently defaults every model to the cache, so this row
-/// matches the plain adaptive rows; it stays pinned against
-/// [`FULL_RECOMPUTE_ENGINE`] so the crossover can be re-derived from
-/// the JSON whenever the hot path changes.
-const INCIDENCE_ENGINE: &str = "adaptive-0.05-incidence";
-
-/// How a measured engine is built (the recompute replicas are not
-/// `EngineKind`s — they are diagnostic knobs on the adaptive engine that
-/// override its rule-count heuristic in each direction).
+/// How a measured engine is built (the full-recompute replica is not an
+/// `EngineKind` — it is a diagnostic switch on the adaptive engine).
 enum EngineSpec {
     Kind(EngineKind),
     AdaptiveFullRecompute { epsilon: f64 },
-    AdaptiveIncidence { epsilon: f64 },
 }
 
 struct Measurement {
@@ -139,15 +129,6 @@ fn measure(
                 firings += engine.run_until(t_end);
                 endpoints.push(engine.observe()[0] as f64);
             }
-            EngineSpec::AdaptiveIncidence { epsilon } => {
-                let mut engine =
-                    AdaptiveTauEngine::with_deps(Arc::clone(model), Arc::clone(deps), 1, i)
-                        .expect("flat benchmark models")
-                        .with_epsilon(*epsilon)
-                        .with_incidence_cache();
-                firings += engine.run_until(t_end);
-                endpoints.push(engine.observe()[0] as f64);
-            }
         }
     }
     let wall = start.elapsed().as_secs_f64();
@@ -180,10 +161,6 @@ fn engines_for(fixed_tau: f64) -> Vec<(String, EngineSpec)> {
         (
             FULL_RECOMPUTE_ENGINE.into(),
             EngineSpec::AdaptiveFullRecompute { epsilon: 0.05 },
-        ),
-        (
-            INCIDENCE_ENGINE.into(),
-            EngineSpec::AdaptiveIncidence { epsilon: 0.05 },
         ),
         (
             "hybrid".into(),
@@ -309,11 +286,8 @@ fn parse_rates(json: &str) -> Vec<((String, String), f64)> {
         .collect()
 }
 
-/// Incidence-cache gain per model: the forced-incidence replica's
-/// firings/sec over the forced-full-recompute replica (same draws, same
-/// results — pure propensity-refresh cost). Both sides are pinned
-/// because the plain adaptive rows auto-pick the faster side per model.
-fn incidence_gains(json: &str) -> Vec<(String, f64)> {
+/// The [`GATED_ENGINE`]'s firings/sec over engine `over`'s, per model.
+fn gated_ratios(json: &str, over: &str) -> Vec<(String, f64)> {
     let rates = parse_rates(json);
     let rate_of = |model: &str, engine: &str| -> Option<f64> {
         rates
@@ -326,53 +300,28 @@ fn incidence_gains(json: &str) -> Vec<(String, f64)> {
     models
         .into_iter()
         .filter_map(|m| {
-            let fast = rate_of(&m, INCIDENCE_ENGINE)?;
-            let slow = rate_of(&m, FULL_RECOMPUTE_ENGINE)?;
-            (slow > 0.0).then_some((m, fast / slow))
+            let gated = rate_of(&m, GATED_ENGINE)?;
+            let other = rate_of(&m, over)?;
+            (other > 0.0).then_some((m, gated / other))
         })
         .collect()
+}
+
+/// Incidence-cache gain per model: the gated engine over its
+/// full-recompute replica (same draws, same results — pure
+/// propensity-refresh cost).
+fn incidence_gains(json: &str) -> Vec<(String, f64)> {
+    gated_ratios(json, FULL_RECOMPUTE_ENGINE)
 }
 
 /// Adaptive-over-fixed speedup per model.
 fn speedups(json: &str) -> Vec<(String, f64)> {
-    let rates = parse_rates(json);
-    let rate_of = |model: &str, engine: &str| -> Option<f64> {
-        rates
-            .iter()
-            .find(|((m, e), _)| m == model && e == engine)
-            .map(|(_, r)| *r)
-    };
-    let mut models: Vec<String> = rates.iter().map(|((m, _), _)| m.clone()).collect();
-    models.dedup();
-    models
-        .into_iter()
-        .filter_map(|m| {
-            let adaptive = rate_of(&m, GATED_ENGINE)?;
-            let fixed = rate_of(&m, "fixed-tau")?;
-            (fixed > 0.0).then_some((m, adaptive / fixed))
-        })
-        .collect()
+    gated_ratios(json, "fixed-tau")
 }
 
 /// Adaptive-over-SSA ratio per model (the [`SSA_RATIO_FLOORS`] input).
 fn ssa_ratios(json: &str) -> Vec<(String, f64)> {
-    let rates = parse_rates(json);
-    let rate_of = |model: &str, engine: &str| -> Option<f64> {
-        rates
-            .iter()
-            .find(|((m, e), _)| m == model && e == engine)
-            .map(|(_, r)| *r)
-    };
-    let mut models: Vec<String> = rates.iter().map(|((m, _), _)| m.clone()).collect();
-    models.dedup();
-    models
-        .into_iter()
-        .filter_map(|m| {
-            let adaptive = rate_of(&m, GATED_ENGINE)?;
-            let ssa = rate_of(&m, "ssa")?;
-            (ssa > 0.0).then_some((m, adaptive / ssa))
-        })
-        .collect()
+    gated_ratios(json, "ssa")
 }
 
 /// The speed gate (vs the committed baseline) plus the absolute

@@ -5,10 +5,11 @@
 //! with (top) 1 statistical engine and (bottom) 4 statistical engines.
 //!
 //! The workload is recorded from real Neurospora engine runs; the platform
-//! timing comes from the calibrated multicore DES model (see DESIGN.md §3
-//! for the substitution rationale). Expected shape: near-ideal speedup for
-//! ≤ 512 trajectories; with 1 statistical engine the 1024-trajectory curve
-//! flattens (on-line analysis saturates); 4 engines recover it.
+//! timing comes from the calibrated multicore DES model (`desim`, the
+//! stand-in for hardware we do not have). Expected shape: near-ideal
+//! speedup for ≤ 512 trajectories; with 1 statistical engine the
+//! 1024-trajectory curve flattens (on-line analysis saturates); 4 engines
+//! recover it.
 //!
 //! Run: `cargo run -p bench --release --bin fig3_multicore_speedup`
 //! (add `--quick` for a synthetic workload).

@@ -1,8 +1,8 @@
 //! Shared harness utilities for the per-figure/table benchmark binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index and EXPERIMENTS.md
-//! for the recorded outcomes). They share the workload preparation here:
+//! paper's evaluation (README.md, "Running the figure/table reproducers",
+//! is the index). They share the workload preparation here:
 //! the Neurospora model's event trace is recorded by *running the real
 //! stochastic engine*, then platform models replay it.
 
@@ -77,8 +77,7 @@ pub fn costs(quick: bool) -> CostModel {
 /// quanta, each sampled `samples_per_quantum` times. Used where the
 /// analysis share of the total work must match the paper's (our
 /// statistical engines are cheaper per value than the paper's
-/// period-detection stack, so the sampling grid compensates — see
-/// EXPERIMENTS.md).
+/// period-detection stack, so the sampling grid compensates).
 pub fn dense_trace(
     instances: u64,
     quick: bool,

@@ -92,8 +92,13 @@ pub struct SimConfig {
     /// ([`gillespie::KernelDispatch`]): `Auto` (the default) uses the
     /// vectorised kernels whenever the CPU supports them, `Scalar` and
     /// `Simd` force one side. Every kernel produces bit-for-bit the same
-    /// trajectories, so this knob changes throughput only — it is ignored
-    /// by the scalar engine kinds.
+    /// trajectories, so this knob changes throughput only. It is honoured
+    /// by the in-process batched farm ([`run_simulation`]) only: the
+    /// scalar engine kinds ignore it, and shard workers — threads, child
+    /// processes and TCP daemons alike — never receive it and always
+    /// resolve `Auto` locally.
+    ///
+    /// [`run_simulation`]: crate::runner::run_simulation
     pub kernel_dispatch: gillespie::KernelDispatch,
     /// Statistical engines to run on every window.
     pub engines: Vec<StatEngineKind>,

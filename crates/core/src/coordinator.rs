@@ -45,21 +45,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
-use fastflow::node::{flat_stage, map_stage};
+use fastflow::node::map_stage;
 use fastflow::pipeline::Pipeline;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
 use gillespie::trajectory::Cut;
+use gillespie::KernelDispatch;
 
 use crate::alignment::Alignment;
 use crate::config::SimConfig;
-use crate::engines::{StatBlock, StatEngineKind, StatEngineSet, StatRow};
+use crate::engines::{StatEngineKind, StatRow};
 use crate::merge::RunSummary;
 use crate::plan::{ShardPlan, ShardRange};
-use crate::runner::{SimError, SimReport};
-use crate::sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker, Steering};
-use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
-use crate::windows::WindowGen;
+use crate::runner::{analysis_tail, SimError, SimReport};
+use crate::sim_farm::{sim_farm, Steering};
+use crate::task::SampleBatch;
 
 /// Everything a shard worker needs to run its slice of a simulation —
 /// the run parameters plus the shard's [`ShardRange`]. The multi-process
@@ -450,60 +450,23 @@ pub fn run_shard(
     let events = Arc::new(AtomicU64::new(0));
     let events_in_stage = Arc::clone(&events);
 
-    // Same tier split as the single-process runner: the farm half depends
-    // on the scheduling unit (whole batches vs single instances), both
-    // arms settle on the same per-instance `SampleBatch` stream, and the
-    // rest of the shard body stays tier-agnostic.
-    let farm: Pipeline<SampleBatch> = match spec.engine {
-        EngineKind::Batched { width } => {
-            // Shard children keep the default `Auto` kernel dispatch and
-            // detect CPU features locally: every kernel is bit-for-bit
-            // identical, so the merged results cannot depend on which
-            // side each child picks.
-            let tasks: Vec<BatchSimTask> =
-                batch_spans(spec.range.first_instance, spec.range.count, width)
-                    .into_iter()
-                    .map(|(first, w)| {
-                        BatchSimTask::with_engine_deps(
-                            Arc::clone(&model),
-                            Arc::clone(&deps),
-                            spec.base_seed,
-                            first,
-                            w,
-                            spec.t_end,
-                            spec.quantum,
-                            spec.sample_period,
-                        )
-                    })
-                    .collect::<Result<_, _>>()?;
-            let workers: Vec<BatchSimWorker> = (0..spec.sim_workers.max(1))
-                .map(|_| BatchSimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
-                .master_worker_farm(BatchSimMaster::with_steering(steering.clone()), workers)
-        }
-        _ => {
-            let tasks: Vec<SimTask> = (spec.range.first_instance..spec.range.end())
-                .map(|i| {
-                    SimTask::with_engine_deps(
-                        spec.engine,
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        spec.base_seed,
-                        i,
-                        spec.t_end,
-                        spec.quantum,
-                        spec.sample_period,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<SimWorker> = (0..spec.sim_workers.max(1))
-                .map(|_| SimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
-                .master_worker_farm(SimMaster::with_steering(steering.clone()), workers)
-        }
-    };
+    // Shard workers keep the default `Auto` kernel dispatch and detect
+    // CPU features locally: every kernel is bit-for-bit identical, so the
+    // merged results cannot depend on which side each worker picks.
+    let farm = sim_farm(
+        model,
+        deps,
+        spec.engine,
+        spec.range.first_instance..spec.range.end(),
+        spec.base_seed,
+        spec.t_end,
+        spec.quantum,
+        spec.sample_period,
+        KernelDispatch::Auto,
+        spec.sim_workers,
+        spec.channel_capacity,
+        steering,
+    )?;
 
     let pipeline = farm
         .named_stage(
@@ -636,24 +599,8 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
     // The unchanged downstream half of the Fig. 2 network, fed by the
     // merged cut stream.
     let (cut_tx, cut_rx) = mpsc::sync_channel::<Cut>(cfg.channel_capacity);
-    let engine_set = StatEngineSet::new(cfg.engines.clone());
-    let pipeline = Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity)
-        .named_stage(
-            "window-gen",
-            WindowGen::new(cfg.window_width, cfg.window_slide),
-        )
-        .ordered_farm(cfg.stat_workers, |_| {
-            let set = engine_set.clone();
-            move |w: crate::windows::Window| set.analyse(&w)
-        })
-        .stage(flat_stage(
-            |block: StatBlock, out: &mut fastflow::node::Outbox<'_, StatRow>| {
-                for row in block.rows {
-                    out.push(row);
-                }
-            },
-        ));
-    let (rows_rx, handle) = pipeline.into_receiver();
+    let cuts = Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity);
+    let (rows_rx, handle) = analysis_tail(cuts, cfg).into_receiver();
     // Rows are drained concurrently so the bounded channels above can
     // never deadlock behind a full output buffer.
     let collector = std::thread::spawn(move || rows_rx.iter().collect::<Vec<StatRow>>());
@@ -677,23 +624,9 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
         .expect("row collector only reads from a channel");
     let run_stats = handle.join()?;
     let (events, summary) = supervised.map_err(SimError::Shard)?;
-
-    // Same invariant as the single-process runner: blocks arrive
-    // window-ordered, rows within blocks are time-ordered.
-    debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
-
-    Ok(SimReport {
-        rows,
-        run_stats,
-        wall: start.elapsed(),
-        events,
-        observable_names: model
-            .observable_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-        summary,
-    })
+    Ok(SimReport::new(
+        &model, rows, run_stats, start, events, summary,
+    ))
 }
 
 /// Runs a sharded simulation entirely in-process (one thread per shard).

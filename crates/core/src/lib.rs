@@ -20,7 +20,8 @@
 //! - [`task`]: the engine-agnostic simulation task objects streamed
 //!   through the farm (any [`EngineKind`]: SSA, first-reaction, fixed or
 //!   adaptive tau-leaping, hybrid SSA/tau);
-//! - [`sim_farm`]: master/worker logic with per-quantum rescheduling;
+//! - [`sim_farm`]: the farm of simulation engines — one master, one
+//!   worker, one constructor — with per-quantum rescheduling;
 //! - [`alignment`]: re-groups interleaved samples into time-ordered cuts;
 //! - [`windows`]: sliding windows of cuts;
 //! - [`engines`]: mean/variance, k-means, quantile and histogram engines;
@@ -88,7 +89,7 @@ pub use gillespie::engine::{Engine, EngineError, EngineKind};
 pub use merge::{CutMerger, ObsSummary, RunSummary};
 pub use plan::{ShardPlan, ShardRange};
 pub use runner::{run_sequential, run_simulation, run_simulation_steered, SimError, SimReport};
-pub use sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker, Steering, TaskMaster};
+pub use sim_farm::{QuantumTask, SimWorker, Steering, TaskMaster};
 pub use storage::{load_csv, CsvFileSink, StoredRun};
 pub use supervisor::ShardSupervisor;
 pub use task::{batch_spans, BatchSimTask, SampleBatch, SimTask};

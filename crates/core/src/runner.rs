@@ -26,8 +26,9 @@ use crate::alignment::Alignment;
 use crate::config::{ConfigError, SimConfig};
 use crate::display::CsvRenderer;
 use crate::engines::{StatBlock, StatEngineSet, StatRow};
-use crate::sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker};
-use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
+use crate::merge::RunSummary;
+use crate::sim_farm::{sim_farm, Steering};
+use crate::task::{SampleBatch, SimTask};
 use crate::windows::{Window, WindowGen};
 
 /// Outcome of a simulation-analysis run.
@@ -46,12 +47,38 @@ pub struct SimReport {
     /// Whole-run streaming statistics over every sample (mergeable: the
     /// sharded runner folds per-shard partials into this instead of
     /// shipping raw trajectories — see [`RunSummary`]).
-    ///
-    /// [`RunSummary`]: crate::merge::RunSummary
-    pub summary: crate::merge::RunSummary,
+    pub summary: RunSummary,
 }
 
 impl SimReport {
+    /// Assembles the report of a run over `model` that began at `start`.
+    pub(crate) fn new(
+        model: &Model,
+        rows: Vec<StatRow>,
+        run_stats: RunStats,
+        start: Instant,
+        events: u64,
+        summary: RunSummary,
+    ) -> Self {
+        // Blocks arrive window-ordered (the ordered farm's collector
+        // restores stream order) and rows within blocks are time-ordered,
+        // so the concatenation is already sorted — no repair sort. Pin the
+        // invariant cheaply in debug runs.
+        debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
+        SimReport {
+            rows,
+            run_stats,
+            wall: start.elapsed(),
+            events,
+            observable_names: model
+                .observable_names()
+                .into_iter()
+                .map(str::to_owned)
+                .collect(),
+            summary,
+        }
+    }
+
     /// Renders the rows as CSV (see [`CsvRenderer`]).
     pub fn to_csv(&self) -> String {
         let with_centroids = self
@@ -136,13 +163,36 @@ impl From<crate::coordinator::ShardError> for SimError {
     }
 }
 
+/// The analysis half of the Fig. 2 network: sliding windows over the cut
+/// stream, the ordered farm of statistical engines, and the flattening of
+/// their blocks into time-ordered rows. The single-process runner feeds it
+/// its own aligned cuts, the sharded coordinator the merged cut stream.
+pub(crate) fn analysis_tail(cuts: Pipeline<Cut>, cfg: &SimConfig) -> Pipeline<StatRow> {
+    let engine_set = StatEngineSet::new(cfg.engines.clone());
+    cuts.named_stage(
+        "window-gen",
+        WindowGen::new(cfg.window_width, cfg.window_slide),
+    )
+    .ordered_farm(cfg.stat_workers, |_| {
+        let set = engine_set.clone();
+        move |w: Window| set.analyse(&w)
+    })
+    .stage(flat_stage(
+        |block: StatBlock, out: &mut Outbox<'_, StatRow>| {
+            for row in block.rows {
+                out.push(row);
+            }
+        },
+    ))
+}
+
 /// Runs the full parallel simulation-analysis pipeline.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] on invalid configuration/model or a node panic.
 pub fn run_simulation(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, SimError> {
-    run_simulation_steered(model, cfg, &crate::sim_farm::Steering::new())
+    run_simulation_steered(model, cfg, &Steering::new())
 }
 
 /// Like [`run_simulation`], controlled by a [`Steering`] handle: calling
@@ -150,85 +200,43 @@ pub fn run_simulation(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
 /// quantum boundaries; the pipeline drains and the report covers whatever
 /// completed (the paper's GUI "steer and terminate running simulations").
 ///
-/// [`Steering`]: crate::sim_farm::Steering
-/// [`Steering::terminate`]: crate::sim_farm::Steering::terminate
-///
 /// # Errors
 ///
 /// Returns [`SimError`] on invalid configuration/model or a node panic.
 pub fn run_simulation_steered(
     model: Arc<Model>,
     cfg: &SimConfig,
-    steering: &crate::sim_farm::Steering,
+    steering: &Steering,
 ) -> Result<SimReport, SimError> {
     cfg.validate()?;
     model.validate()?;
     let start = Instant::now();
-    let events = Arc::new(AtomicU64::new(0));
 
     // Stage 1 + 2: generation of simulation tasks with the configured
     // engine, feeding the farm of simulation engines with feedback. The
     // model is "compiled" (dependency graph + read/write sets) once here
-    // and shared by every instance's incremental reaction table. Both
-    // farm tiers produce the same `SampleBatch` stream — per instance,
-    // bit-for-bit — so everything downstream is tier-agnostic.
-    let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
-    let farm: Pipeline<SampleBatch> = match cfg.engine {
-        gillespie::engine::EngineKind::Batched { width } => {
-            // Batched tier: workers pull whole batches of `width` replicas
-            // (the last batch may be narrower) instead of single instances.
-            let tasks: Vec<BatchSimTask> = batch_spans(0, cfg.instances, width)
-                .into_iter()
-                .map(|(first, w)| {
-                    BatchSimTask::with_engine_deps(
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        cfg.base_seed,
-                        first,
-                        w,
-                        cfg.t_end,
-                        cfg.quantum,
-                        cfg.sample_period,
-                    )
-                    .map(|task| task.with_kernel_dispatch(cfg.kernel_dispatch))
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<BatchSimWorker> = (0..cfg.sim_workers)
-                .map(|_| BatchSimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), cfg.channel_capacity)
-                .master_worker_farm(BatchSimMaster::with_steering(steering.clone()), workers)
-        }
-        _ => {
-            let tasks: Vec<SimTask> = (0..cfg.instances)
-                .map(|i| {
-                    SimTask::with_engine_deps(
-                        cfg.engine,
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        cfg.base_seed,
-                        i,
-                        cfg.t_end,
-                        cfg.quantum,
-                        cfg.sample_period,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<SimWorker> = (0..cfg.sim_workers).map(|_| SimWorker::new()).collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), cfg.channel_capacity)
-                .master_worker_farm(SimMaster::with_steering(steering.clone()), workers)
-        }
-    };
+    // and shared by every instance's incremental reaction table.
+    let farm = sim_farm(
+        Arc::clone(&model),
+        Arc::new(gillespie::deps::ModelDeps::compile(&model)),
+        cfg.engine,
+        0..cfg.instances,
+        cfg.base_seed,
+        cfg.t_end,
+        cfg.quantum,
+        cfg.sample_period,
+        cfg.kernel_dispatch,
+        cfg.sim_workers,
+        cfg.channel_capacity,
+        steering,
+    )?;
 
     // Stage 3: alignment of trajectories; then the analysis pipeline.
-    let engine_set = StatEngineSet::new(cfg.engines.clone());
+    let events = Arc::new(AtomicU64::new(0));
     let events_in_stage = Arc::clone(&events);
-    let summary = Arc::new(std::sync::Mutex::new(crate::merge::RunSummary::new(
-        cfg.engines.clone(),
-    )));
+    let summary = Arc::new(std::sync::Mutex::new(RunSummary::new(cfg.engines.clone())));
     let summary_in_stage = Arc::clone(&summary);
-
-    let pipeline = farm
+    let cuts = farm
         .named_stage(
             "events-counter",
             fastflow::node::map_stage(move |batch: SampleBatch| {
@@ -249,47 +257,23 @@ pub fn run_simulation_steered(
                     .push_cut(&cut);
                 cut
             }),
-        )
-        .named_stage(
-            "window-gen",
-            WindowGen::new(cfg.window_width, cfg.window_slide),
-        )
-        .ordered_farm(cfg.stat_workers, |_| {
-            let set = engine_set.clone();
-            move |w: Window| set.analyse(&w)
-        })
-        .stage(flat_stage(
-            |block: StatBlock, out: &mut Outbox<'_, StatRow>| {
-                for row in block.rows {
-                    out.push(row);
-                }
-            },
-        ));
+        );
 
-    let (rx, handle) = pipeline.into_receiver();
+    let (rx, handle) = analysis_tail(cuts, cfg).into_receiver();
     let rows: Vec<StatRow> = rx.iter().collect();
     let run_stats = handle.join()?;
-    // Blocks arrive window-ordered (the ordered farm's collector restores
-    // stream order) and rows within blocks are time-ordered, so the
-    // concatenation is already sorted — no repair sort. Pin the invariant
-    // cheaply in debug runs.
-    debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
-
-    Ok(SimReport {
+    let summary = Arc::try_unwrap(summary)
+        .expect("pipeline joined; no other summary holders")
+        .into_inner()
+        .expect("summary mutex poisoned");
+    Ok(SimReport::new(
+        &model,
         rows,
         run_stats,
-        wall: start.elapsed(),
-        events: events.load(Ordering::Relaxed),
-        observable_names: model
-            .observable_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-        summary: Arc::try_unwrap(summary)
-            .expect("pipeline joined; no other summary holders")
-            .into_inner()
-            .expect("summary mutex poisoned"),
-    })
+        start,
+        events.load(Ordering::Relaxed),
+        summary,
+    ))
 }
 
 /// Sequential reference implementation: same rows, no parallelism.
@@ -341,7 +325,7 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
     // time. The whole-run summary is fed cut by cut like the parallel path.
     let mut alignment = Alignment::new(cfg.instances, cfg.sample_period);
     let mut gen = WindowGen::new(cfg.window_width, cfg.window_slide);
-    let mut summary = crate::merge::RunSummary::new(cfg.engines.clone());
+    let mut summary = RunSummary::new(cfg.engines.clone());
     let set = StatEngineSet::new(cfg.engines.clone());
     let mut rows: Vec<StatRow> = Vec::new();
     let (cut_tx, cut_rx) = fastflow::channel::unbounded();
@@ -362,18 +346,14 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
     gen.on_end(&mut Outbox::new(&window_tx));
     analyse_due();
 
-    Ok(SimReport {
+    Ok(SimReport::new(
+        &model,
         rows,
-        run_stats: RunStats::default(),
-        wall: start.elapsed(),
+        RunStats::default(),
+        start,
         events,
-        observable_names: model
-            .observable_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
         summary,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -6,23 +6,32 @@
 //! simulation time (simulation quantum). Then it reschedules back the
 //! operation along the feedback channel."
 //!
-//! [`TaskMaster`] implements the dispatch-with-load-balancing policy —
-//! new and rescheduled tasks go to the least-loaded worker — generically
-//! over the unit of scheduling: scalar [`SimTask`]s ([`SimMaster`]) or
-//! whole [`BatchSimTask`]s ([`BatchSimMaster`], the batched tier, where
-//! workers pull batches of replicas instead of single instances).
-//! [`SimWorker`] / [`BatchSimWorker`] run one quantum per task, forward
-//! the produced [`SampleBatch`]es towards the alignment stage and feed
-//! incomplete tasks back.
+//! One master, one worker, one constructor. [`TaskMaster`] implements the
+//! dispatch-with-load-balancing policy — new and rescheduled tasks go to
+//! the least-loaded worker — and [`SimWorker`] runs one quantum per task,
+//! forwards the produced [`SampleBatch`]es towards the alignment stage and
+//! feeds incomplete tasks back. Both are generic over the unit of
+//! scheduling, a [`QuantumTask`]: a scalar [`SimTask`] (one instance) or a
+//! [`BatchSimTask`] (a whole batch of replicas, the batched tier).
+//! [`sim_farm`] assembles the farm half of the Fig. 2 network for a run
+//! or a shard's slice of one; it holds the only tier branch, and both
+//! arms settle on the same per-instance `SampleBatch` stream — bit for
+//! bit — so everything downstream is tier-agnostic.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use cwc::model::Model;
 use fastflow::master_worker::{FeedbackWorker, Master, Scheduler};
 use fastflow::node::Outbox;
+use fastflow::pipeline::Pipeline;
+use gillespie::deps::ModelDeps;
+use gillespie::engine::{EngineError, EngineKind};
+use gillespie::KernelDispatch;
 
-use crate::task::{BatchSimTask, SampleBatch, SimTask};
+use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 
 /// Steering control of a running simulation — the paper's Fig. 2 shows the
 /// GUI feeding "start new simulations, steer and terminate running
@@ -52,65 +61,59 @@ impl Steering {
     }
 }
 
-/// Master node of a simulation farm, generic over its unit of scheduling
-/// (`T` is what travels the feedback cycle: a [`SimTask`] on the scalar
-/// tier, a [`BatchSimTask`] on the batched tier).
+/// The farm's unit of scheduling — what travels the master → worker →
+/// (feedback) → master cycle until its trajectories reach the horizon.
+pub trait QuantumTask: Send + 'static {
+    /// Advances one quantum, handing `emit` one [`SampleBatch`] per
+    /// instance the task carries, in instance order.
+    fn quantum(&mut self, emit: impl FnMut(SampleBatch));
+
+    /// True when every trajectory of the task reached the horizon.
+    fn is_done(&self) -> bool;
+}
+
+impl QuantumTask for SimTask {
+    fn quantum(&mut self, mut emit: impl FnMut(SampleBatch)) {
+        let mut samples = Vec::new();
+        let events = self.run_quantum(&mut samples);
+        emit(SampleBatch {
+            instance: self.instance(),
+            samples,
+            events,
+            finished: self.is_done(),
+        });
+    }
+
+    fn is_done(&self) -> bool {
+        SimTask::is_done(self)
+    }
+}
+
+impl QuantumTask for BatchSimTask {
+    fn quantum(&mut self, emit: impl FnMut(SampleBatch)) {
+        self.run_quantum().into_iter().for_each(emit);
+    }
+
+    fn is_done(&self) -> bool {
+        BatchSimTask::is_done(self)
+    }
+}
+
+/// Master node of the simulation farm, generic over its unit of
+/// scheduling.
+#[derive(Debug)]
 pub struct TaskMaster<T> {
-    dispatched: u64,
-    steering: Option<Steering>,
+    steering: Steering,
     _task: PhantomData<fn(T)>,
 }
 
-/// Master of the scalar farm: schedules one instance per task.
-pub type SimMaster = TaskMaster<SimTask>;
-
-/// Master of the batched farm: schedules one whole batch per task.
-pub type BatchSimMaster = TaskMaster<BatchSimTask>;
-
-impl<T> std::fmt::Debug for TaskMaster<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskMaster")
-            .field("dispatched", &self.dispatched)
-            .field("steering", &self.steering)
-            .finish()
-    }
-}
-
-impl<T> Default for TaskMaster<T> {
-    fn default() -> Self {
-        TaskMaster {
-            dispatched: 0,
-            steering: None,
-            _task: PhantomData,
-        }
-    }
-}
-
 impl<T> TaskMaster<T> {
-    /// Creates the master.
-    pub fn new() -> Self {
-        TaskMaster::default()
-    }
-
     /// Creates a master controlled by a [`Steering`] handle.
-    pub fn with_steering(steering: Steering) -> Self {
+    pub fn new(steering: Steering) -> Self {
         TaskMaster {
-            dispatched: 0,
-            steering: Some(steering),
+            steering,
             _task: PhantomData,
         }
-    }
-
-    /// Tasks admitted from upstream so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    fn stopped(&self) -> bool {
-        self.steering
-            .as_ref()
-            .map(Steering::is_terminated)
-            .unwrap_or(false)
     }
 }
 
@@ -120,15 +123,14 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
     type Fb = T;
 
     fn on_upstream(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.stopped() {
+        if self.steering.is_terminated() {
             return; // terminated: drop new simulations
         }
-        self.dispatched += 1;
         sched.submit(task);
     }
 
     fn on_feedback(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.stopped() {
+        if self.steering.is_terminated() {
             return; // terminated: do not reschedule the next quantum
         }
         // Rescheduling after each quantum is the load-balancing strategy:
@@ -143,102 +145,165 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
 }
 
 /// Worker node of the simulation farm: runs one quantum per task.
-#[derive(Debug, Default)]
-pub struct SimWorker {
-    quanta: u64,
-    events: u64,
-}
-
-impl SimWorker {
-    /// Creates a worker.
-    pub fn new() -> Self {
-        SimWorker::default()
-    }
-}
-
-impl FeedbackWorker for SimWorker {
-    type Task = SimTask;
-    type Fb = SimTask;
-    type Out = SampleBatch;
-
-    fn on_task(&mut self, mut task: SimTask, out: &mut Outbox<'_, SampleBatch>) -> Option<SimTask> {
-        let mut samples = Vec::new();
-        let events = task.run_quantum(&mut samples);
-        self.quanta += 1;
-        self.events += events;
-        let finished = task.is_done();
-        if !samples.is_empty() || finished {
-            out.push(SampleBatch {
-                instance: task.instance(),
-                samples,
-                events,
-                finished,
-            });
-        }
-        if finished {
-            None
-        } else {
-            Some(task)
-        }
-    }
-}
-
-/// Worker node of the *batched* simulation farm: runs one quantum across
-/// a whole batch per task, emitting one [`SampleBatch`] per replica.
 ///
-/// The per-replica push discipline mirrors [`SimWorker`] exactly — a
-/// replica's batch is forwarded only when it carries samples or finishes
-/// the trajectory — so the event totals and sample streams reaching the
-/// downstream stages are bit-for-bit what the scalar farm produces.
-#[derive(Debug, Default)]
-pub struct BatchSimWorker {
-    quanta: u64,
-    events: u64,
+/// An instance's batch is forwarded only when it carries samples or
+/// finishes the trajectory — the same rule on both tiers, so the event
+/// totals and sample streams reaching the downstream stages do not depend
+/// on the unit of scheduling.
+#[derive(Debug)]
+pub struct SimWorker<T> {
+    _task: PhantomData<fn(T)>,
 }
 
-impl BatchSimWorker {
-    /// Creates a worker.
-    pub fn new() -> Self {
-        BatchSimWorker::default()
+impl<T> Default for SimWorker<T> {
+    fn default() -> Self {
+        SimWorker { _task: PhantomData }
     }
 }
 
-impl FeedbackWorker for BatchSimWorker {
-    type Task = BatchSimTask;
-    type Fb = BatchSimTask;
+impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
+    type Task = T;
+    type Fb = T;
     type Out = SampleBatch;
 
-    fn on_task(
-        &mut self,
-        mut task: BatchSimTask,
-        out: &mut Outbox<'_, SampleBatch>,
-    ) -> Option<BatchSimTask> {
-        let batches = task.run_quantum();
-        self.quanta += 1;
-        let finished = task.is_done();
-        for b in batches {
-            self.events += b.events;
-            if !b.samples.is_empty() || finished {
-                out.push(b);
+    fn on_task(&mut self, mut task: T, out: &mut Outbox<'_, SampleBatch>) -> Option<T> {
+        task.quantum(|batch| {
+            if !batch.samples.is_empty() || batch.finished {
+                out.push(batch);
             }
-        }
-        if finished {
+        });
+        if task.is_done() {
             None
         } else {
             Some(task)
         }
     }
+}
+
+/// Assembles the farm half of the Fig. 2 network over the instances
+/// `instances` of a run: task generation with the configured engine,
+/// feeding a master–worker farm of `workers` simulation engines with
+/// feedback. `deps` is `model`'s dependency graph, compiled once by the
+/// caller and shared by every instance's incremental reaction table.
+///
+/// `kernel_dispatch` selects the batched tier's kernels and is ignored by
+/// the scalar tier; every kernel is bit-for-bit identical, so it never
+/// changes the stream.
+///
+/// # Errors
+///
+/// Returns [`EngineError`] when `engine` cannot drive `model` (e.g.
+/// tau-leaping on a compartment model).
+#[allow(clippy::too_many_arguments)]
+pub fn sim_farm(
+    model: Arc<Model>,
+    deps: Arc<ModelDeps>,
+    engine: EngineKind,
+    instances: Range<u64>,
+    base_seed: u64,
+    t_end: f64,
+    quantum: f64,
+    sample_period: f64,
+    kernel_dispatch: KernelDispatch,
+    workers: usize,
+    channel_capacity: usize,
+    steering: &Steering,
+) -> Result<Pipeline<SampleBatch>, EngineError> {
+    match engine {
+        // Batched tier: workers pull whole batches of `width` replicas
+        // (the last batch may be narrower) instead of single instances.
+        EngineKind::Batched { width } => {
+            let count = instances.end - instances.start;
+            let tasks = batch_spans(instances.start, count, width)
+                .into_iter()
+                .map(|(first, w)| {
+                    BatchSimTask::with_engine_deps(
+                        Arc::clone(&model),
+                        Arc::clone(&deps),
+                        base_seed,
+                        first,
+                        w,
+                        t_end,
+                        quantum,
+                        sample_period,
+                    )
+                    .map(|task| task.with_kernel_dispatch(kernel_dispatch))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(spawn_farm(tasks, workers, channel_capacity, steering))
+        }
+        _ => {
+            let tasks = instances
+                .map(|i| {
+                    SimTask::with_engine_deps(
+                        engine,
+                        Arc::clone(&model),
+                        Arc::clone(&deps),
+                        base_seed,
+                        i,
+                        t_end,
+                        quantum,
+                        sample_period,
+                    )
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(spawn_farm(tasks, workers, channel_capacity, steering))
+        }
+    }
+}
+
+fn spawn_farm<T: QuantumTask>(
+    tasks: Vec<T>,
+    workers: usize,
+    channel_capacity: usize,
+    steering: &Steering,
+) -> Pipeline<SampleBatch> {
+    let workers: Vec<SimWorker<T>> = (0..workers.max(1)).map(|_| SimWorker::default()).collect();
+    Pipeline::from_source_with_capacity(tasks.into_iter(), channel_capacity)
+        .master_worker_farm(TaskMaster::new(steering.clone()), workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use biomodels::simple::decay;
-    use fastflow::pipeline::Pipeline;
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     type Samples = Vec<(f64, Vec<u64>)>;
+
+    /// Both tiers of the one constructor (width 3 never divides the
+    /// instance counts below, so the last batch is narrower).
+    const TIERS: [EngineKind; 2] = [EngineKind::Ssa, EngineKind::Batched { width: 3 }];
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_farm(
+        model: &Arc<Model>,
+        kind: EngineKind,
+        instances: u64,
+        seed: u64,
+        t_end: f64,
+        quantum: f64,
+        tau: f64,
+        workers: usize,
+    ) -> Vec<SampleBatch> {
+        sim_farm(
+            Arc::clone(model),
+            Arc::new(ModelDeps::compile(model)),
+            kind,
+            0..instances,
+            seed,
+            t_end,
+            quantum,
+            tau,
+            KernelDispatch::Auto,
+            workers,
+            16,
+            &Steering::new(),
+        )
+        .unwrap()
+        .collect()
+        .unwrap()
+    }
 
     /// Each instance's samples, sorted by time. Consecutive quanta of one
     /// instance run on different workers and `merge_channels` keeps no
@@ -262,117 +327,51 @@ mod tests {
     fn farm_completes_all_instances_with_full_sample_grids() {
         let model = Arc::new(decay(30, 0.5));
         let instances = 8u64;
-        let t_end = 4.0;
-        let tau = 0.5;
-        let tasks: Vec<SimTask> = (0..instances)
-            .map(|i| SimTask::new(Arc::clone(&model), 7, i, t_end, 1.0, tau))
-            .collect();
-        let batches: Vec<SampleBatch> = Pipeline::from_source(tasks.into_iter())
-            .master_worker_farm(SimMaster::new(), vec![SimWorker::new(), SimWorker::new()])
-            .collect()
-            .unwrap();
-        // Each instance must produce the full grid 0..=4.0 step 0.5 = 9
-        // samples, each grid point exactly once.
-        let per_instance = samples_by_instance(&batches);
-        let finishes = batches.iter().filter(|b| b.finished).count();
-        assert_eq!(per_instance.len(), instances as usize);
-        assert_eq!(finishes, instances as usize);
-        for (inst, samples) in per_instance {
-            assert_eq!(samples.len(), 9, "instance {inst} sample count");
-            assert!(
-                samples.windows(2).all(|w| w[0].0 < w[1].0),
-                "instance {inst} repeats a grid point"
-            );
+        for kind in TIERS {
+            let batches = run_farm(&model, kind, instances, 7, 4.0, 1.0, 0.5, 2);
+            // Each instance must produce the full grid 0..=4.0 step 0.5 = 9
+            // samples, each grid point exactly once.
+            let per_instance = samples_by_instance(&batches);
+            let finishes = batches.iter().filter(|b| b.finished).count();
+            assert_eq!(per_instance.len(), instances as usize, "{kind}");
+            assert_eq!(finishes, instances as usize, "{kind}");
+            for (inst, samples) in per_instance {
+                assert_eq!(samples.len(), 9, "{kind}: instance {inst} sample count");
+                assert!(
+                    samples.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{kind}: instance {inst} repeats a grid point"
+                );
+            }
         }
     }
 
     #[test]
     fn farm_results_equal_sequential_execution() {
         let model = Arc::new(decay(25, 1.0));
-        let mk_tasks = || -> Vec<SimTask> {
-            (0..4)
-                .map(|i| SimTask::new(Arc::clone(&model), 3, i, 3.0, 0.75, 0.25))
-                .collect()
-        };
         // Sequential reference.
         let mut expected: HashMap<u64, Samples> = HashMap::new();
-        for mut task in mk_tasks() {
-            let samples = expected.entry(task.instance()).or_default();
+        for i in 0..4 {
+            let mut task = SimTask::new(Arc::clone(&model), 3, i, 3.0, 0.75, 0.25);
+            let samples = expected.entry(i).or_default();
             while !task.is_done() {
                 task.run_quantum(samples);
             }
         }
-        // Farm execution.
-        let batches: Vec<SampleBatch> = Pipeline::from_source(mk_tasks().into_iter())
-            .master_worker_farm(
-                SimMaster::new(),
-                vec![SimWorker::new(), SimWorker::new(), SimWorker::new()],
-            )
-            .collect()
-            .unwrap();
-        assert_eq!(
-            samples_by_instance(&batches),
-            expected,
-            "farm must not change trajectories"
-        );
+        for kind in TIERS {
+            let batches = run_farm(&model, kind, 4, 3, 3.0, 0.75, 0.25, 3);
+            assert_eq!(
+                samples_by_instance(&batches),
+                expected,
+                "{kind}: farm must not change trajectories"
+            );
+        }
     }
 
     #[test]
     fn batched_farm_matches_scalar_farm_bit_for_bit() {
-        use crate::task::BatchSimTask;
-        use gillespie::deps::ModelDeps;
-        use gillespie::engine::EngineKind;
-
         let model = Arc::new(decay(30, 0.8));
-        let (instances, t_end, quantum, tau, seed) = (7u64, 3.0, 0.6, 0.2, 13u64);
-        let deps = Arc::new(ModelDeps::compile(&model));
-
-        let scalar_tasks: Vec<SimTask> = (0..instances)
-            .map(|i| {
-                SimTask::with_engine_deps(
-                    EngineKind::Ssa,
-                    Arc::clone(&model),
-                    Arc::clone(&deps),
-                    seed,
-                    i,
-                    t_end,
-                    quantum,
-                    tau,
-                )
-                .unwrap()
-            })
-            .collect();
-        let scalar: Vec<SampleBatch> = Pipeline::from_source(scalar_tasks.into_iter())
-            .master_worker_farm(SimMaster::new(), vec![SimWorker::new(), SimWorker::new()])
-            .collect()
-            .unwrap();
-
         // Width 3 over 7 instances: batches of 3, 3 and 1.
-        let width = 3usize;
-        let batch_tasks: Vec<BatchSimTask> = (0..instances)
-            .step_by(width)
-            .map(|first| {
-                let w = width.min((instances - first) as usize);
-                BatchSimTask::with_engine_deps(
-                    Arc::clone(&model),
-                    Arc::clone(&deps),
-                    seed,
-                    first,
-                    w,
-                    t_end,
-                    quantum,
-                    tau,
-                )
-                .unwrap()
-            })
-            .collect();
-        let batched: Vec<SampleBatch> = Pipeline::from_source(batch_tasks.into_iter())
-            .master_worker_farm(
-                BatchSimMaster::new(),
-                vec![BatchSimWorker::new(), BatchSimWorker::new()],
-            )
-            .collect()
-            .unwrap();
+        let [scalar, batched] = TIERS.map(|kind| run_farm(&model, kind, 7, 13, 3.0, 0.6, 0.2, 2));
 
         // Per-instance sample streams, event totals and finish flags must
         // agree exactly (batch order across instances may differ).

@@ -8,12 +8,13 @@
 //! A task is *engine-agnostic*: it wraps whichever [`Engine`] the run's
 //! [`EngineKind`] built — exact direct method, first-reaction, fixed or
 //! adaptive tau-leaping, or the hybrid SSA/tau engine — behind the same
-//! advance-one-quantum contract, so the farm, the distributed emulation
-//! and the GPGPU map schedule every integrator identically.
+//! advance-one-quantum contract, so the farm, its shards and the GPGPU
+//! map schedule every integrator identically.
 
 use std::sync::Arc;
 
 use cwc::model::Model;
+pub use gillespie::batch::batch_spans;
 use gillespie::batch::BatchedSsaEngine;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::{BatchEngine, Engine, EngineError, EngineKind};
@@ -144,30 +145,6 @@ impl SimTask {
                 out.push((t, values.to_vec()))
             })
     }
-}
-
-/// Chunks the instance range `first .. first + count` into batch spans of
-/// at most `width` replicas: `(first_instance, width)` pairs in instance
-/// order, the last span possibly narrower. This is the single chunking
-/// rule of the batched tier — the runner, the shard workers and the
-/// device map all derive their batches from it, so a replica's batch
-/// membership (and hence nothing at all, thanks to per-replica RNG
-/// streams) never depends on the execution back-end.
-///
-/// # Panics
-///
-/// Panics if `width` is zero (rejected earlier by config validation).
-pub fn batch_spans(first: u64, count: u64, width: usize) -> Vec<(u64, usize)> {
-    assert!(width >= 1, "batch width must be >= 1");
-    let mut spans = Vec::new();
-    let mut i = first;
-    let end = first + count;
-    while i < end {
-        let w = (width as u64).min(end - i) as usize;
-        spans.push((i, w));
-        i += w as u64;
-    }
-    spans
 }
 
 /// A simulation task that advances a whole *batch* of trajectories per
@@ -378,14 +355,6 @@ mod tests {
             assert_eq!(ss, ws, "{kind}");
             assert_eq!(sliced.engine.observe(), whole.engine.observe(), "{kind}");
         }
-    }
-
-    #[test]
-    fn batch_spans_cover_the_range_in_order() {
-        assert_eq!(batch_spans(0, 7, 3), vec![(0, 3), (3, 3), (6, 1)]);
-        assert_eq!(batch_spans(4, 2, 8), vec![(4, 2)]);
-        assert_eq!(batch_spans(0, 6, 3), vec![(0, 3), (3, 3)]);
-        assert_eq!(batch_spans(5, 0, 3), Vec::<(u64, usize)>::new());
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! `SimConfig::connect_timeout`, never a hang), ships the job frame —
 //! model, spec **and** the coordinator's pre-compiled [`ModelDeps`], so
 //! a remote worker never recompiles the model — and then reads the
-//! standard [`ToCoordinator`] stream back, feeding the supervisor's
-//! [`ShardActivity`] watchdog clock exactly like the process transport.
+//! standard [`ToCoordinator`](crate::shard::ToCoordinator) stream back,
+//! feeding the supervisor's [`ShardActivity`] watchdog clock exactly like
+//! the process transport.
 //!
 //! ## Requeue lands on a survivor
 //!
@@ -59,15 +60,13 @@ use std::time::Duration;
 use cwc::model::Model;
 use cwcsim::config::SimConfig;
 use cwcsim::coordinator::{
-    ShardActivity, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
-    ShardSpec, ShardTransport,
+    ShardActivity, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 use cwcsim::sim_farm::Steering;
 use gillespie::deps::ModelDeps;
 
 use crate::shard::{
-    read_frame, read_frame_at, serve_shard, write_frame, FrameError, ServeError, ShardJob,
-    ToCoordinator, ToShard,
+    pump_frames, read_frame, serve_shard, write_frame, FrameError, ServeError, ShardJob, ToShard,
 };
 use crate::wire::{self, Wire, WireError, WireReader};
 
@@ -435,9 +434,9 @@ impl ShardTransport for TcpShardTransport {
     /// `s` prefers worker `s mod live`, retries avoid the worker that
     /// just failed the shard), connect + hello handshake, job
     /// frame out, then a reader thread streaming the worker's frames
-    /// into `sink` and its liveness into `activity` — the exact driver
-    /// contract the process transport honours. A candidate whose
-    /// connection, handshake or job send fails is marked dead and the
+    /// into `sink` and its liveness into `activity` — the same frame
+    /// pump the process transport runs. A candidate whose connection,
+    /// handshake or job send fails is marked dead and the
     /// next candidate is tried within the *same* call; only when every
     /// candidate is exhausted does the call fail (typed `Spawn`).
     #[allow(clippy::too_many_lines)]
@@ -557,42 +556,8 @@ impl ShardTransport for TcpShardTransport {
 
             let reader_registry = Arc::clone(&self.registry);
             let join = std::thread::spawn(move || {
-                let mut input = PatientStream { stream, stop };
-                let mut offset = 0u64;
-                let result = loop {
-                    let frame_start = offset;
-                    match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
-                        Ok(Some(ToCoordinator::Progress { .. })) => activity.touch(),
-                        Ok(Some(ToCoordinator::Cut(cut))) => {
-                            activity.touch();
-                            activity.set_blocked(true);
-                            let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
-                            activity.set_blocked(false);
-                            if !delivered {
-                                break Ok(()); // attempt cancelled / run over
-                            }
-                        }
-                        Ok(Some(ToCoordinator::End { events, summary })) => {
-                            activity.touch();
-                            let _ = sink
-                                .send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
-                            break Ok(());
-                        }
-                        Ok(Some(ToCoordinator::Error(msg))) => break Err(ShardErrorKind::Sim(msg)),
-                        Ok(None) => {
-                            break Err(ShardErrorKind::Crashed(format!(
-                                "worker {addr} closed the connection before its \
-                                 end-of-stream report"
-                            )));
-                        }
-                        Err(e) => {
-                            break Err(ShardErrorKind::Frame {
-                                offset: e.offset().unwrap_or(frame_start),
-                                detail: format!("worker {addr}: {e}"),
-                            })
-                        }
-                    }
-                };
+                let input = PatientStream { stream, stop };
+                let result = pump_frames(input, &sink, &activity, &format!("worker {addr}"));
                 done.store(true, Ordering::Release);
                 if let Err(kind) = result {
                     // The connection died mid-run: assume the worker is

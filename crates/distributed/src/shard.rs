@@ -596,6 +596,64 @@ where
     Ok(())
 }
 
+/// The coordinator-side frame pump: decodes a shard worker's output
+/// stream and feeds the supervisor until the stream ends one way or
+/// another. Both remote transports drive their readers with it and keep
+/// their own reaping and bookkeeping around it.
+///
+/// Every frame touches `activity` (the watchdog's liveness clock).
+/// `Progress` heartbeats do nothing else; a `Cut` is forwarded into the
+/// bounded `sink`, with the driver marked blocked for the duration —
+/// waiting on the *coordinator* is not a stall; `End` is forwarded and
+/// finishes the pump. A dropped receiver (attempt cancelled, run over)
+/// finishes it quietly too. `label` names the worker in error details.
+///
+/// # Errors
+///
+/// `Sim` for a worker-reported `Error` frame, `Crashed` for EOF before
+/// `End`, `Frame` (with the byte offset of the offending frame) for a
+/// truncated or undecodable one.
+pub(crate) fn pump_frames(
+    mut input: impl Read,
+    sink: &mpsc::SyncSender<ShardFeed>,
+    activity: &ShardActivity,
+    label: &str,
+) -> Result<(), ShardErrorKind> {
+    let mut offset = 0u64;
+    loop {
+        let frame_start = offset;
+        match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
+            Ok(Some(ToCoordinator::Progress { .. })) => activity.touch(),
+            Ok(Some(ToCoordinator::Cut(cut))) => {
+                activity.touch();
+                activity.set_blocked(true);
+                let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
+                activity.set_blocked(false);
+                if !delivered {
+                    return Ok(());
+                }
+            }
+            Ok(Some(ToCoordinator::End { events, summary })) => {
+                activity.touch();
+                let _ = sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
+                return Ok(());
+            }
+            Ok(Some(ToCoordinator::Error(msg))) => return Err(ShardErrorKind::Sim(msg)),
+            Ok(None) => {
+                return Err(ShardErrorKind::Crashed(format!(
+                    "{label} ended its stream before its end-of-stream report"
+                )))
+            }
+            Err(e) => {
+                return Err(ShardErrorKind::Frame {
+                    offset: e.offset().unwrap_or(frame_start),
+                    detail: format!("{label}: {e}"),
+                })
+            }
+        }
+    }
+}
+
 /// A shard child's stdin, shared between the steering watcher and the
 /// launcher (None once deliberately closed).
 type SharedStdin = Arc<Mutex<Option<ChildStdin>>>;
@@ -795,49 +853,7 @@ impl ShardTransport for ProcessTransport {
         let reader_child = Arc::clone(&child);
         let join = std::thread::spawn(move || {
             let _hold_stdin = reader_stdin; // closed when the reader ends
-            let mut out = stdout;
-            let mut offset = 0u64;
-            let result = loop {
-                let frame_start = offset;
-                match read_frame_at::<ToCoordinator>(&mut out, &mut offset) {
-                    Ok(Some(ToCoordinator::Progress { .. })) => {
-                        // Heartbeat: liveness only, never forwarded.
-                        activity.touch();
-                    }
-                    Ok(Some(ToCoordinator::Cut(cut))) => {
-                        activity.touch();
-                        // Blocking on the bounded channel is waiting on
-                        // the *coordinator*, not the shard — exempt from
-                        // the watchdog for the duration.
-                        activity.set_blocked(true);
-                        let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
-                        activity.set_blocked(false);
-                        if !delivered {
-                            break Ok(()); // attempt cancelled / run over
-                        }
-                    }
-                    Ok(Some(ToCoordinator::End { events, summary })) => {
-                        activity.touch();
-                        let _ =
-                            sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
-                        break Ok(());
-                    }
-                    Ok(Some(ToCoordinator::Error(msg))) => {
-                        break Err(ShardErrorKind::Sim(msg));
-                    }
-                    Ok(None) => {
-                        break Err(ShardErrorKind::Crashed(
-                            "worker exited before its end-of-stream report".into(),
-                        ));
-                    }
-                    Err(e) => {
-                        break Err(ShardErrorKind::Frame {
-                            offset: e.offset().unwrap_or(frame_start),
-                            detail: e.to_string(),
-                        })
-                    }
-                }
-            };
+            let result = pump_frames(stdout, &sink, &activity, "cwc-shard child");
             done.store(true, Ordering::Release);
             // Reap the child; enrich failures with its status, stderr
             // and any recorded Terminate-write failure.
@@ -981,6 +997,130 @@ mod tests {
             }
         }
         frames
+    }
+
+    fn cut(time: f64) -> ToCoordinator {
+        ToCoordinator::Cut(Cut {
+            time,
+            values: vec![vec![1], vec![2]],
+        })
+    }
+
+    fn end() -> ToCoordinator {
+        ToCoordinator::End {
+            events: 5,
+            summary: RunSummary::new(Vec::new()),
+        }
+    }
+
+    fn stream(frames: &[ToCoordinator]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for f in frames {
+            write_frame(&mut bytes, f).unwrap();
+        }
+        bytes
+    }
+
+    /// Pumps `input` (then EOF) into a roomy sink; returns the pump's
+    /// verdict and what it forwarded.
+    fn pump(input: Vec<u8>) -> (Result<(), ShardErrorKind>, Vec<ShardFeed>) {
+        let (tx, rx) = mpsc::sync_channel(16);
+        let result = pump_frames(
+            Cursor::new(input),
+            &tx,
+            &ShardActivity::new(),
+            "test worker",
+        );
+        drop(tx);
+        (result, rx.iter().collect())
+    }
+
+    #[test]
+    fn pump_heartbeat_touches_the_clock_and_forwards_nothing() {
+        let activity = ShardActivity::new();
+        std::thread::sleep(Duration::from_millis(100));
+        let silent_before = activity.silent_for();
+        let (tx, rx) = mpsc::sync_channel(16);
+        let input = stream(&[ToCoordinator::Progress { cuts: 3 }]);
+        let result = pump_frames(Cursor::new(input), &tx, &activity, "test worker");
+        // Without the touch the clock could only have grown.
+        assert!(activity.silent_for() < silent_before);
+        assert!(matches!(result, Err(ShardErrorKind::Crashed(_))));
+        drop(tx);
+        assert_eq!(rx.iter().count(), 0);
+    }
+
+    #[test]
+    fn pump_forwards_cuts_in_order_then_a_clean_end() {
+        let (result, feeds) = pump(stream(&[cut(0.0), cut(0.5), end()]));
+        assert!(result.is_ok(), "{result:?}");
+        let times: Vec<f64> = feeds
+            .iter()
+            .filter_map(|f| match f {
+                ShardFeed::Msg(ShardMsg::Cut(c)) => Some(c.time),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(times, [0.0, 0.5]);
+        assert_eq!(feeds.len(), 3);
+        assert!(
+            matches!(&feeds[2], ShardFeed::Msg(ShardMsg::End(e)) if e.events == 5),
+            "{feeds:?}"
+        );
+    }
+
+    #[test]
+    fn pump_turns_an_error_frame_into_a_sim_failure() {
+        let (result, feeds) = pump(stream(&[cut(0.0), ToCoordinator::Error("bad".into())]));
+        assert!(matches!(result, Err(ShardErrorKind::Sim(m)) if m == "bad"));
+        assert_eq!(feeds.len(), 1);
+    }
+
+    #[test]
+    fn pump_reports_eof_before_end_as_a_crash() {
+        let (result, feeds) = pump(stream(&[cut(0.0)]));
+        assert!(
+            matches!(&result, Err(ShardErrorKind::Crashed(m)) if m.contains("test worker")),
+            "{result:?}"
+        );
+        assert_eq!(feeds.len(), 1);
+    }
+
+    #[test]
+    fn pump_reports_garbage_with_the_offset_of_the_bad_frame() {
+        let good = stream(&[cut(0.0)]);
+        // A frame-shaped lie after one good frame (undecodable payload),
+        // and one ripped mid-payload: both pin the bad frame's offset.
+        let mut lie = good.clone();
+        lie.extend_from_slice(&16u32.to_le_bytes());
+        lie.extend_from_slice(&[0xAB; 16]);
+        let mut ripped = stream(&[cut(0.0), cut(0.5)]);
+        ripped.pop();
+        for input in [lie, ripped] {
+            let (result, feeds) = pump(input);
+            match result {
+                Err(ShardErrorKind::Frame { offset, detail }) => {
+                    assert_eq!(offset, good.len() as u64, "{detail}");
+                    assert!(detail.contains("test worker"), "{detail}");
+                }
+                other => panic!("expected a frame error, got {other:?}"),
+            }
+            assert_eq!(feeds.len(), 1);
+        }
+    }
+
+    #[test]
+    fn pump_stops_quietly_when_the_receiver_is_gone() {
+        let (tx, rx) = mpsc::sync_channel(16);
+        drop(rx);
+        let input = stream(&[cut(0.0), cut(0.5), end()]);
+        let result = pump_frames(
+            Cursor::new(input),
+            &tx,
+            &ShardActivity::new(),
+            "test worker",
+        );
+        assert!(result.is_ok(), "{result:?}");
     }
 
     #[test]

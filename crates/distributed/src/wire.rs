@@ -28,8 +28,9 @@ use streamstat::welford::Running;
 
 /// Magic bytes of an encoded message envelope.
 pub const MAGIC: [u8; 4] = *b"CWCS";
-/// Current wire format version. Version 2 added the engine-kind field to
-/// [`RemoteTaskSpec`] (engine-agnostic remote farms); version 3 added the
+/// Current wire format version. Version 2 added the engine kind to the
+/// task-parameter message of the pre-sharding remote farms (that payload
+/// is gone; [`ShardSpec`] carries the kind now); version 3 added the
 /// adaptive-tau and hybrid engine kinds (tags 3 and 4); version 4 added
 /// the sharded-farm messages — full CWC models (so `cwc-shard` child
 /// processes receive arbitrary models, not a registry name), aligned
@@ -279,52 +280,6 @@ impl Wire for EngineKind {
             }),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Parameters shipped to a remote simulation farm: which instances to run
-/// and how (the distributed version sends *parameters*, not engine state —
-/// remote farms construct their own engines from the shared model and the
-/// spec's engine kind).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteTaskSpec {
-    /// First instance id (inclusive).
-    pub first_instance: u64,
-    /// Number of consecutive instances.
-    pub count: u64,
-    /// Base RNG seed.
-    pub base_seed: u64,
-    /// Time horizon.
-    pub t_end: f64,
-    /// Simulation quantum.
-    pub quantum: f64,
-    /// Sampling period τ.
-    pub sample_period: f64,
-    /// Stochastic integrator the remote farm must build.
-    pub engine: EngineKind,
-}
-
-impl Wire for RemoteTaskSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.first_instance.encode(buf);
-        self.count.encode(buf);
-        self.base_seed.encode(buf);
-        self.t_end.encode(buf);
-        self.quantum.encode(buf);
-        self.sample_period.encode(buf);
-        self.engine.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RemoteTaskSpec {
-            first_instance: u64::decode(r)?,
-            count: u64::decode(r)?,
-            base_seed: u64::decode(r)?,
-            t_end: f64::decode(r)?,
-            quantum: f64::decode(r)?,
-            sample_period: f64::decode(r)?,
-            engine: EngineKind::decode(r)?,
-        })
     }
 }
 
@@ -1089,31 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_task_spec_roundtrips() {
-        for engine in [
-            EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.125 },
-            EngineKind::FirstReaction,
-            EngineKind::AdaptiveTau { epsilon: 0.03 },
-            EngineKind::Hybrid {
-                epsilon: 0.05,
-                threshold: 16.0,
-            },
-            EngineKind::Batched { width: 64 },
-        ] {
-            roundtrip(RemoteTaskSpec {
-                first_instance: 128,
-                count: 64,
-                base_seed: 7,
-                t_end: 100.0,
-                quantum: 5.0,
-                sample_period: 0.5,
-                engine,
-            });
-        }
-    }
-
-    #[test]
     fn engine_kind_bad_tag_is_rejected() {
         let mut bytes = to_bytes(&EngineKind::Ssa);
         let last = bytes.len() - 1;
@@ -1272,29 +1202,39 @@ mod tests {
 
     #[test]
     fn shard_spec_roundtrips() {
-        roundtrip(ShardSpec {
-            range: ShardRange {
-                shard: 2,
-                first_instance: 64,
-                count: 32,
-            },
-            engine: EngineKind::Hybrid {
+        // The engine kind reaches every shard worker inside its spec.
+        for engine in [
+            EngineKind::Ssa,
+            EngineKind::TauLeap { tau: 0.125 },
+            EngineKind::FirstReaction,
+            EngineKind::AdaptiveTau { epsilon: 0.03 },
+            EngineKind::Hybrid {
                 epsilon: 0.05,
                 threshold: 8.0,
             },
-            base_seed: 7,
-            t_end: 50.0,
-            quantum: 1.0,
-            sample_period: 0.5,
-            sim_workers: 4,
-            channel_capacity: 64,
-            engines: vec![
-                StatEngineKind::MeanVariance,
-                StatEngineKind::KMeans { k: 2 },
-            ],
-            attempt: 3,
-            heartbeat_period: 0.25,
-        });
+            EngineKind::Batched { width: 64 },
+        ] {
+            roundtrip(ShardSpec {
+                range: ShardRange {
+                    shard: 2,
+                    first_instance: 64,
+                    count: 32,
+                },
+                engine,
+                base_seed: 7,
+                t_end: 50.0,
+                quantum: 1.0,
+                sample_period: 0.5,
+                sim_workers: 4,
+                channel_capacity: 64,
+                engines: vec![
+                    StatEngineKind::MeanVariance,
+                    StatEngineKind::KMeans { k: 2 },
+                ],
+                attempt: 3,
+                heartbeat_period: 0.25,
+            });
+        }
     }
 
     #[test]

@@ -57,25 +57,6 @@ pub const N_CRITICAL: u64 = 10;
 /// instead of leaping.
 pub const SSA_FALLBACK_MULT: f64 = 10.0;
 
-/// Models with at most this many rules default to *full* propensity
-/// recomputation per draw instead of the incidence-list cache refresh.
-///
-/// The cache turns the per-commit refresh from O(rules) into
-/// O(affected). Before the kernel-accelerated hot path this paid off
-/// only when the gap was wide (incidence was ~5% slower on the 4-rule
-/// Schlögl and 3-rule Lotka–Volterra, so the crossover sat at 32
-/// rules). Re-deriving it on the kernel path — `profile_adaptive` with
-/// `CWC_PROFILE_REFRESH`, conversion cycles of 3..48 rules, best of
-/// three — the incidence path now wins at *every* rule count in the
-/// critical regime (1.3–3x, e.g. 3 rules: 296 ms vs 388 ms for 2M
-/// firings) and ties within noise in the leap regime, so the crossover
-/// is zero: every model defaults to the incidence cache, and full
-/// recomputation survives purely as the diagnostic replica. Results are
-/// bit-identical on both sides, so the constant is a pure throughput
-/// knob; [`AdaptiveTauEngine::with_full_recompute`] and
-/// [`AdaptiveTauEngine::with_incidence_cache`] override it per engine.
-pub const FULL_RECOMPUTE_MAX_RULES: usize = 0;
-
 /// Two-sided relative slack around the incremental `a0` estimate used to
 /// screen the SSA-fallback guard without folding the full row. The
 /// estimate's true drift from the exact fold bits is bounded by roughly
@@ -388,13 +369,6 @@ impl AdaptiveTauEngine {
         let flat = FlatModel::compile(&model, &deps, "adaptive tau-leaping")?;
         let state = flat.initial_state(&model);
         let species_len = flat.species.len();
-        // Rule-count heuristic (see FULL_RECOMPUTE_MAX_RULES, currently
-        // zero: every model defaults to the incidence cache — the
-        // comparison is kept generic so a re-derived crossover is a
-        // one-constant change). Either way the trajectory is
-        // bit-identical.
-        #[allow(clippy::absurd_extreme_comparisons)]
-        let full_recompute = flat.rates.len() <= FULL_RECOMPUTE_MAX_RULES;
         Ok(AdaptiveTauEngine {
             model,
             flat,
@@ -413,7 +387,7 @@ impl AdaptiveTauEngine {
             cgp_scratch: CgpScratch::default(),
             hot: HotState::default(),
             cache_ready: false,
-            full_recompute,
+            full_recompute: false,
             seen_buf: vec![false; species_len],
             cand_buf: vec![0; species_len],
             changed_buf: Vec::new(),
@@ -438,11 +412,12 @@ impl AdaptiveTauEngine {
         self.dispatch
     }
 
-    /// Disables the incidence-list propensity cache: every draw
-    /// recomputes all propensities from the state vector. Results are
-    /// bit-identical either way — this overrides the rule-count
-    /// heuristic (see [`FULL_RECOMPUTE_MAX_RULES`]) so benchmarks can
-    /// measure the cache.
+    /// Diagnostic replica: disables the incidence-list propensity cache,
+    /// so every draw recomputes all propensities from the state vector.
+    /// Trajectories are bit-identical either way (the cache wins or ties
+    /// at every measured rule count, so it is what every engine starts
+    /// on); tests and the `adaptive_tau` bench use this side as the
+    /// reference the cache is compared against.
     pub fn with_full_recompute(mut self) -> Self {
         self.full_recompute = true;
         self.cache_ready = false;
@@ -450,21 +425,9 @@ impl AdaptiveTauEngine {
         self
     }
 
-    /// Forces the incidence-list propensity cache on, overriding the
-    /// rule-count heuristic (see [`FULL_RECOMPUTE_MAX_RULES`] —
-    /// currently zero, so this is already the default for every
-    /// model). Results are bit-identical either way.
-    pub fn with_incidence_cache(mut self) -> Self {
-        self.full_recompute = false;
-        self.cache_ready = false;
-        self.cgp_scratch = CgpScratch::default();
-        self
-    }
-
-    /// True when every draw recomputes all propensities (heuristic
-    /// default for small models, or forced via
-    /// [`AdaptiveTauEngine::with_full_recompute`]); false when commits
-    /// refresh the incidence-list cache instead.
+    /// True for the diagnostic replica built by
+    /// [`AdaptiveTauEngine::with_full_recompute`]; false when commits
+    /// refresh the incidence-list cache (the default).
     pub fn full_recompute(&self) -> bool {
         self.full_recompute
     }
@@ -1205,16 +1168,15 @@ mod tests {
             Arc::new(m)
         };
         for seed in [1u64, 9, 42] {
-            // 12 rules sit below the heuristic crossover, so the cache
-            // side must be forced on for this comparison to test it.
             let mut fast = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                 .unwrap()
-                .with_epsilon(0.05)
-                .with_incidence_cache();
+                .with_epsilon(0.05);
+            assert!(!fast.full_recompute(), "the cache is the default");
             let mut slow = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                 .unwrap()
                 .with_epsilon(0.05)
                 .with_full_recompute();
+            assert!(slow.full_recompute());
             // Slice the horizons differently too: the cache must survive
             // pending transitions across quantum boundaries.
             let mut fc = SampleClock::new(0.0, 0.25);
@@ -1231,47 +1193,6 @@ mod tests {
             assert_eq!(fast.leaps(), slow.leaps(), "seed {seed}");
             assert_eq!(fast.exact_steps(), slow.exact_steps(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn recompute_heuristic_crosses_over_at_the_pinned_rule_count() {
-        // The kernel-path re-derivation put the crossover at zero:
-        // incidence wins at every measured rule count (see
-        // FULL_RECOMPUTE_MAX_RULES), so even the smallest buildable
-        // model must default to the incidence cache. The equality pin
-        // makes a silent bump of the constant fail here, forcing a
-        // fresh measurement.
-        assert_eq!(FULL_RECOMPUTE_MAX_RULES, 0, "re-derive before bumping");
-        let cycle = |rules: usize| {
-            let mut m = Model::new("cycle");
-            for i in 0..rules {
-                let name = format!("S{i}");
-                let s = m.species(&name);
-                m.initial.add_atoms(s, 50);
-            }
-            for i in 0..rules {
-                m.rule(&format!("r{i}"))
-                    .consumes(&format!("S{i}"), 1)
-                    .produces(&format!("S{}", (i + 1) % rules), 1)
-                    .rate(1.0)
-                    .build()
-                    .unwrap();
-            }
-            Arc::new(m)
-        };
-        for rules in [2, 3, 33, 300] {
-            let at = AdaptiveTauEngine::new(cycle(rules), 1, 0).unwrap();
-            assert!(!at.full_recompute(), "{rules} rules ⇒ incidence cache");
-        }
-        // Both overrides beat the heuristic, in both directions.
-        let forced_cache = AdaptiveTauEngine::new(cycle(2), 1, 0)
-            .unwrap()
-            .with_incidence_cache();
-        assert!(!forced_cache.full_recompute());
-        let forced_full = AdaptiveTauEngine::new(cycle(2), 1, 0)
-            .unwrap()
-            .with_full_recompute();
-        assert!(forced_full.full_recompute());
     }
 
     #[test]

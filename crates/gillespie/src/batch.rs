@@ -72,6 +72,30 @@ use kernels::{CLEAN, DIRTY_ALL};
 /// The engine name used in flat-model rejection messages.
 pub const BATCHED_ENGINE_NAME: &str = "the batched SSA engine";
 
+/// Chunks the instance range `first .. first + count` into batch spans of
+/// at most `width` replicas: `(first_instance, width)` pairs in instance
+/// order, the last span possibly narrower. This is the single chunking
+/// rule of the batched tier — the runner, the shard workers and the
+/// device map all derive their batches from it, so a replica's batch
+/// membership (and hence nothing at all, thanks to per-replica RNG
+/// streams) never depends on the execution back-end.
+///
+/// # Panics
+///
+/// Panics if `width` is zero (rejected earlier by config validation).
+pub fn batch_spans(first: u64, count: u64, width: usize) -> Vec<(u64, usize)> {
+    assert!(width >= 1, "batch width must be >= 1");
+    let mut spans = Vec::new();
+    let mut i = first;
+    let end = first + count;
+    while i < end {
+        let w = (width as u64).min(end - i) as usize;
+        spans.push((i, w));
+        i += w as u64;
+    }
+    spans
+}
+
 /// One observable of the batch: the dynamic top-level species slot (if
 /// any) plus the constant contribution of inert initial-term compartments.
 ///
@@ -638,6 +662,14 @@ mod tests {
         m.initial.add_atoms(a, n);
         m.observe("A", a);
         Arc::new(m)
+    }
+
+    #[test]
+    fn batch_spans_cover_the_range_in_order() {
+        assert_eq!(batch_spans(0, 7, 3), vec![(0, 3), (3, 3), (6, 1)]);
+        assert_eq!(batch_spans(4, 2, 8), vec![(4, 2)]);
+        assert_eq!(batch_spans(0, 6, 3), vec![(0, 3), (3, 3)]);
+        assert_eq!(batch_spans(5, 0, 3), Vec::<(u64, usize)>::new());
     }
 
     fn schlogl_like() -> Arc<Model> {

@@ -7,7 +7,7 @@
 //! contract as the [`QuantumEngine`] trait and packages the five
 //! integrators of this crate behind the concrete [`Engine`] enum, so tasks
 //! stay `Clone + Send` without boxing and every downstream layer (task
-//! farm, distributed emulation, simulated GPGPU, benchmarks) is written
+//! farm, sharded farm, simulated GPGPU, benchmarks) is written
 //! once against the abstraction.
 //!
 //! [`BatchEngine`] is the batch-aware seam alongside it: the same quantum

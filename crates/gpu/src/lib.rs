@@ -1,7 +1,7 @@
 //! # simt — a SIMT GPGPU execution-model simulator
 //!
-//! The reproduction's substitute for the paper's NVidia Tesla K40 (see
-//! DESIGN.md §3). Table I of the paper is about the *execution model* —
+//! The reproduction's substitute for the paper's NVidia Tesla K40.
+//! Table I of the paper is about the *execution model* —
 //! "in the SIMT model all threads in a block not necessarily should execute
 //! the same instruction, however any divergence turns into a performance
 //! penalty" — and about how quantum size interacts with per-quantum load

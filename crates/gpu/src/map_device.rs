@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use cwc::model::Model;
-use gillespie::batch::BatchedSsaEngine;
+use gillespie::batch::{batch_spans, BatchedSsaEngine};
 use gillespie::engine::{BatchEngine, Engine, EngineError, EngineKind, QuantumEngine};
 use gillespie::ssa::SampleClock;
 
@@ -98,20 +98,20 @@ impl DeviceMap {
         let lanes = match kind {
             EngineKind::Batched { width } => {
                 kind.validate()?;
-                let mut batches = Vec::new();
-                let mut first = 0u64;
-                while first < instances {
-                    let w = (width as u64).min(instances - first) as usize;
-                    batches.push(BatchedSsaEngine::with_deps(
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        base_seed,
-                        first,
-                        w,
-                    )?);
-                    first += w as u64;
-                }
-                Lanes::Batched(batches)
+                Lanes::Batched(
+                    batch_spans(0, instances, width)
+                        .into_iter()
+                        .map(|(first, w)| {
+                            BatchedSsaEngine::with_deps(
+                                Arc::clone(&model),
+                                Arc::clone(&deps),
+                                base_seed,
+                                first,
+                                w,
+                            )
+                        })
+                        .collect::<Result<_, _>>()?,
+                )
             }
             _ => Lanes::Scalar(
                 (0..instances)

@@ -1,8 +1,10 @@
 //! The distributed simulator, both halves:
 //!
-//! 1. *functional*: run the real farm-of-pipelines deployment in-process,
-//!    with every sample batch wire-encoded and decoded, and check the
-//!    results equal local execution;
+//! 1. *functional*: run the farm-of-pipelines deployment as 3 in-process
+//!    shards through the production coordinator/supervisor/merge path and
+//!    check the results equal local execution (for 3 real `cwc-shard`
+//!    worker processes over the wire codec, run
+//!    `cargo run --release --example quickstart -- --shards 3`);
 //! 2. *performance*: predict the same deployment's timing on the paper's
 //!    Infiniband cluster with the calibrated DES model.
 //!
@@ -11,9 +13,8 @@
 use std::sync::Arc;
 
 use cwc_repro::biomodels::simple::birth_death;
-use cwc_repro::cwcsim::{run_simulation, SimConfig};
+use cwc_repro::cwcsim::{run_simulation, run_simulation_sharded_in_process, SimConfig};
 use cwc_repro::distrt::cluster::{simulate_cluster, ClusterParams};
-use cwc_repro::distrt::emulation::run_distributed_emulation;
 use cwc_repro::distrt::platform::{HostProfile, NetworkProfile};
 use cwc_repro::distrt::workload::{CostModel, WorkloadTrace};
 
@@ -25,17 +26,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sim_workers(2)
         .seed(99);
 
-    // --- functional emulation -------------------------------------------
+    // --- functional: the sharded farm ------------------------------------
     let local = run_simulation(Arc::clone(&model), &cfg)?;
-    let distributed = run_distributed_emulation(Arc::clone(&model), &cfg, 3)?;
-    assert_eq!(
-        local.rows, distributed.rows,
-        "distribution changed results!"
-    );
-    println!("functional: 3 emulated farms produced identical results to local execution");
+    let sharded = run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(3))?;
+    assert_eq!(local.rows, sharded.rows, "distribution changed results!");
+    assert_eq!(local.events, sharded.events);
+    println!("functional: 3 shards produced identical results to local execution");
     println!(
-        "            {} messages, {} bytes through the wire codec",
-        distributed.messages, distributed.bytes_transferred
+        "            {} rows, {} reactions fired across the shards",
+        sharded.rows.len(),
+        sharded.events
     );
 
     // --- performance model ----------------------------------------------

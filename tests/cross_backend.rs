@@ -1,14 +1,14 @@
-//! Integration: every execution back-end — multicore pipeline, emulated
-//! distributed deployment, simulated GPGPU — must produce *identical*
-//! simulation results for identical seeds, under *every* engine kind.
+//! Integration: every execution back-end — multicore pipeline, sharded
+//! farm (in-process shards; `sharded_agreement` covers real child
+//! processes), simulated GPGPU — must produce *identical* simulation
+//! results for identical seeds, under *every* engine kind.
 //! Portability without silent numerical drift is the paper's core promise;
 //! the engine abstraction must not weaken it.
 
 use std::sync::Arc;
 
 use cwc_repro::biomodels;
-use cwc_repro::cwcsim::{run_simulation, EngineKind, SimConfig};
-use cwc_repro::distrt::run_distributed_emulation;
+use cwc_repro::cwcsim::{run_simulation, run_simulation_sharded_in_process, EngineKind, SimConfig};
 use cwc_repro::gillespie::ssa::SampleClock;
 use cwc_repro::simt::DeviceMap;
 
@@ -41,26 +41,30 @@ fn engine_kinds() -> [EngineKind; 6] {
 }
 
 #[test]
-fn distributed_emulation_matches_multicore() {
+fn sharded_farm_matches_multicore() {
     let model = Arc::new(biomodels::simple::decay(50, 1.0));
     let cfg = cfg();
     let local = run_simulation(Arc::clone(&model), &cfg).unwrap();
-    for farms in [1usize, 2, 5] {
-        let remote = run_distributed_emulation(Arc::clone(&model), &cfg, farms).unwrap();
-        assert_eq!(remote.rows, local.rows, "{farms} farms");
+    for shards in [1usize, 2, 5] {
+        let sharded =
+            run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(shards))
+                .unwrap();
+        assert_eq!(sharded.rows, local.rows, "{shards} shards");
     }
 }
 
 #[test]
-fn distributed_emulation_matches_multicore_for_every_engine_kind() {
-    // The engine kind crosses the wire inside RemoteTaskSpec; remote farms
-    // must rebuild the exact same integrators.
+fn sharded_farm_matches_multicore_for_every_engine_kind() {
+    // The engine kind reaches every shard inside its ShardSpec; each
+    // shard's farm must rebuild the exact same integrators — whole
+    // batches on the batched tier.
     let model = Arc::new(biomodels::simple::birth_death(30.0, 1.0, 10));
     for kind in engine_kinds() {
         let cfg = cfg().engine(kind);
         let local = run_simulation(Arc::clone(&model), &cfg).unwrap();
-        let remote = run_distributed_emulation(Arc::clone(&model), &cfg, 3).unwrap();
-        assert_eq!(remote.rows, local.rows, "{kind}");
+        let sharded =
+            run_simulation_sharded_in_process(Arc::clone(&model), &cfg.shards(3)).unwrap();
+        assert_eq!(sharded.rows, local.rows, "{kind}");
     }
 }
 
