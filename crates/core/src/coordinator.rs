@@ -45,7 +45,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
-use fastflow::node::map_stage;
 use fastflow::pipeline::Pipeline;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
@@ -59,7 +58,6 @@ use crate::merge::RunSummary;
 use crate::plan::{ShardPlan, ShardRange};
 use crate::runner::{analysis_tail, SimError, SimReport};
 use crate::sim_farm::{sim_farm, Steering};
-use crate::task::SampleBatch;
 
 /// Everything a shard worker needs to run its slice of a simulation —
 /// the run parameters plus the shard's [`ShardRange`]. The multi-process
@@ -447,13 +445,10 @@ pub fn run_shard(
     steering: &Steering,
     mut on_msg: impl FnMut(ShardMsg),
 ) -> Result<(), SimError> {
-    let events = Arc::new(AtomicU64::new(0));
-    let events_in_stage = Arc::clone(&events);
-
     // Shard workers keep the default `Auto` kernel dispatch and detect
     // CPU features locally: every kernel is bit-for-bit identical, so the
     // merged results cannot depend on which side each worker picks.
-    let farm = sim_farm(
+    let (farm, events) = sim_farm(
         model,
         deps,
         spec.engine,
@@ -468,22 +463,14 @@ pub fn run_shard(
         steering,
     )?;
 
-    let pipeline = farm
-        .named_stage(
-            "shard-events",
-            map_stage(move |batch: SampleBatch| {
-                events_in_stage.fetch_add(batch.events, Ordering::Relaxed);
-                batch
-            }),
-        )
-        .named_stage(
-            "shard-alignment",
-            Alignment::with_base(
-                spec.range.count,
-                spec.sample_period,
-                spec.range.first_instance,
-            ),
-        );
+    let pipeline = farm.named_stage(
+        "shard-alignment",
+        Alignment::with_base(
+            spec.range.count,
+            spec.sample_period,
+            spec.range.first_instance,
+        ),
+    );
 
     let (rx, handle) = pipeline.into_receiver();
     let mut summary = RunSummary::new(spec.engines.clone());
@@ -647,7 +634,7 @@ pub fn run_simulation_sharded_in_process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_simulation;
+    use crate::runner::{run_sequential, run_simulation};
     use biomodels::simple::{birth_death, decay};
 
     fn cfg() -> SimConfig {
@@ -663,13 +650,21 @@ mod tests {
     #[test]
     fn sharded_rows_equal_single_process_rows() {
         let model = Arc::new(decay(40, 1.0));
-        let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
-        for shards in [1usize, 2, 3, 5] {
-            let sharded =
-                run_simulation_sharded_in_process(Arc::clone(&model), &cfg().shards(shards))
-                    .unwrap();
-            assert_eq!(sharded.rows, single.rows, "shards={shards}");
-            assert_eq!(sharded.events, single.events, "shards={shards}");
+        // Second leg: sparse sampling — three quanta in four forward no
+        // batch, so only the shard's workers ever see their events.
+        for cfg in [cfg(), cfg().quantum(0.25).sample_period(1.0)] {
+            let single = run_simulation(Arc::clone(&model), &cfg).unwrap();
+            let seq = run_sequential(Arc::clone(&model), &cfg).unwrap();
+            assert_eq!(single.events, seq.events);
+            for shards in [1usize, 2, 3, 5] {
+                let sharded = run_simulation_sharded_in_process(
+                    Arc::clone(&model),
+                    &cfg.clone().shards(shards),
+                )
+                .unwrap();
+                assert_eq!(sharded.rows, single.rows, "shards={shards}");
+                assert_eq!(sharded.events, seq.events, "shards={shards}");
+            }
         }
     }
 

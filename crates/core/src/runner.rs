@@ -12,7 +12,7 @@
 //! the two must agree bit-for-bit for a fixed seed, which is the
 //! correctness contract the integration tests enforce.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -216,7 +216,7 @@ pub fn run_simulation_steered(
     // engine, feeding the farm of simulation engines with feedback. The
     // model is "compiled" (dependency graph + read/write sets) once here
     // and shared by every instance's incremental reaction table.
-    let farm = sim_farm(
+    let (farm, events) = sim_farm(
         Arc::clone(&model),
         Arc::new(gillespie::deps::ModelDeps::compile(&model)),
         cfg.engine,
@@ -232,18 +232,9 @@ pub fn run_simulation_steered(
     )?;
 
     // Stage 3: alignment of trajectories; then the analysis pipeline.
-    let events = Arc::new(AtomicU64::new(0));
-    let events_in_stage = Arc::clone(&events);
     let summary = Arc::new(std::sync::Mutex::new(RunSummary::new(cfg.engines.clone())));
     let summary_in_stage = Arc::clone(&summary);
     let cuts = farm
-        .named_stage(
-            "events-counter",
-            fastflow::node::map_stage(move |batch: SampleBatch| {
-                events_in_stage.fetch_add(batch.events, Ordering::Relaxed);
-                batch
-            }),
-        )
         .named_stage(
             "alignment",
             Alignment::new(cfg.instances, cfg.sample_period),

@@ -7,12 +7,14 @@
 //! operation along the feedback channel."
 //!
 //! One master, one worker, one constructor. [`TaskMaster`] implements the
-//! dispatch-with-load-balancing policy — new and rescheduled tasks go to
-//! the least-loaded worker — and [`SimWorker`] runs one quantum per task,
-//! forwards the produced [`SampleBatch`]es towards the alignment stage and
-//! feeds incomplete tasks back. Both are generic over the unit of
-//! scheduling, a [`QuantumTask`]: a scalar [`SimTask`] (one instance) or a
-//! [`BatchSimTask`] (a whole batch of replicas, the batched tier).
+//! dispatch-with-load-balancing policy — new and rescheduled tasks join
+//! one FIFO and go to the least-loaded worker with room (see
+//! [`fastflow::master_worker`]) — and [`SimWorker`] runs one quantum per
+//! task, counts its events, forwards the produced [`SampleBatch`]es
+//! towards the alignment stage and feeds incomplete tasks back. Both are
+//! generic over the unit of scheduling, a [`QuantumTask`]: a scalar
+//! [`SimTask`] (one instance) or a [`BatchSimTask`] (a whole batch of
+//! replicas, the batched tier).
 //! [`sim_farm`] assembles the farm half of the Fig. 2 network for a run
 //! or a shard's slice of one; it holds the only tier branch, and both
 //! arms settle on the same per-instance `SampleBatch` stream — bit for
@@ -20,7 +22,7 @@
 
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cwc::model::Model;
@@ -37,7 +39,9 @@ use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 /// GUI feeding "start new simulations, steer and terminate running
 /// simulations" back into the main pipeline. A `Steering` handle can be
 /// shared with any thread (e.g. a UI) and terminates the run at the next
-/// quantum boundary of every task.
+/// quantum boundary of every task: once [`terminate`](Steering::terminate)
+/// has been called no task starts another quantum, wherever it waits — the
+/// master drops its ready queue and a worker drops what it dequeues.
 #[derive(Debug, Clone, Default)]
 pub struct Steering {
     stop: Arc<AtomicBool>,
@@ -123,41 +127,52 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
     type Fb = T;
 
     fn on_upstream(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.steering.is_terminated() {
-            return; // terminated: drop new simulations
-        }
-        sched.submit(task);
+        self.schedule(task, sched);
     }
 
+    // Rescheduling after each quantum is the load-balancing strategy: a
+    // long-running trajectory never pins its worker, because the next
+    // quantum may be dispatched anywhere.
     fn on_feedback(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.steering.is_terminated() {
-            return; // terminated: do not reschedule the next quantum
-        }
-        // Rescheduling after each quantum is the load-balancing strategy:
-        // a long-running trajectory never pins its worker, because the
-        // next quantum may be dispatched anywhere.
-        sched.submit(task);
+        self.schedule(task, sched);
     }
+}
 
-    fn on_idle(&mut self, _sched: &mut Scheduler<'_, T>) -> bool {
-        true
+impl<T> TaskMaster<T> {
+    /// Queues the next quantum of `task` — or, once terminated, drops it
+    /// together with every task still waiting for a worker.
+    fn schedule(&self, task: T, sched: &mut Scheduler<'_, T>) {
+        if self.steering.is_terminated() {
+            sched.discard_ready();
+        } else {
+            sched.submit(task);
+        }
     }
 }
 
 /// Worker node of the simulation farm: runs one quantum per task.
 ///
 /// An instance's batch is forwarded only when it carries samples or
-/// finishes the trajectory — the same rule on both tiers, so the event
-/// totals and sample streams reaching the downstream stages do not depend
-/// on the unit of scheduling.
+/// finishes the trajectory — the same rule on both tiers, so the sample
+/// streams reaching the downstream stages do not depend on the unit of
+/// scheduling. Events are counted here, at the source, because a quantum
+/// shorter than the sampling period fires events and forwards nothing.
 #[derive(Debug)]
 pub struct SimWorker<T> {
+    steering: Steering,
+    events: Arc<AtomicU64>,
     _task: PhantomData<fn(T)>,
 }
 
-impl<T> Default for SimWorker<T> {
-    fn default() -> Self {
-        SimWorker { _task: PhantomData }
+impl<T> SimWorker<T> {
+    /// Creates a worker that stops starting quanta once `steering` is
+    /// terminated and adds every quantum's events to `events`.
+    pub fn new(steering: Steering, events: Arc<AtomicU64>) -> Self {
+        SimWorker {
+            steering,
+            events,
+            _task: PhantomData,
+        }
     }
 }
 
@@ -167,11 +182,18 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
     type Out = SampleBatch;
 
     fn on_task(&mut self, mut task: T, out: &mut Outbox<'_, SampleBatch>) -> Option<T> {
+        if self.steering.is_terminated() {
+            return None; // queued before the termination: never started
+        }
+        let mut events = 0;
         task.quantum(|batch| {
+            events += batch.events;
             if !batch.samples.is_empty() || batch.finished {
                 out.push(batch);
             }
         });
+        // Relaxed: a statistic, read after the farm's threads are joined.
+        self.events.fetch_add(events, Ordering::Relaxed);
         if task.is_done() {
             None
         } else {
@@ -185,6 +207,10 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
 /// feeding a master–worker farm of `workers` simulation engines with
 /// feedback. `deps` is `model`'s dependency graph, compiled once by the
 /// caller and shared by every instance's incremental reaction table.
+///
+/// Returns the stream of sample batches and the run's event counter: the
+/// reactions fired by every quantum the farm executed, complete once the
+/// pipeline has been joined.
 ///
 /// `kernel_dispatch` selects the batched tier's kernels and is ignored by
 /// the scalar tier; every kernel is bit-for-bit identical, so it never
@@ -208,7 +234,7 @@ pub fn sim_farm(
     workers: usize,
     channel_capacity: usize,
     steering: &Steering,
-) -> Result<Pipeline<SampleBatch>, EngineError> {
+) -> Result<(Pipeline<SampleBatch>, Arc<AtomicU64>), EngineError> {
     match engine {
         // Batched tier: workers pull whole batches of `width` replicas
         // (the last batch may be narrower) instead of single instances.
@@ -257,16 +283,21 @@ fn spawn_farm<T: QuantumTask>(
     workers: usize,
     channel_capacity: usize,
     steering: &Steering,
-) -> Pipeline<SampleBatch> {
-    let workers: Vec<SimWorker<T>> = (0..workers.max(1)).map(|_| SimWorker::default()).collect();
-    Pipeline::from_source_with_capacity(tasks.into_iter(), channel_capacity)
-        .master_worker_farm(TaskMaster::new(steering.clone()), workers)
+) -> (Pipeline<SampleBatch>, Arc<AtomicU64>) {
+    let events = Arc::new(AtomicU64::new(0));
+    let workers: Vec<SimWorker<T>> = (0..workers.max(1))
+        .map(|_| SimWorker::new(steering.clone(), Arc::clone(&events)))
+        .collect();
+    let farm = Pipeline::from_source_with_capacity(tasks.into_iter(), channel_capacity)
+        .master_worker_farm(TaskMaster::new(steering.clone()), workers);
+    (farm, events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use biomodels::simple::decay;
+    use crate::alignment::Alignment;
+    use biomodels::simple::{birth_death, decay};
     use std::collections::HashMap;
 
     type Samples = Vec<(f64, Vec<u64>)>;
@@ -301,6 +332,7 @@ mod tests {
             &Steering::new(),
         )
         .unwrap()
+        .0
         .collect()
         .unwrap()
     }
@@ -386,5 +418,58 @@ mod tests {
         };
         assert_eq!(samples_by_instance(&batched), samples_by_instance(&scalar));
         assert_eq!(totals(&batched), totals(&scalar));
+    }
+
+    #[test]
+    fn termination_reaches_the_tasks_waiting_for_a_worker() {
+        // 64 instances over 2 workers: at any instant nearly every task
+        // waits — in the master's ready queue or a worker's task queue.
+        let model = Arc::new(birth_death(2000.0, 1.0, 2000));
+        let (instances, t_end, quantum) = (64, 100.0, 0.25);
+        let steering = Steering::new();
+        let (farm, _events) = sim_farm(
+            Arc::clone(&model),
+            Arc::new(ModelDeps::compile(&model)),
+            EngineKind::Ssa,
+            0..instances,
+            5,
+            t_end,
+            quantum,
+            quantum,
+            KernelDispatch::Auto,
+            2,
+            64,
+            &steering,
+        )
+        .unwrap();
+        let (cuts, handle) = farm
+            .named_stage("alignment", Alignment::new(instances, quantum))
+            .into_receiver();
+        // Terminate from inside the stream: the first cut is out once
+        // every instance has run the first of its 400 quanta.
+        let mut last = None;
+        for cut in cuts.iter() {
+            steering.terminate();
+            last = Some(cut.time);
+        }
+        handle.join().unwrap();
+        let last = last.expect("the first cut is what triggers termination");
+        assert!(
+            last < t_end / 4.0,
+            "cuts kept coming until t = {last} after termination at t = 0"
+        );
+    }
+
+    #[test]
+    fn a_terminated_worker_starts_no_quantum() {
+        let steering = Steering::new();
+        let events = Arc::new(AtomicU64::new(0));
+        let mut worker = SimWorker::new(steering.clone(), Arc::clone(&events));
+        let (tx, rx) = fastflow::channel::unbounded();
+        let task = SimTask::new(Arc::new(decay(30, 1.0)), 1, 0, 2.0, 1.0, 0.5);
+        steering.terminate();
+        assert!(worker.on_task(task, &mut Outbox::new(&tx)).is_none());
+        assert!(rx.try_recv().is_err());
+        assert_eq!(events.load(Ordering::Relaxed), 0);
     }
 }

@@ -29,6 +29,14 @@ fn configs() -> Vec<SimConfig> {
             .stat_workers(1)
             .channel_capacity(1)
             .seed(3),
+        // Sparse sampling: three quanta in four fire events and forward
+        // no batch.
+        SimConfig::new(6, 4.0)
+            .quantum(0.25)
+            .sample_period(1.0)
+            .sim_workers(2)
+            .stat_workers(2)
+            .seed(4),
     ]
 }
 
@@ -235,41 +243,46 @@ fn all_engine_kinds_flow_through_the_pipeline() {
 
 #[test]
 fn steering_terminates_a_running_simulation_early() {
-    use cwc_repro::cwcsim::{run_simulation_steered, Steering};
+    use cwc_repro::cwcsim::coordinator::{run_shard, ShardMsg, ShardSpec};
+    use cwc_repro::cwcsim::{ShardPlan, Steering};
+    use cwc_repro::gillespie::deps::ModelDeps;
 
-    // A heavy-enough run that 50 ms is early: 16 instances of a busy
-    // birth-death process.
     let model = Arc::new(biomodels::simple::birth_death(600.0, 1.0, 0));
-    let cfg = SimConfig::new(16, 20.0)
+    let cfg = SimConfig::new(16, 100.0)
         .quantum(0.25)
         .sample_period(0.25)
         .sim_workers(2)
         .seed(44);
 
-    // Full run for reference row count.
+    // Full run for reference row and event counts.
     let full = run_simulation(Arc::clone(&model), &cfg).unwrap();
     assert_eq!(full.rows.len(), cfg.samples_per_instance() as usize);
 
-    // Steered run: terminate shortly after it starts.
+    // The same farm and alignment, terminated from inside its own stream
+    // as soon as the first cut is out: "early" is observed progress (every
+    // instance has run one quantum of 400), not a wall-clock guess.
     let steering = Steering::new();
-    let killer = {
-        let s = steering.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            s.terminate();
-        })
-    };
-    let partial = run_simulation_steered(model, &cfg, &steering).unwrap();
-    killer.join().unwrap();
+    let spec = ShardSpec::from_config(&cfg, ShardPlan::new(cfg.instances, 1).ranges()[0]);
+    let deps = Arc::new(ModelDeps::compile(&model));
+    let mut times = Vec::new();
+    let mut events = 0;
+    run_shard(model, deps, &spec, &steering, |msg| match msg {
+        ShardMsg::Cut(cut) => {
+            steering.terminate();
+            times.push(cut.time);
+        }
+        ShardMsg::End(end) => events = end.events,
+    })
+    .unwrap();
     assert!(
-        partial.rows.len() < full.rows.len(),
-        "terminated run produced {} of {} rows",
-        partial.rows.len(),
+        !times.is_empty() && times.len() < full.rows.len(),
+        "terminated run produced {} of {} cuts",
+        times.len(),
         full.rows.len()
     );
-    assert!(partial.events < full.events);
-    // Whatever completed is still correct and time-ordered.
-    assert!(partial.rows.windows(2).all(|w| w[0].time < w[1].time));
+    assert!(events < full.events);
+    // Whatever completed is still time-ordered.
+    assert!(times.windows(2).all(|w| w[0] < w[1]));
 }
 
 #[test]
