@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use biomodels::simple::conversion_cycle;
 use gillespie::batch::BatchedSsaEngine;
-use gillespie::engine::BatchEngine;
 use gillespie::ssa::SampleClock;
 
 fn main() {

@@ -45,7 +45,7 @@ use cwc::matching::{apply_at, choose_assignment, match_count};
 use cwc::model::Model;
 use cwc::term::{Path, Term};
 use gillespie::batch::BatchedSsaEngine;
-use gillespie::engine::{BatchEngine, EngineKind, EngineStep};
+use gillespie::engine::{EngineKind, EngineStep};
 use gillespie::rng::{sim_rng, SimRng};
 use gillespie::ssa::SampleClock;
 use gillespie::KernelDispatch;
@@ -292,7 +292,7 @@ fn batch_stepper(
         .with_kernel_dispatch(dispatch);
     let mut clocks: Vec<SampleClock> = (0..width).map(|_| SampleClock::new(0.0, 1e18)).collect();
     let dt = 0.05;
-    let mut t = BatchEngine::time(&batch);
+    let mut t = batch.time();
     let mut quantum = move || -> u64 {
         t += dt;
         batch

@@ -23,10 +23,10 @@
 //! - [`sim_farm`]: the farm of simulation engines — one master, one
 //!   worker, one constructor — with per-quantum rescheduling;
 //! - [`alignment`]: re-groups interleaved samples into time-ordered cuts;
-//! - [`windows`]: sliding windows of cuts;
+//! - [`windows`]: windows of cuts, the stat farm's unit of scheduling;
 //! - [`engines`]: mean/variance, k-means, quantile and histogram engines;
-//! - [`display`]: CSV and ASCII-chart renderers (GUI stand-ins);
-//! - [`storage`]: streaming CSV sink + loader (Fig. 2's "permanent storage");
+//! - [`display`]: CSV and ASCII-chart renderers (GUI stand-ins; Fig. 2's
+//!   "permanent storage" is [`SimReport::to_csv`]);
 //! - [`runner`]: one-call assembly ([`run_simulation`]) plus the
 //!   sequential reference ([`run_sequential`]) used for correctness checks
 //!   and speedup baselines;
@@ -71,7 +71,6 @@ pub mod merge;
 pub mod plan;
 pub mod runner;
 pub mod sim_farm;
-pub mod storage;
 pub mod supervisor;
 pub mod task;
 pub mod windows;
@@ -90,7 +89,6 @@ pub use merge::{CutMerger, ObsSummary, RunSummary};
 pub use plan::{ShardPlan, ShardRange};
 pub use runner::{run_sequential, run_simulation, run_simulation_steered, SimError, SimReport};
 pub use sim_farm::{QuantumTask, SimWorker, Steering, TaskMaster};
-pub use storage::{load_csv, CsvFileSink, StoredRun};
 pub use supervisor::ShardSupervisor;
 pub use task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 pub use windows::{Window, WindowGen};

@@ -17,7 +17,7 @@ use cwc::model::Model;
 pub use gillespie::batch::batch_spans;
 use gillespie::batch::BatchedSsaEngine;
 use gillespie::deps::ModelDeps;
-use gillespie::engine::{BatchEngine, Engine, EngineError, EngineKind};
+use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
 
 /// A simulation task: one trajectory's engine state and sampling clock.
@@ -210,23 +210,23 @@ impl BatchSimTask {
 
     /// Instance id of the batch's first replica.
     pub fn first_instance(&self) -> u64 {
-        BatchEngine::first_instance(&self.engine)
+        self.engine.first_instance()
     }
 
     /// Number of replicas in the batch.
     pub fn width(&self) -> usize {
-        BatchEngine::width(&self.engine)
+        self.engine.width()
     }
 
     /// True when every replica reached the horizon (the batch is in
     /// lockstep, so one time comparison covers them all).
     pub fn is_done(&self) -> bool {
-        BatchEngine::time(&self.engine) >= self.t_end
+        self.engine.time() >= self.t_end
     }
 
     /// End of the next quantum (capped at the horizon).
     pub fn next_quantum_end(&self) -> f64 {
-        (BatchEngine::time(&self.engine) + self.quantum).min(self.t_end)
+        (self.engine.time() + self.quantum).min(self.t_end)
     }
 
     /// Runs one quantum across the whole batch; returns one finished

@@ -109,14 +109,19 @@ impl Stage for WindowGen {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use streamstat::window::SlidingWindow;
+    use std::collections::VecDeque;
 
     /// The generator this module shipped before windows moved their cuts:
-    /// a `SlidingWindow<Cut>` ring whose every emission deep-clones the
-    /// whole context, with the fresh suffix marking the cuts to analyse.
-    /// Kept as the reference [`WindowGen`] must partition identically to.
+    /// a ring of the last `width` cuts whose every emission deep-clones
+    /// the whole context, with the fresh suffix marking the cuts to
+    /// analyse. Kept as the reference [`WindowGen`] must partition
+    /// identically to.
     struct ContextWindowGen {
-        window: SlidingWindow<Cut>,
+        buf: VecDeque<Cut>,
+        width: usize,
+        slide: usize,
+        since_emit: usize,
+        emitted_any: bool,
         seq: u64,
         unanalysed: usize,
     }
@@ -124,10 +129,45 @@ mod tests {
     impl ContextWindowGen {
         fn new(width: usize, slide: usize) -> Self {
             ContextWindowGen {
-                window: SlidingWindow::new(width, slide),
+                buf: VecDeque::with_capacity(width),
+                width,
+                slide,
+                since_emit: 0,
+                emitted_any: false,
                 seq: 0,
                 unanalysed: 0,
             }
+        }
+
+        /// Feeds one cut; returns a full window of context when one is
+        /// due: the first time `width` cuts are buffered, then every
+        /// `slide` cuts.
+        fn push(&mut self, cut: Cut) -> Option<Vec<Cut>> {
+            self.buf.push_back(cut);
+            if self.buf.len() > self.width {
+                self.buf.pop_front();
+            }
+            if self.buf.len() < self.width {
+                return None;
+            }
+            if self.emitted_any {
+                self.since_emit += 1;
+                if self.since_emit < self.slide {
+                    return None;
+                }
+            }
+            self.emitted_any = true;
+            self.since_emit = 0;
+            Some(self.buf.iter().cloned().collect())
+        }
+
+        /// The buffered tail at end of stream, unless it was just emitted.
+        fn flush(&mut self) -> Option<Vec<Cut>> {
+            if self.buf.is_empty() || (self.emitted_any && self.since_emit == 0) {
+                return None;
+            }
+            self.since_emit = 0;
+            Some(self.buf.iter().cloned().collect())
         }
 
         fn make_window(&mut self, cuts: Vec<Cut>) -> Window {
@@ -149,7 +189,7 @@ mod tests {
 
         fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) -> Flow {
             self.unanalysed += 1;
-            if let Some(cuts) = self.window.push(cut) {
+            if let Some(cuts) = self.push(cut) {
                 let w = self.make_window(cuts);
                 out.push(w);
             }
@@ -158,7 +198,7 @@ mod tests {
 
         fn on_end(&mut self, out: &mut Outbox<'_, Window>) {
             if self.unanalysed > 0 {
-                if let Some(cuts) = self.window.flush() {
+                if let Some(cuts) = self.flush() {
                     let w = self.make_window(cuts);
                     out.push(w);
                 }

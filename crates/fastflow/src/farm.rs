@@ -403,7 +403,6 @@ fn run_ordered_collector<T: Send>(workers: Vec<Receiver<(u64, T)>>, out: Sender<
     let n = workers.len();
     let mut done = vec![false; n];
     let mut heads: Vec<Option<(u64, T)>> = (0..n).map(|_| None).collect();
-    let mut remaining = n;
     let mut next_seq = 0u64;
     let mut backoff = Backoff::new();
     loop {
@@ -417,10 +416,7 @@ fn run_ordered_collector<T: Send>(workers: Vec<Receiver<(u64, T)>>, out: Sender<
                         progressed = true;
                     }
                     Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => {
-                        done[i] = true;
-                        remaining -= 1;
-                    }
+                    Err(TryRecvError::Disconnected) => done[i] = true,
                 }
             }
         }
@@ -443,7 +439,13 @@ fn run_ordered_collector<T: Send>(workers: Vec<Receiver<(u64, T)>>, out: Sender<
                 }
             }
         }
-        if remaining == 0 && heads.iter().all(|h| h.is_none()) {
+        // The emitter is strict round-robin, so `next_seq` can only come
+        // from worker `next_seq % n`. Once that worker has hung up (`done`
+        // is only ever set on a drained queue and an empty head slot) it
+        // will never arrive: the stream ended there, cleanly or because
+        // the worker panicked. Returning drops `out` and the receivers,
+        // which unblocks the other workers; `join_all` reports a panic.
+        if done[(next_seq % n as u64) as usize] {
             return;
         }
         if progressed {
@@ -587,6 +589,35 @@ mod tests {
                 assert!(stage.starts_with("risky.worker."));
             }
             other => panic!("expected panic, got {:?}", other.map(|v| v.len())),
+        }
+    }
+
+    #[test]
+    fn ordered_farm_worker_panic_is_reported() {
+        // On a helper thread, so a collector that waits forever for the
+        // dead worker's sequence number fails the test instead of hanging
+        // the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = Pipeline::from_source(0..10_000u64)
+                .ordered_farm(4, |_| {
+                    |x: u64| {
+                        if x == 777 {
+                            panic!("unlucky");
+                        }
+                        x
+                    }
+                })
+                .collect();
+            let _ = tx.send(result);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(Err(crate::error::Error::StagePanicked { stage, message })) => {
+                assert!(stage.starts_with("ofarm.worker."), "{stage}");
+                assert_eq!(message, "unlucky");
+            }
+            Ok(other) => panic!("expected panic, got {:?}", other.map(|v| v.len())),
+            Err(_) => panic!("ordered farm hung on a panicked worker"),
         }
     }
 

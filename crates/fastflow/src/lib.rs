@@ -8,8 +8,7 @@
 //! | Layer | Modules |
 //! |---|---|
 //! | Building blocks | [`spsc`], [`unbounded`], [`channel`], [`backoff`] |
-//! | Core patterns | [`pipeline`], [`farm`], [`master_worker`] (feedback), [`stencil_reduce`] |
-//! | High-level patterns | [`high_level`] (parallel-for, map, reduce, map-reduce) |
+//! | Core patterns | [`pipeline`], [`farm`], [`master_worker`] (feedback) |
 //!
 //! Processing components are threads; channels are lock-free
 //! single-producer single-consumer FIFO queues — the CSP/actor hybrid model
@@ -49,25 +48,21 @@ pub mod backoff;
 pub mod channel;
 pub mod error;
 pub mod farm;
-pub mod high_level;
 pub mod master_worker;
 pub mod metrics;
 pub mod node;
 pub mod pipeline;
 pub mod spsc;
-pub mod stencil_reduce;
 pub mod unbounded;
 
 pub use error::{Error, Result};
 pub use farm::{Farm, SchedPolicy};
-pub use high_level::{map_reduce, parallel_for, parallel_invoke, parallel_map, parallel_reduce};
 pub use master_worker::{FeedbackWorker, Master, Scheduler};
 pub use metrics::{NodeStats, RunStats};
 pub use node::{
     filter_stage, flat_stage, map_stage, sink_fn, source_fn, Flow, Outbox, Sink, Source, Stage,
 };
 pub use pipeline::Pipeline;
-pub use stencil_reduce::{CpuExecutor, MapExecutor, SeqExecutor, StencilOutcome, StencilReduce};
 
 #[cfg(test)]
 mod tests {

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use cwc::model::{Model, ObservableSite};
 
 use crate::deps::ModelDeps;
-use crate::engine::{BatchEngine, EngineError, QuantumOutcome};
+use crate::engine::{EngineError, QuantumOutcome};
 use crate::flat::{FlatModel, FlatModelError};
 use crate::ssa::SampleClock;
 
@@ -120,7 +120,6 @@ struct ObsSpec {
 /// ```
 /// use cwc::model::Model;
 /// use gillespie::batch::BatchedSsaEngine;
-/// use gillespie::engine::BatchEngine;
 /// use gillespie::ssa::SampleClock;
 /// use std::sync::Arc;
 ///
@@ -208,7 +207,7 @@ pub struct BatchedSsaEngine {
     raws: Vec<u64>,
     /// Round scratch: raw lane words of the round's assignment draws
     /// (drawn fused with the selection draws, then discarded — see
-    /// [`advance_quantum_batch`](BatchEngine::advance_quantum_batch)).
+    /// [`advance_quantum_batch`](Self::advance_quantum_batch)).
     raws_assign: Vec<u64>,
     /// Round scratch: per-replica selection targets of the current round.
     targets: Vec<f64>,
@@ -496,16 +495,27 @@ impl BatchedSsaEngine {
         debug_assert_eq!(self.dirty[r], CLEAN, "fired a stale replica");
         self.dirty[r] = slot as u32;
     }
-}
 
-impl BatchEngine for BatchedSsaEngine {
-    /// Advances every replica to `t_goal` in lockstep rounds: phase 1
-    /// refreshes the propensity matrix for replicas that fired, phase 2
-    /// runs one scalar `run_sampled` iteration per live replica —
-    /// waiting-time draw (kept pending across quantum boundaries), grid
-    /// samples up to `min(t_next, t_goal)` observing the state in force,
-    /// then the firing. A replica whose next event falls beyond the
-    /// horizon parks at `t_goal` exactly, so the batch stays in lockstep.
+    /// Advances every replica to `t_goal`, emitting each replica's grid
+    /// samples through its own persistent clock (`clocks[r]` belongs to
+    /// replica `r`; `clocks.len()` must equal [`width`](Self::width)).
+    /// Returns one [`QuantumOutcome`] per replica, in replica order.
+    ///
+    /// The quantum contract of [`crate::engine`] applies per replica:
+    /// advancing the batch to `t_goal` in any number of slices yields, for
+    /// every replica, the same samples and event counts as the scalar
+    /// engine of instance `first_instance + r` advanced through the same
+    /// slices. The batch is in lockstep *at quantum boundaries* — every
+    /// replica's clock reads exactly `t_goal` after a call — while event
+    /// times diverge freely inside a quantum.
+    ///
+    /// The advance runs in lockstep rounds: phase 1 refreshes the
+    /// propensity matrix for replicas that fired, phase 2 runs one scalar
+    /// `run_sampled` iteration per live replica — waiting-time draw (kept
+    /// pending across quantum boundaries), grid samples up to
+    /// `min(t_next, t_goal)` observing the state in force, then the
+    /// firing. A replica whose next event falls beyond the horizon parks
+    /// at `t_goal` exactly, so the batch stays in lockstep.
     ///
     /// The per-replica draws of a round are batched by type — waiting
     /// time, selection, assignment — through the lockstep RNG kernel.
@@ -513,7 +523,7 @@ impl BatchEngine for BatchedSsaEngine {
     /// order (waiting time, then selection iff multi-channel, then
     /// assignment), because streams never interleave across replicas and
     /// the three phases preserve that order within a round.
-    fn advance_quantum_batch(
+    pub fn advance_quantum_batch(
         &mut self,
         t_goal: f64,
         clocks: &mut [SampleClock],
@@ -626,26 +636,6 @@ impl BatchEngine for BatchedSsaEngine {
         }
         debug_assert!(self.times.iter().all(|&t| t == t_goal), "lockstep broken");
         outcomes
-    }
-
-    fn width(&self) -> usize {
-        BatchedSsaEngine::width(self)
-    }
-
-    fn first_instance(&self) -> u64 {
-        BatchedSsaEngine::first_instance(self)
-    }
-
-    fn time(&self) -> f64 {
-        BatchedSsaEngine::time(self)
-    }
-
-    fn observe_replica(&self, r: usize) -> Vec<u64> {
-        BatchedSsaEngine::observe_replica(self, r)
-    }
-
-    fn events_replica(&self, r: usize) -> u64 {
-        self.steps_replica(r)
     }
 }
 

@@ -3,17 +3,17 @@
 //!
 //! The paper's architecture is deliberately engine-neutral — the farm of
 //! "sim eng" boxes only requires that a task advance by one simulation
-//! quantum and emit samples on the τ grid. This module captures that
-//! contract as the [`QuantumEngine`] trait and packages the five
+//! quantum and emit samples on the τ grid. This module packages the five
 //! integrators of this crate behind the concrete [`Engine`] enum, so tasks
 //! stay `Clone + Send` without boxing and every downstream layer (task
 //! farm, sharded farm, simulated GPGPU, benchmarks) is written
-//! once against the abstraction.
+//! once against it. The enum is the only dispatch mechanism: there is no
+//! engine trait, and a new integrator is a new variant.
 //!
-//! [`BatchEngine`] is the batch-aware seam alongside it: the same quantum
-//! contract for an engine that advances a whole *batch* of replicas in
-//! lockstep over SoA state (the [`crate::batch`] tier). Workers pull whole
-//! batches through it instead of single instances.
+//! The batched tier ([`crate::batch::BatchedSsaEngine`]) keeps the same
+//! quantum contract for a whole *batch* of replicas advanced in lockstep
+//! over SoA state; workers pull whole batches through its
+//! `advance_quantum_batch` instead of single instances.
 //!
 //! [`EngineKind`] is the *configuration-level* selector — a small `Copy`
 //! value that travels in `SimConfig` and across the wire to remote farms —
@@ -57,191 +57,6 @@ pub struct QuantumOutcome {
     /// Reaction firings committed during the quantum (for workload
     /// accounting; a tau-leap counts every firing of its committed leaps).
     pub events: u64,
-}
-
-/// The farm-facing contract of a stochastic simulation engine.
-///
-/// One call to [`advance_quantum`](QuantumEngine::advance_quantum) is what
-/// a farm worker, a remote farm or a GPGPU "kernel" executes per
-/// scheduling round. Implementations must be *slicing-invariant*: any
-/// partition of `[0, t_end]` into quanta yields the same trajectory and
-/// sample stream.
-pub trait QuantumEngine {
-    /// Advances the engine to `t_goal`, emitting every sample the
-    /// persistent `clock` yields within the quantum.
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome;
-
-    /// Current simulation time.
-    fn time(&self) -> f64;
-
-    /// Instance id of this trajectory.
-    fn instance(&self) -> u64;
-
-    /// Evaluates the model's observables on the current state.
-    fn observe(&self) -> Vec<u64>;
-
-    /// Total reaction firings so far.
-    fn events(&self) -> u64;
-}
-
-/// The farm-facing contract of a *batched* stochastic simulation engine:
-/// one value advances `width` replicas of one model in lockstep, each
-/// replica owning the RNG stream (and therefore the exact trajectory) of
-/// scalar instance `first_instance + r`.
-///
-/// The quantum contract of [`QuantumEngine`] applies per replica:
-/// advancing the batch to `t_goal` in any number of slices yields, for
-/// every replica, the same samples and event counts as the corresponding
-/// scalar engine advanced through the same slices. The batch is in
-/// lockstep *at quantum boundaries* — every replica's clock reads exactly
-/// `t_goal` after a call — while event times diverge freely inside a
-/// quantum.
-pub trait BatchEngine {
-    /// Advances every replica to `t_goal`, emitting each replica's grid
-    /// samples through its own persistent clock (`clocks[r]` belongs to
-    /// replica `r`; `clocks.len()` must equal [`width`](BatchEngine::width)).
-    /// Returns one [`QuantumOutcome`] per replica, in replica order.
-    fn advance_quantum_batch(
-        &mut self,
-        t_goal: f64,
-        clocks: &mut [SampleClock],
-    ) -> Vec<QuantumOutcome>;
-
-    /// Number of replicas in the batch.
-    fn width(&self) -> usize;
-
-    /// Scalar instance id of replica 0; replica `r` is instance
-    /// `first_instance() + r`.
-    fn first_instance(&self) -> u64;
-
-    /// Lockstep simulation time of the batch.
-    fn time(&self) -> f64;
-
-    /// Evaluates the model's observables on replica `r`'s current state.
-    fn observe_replica(&self, r: usize) -> Vec<u64>;
-
-    /// Total reaction firings of replica `r` so far.
-    fn events_replica(&self, r: usize) -> u64;
-}
-
-impl QuantumEngine for SsaEngine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
-        QuantumOutcome { samples, events }
-    }
-
-    fn time(&self) -> f64 {
-        SsaEngine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        SsaEngine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        SsaEngine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        self.steps()
-    }
-}
-
-impl QuantumEngine for FirstReactionEngine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
-        QuantumOutcome { samples, events }
-    }
-
-    fn time(&self) -> f64 {
-        FirstReactionEngine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        FirstReactionEngine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        FirstReactionEngine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        self.steps()
-    }
-}
-
-impl QuantumEngine for TauLeapEngine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
-        QuantumOutcome { samples, events }
-    }
-
-    fn time(&self) -> f64 {
-        TauLeapEngine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        TauLeapEngine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        TauLeapEngine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        self.firings()
-    }
-}
-
-impl QuantumEngine for AdaptiveTauEngine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
-        QuantumOutcome { samples, events }
-    }
-
-    fn time(&self) -> f64 {
-        AdaptiveTauEngine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        AdaptiveTauEngine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        AdaptiveTauEngine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        self.firings()
-    }
-}
-
-impl QuantumEngine for HybridEngine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
-        QuantumOutcome { samples, events }
-    }
-
-    fn time(&self) -> f64 {
-        HybridEngine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        HybridEngine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        HybridEngine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        self.firings()
-    }
 }
 
 /// Configuration-level engine selector.
@@ -643,8 +458,13 @@ pub enum EngineStep {
 /// A concrete simulation engine: one of the five integrators, behind one
 /// `Clone + Send` value (no boxing, no generics in the task types).
 ///
-/// All methods dispatch to the wrapped engine; the [`QuantumEngine`] impl
-/// delegates to the inherent methods, so call sites need no trait import.
+/// All methods dispatch to the wrapped engine. One call to
+/// [`advance_quantum`](Engine::advance_quantum) (or
+/// [`run_sampled`](Engine::run_sampled), its non-collecting form) is what
+/// a farm worker, a remote farm or a GPGPU "kernel" executes per
+/// scheduling round, and every variant is *slicing-invariant*: any
+/// partition of `[0, t_end]` into quanta yields the same trajectory and
+/// sample stream.
 #[derive(Debug, Clone)]
 pub enum Engine {
     /// Exact direct method.
@@ -725,17 +545,6 @@ impl Engine {
             Engine::FirstReaction(e) => e.steps(),
             Engine::AdaptiveTau(e) => e.firings(),
             Engine::Hybrid(e) => e.firings(),
-        }
-    }
-
-    /// The model driving this engine.
-    pub fn model(&self) -> &Arc<Model> {
-        match self {
-            Engine::Ssa(e) => e.model(),
-            Engine::TauLeap(e) => e.model(),
-            Engine::FirstReaction(e) => e.model(),
-            Engine::AdaptiveTau(e) => e.model(),
-            Engine::Hybrid(e) => e.model(),
         }
     }
 
@@ -843,28 +652,6 @@ impl Engine {
     }
 }
 
-impl QuantumEngine for Engine {
-    fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        Engine::advance_quantum(self, t_goal, clock)
-    }
-
-    fn time(&self) -> f64 {
-        Engine::time(self)
-    }
-
-    fn instance(&self) -> u64 {
-        Engine::instance(self)
-    }
-
-    fn observe(&self) -> Vec<u64> {
-        Engine::observe(self)
-    }
-
-    fn events(&self) -> u64 {
-        Engine::events(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,17 +725,68 @@ mod tests {
 
     #[test]
     fn engine_enum_matches_wrapped_ssa_engine_exactly() {
+        // Every enum arm reaches the engine it names: `EngineKind::build`
+        // against the directly constructed integrator, same seed and
+        // instance, bit-identical samples, events and time.
         let model = decay_model(30, 1.0);
-        let mut plain = SsaEngine::new(Arc::clone(&model), 7, 2);
-        let mut wrapped = EngineKind::Ssa.build(model, 7, 2).unwrap();
-        let mut pc = SampleClock::new(0.0, 0.25);
-        let mut ps = Vec::new();
-        plain.run_sampled(3.0, &mut pc, |t, v| ps.push((t, v.to_vec())));
-        let mut wc = SampleClock::new(0.0, 0.25);
-        let outcome = Engine::advance_quantum(&mut wrapped, 3.0, &mut wc);
-        assert_eq!(outcome.samples, ps);
-        assert_eq!(outcome.events, plain.steps());
-        assert_eq!(wrapped.time(), plain.time());
+        type Run = (Vec<(f64, Vec<u64>)>, u64, f64);
+        // The concrete engines share method names, not a type.
+        macro_rules! direct {
+            ($engine:expr, $events:ident) => {{
+                let mut engine = $engine;
+                let mut clock = SampleClock::new(0.0, 0.25);
+                let mut samples = Vec::new();
+                engine.run_sampled(3.0, &mut clock, |t, v| samples.push((t, v.to_vec())));
+                (samples, engine.$events(), engine.time())
+            }};
+        }
+        let m = || Arc::clone(&model);
+        let cases: [(EngineKind, Run); 5] = [
+            (EngineKind::Ssa, direct!(SsaEngine::new(m(), 7, 2), steps)),
+            (
+                EngineKind::FirstReaction,
+                direct!(FirstReactionEngine::new(m(), 7, 2), steps),
+            ),
+            (
+                EngineKind::TauLeap { tau: 0.05 },
+                direct!(
+                    TauLeapEngine::new(m(), 7, 2).unwrap().with_tau(0.05),
+                    firings
+                ),
+            ),
+            (
+                EngineKind::AdaptiveTau { epsilon: 0.05 },
+                direct!(
+                    AdaptiveTauEngine::new(m(), 7, 2)
+                        .unwrap()
+                        .with_epsilon(0.05),
+                    firings
+                ),
+            ),
+            (
+                EngineKind::Hybrid {
+                    epsilon: 0.05,
+                    threshold: 8.0,
+                },
+                direct!(
+                    HybridEngine::new(m(), 7, 2)
+                        .unwrap()
+                        .with_epsilon(0.05)
+                        .with_threshold(8.0),
+                    firings
+                ),
+            ),
+        ];
+        for (kind, (samples, events, time)) in cases {
+            let mut wrapped = kind.build(m(), 7, 2).unwrap();
+            assert_eq!(wrapped.instance(), 2, "{kind}");
+            let mut clock = SampleClock::new(0.0, 0.25);
+            let outcome = wrapped.advance_quantum(3.0, &mut clock);
+            assert_eq!(outcome.samples, samples, "{kind}");
+            assert_eq!(outcome.events, events, "{kind}");
+            assert_eq!(wrapped.events(), events, "{kind}");
+            assert_eq!(wrapped.time(), time, "{kind}");
+        }
     }
 
     #[test]
@@ -1009,48 +847,6 @@ mod tests {
             assert!(fired > 0, "{kind}");
             assert_eq!(fired, engine.events(), "{kind}");
             assert_eq!(engine.observe(), vec![0], "{kind}");
-        }
-    }
-
-    #[test]
-    fn trait_object_dispatch_matches_inherent_calls() {
-        // Drive every concrete engine and the enum through the
-        // QuantumEngine contract as a trait object: the impls must stay
-        // in sync with the inherent methods (this test is the generic
-        // consumer keeping them honest).
-        let model = decay_model(25, 1.0);
-        fn drive(engine: &mut dyn QuantumEngine) -> (Vec<(f64, Vec<u64>)>, u64, f64) {
-            let mut clock = SampleClock::new(0.0, 0.5);
-            let outcome = engine.advance_quantum(2.0, &mut clock);
-            assert_eq!(outcome.events, engine.events());
-            (outcome.samples, engine.events(), engine.time())
-        }
-        for kind in [
-            EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.05 },
-            EngineKind::FirstReaction,
-            EngineKind::AdaptiveTau { epsilon: 0.05 },
-            EngineKind::Hybrid {
-                epsilon: 0.05,
-                threshold: 8.0,
-            },
-        ] {
-            let mut wrapped = kind.build(Arc::clone(&model), 11, 2).unwrap();
-            let via_enum = drive(&mut wrapped);
-            let via_concrete = match kind.build(Arc::clone(&model), 11, 2).unwrap() {
-                Engine::Ssa(mut e) => drive(&mut e),
-                Engine::TauLeap(mut e) => drive(&mut e),
-                Engine::FirstReaction(mut e) => drive(&mut e),
-                Engine::AdaptiveTau(mut e) => drive(&mut *e),
-                Engine::Hybrid(mut e) => drive(&mut *e),
-            };
-            assert_eq!(via_enum, via_concrete, "{kind}");
-            assert_eq!(QuantumEngine::instance(&wrapped), 2, "{kind}");
-            assert_eq!(
-                QuantumEngine::observe(&wrapped),
-                Engine::observe(&wrapped),
-                "{kind}"
-            );
         }
     }
 
@@ -1217,8 +1013,8 @@ mod tests {
         let mut c1 = SampleClock::new(0.0, 0.25);
         let mut c2 = SampleClock::new(0.0, 0.25);
         assert_eq!(
-            Engine::advance_quantum(&mut scalar, 3.0, &mut c1),
-            Engine::advance_quantum(&mut batch_built, 3.0, &mut c2),
+            scalar.advance_quantum(3.0, &mut c1),
+            batch_built.advance_quantum(3.0, &mut c2),
         );
     }
 

@@ -5,8 +5,8 @@
 //! Wrapped Compartments terms, with the quantum-based execution model the
 //! paper's farm of simulation engines relies on.
 //!
-//! - [`engine`]: the engine-agnostic seam — the [`QuantumEngine`] contract,
-//!   the concrete [`Engine`] enum and the configuration-level
+//! - [`engine`]: the engine-agnostic seam — the concrete [`Engine`] enum
+//!   (the only dispatch mechanism) and the configuration-level
 //!   [`EngineKind`] selector every pipeline layer is written against;
 //! - [`deps`]: one-time model compilation — per-rule read/write sets and
 //!   the reaction dependency graph, shared across instances;
@@ -17,7 +17,7 @@
 //! - [`ssa`]: the exact engine ([`SsaEngine`]) with pending-event
 //!   preservation, so slicing a run into scheduler quanta never changes the
 //!   trajectory; plus the τ-grid [`SampleClock`];
-//! - [`trajectory`]: samples, trajectories and time-aligned [`Cut`]s;
+//! - [`trajectory`]: the time-aligned [`Cut`];
 //! - [`first_reaction`]: Gillespie's first-reaction method, an alternative
 //!   exact sampler used as a distributional oracle (extension);
 //! - [`flat`]: the shared flat-model reduction (species-count state,
@@ -30,9 +30,8 @@
 //! - [`hybrid`]: the hybrid exact/approximate engine — incremental-table
 //!   SSA segments with CGP-sized leaps when propensities stratify;
 //! - [`batch`]: the batched SoA tier — [`BatchedSsaEngine`] advances a
-//!   whole batch of replicas of one flat model in lockstep behind the
-//!   [`BatchEngine`] seam, every replica bit-for-bit the scalar SSA
-//!   trajectory of the same instance;
+//!   whole batch of replicas of one flat model in lockstep, every
+//!   replica bit-for-bit the scalar SSA trajectory of the same instance;
 //! - [`rng`]: deterministic per-instance seeding *and* the per-engine draw
 //!   discipline, making every execution back-end (multicore, distributed,
 //!   simulated GPGPU) produce identical trajectories for identical seeds.
@@ -58,9 +57,7 @@ pub use adaptive::AdaptiveTauEngine;
 pub use batch::kernels::KernelDispatch;
 pub use batch::BatchedSsaEngine;
 pub use deps::{KeptChild, ModelDeps, RuleDeps};
-pub use engine::{
-    BatchEngine, Engine, EngineError, EngineKind, EngineStep, QuantumEngine, QuantumOutcome,
-};
+pub use engine::{Engine, EngineError, EngineKind, EngineStep, QuantumOutcome};
 pub use first_reaction::FirstReactionEngine;
 pub use flat::FlatModelError;
 pub use hybrid::HybridEngine;
@@ -68,4 +65,4 @@ pub use rng::{instance_seed, sim_rng, SimRng};
 pub use ssa::{Reaction, SampleClock, SsaEngine, StepOutcome};
 pub use table::ReactionTable;
 pub use tau_leap::{TauLeapEngine, TauLeapError};
-pub use trajectory::{cuts_from_samples, Cut, Sample, Trajectory};
+pub use trajectory::Cut;

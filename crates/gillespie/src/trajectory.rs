@@ -1,20 +1,10 @@
-//! Trajectories, samples, and time-aligned cuts.
+//! Time-aligned cuts.
 //!
-//! The simulation pipeline streams [`Sample`]s out of the engines; the
-//! alignment stage groups them into [`Cut`]s — "an array containing the
-//! results of all simulations at a given simulation time" — which is the
-//! unit the analysis pipeline consumes.
-
-/// One observation of one trajectory at one grid time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Simulation instance (trajectory) id.
-    pub instance: u64,
-    /// Simulation time of the observation (a τ-grid point).
-    pub time: f64,
-    /// Observable values, in the model's observable order.
-    pub values: Vec<u64>,
-}
+//! The simulation pipeline streams per-instance samples out of the
+//! engines; the alignment stage (`cwcsim::alignment`) groups them into
+//! [`Cut`]s — "an array containing the results of all simulations at a
+//! given simulation time" — which is the unit the analysis pipeline
+//! consumes.
 
 /// All trajectories' values at one grid time, ready for analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,107 +27,9 @@ impl Cut {
     }
 }
 
-/// A full trajectory of one instance (used by tests and small runs; the
-/// streaming pipeline never materialises these for big experiments).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Trajectory {
-    /// Simulation instance id.
-    pub instance: u64,
-    /// Grid times.
-    pub times: Vec<f64>,
-    /// One row of observable values per grid time.
-    pub values: Vec<Vec<u64>>,
-}
-
-impl Trajectory {
-    /// Creates an empty trajectory for `instance`.
-    pub fn new(instance: u64) -> Self {
-        Trajectory {
-            instance,
-            ..Trajectory::default()
-        }
-    }
-
-    /// Appends a sample (times must be non-decreasing).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `time` goes backwards.
-    pub fn push(&mut self, time: f64, values: Vec<u64>) {
-        if let Some(&last) = self.times.last() {
-            assert!(time >= last, "trajectory times must be non-decreasing");
-        }
-        self.times.push(time);
-        self.values.push(values);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Column `k` as `f64`s (one value per grid time).
-    pub fn observable(&self, k: usize) -> Vec<f64> {
-        self.values.iter().map(|v| v[k] as f64).collect()
-    }
-}
-
-/// Groups samples from many trajectories into time-aligned cuts.
-///
-/// Rebuilding cuts from an unordered sample stream is the job of the
-/// pipeline's alignment stage (`cwcsim::alignment`); this helper is the
-/// batch equivalent used by tests and by the GPU back-end, which produces
-/// samples instance-major.
-pub fn cuts_from_samples(mut samples: Vec<Sample>, instances: usize) -> Vec<Cut> {
-    samples.sort_by(|a, b| {
-        a.time
-            .partial_cmp(&b.time)
-            .expect("sample times are not NaN")
-            .then(a.instance.cmp(&b.instance))
-    });
-    let mut cuts: Vec<Cut> = Vec::new();
-    for s in samples {
-        let need_new = match cuts.last() {
-            Some(c) => (c.time - s.time).abs() > 1e-12,
-            None => true,
-        };
-        if need_new {
-            cuts.push(Cut {
-                time: s.time,
-                values: Vec::with_capacity(instances),
-            });
-        }
-        cuts.last_mut().expect("just pushed").values.push(s.values);
-    }
-    cuts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trajectory_accumulates_in_order() {
-        let mut t = Trajectory::new(3);
-        assert!(t.is_empty());
-        t.push(0.0, vec![1, 2]);
-        t.push(1.0, vec![3, 4]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.observable(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn trajectory_rejects_time_travel() {
-        let mut t = Trajectory::new(0);
-        t.push(1.0, vec![]);
-        t.push(0.5, vec![]);
-    }
 
     #[test]
     fn cut_accessors() {
@@ -148,42 +40,5 @@ mod tests {
         assert_eq!(c.width(), 2);
         assert_eq!(c.observable(0), vec![1.0, 3.0]);
         assert_eq!(c.observable(1), vec![10.0, 30.0]);
-    }
-
-    #[test]
-    fn cuts_from_samples_groups_and_orders() {
-        let samples = vec![
-            Sample {
-                instance: 1,
-                time: 1.0,
-                values: vec![11],
-            },
-            Sample {
-                instance: 0,
-                time: 0.0,
-                values: vec![0],
-            },
-            Sample {
-                instance: 0,
-                time: 1.0,
-                values: vec![10],
-            },
-            Sample {
-                instance: 1,
-                time: 0.0,
-                values: vec![1],
-            },
-        ];
-        let cuts = cuts_from_samples(samples, 2);
-        assert_eq!(cuts.len(), 2);
-        assert_eq!(cuts[0].time, 0.0);
-        assert_eq!(cuts[0].values, vec![vec![0], vec![1]]);
-        assert_eq!(cuts[1].time, 1.0);
-        assert_eq!(cuts[1].values, vec![vec![10], vec![11]]);
-    }
-
-    #[test]
-    fn cuts_from_empty_is_empty() {
-        assert!(cuts_from_samples(Vec::new(), 0).is_empty());
     }
 }

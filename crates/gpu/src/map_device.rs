@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use cwc::model::Model;
 use gillespie::batch::{batch_spans, BatchedSsaEngine};
-use gillespie::engine::{BatchEngine, Engine, EngineError, EngineKind, QuantumEngine};
+use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
 
 use crate::device::DeviceSpec;
@@ -152,11 +152,9 @@ impl DeviceMap {
         match &mut self.lanes {
             Lanes::Scalar(engines) => {
                 for (i, engine) in engines.iter_mut().enumerate() {
-                    // Dispatch through the QuantumEngine contract — the
-                    // "kernel" only needs advance-one-quantum, whatever
-                    // the integrator.
-                    let outcome =
-                        QuantumEngine::advance_quantum(engine, horizon, &mut self.clocks[i]);
+                    // The "kernel" only needs advance-one-quantum,
+                    // whatever the integrator.
+                    let outcome = engine.advance_quantum(horizon, &mut self.clocks[i]);
                     events[i] = outcome.events;
                     if !outcome.samples.is_empty() {
                         outputs.push(KernelOutput {

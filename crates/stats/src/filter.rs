@@ -1,96 +1,9 @@
-//! Stream filters: moving average, exponential smoothing, Savitzky–Golay.
+//! Stream filters: Savitzky–Golay smoothing.
 //!
-//! The paper plots "the moving average of more than 200 simulations of the
-//! local period" — these filters turn raw, noisy trajectory series into the
-//! "filtered simulation results" that Fig. 2 sends to the GUI.
-
-use std::collections::VecDeque;
-
-/// Centred/trailing moving average over a fixed window.
-///
-/// # Examples
-///
-/// ```
-/// use streamstat::filter::MovingAverage;
-///
-/// let mut ma = MovingAverage::new(2);
-/// assert_eq!(ma.push(2.0), 2.0);        // window [2]
-/// assert_eq!(ma.push(4.0), 3.0);        // window [2,4]
-/// assert_eq!(ma.push(6.0), 5.0);        // window [4,6]
-/// ```
-#[derive(Debug, Clone)]
-pub struct MovingAverage {
-    buf: VecDeque<f64>,
-    width: usize,
-    sum: f64,
-}
-
-impl MovingAverage {
-    /// Creates a trailing moving average of `width` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "moving average width must be non-zero");
-        MovingAverage {
-            buf: VecDeque::with_capacity(width),
-            width,
-            sum: 0.0,
-        }
-    }
-
-    /// Feeds one value; returns the average of the last `width` values
-    /// (fewer while warming up).
-    pub fn push(&mut self, x: f64) -> f64 {
-        self.buf.push_back(x);
-        self.sum += x;
-        if self.buf.len() > self.width {
-            self.sum -= self.buf.pop_front().expect("non-empty");
-        }
-        self.sum / self.buf.len() as f64
-    }
-
-    /// Applies the filter to a whole series.
-    pub fn apply(width: usize, xs: &[f64]) -> Vec<f64> {
-        let mut ma = MovingAverage::new(width);
-        xs.iter().map(|&x| ma.push(x)).collect()
-    }
-}
-
-/// Exponential moving average with smoothing factor `alpha`.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    state: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates a filter; `alpha` in (0, 1], larger = less smoothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside (0, 1].
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, state: None }
-    }
-
-    /// Feeds one value and returns the smoothed estimate.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let next = match self.state {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.state = Some(next);
-        next
-    }
-
-    /// Current estimate, if any value has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.state
-    }
-}
+//! [`savitzky_golay`] is the smoother the period analysis
+//! ([`crate::period`]) runs before peak detection, turning raw, noisy
+//! trajectory series into the "filtered simulation results" that Fig. 2
+//! sends to the GUI.
 
 /// Savitzky–Golay smoothing (quadratic, symmetric window of 2m+1 points).
 ///
@@ -128,41 +41,6 @@ pub fn savitzky_golay(xs: &[f64], half_window: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn moving_average_warms_up_then_slides() {
-        let out = MovingAverage::apply(3, &[3.0, 3.0, 3.0, 6.0]);
-        assert_eq!(out, vec![3.0, 3.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn moving_average_of_constant_is_constant() {
-        let out = MovingAverage::apply(5, &[7.0; 20]);
-        assert!(out.iter().all(|&v| (v - 7.0).abs() < 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_width_moving_average_panics() {
-        let _ = MovingAverage::new(0);
-    }
-
-    #[test]
-    fn ewma_tracks_step_change() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.push(0.0), 0.0);
-        let v1 = e.push(10.0);
-        assert_eq!(v1, 5.0);
-        let v2 = e.push(10.0);
-        assert_eq!(v2, 7.5);
-        assert_eq!(e.value(), Some(7.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
-    }
 
     #[test]
     fn savitzky_golay_preserves_constants_and_lines() {

@@ -10,10 +10,8 @@
 //! |---|---|---|
 //! | mean / variance | [`welford`] | "mean, variance" boxes in Fig. 2 |
 //! | k-means | [`kmeans`] | "k-means" box in Fig. 2 |
-//! | sliding windows | [`window`] | "generation of sliding windows of trajectories" |
-//! | moving average / smoothing | [`filter`] | "moving average ... of the local period" |
+//! | smoothing | [`filter`] | "filtered simulation results" in Fig. 2 |
 //! | peak & period detection | [`period`] | "compute the period of each oscillation" |
-//! | autocorrelation | [`autocorr`] | independent ACF-based period estimator |
 //! | histogram | [`histogram`] | StochSimGPU-style population histograms |
 //! | on-line quantiles | [`quantile`] | big-data-safe distribution summaries |
 //! | partial-state merging | [`merge`] | StochKit-FF-style sharded farms |
@@ -21,7 +19,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod autocorr;
 pub mod filter;
 pub mod histogram;
 pub mod kmeans;
@@ -29,14 +26,11 @@ pub mod merge;
 pub mod period;
 pub mod quantile;
 pub mod welford;
-pub mod window;
 
-pub use autocorr::{autocorrelation, period_from_acf};
-pub use filter::{savitzky_golay, Ewma, MovingAverage};
+pub use filter::savitzky_golay;
 pub use histogram::Histogram;
 pub use kmeans::{bimodality_ratio, kmeans1d, Clustering};
 pub use merge::Mergeable;
 pub use period::{analyse_period, find_peaks, Peak, PeriodAnalysis};
 pub use quantile::P2Quantile;
 pub use welford::Running;
-pub use window::SlidingWindow;

@@ -25,7 +25,6 @@ use cwc_repro::biomodels::{schlogl, simple, SchloglParams};
 use cwc_repro::cwc::model::Model;
 use cwc_repro::gillespie::batch::kernels::KernelDispatch;
 use cwc_repro::gillespie::batch::BatchedSsaEngine;
-use cwc_repro::gillespie::engine::BatchEngine;
 use cwc_repro::gillespie::ssa::{SampleClock, SsaEngine};
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 use cwc_repro::fastflow::farm::{Farm, SchedPolicy};
 use cwc_repro::fastflow::node::{map_stage, sink_fn};
 use cwc_repro::fastflow::pipeline::Pipeline;
-use cwc_repro::fastflow::{parallel_map, parallel_reduce};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,8 +38,11 @@ fn nested_farms_compose() {
     let farm = Farm::new(3, move |_| {
         let d = Arc::clone(&d);
         map_stage(move |x: u64| {
-            // Each outer item spawns a small parallel map of its own.
-            let sq = parallel_map(vec![x, x + 1], 2, |v| v * v).unwrap();
+            // Each outer item starts a small farm of its own.
+            let sq = Pipeline::from_source([x, x + 1].into_iter())
+                .ordered_farm(2, |_| |v: u64| v * v)
+                .collect()
+                .unwrap();
             d.fetch_add(1, Ordering::Relaxed);
             sq.into_iter().sum::<u64>()
         })
@@ -71,12 +73,6 @@ fn panic_in_one_of_many_workers_is_surfaced() {
         }
         other => panic!("expected surfaced panic, got {other:?}"),
     }
-}
-
-#[test]
-fn reduce_of_large_input_is_exact() {
-    let total = parallel_reduce((0..100_000u64).collect(), 8, 0, |a, b| a + b).unwrap();
-    assert_eq!(total, 100_000 * 99_999 / 2);
 }
 
 #[test]

@@ -18,7 +18,6 @@ use cwc_repro::cwc::term::{Compartment, Path, Term};
 use cwc_repro::cwcsim::task::SampleBatch;
 use cwc_repro::distrt::{from_bytes, to_bytes};
 use cwc_repro::streamstat::welford::Running;
-use cwc_repro::streamstat::window::SlidingWindow;
 
 fn arb_multiset() -> impl Strategy<Value = Multiset> {
     proptest::collection::vec((0u32..6, 0u64..8), 0..6).prop_map(|pairs| {
@@ -184,31 +183,6 @@ proptest! {
         prop_assert_eq!(merged.count(), whole.count());
         prop_assert!((merged.mean() - whole.mean()).abs() < 1e-9);
         prop_assert!((merged.population_variance() - whole.population_variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sliding_window_covers_stream_without_loss(
-        width in 1usize..8,
-        slide_raw in 1usize..8,
-        n in 0usize..50,
-    ) {
-        let slide = slide_raw.min(width);
-        let mut w = SlidingWindow::new(width, slide);
-        let mut seen = Vec::new();
-        for i in 0..n {
-            if let Some(win) = w.push(i) {
-                seen.extend(win);
-            }
-        }
-        if let Some(win) = w.flush() {
-            seen.extend(win);
-        }
-        // Every item must appear in at least one emitted window.
-        let mut covered = vec![false; n];
-        for &i in &seen {
-            covered[i] = true;
-        }
-        prop_assert!(covered.iter().all(|&c| c), "width={width} slide={slide} n={n}");
     }
 
     #[test]
