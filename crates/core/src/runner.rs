@@ -215,7 +215,7 @@ pub fn run_simulation_steered(
     // Stage 1 + 2: generation of simulation tasks with the configured
     // engine, feeding the farm of simulation engines with feedback. The
     // model is "compiled" (dependency graph + read/write sets) once here
-    // and shared by every instance's incremental reaction table.
+    // and shared by every instance's incremental propensity row.
     let (farm, events) = sim_farm(
         Arc::clone(&model),
         Arc::new(gillespie::deps::ModelDeps::compile(&model)),

@@ -206,7 +206,7 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
 /// `instances` of a run: task generation with the configured engine,
 /// feeding a master–worker farm of `workers` simulation engines with
 /// feedback. `deps` is `model`'s dependency graph, compiled once by the
-/// caller and shared by every instance's incremental reaction table.
+/// caller and shared by every instance's incremental propensity row.
 ///
 /// Returns the stream of sample batches and the run's event counter: the
 /// reactions fired by every quantum the farm executed, complete once the

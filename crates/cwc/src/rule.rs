@@ -153,21 +153,28 @@ impl RateLaw {
     /// Computes the propensity from the rate constant, the match count `h`
     /// and the site's content-atom counts.
     pub fn propensity(&self, rate: f64, h: u64, site_atoms: &Multiset) -> f64 {
+        self.propensity_with(rate, h, |s| site_atoms.count(s))
+    }
+
+    /// [`propensity`](RateLaw::propensity) over any count lookup — the one
+    /// place the law arithmetic lives, so a dense count vector and a
+    /// [`Multiset`] produce the same bits.
+    pub fn propensity_with(&self, rate: f64, h: u64, count: impl Fn(Species) -> u64) -> f64 {
         match self {
             RateLaw::MassAction => rate * h as f64,
             RateLaw::HillRepression { inhibitor, k, n } => {
-                let c = site_atoms.count(*inhibitor) as f64;
+                let c = count(*inhibitor) as f64;
                 let kn = k.powf(*n);
                 rate * h as f64 * kn / (kn + c.powf(*n))
             }
             RateLaw::HillActivation { activator, k, n } => {
-                let c = site_atoms.count(*activator) as f64;
+                let c = count(*activator) as f64;
                 let kn = k.powf(*n);
                 let cn = c.powf(*n);
                 rate * h as f64 * cn / (kn + cn)
             }
             RateLaw::Saturating { substrate, km } => {
-                let c = site_atoms.count(*substrate) as f64;
+                let c = count(*substrate) as f64;
                 if c == 0.0 {
                     0.0
                 } else {

@@ -1229,6 +1229,33 @@ mod tests {
         );
     }
 
+    /// Deps that are structurally sound and cover the right rules, but
+    /// whose affected lists name a rule the engines keep no propensity
+    /// slot for (zero rate), are refused the same way: the step loops
+    /// index slots by those lists without checking again.
+    #[test]
+    fn shipped_deps_naming_a_slotless_rule_become_an_error_frame() {
+        let mut j = job(2, 2, 0);
+        // Deps compiled while every rule was live, shipped with a model
+        // whose last rule has since been switched off.
+        let deps = ModelDeps::compile(&j.model);
+        let last = j.model.rules.len() - 1;
+        assert!((0..deps.len()).any(|r| deps.same_site_affected(r).contains(&(last as u32))));
+        j.model.rules[last].rate = 0.0;
+        j.deps = Some(deps);
+        let mut input = Vec::new();
+        write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
+        let mut output = Vec::new();
+        serve_shard(Cursor::new(input), &mut output).unwrap();
+        let frames = frames_from(&output);
+        assert_eq!(frames.len(), 1);
+        assert!(
+            matches!(&frames[0], ToCoordinator::Error(m)
+                if m.contains("invalid model deps") && m.contains("no propensity slot")),
+            "{frames:?}"
+        );
+    }
+
     #[test]
     fn serve_shard_reports_simulation_errors_as_error_frames() {
         let mut j = job(2, 2, 0);

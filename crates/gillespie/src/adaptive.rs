@@ -40,7 +40,7 @@ use rand::Rng;
 
 use crate::batch::kernels::{self, Kernel, KernelDispatch, RuleMask};
 use crate::deps::ModelDeps;
-use crate::flat::{poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::SampleClock;
 
@@ -290,8 +290,9 @@ fn rule_is_critical(flat: &FlatModel, state: &[i64], r: usize) -> bool {
 #[derive(Debug, Clone)]
 pub struct AdaptiveTauEngine {
     model: Arc<Model>,
-    flat: FlatModel,
-    /// `state[i]` = copies of `flat.species[i]` (last *committed* state).
+    /// The model's shared flat form.
+    flat: Arc<FlatModel>,
+    /// `state[i]` = copies of species index `i` (last *committed* state).
     state: Vec<i64>,
     /// Time of the last committed transition boundary.
     committed: f64,
@@ -366,9 +367,9 @@ impl AdaptiveTauEngine {
         base_seed: u64,
         instance: u64,
     ) -> Result<Self, FlatModelError> {
-        let flat = FlatModel::compile(&model, &deps, "adaptive tau-leaping")?;
-        let state = flat.initial_state(&model);
-        let species_len = flat.species.len();
+        let flat = mass_action_flat(&model, &deps, "adaptive tau-leaping")?;
+        let state = flat.initial_state();
+        let species_len = flat.species_len();
         Ok(AdaptiveTauEngine {
             model,
             flat,
@@ -484,7 +485,9 @@ impl AdaptiveTauEngine {
 
     /// Current copy number of `species`.
     pub fn count(&self, species: Species) -> u64 {
-        self.flat.count(&self.state, species)
+        self.state
+            .get(species.raw() as usize)
+            .map_or(0, |&c| c as u64)
     }
 
     /// The committed per-species state vector (ascending interned
@@ -495,7 +498,10 @@ impl AdaptiveTauEngine {
 
     /// Evaluates the model's observables on the committed state.
     pub fn observe(&self) -> Vec<u64> {
-        self.flat.observe(&self.model, &self.state)
+        let mut values = Vec::new();
+        self.flat
+            .observe_into(|i| self.state[i] as u64, &mut values);
+        values
     }
 
     /// True when firing rule `r` could exhaust a reactant within

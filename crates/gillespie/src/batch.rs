@@ -59,14 +59,14 @@ pub mod kernels;
 
 use std::sync::Arc;
 
-use cwc::model::{Model, ObservableSite};
+use cwc::model::Model;
 
 use crate::deps::ModelDeps;
 use crate::engine::{EngineError, QuantumOutcome};
-use crate::flat::{FlatModel, FlatModelError};
+use crate::flat::{mass_action_flat, FlatModel, FlatModelError};
 use crate::ssa::SampleClock;
 
-use kernels::{BatchRng, Kernel, KernelDispatch, RefreshOut, SlotPlan, SlotSet, SlotView};
+use kernels::{BatchRng, Kernel, KernelDispatch, RefreshOut, SlotSet, SlotView};
 use kernels::{CLEAN, DIRTY_ALL};
 
 /// The engine name used in flat-model rejection messages.
@@ -94,22 +94,6 @@ pub fn batch_spans(first: u64, count: u64, width: usize) -> Vec<(u64, usize)> {
         i += w as u64;
     }
     spans
-}
-
-/// One observable of the batch: the dynamic top-level species slot (if
-/// any) plus the constant contribution of inert initial-term compartments.
-///
-/// Flat rules only rewrite top-level atoms, so any compartment in the
-/// initial term is inert and its contribution to an observable is a
-/// constant — adding it back reproduces the scalar engine's
-/// `eval_observables` on the full term exactly.
-#[derive(Debug, Clone, Copy)]
-struct ObsSpec {
-    /// Species index into the state vector, `None` when the observable
-    /// never reads top-level counts (`AtLabel` sites).
-    state_index: Option<usize>,
-    /// Constant contribution of the initial term's compartments.
-    offset: u64,
 }
 
 /// A batch of direct-method replicas of one flat mass-action model,
@@ -141,20 +125,11 @@ pub struct BatchedSsaEngine {
     model: Arc<Model>,
     width: usize,
     first_instance: u64,
-    /// CSR offsets into `slot_delta`: slot `j`'s net stoichiometry lives
-    /// at `slot_delta[slot_delta_idx[j]..slot_delta_idx[j + 1]]`. The
-    /// flat layout keeps the fire loop free of per-rule pointer chasing.
-    slot_delta_idx: Vec<u32>,
-    /// Flattened per-slot net stoichiometric changes `(species, delta)`.
-    slot_delta: Vec<(u32, i64)>,
-    /// Per-slot reactant multiplicities `(species index, count)`.
-    slot_reactants: Vec<Vec<(usize, u64)>>,
-    /// Per-slot mass-action rate constants.
-    slot_rates: Vec<f64>,
-    /// Per-slot vectorization plans (see [`kernels`]).
-    plans: Vec<SlotPlan>,
-    /// Observable evaluation plan (see [`ObsSpec`]).
-    observables: Vec<ObsSpec>,
+    /// The model's shared flat form: the slot tables (reactants, rates,
+    /// vectorization plans, net stoichiometry, slot-to-slot affected
+    /// lists) and the observable plan — the same ones the scalar dense
+    /// core steps on, compiled once per [`ModelDeps`].
+    flat: Arc<FlatModel>,
     /// SoA state: `counts[sp * width + r]` is species `sp` of replica `r`.
     counts: Vec<i64>,
     /// SoA propensities: `props[j * width + r]` is reaction slot `j`.
@@ -184,14 +159,11 @@ pub struct BatchedSsaEngine {
     rng: BatchRng,
     /// Per-replica reactions fired so far.
     steps: Vec<u64>,
-    /// Per-slot incidence list: the slots whose propensity reads a species
-    /// that firing this slot changes — the only propensities a firing can
-    /// move, so the refresh recomputes just those (the batch-local
-    /// analogue of the scalar table's dependency-graph update).
-    affects: Vec<Vec<u32>>,
     /// Per-replica refresh obligation: [`CLEAN`], [`DIRTY_ALL`] (recompute
     /// every slot — the initial state), or the slot that fired since the
-    /// last refresh (recompute only its incidence list).
+    /// last refresh (recompute only the slots the flat form's affected
+    /// list names for it — the dependency-graph update the scalar engine
+    /// does incrementally).
     dirty: Vec<u32>,
     /// The configured kernel selection knob.
     dispatch: KernelDispatch,
@@ -259,75 +231,18 @@ impl BatchedSsaEngine {
         width: usize,
     ) -> Result<Self, EngineError> {
         assert!(width >= 1, "a batch needs at least one replica");
-        let flat = FlatModel::compile(&model, &deps, BATCHED_ENGINE_NAME)?;
-        let reactions: Vec<usize> = (0..flat.rules())
-            .filter(|&r| flat.rates[r] != 0.0)
-            .collect();
-        let initial = flat.initial_state(&model);
-        let species_count = flat.species.len();
-        let mut counts = vec![0i64; species_count * width];
-        for (sp, &n) in initial.iter().enumerate() {
-            counts[sp * width..(sp + 1) * width].fill(n);
+        let flat = mass_action_flat(&model, &deps, BATCHED_ENGINE_NAME)?;
+        let mut counts = vec![0i64; flat.species_len() * width];
+        for (sp, &n) in flat.initial_counts().iter().enumerate() {
+            counts[sp * width..(sp + 1) * width].fill(n as i64);
         }
-        let observables = model
-            .observables
-            .iter()
-            .map(|o| {
-                let state_index = match o.site {
-                    ObservableSite::AtLabel(_) => None,
-                    _ => flat.species.iter().position(|&s| s == o.species),
-                };
-                let dynamic = state_index.map(|i| initial[i] as u64).unwrap_or(0);
-                ObsSpec {
-                    state_index,
-                    offset: o.eval(&model.initial) - dynamic,
-                }
-            })
-            .collect();
-        let nr = reactions.len();
-        // Slot-to-slot firing incidence: firing slot `s` can only move the
-        // propensity of slots whose reactants read a species `s`'s delta
-        // actually changes. Quadratic in the (small) reaction count, built
-        // once per batch.
-        let affects: Vec<Vec<u32>> = reactions
-            .iter()
-            .map(|&rule| {
-                reactions
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &other)| {
-                        flat.reactants[other].iter().any(|&(sp, _)| {
-                            flat.delta[rule].iter().any(|&(dsp, d)| dsp == sp && d != 0)
-                        })
-                    })
-                    .map(|(j, _)| j as u32)
-                    .collect()
-            })
-            .collect();
-        let slot_reactants: Vec<Vec<(usize, u64)>> = reactions
-            .iter()
-            .map(|&rule| flat.reactants[rule].to_vec())
-            .collect();
-        let slot_rates: Vec<f64> = reactions.iter().map(|&rule| flat.rates[rule]).collect();
-        let mut slot_delta_idx = Vec::with_capacity(nr + 1);
-        let mut slot_delta = Vec::new();
-        slot_delta_idx.push(0u32);
-        for &rule in &reactions {
-            slot_delta.extend(flat.delta[rule].iter().map(|&(sp, d)| (sp as u32, d)));
-            slot_delta_idx.push(slot_delta.len() as u32);
-        }
-        let plans: Vec<SlotPlan> = slot_reactants.iter().map(|rs| SlotPlan::of(rs)).collect();
+        let nr = flat.slots.rule.len();
         let dispatch = KernelDispatch::Auto;
         Ok(BatchedSsaEngine {
             model,
             width,
             first_instance,
-            slot_delta_idx,
-            slot_delta,
-            slot_reactants,
-            slot_rates,
-            plans,
-            observables,
+            flat,
             counts,
             props: vec![0.0; nr * width],
             prefix: vec![0.0; nr * width],
@@ -338,7 +253,6 @@ impl BatchedSsaEngine {
             pending: vec![f64::NAN; width],
             rng: BatchRng::new(base_seed, first_instance, width),
             steps: vec![0; width],
-            affects,
             dirty: vec![DIRTY_ALL; width],
             dispatch,
             kernel: dispatch.resolve(),
@@ -381,7 +295,7 @@ impl BatchedSsaEngine {
     ///
     /// Returns [`FlatModelError`] naming the offending rule.
     pub fn check_model(model: &Model, deps: &ModelDeps) -> Result<(), FlatModelError> {
-        FlatModel::compile(model, deps, BATCHED_ENGINE_NAME).map(|_| ())
+        mass_action_flat(model, deps, BATCHED_ENGINE_NAME).map(|_| ())
     }
 
     /// The model driving this batch.
@@ -415,26 +329,21 @@ impl BatchedSsaEngine {
         self.steps[r]
     }
 
-    /// Evaluates the model's observables on replica `r` — identical to the
-    /// scalar engine's `eval_observables` on the replica's term (inert
-    /// initial-term compartments contribute their constant offset).
+    /// Evaluates the model's observables on replica `r` — the flat form's
+    /// observable plan, the scalar engine's own (inert initial-term
+    /// compartments contribute their constant offset, whatever the
+    /// observable's site).
     pub fn observe_replica(&self, r: usize) -> Vec<u64> {
-        self.observables
-            .iter()
-            .map(|o| {
-                let dynamic = o
-                    .state_index
-                    .map(|sp| self.counts[sp * self.width + r] as u64)
-                    .unwrap_or(0);
-                dynamic + o.offset
-            })
-            .collect()
+        let mut values = Vec::new();
+        self.flat
+            .observe_into(|sp| self.counts[sp * self.width + r] as u64, &mut values);
+        values
     }
 
     /// Total propensity `a0` of replica `r`, refreshing stale replicas
-    /// first. Bit-identical to the scalar table's
-    /// [`total`](crate::table::ReactionTable::total) — including the
-    /// `-0.0` an exhausted replica reports.
+    /// first. Bit-identical to the scalar engine's
+    /// [`total_propensity`](crate::ssa::SsaEngine::total_propensity) —
+    /// including the `-0.0` an exhausted replica reports.
     pub fn total_propensity(&mut self, r: usize) -> f64 {
         self.refresh();
         self.a0[r]
@@ -461,11 +370,11 @@ impl BatchedSsaEngine {
             &SlotView {
                 width: self.width,
                 counts: &self.counts,
-                rates: &self.slot_rates,
-                plans: &self.plans,
-                reactants: &self.slot_reactants,
+                rates: &self.flat.slots.rates,
+                plans: &self.flat.slots.plans,
+                reactants: &self.flat.slots.reactants,
             },
-            &self.affects,
+            &self.flat.slots.affects,
             &mut RefreshOut {
                 props: &mut self.props,
                 prefix: &mut self.prefix,
@@ -483,10 +392,8 @@ impl BatchedSsaEngine {
     /// next incremental refresh. The selection and assignment draws have
     /// already been consumed by the lockstep draw phases.
     fn apply_fire(&mut self, r: usize, slot: usize, event_time: f64) {
-        let lo = self.slot_delta_idx[slot] as usize;
-        let hi = self.slot_delta_idx[slot + 1] as usize;
-        for &(sp, d) in &self.slot_delta[lo..hi] {
-            self.counts[sp as usize * self.width + r] += d;
+        for &(sp, d) in &self.flat.slots.delta[slot] {
+            self.counts[sp * self.width + r] += d;
         }
         self.times[r] = event_time;
         self.steps[r] += 1;
@@ -767,15 +674,16 @@ mod tests {
         assert!(msg.contains(BATCHED_ENGINE_NAME), "{msg}");
     }
 
-    #[test]
-    fn inert_compartments_contribute_constant_observable_offsets() {
-        // Flat rules leave initial-term compartments untouched; the batch
-        // must still report the same Everywhere counts as the scalar
-        // engine, which evaluates observables on the full term.
+    /// `decay` with 15 top-level `A` plus an inert `cell` holding 4 more,
+    /// observed through every [`ObservableSite`]: everywhere, top only,
+    /// inside `cell`, and `AtLabel(TOP)` (the root again).
+    fn inert_compartment_model(top: u64) -> Arc<Model> {
+        use cwc::model::ObservableSite;
+        use cwc::species::Label;
         let mut m = Model::new("inert");
         let a = m.species("A");
         m.rule("decay").consumes("A", 1).rate(1.0).build().unwrap();
-        m.initial.add_atoms(a, 15);
+        m.initial.add_atoms(a, top);
         let cell = m.label("cell");
         m.initial.add_compartment(cwc::term::Compartment::new(
             cell,
@@ -783,8 +691,77 @@ mod tests {
             cwc::term::Term::from_atoms(cwc::multiset::Multiset::from([(a, 4)])),
         ));
         m.observe("A", a);
+        m.observe_at("A_top", a, ObservableSite::TopOnly);
+        m.observe_at("A_cell", a, ObservableSite::AtLabel(cell));
+        m.observe_at("A_root", a, ObservableSite::AtLabel(Label::TOP));
+        Arc::new(m)
+    }
+
+    #[test]
+    fn inert_compartments_contribute_constant_observable_offsets() {
+        // Flat rules leave initial-term compartments untouched, so every
+        // engine kind must report what `eval_observables` reports on the
+        // full term: the four inert `A` stay in `Everywhere` and in
+        // `AtLabel(cell)`, and `AtLabel(TOP)` follows the root like
+        // `TopOnly` — on all six kinds, in every phase of the hybrid.
+        use crate::engine::EngineKind;
+        let check = |kind: &str, time: f64, v: &[u64]| {
+            let top = v[1];
+            assert_eq!(v, [top + 4, top, 4, top], "{kind} at t = {time}");
+        };
+        // 15 molecules keep the hybrid exact; 20 000 take it through
+        // leap → exact as the population decays.
+        for top in [15u64, 20_000] {
+            let model = inert_compartment_model(top);
+            for kind in [
+                EngineKind::Ssa,
+                EngineKind::FirstReaction,
+                EngineKind::TauLeap { tau: 0.05 },
+                EngineKind::AdaptiveTau { epsilon: 0.05 },
+                EngineKind::Hybrid {
+                    epsilon: 0.05,
+                    threshold: 8.0,
+                },
+            ] {
+                let mut engine = kind.build(Arc::clone(&model), 11, 0).unwrap();
+                let name = kind.name();
+                assert_eq!(engine.observe(), [top + 4, top, 4, top], "{name} at t = 0");
+                let mut clock = SampleClock::new(0.0, 0.5);
+                let mut seen = 0;
+                for t in [0.7, 3.0, 12.0] {
+                    engine.run_sampled(t, &mut clock, |ts, v| {
+                        check(name, ts, v);
+                        seen += 1;
+                    });
+                    check(name, t, &engine.observe());
+                }
+                assert_eq!(seen, 25, "{name}");
+            }
+            // The sixth kind: every replica bit-for-bit the scalar engine.
+            assert_batch_matches_scalar(model, 11, 0, 3, 2.0, 0.5);
+        }
+    }
+
+    #[test]
+    fn at_label_top_observable_follows_the_root_in_a_batch() {
+        // `AtLabel(TOP)` reads the root atoms, which flat rules rewrite:
+        // a batch must track them like the scalar engine, not freeze the
+        // initial count.
+        use cwc::model::ObservableSite;
+        let mut m = Model::new("root");
+        let a = m.species("A");
+        m.rule("decay").consumes("A", 1).rate(1.0).build().unwrap();
+        m.initial.add_atoms(a, 50);
+        m.observe_at(
+            "A_root",
+            a,
+            ObservableSite::AtLabel(cwc::species::Label::TOP),
+        );
         let model = Arc::new(m);
-        assert_batch_matches_scalar(model, 11, 0, 3, 2.0, 0.5);
+        assert_batch_matches_scalar(Arc::clone(&model), 5, 0, 4, 1.0, 0.25);
+        let mut batch = BatchedSsaEngine::new(model, 5, 0, 1).unwrap();
+        batch.advance_quantum_batch(1.0, &mut [SampleClock::new(0.0, 10.0)]);
+        assert!(batch.observe_replica(0)[0] < 50, "root count never moved");
     }
 
     #[test]

@@ -53,9 +53,10 @@
 
 use std::ops::Range;
 
-use cwc::multiset::binomial;
+use cwc::rule::RateLaw;
 use rand::{Rng, RngCore};
 
+use crate::flat::{exact_propensity, Rows};
 use crate::rng::instance_seed;
 
 /// Environment variable that forces the scalar reference kernels
@@ -202,8 +203,9 @@ impl SlotPlan {
 }
 
 /// Immutable inputs of the propensity kernels: the batch's SoA counts and
-/// the per-slot rate/reactant/plan tables (slot-indexed, i.e. already
-/// filtered to non-zero-rate rules in rule order).
+/// the per-slot rate/reactant/plan tables of the model's shared flat form
+/// (slot-indexed, i.e. already filtered to non-zero-rate rules in rule
+/// order).
 #[derive(Debug)]
 pub(crate) struct SlotView<'a> {
     /// Batch width (replica count).
@@ -215,7 +217,7 @@ pub(crate) struct SlotView<'a> {
     /// Per-slot vectorization plans.
     pub plans: &'a [SlotPlan],
     /// Per-slot reactant multiplicities, for the general scalar formula.
-    pub reactants: &'a [Vec<(usize, u64)>],
+    pub reactants: &'a Rows<(usize, u64)>,
 }
 
 impl SlotView<'_> {
@@ -224,28 +226,21 @@ impl SlotView<'_> {
         self.plans.len()
     }
 
-    /// The scalar reference propensity: the exact `u64` binomial selection
-    /// count with a single final float cast, then the positive clamp —
-    /// the definition every kernel must reproduce bit-for-bit.
+    /// The scalar reference propensity — [`exact_propensity`] under mass
+    /// action (all a batch accepts) on lane `r`: the exact `u64` binomial
+    /// selection count with a single final float cast, then the positive
+    /// clamp — the definition every kernel must reproduce bit-for-bit.
     pub(crate) fn propensity(&self, slot: usize, r: usize) -> f64 {
-        let mut h: u64 = 1;
-        for &(sp, k) in &self.reactants[slot] {
-            let n = self.counts[sp * self.width + r];
-            debug_assert!(n >= 0, "flat SSA state went negative");
-            if (n as u64) < k {
-                return 0.0;
-            }
-            h = h.saturating_mul(binomial(n as u64, k));
-            if h == 0 {
-                return 0.0;
-            }
-        }
-        let p = self.rates[slot] * h as f64;
-        if p > 0.0 {
-            p
-        } else {
-            0.0
-        }
+        exact_propensity(
+            &self.reactants[slot],
+            self.rates[slot],
+            &RateLaw::MassAction,
+            |sp| {
+                let n = self.counts[sp * self.width + r];
+                debug_assert!(n >= 0, "flat SSA state went negative");
+                n as u64
+            },
+        )
     }
 }
 
@@ -313,7 +308,7 @@ impl SlotSet {
 pub(crate) fn refresh(
     kernel: Kernel,
     view: &SlotView<'_>,
-    affects: &[Vec<u32>],
+    affects: &Rows<u32>,
     out: &mut RefreshOut<'_>,
     seen: &mut SlotSet,
 ) {
@@ -346,7 +341,7 @@ pub(crate) fn refresh(
 /// only refolds the suffix from the lowest recomputed slot: the prefix
 /// below it is untouched, so reseeding the accumulator from the stored
 /// `prefix[from - 1]` bits replays the exact tail of the full fold.
-fn refresh_lane(view: &SlotView<'_>, affects: &[Vec<u32>], out: &mut RefreshOut<'_>, r: usize) {
+fn refresh_lane(view: &SlotView<'_>, affects: &Rows<u32>, out: &mut RefreshOut<'_>, r: usize) {
     let w = view.width;
     let nr = view.slots();
     let mark = out.dirty[r];
@@ -1026,7 +1021,7 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn refresh(
         view: &SlotView<'_>,
-        affects: &[Vec<u32>],
+        affects: &super::Rows<u32>,
         out: &mut RefreshOut<'_>,
         seen: &mut SlotSet,
     ) {
@@ -1826,10 +1821,11 @@ mod tests {
             counts,
             rates,
             plans: &plans,
-            reactants,
+            reactants: &Rows::from_rows(reactants.iter().map(|r| r.iter().copied())),
         };
+        let affects = Rows::from_rows(affects.iter().map(|a| a.iter().copied()));
         let mut seen = SlotSet::new(reactants.len());
-        refresh(kernel, &view, affects, &mut bufs.out(), &mut seen);
+        refresh(kernel, &view, &affects, &mut bufs.out(), &mut seen);
     }
 
     proptest! {

@@ -39,11 +39,14 @@
 //! [`EngineKind::build_with_deps`](crate::engine::EngineKind::build_with_deps)).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use cwc::model::Model;
 use cwc::multiset::Multiset;
 use cwc::rule::{CompProduction, RateLaw, Rule};
 use cwc::species::{Label, Species};
+
+use crate::flat::FlatModel;
 
 /// Net effect of a rule on one compartment it keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,6 +182,23 @@ fn reads_hit(reads: &[Species], delta: &[(Species, i64)]) -> bool {
     false
 }
 
+/// State derived lazily from a [`ModelDeps`] and the first flat model an
+/// engine was built for with it: the compiled flat form every
+/// count-stepping engine shares. It is a cache, not content — two
+/// `ModelDeps` compare equal whatever their caches hold, and it never
+/// travels on the wire (a worker derives it once from the deps it
+/// received).
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    flat: OnceLock<Arc<FlatModel>>,
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Compiled model: per-rule summaries plus the reaction dependency graph.
 ///
 /// Compile once per model ([`ModelDeps::compile`]) and share across
@@ -195,6 +215,8 @@ pub struct ModelDeps {
     /// `parent_rules[r]`: candidate rules to re-match at the fired site's
     /// parent (filter by the parent's actual label at run time).
     parent_rules: Vec<Vec<u32>>,
+    /// Lazily derived state (see [`Derived`]).
+    derived: Derived,
 }
 
 std::thread_local! {
@@ -273,6 +295,7 @@ impl ModelDeps {
             same_site,
             child_rules,
             parent_rules,
+            derived: Derived::default(),
         }
     }
 
@@ -331,12 +354,18 @@ impl ModelDeps {
             same_site,
             child_rules,
             parent_rules,
+            derived: Derived::default(),
         })
     }
 
     /// Checks that these deps could have been compiled *from `model`*:
     /// one summary per rule, every kept-compartment index inside the
-    /// rule's LHS pattern list. A worker receiving deps over the wire
+    /// rule's LHS pattern list, and every affected rule one that owns a
+    /// propensity slot where the list sends it — a non-zero rate and, for
+    /// the same-site and kept-compartment lists, the label of that site
+    /// (the parent's label is only known at run time, where it is
+    /// checked). The engines index slots by those lists without looking
+    /// again. A worker receiving deps over the wire
     /// runs this before trusting them — a mismatch means the coordinator
     /// shipped deps for a different model (or the stream was corrupted
     /// in a structurally-consistent way) and simulating with them would
@@ -368,8 +397,57 @@ impl ModelDeps {
                     ));
                 }
             }
+            // `from_parts` bounded every index by the rule count.
+            let slotless = |list: &[u32], site: Option<Label>| {
+                list.iter().copied().find(|&q| {
+                    let q = &model.rules[q as usize];
+                    q.rate == 0.0 || site.is_some_and(|label| q.site != label)
+                })
+            };
+            let lists = [
+                ("same-site", &self.same_site[r][..], Some(rule.site)),
+                ("parent", &self.parent_rules[r][..], None),
+            ];
+            let children = rd.kept.iter().zip(&self.child_rules[r]).map(|(k, qs)| {
+                let label = rule.lhs.comps[k.pattern].label;
+                ("child", &qs[..], Some(label))
+            });
+            for (what, list, site) in lists.into_iter().chain(children) {
+                if let Some(q) = slotless(list, site) {
+                    return Err(format!(
+                        "rule {r}: {what} affected rule {q} has no propensity slot there \
+                         (zero rate, or another site label)"
+                    ));
+                }
+            }
         }
         Ok(())
+    }
+
+    /// The flat form of `model`, or `None` when any rule uses compartments
+    /// or applies below the top level (decided from `model` on every call,
+    /// never from the cache). Compiled on first use and kept: every engine
+    /// of a run shares the one `Arc`, however many instances it builds.
+    ///
+    /// The deps summarise the rules only, so one `ModelDeps` may serve
+    /// models that differ in what it never looked at — initial term, rate
+    /// values and law constants, observables — and the compiled form holds
+    /// all of those. The cached form is therefore handed out only to a
+    /// model it [was compiled from](FlatModel::compiled_from); any other
+    /// gets a form of its own, compiled for the call and not kept.
+    pub(crate) fn flat(&self, model: &Model) -> Option<Arc<FlatModel>> {
+        if !FlatModel::accepts(model) {
+            return None;
+        }
+        let cached = self
+            .derived
+            .flat
+            .get_or_init(|| Arc::new(FlatModel::compile(model, self)));
+        Some(if cached.compiled_from(model) {
+            Arc::clone(cached)
+        } else {
+            Arc::new(FlatModel::compile(model, self))
+        })
     }
 
     /// Number of compiled rules.
@@ -669,6 +747,44 @@ mod tests {
         let deps = ModelDeps::compile(&birth_death());
         let err = deps.validate_for(&transport()).unwrap_err();
         assert!(err.contains("rules"), "{err}");
+    }
+
+    #[test]
+    fn validate_for_rejects_affected_rules_without_a_slot() {
+        // transport(): 0 in (top), 1 out (top), 2 decay (cell), 3 make, 4 burst.
+        let m = transport();
+        let (rules, same_site, child_rules, parent_rules) = parts_of(&ModelDeps::compile(&m));
+        let rejects = |model: &Model,
+                       same: &[Vec<u32>],
+                       child: &[Vec<Vec<u32>>],
+                       par: &[Vec<u32>]| {
+            let deps =
+                ModelDeps::from_parts(rules.clone(), same.to_vec(), child.to_vec(), par.to_vec())
+                    .expect("structurally consistent");
+            deps.validate_for(model).unwrap_err()
+        };
+        // A same-site list naming a rule of another label ("decay" lives in
+        // the cell, "in" fires at the top).
+        let mut bad = same_site.clone();
+        bad[0].push(2);
+        let err = rejects(&m, &bad, &child_rules, &parent_rules);
+        assert!(err.contains("rule 0: same-site affected rule 2"), "{err}");
+        // A kept-compartment list naming a top-level rule.
+        let mut bad = child_rules.clone();
+        bad[0][0].push(1);
+        let err = rejects(&m, &same_site, &bad, &parent_rules);
+        assert!(err.contains("rule 0: child affected rule 1"), "{err}");
+        // Any list naming a zero-rate rule: the engines give it no slot.
+        let mut dead = m.clone();
+        dead.rules[1].rate = 0.0;
+        let err = rejects(&dead, &same_site, &child_rules, &parent_rules);
+        assert!(err.contains("same-site affected rule 1"), "{err}");
+        let mut same = same_site.clone();
+        same.iter_mut().for_each(|l| l.retain(|&q| q != 1));
+        let err = rejects(&dead, &same, &child_rules, &parent_rules);
+        assert!(err.contains("rule 2: parent affected rule 1"), "{err}");
+        // What the compiler emits for that model passes.
+        ModelDeps::compile(&dead).validate_for(&dead).unwrap();
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub enum EngineKind {
         /// 0.03–0.05; must be in `(0, 1)`).
         epsilon: f64,
     },
-    /// Hybrid exact/approximate: incremental-table SSA segments with
+    /// Hybrid exact/approximate: dense-core SSA segments with
     /// CGP-sized Poisson leaps when propensities stratify. Flat,
     /// top-level, mass-action models only.
     Hybrid {
@@ -548,10 +548,12 @@ impl Engine {
         }
     }
 
-    /// The current CWC term, for the term-based engines (`None` for the
-    /// leaping and hybrid engines, whose committed state is a
-    /// species-count vector).
-    pub fn term(&self) -> Option<&Term> {
+    /// The current CWC term of the exact engines, by value: materialised
+    /// on demand from whichever core the engine steps on (see
+    /// [`SsaEngine::term`]) — an inspection call, not a step-path one.
+    /// `None` for the leaping kinds (fixed and adaptive tau-leaping, the
+    /// hybrid), whose committed state is a species-count vector.
+    pub fn term(&self) -> Option<Term> {
         match self {
             Engine::Ssa(e) => Some(e.term()),
             Engine::FirstReaction(e) => Some(e.term()),

@@ -41,7 +41,9 @@ use crate::deps::ModelDeps;
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
 
-/// Exact SSA engine using the first-reaction method.
+/// Exact SSA engine using the first-reaction method. It steps on whichever
+/// core [`SsaEngine`] selected for the model (dense on flat models, tree
+/// otherwise) and only replaces the sampling loop.
 ///
 /// # Examples
 ///
@@ -60,17 +62,20 @@ use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
 /// ```
 #[derive(Debug, Clone)]
 pub struct FirstReactionEngine {
-    /// Reuses the direct engine's state and incremental reaction table;
+    /// Reuses the direct engine's state and incremental propensity row;
     /// only the sampling loop differs.
     inner: SsaEngine,
     rng: SimRng,
     time: f64,
-    /// The winning `(table entry index, absolute firing time)` already
+    /// The winning `(row entry index, absolute firing time)` already
     /// drawn but not yet fired. Preserved across quantum boundaries (see
-    /// module docs); the term — and therefore the table — is unchanged
+    /// module docs); the state — and therefore the row — is unchanged
     /// while an event is pending, so the entry index stays valid.
     pending: Option<(usize, f64)>,
     steps: u64,
+    /// Observable values of the sample being emitted, reused across
+    /// samples.
+    sample_buf: Vec<u64>,
 }
 
 impl FirstReactionEngine {
@@ -80,13 +85,10 @@ impl FirstReactionEngine {
     /// instance space), so the two engines cannot accidentally share
     /// draws.
     pub fn new(model: Arc<Model>, base_seed: u64, instance: u64) -> Self {
-        FirstReactionEngine {
-            inner: SsaEngine::new(model, base_seed, instance),
-            rng: sim_rng(base_seed ^ 0xF1E5_7EAC, instance),
-            time: 0.0,
-            pending: None,
-            steps: 0,
-        }
+        Self::over(
+            SsaEngine::new(model, base_seed, instance),
+            sim_rng(base_seed ^ 0xF1E5_7EAC, instance),
+        )
     }
 
     /// Like [`FirstReactionEngine::new`], reusing an already-compiled
@@ -97,13 +99,10 @@ impl FirstReactionEngine {
         base_seed: u64,
         instance: u64,
     ) -> Self {
-        FirstReactionEngine {
-            inner: SsaEngine::with_deps(model, deps, base_seed, instance),
-            rng: sim_rng(base_seed ^ 0xF1E5_7EAC, instance),
-            time: 0.0,
-            pending: None,
-            steps: 0,
-        }
+        Self::over(
+            SsaEngine::with_deps(model, deps, base_seed, instance),
+            sim_rng(base_seed ^ 0xF1E5_7EAC, instance),
+        )
     }
 
     /// Creates an engine sharing the direct method's instance stream
@@ -111,12 +110,21 @@ impl FirstReactionEngine {
     /// bit-for-bit identical to [`SsaEngine`]'s with the same seeds — the
     /// coupling oracle described in the module docs and [`crate::rng`].
     pub fn coupled(model: Arc<Model>, base_seed: u64, instance: u64) -> Self {
+        Self::over(
+            SsaEngine::new(model, base_seed, instance),
+            sim_rng(base_seed, instance),
+        )
+    }
+
+    /// The first-reaction loop over `inner`'s state, drawing from `rng`.
+    fn over(inner: SsaEngine, rng: SimRng) -> Self {
         FirstReactionEngine {
-            inner: SsaEngine::new(model, base_seed, instance),
-            rng: sim_rng(base_seed, instance),
+            inner,
+            rng,
             time: 0.0,
             pending: None,
             steps: 0,
+            sample_buf: Vec::new(),
         }
     }
 
@@ -135,8 +143,9 @@ impl FirstReactionEngine {
         self.steps
     }
 
-    /// The current term.
-    pub fn term(&self) -> &Term {
+    /// The current term, materialised on demand (see
+    /// [`SsaEngine::term`]).
+    pub fn term(&self) -> Term {
         self.inner.term()
     }
 
@@ -154,9 +163,9 @@ impl FirstReactionEngine {
     /// reaction if none is pending. Returns `None` when the state is
     /// absorbing.
     ///
-    /// Enabled reactions come straight off the shared incremental table,
-    /// in table order — the same enumeration order (and so the same draw
-    /// order) as the naive re-enumeration it replaced.
+    /// Enabled reactions come straight off the shared incremental row, in
+    /// row order — the same enumeration order (and so the same draw order)
+    /// as the naive re-enumeration it replaced.
     fn next_event(&mut self) -> Option<(usize, f64)> {
         if let Some(p) = self.pending {
             return Some(p);
@@ -164,8 +173,7 @@ impl FirstReactionEngine {
         // One exponential candidate per enabled reaction; the minimum wins
         // (provably equivalent to the direct method).
         let mut best: Option<(usize, f64)> = None;
-        let table = self.inner.table();
-        for (entry, propensity) in table.active_entries() {
+        for (entry, propensity) in self.inner.active_entries() {
             let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
             let t = self.time + (-u.ln() / propensity);
             if best.map(|(_, b)| t < b).unwrap_or(true) {
@@ -176,18 +184,17 @@ impl FirstReactionEngine {
         best
     }
 
-    /// Fires the pending event: chooses the assignment, rewrites the term
-    /// and updates the shared reaction table (via the direct engine's
-    /// firing path, with this engine's RNG supplying the draws).
+    /// Fires the pending event: chooses the assignment, applies the
+    /// reaction and updates the shared propensity row (via the direct
+    /// engine's firing path, with this engine's RNG supplying the draws).
     fn fire(&mut self, event: (usize, f64)) -> (usize, SiteId) {
         let (winner, event_time) = event;
-        let (site, rule) = self.inner.table().site_rule(winner);
         let u: f64 = self.rng.gen_range(0.0..1.0);
-        self.inner.apply_fire(site, rule, u);
+        let fired = self.inner.apply_fire(winner, u);
         self.time = event_time;
         self.pending = None;
         self.steps += 1;
-        (rule, site)
+        fired
     }
 
     /// Executes one first-reaction step (fires the pending event if one
@@ -247,8 +254,8 @@ impl FirstReactionEngine {
                 if ts > horizon {
                     break;
                 }
-                let values = self.observe();
-                on_sample(ts, &values);
+                self.inner.observe_into(&mut self.sample_buf);
+                on_sample(ts, &self.sample_buf);
                 clock.advance();
             }
             if t_next > t_end {

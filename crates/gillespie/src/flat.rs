@@ -1,27 +1,44 @@
-//! Shared flat-model machinery of the leaping engines.
+//! The compiled flat form of a model: what every engine that steps on
+//! species counts instead of a term reads.
 //!
-//! Three integrators in this crate — fixed-step tau-leaping
-//! ([`crate::tau_leap`]), adaptive tau-leaping ([`crate::adaptive`]) and
-//! the leap phase of the hybrid engine ([`crate::hybrid`]) — operate on
-//! the same reduced state: a *flat* model (no compartment patterns or
-//! productions, every rule at the top level, mass-action laws only) whose
-//! term collapses to a species-count vector. This module owns that
-//! reduction:
+//! A model is *flat* when every rule is compartment-free and applies at
+//! the top level — a property of the input (`FlatModel::accepts`). Its
+//! term then collapses to a species-count vector indexed by
+//! [`Species::raw`], and one compiled `FlatModel` (crate-private, cached
+//! in the model's [`ModelDeps`] by `ModelDeps::flat`, shared by `Arc`,
+//! never rebuilt per instance) serves both tiers:
 //!
-//! - [`FlatModelError`], the shared rejection type (each variant names the
-//!   offending rule and the engine that refused it — the config layer
-//!   surfaces these messages verbatim);
-//! - `FlatModel` (crate-private), the compiled reactant/stoichiometry/rate
-//!   vectors, derived from the same [`ModelDeps`] compilation the exact
-//!   engines use for their reaction tables;
-//! - the Cao–Gillespie–Petzold step-size bound (`FlatModel::cgp_tau_with`)
-//!   with its highest-order-reaction `g_i` factors;
-//! - the crate-private `poisson` sampler every leap draw consumes.
+//! - the **exact tier** — the dense core of [`crate::ssa::SsaEngine`]
+//!   (and through it the first-reaction and hybrid engines) and the
+//!   batched engine of [`crate::batch`] — reads the *slot* tables
+//!   (`SlotTables`: the rules with a non-zero rate, in rule order, with
+//!   their reactants, net stoichiometry, kinetic laws and the
+//!   slot-to-slot affected lists of the dependency graph), the one
+//!   propensity formula `exact_propensity` and the observable plan;
+//! - the **leaping tier** — fixed-step tau-leaping ([`crate::tau_leap`]),
+//!   adaptive tau-leaping ([`crate::adaptive`]) and the leap phase of the
+//!   hybrid engine ([`crate::hybrid`]) — reads the rule-indexed
+//!   reactant/stoichiometry/rate rows, the Cao–Gillespie–Petzold
+//!   step-size bound (`FlatModel::cgp_tau_with`) with its
+//!   highest-order-reaction `g_i` factors, and the same observable plan.
+//!   These engines additionally need mass-action laws; they (and the
+//!   batched engine) obtain the shared form through `mass_action_flat`,
+//!   which names the offending rule and the refusing engine in a
+//!   [`FlatModelError`] the config layer surfaces verbatim.
+//!
+//! The crate-private `poisson` sampler every leap draw consumes lives
+//! here too.
 
-use cwc::model::Model;
+use std::sync::Arc;
+
+use cwc::model::{Model, Observable, ObservableSite};
+use cwc::multiset::binomial;
+use cwc::rule::{RateLaw, Rule};
 use cwc::species::{Label, Species};
+use cwc::term::Term;
 use rand::Rng;
 
+use crate::batch::kernels::SlotPlan;
 use crate::deps::ModelDeps;
 
 /// Error constructing a flat-model engine (fixed tau-leaping, adaptive
@@ -125,6 +142,15 @@ impl<T> Rows<T> {
         debug_assert_eq!(*offsets.last().unwrap() as usize, entries.len());
         Rows { offsets, entries }
     }
+
+    /// One row per item of `rows`, in order.
+    pub(crate) fn from_rows<R: IntoIterator<Item = T>>(rows: impl IntoIterator<Item = R>) -> Self {
+        let mut out = Rows::with_rows(0);
+        for row in rows {
+            out.push_row(row);
+        }
+        out
+    }
 }
 
 impl<T> std::ops::Index<usize> for Rows<T> {
@@ -134,19 +160,76 @@ impl<T> std::ops::Index<usize> for Rows<T> {
     }
 }
 
-/// A flat mass-action model compiled to dense index space: the state is
-/// `Vec<i64>` over [`FlatModel::species`], and every leaping engine reads
-/// its reactants, net stoichiometry and rates from here.
+/// The exact tier's view of a flat model: one *slot* per rule with a
+/// non-zero rate, in rule order — the order of the propensity row, which
+/// the golden fingerprints pin. Everything is slot-indexed so the step
+/// loop never maps between the two index spaces.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotTables {
+    /// Slot → rule index.
+    pub rule: Vec<u32>,
+    /// Per-slot reactant multiplicities, `(species index, count)`,
+    /// ascending species order (the tree matcher's product order).
+    pub reactants: Rows<(usize, u64)>,
+    /// Per-slot net stoichiometric change per firing.
+    pub delta: Rows<(usize, i64)>,
+    /// Per-slot rate constants.
+    pub rates: Vec<f64>,
+    /// Per-slot kinetic laws; their species are dense indices already
+    /// ([`Species::raw`] *is* the index space).
+    pub laws: Vec<RateLaw>,
+    /// Per-slot vectorization plans of the batched kernels.
+    pub plans: Vec<SlotPlan>,
+    /// Slot → slots whose propensity a firing of it can move: the
+    /// dependency graph's same-site affected list, mapped to slots
+    /// (ascending, so the first entry is the lowest stale slot).
+    pub affects: Rows<u32>,
+}
+
+/// How one observable reads a flat state: the root count it follows (if
+/// its site reads the root at all) plus everything that can never change.
+#[derive(Debug, Clone, Copy)]
+struct ObsPlan {
+    /// Species index whose root count the observable adds, when its site
+    /// reads the root: `Everywhere`, `TopOnly` and `AtLabel(TOP)`.
+    dynamic: Option<usize>,
+    /// The rest of the observable's value on the initial term — the
+    /// compartments flat rules can never touch: `eval(initial)` minus the
+    /// initial dynamic part.
+    offset: u64,
+}
+
+/// The parts of a model a [`FlatModel`] folds into its tables (`initial`,
+/// the observable offsets) that nothing else in it lets one read back.
+#[derive(Debug, Clone)]
+struct Source {
+    initial: Term,
+    observables: Vec<Observable>,
+}
+
+/// A flat model compiled to dense index space: the state is a count
+/// vector indexed by [`Species::raw`], and every count-stepping engine
+/// reads its tables from here (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct FlatModel {
-    /// Interned species, ascending — index space of the state vector.
-    pub species: Vec<Species>,
+    /// What of the model, beyond its rules, the form was compiled from
+    /// (see [`FlatModel::compiled_from`]).
+    source: Source,
+    /// Root counts of the initial term, per species index. Its length is
+    /// the index space of every state vector: the alphabet, plus any
+    /// handle the rules, the root of the initial term or the observables
+    /// mention beyond it.
+    initial: Vec<u64>,
     /// Per-rule reactant multiplicities, `(species index, count)`.
     pub reactants: Rows<(usize, u64)>,
     /// Per-rule net stoichiometric change per firing.
     pub delta: Rows<(usize, i64)>,
-    /// Per-rule mass-action rate constants.
+    /// Per-rule rate constants.
     pub rates: Vec<f64>,
+    /// The exact tier's slot-indexed tables.
+    pub slots: SlotTables,
+    /// One plan per model observable, in registration order.
+    observables: Vec<ObsPlan>,
     /// Per-species `(reaction order, copies required)` pairs over the
     /// rules consuming that species — the static inputs of the CGP
     /// `g_i` factor, precomputed so the tau-selection hot path avoids an
@@ -165,62 +248,193 @@ pub(crate) struct FlatModel {
     pub incidence: Rows<usize>,
 }
 
-impl FlatModel {
-    /// Compiles `model` for `engine` (the name appears in rejection
-    /// messages), taking net stoichiometry from the shared [`ModelDeps`]
-    /// compilation.
-    pub fn compile(
-        model: &Model,
-        deps: &ModelDeps,
-        engine: &'static str,
-    ) -> Result<Self, FlatModelError> {
-        let species: Vec<Species> = model.alphabet.all_species().collect();
-        // Interned species come out ascending, so index lookup is a
-        // binary search instead of a linear scan (compile is per-engine,
-        // O(rules × reactants) lookups).
-        let index_of = |s: Species| -> usize {
-            species
-                .binary_search(&s)
-                .expect("species interned in this model")
-        };
-        let nrules = model.rules.len();
-        let mut reactants: Rows<(usize, u64)> = Rows::with_rows(nrules);
-        let mut delta: Rows<(usize, i64)> = Rows::with_rows(nrules);
-        let mut rates = Vec::with_capacity(nrules);
-        for (ri, rule) in model.rules.iter().enumerate() {
-            if !rule.is_flat() {
-                return Err(FlatModelError::NotFlat {
-                    engine,
-                    rule: rule.name.clone(),
-                });
-            }
-            if rule.site != Label::TOP {
-                return Err(FlatModelError::NotTopLevel {
-                    engine,
-                    rule: rule.name.clone(),
-                });
-            }
-            if !rule.law.is_mass_action() {
-                return Err(FlatModelError::NotMassAction {
-                    engine,
-                    rule: rule.name.clone(),
-                });
-            }
-            reactants.push_row(rule.lhs.atoms.iter().map(|(s, n)| (index_of(s), n)));
-            // Net stoichiometry straight from the compiled dependency
-            // info (ascending species order, like the interned indices).
-            delta.push_row(
-                deps.rule(ri)
-                    .site_delta
-                    .iter()
-                    .map(|&(s, v)| (index_of(s), v)),
-            );
-            rates.push(rule.rate);
+#[cfg(test)]
+std::thread_local! {
+    /// Flat compilations performed by this thread (see
+    /// [`FlatModel::thread_compile_count`]).
+    static FLAT_COMPILE_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Size of the dense index space of `model`: the alphabet, widened to any
+/// species handle the rules, the initial root or the observables use
+/// beyond it (hand-built models may mint handles with `from_raw`).
+fn species_space(model: &Model) -> usize {
+    let mut n = model.alphabet.species_count();
+    let mut cover = |s: Species| n = n.max(s.raw() as usize + 1);
+    for rule in &model.rules {
+        rule.lhs.atoms.iter().for_each(|(s, _)| cover(s));
+        rule.rhs.atoms.iter().for_each(|(s, _)| cover(s));
+        match rule.law {
+            RateLaw::MassAction => {}
+            RateLaw::HillRepression { inhibitor: s, .. }
+            | RateLaw::HillActivation { activator: s, .. }
+            | RateLaw::Saturating { substrate: s, .. } => cover(s),
         }
+    }
+    model.initial.atoms.iter().for_each(|(s, _)| cover(s));
+    model.observables.iter().for_each(|o| cover(o.species));
+    n
+}
+
+/// The exact tier's propensity of one slot — the tree matcher's `h`
+/// replayed on dense counts: the exact `u64` product of per-reactant
+/// binomial selection counts (saturating, zero as soon as a reactant is
+/// short), handed to the rule's kinetic law with a single float cast, then
+/// the positive clamp. The definition the dense core, the batched scalar
+/// kernels and (under their exactness guards) the AVX2 kernels all
+/// reproduce bit-for-bit; `count` looks a species index up in whatever
+/// layout the caller keeps.
+#[inline]
+pub(crate) fn exact_propensity(
+    reactants: &[(usize, u64)],
+    rate: f64,
+    law: &RateLaw,
+    count: impl Fn(usize) -> u64,
+) -> f64 {
+    let mut h: u64 = 1;
+    for &(sp, k) in reactants {
+        let n = count(sp);
+        if n < k {
+            return 0.0;
+        }
+        h = h.saturating_mul(binomial(n, k));
+        if h == 0 {
+            return 0.0;
+        }
+    }
+    let p = law.propensity_with(rate, h, |s| count(s.raw() as usize));
+    if p > 0.0 {
+        p
+    } else {
+        0.0
+    }
+}
+
+/// The shared flat form of `model` for an engine that additionally needs
+/// mass-action laws (the leaping engines and the batched engine; `engine`
+/// is the name that appears in the rejection).
+///
+/// # Errors
+///
+/// Returns the [`FlatModelError`] of the first rule, in rule order, that
+/// uses compartments, applies below the top level or has a
+/// non-mass-action law.
+pub(crate) fn mass_action_flat(
+    model: &Model,
+    deps: &ModelDeps,
+    engine: &'static str,
+) -> Result<Arc<FlatModel>, FlatModelError> {
+    for rule in &model.rules {
+        let rule_name = || rule.name.clone();
+        if !rule.is_flat() {
+            return Err(FlatModelError::NotFlat {
+                engine,
+                rule: rule_name(),
+            });
+        }
+        if rule.site != Label::TOP {
+            return Err(FlatModelError::NotTopLevel {
+                engine,
+                rule: rule_name(),
+            });
+        }
+        if !rule.law.is_mass_action() {
+            return Err(FlatModelError::NotMassAction {
+                engine,
+                rule: rule_name(),
+            });
+        }
+    }
+    Ok(deps.flat(model).expect("every rule is flat and top-level"))
+}
+
+impl FlatModel {
+    /// Whether `model` is flat: every rule compartment-free and applying
+    /// at the top level.
+    pub fn accepts(model: &Model) -> bool {
+        let flat_top = |rule: &Rule| rule.is_flat() && rule.site == Label::TOP;
+        model.rules.iter().all(flat_top)
+    }
+
+    /// Compiles the flat form of `model` (which [`accepts`](Self::accepts)
+    /// must hold for), taking net stoichiometry and the affected lists
+    /// from the shared [`ModelDeps`] compilation. Called once per
+    /// [`ModelDeps`] and model (by [`ModelDeps::flat`]).
+    pub fn compile(model: &Model, deps: &ModelDeps) -> Self {
+        debug_assert!(Self::accepts(model));
+        #[cfg(test)]
+        FLAT_COMPILE_COUNT.with(|c| c.set(c.get() + 1));
+        let ns = species_space(model);
+        let index_of = |s: Species| s.raw() as usize;
+        let nrules = model.rules.len();
+        let reactants = Rows::from_rows(
+            model
+                .rules
+                .iter()
+                .map(|rule| rule.lhs.atoms.iter().map(|(s, n)| (index_of(s), n))),
+        );
+        // Net stoichiometry straight from the compiled dependency info
+        // (ascending species order, like the indices).
+        let delta = Rows::from_rows((0..nrules).map(|ri| {
+            deps.rule(ri)
+                .site_delta
+                .iter()
+                .map(|&(s, v)| (index_of(s), v))
+        }));
+        let rates: Vec<f64> = model.rules.iter().map(|rule| rule.rate).collect();
+
+        // Exact-tier slots: the rules that ever enter a propensity row.
+        let slot_rule: Vec<u32> = (0..nrules as u32)
+            .filter(|&r| rates[r as usize] != 0.0)
+            .collect();
+        let mut rule_slot = vec![u32::MAX; nrules];
+        for (j, &r) in slot_rule.iter().enumerate() {
+            rule_slot[r as usize] = j as u32;
+        }
+        let slot_rules = || slot_rule.iter().map(|&r| r as usize);
+        let slot_reactants = Rows::from_rows(slot_rules().map(|r| reactants[r].iter().copied()));
+        let slots = SlotTables {
+            delta: Rows::from_rows(slot_rules().map(|r| delta[r].iter().copied())),
+            rates: slot_rules().map(|r| rates[r]).collect(),
+            laws: slot_rules().map(|r| model.rules[r].law.clone()).collect(),
+            plans: (0..slot_rule.len())
+                .map(|j| SlotPlan::of(&slot_reactants[j]))
+                .collect(),
+            // The dependency graph never lists a zero-rate rule (compiled
+            // deps by construction, received ones by `validate_for`), so
+            // every affected rule has a slot.
+            affects: Rows::from_rows(slot_rules().map(|r| {
+                deps.same_site_affected(r)
+                    .iter()
+                    .map(|&q| rule_slot[q as usize])
+            })),
+            reactants: slot_reactants,
+            rule: slot_rule,
+        };
+        debug_assert!(slots.affects.entries.iter().all(|&j| j != u32::MAX));
+
+        let initial: Vec<u64> = (0..ns as u32)
+            .map(|raw| model.initial.atoms.count(Species::from_raw(raw)))
+            .collect();
+        let observables = model
+            .observables
+            .iter()
+            .map(|o| {
+                let reads_root = match o.site {
+                    ObservableSite::Everywhere | ObservableSite::TopOnly => true,
+                    ObservableSite::AtLabel(label) => label == Label::TOP,
+                };
+                let dynamic = reads_root.then(|| index_of(o.species));
+                ObsPlan {
+                    dynamic,
+                    offset: o.eval(&model.initial) - dynamic.map_or(0, |i| initial[i]),
+                }
+            })
+            .collect();
+
         // Per-species rows (g pairs, incidence) via counting sort: rules
         // land in ascending rule order per species, as the old per-species
         // append produced.
-        let ns = species.len();
         let mut counts = vec![0u32; ns];
         for ri in 0..nrules {
             for &(i, _) in &reactants[ri] {
@@ -264,15 +478,45 @@ impl FlatModel {
                 g
             })
             .collect();
-        Ok(FlatModel {
-            species,
+        FlatModel {
+            source: Source {
+                initial: model.initial.clone(),
+                observables: model.observables.clone(),
+            },
+            initial,
             reactants,
             delta,
             rates,
+            slots,
+            observables,
             g_pairs,
             g_const,
             incidence,
-        })
+        }
+    }
+
+    /// Whether this form is what [`compile`](Self::compile) would produce
+    /// for `model` with the deps it was compiled with — i.e. `model` agrees
+    /// with the model it was compiled from in everything the form holds
+    /// and the deps do not cover: initial term, observables, rate values
+    /// and the laws of the live rules. Linear compares, no allocation: this
+    /// runs once per engine construction.
+    pub fn compiled_from(&self, model: &Model) -> bool {
+        self.source.initial == model.initial
+            && self.source.observables == model.observables
+            && self.initial.len() == species_space(model)
+            && self.rates.len() == model.rules.len()
+            && (self.rates.iter().zip(&model.rules))
+                .all(|(r, rule)| r.to_bits() == rule.rate.to_bits())
+            && (self.slots.rule.iter().zip(&self.slots.laws))
+                .all(|(&r, law)| *law == model.rules[r as usize].law)
+    }
+
+    /// Flat compilations this thread has performed — the test hook
+    /// pinning "compiled once per [`ModelDeps`], never per instance".
+    #[cfg(test)]
+    pub fn thread_compile_count() -> u64 {
+        FLAT_COMPILE_COUNT.with(std::cell::Cell::get)
     }
 
     /// Number of rules.
@@ -280,12 +524,48 @@ impl FlatModel {
         self.rates.len()
     }
 
-    /// The initial species-count vector of `model`.
-    pub fn initial_state(&self, model: &Model) -> Vec<i64> {
-        self.species
-            .iter()
-            .map(|&s| model.initial.atoms.count(s) as i64)
-            .collect()
+    /// Length of every state vector (see the `initial` field).
+    pub fn species_len(&self) -> usize {
+        self.initial.len()
+    }
+
+    /// The root counts of the initial term, per species index.
+    pub fn initial_counts(&self) -> &[u64] {
+        &self.initial
+    }
+
+    /// The initial species-count vector, in the leaping engines' signed
+    /// representation.
+    pub fn initial_state(&self) -> Vec<i64> {
+        self.initial.iter().map(|&c| c as i64).collect()
+    }
+
+    /// Propensity of exact-tier slot `slot` under `count` (see
+    /// [`exact_propensity`]).
+    #[inline]
+    pub fn slot_propensity(&self, slot: usize, count: impl Fn(usize) -> u64) -> f64 {
+        exact_propensity(
+            &self.slots.reactants[slot],
+            self.slots.rates[slot],
+            &self.slots.laws[slot],
+            count,
+        )
+    }
+
+    /// Evaluates the model's observables on a flat state into `out`
+    /// (cleared first): each one's root count under `count` plus its
+    /// constant offset — equal to `Model::eval_observables` on the initial
+    /// term with its root atoms replaced by the state, for every
+    /// [`ObservableSite`]. The one observable evaluation of every
+    /// count-stepping engine.
+    #[inline]
+    pub fn observe_into(&self, count: impl Fn(usize) -> u64, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(
+            self.observables
+                .iter()
+                .map(|o| o.offset + o.dynamic.map_or(0, &count)),
+        );
     }
 
     /// Mass-action propensity of rule `r` in `state`: rate times the
@@ -308,27 +588,6 @@ impl FlatModel {
     pub fn propensities_into(&self, state: &[i64], out: &mut Vec<f64>) {
         out.clear();
         out.extend((0..self.rules()).map(|r| self.propensity(state, r)));
-    }
-
-    /// Current copy number of `species` in `state` (0 for species not in
-    /// this model's alphabet).
-    pub fn count(&self, state: &[i64], species: Species) -> u64 {
-        self.species
-            .iter()
-            .position(|&s| s == species)
-            .map(|i| state[i] as u64)
-            .unwrap_or(0)
-    }
-
-    /// Evaluates `model`'s observables on `state` (top-level counts only,
-    /// which is exact for flat models) — shared by every leaping engine's
-    /// `observe`.
-    pub fn observe(&self, model: &Model, state: &[i64]) -> Vec<u64> {
-        model
-            .observables
-            .iter()
-            .map(|o| self.count(state, o.species))
-            .collect()
     }
 
     /// The Cao–Gillespie–Petzold highest-order factor `g_i` for species
@@ -385,7 +644,7 @@ impl FlatModel {
     where
         F: Fn(usize) -> bool,
     {
-        let n = self.species.len();
+        let n = self.species_len();
         let mu = &mut scratch.mu;
         let sigma2 = &mut scratch.sigma2;
         mu.clear();
@@ -429,7 +688,7 @@ impl FlatModel {
         epsilon: f64,
         rules: impl Iterator<Item = usize>,
     ) -> f64 {
-        let n = self.species.len();
+        let n = self.species_len();
         if scratch.mu.len() != n {
             scratch.mu.clear();
             scratch.mu.resize(n, 0.0);
@@ -473,7 +732,7 @@ impl FlatModel {
     /// The shared per-species minimisation step of the CGP bound.
     fn cgp_species_tau(&self, scratch: &CgpScratch, state: &[i64], epsilon: f64) -> f64 {
         let mut tau = f64::INFINITY;
-        for (i, &s) in state.iter().enumerate().take(self.species.len()) {
+        for (i, &s) in state.iter().enumerate().take(self.species_len()) {
             let (mu, sigma2) = (scratch.mu[i], scratch.sigma2[i]);
             if mu == 0.0 && sigma2 == 0.0 {
                 continue;
@@ -564,10 +823,10 @@ mod tests {
     #[test]
     fn compile_matches_model_shape() {
         let (m, deps) = schlogl_like();
-        let flat = FlatModel::compile(&m, &deps, "test").unwrap();
+        let flat = FlatModel::compile(&m, &deps);
         assert_eq!(flat.rules(), 4);
-        assert_eq!(flat.species.len(), 1);
-        let state = flat.initial_state(&m);
+        assert_eq!(flat.species_len(), 1);
+        let state = flat.initial_state();
         assert_eq!(state, vec![250]);
         // Trimolecular propensity is rate * C(250, 3).
         let expected = 1e-4 * cwc::multiset::binomial(250, 3) as f64;
@@ -584,7 +843,9 @@ mod tests {
             .build()
             .unwrap();
         let deps = Arc::new(ModelDeps::compile(&m));
-        let err = FlatModel::compile(&m, &deps, "adaptive tau-leaping").unwrap_err();
+        assert!(!FlatModel::accepts(&m));
+        assert!(deps.flat(&m).is_none());
+        let err = mass_action_flat(&m, &deps, "adaptive tau-leaping").unwrap_err();
         assert_eq!(err.rule(), "transport");
         let msg = err.to_string();
         assert!(msg.contains("`transport`"), "{msg}");
@@ -592,9 +853,108 @@ mod tests {
     }
 
     #[test]
+    fn flat_form_is_compiled_once_per_deps_not_per_engine() {
+        use crate::batch::BatchedSsaEngine;
+        use crate::engine::EngineKind;
+        let (m, deps) = schlogl_like();
+        let model = Arc::new(m);
+        let before = FlatModel::thread_compile_count();
+        let kinds = [
+            EngineKind::Ssa,
+            EngineKind::FirstReaction,
+            EngineKind::TauLeap { tau: 0.01 },
+            EngineKind::AdaptiveTau { epsilon: 0.05 },
+            EngineKind::Hybrid {
+                epsilon: 0.05,
+                threshold: 8.0,
+            },
+            EngineKind::Batched { width: 4 },
+        ];
+        for instance in 0..64 {
+            let kind = kinds[instance as usize % kinds.len()];
+            kind.build_with_deps(Arc::clone(&model), Arc::clone(&deps), 1, instance)
+                .unwrap();
+        }
+        BatchedSsaEngine::with_deps(Arc::clone(&model), Arc::clone(&deps), 1, 0, 8).unwrap();
+        assert_eq!(FlatModel::thread_compile_count(), before + 1);
+        // A clone of the deps carries the compiled form along.
+        let cloned = ModelDeps::clone(&deps);
+        assert!(cloned.flat(&model).is_some());
+        assert_eq!(FlatModel::thread_compile_count(), before + 1);
+    }
+
+    #[test]
+    fn deps_shared_across_models_serve_each_model_its_own_flat_form() {
+        use crate::engine::EngineKind;
+        // Same rules, so the same deps; a different initial term, rate
+        // value and observable list — everything the deps never looked at.
+        let (m1, deps) = schlogl_like();
+        let mut m2 = m1.clone();
+        let x = m2.species("X");
+        m2.initial = Default::default();
+        m2.initial.add_atoms(x, 40);
+        m2.rules[3].rate = 7.0;
+        m2.observe_at("X again", x, ObservableSite::TopOnly);
+        assert_eq!(*deps, ModelDeps::compile(&m2));
+        let (m1, m2) = (Arc::new(m1), Arc::new(m2));
+
+        // The first model an engine is built for owns the cache ...
+        let cached = deps.flat(&m1).unwrap();
+        assert!(cached.compiled_from(&m1) && !cached.compiled_from(&m2));
+        assert!(Arc::ptr_eq(&cached, &deps.flat(&m1).unwrap()));
+        // ... and the other one still runs on its own state, rates and
+        // observables, exactly as with deps of its own.
+        let own = deps.flat(&m2).unwrap();
+        assert!(own.compiled_from(&m2) && !Arc::ptr_eq(&own, &cached));
+        assert_eq!(own.initial_counts(), &[40]);
+        for kind in [
+            EngineKind::Ssa,
+            EngineKind::TauLeap { tau: 0.01 },
+            EngineKind::Batched { width: 2 },
+        ] {
+            let run = |deps: Arc<ModelDeps>| {
+                let mut engine = kind.build_with_deps(Arc::clone(&m2), deps, 5, 0).unwrap();
+                let mut clock = crate::ssa::SampleClock::new(0.0, 0.25);
+                let mut samples = Vec::new();
+                let events =
+                    engine.run_sampled(1.0, &mut clock, |t, v| samples.push((t, v.to_vec())));
+                (events, samples)
+            };
+            let shared = run(Arc::clone(&deps));
+            assert_eq!(shared.1[0].1, vec![40, 40], "{kind:?}");
+            assert_eq!(shared, run(Arc::new(ModelDeps::compile(&m2))), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn slots_skip_zero_rate_rules_and_map_the_dependency_graph() {
+        let mut m = Model::new("z");
+        let a = m.species("A");
+        m.rule("dead").consumes("A", 1).rate(0.0).build().unwrap();
+        m.rule("a_to_b")
+            .consumes("A", 1)
+            .produces("B", 1)
+            .rate(1.0)
+            .build()
+            .unwrap();
+        m.rule("b_out").consumes("B", 1).rate(2.0).build().unwrap();
+        m.initial.add_atoms(a, 3);
+        let deps = ModelDeps::compile(&m);
+        let flat = FlatModel::compile(&m, &deps);
+        assert_eq!(flat.rules(), 3);
+        assert_eq!(flat.slots.rule, vec![1, 2]);
+        assert_eq!(flat.slots.rates, vec![1.0, 2.0]);
+        // a_to_b moves A and B: both live slots; b_out moves B only.
+        assert_eq!(&flat.slots.affects[0], &[0, 1]);
+        assert_eq!(&flat.slots.affects[1], &[1]);
+        assert_eq!(flat.slot_propensity(0, |sp| flat.initial_counts()[sp]), 3.0);
+        assert_eq!(flat.slot_propensity(1, |sp| flat.initial_counts()[sp]), 0.0);
+    }
+
+    #[test]
     fn g_factor_covers_the_cgp_table() {
         let (m, deps) = schlogl_like();
-        let flat = FlatModel::compile(&m, &deps, "test").unwrap();
+        let flat = FlatModel::compile(&m, &deps);
         // X appears as reactant of order 1 (out), order 2 k=2 (auto) and
         // order 3 k=3 (tri): the trimolecular term dominates.
         let g = flat.g_factor(0, 250);
@@ -608,8 +968,8 @@ mod tests {
     #[test]
     fn cgp_tau_scales_with_epsilon_and_excludes_reactions() {
         let (m, deps) = schlogl_like();
-        let flat = FlatModel::compile(&m, &deps, "test").unwrap();
-        let state = flat.initial_state(&m);
+        let flat = FlatModel::compile(&m, &deps);
+        let state = flat.initial_state();
         let mut props = Vec::new();
         flat.propensities_into(&state, &mut props);
         let mut scratch = CgpScratch::default();

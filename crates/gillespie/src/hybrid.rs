@@ -1,4 +1,4 @@
-//! Hybrid exact/approximate simulation: the incremental-table direct
+//! Hybrid exact/approximate simulation: the incremental direct
 //! method with tau-leaping engaged when propensities stratify.
 //!
 //! Tau-leaping only pays off while propensities are large enough that a
@@ -6,10 +6,12 @@
 //! cold starts are exact-SSA territory. This engine runs both regimes and
 //! switches between them from the committed state:
 //!
-//! - **Exact phase** — the unmodified [`SsaEngine`] (so the incremental
-//!   [`ReactionTable`](crate::table::ReactionTable) of the dependency-graph
-//!   engine is reused verbatim), driven in fixed segments of
-//!   [`EXACT_SEGMENT`] reactions between switch decisions.
+//! - **Exact phase** — the unmodified [`SsaEngine`] on its dense core (a
+//!   hybrid model is flat by construction, so the count vector and the
+//!   incrementally maintained propensity row of the direct method are
+//!   reused verbatim), driven in fixed segments of [`EXACT_SEGMENT`]
+//!   reactions between switch decisions. Handing a leap-phase state back
+//!   to it is a counts copy plus one row recompute.
 //! - **Leap phase** — Poisson leaps over the flat species-count vector,
 //!   with the leap length picked by the Cao–Gillespie–Petzold bound
 //!   (`epsilon` knob, shared with [`crate::adaptive`]).
@@ -41,11 +43,10 @@
 use std::sync::Arc;
 
 use cwc::model::Model;
-use cwc::multiset::Multiset;
 
 use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
-use crate::flat::{poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
 
@@ -88,16 +89,17 @@ enum Phase {
     Leap(PendingLeap),
 }
 
-/// Hybrid exact/approximate engine: incremental-table SSA segments with
+/// Hybrid exact/approximate engine: dense-core SSA segments with
 /// CGP-sized Poisson leaps when propensities stratify.
 #[derive(Debug, Clone)]
 pub struct HybridEngine {
-    /// The exact phase: a full direct-method engine (term, incremental
-    /// reaction table, primary RNG stream).
+    /// The exact phase: a full direct-method engine (dense counts,
+    /// incremental propensity row, primary RNG stream).
     exact: SsaEngine,
-    flat: FlatModel,
+    /// The model's shared flat form (the exact engine steps on it too).
+    flat: Arc<FlatModel>,
     /// Committed species counts — authoritative outside exact segments,
-    /// refreshed from the exact engine's term at decision points.
+    /// refreshed from the exact engine's counts at decision points.
     state: Vec<i64>,
     phase: Phase,
     /// True while `exact` reflects the committed state (stale after a
@@ -130,6 +132,14 @@ pub struct HybridEngine {
     cand_buf: Vec<i64>,
 }
 
+/// The exact engine's count vector (a hybrid model is flat, so its exact
+/// engine always runs the dense core).
+fn exact_counts(exact: &SsaEngine) -> &[u64] {
+    exact
+        .dense_counts()
+        .expect("flat models step on the dense core")
+}
+
 impl HybridEngine {
     /// Builds a hybrid engine from a flat model, compiling its
     /// stoichiometry locally.
@@ -156,8 +166,8 @@ impl HybridEngine {
         base_seed: u64,
         instance: u64,
     ) -> Result<Self, FlatModelError> {
-        let flat = FlatModel::compile(&model, &deps, "the hybrid SSA/tau engine")?;
-        let state = flat.initial_state(&model);
+        let flat = mass_action_flat(&model, &deps, "the hybrid SSA/tau engine")?;
+        let state = flat.initial_state();
         let exact = SsaEngine::with_deps(Arc::clone(&model), deps, base_seed, instance);
         Ok(HybridEngine {
             exact,
@@ -274,14 +284,13 @@ impl HybridEngine {
     ///
     /// `synced` — not the phase — decides authority: after an exact
     /// segment ends the engine sits in `Decide` with the flat vector not
-    /// yet refreshed, so the exact term stays authoritative until the
-    /// next leap commits.
+    /// yet refreshed, so the exact engine's counts stay authoritative
+    /// until the next leap commits.
     pub fn counts(&self) -> Vec<i64> {
         if self.synced {
-            self.flat
-                .species
+            exact_counts(&self.exact)
                 .iter()
-                .map(|&s| self.exact.term().atoms.count(s) as i64)
+                .map(|&c| c as i64)
                 .collect()
         } else {
             self.state.clone()
@@ -289,33 +298,30 @@ impl HybridEngine {
     }
 
     /// Evaluates the model's observables on the committed state (same
-    /// authority rule as [`HybridEngine::counts`]).
+    /// authority rule as [`HybridEngine::counts`]; both sides read the one
+    /// observable plan of the flat form, so a phase switch cannot move a
+    /// value).
     pub fn observe(&self) -> Vec<u64> {
         if self.synced {
             return self.exact.observe();
         }
-        self.flat.observe(self.model(), &self.state)
+        let mut values = Vec::new();
+        self.flat
+            .observe_into(|i| self.state[i] as u64, &mut values);
+        values
     }
 
-    /// Refreshes the flat state vector from the exact engine's term.
+    /// Refreshes the flat state vector from the exact engine's counts.
     fn sync_state_from_exact(&mut self) {
-        for (i, &s) in self.flat.species.iter().enumerate() {
-            self.state[i] = self.exact.term().atoms.count(s) as i64;
+        for (s, &c) in self.state.iter_mut().zip(exact_counts(&self.exact)) {
+            *s = c as i64;
         }
     }
 
     /// Pushes the flat state into the exact engine (leap → exact
-    /// hand-off), rebuilding its reaction table.
+    /// hand-off): a counts copy and one row recompute.
     fn sync_exact_from_state(&mut self) {
-        let atoms: Multiset = self
-            .flat
-            .species
-            .iter()
-            .zip(&self.state)
-            .filter(|&(_, &c)| c > 0)
-            .map(|(&s, &c)| (s, c as u64))
-            .collect();
-        self.exact.reset_flat_state(atoms, self.time);
+        self.exact.reset_flat_state(&self.state, self.time);
         self.synced = true;
     }
 
@@ -670,6 +676,68 @@ mod tests {
         assert_eq!(whole.leaps(), sliced.leaps());
         assert_eq!(whole.switches(), sliced.switches());
         assert_eq!(whole.time(), sliced.time());
+    }
+
+    #[test]
+    fn phase_hand_offs_keep_counts_and_observables_of_a_fresh_engine() {
+        // leap → exact → leap: whatever phase the engine is in, its
+        // counts and observables are those of a from-scratch exact engine
+        // reset to the same counts — inert compartment included, so a
+        // phase switch cannot move an observable — and after a hand-off
+        // the exact engine's incrementally maintained row is the
+        // recomputed one, bit for bit.
+        use cwc::model::ObservableSite;
+        // A large `A` population decays fast (leap phase, then the exact
+        // tail); each of three `P` molecules later bursts into 20 000
+        // fresh `A`, sending the engine back into the leap phase.
+        let mut m = Model::new("bursts");
+        let a = m.species("A");
+        let p = m.species("P");
+        m.rule("decay").consumes("A", 1).rate(5.0).build().unwrap();
+        m.rule("burst")
+            .consumes("P", 1)
+            .produces("A", 20_000)
+            .rate(0.2)
+            .build()
+            .unwrap();
+        m.initial.add_atoms(a, 20_000);
+        m.initial.add_atoms(p, 3);
+        let cell = m.label("cell");
+        m.initial.add_compartment(cwc::term::Compartment::new(
+            cell,
+            cwc::multiset::Multiset::new(),
+            cwc::term::Term::from_atoms(cwc::multiset::Multiset::from([(a, 7)])),
+        ));
+        m.observe("A", a);
+        m.observe_at("A_top", a, ObservableSite::TopOnly);
+        m.observe_at("A_cell", a, ObservableSite::AtLabel(cell));
+        let model = Arc::new(m);
+        let mut e = HybridEngine::new(Arc::clone(&model), 17, 2)
+            .unwrap()
+            .with_epsilon(0.05)
+            .with_threshold(8.0);
+        let mut synced_checks = 0;
+        for k in 1..=300 {
+            e.run_until(k as f64 * 0.1);
+            let counts = e.counts();
+            let mut fresh = SsaEngine::new(Arc::clone(&model), 0, 0);
+            fresh.reset_flat_state(&counts, e.time());
+            let top = counts[0] as u64;
+            assert_eq!(e.observe(), fresh.observe(), "k = {k}");
+            assert_eq!(e.observe(), [top + 7, top, 7], "k = {k}");
+            if e.synced {
+                synced_checks += 1;
+                assert_eq!(
+                    e.exact.total_propensity().to_bits(),
+                    fresh.total_propensity().to_bits(),
+                    "k = {k}"
+                );
+                assert_eq!(e.exact.cached_reactions(), fresh.cached_reactions());
+            }
+        }
+        assert!(e.leaps() > 0 && e.exact_steps() > 0);
+        assert!(e.switches() >= 3, "{} switches", e.switches());
+        assert!(synced_checks > 0);
     }
 
     #[test]

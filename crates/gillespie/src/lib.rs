@@ -9,26 +9,36 @@
 //!   (the only dispatch mechanism) and the configuration-level
 //!   [`EngineKind`] selector every pipeline layer is written against;
 //! - [`deps`]: one-time model compilation — per-rule read/write sets and
-//!   the reaction dependency graph, shared across instances;
-//! - [`table`]: the persistent [`ReactionTable`] of (site, rule)
-//!   propensities, updated incrementally after each firing instead of
-//!   re-enumerated per step (the step-throughput lever for CWC's
-//!   tree-matching propensities);
+//!   the reaction dependency graph, shared across instances, plus the
+//!   lazily derived flat form of the model (compiled once per
+//!   [`ModelDeps`]);
 //! - [`ssa`]: the exact engine ([`SsaEngine`]) with pending-event
 //!   preservation, so slicing a run into scheduler quanta never changes the
-//!   trajectory; plus the τ-grid [`SampleClock`];
+//!   trajectory; plus the τ-grid [`SampleClock`]. It steps on one of two
+//!   cores, selected by the model: a *dense* core (species counts indexed
+//!   by `Species::raw()` and one propensity row) when every rule is
+//!   compartment-free and top-level, the *tree* core (term, tree matcher,
+//!   [`ReactionTable`]) otherwise;
+//! - [`table`]: the tree core's persistent [`ReactionTable`] of (site,
+//!   rule) propensities, updated incrementally after each firing instead
+//!   of re-enumerated per step (the step-throughput lever for CWC's
+//!   tree-matching propensities), and the SoA propensity row both cores
+//!   share — one ordered `-0.0`-identity prefix fold and one selection,
+//!   on the kernel layer's `row_fold_from`/`row_select`;
 //! - [`trajectory`]: the time-aligned [`Cut`];
 //! - [`first_reaction`]: Gillespie's first-reaction method, an alternative
 //!   exact sampler used as a distributional oracle (extension);
-//! - [`flat`]: the shared flat-model reduction (species-count state,
-//!   stoichiometry, the Cao–Gillespie–Petzold step bound) behind every
-//!   leaping engine, plus their common rejection error;
+//! - [`flat`]: the compiled flat form of a model — slot tables, the
+//!   exact propensity formula and the observable plan of the dense core
+//!   and the batched tier; stoichiometry rows and the
+//!   Cao–Gillespie–Petzold step bound of every leaping engine — plus the
+//!   common rejection error;
 //! - [`tau_leap`]: approximate fixed-step Poisson leaping for flat models
 //!   (an extension beyond the paper, in the spirit of StochKit);
 //! - [`adaptive`]: adaptive tau-leaping — CGP step-size selection with
 //!   critical-reaction partitioning and an exact-SSA fallback;
-//! - [`hybrid`]: the hybrid exact/approximate engine — incremental-table
-//!   SSA segments with CGP-sized leaps when propensities stratify;
+//! - [`hybrid`]: the hybrid exact/approximate engine — dense-core SSA
+//!   segments with CGP-sized leaps when propensities stratify;
 //! - [`batch`]: the batched SoA tier — [`BatchedSsaEngine`] advances a
 //!   whole batch of replicas of one flat model in lockstep, every
 //!   replica bit-for-bit the scalar SSA trajectory of the same instance;

@@ -2,15 +2,40 @@
 //!
 //! "The Gillespie algorithm realises a Monte Carlo simulation on repeated
 //! random sampling to compute the result. Each individual simulation is
-//! called a trajectory." On CWC, one step is: read each rule's propensity
-//! at each matching site (rate × tree match count) off the incrementally
-//! maintained [`ReactionTable`], draw the
-//! exponential waiting time and the reaction, rewrite the term in place at
-//! the chosen site, then re-match only the (site, rule) pairs the firing
-//! could have affected (see [`crate::deps`]). The steady-state step loop
-//! allocates nothing: sites travel as dense ids, the assignment choice
-//! streams through reused buffers, and `a0` is one ordered summation per
-//! step.
+//! called a trajectory." One step is: read every enabled propensity off an
+//! incrementally maintained row, draw the exponential waiting time and the
+//! reaction, apply it, then recompute only the propensities the firing
+//! could have affected (see [`crate::deps`]).
+//!
+//! ## Two cores, selected by the model
+//!
+//! The engine keeps its state in one of two cores. Which one is a property
+//! of the input the engine observes at construction — never an option:
+//!
+//! - **Dense core** — when every rule of the model is compartment-free and
+//!   top-level (`rule.is_flat() && rule.site == Label::TOP`), the term
+//!   collapses to species counts and the engine steps on a count vector
+//!   indexed by [`Species::raw`](cwc::species::Species::raw) and one
+//!   propensity row over the non-zero-rate rules: a firing adds the rule's
+//!   net stoichiometry, recomputes the slots the dependency graph lists
+//!   (exact `u64` binomial product × the rule's kinetic law, all four
+//!   laws) and refolds the prefix from the lowest changed slot. All tables
+//!   come from the flat form compiled once per [`ModelDeps`]. Compartments
+//!   of the initial term are inert under such rules; observables add them
+//!   back as constants and [`term`](SsaEngine::term) re-attaches them.
+//! - **Tree core** — any model with a compartment rule keeps the term, the
+//!   tree matcher and the [`ReactionTable`] of `(site, rule)` slots. It is
+//!   the only core that serves those models, and it is the reference the
+//!   dense core is property-tested against
+//!   ([`SsaEngine::with_tree_core`] runs it on a flat model).
+//!
+//! Both step on the same `PropensityRow` (see [`crate::table`]), so `a0`,
+//! the selection and the RNG draw discipline of [`crate::rng`] — waiting
+//! time, selection iff more than one reaction is enabled, one assignment
+//! uniform per firing (the dense core draws and discards it) — are
+//! bit-identical between them. The steady-state step loop allocates
+//! nothing, and a sampled quantum writes its observables into one reused
+//! buffer.
 //!
 //! ## Quantum-exact execution
 //!
@@ -26,12 +51,14 @@ use std::sync::Arc;
 
 use cwc::matching::{apply_at, choose_assignment_with, match_count, MatchScratch};
 use cwc::model::Model;
+use cwc::species::Species;
 use cwc::term::{Path, SiteId, Term};
 use rand::Rng;
 
 use crate::deps::ModelDeps;
+use crate::flat::FlatModel;
 use crate::rng::{sim_rng, SimRng};
-use crate::table::ReactionTable;
+use crate::table::{PropensityRow, ReactionTable};
 
 /// One enabled (rule, site) pair with its propensity.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,17 +78,86 @@ pub enum StepOutcome {
     Fired {
         /// Index of the rule that fired.
         rule: usize,
-        /// Site where it fired — a dense id into the engine's
-        /// [`ReactionTable`] registry, valid
-        /// until the next structural rewrite (resolve with
-        /// `engine.site_path(site)` if needed). Returned instead of a
-        /// cloned `Path` so the hot step loop stays allocation-free.
+        /// Site where it fired — a dense id into the engine's site
+        /// registry, valid until the next structural rewrite (resolve with
+        /// `engine.site_path(site)` if needed); always [`SiteId::ROOT`] on
+        /// a flat model. Returned instead of a cloned `Path` so the hot
+        /// step loop stays allocation-free.
         site: SiteId,
         /// Exponential waiting time that elapsed.
         dt: f64,
     },
     /// No reaction is enabled; the state is absorbing.
     Exhausted,
+}
+
+/// The root path, for resolving [`SiteId::ROOT`] without a registry.
+static ROOT_PATH: Path = Path(Vec::new());
+
+/// State of the tree core: the term and everything tree matching needs.
+#[derive(Debug, Clone)]
+struct TreeCore {
+    term: Term,
+    /// Incrementally maintained propensities of every (site, rule) pair.
+    /// Built at construction and kept current by every firing — the term
+    /// is only ever mutated through [`SsaEngine::apply_fire`].
+    table: ReactionTable,
+    scratch: MatchScratch,
+    /// Chosen-assignment buffer, reused across firings.
+    assignment_buf: Vec<usize>,
+}
+
+/// State of the dense core: root counts and one propensity row over the
+/// flat form's slots.
+#[derive(Debug, Clone)]
+struct DenseCore {
+    flat: Arc<FlatModel>,
+    /// `counts[s.raw()]` = copies of species `s` at the root.
+    counts: Vec<u64>,
+    row: PropensityRow,
+}
+
+impl DenseCore {
+    /// Recomputes every slot from the counts and refolds the whole row —
+    /// the same pure function of the counts the incremental path applies
+    /// slot by slot, so the two are bit-identical.
+    fn recompute_row(&mut self) {
+        let DenseCore { flat, counts, row } = self;
+        row.clear();
+        for slot in 0..flat.slots.rule.len() {
+            row.push(flat.slot_propensity(slot, |sp| counts[sp]));
+        }
+        row.refold_from(0);
+    }
+
+    /// Applies one firing of `slot`: the net stoichiometry, then the
+    /// affected slots and the prefix from the lowest of them.
+    #[inline]
+    fn fire(&mut self, slot: usize) {
+        let DenseCore { flat, counts, row } = self;
+        for &(sp, d) in &flat.slots.delta[slot] {
+            debug_assert!(d >= 0 || counts[sp] >= d.unsigned_abs(), "count underflow");
+            counts[sp] = counts[sp].wrapping_add_signed(d);
+        }
+        let affected = &flat.slots.affects[slot];
+        for &j in affected {
+            row.set(
+                j as usize,
+                flat.slot_propensity(j as usize, |sp| counts[sp]),
+            );
+        }
+        // The list is ascending: its head is the lowest stale slot.
+        if let Some(&from) = affected.first() {
+            row.refold_from(from as usize);
+        }
+    }
+}
+
+/// Where the engine keeps its state (see the module docs).
+#[derive(Debug, Clone)]
+enum Core {
+    Tree(Box<TreeCore>),
+    Dense(DenseCore),
 }
 
 /// A single stochastic simulation instance over a CWC term.
@@ -89,7 +185,7 @@ pub struct SsaEngine {
     /// Compiled read/write sets + dependency graph, shared across
     /// instances of the same model.
     deps: Arc<ModelDeps>,
-    term: Term,
+    core: Core,
     time: f64,
     /// Absolute time of the next event, already drawn but not yet fired.
     /// Preserved across quantum boundaries (see module docs).
@@ -97,14 +193,10 @@ pub struct SsaEngine {
     rng: SimRng,
     instance: u64,
     steps: u64,
-    /// Incrementally maintained propensities of every (site, rule) pair.
-    /// Built at construction and kept current by every firing — the term
-    /// is only ever mutated through [`apply_fire`](SsaEngine::apply_fire).
-    table: ReactionTable,
-    scratch: MatchScratch,
-    /// Chosen-assignment buffer, reused across firings.
-    assignment_buf: Vec<usize>,
-    /// Diagnostic: number of `a0` summations performed (exactly one per
+    /// Observable values of the sample being emitted, reused across
+    /// samples.
+    sample_buf: Vec<u64>,
+    /// Diagnostic: number of `a0` reads performed (exactly one per
     /// step-loop iteration — the redundant per-phase re-summations of the
     /// naive implementation are gone; a unit test pins this).
     a0_sums: u64,
@@ -114,7 +206,7 @@ impl SsaEngine {
     /// Creates an engine for `instance`, seeded from `base_seed`,
     /// compiling the model's dependency graph locally.
     ///
-    /// The initial term is cloned from the model. When constructing many
+    /// The initial state is taken from the model. When constructing many
     /// instances of one model, compile once and share via
     /// [`SsaEngine::with_deps`].
     pub fn new(model: Arc<Model>, base_seed: u64, instance: u64) -> Self {
@@ -123,37 +215,83 @@ impl SsaEngine {
     }
 
     /// Creates an engine reusing an already-compiled dependency graph
-    /// (see [`ModelDeps::compile`]).
+    /// (see [`ModelDeps::compile`]). A model whose rules are all
+    /// compartment-free and top-level gets the dense core, any other the
+    /// tree core (see the module docs).
     pub fn with_deps(
         model: Arc<Model>,
         deps: Arc<ModelDeps>,
         base_seed: u64,
         instance: u64,
     ) -> Self {
-        let term = model.initial.clone();
-        let mut engine = SsaEngine {
+        let core = match deps.flat(&model) {
+            Some(flat) => {
+                let mut dense = DenseCore {
+                    counts: flat.initial_counts().to_vec(),
+                    flat,
+                    row: PropensityRow::default(),
+                };
+                dense.recompute_row();
+                Core::Dense(dense)
+            }
+            None => tree_core(&model),
+        };
+        Self::from_core(model, deps, core, base_seed, instance)
+    }
+
+    /// Diagnostic replica: the **tree core** whatever the model — term,
+    /// tree matcher and [`ReactionTable`] even when every rule is flat.
+    /// Trajectories are bit-identical to the dense core's (the
+    /// `dense_core` property tests compare the two on random flat models);
+    /// this side is the reference of that comparison and nothing else:
+    /// no [`EngineKind`](crate::engine::EngineKind) or configuration
+    /// reaches it.
+    pub fn with_tree_core(
+        model: Arc<Model>,
+        deps: Arc<ModelDeps>,
+        base_seed: u64,
+        instance: u64,
+    ) -> Self {
+        let core = tree_core(&model);
+        Self::from_core(model, deps, core, base_seed, instance)
+    }
+
+    fn from_core(
+        model: Arc<Model>,
+        deps: Arc<ModelDeps>,
+        core: Core,
+        base_seed: u64,
+        instance: u64,
+    ) -> Self {
+        SsaEngine {
             model,
             deps,
-            term,
+            core,
             time: 0.0,
             pending: None,
             rng: sim_rng(base_seed, instance),
             instance,
             steps: 0,
-            table: ReactionTable::default(),
-            scratch: MatchScratch::default(),
-            assignment_buf: Vec::new(),
+            sample_buf: Vec::new(),
             a0_sums: 0,
-        };
-        engine
-            .table
-            .build(&engine.model, &engine.term, &mut engine.scratch);
-        engine
+        }
     }
 
-    /// The current term.
-    pub fn term(&self) -> &Term {
-        &self.term
+    /// The current term, materialised on demand: the tree core's term, or
+    /// — on the dense core — the initial term with its root atoms replaced
+    /// by the current counts. Not for step paths.
+    pub fn term(&self) -> Term {
+        match &self.core {
+            Core::Tree(tree) => tree.term.clone(),
+            Core::Dense(dense) => {
+                let mut term = self.model.initial.clone();
+                term.atoms = (0u32..)
+                    .zip(&dense.counts)
+                    .map(|(raw, &n)| (Species::from_raw(raw), n))
+                    .collect();
+                term
+            }
+        }
     }
 
     /// Current simulation time.
@@ -181,23 +319,47 @@ impl SsaEngine {
         &self.deps
     }
 
-    /// Evaluates the model's observables on the current term.
+    /// Evaluates the model's observables on the current state.
     pub fn observe(&self) -> Vec<u64> {
-        self.model.eval_observables(&self.term)
+        let mut values = Vec::new();
+        self.observe_into(&mut values);
+        values
+    }
+
+    /// [`observe`](SsaEngine::observe) into a reusable buffer (cleared
+    /// first).
+    pub(crate) fn observe_into(&self, out: &mut Vec<u64>) {
+        match &self.core {
+            Core::Tree(tree) => {
+                out.clear();
+                out.extend(self.model.observables.iter().map(|o| o.eval(&tree.term)));
+            }
+            Core::Dense(dense) => dense.flat.observe_into(|sp| dense.counts[sp], out),
+        }
     }
 
     /// Enumerates every enabled reaction with its propensity, from
     /// scratch.
     ///
-    /// This is the naive full walk the incremental table replaced in the
+    /// This is the naive full walk the incremental row replaced in the
     /// step loop; it is kept as the reference oracle (tests assert the
-    /// table equals it after arbitrary firing sequences) and for one-off
+    /// row equals it after arbitrary firing sequences) and for one-off
     /// inspection. Prefer [`cached_reactions`](SsaEngine::cached_reactions)
     /// when the engine is hot.
     pub fn reactions(&self) -> Vec<Reaction> {
         let mut out = Vec::new();
+        // The tree core's term as it stands; the dense core has none and
+        // materialises one.
+        let dense_term;
+        let term = match &self.core {
+            Core::Tree(tree) => &tree.term,
+            Core::Dense(_) => {
+                dense_term = self.term();
+                &dense_term
+            }
+        };
         // Walk sites once; check every rule whose label matches the site.
-        self.term.walk_sites(&mut |path, label, site_term| {
+        term.walk_sites(&mut |path, label, site_term| {
             for (ri, rule) in self.model.rules.iter().enumerate() {
                 if rule.site != label || rule.rate == 0.0 {
                     continue;
@@ -218,18 +380,17 @@ impl SsaEngine {
         out
     }
 
-    /// The enabled reactions as maintained by the incremental table.
+    /// The enabled reactions as maintained by the incremental row.
     /// Same set, order and propensities as
-    /// [`reactions`](SsaEngine::reactions) — that equality is the table's
+    /// [`reactions`](SsaEngine::reactions) — that equality is the row's
     /// correctness contract.
     pub fn cached_reactions(&self) -> Vec<Reaction> {
-        self.table
-            .active_entries()
-            .map(|(i, propensity)| {
-                let (site, rule) = self.table.site_rule(i);
+        self.active_entries()
+            .map(|(entry, propensity)| {
+                let (site, rule) = self.site_rule(entry);
                 Reaction {
                     rule,
-                    site: self.table.registry().path(site).clone(),
+                    site: self.site_path(site).clone(),
                     propensity,
                 }
             })
@@ -238,41 +399,71 @@ impl SsaEngine {
 
     /// Total propensity `a0` of the current state.
     pub fn total_propensity(&self) -> f64 {
-        self.table.total()
+        self.row().total()
     }
 
     /// Resolves a dense site id (as reported by
     /// [`StepOutcome::Fired`]) to its path, while the id is current.
     pub fn site_path(&self, site: SiteId) -> &Path {
-        self.table.registry().path(site)
+        match &self.core {
+            Core::Tree(tree) => tree.table.registry().path(site),
+            Core::Dense(_) => &ROOT_PATH,
+        }
     }
 
-    /// Diagnostic: total `a0` summations performed so far. The step loop
+    /// Diagnostic: total `a0` reads performed so far. The step loop
     /// performs exactly one per iteration (see the satellite regression
     /// test `one_a0_sum_per_step`).
     pub fn a0_sums(&self) -> u64 {
         self.a0_sums
     }
 
-    /// The always-current reaction table (see the field docs: every term
-    /// mutation goes through [`apply_fire`](SsaEngine::apply_fire), which
-    /// updates it).
-    pub(crate) fn table(&self) -> &ReactionTable {
-        &self.table
+    /// The always-current propensity row of whichever core is active.
+    #[inline]
+    fn row(&self) -> &PropensityRow {
+        match &self.core {
+            Core::Tree(tree) => tree.table.row(),
+            Core::Dense(dense) => &dense.row,
+        }
     }
 
-    /// `a0` for this step-loop iteration: one ordered summation over the
-    /// table — shared by the waiting-time draw and the selection scan,
+    /// `(entry, propensity)` of every enabled reaction in row order — the
+    /// first-reaction method's draw order.
+    pub(crate) fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.row().active_entries()
+    }
+
+    /// The `(site, rule)` key of row entry `entry`.
+    #[inline]
+    fn site_rule(&self, entry: usize) -> (SiteId, usize) {
+        match &self.core {
+            Core::Tree(tree) => tree.table.site_rule(entry),
+            Core::Dense(dense) => (SiteId::ROOT, dense.flat.slots.rule[entry] as usize),
+        }
+    }
+
+    /// The root counts per species index, on the dense core.
+    pub(crate) fn dense_counts(&self) -> Option<&[u64]> {
+        match &self.core {
+            Core::Tree(_) => None,
+            Core::Dense(dense) => Some(&dense.counts),
+        }
+    }
+
+    /// `a0` for this step-loop iteration: one O(1) read of the row's
+    /// ordered fold — shared by the waiting-time draw and the selection,
     /// replacing the naive implementation's two re-summations plus full
     /// re-enumeration.
+    #[inline]
     fn current_a0(&mut self) -> f64 {
         self.a0_sums += 1;
-        self.table.total()
+        self.row().total()
     }
 
     /// Absolute time of the next event, drawing it if necessary.
     ///
     /// Returns `None` when the state is absorbing (`a0 = 0`).
+    #[inline]
     fn next_event_time(&mut self, a0: f64) -> Option<f64> {
         if let Some(t) = self.pending {
             return Some(t);
@@ -286,57 +477,70 @@ impl SsaEngine {
         Some(t)
     }
 
-    /// Chooses the assignment, rewrites the term at `site` and updates the
-    /// reaction table incrementally. Shared with the first-reaction engine
-    /// (which supplies its own selection and RNG draws).
-    pub(crate) fn apply_fire(&mut self, site: SiteId, rule_idx: usize, u_assign: f64) {
-        let rule = &self.model.rules[rule_idx];
-        let path = self.table.registry().path(site);
-        let ok = {
-            let site_term = self.term.site(path).expect("fired site exists");
-            choose_assignment_with(
-                site_term,
-                &rule.lhs,
-                u_assign,
-                &mut self.scratch,
-                &mut self.assignment_buf,
-            )
-        };
-        debug_assert!(ok, "reaction was enabled");
-        apply_at(&mut self.term, rule, path, &self.assignment_buf)
-            .expect("chosen assignment applies");
-        self.table.post_fire(
-            &self.model,
-            &self.deps,
-            &self.term,
-            rule_idx,
-            site,
-            &self.assignment_buf,
-            &mut self.scratch,
-        );
+    /// Fires row entry `entry` and brings the row up to date; returns the
+    /// `(rule, site)` that fired. On the tree core `u_assign` picks the
+    /// compartment assignment before the term is rewritten; the dense core
+    /// has none to pick (the caller has still drawn the uniform — the
+    /// stream positions of the two cores must agree). Shared with the
+    /// first-reaction engine, which supplies its own selection and draws.
+    #[inline]
+    pub(crate) fn apply_fire(&mut self, entry: usize, u_assign: f64) -> (usize, SiteId) {
+        match &mut self.core {
+            Core::Dense(dense) => {
+                dense.fire(entry);
+                (dense.flat.slots.rule[entry] as usize, SiteId::ROOT)
+            }
+            Core::Tree(tree) => {
+                let TreeCore {
+                    term,
+                    table,
+                    scratch,
+                    assignment_buf,
+                } = &mut **tree;
+                let (site, rule_idx) = table.site_rule(entry);
+                let rule = &self.model.rules[rule_idx];
+                let path = table.registry().path(site);
+                let ok = {
+                    let site_term = term.site(path).expect("fired site exists");
+                    choose_assignment_with(site_term, &rule.lhs, u_assign, scratch, assignment_buf)
+                };
+                debug_assert!(ok, "reaction was enabled");
+                apply_at(term, rule, path, assignment_buf).expect("chosen assignment applies");
+                table.post_fire(
+                    &self.model,
+                    &self.deps,
+                    term,
+                    rule_idx,
+                    site,
+                    assignment_buf,
+                    scratch,
+                );
+                (rule_idx, site)
+            }
+        }
     }
 
     /// Fires the pending event: selects a reaction proportionally to
-    /// propensity and rewrites the term.
+    /// propensity and applies it.
     ///
     /// With a single enabled reaction the selection is deterministic and
     /// no variate is consumed — part of the draw discipline documented in
     /// [`crate::rng`] that lets the coupled first-reaction engine
     /// reproduce single-channel trajectories bit-for-bit.
+    #[inline]
     fn fire(&mut self, a0: f64, event_time: f64) -> (usize, SiteId) {
-        let entry = if self.table.active_count() == 1 {
-            self.table.first_active().expect("one enabled reaction")
+        let entry = if self.row().active_count() == 1 {
+            self.row().first_active().expect("one enabled reaction")
         } else {
             let target = self.rng.gen_range(0.0..a0);
-            self.table.select(target)
+            self.row().select(target)
         };
-        let (site, rule) = self.table.site_rule(entry);
         let u3: f64 = self.rng.gen_range(0.0..1.0);
-        self.apply_fire(site, rule, u3);
+        let fired = self.apply_fire(entry, u3);
         self.time = event_time;
         self.pending = None;
         self.steps += 1;
-        (rule, site)
+        fired
     }
 
     /// Executes one SSA step (direct method).
@@ -382,7 +586,8 @@ impl SsaEngine {
 
     /// Runs until `t_end`, invoking `on_sample(t, observables)` at every
     /// grid time `clock` yields within the interval. Returns reactions
-    /// fired.
+    /// fired. The slice handed to `on_sample` is a buffer the engine
+    /// reuses: copy what must outlive the call.
     ///
     /// Samples report the state *in force* at the sample time (the state
     /// before the event that crosses it), which is the standard alignment
@@ -411,6 +616,7 @@ impl SsaEngine {
     where
         F: FnMut(f64, &[u64]),
     {
+        let mut values = std::mem::take(&mut self.sample_buf);
         let mut fired = 0;
         while fired < max_steps {
             let a0 = self.current_a0();
@@ -422,7 +628,7 @@ impl SsaEngine {
                 if ts > horizon {
                     break;
                 }
-                let values = self.observe();
+                self.observe_into(&mut values);
                 on_sample(ts, &values);
                 clock.advance();
             }
@@ -433,21 +639,50 @@ impl SsaEngine {
             self.fire(a0, t_next);
             fired += 1;
         }
+        self.sample_buf = values;
         fired
     }
 
-    /// Replaces the engine's state with a flat term built from `atoms` at
-    /// simulation time `time`, dropping any pending event and rebuilding
-    /// the reaction table. The hybrid engine uses this to hand a
-    /// leap-phase state back to its exact phase; the rebuilt table is
-    /// bit-compatible with an incrementally maintained one (the table's
-    /// build-equals-recompute contract).
-    pub(crate) fn reset_flat_state(&mut self, atoms: cwc::multiset::Multiset, time: f64) {
-        self.term = Term::from_atoms(atoms);
+    /// Replaces the dense core's counts with `state` at simulation time
+    /// `time`, dropping any pending event and recomputing the row from
+    /// them. The hybrid engine uses this to hand a leap-phase state back
+    /// to its exact phase; a recomputed row is bit-identical to an
+    /// incrementally maintained one (each slot is a pure function of the
+    /// counts, and the fold is the same ordered fold).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the tree core: the one caller, the hybrid engine, is
+    /// flat by construction.
+    pub(crate) fn reset_flat_state(&mut self, state: &[i64], time: f64) {
+        let Core::Dense(dense) = &mut self.core else {
+            unreachable!("only flat models hand a count vector back");
+        };
+        debug_assert!(state.iter().all(|&c| c >= 0), "negative leap state");
+        dense.counts.clear();
+        dense.counts.extend(state.iter().map(|&c| c as u64));
+        dense.recompute_row();
         self.time = time;
         self.pending = None;
-        self.table.build(&self.model, &self.term, &mut self.scratch);
     }
+}
+
+/// The tree core over `model`'s initial term, table built.
+fn tree_core(model: &Model) -> Core {
+    let mut tree = Box::new(TreeCore {
+        term: model.initial.clone(),
+        table: ReactionTable::default(),
+        scratch: MatchScratch::default(),
+        assignment_buf: Vec::new(),
+    });
+    let TreeCore {
+        term,
+        table,
+        scratch,
+        ..
+    } = &mut *tree;
+    table.build(model, term, scratch);
+    Core::Tree(tree)
 }
 
 /// Fixed-step sampling clock (the τ grid of the paper's Q/τ ratio).

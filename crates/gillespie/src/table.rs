@@ -1,5 +1,7 @@
 //! The persistent reaction table: every `(site, rule)` propensity of the
-//! current term, kept up to date *incrementally*.
+//! current term, kept up to date *incrementally* — the state of the exact
+//! tier's **tree core**, the one that serves models with compartment
+//! rules (see [`crate::ssa`] for the two cores and how one is selected).
 //!
 //! The naive CWC step enumerates the term's sites, re-runs tree matching
 //! for every rule at every site and collects the enabled reactions into a
@@ -11,60 +13,187 @@
 //! (compartment creation/destruction/dissolution) rebuild the table, since
 //! they change the site tree itself.
 //!
-//! ## Bit-for-bit compatibility
+//! ## Layout
 //!
-//! The table is a drop-in replacement for the naive enumeration, preserving
-//! the exact floating-point behaviour of the engines that consume it:
+//! Structure of arrays, site-major: the slots of site `s` are
+//! `site_start[s] .. site_start[s + 1]`, one per non-zero-rate rule of the
+//! site's label in rule order, so the slot of `(s, rule)` is
+//! `site_start[s] + rank[rule]` — `rank` being the rule's position among
+//! the rules of its own label, a static number. The slot keys
+//! (`slot_site`, `slot_rule`) and the propensities live in separate
+//! columns; the propensity column is a `PropensityRow`, the same type the
+//! dense core of flat models steps on.
 //!
-//! - entries are ordered site-walk-order × rule-index-order — the same
+//! ## The shared row and its bit contract
+//!
+//! `PropensityRow` is the exact tier's one implementation of the
+//! direct-method row arithmetic, preserving the exact floating-point
+//! behaviour of the naive enumeration it replaced:
+//!
+//! - slots are ordered site-walk-order × rule-index-order — the same
 //!   order the naive walk produced;
-//! - a per-slot *prefix-sum cache* holds the naive scan's accumulator at
-//!   every slot (enabled entries folded in order from the `-0.0`
-//!   identity), refreshed from the lowest changed slot after each update;
-//! - [`total`](ReactionTable::total) reads the cache's last element —
-//!   exactly the naive `a0` fold — in O(1), so the waiting-time divisor
-//!   is bit-identical;
-//! - [`select`](ReactionTable::select) binary-searches the cache with the
-//!   scan's own cumulative comparison in O(log n), falling back to the
-//!   last enabled entry on floating-point shortfall, so every selection
-//!   is the entry the scan would have chosen.
+//! - `prefix[i]` holds the naive scan's accumulator at slot `i`: the
+//!   enabled propensities folded **in slot order from the `-0.0`
+//!   identity**, disabled slots skipped. After an update it is refolded
+//!   from the lowest changed slot by `kernels::row_fold_from` (reseeded
+//!   from the stored `prefix[from - 1]` bits; scalar and AVX2 variants
+//!   bit-identical). The fold is never re-associated, blocked or
+//!   tree-summed: `a0` must be the in-order sum, bit for bit;
+//! - `total` reads the last prefix element — exactly the naive `a0` fold —
+//!   in O(1), so the waiting-time divisor is bit-identical;
+//! - `select` finds the first slot whose prefix exceeds the target with
+//!   `kernels::row_select`, then applies the scan's two backstops: the
+//!   first enabled slot at or after the crossing (only moves for a
+//!   negative target) and the last enabled slot on floating-point
+//!   shortfall — every selection is the slot the scan would have chosen.
 //!
 //! Sites are addressed by dense [`SiteId`]s from the embedded
 //! [`SiteRegistry`] — the hot loop never clones a `Path`.
 
 use cwc::matching::{match_count_with, MatchScratch};
 use cwc::model::Model;
+use cwc::species::Label;
 use cwc::term::{SiteId, SiteRegistry, Term};
 
+use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
 
-/// One `(site, rule)` slot. `propensity == 0.0` means "not currently
-/// enabled"; the slot stays in the table so updates are in-place.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Entry {
-    site: SiteId,
-    rule: u32,
-    propensity: f64,
+/// One SoA row of propensities with its ordered prefix fold — the
+/// direct-method state both exact cores step on (see the module docs for
+/// the bit contract). A slot with `props[i] == 0.0` is "not currently
+/// enabled"; it stays in the row so updates are in place.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PropensityRow {
+    props: Vec<f64>,
+    /// `prefix[i]` is the cumulative fold of the enabled propensities over
+    /// `props[..= i]` — the accumulator the naive linear scan holds after
+    /// slot `i` (identity `-0.0`, disabled slots skipped, so a disabled
+    /// slot repeats the previous value).
+    prefix: Vec<f64>,
+    /// Number of slots with positive propensity.
+    active: usize,
+    /// The row kernels this process resolved to (scalar or AVX2,
+    /// bit-identical; `CWC_FORCE_SCALAR_KERNELS` forces the former).
+    kernel: Kernel,
+}
+
+impl Default for PropensityRow {
+    fn default() -> Self {
+        PropensityRow {
+            props: Vec::new(),
+            prefix: Vec::new(),
+            active: 0,
+            kernel: KernelDispatch::Auto.resolve(),
+        }
+    }
+}
+
+impl PropensityRow {
+    /// Empties the row (capacity kept) ahead of a rebuild by
+    /// [`push`](Self::push).
+    pub fn clear(&mut self) {
+        self.props.clear();
+        self.active = 0;
+    }
+
+    /// Appends a slot; the prefix is stale until
+    /// [`refold_from`](Self::refold_from) runs.
+    pub fn push(&mut self, p: f64) {
+        self.active += usize::from(p > 0.0);
+        self.props.push(p);
+    }
+
+    /// Overwrites slot `i`; the prefix is stale from `i` on until
+    /// [`refold_from`](Self::refold_from) runs.
+    #[inline]
+    pub fn set(&mut self, i: usize, p: f64) {
+        let old = std::mem::replace(&mut self.props[i], p);
+        self.active = self.active + usize::from(p > 0.0) - usize::from(old > 0.0);
+    }
+
+    /// Replays the cumulative fold over `from ..`, resuming from the
+    /// committed accumulator below it (bit-exact: `prefix[from - 1]` *is*
+    /// the scan's accumulator there).
+    #[inline]
+    pub fn refold_from(&mut self, from: usize) {
+        self.prefix.resize(self.props.len(), 0.0);
+        kernels::row_fold_from(self.kernel, &self.props, &mut self.prefix, from);
+    }
+
+    /// Total propensity `a0`: the enabled slots summed in row order from
+    /// the `-0.0` identity, read off the prefix in O(1).
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.prefix.last().copied().unwrap_or(-0.0)
+    }
+
+    /// Number of currently enabled slots.
+    #[inline]
+    pub fn active_count(&self) -> usize {
+        self.active
+    }
+
+    /// Index of the first enabled slot, if any.
+    pub fn first_active(&self) -> Option<usize> {
+        self.props.iter().position(|&p| p > 0.0)
+    }
+
+    /// Direct-method selection: the first enabled slot whose cumulative
+    /// propensity exceeds `target`, in row order; the last enabled slot on
+    /// floating-point shortfall (a NaN target never crosses, so it takes
+    /// the shortfall backstop exactly like the linear scan did).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no slot is enabled (callers check `a0 > 0` first).
+    #[inline]
+    pub fn select(&self, target: f64) -> usize {
+        let crossing = kernels::row_select(self.kernel, &self.prefix, target);
+        // The crossing slot is enabled whenever `target >= 0` (a disabled
+        // slot repeats the previous prefix value, so it cannot be the
+        // *first* crossing); the forward scan only moves for negative
+        // targets, where the linear scan answered "first enabled slot".
+        if let Some(ahead) = self.props[crossing..].iter().position(|&p| p > 0.0) {
+            return crossing + ahead;
+        }
+        // Shortfall (target >= total): the last enabled slot.
+        self.props
+            .iter()
+            .rposition(|&p| p > 0.0)
+            .expect("select called with no enabled reaction")
+    }
+
+    /// Iterates `(slot, propensity)` over enabled slots in row order — the
+    /// first-reaction method's draw order.
+    pub fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.props
+            .iter()
+            .enumerate()
+            .filter(|(_, &p)| p > 0.0)
+            .map(|(i, &p)| (i, p))
+    }
+
+    /// Total number of slots (enabled or not).
+    pub fn len(&self) -> usize {
+        self.props.len()
+    }
 }
 
 /// Persistent propensity table over a term's sites (see module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReactionTable {
     registry: SiteRegistry,
-    /// `entries[site_start[s] .. site_start[s + 1]]` are site `s`'s slots.
+    /// Slots `site_start[s] .. site_start[s + 1]` belong to site `s`.
     site_start: Vec<u32>,
-    entries: Vec<Entry>,
-    /// Number of entries with positive propensity.
-    active: usize,
-    /// `prefix[i]` is the cumulative-sum fold of the enabled propensities
-    /// over `entries[..= i]` — the exact accumulator value the naive
-    /// linear scan holds after visiting entry `i` (identity `-0.0`,
-    /// disabled slots skipped, so a disabled slot repeats the previous
-    /// value). Rebuilt from the lowest changed slot after every mutation;
-    /// [`total`](ReactionTable::total) reads the last element in O(1) and
-    /// [`select`](ReactionTable::select) binary-searches it in O(log n),
-    /// both bit-identical to the folds they replace.
-    prefix: Vec<f64>,
+    /// Slot → site.
+    slot_site: Vec<SiteId>,
+    /// Slot → rule.
+    slot_rule: Vec<u32>,
+    /// Rule → its position among the non-zero-rate rules of its own site
+    /// label: the slot of `(site, rule)` is `site_start[site] + rank[rule]`.
+    rank: Vec<u32>,
+    /// Slot → propensity, with the ordered prefix fold.
+    row: PropensityRow,
 }
 
 impl ReactionTable {
@@ -74,50 +203,43 @@ impl ReactionTable {
     /// it automatically for structural rules.
     pub fn build(&mut self, model: &Model, term: &Term, scratch: &mut MatchScratch) {
         self.registry.rebuild(term);
-        self.entries.clear();
+        self.rank.clear();
+        let mut hosted: Vec<(Label, u32)> = Vec::new();
+        for rule in &model.rules {
+            if rule.rate == 0.0 {
+                self.rank.push(u32::MAX);
+                continue;
+            }
+            let at = match hosted.iter().position(|&(label, _)| label == rule.site) {
+                Some(at) => at,
+                None => {
+                    hosted.push((rule.site, 0));
+                    hosted.len() - 1
+                }
+            };
+            self.rank.push(hosted[at].1);
+            hosted[at].1 += 1;
+        }
+        self.slot_site.clear();
+        self.slot_rule.clear();
         self.site_start.clear();
-        self.active = 0;
+        self.row.clear();
         for index in 0..self.registry.len() {
             let id = SiteId::from_index(index);
-            self.site_start.push(self.entries.len() as u32);
+            self.site_start.push(self.row.len() as u32);
             let label = self.registry.label(id);
             let site_term = term.site(self.registry.path(id)).expect("registry path");
             for (ri, rule) in model.rules.iter().enumerate() {
                 if rule.site != label || rule.rate == 0.0 {
                     continue;
                 }
-                let p = propensity_of(model, ri, site_term, scratch);
-                if p > 0.0 {
-                    self.active += 1;
-                }
-                self.entries.push(Entry {
-                    site: id,
-                    rule: ri as u32,
-                    propensity: p,
-                });
+                self.slot_site.push(id);
+                self.slot_rule.push(ri as u32);
+                self.row.push(propensity_of(model, ri, site_term, scratch));
             }
         }
-        self.site_start.push(self.entries.len() as u32);
-        self.rebuild_prefix_from(0);
-    }
-
-    /// Replays the cumulative fold over `entries[from ..]`, resuming from
-    /// the committed accumulator at `from` (bit-exact: `prefix[from - 1]`
-    /// *is* the scan's accumulator there, so continuing the fold from it
-    /// reproduces every later value bit-for-bit).
-    fn rebuild_prefix_from(&mut self, from: usize) {
-        self.prefix.resize(self.entries.len(), 0.0);
-        let mut acc = if from == 0 {
-            -0.0
-        } else {
-            self.prefix[from - 1]
-        };
-        for (p, e) in self.prefix[from..].iter_mut().zip(&self.entries[from..]) {
-            if e.propensity > 0.0 {
-                acc += e.propensity;
-            }
-            *p = acc;
-        }
+        self.site_start.push(self.row.len() as u32);
+        self.row.refold_from(0);
     }
 
     /// Updates the table after `rule` fired at `site` with the given
@@ -140,13 +262,8 @@ impl ReactionTable {
             return;
         }
         let mut stale_from = usize::MAX;
-        let mut stale = |i: Option<usize>| {
-            if let Some(i) = i {
-                stale_from = stale_from.min(i);
-            }
-        };
         for &q in deps.same_site_affected(rule) {
-            stale(self.rematch(model, term, site, q, scratch));
+            stale_from = stale_from.min(self.rematch(model, term, site, q, scratch));
         }
         let rd = deps.rule(rule);
         for (k, kept) in rd.kept.iter().enumerate() {
@@ -159,7 +276,7 @@ impl ReactionTable {
                 .child(site, assignment[kept.pattern])
                 .expect("kept compartment still exists");
             for &q in affected {
-                stale(self.rematch(model, term, child, q, scratch));
+                stale_from = stale_from.min(self.rematch(model, term, child, q, scratch));
             }
         }
         let parents = deps.parent_affected(rule);
@@ -167,21 +284,24 @@ impl ReactionTable {
             if let Some(parent) = self.registry.parent(site) {
                 let parent_label = self.registry.label(parent);
                 for &q in parents {
+                    // A candidate the parent's label does not host has no
+                    // slot there.
                     if model.rules[q as usize].site == parent_label {
-                        stale(self.rematch(model, term, parent, q, scratch));
+                        stale_from = stale_from.min(self.rematch(model, term, parent, q, scratch));
                     }
                 }
             }
         }
         if stale_from != usize::MAX {
-            self.rebuild_prefix_from(stale_from);
+            self.row.refold_from(stale_from);
         }
     }
 
-    /// Recomputes one `(site, rule)` slot in place (no-op when the slot is
-    /// absent, e.g. a parent candidate whose label does not host the rule).
-    /// Returns the slot index when one was updated, so the caller can
-    /// refresh the prefix cache from the lowest changed slot.
+    /// Recomputes the slot of `(site, rule)` in place — `rule` must be a
+    /// non-zero-rate rule of `site`'s label, which is all the dependency
+    /// graph ever lists (compiled deps by construction, received ones by
+    /// [`ModelDeps::validate_for`]) — and returns its index, so the caller
+    /// can refold the prefix from the lowest changed slot.
     fn rematch(
         &mut self,
         model: &Model,
@@ -189,105 +309,23 @@ impl ReactionTable {
         site: SiteId,
         rule: u32,
         scratch: &mut MatchScratch,
-    ) -> Option<usize> {
-        let start = self.site_start[site.index()] as usize;
-        let end = self.site_start[site.index() + 1] as usize;
-        for i in start..end {
-            if self.entries[i].rule == rule {
-                let site_term = term.site(self.registry.path(site)).expect("registry path");
-                let p = propensity_of(model, rule as usize, site_term, scratch);
-                let was_active = self.entries[i].propensity > 0.0;
-                self.entries[i].propensity = p;
-                self.active = self.active + (p > 0.0) as usize - was_active as usize;
-                return Some(i);
-            }
-        }
-        None
+    ) -> usize {
+        let i = (self.site_start[site.index()] + self.rank[rule as usize]) as usize;
+        debug_assert!(self.slot_site[i] == site && self.slot_rule[i] == rule);
+        let site_term = term.site(self.registry.path(site)).expect("registry path");
+        self.row
+            .set(i, propensity_of(model, rule as usize, site_term, scratch));
+        i
     }
 
-    /// Total propensity `a0`: the enabled slots summed in table order —
-    /// the exact `Iterator::sum` the naive enumeration performed over its
-    /// reaction list, identity (`-0.0`) included, so the result is
-    /// bit-identical (see module docs). O(1): the prefix cache's last
-    /// element *is* that fold.
-    pub fn total(&self) -> f64 {
-        self.prefix.last().copied().unwrap_or(-0.0)
-    }
-
-    /// Number of currently enabled reactions (positive propensity).
-    pub fn active_count(&self) -> usize {
-        self.active
-    }
-
-    /// Entry index of the first enabled reaction, if any.
-    pub fn first_active(&self) -> Option<usize> {
-        self.entries.iter().position(|e| e.propensity > 0.0)
-    }
-
-    /// Direct-method selection: the first enabled entry whose cumulative
-    /// propensity exceeds `target`, in table order; the last enabled
-    /// entry on floating-point shortfall. O(log n) over the prefix cache,
-    /// same answers as the linear scan it replaced: `prefix[i]` is the
-    /// scan's accumulator after entry `i`, and the partition predicate is
-    /// the scan's `target < acc` comparison verbatim (so a NaN target
-    /// falls through to the shortfall backstop exactly like the scan
-    /// did).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no reaction is enabled (callers check `a0 > 0` first).
-    pub fn select(&self, target: f64) -> usize {
-        // `!(target < acc)` is *not* `acc <= target` when the target is
-        // NaN: the negated comparison keeps every predicate true, sending
-        // a NaN target through the shortfall backstop exactly like the
-        // scan — so spell it the scan's way despite the lint.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let crossing = self.prefix.partition_point(|&acc| !(target < acc));
-        // The crossing slot is enabled whenever `target >= 0` (a disabled
-        // slot repeats the previous prefix value, so it cannot be the
-        // *first* crossing); the forward scan only moves for negative
-        // targets, where the linear scan answered "first enabled entry".
-        for (i, e) in self.entries.iter().enumerate().skip(crossing) {
-            if e.propensity > 0.0 {
-                return i;
-            }
-        }
-        // Shortfall (target >= total): the last enabled entry.
-        self.entries
-            .iter()
-            .rposition(|e| e.propensity > 0.0)
-            .expect("select called with no enabled reaction")
+    /// The propensity row of the table's slots.
+    pub(crate) fn row(&self) -> &PropensityRow {
+        &self.row
     }
 
     /// The `(site, rule)` key of entry `i`.
     pub fn site_rule(&self, i: usize) -> (SiteId, usize) {
-        let e = &self.entries[i];
-        (e.site, e.rule as usize)
-    }
-
-    /// The propensity stored in entry `i`.
-    pub fn propensity(&self, i: usize) -> f64 {
-        self.entries[i].propensity
-    }
-
-    /// Iterates `(entry index, propensity)` over enabled entries in table
-    /// order — the first-reaction method's draw order.
-    pub fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.propensity > 0.0)
-            .map(|(i, e)| (i, e.propensity))
-    }
-
-    /// Total number of slots (enabled or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the table has no slots (unbuilt, or a rule-less model).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        (self.slot_site[i], self.slot_rule[i] as usize)
     }
 
     /// The site registry backing this table.
@@ -351,6 +389,7 @@ mod tests {
 
     fn table_view(table: &ReactionTable) -> Vec<(Path, usize, f64)> {
         table
+            .row()
             .active_entries()
             .map(|(i, p)| {
                 let (site, rule) = table.site_rule(i);
@@ -396,8 +435,8 @@ mod tests {
         let m = transport_model();
         let (table, _, term, _) = build_all(&m);
         assert_eq!(table_view(&table), naive(&m, &term));
-        assert_eq!(table.active_count(), 1); // only "in" enabled initially
-        assert_eq!(table.len(), 3); // in + out at top-ish… (in, out at root; decay at cell)
+        assert_eq!(table.row().active_count(), 1); // only "in" enabled initially
+        assert_eq!(table.row().len(), 3); // in + out at top-ish… (in, out at root; decay at cell)
     }
 
     #[test]
@@ -409,7 +448,7 @@ mod tests {
         cwc::matching::apply_at(&mut term, &m.rules[0], &Path::root(), &[0]).unwrap();
         table.post_fire(&m, &deps, &term, 0, root, &[0], &mut scratch);
         assert_eq!(table_view(&table), naive(&m, &term));
-        assert_eq!(table.active_count(), 3); // in, out, decay all enabled
+        assert_eq!(table.row().active_count(), 3); // in, out, decay all enabled
 
         // Fire "decay" inside the cell.
         let cell = table.registry().child(root, 0).unwrap();
@@ -425,6 +464,7 @@ mod tests {
             assert_eq!(table_view(&table), naive(&m, &term));
         }
         while table
+            .row()
             .active_entries()
             .any(|(i, _)| table.site_rule(i).1 == 1)
         {
@@ -467,15 +507,15 @@ mod tests {
         m.rule("r1").consumes("A", 1).rate(3.0).build().unwrap();
         m.initial.add_atoms(a, 2);
         let (table, _, _, _) = build_all(&m);
-        assert_eq!(table.total(), 4.0 + 6.0);
-        assert_eq!(table.active_count(), 2);
-        assert_eq!(table.first_active(), Some(0));
-        assert_eq!(table.select(0.0), 0);
-        assert_eq!(table.select(3.999), 0);
-        assert_eq!(table.select(4.0), 1);
-        assert_eq!(table.select(1e9), 1); // shortfall → last enabled
+        assert_eq!(table.row().total(), 4.0 + 6.0);
+        assert_eq!(table.row().active_count(), 2);
+        assert_eq!(table.row().first_active(), Some(0));
+        assert_eq!(table.row().select(0.0), 0);
+        assert_eq!(table.row().select(3.999), 0);
+        assert_eq!(table.row().select(4.0), 1);
+        assert_eq!(table.row().select(1e9), 1); // shortfall → last enabled
         assert_eq!(table.site_rule(1), (SiteId::ROOT, 1));
-        assert!(table.propensity(1) == 6.0 && !table.is_empty());
+        assert!(table.row().props[1] == 6.0 && table.row().len() > 0);
     }
 
     /// The linear scan `select`/`total` replaced, verbatim.
@@ -483,8 +523,8 @@ mod tests {
         |target| {
             let mut acc = -0.0;
             let mut last_active = None;
-            for i in 0..table.len() {
-                let p = table.propensity(i);
+            for i in 0..table.row().len() {
+                let p = table.row().props[i];
                 if p <= 0.0 {
                     continue;
                 }
@@ -509,18 +549,22 @@ mod tests {
         let (mut table, deps, mut term, mut scratch) = build_all(&m);
         let root = SiteId::ROOT;
         let check_all_targets = |table: &ReactionTable| {
-            let a0: f64 = (0..table.len())
-                .map(|i| table.propensity(i))
+            let a0: f64 = (0..table.row().len())
+                .map(|i| table.row().props[i])
                 .filter(|&p| p > 0.0)
                 .sum();
-            assert_eq!(table.total().to_bits(), a0.to_bits());
+            assert_eq!(table.row().total().to_bits(), a0.to_bits());
             let scan = scan_select(table);
             for k in 0..64 {
                 let target = a0 * k as f64 / 64.0;
-                assert_eq!(table.select(target), scan(target), "target {target}");
+                assert_eq!(table.row().select(target), scan(target), "target {target}");
             }
             for target in [a0, a0 * (1.0 + 1e-9), f64::MAX] {
-                assert_eq!(table.select(target), scan(target), "shortfall {target}");
+                assert_eq!(
+                    table.row().select(target),
+                    scan(target),
+                    "shortfall {target}"
+                );
             }
         };
         check_all_targets(&table);

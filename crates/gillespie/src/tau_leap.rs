@@ -34,7 +34,7 @@ use cwc::species::Species;
 
 use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
-use crate::flat::{poisson, FlatModel, FlatModelError};
+use crate::flat::{mass_action_flat, poisson, FlatModel, FlatModelError};
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::SampleClock;
 
@@ -62,10 +62,10 @@ struct PendingLeap {
 #[derive(Debug, Clone)]
 pub struct TauLeapEngine {
     model: Arc<Model>,
-    /// Compiled flat reduction: species index space, reactants, net
-    /// stoichiometry, rates.
-    flat: FlatModel,
-    /// `state[i]` = copies of `flat.species[i]` (the last *committed*
+    /// The model's shared flat form: species index space, reactants, net
+    /// stoichiometry, rates, observable plan.
+    flat: Arc<FlatModel>,
+    /// `state[i]` = copies of species index `i` (the last *committed*
     /// state).
     state: Vec<i64>,
     /// Time of the last committed leap boundary.
@@ -124,8 +124,8 @@ impl TauLeapEngine {
         base_seed: u64,
         instance: u64,
     ) -> Result<Self, TauLeapError> {
-        let flat = FlatModel::compile(&model, &deps, "tau-leaping")?;
-        let state = flat.initial_state(&model);
+        let flat = mass_action_flat(&model, &deps, "tau-leaping")?;
+        let state = flat.initial_state();
         Ok(TauLeapEngine {
             model,
             flat,
@@ -208,7 +208,9 @@ impl TauLeapEngine {
 
     /// Current copy number of `species`.
     pub fn count(&self, species: Species) -> u64 {
-        self.flat.count(&self.state, species)
+        self.state
+            .get(species.raw() as usize)
+            .map_or(0, |&c| c as u64)
     }
 
     /// The committed per-species state vector, ordered like the model's
@@ -218,10 +220,13 @@ impl TauLeapEngine {
         &self.state
     }
 
-    /// Evaluates the model's observables (top-level counts only, which is
-    /// exact for flat models).
+    /// Evaluates the model's observables on the committed state (inert
+    /// compartments of the initial term included, like every engine).
     pub fn observe(&self) -> Vec<u64> {
-        self.flat.observe(&self.model, &self.state)
+        let mut values = Vec::new();
+        self.flat
+            .observe_into(|i| self.state[i] as u64, &mut values);
+        values
     }
 
     /// Draws one leap of at most `tau` from the committed state (halving

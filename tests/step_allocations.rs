@@ -1,4 +1,5 @@
-//! Steady-state `step()` is allocation-free (PR 3 acceptance).
+//! Steady-state `step()` is allocation-free (PR 3 acceptance), and on a
+//! flat model so is a whole *sampled* quantum of the direct method.
 //!
 //! A counting global allocator (thread-local counters, so parallel test
 //! threads don't interfere) wraps the system allocator; after a warm-up
@@ -7,14 +8,18 @@
 //! flat *and* the compartmentalised Neurospora model, for both the direct
 //! and the first-reaction method.
 //!
-//! What makes this hold: propensities live in the incrementally-updated
-//! reaction table (no per-step `Vec<Reaction>`), sites travel as dense
-//! `SiteId`s (no `Path` clones), the assignment choice streams through
-//! reused scratch buffers, and `apply_at` keeps its fate table on the
-//! stack. Multiset updates mutate existing B-tree nodes in place; a node
-//! allocation could only occur if a species' count crossed zero in a way
-//! that empties or splits a node, which does not happen in these
-//! steady-state regimes (the assertion would catch it).
+//! What makes this hold on the tree core (compartment models):
+//! propensities live in the incrementally-updated reaction table (no
+//! per-step `Vec<Reaction>`), sites travel as dense `SiteId`s (no `Path`
+//! clones), the assignment choice streams through reused scratch buffers,
+//! and `apply_at` keeps its fate table on the stack. Multiset updates
+//! mutate existing B-tree nodes in place; a node allocation could only
+//! occur if a species' count crossed zero in a way that empties or splits
+//! a node, which does not happen in these steady-state regimes (the
+//! assertion would catch it). The dense core (flat models) has no tree to
+//! churn — a count vector and one propensity row updated in place — and
+//! writes each sample's observables into one reused buffer, which is what
+//! extends the guarantee from stepping to sampled quanta.
 //!
 //! The same allocator pins the window layer: [`WindowGen`] hands each cut
 //! downstream by move, so a cut through it costs a small constant number
@@ -30,6 +35,7 @@ use cwc_repro::biomodels::{
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
 use cwc_repro::gillespie::engine::{EngineKind, EngineStep};
+use cwc_repro::gillespie::ssa::{SampleClock, SsaEngine};
 use cwc_repro::gillespie::trajectory::Cut;
 
 struct CountingAllocator;
@@ -122,6 +128,62 @@ fn ssa_step_is_allocation_free_on_flat_models() {
         Arc::new(schlogl(SchloglParams::default())),
         "schlogl/ssa",
     );
+}
+
+#[test]
+fn ssa_sampled_quantum_is_allocation_free_on_flat_models() {
+    // Dense samples (many per quantum, events between them) through
+    // `run_sampled`, the call a farm worker makes per scheduling round:
+    // once the first quantum has sized the sample buffer, the engine
+    // allocates nothing — no `Vec` per sample, no B-tree node churn as
+    // counts cross zero.
+    for (label, model, quantum, period) in [
+        (
+            "neurospora_flat",
+            Arc::new(neurospora_flat(NeurosporaParams::default())),
+            2.0,
+            0.05,
+        ),
+        (
+            "schlogl",
+            Arc::new(schlogl(SchloglParams::default())),
+            0.2,
+            0.005,
+        ),
+    ] {
+        let mut engine = SsaEngine::new(model, 7, 0);
+        let mut clock = SampleClock::new(0.0, period);
+        // (samples seen, sum of their values) — read through a `Cell` so
+        // the counts are visible between quanta.
+        let seen = Cell::new((0u64, 0u64));
+        let sink = |_t: f64, values: &[u64]| {
+            let (n, sum) = seen.get();
+            seen.set((n + 1, sum.wrapping_add(values.iter().sum::<u64>())));
+        };
+        let mut t = 0.0;
+        for _ in 0..3 {
+            t += quantum;
+            engine.run_sampled(t, &mut clock, sink);
+        }
+        let (before, (samples_before, _)) = (allocations(), seen.get());
+        let mut fired = 0;
+        for _ in 0..10 {
+            t += quantum;
+            fired += engine.run_sampled(t, &mut clock, sink);
+        }
+        let allocated = allocations() - before;
+        let (samples, checksum) = seen.get();
+        let sampled = samples - samples_before;
+        assert!(
+            fired > 1_000 && sampled >= 300,
+            "{label}: {fired} events, {sampled} samples"
+        );
+        assert_eq!(
+            allocated, 0,
+            "{label}: {allocated} heap allocations over {sampled} samples / {fired} events"
+        );
+        assert!(checksum > 0);
+    }
 }
 
 /// Heap allocations `WindowGen` makes per cut at slide 1, emitted windows
