@@ -511,24 +511,12 @@ impl ShardTransport for InProcessTransport {
         let shard = spec.range.shard;
         let spec = spec.clone();
         // Cancellation flips a shard-local steering flag (the shard
-        // drains early, exactly as under global termination); a relay
-        // thread forwards global termination into the same local flag.
+        // drains early, exactly as under global termination); a watcher
+        // forwards global termination into the same local flag for as
+        // long as the shard runs.
         let local = Steering::new();
-        let done = Arc::new(AtomicBool::new(false));
-        {
-            let global = steering.clone();
-            let local = local.clone();
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Acquire) && !local.is_terminated() {
-                    if global.is_terminated() {
-                        local.terminate();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-        }
+        let relay = local.clone();
+        let watch = steering.watch(move || relay.terminate());
         let cancel = local.clone();
         let join = std::thread::spawn(move || {
             // A dropped receiver means the supervisor already moved on
@@ -537,7 +525,7 @@ impl ShardTransport for InProcessTransport {
             let result = run_shard(model, deps, &spec, &local, |msg| {
                 let _ = sink.send(ShardFeed::Msg(msg));
             });
-            done.store(true, Ordering::Release);
+            drop(watch);
             if let Err(e) = result {
                 let _ = sink.send(ShardFeed::Failed(ShardError::new(
                     shard,
@@ -587,10 +575,14 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
     // merged cut stream.
     let (cut_tx, cut_rx) = mpsc::sync_channel::<Cut>(cfg.channel_capacity);
     let cuts = Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity);
-    let (rows_rx, handle) = analysis_tail(cuts, cfg).into_receiver();
-    // Rows are drained concurrently so the bounded channels above can
-    // never deadlock behind a full output buffer.
-    let collector = std::thread::spawn(move || rows_rx.iter().collect::<Vec<StatRow>>());
+    let (blocks_rx, handle) = analysis_tail(cuts, cfg).into_receiver();
+    // Blocks are drained (and flattened into rows) concurrently so the
+    // bounded channels above can never deadlock behind a full output
+    // buffer.
+    let collector = std::thread::spawn(move || {
+        let rows = blocks_rx.iter().flat_map(|block| block.rows);
+        rows.collect::<Vec<StatRow>>()
+    });
 
     // The supervision loop owns launch, watchdog, retry/requeue and
     // cut/summary merging; full cuts are emitted here into the

@@ -88,7 +88,7 @@ pub use gillespie::engine::{Engine, EngineError, EngineKind};
 pub use merge::{CutMerger, ObsSummary, RunSummary};
 pub use plan::{ShardPlan, ShardRange};
 pub use runner::{run_sequential, run_simulation, run_simulation_steered, SimError, SimReport};
-pub use sim_farm::{QuantumTask, SimWorker, Steering, TaskMaster};
+pub use sim_farm::{QuantumTask, SimWorker, Steering, SteeringWatch, TaskMaster};
 pub use supervisor::ShardSupervisor;
 pub use task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 pub use windows::{Window, WindowGen};

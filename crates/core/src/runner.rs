@@ -4,10 +4,12 @@
 //!
 //! ```text
 //! generation ─▶ farm of sim engines (feedback) ─▶ alignment ─▶
-//!   sliding windows ─▶ ordered farm of stat engines ─▶ rows ─▶ report
+//!   sliding windows ─▶ ordered farm of stat engines ─▶ report
 //! ```
 //!
-//! — and returns every produced [`StatRow`] plus run-time metrics.
+//! — and returns every produced [`StatRow`] plus run-time metrics; the stat
+//! farm's blocks are flattened into rows by the thread that collects them
+//! (docs/ARCHITECTURE.md names every thread of a default run).
 //! [`run_sequential`] computes the same rows with no parallelism at all;
 //! the two must agree bit-for-bit for a fixed seed, which is the
 //! correctness contract the integration tests enforce.
@@ -18,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use cwc::model::Model;
 use fastflow::metrics::RunStats;
-use fastflow::node::{flat_stage, Outbox, Stage};
+use fastflow::node::{Outbox, Stage};
 use fastflow::pipeline::Pipeline;
 use gillespie::trajectory::Cut;
 
@@ -164,10 +166,13 @@ impl From<crate::coordinator::ShardError> for SimError {
 }
 
 /// The analysis half of the Fig. 2 network: sliding windows over the cut
-/// stream, the ordered farm of statistical engines, and the flattening of
-/// their blocks into time-ordered rows. The single-process runner feeds it
-/// its own aligned cuts, the sharded coordinator the merged cut stream.
-pub(crate) fn analysis_tail(cuts: Pipeline<Cut>, cfg: &SimConfig) -> Pipeline<StatRow> {
+/// stream and the ordered farm of statistical engines. It ends in the
+/// farm's window-ordered [`StatBlock`]s; both callers flatten them into
+/// time-ordered rows where they collect — a node that only unpacked a
+/// `Vec` would be a thread and a channel hop for nothing. The
+/// single-process runner feeds it its own aligned cuts, the sharded
+/// coordinator the merged cut stream.
+pub(crate) fn analysis_tail(cuts: Pipeline<Cut>, cfg: &SimConfig) -> Pipeline<StatBlock> {
     let engine_set = StatEngineSet::new(cfg.engines.clone());
     cuts.named_stage(
         "window-gen",
@@ -177,13 +182,6 @@ pub(crate) fn analysis_tail(cuts: Pipeline<Cut>, cfg: &SimConfig) -> Pipeline<St
         let set = engine_set.clone();
         move |w: Window| set.analyse(&w)
     })
-    .stage(flat_stage(
-        |block: StatBlock, out: &mut Outbox<'_, StatRow>| {
-            for row in block.rows {
-                out.push(row);
-            }
-        },
-    ))
 }
 
 /// Runs the full parallel simulation-analysis pipeline.
@@ -251,7 +249,7 @@ pub fn run_simulation_steered(
         );
 
     let (rx, handle) = analysis_tail(cuts, cfg).into_receiver();
-    let rows: Vec<StatRow> = rx.iter().collect();
+    let rows: Vec<StatRow> = rx.iter().flat_map(|block| block.rows).collect();
     let run_stats = handle.join()?;
     let summary = Arc::try_unwrap(summary)
         .expect("pipeline joined; no other summary holders")
@@ -475,6 +473,19 @@ mod tests {
         assert!(report.rows.windows(2).all(|w| w[0].time < w[1].time));
         assert!(report.events > 0);
         assert_eq!(report.observable_names, vec!["A"]);
+    }
+
+    #[test]
+    fn a_default_run_has_one_source_and_three_serial_stages() {
+        // Every node that reports statistics, by name: a stage that only
+        // forwards (a `pipeline.stage.N`) would show up here.
+        let report = run_simulation(Arc::new(decay(30, 1.0)), &SimConfig::new(4, 2.0)).unwrap();
+        let mut names: Vec<&str> = report.run_stats.nodes().iter().map(|n| &*n.name).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["alignment", "pipeline.source", "run-summary", "window-gen"]
+        );
     }
 
     #[test]

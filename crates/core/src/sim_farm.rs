@@ -24,6 +24,8 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use cwc::model::Model;
 use fastflow::master_worker::{FeedbackWorker, Master, Scheduler};
@@ -62,6 +64,52 @@ impl Steering {
     /// True once termination has been requested.
     pub fn is_terminated(&self) -> bool {
         self.stop.load(Ordering::Acquire)
+    }
+
+    /// Spawns a watcher that runs `on_terminate` once, on its own thread,
+    /// when termination is requested: the relay that carries the flag over
+    /// a boundary it cannot cross by itself (a shard-local handle, a
+    /// child's stdin, a socket). The watcher lives exactly as long as the
+    /// returned guard — dropping it, on return or on unwind, stops and
+    /// joins the thread, and `on_terminate` never runs afterwards.
+    pub fn watch(&self, on_terminate: impl FnOnce() + Send + 'static) -> SteeringWatch {
+        let steering = self.clone();
+        let released = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&released);
+        let thread = std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                if steering.is_terminated() {
+                    on_terminate();
+                    return;
+                }
+                std::thread::park_timeout(WATCH_PERIOD);
+            }
+        });
+        SteeringWatch {
+            released,
+            thread: Some(thread),
+        }
+    }
+}
+
+/// How often a [`Steering::watch`] thread looks at the flag.
+const WATCH_PERIOD: Duration = Duration::from_millis(2);
+
+/// Guard of a [`Steering::watch`] thread; dropping it ends the watcher.
+#[derive(Debug)]
+pub struct SteeringWatch {
+    released: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for SteeringWatch {
+    fn drop(&mut self) {
+        self.released.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
+            // A panic inside the action is the action's to report.
+            let _ = thread.join();
+        }
     }
 }
 
@@ -299,6 +347,7 @@ mod tests {
     use crate::alignment::Alignment;
     use biomodels::simple::{birth_death, decay};
     use std::collections::HashMap;
+    use std::sync::mpsc::TryRecvError;
 
     type Samples = Vec<(f64, Vec<u64>)>;
 
@@ -458,6 +507,34 @@ mod tests {
             last < t_end / 4.0,
             "cuts kept coming until t = {last} after termination at t = 0"
         );
+    }
+
+    #[test]
+    fn a_watch_runs_its_action_exactly_once() {
+        let (ran, runs) = std::sync::mpsc::channel();
+        let steering = Steering::new();
+        let watch = steering.watch(move || ran.send(()).expect("the test holds the receiver"));
+        steering.terminate();
+        runs.recv_timeout(Duration::from_secs(30))
+            .expect("the action runs once termination is requested");
+        drop(watch);
+        // The action was consumed by its one run, and its sender with it.
+        assert_eq!(runs.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_watch_dropped_by_an_unwind_is_gone_and_never_acts() {
+        let (ran, runs) = std::sync::mpsc::channel::<()>();
+        let steering = Steering::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _watch = steering.watch(move || ran.send(()).expect("the test holds the receiver"));
+            panic!("the watched body failed");
+        }));
+        assert!(unwound.is_err());
+        // The watcher thread owned the action and its sender: both are
+        // gone unused, so the thread has exited and nothing is left to act
+        // on a later termination.
+        assert_eq!(runs.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

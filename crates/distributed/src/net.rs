@@ -524,24 +524,13 @@ impl ShardTransport for TcpShardTransport {
             }
 
             let stop = Arc::new(AtomicBool::new(false));
-            let done = Arc::new(AtomicBool::new(false));
 
             // Steering watcher: forwards global termination as a
             // Terminate frame so the worker drains at the next quantum
             // boundaries, exactly like the process transport.
-            {
-                let steering = steering.clone();
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        if steering.is_terminated() {
-                            let _ = write_frame(&mut writer, &ToShard::Terminate);
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                });
-            }
+            let watch = steering.watch(move || {
+                let _ = write_frame(&mut writer, &ToShard::Terminate);
+            });
 
             let cancel = {
                 let stop = Arc::clone(&stop);
@@ -558,7 +547,7 @@ impl ShardTransport for TcpShardTransport {
             let join = std::thread::spawn(move || {
                 let input = PatientStream { stream, stop };
                 let result = pump_frames(input, &sink, &activity, &format!("worker {addr}"));
-                done.store(true, Ordering::Release);
+                drop(watch);
                 if let Err(kind) = result {
                     // The connection died mid-run: assume the worker is
                     // gone (a daemon that fault-exited certainly is) so

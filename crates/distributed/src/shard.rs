@@ -784,7 +784,6 @@ impl ShardTransport for ProcessTransport {
         // The child itself is shared with the cancel hook so a stalled
         // worker can be killed outright; the reader reaps it.
         let child = Arc::new(Mutex::new(Some(child)));
-        let done = Arc::new(AtomicBool::new(false));
         // A failed Terminate write is not swallowed: it is recorded here
         // and attached to whatever error the reader surfaces, so a dead
         // pipe during steering stays visible.
@@ -814,26 +813,18 @@ impl ShardTransport for ProcessTransport {
             });
         }
 
-        {
+        let watch = {
             let stdin = Arc::clone(&stdin);
-            let done = Arc::clone(&done);
             let note = Arc::clone(&terminate_note);
-            let steering = steering.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    if steering.is_terminated() {
-                        if let Some(pipe) = stdin.lock().expect("stdin mutex").as_mut() {
-                            if let Err(e) = write_frame(pipe, &ToShard::Terminate) {
-                                *note.lock().expect("terminate note mutex") =
-                                    Some(format!("terminate frame write failed: {e}"));
-                            }
-                        }
-                        break;
+            steering.watch(move || {
+                if let Some(pipe) = stdin.lock().expect("stdin mutex").as_mut() {
+                    if let Err(e) = write_frame(pipe, &ToShard::Terminate) {
+                        *note.lock().expect("terminate note mutex") =
+                            Some(format!("terminate frame write failed: {e}"));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
                 }
-            });
-        }
+            })
+        };
 
         let cancel = {
             let stdin = Arc::clone(&stdin);
@@ -854,7 +845,7 @@ impl ShardTransport for ProcessTransport {
         let join = std::thread::spawn(move || {
             let _hold_stdin = reader_stdin; // closed when the reader ends
             let result = pump_frames(stdout, &sink, &activity, "cwc-shard child");
-            done.store(true, Ordering::Release);
+            drop(watch);
             // Reap the child; enrich failures with its status, stderr
             // and any recorded Terminate-write failure.
             let exit = match reader_child.lock().expect("child mutex").take() {

@@ -19,6 +19,8 @@ use std::time::Instant;
 use cwc::model::Model;
 use cwcsim::engines::{StatEngineKind, StatEngineSet};
 use cwcsim::task::SimTask;
+use gillespie::deps::ModelDeps;
+use gillespie::engine::EngineKind;
 use gillespie::trajectory::Cut;
 
 use crate::wire;
@@ -85,15 +87,20 @@ impl WorkloadTrace {
         let mut total_bytes = 0usize;
         let mut batches = 0usize;
         let mut samples_per_instance = 0;
+        // One model compile for the whole trace, shared by every instance.
+        let deps = Arc::new(ModelDeps::compile(&model));
         for i in 0..instances {
-            let mut task = SimTask::new(
+            let mut task = SimTask::with_engine_deps(
+                EngineKind::Ssa,
                 Arc::clone(&model),
+                Arc::clone(&deps),
                 base_seed,
                 i,
                 burn_in + t_end,
                 quantum,
                 sample_period,
-            );
+            )
+            .expect("SSA engine construction is infallible");
             if burn_in > 0.0 {
                 // Advance past the synchronised transient; samples produced
                 // during burn-in are discarded.
@@ -319,6 +326,15 @@ mod tests {
         let a = WorkloadTrace::record(Arc::clone(&model), 3, 5, 2.0, 0.5, 0.25);
         let b = WorkloadTrace::record(model, 3, 5, 2.0, 0.5, 0.25);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn record_compiles_the_model_once() {
+        let model = Arc::new(decay(30, 1.0));
+        let before = ModelDeps::thread_compile_count();
+        let trace = WorkloadTrace::record(model, 16, 5, 1.0, 0.5, 0.25);
+        assert_eq!(trace.instances, 16);
+        assert_eq!(ModelDeps::thread_compile_count(), before + 1);
     }
 
     #[test]

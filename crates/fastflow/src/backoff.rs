@@ -64,14 +64,6 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.step = 0;
     }
-
-    /// True once the ladder has escalated past busy-waiting.
-    ///
-    /// Callers that multiplex several queues (e.g. a farm collector) use this
-    /// to decide when a full polling sweep came up empty.
-    pub fn is_parked(&self) -> bool {
-        self.step >= SPIN_ROUNDS + YIELD_ROUNDS
-    }
 }
 
 impl Default for Backoff {
@@ -87,18 +79,18 @@ mod tests {
     #[test]
     fn ladder_escalates_and_resets() {
         let mut b = Backoff::new();
-        assert!(!b.is_parked());
+        assert_eq!(b.step, 0);
         for _ in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
             b.wait();
         }
-        assert!(b.is_parked());
+        assert_eq!(b.step, SPIN_ROUNDS + YIELD_ROUNDS, "next wait sleeps");
         b.reset();
-        assert!(!b.is_parked());
+        assert_eq!(b.step, 0);
     }
 
     #[test]
     fn default_matches_new() {
-        assert!(!Backoff::default().is_parked());
+        assert_eq!(Backoff::default().step, Backoff::new().step);
     }
 
     #[test]
@@ -107,6 +99,6 @@ mod tests {
         b.step = u32::MAX - 1;
         b.wait();
         b.wait();
-        assert!(b.is_parked());
+        assert_eq!(b.step, u32::MAX);
     }
 }

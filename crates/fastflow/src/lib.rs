@@ -8,7 +8,7 @@
 //! | Layer | Modules |
 //! |---|---|
 //! | Building blocks | [`spsc`], [`unbounded`], [`channel`], [`backoff`] |
-//! | Core patterns | [`pipeline`], [`farm`], [`master_worker`] (feedback) |
+//! | Core patterns | [`pipeline`], [`farm`] (ordered), [`master_worker`] (feedback) |
 //!
 //! Processing components are threads; channels are lock-free
 //! single-producer single-consumer FIFO queues — the CSP/actor hybrid model
@@ -20,17 +20,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fastflow::farm::Farm;
 //! use fastflow::node::map_stage;
 //! use fastflow::pipeline::Pipeline;
 //!
-//! // pipeline(source, farm(worker × 4), collect)
-//! let mut squares: Vec<u64> = Pipeline::from_source(0..1_000u64)
-//!     .farm(Farm::new(4, |_| map_stage(|x: u64| x * x)))
+//! // pipeline(source, ofarm(worker × 4), stage, collect)
+//! let squares: Vec<u64> = Pipeline::from_source(0..1_000u64)
+//!     .ordered_farm(4, |_| |x: u64| x * x)
+//!     .stage(map_stage(|x| x + 1))
 //!     .collect()
 //!     .unwrap();
-//! squares.sort_unstable();
-//! assert_eq!(squares.len(), 1_000);
+//! assert_eq!(squares, (0..1_000u64).map(|x| x * x + 1).collect::<Vec<_>>());
 //! ```
 //!
 //! ## Relation to the paper
@@ -38,8 +37,16 @@
 //! The CWC simulator (crate `cwcsim`) composes these patterns into the
 //! paper's Fig. 2 architecture: a three-stage main pipeline whose first
 //! stage is a master–worker farm of simulation engines with a feedback
-//! channel for quantum rescheduling, and whose second stage is a farm of
-//! statistical engines over sliding windows.
+//! channel for quantum rescheduling
+//! ([`Pipeline::master_worker_farm`]), and whose second stage is an
+//! ordered farm of statistical engines over sliding windows
+//! ([`Pipeline::ordered_farm`]). Those are the two farms Fig. 2
+//! instantiates and the only two here. A plain farm — unordered, no
+//! feedback — is a `master_worker_farm` whose [`Master`] submits what
+//! arrives and whose [`FeedbackWorker`]s always return `None`; its
+//! scheduler (a FIFO ready queue handed to the least-loaded worker with
+//! room) and its collector are then the same ones the simulation farm
+//! runs on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,12 +63,9 @@ pub mod spsc;
 pub mod unbounded;
 
 pub use error::{Error, Result};
-pub use farm::{Farm, SchedPolicy};
 pub use master_worker::{FeedbackWorker, Master, Scheduler};
 pub use metrics::{NodeStats, RunStats};
-pub use node::{
-    filter_stage, flat_stage, map_stage, sink_fn, source_fn, Flow, Outbox, Sink, Source, Stage,
-};
+pub use node::{map_stage, Flow, Outbox, Source, Stage};
 pub use pipeline::Pipeline;
 
 #[cfg(test)]

@@ -30,7 +30,9 @@
 //!    `try_send` cannot be refused, so the master never parks on one
 //!    worker's full queue while another worker's notices go unread;
 //!
-//! and backs off only when a whole sweep found nothing to do.
+//! and backs off only when a whole sweep found nothing to do. The farm ends
+//! when upstream is closed and nothing is pending; that is the whole
+//! termination rule.
 //!
 //! A task queue holds the pipeline's channel `capacity`, like every other
 //! edge. Deep queues keep a worker busy across the master's reaction time;
@@ -148,16 +150,6 @@ pub trait Master: Send + 'static {
     /// Handles one worker feedback payload (e.g. reschedules an incomplete
     /// simulation task).
     fn on_feedback(&mut self, fb: Self::Fb, sched: &mut Scheduler<'_, Self::Task>);
-
-    /// Called when upstream is exhausted and every submitted task has
-    /// completed.
-    ///
-    /// Return `true` to terminate the farm; return `false` after submitting
-    /// more work to keep it running. The default terminates.
-    fn on_idle(&mut self, sched: &mut Scheduler<'_, Self::Task>) -> bool {
-        let _ = sched;
-        true
-    }
 }
 
 /// User logic of a worker in a feedback farm.
@@ -169,18 +161,10 @@ pub trait FeedbackWorker: Send + 'static {
     /// Items forwarded to the collector (and on downstream).
     type Out: Send + 'static;
 
-    /// Called once before the first task.
-    fn on_start(&mut self) {}
-
     /// Executes one task; may forward items downstream via `out` and may
     /// return a feedback payload for the master (e.g. the continuation of an
     /// incomplete simulation).
     fn on_task(&mut self, task: Self::Task, out: &mut Outbox<'_, Self::Out>) -> Option<Self::Fb>;
-
-    /// Called once after the last task.
-    fn on_end(&mut self, out: &mut Outbox<'_, Self::Out>) {
-        let _ = out;
-    }
 }
 
 /// Completion notice sent by the worker run-time to the master.
@@ -258,7 +242,7 @@ impl<T: Send + 'static> Pipeline<T> {
             self.handles.push((wname, handle));
         }
 
-        // Collector thread (same merge as the plain farm).
+        // Collector thread.
         let collector_name = format!("{name}.collector");
         let handle = spawn_named(collector_name.clone(), move || {
             merge_channels(out_rx, down_tx);
@@ -393,13 +377,7 @@ impl<M: Master> MasterLoop<M> {
 
         // 4. Termination: nothing more can arrive and nothing is pending.
         if !self.upstream_open && self.dispatch.pending() == 0 {
-            let mut sched = Scheduler {
-                dispatch: &mut self.dispatch,
-            };
-            if self.master.on_idle(&mut sched) {
-                return Sweep::Done;
-            }
-            progressed = true;
+            return Sweep::Done;
         }
 
         if progressed {
@@ -418,7 +396,6 @@ fn run_feedback_worker<W: FeedbackWorker>(
     out: Sender<W::Out>,
 ) {
     let mut outbox = Outbox::new(&out);
-    worker.on_start();
     while let Some(task) = tasks.recv() {
         let payload = worker.on_task(task, &mut outbox);
         if feedback
@@ -434,10 +411,10 @@ fn run_feedback_worker<W: FeedbackWorker>(
             break;
         }
     }
-    worker.on_end(&mut outbox);
 }
 
-/// Merges several channels into one, preserving per-channel order.
+/// Merges several channels into one, preserving per-channel order (the
+/// unordered collector; [`crate::farm`] has the reordering one).
 pub(crate) fn merge_channels<T: Send>(inputs: Vec<Receiver<T>>, out: Sender<T>) {
     let n = inputs.len();
     let mut done = vec![false; n];
@@ -575,60 +552,11 @@ mod tests {
         assert_eq!(out.len(), 15);
     }
 
-    /// Master that generates work in `on_idle` for two extra rounds,
-    /// exercising the keep-alive return value.
-    struct RoundMaster {
-        rounds_left: u32,
-        next_id: usize,
-    }
-
-    impl Master for RoundMaster {
-        type In = QuantumTask;
-        type Task = QuantumTask;
-        type Fb = QuantumTask;
-
-        fn on_upstream(&mut self, item: QuantumTask, sched: &mut Scheduler<'_, QuantumTask>) {
-            sched.submit(item);
-        }
-
-        fn on_feedback(&mut self, fb: QuantumTask, sched: &mut Scheduler<'_, QuantumTask>) {
-            sched.submit(fb);
-        }
-
-        fn on_idle(&mut self, sched: &mut Scheduler<'_, QuantumTask>) -> bool {
-            if self.rounds_left == 0 {
-                return true;
-            }
-            self.rounds_left -= 1;
-            sched.submit(QuantumTask {
-                id: self.next_id,
-                remaining: 1,
-            });
-            self.next_id += 1;
-            false
-        }
-    }
-
     #[test]
-    fn on_idle_can_extend_the_run() {
-        let tasks = vec![QuantumTask {
-            id: 0,
-            remaining: 1,
-        }];
-        let out: Vec<(usize, u32)> = Pipeline::from_source(tasks.into_iter())
-            .master_worker_farm(
-                RoundMaster {
-                    rounds_left: 2,
-                    next_id: 100,
-                },
-                vec![QuantumWorker, QuantumWorker],
-            )
-            .collect()
-            .unwrap();
-        // 1 upstream task + 2 idle-generated tasks, 1 quantum each.
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().any(|(id, _)| *id == 100));
-        assert!(out.iter().any(|(id, _)| *id == 101));
+    #[should_panic(expected = "at least one worker")]
+    fn a_farm_without_workers_is_refused() {
+        let _ = Pipeline::from_source(uniform_tasks(1, 1))
+            .master_worker_farm(QuantumMaster, Vec::<QuantumWorker>::new());
     }
 
     #[test]

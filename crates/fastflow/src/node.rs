@@ -1,12 +1,14 @@
 //! Processing nodes: the `ff_node` abstraction of FastFlow.
 //!
-//! A stream network is built from three kinds of user-defined nodes:
-//! [`Source`] (stream head, produces items), [`Stage`] (transforms items,
-//! possibly 1-to-many or many-to-1), and [`Sink`] (stream tail, consumes
-//! items). The white boxes of the paper's Fig. 2 are exactly such nodes;
-//! the grey boxes (dispatch/gather/scheduling) are generated by the pattern
-//! combinators in [`crate::pipeline`], [`crate::farm`] and
-//! [`crate::master_worker`].
+//! A stream network is built from two kinds of user-defined nodes:
+//! [`Source`] (stream head, produces items) and [`Stage`] (transforms
+//! items, possibly 1-to-many or many-to-1). The white boxes of the paper's
+//! Fig. 2 are exactly such nodes; the grey boxes
+//! (dispatch/gather/scheduling) are generated by the pattern combinators in
+//! [`crate::pipeline`], [`crate::farm`] and [`crate::master_worker`]. The
+//! stream tail is whoever drains the last channel:
+//! [`Pipeline::collect`](crate::pipeline::Pipeline::collect) or the receiver
+//! of [`Pipeline::into_receiver`](crate::pipeline::Pipeline::into_receiver).
 
 use crate::channel::Sender;
 
@@ -23,16 +25,14 @@ pub enum Flow {
 ///
 /// Equivalent to a FastFlow node whose `svc` is fed `GO_ON` until it returns
 /// `EOS`. Any `Iterator` with `Send` items is a `Source` via the blanket
-/// impl, so `vec.into_iter()` can seed a pipeline directly.
+/// impl, so `vec.into_iter()` can seed a pipeline directly and a closure
+/// source is `std::iter::from_fn`.
 pub trait Source: Send + 'static {
     /// Items produced by this source.
     type Out: Send + 'static;
 
     /// Produces the next stream item, or `None` at end of stream.
     fn next_item(&mut self) -> Option<Self::Out>;
-
-    /// Called once before the first [`next_item`](Source::next_item).
-    fn on_start(&mut self) {}
 }
 
 impl<I> Source for I
@@ -57,9 +57,6 @@ pub trait Stage: Send + 'static {
     /// Items produced by this stage.
     type Out: Send + 'static;
 
-    /// Called once before the first item.
-    fn on_start(&mut self) {}
-
     /// Processes one input item, emitting any outputs into `out`.
     fn on_item(&mut self, item: Self::In, out: &mut Outbox<'_, Self::Out>) -> Flow;
 
@@ -67,21 +64,6 @@ pub trait Stage: Send + 'static {
     fn on_end(&mut self, out: &mut Outbox<'_, Self::Out>) {
         let _ = out;
     }
-}
-
-/// Stream tail: consumes the output stream of a network.
-pub trait Sink: Send + 'static {
-    /// Items consumed by this sink.
-    type In: Send + 'static;
-
-    /// Called once before the first item.
-    fn on_start(&mut self) {}
-
-    /// Consumes one item.
-    fn on_item(&mut self, item: Self::In) -> Flow;
-
-    /// Called once at end of stream.
-    fn on_end(&mut self) {}
 }
 
 /// Output port handed to [`Stage::on_item`]; emits items downstream.
@@ -178,140 +160,6 @@ where
     }
 }
 
-/// Builds a [`Stage`] from a closure that keeps items satisfying a predicate.
-pub fn filter_stage<In, F>(pred: F) -> FilterStage<In, F>
-where
-    In: Send + 'static,
-    F: FnMut(&In) -> bool + Send + 'static,
-{
-    FilterStage {
-        pred,
-        _marker: std::marker::PhantomData,
-    }
-}
-
-/// Stage adapter returned by [`filter_stage`].
-#[derive(Debug)]
-pub struct FilterStage<In, F> {
-    pred: F,
-    _marker: std::marker::PhantomData<fn(In)>,
-}
-
-impl<In, F> Stage for FilterStage<In, F>
-where
-    In: Send + 'static,
-    F: FnMut(&In) -> bool + Send + 'static,
-{
-    type In = In;
-    type Out = In;
-
-    fn on_item(&mut self, item: In, out: &mut Outbox<'_, In>) -> Flow {
-        if (self.pred)(&item) {
-            out.push(item);
-        }
-        Flow::Continue
-    }
-}
-
-/// Builds a [`Stage`] from a closure emitting any number of outputs per
-/// input (FastFlow's `ff_send_out` style).
-pub fn flat_stage<In, Out, F>(f: F) -> FlatStage<In, Out, F>
-where
-    In: Send + 'static,
-    Out: Send + 'static,
-    F: FnMut(In, &mut Outbox<'_, Out>) + Send + 'static,
-{
-    FlatStage {
-        f,
-        _marker: std::marker::PhantomData,
-    }
-}
-
-/// Stage adapter returned by [`flat_stage`].
-#[derive(Debug)]
-pub struct FlatStage<In, Out, F> {
-    f: F,
-    _marker: std::marker::PhantomData<fn(In) -> Out>,
-}
-
-impl<In, Out, F> Stage for FlatStage<In, Out, F>
-where
-    In: Send + 'static,
-    Out: Send + 'static,
-    F: FnMut(In, &mut Outbox<'_, Out>) + Send + 'static,
-{
-    type In = In;
-    type Out = Out;
-
-    fn on_item(&mut self, item: In, out: &mut Outbox<'_, Out>) -> Flow {
-        (self.f)(item, out);
-        Flow::Continue
-    }
-}
-
-/// Builds a [`Sink`] from a closure.
-pub fn sink_fn<In, F>(f: F) -> FnSink<In, F>
-where
-    In: Send + 'static,
-    F: FnMut(In) + Send + 'static,
-{
-    FnSink {
-        f,
-        _marker: std::marker::PhantomData,
-    }
-}
-
-/// Sink adapter returned by [`sink_fn`].
-#[derive(Debug)]
-pub struct FnSink<In, F> {
-    f: F,
-    _marker: std::marker::PhantomData<fn(In)>,
-}
-
-impl<In, F> Sink for FnSink<In, F>
-where
-    In: Send + 'static,
-    F: FnMut(In) + Send + 'static,
-{
-    type In = In;
-
-    fn on_item(&mut self, item: In) -> Flow {
-        (self.f)(item);
-        Flow::Continue
-    }
-}
-
-/// Builds a [`Source`] from a closure returning `Option` items.
-pub fn source_fn<Out, F>(f: F) -> FnSource<Out, F>
-where
-    Out: Send + 'static,
-    F: FnMut() -> Option<Out> + Send + 'static,
-{
-    FnSource {
-        f,
-        _marker: std::marker::PhantomData,
-    }
-}
-
-/// Source adapter returned by [`source_fn`].
-#[derive(Debug)]
-pub struct FnSource<Out, F> {
-    f: F,
-    _marker: std::marker::PhantomData<fn() -> Out>,
-}
-
-impl<Out, F> Source for FnSource<Out, F>
-where
-    Out: Send + 'static,
-    F: FnMut() -> Option<Out> + Send + 'static,
-{
-    type Out = Out;
-
-    fn next_item(&mut self) -> Option<Out> {
-        (self.f)()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +174,8 @@ mod tests {
     #[test]
     fn source_fn_yields_until_none() {
         let mut n = 0;
-        let mut src = source_fn(move || {
+        // A closure source is `std::iter::from_fn` through the blanket impl.
+        let mut src = std::iter::from_fn(move || {
             n += 1;
             if n <= 3 {
                 Some(n)
@@ -368,32 +217,5 @@ mod tests {
         let mut out = Outbox::new(&tx);
         assert_eq!(stage.on_item(41, &mut out), Flow::Continue);
         assert_eq!(rx.recv(), Some(42));
-    }
-
-    #[test]
-    fn filter_stage_drops_items() {
-        let (tx, rx) = channel::bounded(4);
-        let mut stage = filter_stage(|x: &i32| *x % 2 == 0);
-        let mut out = Outbox::new(&tx);
-        stage.on_item(1, &mut out);
-        stage.on_item(2, &mut out);
-        drop(tx); // close the channel so the drain terminates
-        let got: Vec<i32> = rx.iter().collect();
-        assert_eq!(got, vec![2]);
-    }
-
-    #[test]
-    fn flat_stage_emits_many() {
-        let (tx, rx) = channel::bounded(8);
-        let mut stage = flat_stage(|x: i32, out: &mut Outbox<'_, i32>| {
-            for i in 0..x {
-                out.push(i);
-            }
-        });
-        let mut out = Outbox::new(&tx);
-        stage.on_item(3, &mut out);
-        drop(tx); // close the channel so the drain terminates
-        let got: Vec<i32> = rx.iter().collect();
-        assert_eq!(got, vec![0, 1, 2]);
     }
 }

@@ -10,15 +10,15 @@
 //! # Examples
 //!
 //! ```
-//! use fastflow::node::{map_stage, filter_stage};
+//! use fastflow::node::map_stage;
 //! use fastflow::pipeline::Pipeline;
 //!
-//! let out: Vec<i64> = Pipeline::from_source((0..10i64))
+//! let out: Vec<i64> = Pipeline::from_source(0..5i64)
 //!     .stage(map_stage(|x| x * x))
-//!     .stage(filter_stage(|x: &i64| x % 2 == 0))
+//!     .named_stage("offset", map_stage(|x| x + 1))
 //!     .collect()
 //!     .unwrap();
-//! assert_eq!(out, vec![0, 4, 16, 36, 64]);
+//! assert_eq!(out, vec![1, 2, 5, 10, 17]);
 //! ```
 
 use std::thread::JoinHandle;
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use crate::channel::{self, Receiver, Sender};
 use crate::error::{panic_message, Error, Result};
 use crate::metrics::{NodeStats, RunStats, StatsCollector};
-use crate::node::{Flow, Outbox, Sink, Source, Stage};
+use crate::node::{Flow, Outbox, Source, Stage};
 
 /// Default capacity of inter-stage channels.
 ///
@@ -103,50 +103,22 @@ impl<T: Send + 'static> Pipeline<T> {
         self.named_stage(&name, stage)
     }
 
-    /// Terminates the network with a [`Sink`] and runs it to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::StagePanicked`] if any node thread panicked.
-    pub fn run_to_sink<Sk>(mut self, sink: Sk) -> Result<RunStats>
-    where
-        Sk: Sink<In = T>,
-    {
-        let name = "pipeline.sink".to_owned();
-        let handle = spawn_sink(name.clone(), sink, self.rx, self.stats.clone());
-        self.handles.push((name, handle));
-        join_all(self.handles)?;
-        Ok(self.stats.finish())
-    }
-
     /// Runs the network, collecting every emitted item into a `Vec`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::StagePanicked`] if any node thread panicked.
     pub fn collect(self) -> Result<Vec<T>> {
-        let (items, _stats) = self.collect_with_stats()?;
-        Ok(items)
-    }
-
-    /// Like [`collect`](Pipeline::collect) but also returns run statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::StagePanicked`] if any node thread panicked.
-    pub fn collect_with_stats(self) -> Result<(Vec<T>, RunStats)> {
-        let mut items = Vec::new();
-        for item in self.rx.iter() {
-            items.push(item);
-        }
+        let items = self.rx.iter().collect();
         join_all(self.handles)?;
-        Ok((items, self.stats.finish()))
+        Ok(items)
     }
 
     /// Detaches the tail channel for manual consumption.
     ///
     /// The returned [`PipelineHandle`] must be joined after the receiver is
-    /// drained to surface panics and obtain statistics.
+    /// drained (or dropped, which winds the network down from the tail) to
+    /// surface panics and obtain statistics.
     pub fn into_receiver(self) -> (Receiver<T>, PipelineHandle) {
         (
             self.rx,
@@ -177,7 +149,7 @@ impl PipelineHandle {
     }
 }
 
-pub(crate) fn join_all(handles: Vec<(String, JoinHandle<()>)>) -> Result<()> {
+fn join_all(handles: Vec<(String, JoinHandle<()>)>) -> Result<()> {
     let mut first_panic = None;
     for (name, handle) in handles {
         if let Err(payload) = handle.join() {
@@ -194,7 +166,7 @@ pub(crate) fn join_all(handles: Vec<(String, JoinHandle<()>)>) -> Result<()> {
     }
 }
 
-pub(crate) fn spawn_source<S>(
+fn spawn_source<S>(
     name: String,
     mut source: S,
     tx: Sender<S::Out>,
@@ -207,7 +179,6 @@ where
         let start = Instant::now();
         let mut busy = Duration::ZERO;
         let mut produced = 0u64;
-        source.on_start();
         loop {
             let t0 = Instant::now();
             let item = source.next_item();
@@ -232,7 +203,7 @@ where
     })
 }
 
-pub(crate) fn spawn_stage<St>(
+fn spawn_stage<St>(
     name: String,
     mut stage: St,
     rx: Receiver<St::In>,
@@ -247,7 +218,6 @@ where
         let mut busy = Duration::ZERO;
         let mut items_in = 0u64;
         let mut outbox = Outbox::new(&tx);
-        stage.on_start();
         while let Some(item) = rx.recv() {
             items_in += 1;
             let t0 = Instant::now();
@@ -271,42 +241,6 @@ where
     })
 }
 
-pub(crate) fn spawn_sink<Sk>(
-    name: String,
-    mut sink: Sk,
-    rx: Receiver<Sk::In>,
-    stats: StatsCollector,
-) -> JoinHandle<()>
-where
-    Sk: Sink,
-{
-    spawn_named(name.clone(), move || {
-        let start = Instant::now();
-        let mut busy = Duration::ZERO;
-        let mut items_in = 0u64;
-        sink.on_start();
-        while let Some(item) = rx.recv() {
-            items_in += 1;
-            let t0 = Instant::now();
-            let flow = sink.on_item(item);
-            busy += t0.elapsed();
-            if flow == Flow::Break {
-                break;
-            }
-        }
-        let t0 = Instant::now();
-        sink.on_end();
-        busy += t0.elapsed();
-        stats.record(NodeStats {
-            name,
-            items_in,
-            items_out: 0,
-            busy,
-            wall: start.elapsed(),
-        });
-    })
-}
-
 pub(crate) fn spawn_named<F>(name: String, f: F) -> JoinHandle<()>
 where
     F: FnOnce() + Send + 'static,
@@ -320,9 +254,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{flat_stage, map_stage, sink_fn};
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Arc;
+    use crate::node::map_stage;
 
     #[test]
     fn identity_pipeline_preserves_order() {
@@ -341,28 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn sink_consumes_everything() {
-        let total = Arc::new(AtomicI64::new(0));
-        let t = Arc::clone(&total);
-        let stats = Pipeline::from_source(1..=100i64)
-            .run_to_sink(sink_fn(move |x: i64| {
-                t.fetch_add(x, Ordering::Relaxed);
-            }))
-            .unwrap();
-        assert_eq!(total.load(Ordering::Relaxed), 5050);
-        assert_eq!(stats.node("pipeline.sink").unwrap().items_in, 100);
-    }
-
-    #[test]
     fn flat_stage_expands_stream() {
-        let out: Vec<u32> = Pipeline::from_source(vec![2u32, 3].into_iter())
-            .stage(flat_stage(
-                |n: u32, out: &mut crate::node::Outbox<'_, u32>| {
-                    for _ in 0..n {
-                        out.push(n);
-                    }
-                },
-            ))
+        /// One-to-many: `n` becomes `n` copies of itself.
+        struct Repeat;
+        impl Stage for Repeat {
+            type In = u32;
+            type Out = u32;
+            fn on_item(&mut self, n: u32, out: &mut Outbox<'_, u32>) -> Flow {
+                for _ in 0..n {
+                    out.push(n);
+                }
+                Flow::Continue
+            }
+        }
+        let out: Vec<u32> = Pipeline::from_source(vec![2u32, 0, 3].into_iter())
+            .stage(Repeat)
             .collect()
             .unwrap();
         assert_eq!(out, vec![2, 2, 3, 3, 3]);
@@ -392,11 +317,11 @@ mod tests {
 
     #[test]
     fn stats_report_source_and_stage_counts() {
-        let (out, stats) = Pipeline::from_source(0..50u32)
+        let (rx, handle) = Pipeline::from_source(0..50u32)
             .named_stage("double", map_stage(|x| x * 2))
-            .collect_with_stats()
-            .unwrap();
-        assert_eq!(out.len(), 50);
+            .into_receiver();
+        assert_eq!(rx.iter().count(), 50);
+        let stats = handle.join().unwrap();
         assert_eq!(stats.node("pipeline.source").unwrap().items_out, 50);
         assert_eq!(stats.node("double").unwrap().items_in, 50);
     }
@@ -420,24 +345,14 @@ mod tests {
 
     #[test]
     fn early_sink_break_stops_network() {
-        let stats = Pipeline::from_source(0..u32::MAX)
-            .run_to_sink(BreakAfter { left: 10 })
-            .unwrap();
-        assert_eq!(stats.node("pipeline.sink").unwrap().items_in, 10);
-
-        struct BreakAfter {
-            left: u32,
-        }
-        impl crate::node::Sink for BreakAfter {
-            type In = u32;
-            fn on_item(&mut self, _item: u32) -> Flow {
-                self.left -= 1;
-                if self.left == 0 {
-                    Flow::Break
-                } else {
-                    Flow::Continue
-                }
-            }
-        }
+        // The sink is whoever holds the tail receiver: once it is gone the
+        // stage sees a disconnected outbox, stops, and the source follows.
+        let (rx, handle) = Pipeline::from_source(0..u32::MAX)
+            .named_stage("id", map_stage(|x: u32| x))
+            .into_receiver();
+        assert_eq!(rx.iter().take(10).count(), 10);
+        drop(rx);
+        let stats = handle.join().unwrap();
+        assert!(stats.node("id").unwrap().items_in < u64::from(u32::MAX));
     }
 }

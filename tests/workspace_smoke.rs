@@ -13,9 +13,7 @@ fn umbrella_reexports_resolve() {
     let _model = cwc_repro::biomodels::simple::decay(1, 1.0);
     let _running = cwc_repro::streamstat::welford::Running::default();
     let _seed = cwc_repro::gillespie::instance_seed(0, 0);
-    let _farm = cwc_repro::fastflow::farm::Farm::new(1, |_| {
-        cwc_repro::fastflow::node::map_stage(|x: u64| x)
-    });
+    let _stage = cwc_repro::fastflow::node::map_stage(|x: u64| x);
     let _bytes = cwc_repro::distrt::to_bytes(&cwc_repro::cwcsim::task::SampleBatch {
         instance: 0,
         samples: vec![],
