@@ -13,7 +13,10 @@
 //!   bit-for-bit identical trajectories; only the bookkeeping differs.
 //!
 //! Output: a human table on stdout plus `BENCH_ssa_step.json` (override
-//! with `--out PATH`). Flags:
+//! with `--out PATH`). Both carry a run header ([`bench::RunHeader`]:
+//! CPU model, resolved kernels, commit, and a fixed-work calibration spin
+//! timed at the start and the end of the run), so a reader can tell
+//! whether two files came from comparable boxes. Flags:
 //!
 //! - `--quick`    fewer averaged instances (the CI smoke configuration);
 //! - `--check F`  after measuring, compare the incremental/full speedup
@@ -260,11 +263,11 @@ impl NaiveFrm {
 /// are comparable (long free-running measurements drift into different
 /// states, e.g. post-extinction Lotka–Volterra, and change the per-step
 /// cost profile).
-fn time_steps<F: FnMut(u64) -> Box<dyn FnMut() -> bool>>(
+fn time_steps(
     instances: u64,
     warmup: u64,
     measured: u64,
-    mut make_stepper: F,
+    make_stepper: &dyn Fn(u64) -> Box<dyn FnMut() -> bool>,
 ) -> (u64, f64) {
     let mut done = 0u64;
     let mut secs = 0.0;
@@ -363,13 +366,33 @@ fn scalar_stepper(model: &Arc<Model>, warm_steps: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Measurement passes per `--batched` row: every row is timed this many
-/// times and reports its best pass. Single-shot timings on shared
+/// Measurement passes per row, in both modes: every row is timed this
+/// many times and reports its best pass. Single-shot timings on shared
 /// hardware swing by tens of percent (noisy neighbours, turbo decay over
 /// the row sequence), which best-of-N absorbs; alternating the pass
 /// direction keeps any systematic slowdown over a pass from always
-/// penalising the same rows.
-const BATCH_PASSES: usize = 3;
+/// penalising the same rows. The exact matrix needs it as much as the
+/// batched one: its fastest quick segments last a few milliseconds, and a
+/// single pass let one blip read `neurospora_flat`'s ratio as 3.08
+/// against 4.3–4.5 in the other quick runs of the same tree.
+const PASSES: usize = 3;
+
+/// Times `rows` rows [`PASSES`] times each through `measure` (`row →
+/// (steps, steps/s)`), alternating the row order per pass, and keeps each
+/// row's fastest pass.
+fn best_of_passes(rows: usize, mut measure: impl FnMut(usize) -> (u64, f64)) -> Vec<(u64, f64)> {
+    let mut best = vec![(0, 0.0); rows];
+    for pass in 0..PASSES {
+        for i in 0..rows {
+            let row = if pass % 2 == 0 { i } else { rows - 1 - i };
+            let (steps, rate) = measure(row);
+            if rate > best[row].1 {
+                best[row] = (steps, rate);
+            }
+        }
+    }
+    best
+}
 
 /// Aggregate firings/sec of whole batches (each [`BATCH_WIDTHS`] width)
 /// vs a *single* scalar SSA instance, per model: one worker pass drives a
@@ -396,7 +419,7 @@ fn measure_batched(quick: bool, dispatch: KernelDispatch) -> Vec<Measurement> {
     let warm = if quick { WARMUP / 4 } else { WARMUP };
 
     // One row per (model, width 1 scalar | batched width); measured
-    // BATCH_PASSES times below, keeping each row's best pass.
+    // PASSES times below, keeping each row's best pass.
     let mut rows: Vec<(usize, usize)> = Vec::new(); // (case index, width; 0 = scalar)
     for case in 0..cases.len() {
         rows.push((case, 0));
@@ -404,46 +427,35 @@ fn measure_batched(quick: bool, dispatch: KernelDispatch) -> Vec<Measurement> {
             rows.push((case, width));
         }
     }
-    let mut best: Vec<Option<(u64, f64)>> = vec![None; rows.len()];
-    for pass in 0..BATCH_PASSES {
-        let order: Vec<usize> = if pass % 2 == 0 {
-            (0..rows.len()).collect()
+    let best = best_of_passes(rows.len(), |row| {
+        let (case, width) = rows[row];
+        let model = &cases[case].1;
+        let (steps, secs) = if width == 0 {
+            time_for(measure_secs, scalar_stepper(model, warm))
         } else {
-            (0..rows.len()).rev().collect()
+            time_for(
+                measure_secs,
+                batch_stepper(model, width, dispatch, warm * width as u64),
+            )
         };
-        for row in order {
-            let (case, width) = rows[row];
-            let model = &cases[case].1;
-            let (steps, secs) = if width == 0 {
-                time_for(measure_secs, scalar_stepper(model, warm))
-            } else {
-                time_for(
-                    measure_secs,
-                    batch_stepper(model, width, dispatch, warm * width as u64),
-                )
-            };
-            let rate = steps as f64 / secs;
-            if best[row].map(|(_, r)| rate > r).unwrap_or(true) {
-                best[row] = Some((steps, rate));
-            }
-        }
-    }
+        (steps, steps as f64 / secs)
+    });
 
     rows.iter()
         .zip(best)
-        .map(|(&(case, width), best)| {
-            let (steps, steps_per_sec) = best.expect("every row measured");
-            Measurement {
-                model: cases[case].0,
-                engine: "ssa",
-                mode: if width == 0 { "scalar" } else { "batched" },
-                width: width.max(1),
-                steps,
-                steps_per_sec,
-            }
+        .map(|(&(case, width), (steps, steps_per_sec))| Measurement {
+            model: cases[case].0,
+            engine: "ssa",
+            mode: if width == 0 { "scalar" } else { "batched" },
+            width: width.max(1),
+            steps,
+            steps_per_sec,
         })
         .collect()
 }
+
+/// A per-instance stepper factory: one row of the exact matrix.
+type Stepper = Box<dyn Fn(u64) -> Box<dyn FnMut() -> bool>>;
 
 fn measure_all(quick: bool) -> Vec<Measurement> {
     let instances = if quick { 4 } else { 8 };
@@ -462,48 +474,41 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
             Arc::new(neurospora_compartments(NeurosporaParams::default())),
         ),
     ];
-    let mut out = Vec::new();
+    let engine_stepper = |m: &Arc<Model>, kind: EngineKind| -> Stepper {
+        let m = Arc::clone(m);
+        Box::new(move |i| {
+            let mut engine = kind.build(Arc::clone(&m), 1, i).expect("engine builds");
+            Box::new(move || !matches!(engine.step(), EngineStep::Exhausted))
+        })
+    };
+    // (model, engine, mode, segment divisor, stepper factory).
+    let mut rows: Vec<(&'static str, &'static str, &'static str, u64, Stepper)> = Vec::new();
     for (name, model) in &models {
         // Exact engines: incremental vs the naive replica.
         for (engine_name, kind) in [
             ("ssa", EngineKind::Ssa),
             ("first-reaction", EngineKind::FirstReaction),
         ] {
+            rows.push((
+                name,
+                engine_name,
+                "incremental",
+                1,
+                engine_stepper(model, kind),
+            ));
             let m = Arc::clone(model);
-            let (steps, rate) = time_steps(instances, WARMUP, SEGMENT, |i| {
-                let mut engine = kind
-                    .build(Arc::clone(&m), 1, i)
-                    .expect("exact engines build");
-                Box::new(move || !matches!(engine.step(), EngineStep::Exhausted))
-            });
-            out.push(Measurement {
-                model: name,
-                engine: engine_name,
-                mode: "incremental",
-                width: 1,
-                steps,
-                steps_per_sec: rate,
-            });
-            let m = Arc::clone(model);
-            let (steps, rate) = if engine_name == "ssa" {
-                time_steps(instances, WARMUP, SEGMENT, |i| {
+            let naive: Stepper = if engine_name == "ssa" {
+                Box::new(move |i| {
                     let mut naive = NaiveSsa::new(Arc::clone(&m), 1, i);
                     Box::new(move || naive.step())
                 })
             } else {
-                time_steps(instances, WARMUP, SEGMENT, |i| {
+                Box::new(move |i| {
                     let mut naive = NaiveFrm::new(Arc::clone(&m), 1, i);
                     Box::new(move || naive.step())
                 })
             };
-            out.push(Measurement {
-                model: name,
-                engine: engine_name,
-                mode: "full_reenum",
-                width: 1,
-                steps,
-                steps_per_sec: rate,
-            });
+            rows.push((name, engine_name, "full_reenum", 1, naive));
         }
         // The leaping kinds (flat models only), reported for the
         // engine × model matrix: fixed tau-leap is table-free; adaptive
@@ -522,32 +527,42 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
             ),
         ];
         for (engine_name, kind) in leaping {
-            if kind.build(Arc::clone(model), 1, 0).is_err() {
-                continue;
+            if kind.build(Arc::clone(model), 1, 0).is_ok() {
+                rows.push((
+                    name,
+                    engine_name,
+                    "incremental",
+                    10,
+                    engine_stepper(model, kind),
+                ));
             }
-            let m = Arc::clone(model);
-            let (steps, rate) = time_steps(instances, WARMUP / 10, SEGMENT / 10, |i| {
-                let mut engine = kind.build(Arc::clone(&m), 1, i).expect("checked above");
-                Box::new(move || !matches!(engine.step(), EngineStep::Exhausted))
-            });
-            out.push(Measurement {
-                model: name,
-                engine: engine_name,
-                mode: "incremental",
-                width: 1,
-                steps,
-                steps_per_sec: rate,
-            });
         }
     }
-    out
+    let best = best_of_passes(rows.len(), |r| {
+        let divisor = rows[r].3;
+        time_steps(instances, WARMUP / divisor, SEGMENT / divisor, &rows[r].4)
+    });
+    rows.iter()
+        .zip(best)
+        .map(
+            |(&(model, engine, mode, _, _), (steps, steps_per_sec))| Measurement {
+                model,
+                engine,
+                mode,
+                width: 1,
+                steps,
+                steps_per_sec,
+            },
+        )
+        .collect()
 }
 
-fn to_json(results: &[Measurement], quick: bool) -> String {
+fn to_json(results: &[Measurement], quick: bool, header: &bench::RunHeader) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"cwc-repro/step-throughput/v1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    s.push_str(&format!("  \"header\": {},\n", header.to_json()));
     s.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -747,6 +762,7 @@ fn main() {
     let dispatch: KernelDispatch = arg_value("--kernels")
         .map(|s| s.parse().expect("--kernels takes auto, scalar or simd"))
         .unwrap_or_default();
+    let mut header = bench::RunHeader::start(dispatch.resolve());
     let results = if batched_mode {
         bench::note(&format!(
             "kernel dispatch: {dispatch} (SIMD available: {})",
@@ -756,6 +772,8 @@ fn main() {
     } else {
         measure_all(quick)
     };
+    header.finish();
+    bench::note(&format!("run header: {}", header.to_json()));
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -774,7 +792,7 @@ fn main() {
         &["model", "engine", "mode", "width", "steps_per_sec"],
         &rows,
     );
-    let json = to_json(&results, quick);
+    let json = to_json(&results, quick, &header);
     if batched_mode {
         for ((model, engine, width), r) in batched_ratios(&json) {
             bench::note(&format!(

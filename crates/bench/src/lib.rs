@@ -143,6 +143,97 @@ pub fn note(text: &str) {
     }
 }
 
+/// What produced a bench file: the box, the build, the resolved kernels,
+/// and how fast the box was at the start and the end of the run — so two
+/// files from different sessions say whether they are comparable
+/// (ROADMAP item 1(e); the box's speed drifts between sessions).
+#[derive(Debug)]
+pub struct RunHeader {
+    /// CPU model name (`/proc/cpuinfo`), or `unknown`.
+    cpu: String,
+    /// Logical CPUs visible to the process.
+    logical_cpus: usize,
+    /// The kernel set the run resolved to (`avx2` or `scalar`).
+    kernel: String,
+    /// `git describe --always --dirty` of the working directory, or
+    /// `unknown`.
+    commit: String,
+    /// The fixed-work [`calibration_spin_ms`] timed before measuring.
+    calibration_start_ms: f64,
+    /// The same spin timed after measuring (see [`RunHeader::finish`]).
+    calibration_end_ms: f64,
+}
+
+impl RunHeader {
+    /// Captures the box, build and kernels and times the start spin.
+    pub fn start(kernel: gillespie::batch::kernels::Kernel) -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                    .map(|(_, name)| name.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        RunHeader {
+            cpu: cpu.replace(['"', '\\'], ""),
+            logical_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            kernel: format!("{kernel:?}").to_lowercase(),
+            commit,
+            calibration_start_ms: calibration_spin_ms(),
+            calibration_end_ms: f64::NAN,
+        }
+    }
+
+    /// Times the end spin.
+    pub fn finish(&mut self) {
+        self.calibration_end_ms = calibration_spin_ms();
+    }
+
+    /// The header as a JSON object (no field is named `model`, so the
+    /// BENCH readers that pick rows by that key skip it).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"cpu\": \"{}\", \"logical_cpus\": {}, \"kernel\": \"{}\", \"commit\": \"{}\", \
+             \"calibration_start_ms\": {:.2}, \"calibration_end_ms\": {:.2}}}",
+            self.cpu,
+            self.logical_cpus,
+            self.kernel,
+            self.commit,
+            self.calibration_start_ms,
+            self.calibration_end_ms
+        )
+    }
+}
+
+/// A fixed-work reference loop — 2²⁵ dependent xorshift + multiply-add
+/// steps, the best of three — timed in milliseconds. Its reading moves
+/// only with the box (clock, neighbours), never with this repository's
+/// code.
+pub fn calibration_spin_ms() -> f64 {
+    (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let (mut x, mut acc) = (0x9e37_79b9_7f4a_7c15u64, 0.0f64);
+            for _ in 0..1u32 << 25 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                acc = acc * 0.999_999 + (x >> 11) as f64;
+            }
+            std::hint::black_box(acc);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Formats a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")

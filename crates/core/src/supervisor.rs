@@ -490,6 +490,7 @@ mod tests {
     use crate::runner::{run_simulation, SimError};
     use biomodels::simple::decay;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Condvar, Mutex};
 
     fn cfg() -> SimConfig {
         SimConfig::new(9, 3.0)
@@ -512,7 +513,50 @@ mod tests {
         faults: Vec<(usize, u32)>,
         /// Forward this many cuts before crashing.
         cuts: u64,
+        /// With `Some(n)`, a crashing attempt holds its `Failed` feed until
+        /// `n` healthy launches have sent their end-of-stream report
+        /// (counted by a wrapper around their sinks) — which orders "the
+        /// healthy shards ended" before "the budget ran out" without a
+        /// sleep.
+        hold_until_ends: Option<usize>,
+        /// End-of-stream reports the healthy launches have sent.
+        ends: Arc<(Mutex<usize>, Condvar)>,
+        /// The sink wrappers' forwarding threads, joined by the test.
+        forwarders: Vec<thread::JoinHandle<()>>,
         inner: InProcessTransport,
+    }
+
+    impl CrashingTransport {
+        fn new(faults: Vec<(usize, u32)>, cuts: u64) -> Self {
+            CrashingTransport {
+                faults,
+                cuts,
+                hold_until_ends: None,
+                ends: Arc::default(),
+                forwarders: Vec::new(),
+                inner: InProcessTransport,
+            }
+        }
+    }
+
+    /// Forwards every feed from `rx` to `sink`, bumping `ends` once an
+    /// end-of-stream report has been handed over.
+    fn count_ends(
+        rx: mpsc::Receiver<ShardFeed>,
+        sink: mpsc::SyncSender<ShardFeed>,
+        ends: Arc<(Mutex<usize>, Condvar)>,
+    ) {
+        for feed in rx {
+            let is_end = matches!(feed, ShardFeed::Msg(ShardMsg::End(_)));
+            if sink.send(feed).is_err() {
+                return;
+            }
+            if is_end {
+                let (count, cv) = &*ends;
+                *count.lock().unwrap() += 1;
+                cv.notify_all();
+            }
+        }
     }
 
     impl ShardTransport for CrashingTransport {
@@ -527,13 +571,23 @@ mod tests {
         ) -> Result<ShardHandle, ShardError> {
             let shard = spec.range.shard;
             if !self.faults.contains(&(shard, spec.attempt)) {
+                if self.hold_until_ends.is_none() {
+                    return self
+                        .inner
+                        .launch_shard(model, deps, spec, steering, sink, activity);
+                }
+                let (tx, rx) = mpsc::sync_channel(0);
+                let ends = Arc::clone(&self.ends);
+                self.forwarders
+                    .push(thread::spawn(move || count_ends(rx, sink, ends)));
                 return self
                     .inner
-                    .launch_shard(model, deps, spec, steering, sink, activity);
+                    .launch_shard(model, deps, spec, steering, tx, activity);
             }
             activity.exempt_forever();
             let spec = spec.clone();
             let cuts = self.cuts;
+            let hold = self.hold_until_ends.map(|n| (n, Arc::clone(&self.ends)));
             let join = thread::spawn(move || {
                 let local = Steering::new();
                 let sent = AtomicU64::new(0);
@@ -547,6 +601,10 @@ mod tests {
                         }
                     }
                 });
+                if let Some((n, ends)) = hold {
+                    let (count, cv) = &*ends;
+                    let _ended = cv.wait_while(count.lock().unwrap(), |c| *c < n).unwrap();
+                }
                 let _ = sink.send(ShardFeed::Failed(ShardError::new(
                     shard,
                     ShardErrorKind::Crashed("injected fault".into()),
@@ -562,11 +620,7 @@ mod tests {
         let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
         for shards in [1usize, 2, 3] {
             for faulty in 0..shards {
-                let mut transport = CrashingTransport {
-                    faults: vec![(faulty, 0)],
-                    cuts: 3,
-                    inner: InProcessTransport,
-                };
+                let mut transport = CrashingTransport::new(vec![(faulty, 0)], 3);
                 let report = run_simulation_sharded_with(
                     Arc::clone(&model),
                     &cfg().shards(shards).retries(1),
@@ -585,11 +639,7 @@ mod tests {
         // Crash attempts 0 and 1 of shard 1; attempt 2 runs clean.
         let model = Arc::new(decay(40, 1.0));
         let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
-        let mut transport = CrashingTransport {
-            faults: vec![(1, 0), (1, 1)],
-            cuts: 2,
-            inner: InProcessTransport,
-        };
+        let mut transport = CrashingTransport::new(vec![(1, 0), (1, 1)], 2);
         let report = run_simulation_sharded_with(
             Arc::clone(&model),
             &cfg().shards(3).retries(2),
@@ -604,14 +654,19 @@ mod tests {
     #[test]
     fn budget_exhaustion_carries_attempt_history_and_partial_summary() {
         let model = Arc::new(decay(40, 1.0));
+        // Shard 1 crashes on every attempt. "Partial present iff ≥ 1 shard
+        // ended" is the contract, so the test orders the two healthy
+        // shards' end-of-stream reports before shard 1's failures: each
+        // crash waits until both are in their channels (capacity 64 holds
+        // a shard's 13 cuts and its report, so nothing blocks on the merge
+        // that is itself waiting on shard 1).
         let mut transport = CrashingTransport {
-            faults: (0..4).map(|a| (1usize, a)).collect(),
-            cuts: 1,
-            inner: InProcessTransport,
+            hold_until_ends: Some(2),
+            ..CrashingTransport::new((0..4).map(|a| (1usize, a)).collect(), 1)
         };
         let err = run_simulation_sharded_with(
             Arc::clone(&model),
-            &cfg().shards(3).retries(2),
+            &cfg().shards(3).retries(2).channel_capacity(64),
             &Steering::new(),
             &mut transport,
         )
@@ -631,6 +686,10 @@ mod tests {
         // partial statistics ride along for diagnosis.
         let partial = e.partial.as_deref().expect("partial summary attached");
         assert!(partial.cuts() > 0);
+        // Every healthy driver has ended, so every forwarder has too.
+        for forwarder in transport.forwarders.drain(..) {
+            forwarder.join().expect("sink forwarder panicked");
+        }
     }
 
     #[test]

@@ -171,10 +171,18 @@ impl Multiset {
 }
 
 /// Binomial coefficient C(n, k), saturating at `u64::MAX`.
+///
+/// `k = 1` and `k = 2` — nearly every reactant of a real model — skip the
+/// general loop's divisions: C(n, 1) is `n`, and C(n, 2) is the loop's own
+/// last step, `n(n-1)/2` saturating when `n(n-1)` overflows (pinned
+/// against the loop by this module's tests).
 #[inline]
 pub fn binomial(n: u64, k: u64) -> u64 {
-    if k > n {
-        return 0;
+    match k {
+        1 => return n,
+        2 if n >= 2 => return n.checked_mul(n - 1).map_or(u64::MAX, |v| v / 2),
+        _ if k > n => return 0,
+        _ => {}
     }
     let k = k.min(n - k);
     let mut result: u64 = 1;
@@ -293,6 +301,49 @@ mod tests {
     #[test]
     fn binomial_saturates_not_panics() {
         assert_eq!(binomial(u64::MAX, 2), u64::MAX);
+    }
+
+    /// The general loop of [`binomial`], without its fast paths.
+    fn binomial_loop(n: u64, k: u64) -> u64 {
+        if k > n {
+            return 0;
+        }
+        let k = k.min(n - k);
+        let mut result: u64 = 1;
+        for i in 0..k {
+            result = match result.checked_mul(n - i) {
+                Some(v) => v / (i + 1),
+                None => return u64::MAX,
+            };
+        }
+        result
+    }
+
+    #[test]
+    fn binomial_fast_paths_equal_the_general_loop_up_to_the_overflow_edge() {
+        // n(n-1) first overflows u64 at n = 2³² + 1.
+        let edge = (1u64 << 32) + 1;
+        let ns =
+            (0..10_000)
+                .chain(edge - 5..edge + 5)
+                .chain([u64::MAX / 2, u64::MAX - 1, u64::MAX]);
+        for n in ns {
+            for k in [1, 2] {
+                assert_eq!(binomial(n, k), binomial_loop(n, k), "C({n}, {k})");
+            }
+        }
+        assert_eq!(binomial(edge - 1, 2), (edge - 1) / 2 * (edge - 2));
+        assert_eq!(binomial(edge, 2), u64::MAX);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn binomial_fast_paths_equal_the_general_loop(n in 0u64..u64::MAX, shift in 0u32..64) {
+            let n = n >> shift;
+            for k in [1, 2] {
+                proptest::prop_assert_eq!(binomial(n, k), binomial_loop(n, k));
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,12 @@ impl Production {
 /// regulation, where gene-state micro-steps are abstracted into Hill
 /// kinetics). The species count `c` below is the count of the law's species
 /// in the **content atoms of the site** where the rule applies.
+///
+/// This is the model's (and the wire's) description of a law, and
+/// [`propensity_with`](RateLaw::propensity_with) is the *reference
+/// definition* of its arithmetic. The engines never evaluate it on a step
+/// path: they evaluate the [`CompiledLaw`] that [`compile`](RateLaw::compile)
+/// derives once per rule, which reproduces every result bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum RateLaw {
     /// `a = rate · h` — standard Gillespie mass action.
@@ -156,9 +162,9 @@ impl RateLaw {
         self.propensity_with(rate, h, |s| site_atoms.count(s))
     }
 
-    /// [`propensity`](RateLaw::propensity) over any count lookup — the one
-    /// place the law arithmetic lives, so a dense count vector and a
-    /// [`Multiset`] produce the same bits.
+    /// [`propensity`](RateLaw::propensity) over any count lookup — the
+    /// reference definition of the law arithmetic, which [`CompiledLaw`]
+    /// reproduces bit for bit (pinned by this module's tests).
     pub fn propensity_with(&self, rate: f64, h: u64, count: impl Fn(Species) -> u64) -> f64 {
         match self {
             RateLaw::MassAction => rate * h as f64,
@@ -189,6 +195,24 @@ impl RateLaw {
         matches!(self, RateLaw::MassAction)
     }
 
+    /// The step-path form of this law (see [`CompiledLaw`]).
+    pub fn compile(&self) -> CompiledLaw {
+        match *self {
+            RateLaw::MassAction => CompiledLaw::MassAction,
+            RateLaw::HillRepression { inhibitor, k, n } => CompiledLaw::HillRepression {
+                inhibitor,
+                kn: k.powf(n),
+                pow: HillPower::new(n),
+            },
+            RateLaw::HillActivation { activator, k, n } => CompiledLaw::HillActivation {
+                activator,
+                kn: k.powf(n),
+                pow: HillPower::new(n),
+            },
+            RateLaw::Saturating { substrate, km } => CompiledLaw::Saturating { substrate, km },
+        }
+    }
+
     fn validate(&self) -> bool {
         match self {
             RateLaw::MassAction => true,
@@ -196,6 +220,140 @@ impl RateLaw {
                 k.is_finite() && *k > 0.0 && n.is_finite() && *n > 0.0
             }
             RateLaw::Saturating { km, .. } => km.is_finite() && *km > 0.0,
+        }
+    }
+}
+
+/// A [`RateLaw`] compiled for the step path: what the engines evaluate,
+/// once per propensity refresh, in place of the reference
+/// [`RateLaw::propensity_with`].
+///
+/// Compilation moves everything that does not depend on the counts out of
+/// the refresh: a Hill law stores its threshold term `kⁿ` (computed by the
+/// same `k.powf(n)` the reference evaluates per call, so the same bits) and
+/// a [`HillPower`] that takes `cⁿ` without libm whenever that is exact.
+/// The arithmetic after that is the reference's, operation for operation —
+/// `rate · h · kⁿ / (kⁿ + cⁿ)` associates left to right in both — so every
+/// propensity keeps its bits. The compiled form is derived, never stored in
+/// a model or shipped: the engines compile it from [`Rule::law`] when they
+/// build their tables.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CompiledLaw {
+    /// `a = rate · h`.
+    MassAction,
+    /// `a = rate · h · kⁿ / (kⁿ + cⁿ)`.
+    HillRepression {
+        /// Repressing species.
+        inhibitor: Species,
+        /// `kⁿ`, precomputed.
+        kn: f64,
+        /// How `cⁿ` is taken.
+        pow: HillPower,
+    },
+    /// `a = rate · h · cⁿ / (kⁿ + cⁿ)`.
+    HillActivation {
+        /// Activating species.
+        activator: Species,
+        /// `kⁿ`, precomputed.
+        kn: f64,
+        /// How `cⁿ` is taken.
+        pow: HillPower,
+    },
+    /// `a = rate · c / (km + c)`, zero at `c = 0`.
+    Saturating {
+        /// Saturating substrate.
+        substrate: Species,
+        /// Michaelis constant, in molecules.
+        km: f64,
+    },
+}
+
+impl CompiledLaw {
+    /// The propensity from the rate constant, the match count `h` and a
+    /// count lookup: bit-for-bit [`RateLaw::propensity_with`] of the law
+    /// this was compiled from.
+    #[inline]
+    pub fn propensity_with(&self, rate: f64, h: u64, count: impl Fn(Species) -> u64) -> f64 {
+        match *self {
+            CompiledLaw::MassAction => rate * h as f64,
+            CompiledLaw::HillRepression { inhibitor, kn, pow } => {
+                rate * h as f64 * kn / (kn + pow.of(count(inhibitor)))
+            }
+            CompiledLaw::HillActivation { activator, kn, pow } => {
+                let cn = pow.of(count(activator));
+                rate * h as f64 * cn / (kn + cn)
+            }
+            CompiledLaw::Saturating { substrate, km } => {
+                let c = count(substrate) as f64;
+                if c == 0.0 {
+                    0.0
+                } else {
+                    rate * c / (km + c)
+                }
+            }
+        }
+    }
+}
+
+/// `cⁿ` for one Hill coefficient `n`, as the reference computes it —
+/// `(c as f64).powf(n)` — but without the libm call where the answer is
+/// known exactly.
+///
+/// **Exactness argument.** For an integral `n ∈ {1, 2, 3, 4}` and a count
+/// with `cⁿ < 2⁵³`, the integer power `cⁿ` is computed without overflow and
+/// converts to `f64` exactly (every integer below 2⁵³ is representable).
+/// `c as f64` is exact too, so the reference's `powf` is asked for a power
+/// whose true value is a representable double, and a `pow` with error below
+/// one ulp — glibc's is documented within 0.52 ulp — can only return that
+/// double. The two therefore agree bit for bit; `rule.rs`'s exhaustive test
+/// pins it against this platform's libm. Every other exponent, and every
+/// count at or past the guard, takes `powf` exactly as the reference does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HillPower {
+    /// The Hill coefficient.
+    n: f64,
+    /// `n` as an integer when the exact path applies to it (`1..=4`).
+    exact_n: u32,
+    /// The exact path covers counts `c < exact_below`, where `cⁿ < 2⁵³`;
+    /// zero when `n` has no exact path.
+    exact_below: u64,
+}
+
+/// For `n = 1..=4`, the smallest count `c` with `cⁿ ≥ 2⁵³` (pinned by a
+/// test): the first count the exact path must hand to `powf`.
+const EXACT_POWER_BELOW: [u64; 4] = [1 << 53, 94_906_266, 208_064, 9_742];
+
+impl HillPower {
+    /// The plan for coefficient `n`.
+    fn new(n: f64) -> Self {
+        let exact_n = if n.fract() == 0.0 && (1.0..=4.0).contains(&n) {
+            n as u32
+        } else {
+            0
+        };
+        HillPower {
+            n,
+            exact_n,
+            exact_below: match exact_n {
+                0 => 0,
+                n => EXACT_POWER_BELOW[n as usize - 1],
+            },
+        }
+    }
+
+    /// Counts below this take the exact integer path (`cⁿ < 2⁵³`); zero
+    /// when `n` has none.
+    pub fn exact_below(&self) -> u64 {
+        self.exact_below
+    }
+
+    /// `cⁿ`, bit-for-bit `(c as f64).powf(n)`.
+    #[inline]
+    fn of(&self, c: u64) -> f64 {
+        if c < self.exact_below {
+            c.pow(self.exact_n) as f64
+        } else {
+            (c as f64).powf(self.n)
         }
     }
 }
@@ -374,6 +532,97 @@ mod tests {
             r.validate(),
             Err(RuleError::DuplicateCompIndex { index: 0 })
         );
+    }
+
+    #[test]
+    fn exact_power_guards_are_the_first_counts_past_two_to_the_53() {
+        for (i, &below) in EXACT_POWER_BELOW.iter().enumerate() {
+            let n = i as u32 + 1;
+            assert!((below - 1).pow(n) < 1 << 53, "n = {n}");
+            assert!(
+                below.checked_pow(n).map_or(true, |p| p >= 1 << 53),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn integer_powers_equal_libm_pow_exhaustively() {
+        // Every count below 2¹³ for every exact exponent, and for n = 3, 4
+        // the whole guarded range up to and past the guard: the integer
+        // power is the bits libm's `pow` returns.
+        for n in 1..=4u32 {
+            let power = HillPower::new(f64::from(n));
+            assert_eq!(power.exact_below(), EXACT_POWER_BELOW[n as usize - 1]);
+            let end = (1u64 << 13).max(EXACT_POWER_BELOW[n as usize - 1].min(1 << 18) + 2);
+            for c in 0..end {
+                let want = (c as f64).powf(f64::from(n));
+                if c < EXACT_POWER_BELOW[n as usize - 1] {
+                    assert_eq!((c.pow(n) as f64).to_bits(), want.to_bits(), "{c}^{n}");
+                }
+                assert_eq!(power.of(c).to_bits(), want.to_bits(), "{c}^{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_small_integral_exponents_take_the_exact_path() {
+        for n in [1.0, 2.0, 3.0, 4.0] {
+            assert!(HillPower::new(n).exact_below() > 0, "{n}");
+        }
+        for n in [0.5, 1.5, 2.000_000_1, 5.0, 8.0, 0.0, f64::NAN] {
+            assert_eq!(HillPower::new(n).exact_below(), 0, "{n}");
+        }
+    }
+
+    /// Counts where the exact path matters: zero, both sides of every
+    /// guard, and far past it.
+    fn edge_counts() -> Vec<u64> {
+        let mut out = vec![0, 1, 2, 3, 99, 100, 101, u64::from(u32::MAX), u64::MAX];
+        for below in EXACT_POWER_BELOW {
+            out.extend([below - 2, below - 1, below, below + 1, below * 7]);
+        }
+        out
+    }
+
+    fn hill_exponents() -> [f64; 8] {
+        [1.0, 2.0, 3.0, 4.0, 0.5, 2.5, 4.000_000_1, 7.0]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn compiled_laws_reproduce_the_reference_bit_for_bit(
+            law_idx in 0usize..4,
+            n_idx in 0usize..8,
+            k in 0.01f64..5_000.0,
+            rate in 0.001f64..1_000.0,
+            h_idx in 0usize..4,
+            h_big in 1u64..u64::MAX,
+            c_idx in 0usize..40,
+            c_random in 0u64..20_000,
+        ) {
+            let n = hill_exponents()[n_idx];
+            let s = sp(3);
+            // Integral thresholds too (Neurospora's is 100 molecules).
+            let k = if h_big % 2 == 0 { k.round().max(1.0) } else { k };
+            let law = match law_idx {
+                0 => RateLaw::MassAction,
+                1 => RateLaw::HillRepression { inhibitor: s, k, n },
+                2 => RateLaw::HillActivation { activator: s, k, n },
+                _ => RateLaw::Saturating { substrate: s, km: k },
+            };
+            let compiled = law.compile();
+            let h = [0, 1, 2, h_big][h_idx];
+            let edges = edge_counts();
+            let c = edges.get(c_idx).copied().unwrap_or(c_random);
+            let count = |q: Species| if q == s { c } else { 0 };
+            let want = law.propensity_with(rate, h, count);
+            let got = compiled.propensity_with(rate, h, count);
+            proptest::prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{law:?} rate {rate} h {h} c {c}: compiled {got} vs reference {want}"
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@
 
 use std::ops::Range;
 
-use cwc::rule::RateLaw;
+use cwc::rule::CompiledLaw;
 use rand::{Rng, RngCore};
 
 use crate::flat::{exact_propensity, Rows};
@@ -234,7 +234,7 @@ impl SlotView<'_> {
         exact_propensity(
             &self.reactants[slot],
             self.rates[slot],
-            &RateLaw::MassAction,
+            &CompiledLaw::MassAction,
             |sp| {
                 let n = self.counts[sp * self.width + r];
                 debug_assert!(n >= 0, "flat SSA state went negative");
@@ -858,20 +858,10 @@ impl Iterator for SetBitsMinus<'_> {
 /// lower slots are untouched since the last refold.
 pub(crate) fn row_fold_from(kernel: Kernel, props: &[f64], prefix: &mut [f64], from: usize) -> f64 {
     debug_assert_eq!(props.len(), prefix.len());
-    let seed = if from == 0 { -0.0f64 } else { prefix[from - 1] };
     match kernel {
-        Kernel::Scalar => {
-            let mut acc = seed;
-            for j in from..props.len() {
-                let p = props[j];
-                if p > 0.0 {
-                    acc += p;
-                }
-                prefix[j] = acc;
-            }
-            acc
-        }
+        Kernel::Scalar => row_fold_scalar_from(props, prefix, from),
         Kernel::Avx2 => {
+            let seed = if from == 0 { -0.0f64 } else { prefix[from - 1] };
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Kernel::Avx2` is only constructed by
             // `KernelDispatch::resolve` after runtime AVX2 detection.
@@ -882,6 +872,21 @@ pub(crate) fn row_fold_from(kernel: Kernel, props: &[f64], prefix: &mut [f64], f
             unreachable!("AVX2 kernel resolved on a non-x86_64 target")
         }
     }
+}
+
+/// The scalar reference of [`row_fold_from`], inlinable: the exact tier's
+/// short rows run it directly (see `table::SHORT_ROW_SLOTS`).
+#[inline]
+pub(crate) fn row_fold_scalar_from(props: &[f64], prefix: &mut [f64], from: usize) -> f64 {
+    debug_assert_eq!(props.len(), prefix.len());
+    let mut acc = if from == 0 { -0.0f64 } else { prefix[from - 1] };
+    for (&p, slot) in props[from..].iter().zip(&mut prefix[from..]) {
+        if p > 0.0 {
+            acc += p;
+        }
+        *slot = acc;
+    }
+    acc
 }
 
 /// Like [`row_fold_from`], adding only the slots set in `mask` (the
@@ -990,6 +995,22 @@ fn row_search(prefix: &[f64], target: f64) -> usize {
         }
     }
     lo
+}
+
+/// Branch-free selection for short rows: the number of slots whose prefix
+/// has not crossed `target` — on a non-decreasing row that count *is*
+/// [`row_search`]'s crossing index (the argument of [`select_masked`]).
+/// This is the AVX2 kernel's counting scan in scalar form, minus its
+/// early exit; the exact tier's short rows run it inline (see
+/// `table::SHORT_ROW_SLOTS`), where it beats both the binary search's
+/// mispredicted branches and the kernel call.
+#[inline]
+pub(crate) fn row_count_uncrossed(prefix: &[f64], target: f64) -> usize {
+    // `!(p > target)`, not `p <= target`: a NaN target crosses nowhere,
+    // exactly as in the search (the unordered-quiet `_CMP_NGT_UQ` of the
+    // AVX2 kernel).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    prefix.iter().map(|&p| usize::from(!(p > target))).sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -2406,6 +2427,10 @@ mod tests {
                     "{kernel:?} select at target {target}"
                 );
             }
+            prop_assert!(
+                row_count_uncrossed(&prefix, target) == want,
+                "branch-free count at target {target}"
+            );
         }
 
         #[test]
@@ -2447,12 +2472,25 @@ mod tests {
             let props: Vec<f64> = (0..n).map(|j| (j % 3) as f64).collect();
             let (prefix, total) = ref_fold(&props, |_| true);
             for kernel in kernels_under_test() {
-                for target in [-0.0, 0.0, total * 0.4999, total - 1e-9, total, total + 1.0] {
+                for target in [
+                    -0.0,
+                    0.0,
+                    total * 0.4999,
+                    total - 1e-9,
+                    total,
+                    total + 1.0,
+                    f64::NAN,
+                ] {
                     let want = prefix.iter().position(|&p| p > target).unwrap_or(n);
                     assert_eq!(
                         row_select(kernel, &prefix, target),
                         want,
                         "kernel {kernel:?} len {n} target {target}"
+                    );
+                    assert_eq!(
+                        row_count_uncrossed(&prefix, target),
+                        want,
+                        "count {n} {target}"
                     );
                 }
             }

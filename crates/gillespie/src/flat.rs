@@ -12,9 +12,11 @@
 //!   (and through it the first-reaction and hybrid engines) and the
 //!   batched engine of [`crate::batch`] — reads the *slot* tables
 //!   (`SlotTables`: the rules with a non-zero rate, in rule order, with
-//!   their reactants, net stoichiometry, kinetic laws and the
-//!   slot-to-slot affected lists of the dependency graph), the one
-//!   propensity formula `exact_propensity` and the observable plan;
+//!   their reactants, net stoichiometry, kinetic laws — compiled once
+//!   here into [`CompiledLaw`]s, so a refresh never recomputes `kⁿ` and
+//!   takes integral Hill powers without libm — and the slot-to-slot
+//!   affected lists of the dependency graph), the one propensity formula
+//!   `exact_propensity` and the observable plan;
 //! - the **leaping tier** — fixed-step tau-leaping ([`crate::tau_leap`]),
 //!   adaptive tau-leaping ([`crate::adaptive`]) and the leap phase of the
 //!   hybrid engine ([`crate::hybrid`]) — reads the rule-indexed
@@ -33,7 +35,7 @@ use std::sync::Arc;
 
 use cwc::model::{Model, Observable, ObservableSite};
 use cwc::multiset::binomial;
-use cwc::rule::{RateLaw, Rule};
+use cwc::rule::{CompiledLaw, RateLaw, Rule};
 use cwc::species::{Label, Species};
 use cwc::term::Term;
 use rand::Rng;
@@ -175,9 +177,10 @@ pub(crate) struct SlotTables {
     pub delta: Rows<(usize, i64)>,
     /// Per-slot rate constants.
     pub rates: Vec<f64>,
-    /// Per-slot kinetic laws; their species are dense indices already
-    /// ([`Species::raw`] *is* the index space).
-    pub laws: Vec<RateLaw>,
+    /// Per-slot kinetic laws, compiled once here ([`RateLaw::compile`]);
+    /// their species are dense indices already ([`Species::raw`] *is* the
+    /// index space).
+    pub laws: Vec<CompiledLaw>,
     /// Per-slot vectorization plans of the batched kernels.
     pub plans: Vec<SlotPlan>,
     /// Slot → slots whose propensity a firing of it can move: the
@@ -279,16 +282,17 @@ fn species_space(model: &Model) -> usize {
 /// The exact tier's propensity of one slot — the tree matcher's `h`
 /// replayed on dense counts: the exact `u64` product of per-reactant
 /// binomial selection counts (saturating, zero as soon as a reactant is
-/// short), handed to the rule's kinetic law with a single float cast, then
-/// the positive clamp. The definition the dense core, the batched scalar
-/// kernels and (under their exactness guards) the AVX2 kernels all
-/// reproduce bit-for-bit; `count` looks a species index up in whatever
-/// layout the caller keeps.
+/// short), handed to the rule's compiled kinetic law ([`CompiledLaw`], the
+/// reference [`RateLaw::propensity_with`]'s bits) with a single float
+/// cast, then the positive clamp. The definition the dense core, the
+/// batched scalar kernels and (under their exactness guards) the AVX2
+/// kernels all reproduce bit-for-bit; `count` looks a species index up in
+/// whatever layout the caller keeps.
 #[inline]
 pub(crate) fn exact_propensity(
     reactants: &[(usize, u64)],
     rate: f64,
-    law: &RateLaw,
+    law: &CompiledLaw,
     count: impl Fn(usize) -> u64,
 ) -> f64 {
     let mut h: u64 = 1;
@@ -396,7 +400,7 @@ impl FlatModel {
         let slots = SlotTables {
             delta: Rows::from_rows(slot_rules().map(|r| delta[r].iter().copied())),
             rates: slot_rules().map(|r| rates[r]).collect(),
-            laws: slot_rules().map(|r| model.rules[r].law.clone()).collect(),
+            laws: slot_rules().map(|r| model.rules[r].law.compile()).collect(),
             plans: (0..slot_rule.len())
                 .map(|j| SlotPlan::of(&slot_reactants[j]))
                 .collect(),
@@ -509,7 +513,7 @@ impl FlatModel {
             && (self.rates.iter().zip(&model.rules))
                 .all(|(r, rule)| r.to_bits() == rule.rate.to_bits())
             && (self.slots.rule.iter().zip(&self.slots.laws))
-                .all(|(&r, law)| *law == model.rules[r as usize].law)
+                .all(|(&r, law)| *law == model.rules[r as usize].law.compile())
     }
 
     /// Flat compilations this thread has performed — the test hook

@@ -37,26 +37,53 @@
 //!   identity**, disabled slots skipped. After an update it is refolded
 //!   from the lowest changed slot by `kernels::row_fold_from` (reseeded
 //!   from the stored `prefix[from - 1]` bits; scalar and AVX2 variants
-//!   bit-identical). The fold is never re-associated, blocked or
+//!   bit-identical) — or, on rows shorter than `SHORT_ROW_SLOTS`, by its
+//!   scalar reference inline. The fold is never re-associated, blocked or
 //!   tree-summed: `a0` must be the in-order sum, bit for bit;
 //! - `total` reads the last prefix element — exactly the naive `a0` fold —
 //!   in O(1), so the waiting-time divisor is bit-identical;
 //! - `select` finds the first slot whose prefix exceeds the target with
-//!   `kernels::row_select`, then applies the scan's two backstops: the
+//!   `kernels::row_select` (short rows: the same index as an inline
+//!   branch-free count), then applies the scan's two backstops: the
 //!   first enabled slot at or after the crossing (only moves for a
 //!   negative target) and the last enabled slot on floating-point
 //!   shortfall — every selection is the slot the scan would have chosen.
 //!
 //! Sites are addressed by dense [`SiteId`]s from the embedded
-//! [`SiteRegistry`] — the hot loop never clones a `Path`.
+//! [`SiteRegistry`] — the hot loop never clones a `Path`. Kinetic laws are
+//! compiled once per table build ([`cwc::rule::CompiledLaw`]): a re-match
+//! evaluates the compiled law, never the reference `RateLaw`.
 
 use cwc::matching::{match_count_with, MatchScratch};
 use cwc::model::Model;
+use cwc::rule::CompiledLaw;
 use cwc::species::Label;
 use cwc::term::{SiteId, SiteRegistry, Term};
 
 use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
+
+/// Rows shorter than this many slots fold with the inline scalar reference
+/// (`kernels::row_fold_scalar_from`) and select with the inline branch-free
+/// count (`kernels::row_count_uncrossed`) instead of calling through the
+/// resolved kernel set. Bit-identical either way — the kernels' proptests
+/// pin both against them — so the crossover only moves speed.
+///
+/// *Derivation.* Engine-only SSA steps/s on `conversion_cycle(n)` (best of
+/// five passes, four alternated pairs, AVX2 box), inline vs kernel on every
+/// row: ahead 3–4 of 4 pairs at n = 4…24 (+2 … +7 %), level at n = 32
+/// (1.00), behind from n = 48 (−8 %, −15 % at 64, −41 % at 300). The
+/// `step_throughput` models sit well inside: `lotka_volterra` 3 slots,
+/// `schlogl` 4, `neurospora_flat` 6, `neurospora_compartments` 7; its
+/// `wide_flat_cycle` (300) stays on the kernels. (The one short row that
+/// read behind in the sweep was `lotka_volterra`'s 3 slots, −11 %, ahead
+/// in 1 of 4 pairs; the whole change reads 1.04–1.13× there in three of
+/// four alternated full `step_throughput` pairs.) The scalar *binary search*
+/// (`kernels::row_search`) is not the short-row select: in an isolated
+/// fold+select loop it lost to the kernel call at every length from 4 on
+/// (29 vs 20 ns at 4 slots, 36 vs 31 at 6, 50 vs 39 at 16), to
+/// mispredicted branches, where the count read 19, 23 and 27 ns.
+pub(crate) const SHORT_ROW_SLOTS: usize = 32;
 
 /// One SoA row of propensities with its ordered prefix fold — the
 /// direct-method state both exact cores step on (see the module docs for
@@ -117,7 +144,11 @@ impl PropensityRow {
     #[inline]
     pub fn refold_from(&mut self, from: usize) {
         self.prefix.resize(self.props.len(), 0.0);
-        kernels::row_fold_from(self.kernel, &self.props, &mut self.prefix, from);
+        if self.props.len() < SHORT_ROW_SLOTS {
+            kernels::row_fold_scalar_from(&self.props, &mut self.prefix, from);
+        } else {
+            kernels::row_fold_from(self.kernel, &self.props, &mut self.prefix, from);
+        }
     }
 
     /// Total propensity `a0`: the enabled slots summed in row order from
@@ -148,7 +179,11 @@ impl PropensityRow {
     /// Panics when no slot is enabled (callers check `a0 > 0` first).
     #[inline]
     pub fn select(&self, target: f64) -> usize {
-        let crossing = kernels::row_select(self.kernel, &self.prefix, target);
+        let crossing = if self.prefix.len() < SHORT_ROW_SLOTS {
+            kernels::row_count_uncrossed(&self.prefix, target)
+        } else {
+            kernels::row_select(self.kernel, &self.prefix, target)
+        };
         // The crossing slot is enabled whenever `target >= 0` (a disabled
         // slot repeats the previous prefix value, so it cannot be the
         // *first* crossing); the forward scan only moves for negative
@@ -192,6 +227,8 @@ pub struct ReactionTable {
     /// Rule → its position among the non-zero-rate rules of its own site
     /// label: the slot of `(site, rule)` is `site_start[site] + rank[rule]`.
     rank: Vec<u32>,
+    /// Rule → its kinetic law, compiled with the table.
+    laws: Vec<CompiledLaw>,
     /// Slot → propensity, with the ordered prefix fold.
     row: PropensityRow,
 }
@@ -203,6 +240,9 @@ impl ReactionTable {
     /// it automatically for structural rules.
     pub fn build(&mut self, model: &Model, term: &Term, scratch: &mut MatchScratch) {
         self.registry.rebuild(term);
+        self.laws.clear();
+        self.laws
+            .extend(model.rules.iter().map(|rule| rule.law.compile()));
         self.rank.clear();
         let mut hosted: Vec<(Label, u32)> = Vec::new();
         for rule in &model.rules {
@@ -235,7 +275,8 @@ impl ReactionTable {
                 }
                 self.slot_site.push(id);
                 self.slot_rule.push(ri as u32);
-                self.row.push(propensity_of(model, ri, site_term, scratch));
+                self.row
+                    .push(propensity_of(model, &self.laws, ri, site_term, scratch));
             }
         }
         self.site_start.push(self.row.len() as u32);
@@ -313,8 +354,8 @@ impl ReactionTable {
         let i = (self.site_start[site.index()] + self.rank[rule as usize]) as usize;
         debug_assert!(self.slot_site[i] == site && self.slot_rule[i] == rule);
         let site_term = term.site(self.registry.path(site)).expect("registry path");
-        self.row
-            .set(i, propensity_of(model, rule as usize, site_term, scratch));
+        let p = propensity_of(model, &self.laws, rule as usize, site_term, scratch);
+        self.row.set(i, p);
         i
     }
 
@@ -334,15 +375,22 @@ impl ReactionTable {
     }
 }
 
-/// Propensity of `rule` at `site_term`: `law(rate, h, atoms)` when the
-/// tree-match count `h` is positive, else exactly `0.0`.
-fn propensity_of(model: &Model, rule: usize, site_term: &Term, scratch: &mut MatchScratch) -> f64 {
-    let rule = &model.rules[rule];
+/// Propensity of rule `ri` at `site_term`: its compiled law (`laws[ri]`)
+/// at `(rate, h, atoms)` when the tree-match count `h` is positive, else
+/// exactly `0.0`.
+fn propensity_of(
+    model: &Model,
+    laws: &[CompiledLaw],
+    ri: usize,
+    site_term: &Term,
+    scratch: &mut MatchScratch,
+) -> f64 {
+    let rule = &model.rules[ri];
     let h = match_count_with(site_term, &rule.lhs, scratch);
     if h == 0 {
         return 0.0;
     }
-    let p = rule.law.propensity(rule.rate, h, &site_term.atoms);
+    let p = laws[ri].propensity_with(rule.rate, h, |s| site_term.atoms.count(s));
     if p > 0.0 {
         p
     } else {
@@ -519,22 +567,86 @@ mod tests {
     }
 
     /// The linear scan `select`/`total` replaced, verbatim.
+    fn scan_row(row: &PropensityRow, target: f64) -> usize {
+        let mut acc = -0.0;
+        let mut last_active = None;
+        for (i, &p) in row.props.iter().enumerate() {
+            if p <= 0.0 {
+                continue;
+            }
+            last_active = Some(i);
+            acc += p;
+            if target < acc {
+                return i;
+            }
+        }
+        last_active.expect("select called with no enabled reaction")
+    }
+
+    /// [`scan_row`] over a table's row.
     fn scan_select(table: &ReactionTable) -> impl Fn(f64) -> usize + '_ {
-        |target| {
-            let mut acc = -0.0;
-            let mut last_active = None;
-            for i in 0..table.row().len() {
-                let p = table.row().props[i];
-                if p <= 0.0 {
-                    continue;
+        |target| scan_row(table.row(), target)
+    }
+
+    #[test]
+    fn short_rows_fold_and_select_like_the_kernels_at_every_length() {
+        // Lengths 1..=40 straddle SHORT_ROW_SLOTS; under both dispatches
+        // the row's prefix (full and partial refolds) and crossing index
+        // must be the kernels' bits and index, and its selection the scan's.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
+            let kernel = dispatch.resolve();
+            for len in 1..=40usize {
+                let mut row = PropensityRow {
+                    kernel,
+                    ..PropensityRow::default()
+                };
+                for j in 0..len {
+                    // About a third of the slots disabled.
+                    row.push(if next() % 3 == 0 {
+                        0.0
+                    } else {
+                        (j + 1) as f64 * 0.37
+                    });
                 }
-                last_active = Some(i);
-                acc += p;
-                if target < acc {
-                    return i;
+                row.refold_from(0);
+                for round in 0..24 {
+                    let i = (next() % len as u64) as usize;
+                    let p = if round % 4 == 0 {
+                        0.0
+                    } else {
+                        (next() % 1_000) as f64 * 0.013
+                    };
+                    row.set(i, p);
+                    let mut want = row.prefix.clone();
+                    kernels::row_fold_from(kernel, &row.props, &mut want, i);
+                    row.refold_from(i);
+                    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&row.prefix),
+                        bits(&want),
+                        "{dispatch} len {len} from {i}"
+                    );
+                    let total = row.total();
+                    for k in 0..=8 {
+                        let target = total * k as f64 / 8.0;
+                        assert_eq!(
+                            kernels::row_count_uncrossed(&row.prefix, target),
+                            kernels::row_select(kernel, &row.prefix, target),
+                            "{dispatch} len {len} target {target}"
+                        );
+                        if row.active_count() > 0 {
+                            assert_eq!(row.select(target), scan_row(&row, target));
+                        }
+                    }
                 }
             }
-            last_active.expect("select called with no enabled reaction")
         }
     }
 

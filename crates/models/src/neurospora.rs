@@ -299,6 +299,29 @@ mod tests {
     }
 
     #[test]
+    fn compiled_repression_takes_the_exact_power_path_over_the_whole_orbit() {
+        // The guard against a silent fallback to libm `pow`: n = 4 compiles
+        // to the exact integer power, and nuclear FRQ never leaves its
+        // guarded range on a long trajectory.
+        let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
+        let cwc::rule::CompiledLaw::HillRepression { pow, kn, .. } = model.rules[0].law.compile()
+        else {
+            panic!("transcription is Hill-repressed");
+        };
+        assert_eq!(kn, 1e8, "kⁿ = (KI·Ω)⁴ precomputed");
+        assert!(pow.exact_below() > 0, "n = 4 must take the exact path");
+        let mut engine = EngineKind::Ssa.build(model, 11, 0).unwrap();
+        let mut clock = SampleClock::new(0.0, 0.5);
+        let mut peak = 0;
+        engine.run_sampled(240.0, &mut clock, |_, v| peak = peak.max(v[2]));
+        assert!(peak > 100, "FRQ_n peak {peak} too small to mean anything");
+        assert!(
+            peak < pow.exact_below() / 4,
+            "FRQ_n peak {peak} near the guard"
+        );
+    }
+
+    #[test]
     fn mrna_amplitude_is_macroscopic() {
         let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
         let mut engine = EngineKind::Ssa.build(model, 7, 1).unwrap();

@@ -45,16 +45,27 @@ pub fn kmeans1d(points: &[f64], k: usize, max_iterations: usize) -> Option<Clust
     if k == 0 || points.len() < k {
         return None;
     }
-    // Quantile-based initialisation: centroids at the (2i+1)/2k quantiles.
-    let mut sorted = points.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("points are not NaN"));
-    let mut centroids: Vec<f64> = (0..k)
-        .map(|i| {
-            let q = (2 * i + 1) as f64 / (2 * k) as f64;
-            let idx = ((sorted.len() as f64 * q) as usize).min(sorted.len() - 1);
-            sorted[idx]
-        })
-        .collect();
+    // Quantile-based initialisation: centroids at the (2i+1)/2k order
+    // statistics. They are selected in place rather than read off a full
+    // sort — the same values, so the same clustering bit for bit: the
+    // indices ascend, and after each selection everything left of it is
+    // no larger than everything right of it, so the next order statistic
+    // is a selection in the right-hand part alone.
+    let mut order_stats = points.to_vec();
+    let n = order_stats.len();
+    let mut selected_below = 0;
+    let mut centroids: Vec<f64> = Vec::with_capacity(k);
+    for i in 0..k {
+        let q = (2 * i + 1) as f64 / (2 * k) as f64;
+        let idx = ((n as f64 * q) as usize).min(n - 1);
+        if idx >= selected_below {
+            order_stats[selected_below..].select_nth_unstable_by(idx - selected_below, |a, b| {
+                a.partial_cmp(b).expect("points are not NaN")
+            });
+            selected_below = idx + 1;
+        }
+        centroids.push(order_stats[idx]);
+    }
     centroids.dedup();
     while centroids.len() < k {
         // Degenerate data (many ties): pad with slight offsets to keep k
@@ -64,6 +75,8 @@ pub fn kmeans1d(points: &[f64], k: usize, max_iterations: usize) -> Option<Clust
     }
 
     let mut assignment = vec![0usize; points.len()];
+    let mut sums = vec![0.0f64; k];
+    let mut counts = vec![0usize; k];
     let mut iterations = 0;
     for _ in 0..max_iterations {
         iterations += 1;
@@ -77,8 +90,8 @@ pub fn kmeans1d(points: &[f64], k: usize, max_iterations: usize) -> Option<Clust
             }
         }
         // Update step.
-        let mut sums = vec![0.0f64; k];
-        let mut counts = vec![0usize; k];
+        sums.fill(0.0);
+        counts.fill(0);
         for (i, &p) in points.iter().enumerate() {
             sums[assignment[i]] += p;
             counts[assignment[i]] += 1;
@@ -196,6 +209,114 @@ mod tests {
         let pts = [10.0, 1.0, 5.0, 10.2, 0.9, 5.1];
         let c = kmeans1d(&pts, 3, 100).unwrap();
         assert!(c.centroids.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// `kmeans1d` as it was before the order-statistic selection and the
+    /// hoisted accumulators, verbatim: the reference the proptest pins.
+    fn kmeans1d_sorted(points: &[f64], k: usize, max_iterations: usize) -> Option<Clustering> {
+        if k == 0 || points.len() < k {
+            return None;
+        }
+        let mut sorted = points.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("points are not NaN"));
+        let mut centroids: Vec<f64> = (0..k)
+            .map(|i| {
+                let q = (2 * i + 1) as f64 / (2 * k) as f64;
+                let idx = ((sorted.len() as f64 * q) as usize).min(sorted.len() - 1);
+                sorted[idx]
+            })
+            .collect();
+        centroids.dedup();
+        while centroids.len() < k {
+            let last = *centroids.last().expect("non-empty");
+            centroids.push(last + 1.0 + centroids.len() as f64);
+        }
+        let mut assignment = vec![0usize; points.len()];
+        let mut iterations = 0;
+        for _ in 0..max_iterations {
+            iterations += 1;
+            let mut changed = false;
+            for (i, &p) in points.iter().enumerate() {
+                let nearest = nearest_centroid(&centroids, p);
+                if assignment[i] != nearest {
+                    assignment[i] = nearest;
+                    changed = true;
+                }
+            }
+            let mut sums = vec![0.0f64; k];
+            let mut counts = vec![0usize; k];
+            for (i, &p) in points.iter().enumerate() {
+                sums[assignment[i]] += p;
+                counts[assignment[i]] += 1;
+            }
+            for c in 0..k {
+                if counts[c] > 0 {
+                    centroids[c] = sums[c] / counts[c] as f64;
+                }
+            }
+            if !changed && iterations > 1 {
+                break;
+            }
+        }
+        let mut order: Vec<usize> = (0..k).collect();
+        order.sort_by(|&a, &b| centroids[a].partial_cmp(&centroids[b]).expect("not NaN"));
+        let mut remap = vec![0usize; k];
+        for (new_idx, &old_idx) in order.iter().enumerate() {
+            remap[old_idx] = new_idx;
+        }
+        let centroids: Vec<f64> = order.iter().map(|&i| centroids[i]).collect();
+        let assignment: Vec<usize> = assignment.into_iter().map(|a| remap[a]).collect();
+        let mut sizes = vec![0usize; k];
+        let mut inertia = 0.0;
+        for (i, &p) in points.iter().enumerate() {
+            sizes[assignment[i]] += 1;
+            inertia += (p - centroids[assignment[i]]).powi(2);
+        }
+        Some(Clustering {
+            centroids,
+            assignment,
+            sizes,
+            inertia,
+            iterations,
+        })
+    }
+
+    /// Every float of a clustering as raw bits, for bit-for-bit equality.
+    fn bits(c: &Clustering) -> (Vec<u64>, u64) {
+        (
+            c.centroids.iter().map(|v| v.to_bits()).collect(),
+            c.inertia.to_bits(),
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn order_statistic_init_clusters_like_the_sorted_reference(
+            pool in proptest::collection::vec(0u32..12, 1..160),
+            spread in proptest::collection::vec(-50.0f64..50.0, 160),
+            mix in 0u32..3,
+            k in 1usize..5,
+        ) {
+            // Ties and duplicates from a small integer pool, continuous
+            // values, or a blend of both (never a signed zero).
+            let points: Vec<f64> = pool
+                .iter()
+                .zip(&spread)
+                .enumerate()
+                .map(|(i, (&v, &x))| match mix {
+                    0 => f64::from(v) * 0.75 - 3.0,
+                    1 => x,
+                    _ if i % 2 == 0 => f64::from(v),
+                    _ => x,
+                })
+                .collect();
+            let got = kmeans1d(&points, k, 100);
+            let want = kmeans1d_sorted(&points, k, 100);
+            proptest::prop_assert_eq!(&got, &want);
+            if let (Some(got), Some(want)) = (&got, &want) {
+                proptest::prop_assert_eq!(bits(got), bits(want));
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 #
 #   bash scripts/bench_tables.sh [repo-root]
 #
-# Prints two markdown tables — the batched tier (BENCH_batched.json) and
-# the two wide adaptive cases (BENCH_adaptive_tau.json). After
+# Prints three markdown tables — the exact tier's step throughput
+# (BENCH_ssa_step.json), the batched tier (BENCH_batched.json) and the two
+# wide adaptive cases (BENCH_adaptive_tau.json). After
 # regenerating a BENCH file, paste the matching table over the one in
 # README.md.
 set -euo pipefail
@@ -17,6 +18,39 @@ rows() {
     grep '"model"' "$1" | sed -e 's/[{}"]//g' -e 's/: /=/g' -e 's/, /;/g' -e 's/,$//' -e 's/^ *//'
 }
 
+# The run header of a BENCH file, when it has one, as one sentence.
+header() {
+    grep '"header"' "$1" | sed -e 's/.*"header": {//' -e 's/},*$//' -e 's/"//g' | awk -F', ' '
+        {
+            for (i = 1; i <= NF; i++) { split($i, kv, ": "); f[kv[1]] = kv[2] }
+            printf "Run header: %s (%s logical CPUs), %s kernels, commit `%s`, calibration spin %s ms at start / %s ms at end.\n",
+                f["cpu"], f["logical_cpus"], f["kernel"], f["commit"],
+                f["calibration_start_ms"], f["calibration_end_ms"]
+        }'
+}
+
+echo "<!-- BENCH_ssa_step.json -->"
+echo "| model | engine | incremental (steps/s) | full re-enumeration | ratio |"
+echo "|---|---|---|---|---|"
+rows BENCH_ssa_step.json | awk -F';' '
+    {
+        delete f
+        for (i = 1; i <= NF; i++) { split($i, kv, "="); f[kv[1]] = kv[2] }
+        key = f["model"] SUBSEP f["engine"]
+        rate[key, f["mode"]] = f["steps_per_sec"]
+        if (f["mode"] == "full_reenum") { order[++n] = key }
+    }
+    END {
+        for (k = 1; k <= n; k++) {
+            split(order[k], me, SUBSEP)
+            i = rate[order[k], "incremental"]; r = rate[order[k], "full_reenum"]
+            printf "| `%s` | %s | %.1fM | %.1fM | %.2fx |\n", me[1], me[2], i / 1e6, r / 1e6, i / r
+        }
+    }'
+echo
+header BENCH_ssa_step.json
+
+echo
 echo "<!-- BENCH_batched.json -->"
 echo "| model | scalar (fires/s) | batch w8 | w32 | w64 | w8 / w32 / w64 ratio |"
 echo "|---|---|---|---|---|---|"
