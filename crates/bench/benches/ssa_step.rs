@@ -29,11 +29,7 @@ fn bench_ssa(c: &mut Criterion) {
     let lv = Arc::new(biomodels::lotka_volterra(
         biomodels::LotkaVolterraParams::default(),
     ));
-    for kind in [
-        EngineKind::Ssa,
-        EngineKind::FirstReaction,
-        EngineKind::TauLeap { tau: 0.001 },
-    ] {
+    for kind in [EngineKind::Ssa, EngineKind::TauLeap { tau: 0.001 }] {
         g.bench_function(format!("lotka_volterra_{}_step", kind.name()), |b| {
             let mut engine = kind.build(Arc::clone(&lv), 1, 0).unwrap();
             b.iter(|| match engine.step() {

@@ -1,12 +1,13 @@
 //! Ablation (beyond the paper): sweep the stochastic integrator under the
-//! unchanged parallel harness — the two exact engines, fixed-step
-//! tau-leaping, adaptive (CGP) tau-leaping and the hybrid SSA/tau engine. StochKit-FF ships tau-leaping as a
-//! first-class alternative to the exact SSA; the multicore-aware-simulators
-//! report argues the simulation kernel must be swappable under the same
-//! farm. This harness runs the *same* pipeline (farm → alignment → windows
-//! → statistics) with each `EngineKind` on the Schlögl and Lotka–Volterra
-//! models and reports wall time, event counts and the accuracy of the
-//! approximate integrator against the exact ones.
+//! unchanged parallel harness — the exact direct method, fixed-step
+//! tau-leaping, adaptive (CGP) tau-leaping and the hybrid SSA/tau engine.
+//! StochKit-FF ships tau-leaping as a first-class alternative to the exact
+//! SSA; the multicore-aware-simulators report argues the simulation kernel
+//! must be swappable under the same farm. This harness runs the *same*
+//! pipeline (farm → alignment → windows → statistics) with each
+//! `EngineKind` on the Schlögl and Lotka–Volterra models and reports wall
+//! time, event counts and the accuracy of the approximate integrators
+//! against the exact one.
 //!
 //! Run: `cargo run -p bench --release --bin ablation_engine_sweep`
 //! (`--quick` shrinks the ensembles, `--csv` emits the CI baseline format)
@@ -21,7 +22,6 @@ use cwcsim::{run_simulation, EngineKind, SimConfig};
 fn sweep(name: &str, model: Arc<Model>, cfg: &SimConfig, tau: f64) {
     let kinds = [
         EngineKind::Ssa,
-        EngineKind::FirstReaction,
         EngineKind::TauLeap { tau },
         EngineKind::AdaptiveTau { epsilon: 0.03 },
         EngineKind::Hybrid {
@@ -101,8 +101,7 @@ fn main() {
     );
 
     bench::note(
-        "\nreading: the exact engines agree in distribution (drift within\n\
-         Monte Carlo noise); the leaping engines trade a bounded mean drift\n\
+        "\nreading: the leaping engines trade a bounded mean drift\n\
          for firing many reactions per Poisson draw; adaptive-tau sizes its\n\
          leaps from the state (epsilon), the hybrid falls back to the exact\n\
          table whenever leaps stop paying. BENCH_adaptive_tau.json records\n\

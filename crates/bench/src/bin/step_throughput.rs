@@ -22,9 +22,11 @@
 //! - `--check F`  after measuring, compare the incremental/full speedup
 //!   ratio per configuration against the committed baseline `F` and exit
 //!   non-zero on a >25 % regression (ratios, not absolute steps/sec, so
-//!   the gate is hardware-independent). Only configurations whose
-//!   committed speedup is ≥ [`GATE_MIN_RATIO`] are gated; near-1.0 ratios
-//!   are noise-dominated and reported informationally;
+//!   the gate is hardware-independent), on a committed configuration
+//!   missing from the run, or on a measured one with no committed row.
+//!   Only configurations whose committed speedup is ≥ [`GATE_MIN_RATIO`]
+//!   are gated; near-1.0 ratios are noise-dominated and reported
+//!   informationally;
 //! - `--batched`  measure the batched SoA tier instead: aggregate
 //!   firings/sec of whole [`BatchedSsaEngine`] batches (every width in
 //!   [`BATCH_WIDTHS`]) vs a *single* scalar SSA instance, per model
@@ -206,50 +208,6 @@ impl NaiveSsa {
         let u3: f64 = self.rng.gen_range(0.0..1.0);
         let assignment = choose_assignment(site_term, &rule.lhs, u3).expect("enabled");
         apply_at(&mut self.term, rule, &reaction.site, &assignment).expect("applies");
-        self.time = t;
-        true
-    }
-}
-
-/// The pre-table first-reaction step loop: full re-enumeration plus one
-/// exponential candidate per enabled reaction.
-struct NaiveFrm {
-    inner: NaiveSsa,
-    rng: SimRng,
-    time: f64,
-}
-
-impl NaiveFrm {
-    fn new(model: Arc<Model>, base_seed: u64, instance: u64) -> Self {
-        NaiveFrm {
-            inner: NaiveSsa::new(model, base_seed, instance),
-            rng: sim_rng(base_seed ^ 0xF1E5_7EAC, instance),
-            time: 0.0,
-        }
-    }
-
-    fn step(&mut self) -> bool {
-        let reactions = self.inner.reactions();
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in reactions.iter().enumerate() {
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let t = self.time + (-u.ln() / r.propensity);
-            if best.map(|(_, b)| t < b).unwrap_or(true) {
-                best = Some((i, t));
-            }
-        }
-        let Some((winner, t)) = best else {
-            return false;
-        };
-        let reaction = &reactions[winner];
-        let model = Arc::clone(&self.inner.model);
-        let rule = &model.rules[reaction.rule];
-        let u: f64 = self.rng.gen_range(0.0..1.0);
-        let assignment = {
-            let site_term = self.inner.term.site(&reaction.site).expect("site exists");
-            choose_assignment(site_term, &rule.lhs, u).expect("enabled")
-        };
-        apply_at(&mut self.inner.term, rule, &reaction.site, &assignment).expect("applies");
         self.time = t;
         true
     }
@@ -484,32 +442,20 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
     // (model, engine, mode, segment divisor, stepper factory).
     let mut rows: Vec<(&'static str, &'static str, &'static str, u64, Stepper)> = Vec::new();
     for (name, model) in &models {
-        // Exact engines: incremental vs the naive replica.
-        for (engine_name, kind) in [
-            ("ssa", EngineKind::Ssa),
-            ("first-reaction", EngineKind::FirstReaction),
-        ] {
-            rows.push((
-                name,
-                engine_name,
-                "incremental",
-                1,
-                engine_stepper(model, kind),
-            ));
-            let m = Arc::clone(model);
-            let naive: Stepper = if engine_name == "ssa" {
-                Box::new(move |i| {
-                    let mut naive = NaiveSsa::new(Arc::clone(&m), 1, i);
-                    Box::new(move || naive.step())
-                })
-            } else {
-                Box::new(move |i| {
-                    let mut naive = NaiveFrm::new(Arc::clone(&m), 1, i);
-                    Box::new(move || naive.step())
-                })
-            };
-            rows.push((name, engine_name, "full_reenum", 1, naive));
-        }
+        // The exact engine: incremental vs the naive replica.
+        rows.push((
+            name,
+            "ssa",
+            "incremental",
+            1,
+            engine_stepper(model, EngineKind::Ssa),
+        ));
+        let m = Arc::clone(model);
+        let naive: Stepper = Box::new(move |i| {
+            let mut naive = NaiveSsa::new(Arc::clone(&m), 1, i);
+            Box::new(move || naive.step())
+        });
+        rows.push((name, "ssa", "full_reenum", 1, naive));
         // The leaping kinds (flat models only), reported for the
         // engine × model matrix: fixed tau-leap is table-free; adaptive
         // and hybrid share the compiled stoichiometry (the hybrid's exact
@@ -740,6 +686,14 @@ fn check(committed_path: &str, fresh_json: &str) -> Result<(), String> {
             ));
         } else {
             println!("ok {model}/{engine}: ratio {now:.2} (committed {committed_ratio:.2})");
+        }
+    }
+    // The other direction: a new or renamed row would otherwise run ungated.
+    for ((model, engine), now) in &current {
+        if !baseline.iter().any(|((m, e), _)| m == model && e == engine) {
+            failures.push(format!(
+                "{model}/{engine}: ratio {now:.2} has no committed row in {committed_path}"
+            ));
         }
     }
     if failures.is_empty() {

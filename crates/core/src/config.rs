@@ -792,8 +792,8 @@ mod tests {
     #[test]
     fn engine_knob_defaults_to_ssa_and_is_fluent() {
         assert_eq!(SimConfig::new(1, 1.0).engine, EngineKind::Ssa);
-        let cfg = SimConfig::new(1, 1.0).engine(EngineKind::FirstReaction);
-        assert_eq!(cfg.engine, EngineKind::FirstReaction);
+        let cfg = SimConfig::new(1, 1.0).engine(EngineKind::AdaptiveTau { epsilon: 0.05 });
+        assert_eq!(cfg.engine, EngineKind::AdaptiveTau { epsilon: 0.05 });
         cfg.validate().unwrap();
     }
 

@@ -18,8 +18,8 @@
 //!   period τ, stochastic integrator, worker counts, window geometry,
 //!   engine set);
 //! - [`task`]: the engine-agnostic simulation task objects streamed
-//!   through the farm (any [`EngineKind`]: SSA, first-reaction, fixed or
-//!   adaptive tau-leaping, hybrid SSA/tau);
+//!   through the farm (any [`EngineKind`]: SSA, fixed or adaptive
+//!   tau-leaping, hybrid SSA/tau);
 //! - [`sim_farm`]: the farm of simulation engines — one master, one
 //!   worker, one constructor — with per-quantum rescheduling;
 //! - [`alignment`]: re-groups interleaved samples into time-ordered cuts;

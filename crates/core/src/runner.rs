@@ -379,7 +379,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.1 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

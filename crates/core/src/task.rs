@@ -6,8 +6,8 @@
 //! workers along the feedback cycle.
 //!
 //! A task is *engine-agnostic*: it wraps whichever [`Engine`] the run's
-//! [`EngineKind`] built — exact direct method, first-reaction, fixed or
-//! adaptive tau-leaping, or the hybrid SSA/tau engine — behind the same
+//! [`EngineKind`] built — exact direct method, fixed or adaptive
+//! tau-leaping, or the hybrid SSA/tau engine — behind the same
 //! advance-one-quantum contract, so the farm, its shards and the GPGPU
 //! map schedule every integrator identically.
 
@@ -333,7 +333,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.07 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

@@ -1300,6 +1300,40 @@ mod tests {
         assert!(err.to_string().contains("empty input"), "{err}");
     }
 
+    /// A job naming engine tag 2 (retired with the first-reaction engine,
+    /// never reused) is a typed decode error, not a worker panic.
+    #[test]
+    fn serve_shard_rejects_a_job_with_the_retired_engine_tag() {
+        let payload = |engine| {
+            let mut j = job(2, 2, 0);
+            j.spec.engine = engine;
+            wire::to_bytes(&ToShard::Job(Box::new(j)))
+        };
+        // The engine tag is the first byte where an SSA and a tau-leap
+        // job differ.
+        let mut bytes = payload(gillespie::engine::EngineKind::Ssa);
+        let tau_leap = payload(gillespie::engine::EngineKind::TauLeap { tau: 0.1 });
+        let at = bytes
+            .iter()
+            .zip(&tau_leap)
+            .position(|(a, b)| a != b)
+            .unwrap();
+        assert_eq!((bytes[at], tau_leap[at]), (0, 1));
+        bytes[at] = 2;
+        let mut input = (bytes.len() as u32).to_le_bytes().to_vec();
+        input.extend_from_slice(&bytes);
+        let mut output = Vec::new();
+        let err = serve_shard(Cursor::new(input), &mut output).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::Frame(FrameError::Wire(WireError::BadTag(2)))
+            ),
+            "{err}"
+        );
+        assert!(output.is_empty());
+    }
+
     #[test]
     fn terminate_frame_before_work_drains_to_a_clean_end() {
         let j = job(4, 4, 0);

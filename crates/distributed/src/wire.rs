@@ -234,8 +234,10 @@ impl Wire for SampleBatch {
 
 /// The engine selector crosses the wire as a tag byte plus the kind's
 /// knobs where applicable (tag 0 = SSA, 1 = tau-leap + leap length,
-/// 2 = first-reaction, 3 = adaptive-tau + epsilon, 4 = hybrid + epsilon
-/// and switch threshold, 5 = batched + batch width).
+/// 2 = retired, never reused (it named the deleted first-reaction
+/// engine and decodes to [`WireError::BadTag`]), 3 = adaptive-tau +
+/// epsilon, 4 = hybrid + epsilon and switch threshold, 5 = batched +
+/// batch width).
 impl Wire for EngineKind {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -244,7 +246,6 @@ impl Wire for EngineKind {
                 buf.push(1);
                 tau.encode(buf);
             }
-            EngineKind::FirstReaction => buf.push(2),
             EngineKind::AdaptiveTau { epsilon } => {
                 buf.push(3);
                 epsilon.encode(buf);
@@ -267,7 +268,6 @@ impl Wire for EngineKind {
             1 => Ok(EngineKind::TauLeap {
                 tau: f64::decode(r)?,
             }),
-            2 => Ok(EngineKind::FirstReaction),
             3 => Ok(EngineKind::AdaptiveTau {
                 epsilon: f64::decode(r)?,
             }),
@@ -1052,6 +1052,15 @@ mod tests {
     }
 
     #[test]
+    fn retired_first_reaction_tag_is_rejected() {
+        // Tag 2 named the deleted first-reaction engine; it is never reused.
+        let mut bytes = to_bytes(&EngineKind::Ssa);
+        let last = bytes.len() - 1;
+        bytes[last] = 2;
+        assert_eq!(from_bytes::<EngineKind>(&bytes), Err(WireError::BadTag(2)));
+    }
+
+    #[test]
     fn bad_magic_is_rejected() {
         let mut bytes = to_bytes(&1u64);
         bytes[0] = b'X';
@@ -1206,7 +1215,6 @@ mod tests {
         for engine in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.125 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.03 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

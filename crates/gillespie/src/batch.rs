@@ -703,7 +703,7 @@ mod tests {
         // engine kind must report what `eval_observables` reports on the
         // full term: the four inert `A` stay in `Everywhere` and in
         // `AtLabel(cell)`, and `AtLabel(TOP)` follows the root like
-        // `TopOnly` — on all six kinds, in every phase of the hybrid.
+        // `TopOnly` — on all five kinds, in every phase of the hybrid.
         use crate::engine::EngineKind;
         let check = |kind: &str, time: f64, v: &[u64]| {
             let top = v[1];
@@ -715,7 +715,6 @@ mod tests {
             let model = inert_compartment_model(top);
             for kind in [
                 EngineKind::Ssa,
-                EngineKind::FirstReaction,
                 EngineKind::TauLeap { tau: 0.05 },
                 EngineKind::AdaptiveTau { epsilon: 0.05 },
                 EngineKind::Hybrid {
@@ -737,7 +736,7 @@ mod tests {
                 }
                 assert_eq!(seen, 25, "{name}");
             }
-            // The sixth kind: every replica bit-for-bit the scalar engine.
+            // The fifth kind: every replica bit-for-bit the scalar engine.
             assert_batch_matches_scalar(model, 11, 0, 3, 2.0, 0.5);
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! The paper's architecture is deliberately engine-neutral — the farm of
 //! "sim eng" boxes only requires that a task advance by one simulation
-//! quantum and emit samples on the τ grid. This module packages the five
+//! quantum and emit samples on the τ grid. This module packages the four
 //! integrators of this crate behind the concrete [`Engine`] enum, so tasks
 //! stay `Clone + Send` without boxing and every downstream layer (task
 //! farm, sharded farm, simulated GPGPU, benchmarks) is written
@@ -42,7 +42,6 @@ use cwc::term::Term;
 
 use crate::adaptive::AdaptiveTauEngine;
 use crate::deps::ModelDeps;
-use crate::first_reaction::FirstReactionEngine;
 use crate::flat::FlatModelError;
 use crate::hybrid::HybridEngine;
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
@@ -97,10 +96,6 @@ pub enum EngineKind {
         /// Native leap length of the integrator (*not* the sampling τ).
         tau: f64,
     },
-    /// Gillespie's first-reaction method: exact, same process law as the
-    /// direct method with a different randomness consumption — the
-    /// distributional oracle.
-    FirstReaction,
     /// Adaptive tau-leaping: Cao–Gillespie–Petzold step-size selection
     /// with critical-reaction partitioning and an exact-SSA fallback.
     /// Flat, top-level, mass-action models only.
@@ -137,7 +132,6 @@ impl EngineKind {
         match self {
             EngineKind::Ssa => "ssa",
             EngineKind::TauLeap { .. } => "tau-leap",
-            EngineKind::FirstReaction => "first-reaction",
             EngineKind::AdaptiveTau { .. } => "adaptive-tau",
             EngineKind::Hybrid { .. } => "hybrid",
             EngineKind::Batched { .. } => "batched",
@@ -322,9 +316,6 @@ impl EngineKind {
             EngineKind::Ssa => Ok(Engine::Ssa(SsaEngine::with_deps(
                 model, deps, base_seed, instance,
             ))),
-            EngineKind::FirstReaction => Ok(Engine::FirstReaction(FirstReactionEngine::with_deps(
-                model, deps, base_seed, instance,
-            ))),
             EngineKind::TauLeap { tau } => {
                 let engine = TauLeapEngine::with_deps(model, deps, base_seed, instance)?;
                 Ok(Engine::TauLeap(engine.with_tau(tau)))
@@ -455,7 +446,7 @@ pub enum EngineStep {
     Exhausted,
 }
 
-/// A concrete simulation engine: one of the five integrators, behind one
+/// A concrete simulation engine: one of the four integrators, behind one
 /// `Clone + Send` value (no boxing, no generics in the task types).
 ///
 /// All methods dispatch to the wrapped engine. One call to
@@ -471,8 +462,6 @@ pub enum Engine {
     Ssa(SsaEngine),
     /// Approximate fixed-step Poisson tau-leaping.
     TauLeap(TauLeapEngine),
-    /// Exact first-reaction method.
-    FirstReaction(FirstReactionEngine),
     /// Approximate adaptive (CGP) tau-leaping (boxed: the incremental
     /// hot path carries SoA rows, criticality epochs and reusable
     /// buffers, and would otherwise dominate the size of every task
@@ -493,7 +482,6 @@ impl Engine {
         match self {
             Engine::Ssa(_) => EngineKind::Ssa,
             Engine::TauLeap(e) => EngineKind::TauLeap { tau: e.tau() },
-            Engine::FirstReaction(_) => EngineKind::FirstReaction,
             Engine::AdaptiveTau(e) => EngineKind::AdaptiveTau {
                 epsilon: e.epsilon(),
             },
@@ -509,7 +497,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.time(),
             Engine::TauLeap(e) => e.time(),
-            Engine::FirstReaction(e) => e.time(),
             Engine::AdaptiveTau(e) => e.time(),
             Engine::Hybrid(e) => e.time(),
         }
@@ -520,7 +507,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.instance(),
             Engine::TauLeap(e) => e.instance(),
-            Engine::FirstReaction(e) => e.instance(),
             Engine::AdaptiveTau(e) => e.instance(),
             Engine::Hybrid(e) => e.instance(),
         }
@@ -531,7 +517,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.observe(),
             Engine::TauLeap(e) => e.observe(),
-            Engine::FirstReaction(e) => e.observe(),
             Engine::AdaptiveTau(e) => e.observe(),
             Engine::Hybrid(e) => e.observe(),
         }
@@ -542,13 +527,12 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.steps(),
             Engine::TauLeap(e) => e.firings(),
-            Engine::FirstReaction(e) => e.steps(),
             Engine::AdaptiveTau(e) => e.firings(),
             Engine::Hybrid(e) => e.firings(),
         }
     }
 
-    /// The current CWC term of the exact engines, by value: materialised
+    /// The current CWC term of the exact engine, by value: materialised
     /// on demand from whichever core the engine steps on (see
     /// [`SsaEngine::term`]) — an inspection call, not a step-path one.
     /// `None` for the leaping kinds (fixed and adaptive tau-leaping, the
@@ -556,7 +540,6 @@ impl Engine {
     pub fn term(&self) -> Option<Term> {
         match self {
             Engine::Ssa(e) => Some(e.term()),
-            Engine::FirstReaction(e) => Some(e.term()),
             Engine::TauLeap(_) | Engine::AdaptiveTau(_) | Engine::Hybrid(_) => None,
         }
     }
@@ -566,10 +549,6 @@ impl Engine {
     pub fn step(&mut self) -> EngineStep {
         match self {
             Engine::Ssa(e) => match e.step() {
-                StepOutcome::Fired { dt, .. } => EngineStep::Advanced { dt, events: 1 },
-                StepOutcome::Exhausted => EngineStep::Exhausted,
-            },
-            Engine::FirstReaction(e) => match e.step() {
                 StepOutcome::Fired { dt, .. } => EngineStep::Advanced { dt, events: 1 },
                 StepOutcome::Exhausted => EngineStep::Exhausted,
             },
@@ -618,7 +597,6 @@ impl Engine {
     pub fn run_until(&mut self, t_end: f64) -> u64 {
         match self {
             Engine::Ssa(e) => e.run_until(t_end),
-            Engine::FirstReaction(e) => e.run_until(t_end),
             // A muted clock (zero-sample limit) turns sampled advancement
             // into plain advancement on the same pending-leap path.
             Engine::TauLeap(e) => {
@@ -639,7 +617,6 @@ impl Engine {
     {
         match self {
             Engine::Ssa(e) => e.run_sampled(t_end, clock, on_sample),
-            Engine::FirstReaction(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::TauLeap(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::AdaptiveTau(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::Hybrid(e) => e.run_sampled(t_end, clock, on_sample),
@@ -687,7 +664,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.1 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -718,11 +694,8 @@ mod tests {
 
     #[test]
     fn exact_kinds_drive_compartment_models() {
-        let model = comp_model();
-        for kind in [EngineKind::Ssa, EngineKind::FirstReaction] {
-            let engine = kind.build(Arc::clone(&model), 1, 0);
-            assert!(engine.is_ok(), "{kind} must accept compartment models");
-        }
+        let engine = EngineKind::Ssa.build(comp_model(), 1, 0);
+        assert!(engine.is_ok(), "ssa must accept compartment models");
     }
 
     #[test]
@@ -743,12 +716,8 @@ mod tests {
             }};
         }
         let m = || Arc::clone(&model);
-        let cases: [(EngineKind, Run); 5] = [
+        let cases: [(EngineKind, Run); 4] = [
             (EngineKind::Ssa, direct!(SsaEngine::new(m(), 7, 2), steps)),
-            (
-                EngineKind::FirstReaction,
-                direct!(FirstReactionEngine::new(m(), 7, 2), steps),
-            ),
             (
                 EngineKind::TauLeap { tau: 0.05 },
                 direct!(
@@ -797,7 +766,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.05 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -819,7 +787,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.05 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -837,7 +804,6 @@ mod tests {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.05 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -855,7 +821,6 @@ mod tests {
     #[test]
     fn engine_kind_validate_owns_the_tau_rule() {
         assert!(EngineKind::Ssa.validate().is_ok());
-        assert!(EngineKind::FirstReaction.validate().is_ok());
         assert!(EngineKind::TauLeap { tau: 0.5 }.validate().is_ok());
         for tau in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             // matches! rather than assert_eq: NaN never compares equal.
@@ -1023,7 +988,6 @@ mod tests {
     #[test]
     fn display_names_are_stable() {
         assert_eq!(EngineKind::Ssa.to_string(), "ssa");
-        assert_eq!(EngineKind::FirstReaction.to_string(), "first-reaction");
         assert_eq!(
             EngineKind::TauLeap { tau: 0.5 }.to_string(),
             "tau-leap(τ=0.5)"

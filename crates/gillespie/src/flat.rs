@@ -9,7 +9,7 @@
 //! never rebuilt per instance) serves both tiers:
 //!
 //! - the **exact tier** — the dense core of [`crate::ssa::SsaEngine`]
-//!   (and through it the first-reaction and hybrid engines) and the
+//!   (and through it the hybrid's exact phase) and the
 //!   batched engine of [`crate::batch`] — reads the *slot* tables
 //!   (`SlotTables`: the rules with a non-zero rate, in rule order, with
 //!   their reactants, net stoichiometry, kinetic laws — compiled once
@@ -48,8 +48,8 @@ use crate::deps::ModelDeps;
 ///
 /// Every variant names the offending rule *and* the engine that rejected
 /// it, so a config-level failure pinpoints the model line to fix. The
-/// exact engines (direct method, first-reaction) accept all of these
-/// models; only the leaping state reduction requires flatness.
+/// direct method accepts all of these models, every kinetic law
+/// included; only the leaping state reduction requires flatness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlatModelError {
     /// The model has a rule with compartment patterns or productions.
@@ -865,7 +865,6 @@ mod tests {
         let before = FlatModel::thread_compile_count();
         let kinds = [
             EngineKind::Ssa,
-            EngineKind::FirstReaction,
             EngineKind::TauLeap { tau: 0.01 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {

@@ -26,8 +26,6 @@
 //!   share — one ordered `-0.0`-identity prefix fold and one selection,
 //!   on the kernel layer's `row_fold_from`/`row_select`;
 //! - [`trajectory`]: the time-aligned [`Cut`];
-//! - [`first_reaction`]: Gillespie's first-reaction method, an alternative
-//!   exact sampler used as a distributional oracle (extension);
 //! - [`flat`]: the compiled flat form of a model — slot tables, the
 //!   exact propensity formula and the observable plan of the dense core
 //!   and the batched tier; stoichiometry rows and the
@@ -54,7 +52,6 @@ pub mod adaptive;
 pub mod batch;
 pub mod deps;
 pub mod engine;
-pub mod first_reaction;
 pub mod flat;
 pub mod hybrid;
 pub mod rng;
@@ -68,7 +65,6 @@ pub use batch::kernels::KernelDispatch;
 pub use batch::BatchedSsaEngine;
 pub use deps::{KeptChild, ModelDeps, RuleDeps};
 pub use engine::{Engine, EngineError, EngineKind, EngineStep, QuantumOutcome};
-pub use first_reaction::FirstReactionEngine;
 pub use flat::FlatModelError;
 pub use hybrid::HybridEngine;
 pub use rng::{instance_seed, sim_rng, SimRng};

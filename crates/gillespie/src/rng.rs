@@ -18,12 +18,9 @@
 //!   `[ε, 1)` for the exponential waiting time (drawn once and kept
 //!   pending across quantum boundaries), one uniform in `[0, a0)` for the
 //!   reaction selection **iff more than one reaction is enabled** (a
-//!   single-channel selection is deterministic and consumes nothing), and
-//!   one uniform in `[0, 1)` for the assignment choice;
-//! - **first-reaction method** ([`crate::first_reaction::FirstReactionEngine`]):
-//!   one uniform in `[ε, 1)` per enabled reaction, in enumeration order
-//!   (drawn once per event and kept pending across quantum boundaries),
-//!   then one uniform in `[0, 1)` for the assignment choice;
+//!   single-channel selection is deterministic and consumes nothing — the
+//!   SSA, hybrid and batched goldens pin this), and one uniform in
+//!   `[0, 1)` for the assignment choice;
 //! - **tau-leaping** ([`crate::tau_leap::TauLeapEngine`]): per drawn leap,
 //!   one Poisson variate per reaction with non-zero propensity, in rule
 //!   order, re-drawn on each negativity-halving retry;
@@ -62,14 +59,6 @@
 //!   across replicas, so the lockstep schedule cannot perturb a
 //!   trajectory and every replica is bit-for-bit scalar SSA instance
 //!   `f + r`.
-//!
-//! On single-channel states the first two disciplines coincide — one
-//! waiting-time uniform, no selection, one assignment uniform — so a
-//! first-reaction engine sharing the direct method's stream
-//! ([`FirstReactionEngine::coupled`](crate::first_reaction::FirstReactionEngine::coupled))
-//! reproduces its trajectories bit-for-bit on single-channel models. The
-//! property tests use this coupling as an oracle for the waiting-time and
-//! propensity formulas.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -100,7 +100,7 @@ struct TreeCore {
     term: Term,
     /// Incrementally maintained propensities of every (site, rule) pair.
     /// Built at construction and kept current by every firing — the term
-    /// is only ever mutated through [`SsaEngine::apply_fire`].
+    /// is only ever mutated through [`SsaEngine::fire`].
     table: ReactionTable,
     scratch: MatchScratch,
     /// Chosen-assignment buffer, reused across firings.
@@ -328,7 +328,7 @@ impl SsaEngine {
 
     /// [`observe`](SsaEngine::observe) into a reusable buffer (cleared
     /// first).
-    pub(crate) fn observe_into(&self, out: &mut Vec<u64>) {
+    fn observe_into(&self, out: &mut Vec<u64>) {
         match &self.core {
             Core::Tree(tree) => {
                 out.clear();
@@ -427,9 +427,8 @@ impl SsaEngine {
         }
     }
 
-    /// `(entry, propensity)` of every enabled reaction in row order — the
-    /// first-reaction method's draw order.
-    pub(crate) fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    /// `(entry, propensity)` of every enabled reaction in row order.
+    fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.row().active_entries()
     }
 
@@ -477,14 +476,29 @@ impl SsaEngine {
         Some(t)
     }
 
-    /// Fires row entry `entry` and brings the row up to date; returns the
-    /// `(rule, site)` that fired. On the tree core `u_assign` picks the
+    /// Fires the pending event: selects a row entry proportionally to
+    /// propensity, applies it and brings the row up to date; returns the
+    /// `(rule, site)` that fired.
+    ///
+    /// With a single enabled reaction the selection is deterministic and
+    /// no variate is consumed — part of the draw discipline documented in
+    /// [`crate::rng`], pinned by the SSA, hybrid and batched goldens. The
+    /// assignment uniform is always drawn: on the tree core it picks the
     /// compartment assignment before the term is rewritten; the dense core
-    /// has none to pick (the caller has still drawn the uniform — the
-    /// stream positions of the two cores must agree). Shared with the
-    /// first-reaction engine, which supplies its own selection and draws.
+    /// has none to pick and discards it, so the stream positions of the
+    /// two cores agree.
     #[inline]
-    pub(crate) fn apply_fire(&mut self, entry: usize, u_assign: f64) -> (usize, SiteId) {
+    fn fire(&mut self, a0: f64, event_time: f64) -> (usize, SiteId) {
+        let entry = if self.row().active_count() == 1 {
+            self.row().first_active().expect("one enabled reaction")
+        } else {
+            let target = self.rng.gen_range(0.0..a0);
+            self.row().select(target)
+        };
+        let u_assign: f64 = self.rng.gen_range(0.0..1.0);
+        self.time = event_time;
+        self.pending = None;
+        self.steps += 1;
         match &mut self.core {
             Core::Dense(dense) => {
                 dense.fire(entry);
@@ -518,29 +532,6 @@ impl SsaEngine {
                 (rule_idx, site)
             }
         }
-    }
-
-    /// Fires the pending event: selects a reaction proportionally to
-    /// propensity and applies it.
-    ///
-    /// With a single enabled reaction the selection is deterministic and
-    /// no variate is consumed — part of the draw discipline documented in
-    /// [`crate::rng`] that lets the coupled first-reaction engine
-    /// reproduce single-channel trajectories bit-for-bit.
-    #[inline]
-    fn fire(&mut self, a0: f64, event_time: f64) -> (usize, SiteId) {
-        let entry = if self.row().active_count() == 1 {
-            self.row().first_active().expect("one enabled reaction")
-        } else {
-            let target = self.rng.gen_range(0.0..a0);
-            self.row().select(target)
-        };
-        let u3: f64 = self.rng.gen_range(0.0..1.0);
-        let fired = self.apply_fire(entry, u3);
-        self.time = event_time;
-        self.pending = None;
-        self.steps += 1;
-        fired
     }
 
     /// Executes one SSA step (direct method).

@@ -199,7 +199,7 @@ impl PropensityRow {
     }
 
     /// Iterates `(slot, propensity)` over enabled slots in row order — the
-    /// first-reaction method's draw order.
+    /// order of [`SsaEngine::cached_reactions`](crate::ssa::SsaEngine::cached_reactions).
     pub fn active_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.props
             .iter()

@@ -114,7 +114,6 @@ fn recovery_is_bit_for_bit_for_every_engine_kind() {
     let kinds = [
         EngineKind::Ssa,
         EngineKind::TauLeap { tau: 0.05 },
-        EngineKind::FirstReaction,
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,

@@ -7,8 +7,8 @@
 //!    implementation, seed commit `1b63989`). The rewritten engines must
 //!    reproduce every stream bit-for-bit: same sample values at the same
 //!    grid times, same event counts, same final state, across irregular
-//!    quantum slicings, for the three seed integrators on flat and
-//!    compartmentalised models.
+//!    quantum slicings, for the direct method (flat and compartmentalised
+//!    models) and fixed tau-leaping (flat models).
 //!
 //! 2. **Table = recompute** — after an arbitrary prefix of firings
 //!    (including structural ones that force rebuilds), the incrementally
@@ -79,7 +79,6 @@ fn model_by_name(name: &str) -> Arc<Model> {
 fn kind_by_name(name: &str) -> EngineKind {
     match name {
         "ssa" => EngineKind::Ssa,
-        "first-reaction" => EngineKind::FirstReaction,
         "tau-leap" => EngineKind::TauLeap { tau: 0.01 },
         other => panic!("unknown golden engine {other}"),
     }
@@ -108,24 +107,6 @@ type GoldenRow = (
 const GOLDEN: &[GoldenRow] = &[
     ("schlogl", "ssa", 2014, 3, 0x551e905b70da0f99, 14346, &[442]),
     ("schlogl", "ssa", 99, 0, 0xdc8d1d0a78b16d03, 20469, &[583]),
-    (
-        "schlogl",
-        "first-reaction",
-        2014,
-        3,
-        0xb4a981ea33a6ba6e,
-        10016,
-        &[284],
-    ),
-    (
-        "schlogl",
-        "first-reaction",
-        99,
-        0,
-        0xca50925ae3783ca0,
-        3959,
-        &[105],
-    ),
     (
         "schlogl",
         "tau-leap",
@@ -164,24 +145,6 @@ const GOLDEN: &[GoldenRow] = &[
     ),
     (
         "lotka-volterra",
-        "first-reaction",
-        2014,
-        3,
-        0x74c6082e24681456,
-        3438,
-        &[150, 104],
-    ),
-    (
-        "lotka-volterra",
-        "first-reaction",
-        99,
-        0,
-        0x811fe243f1d31145,
-        3244,
-        &[99, 97],
-    ),
-    (
-        "lotka-volterra",
         "tau-leap",
         2014,
         3,
@@ -215,24 +178,6 @@ const GOLDEN: &[GoldenRow] = &[
         0x246487f30a8f68d0,
         16046,
         &[174, 30, 57],
-    ),
-    (
-        "neurospora-compartments",
-        "first-reaction",
-        2014,
-        3,
-        0x6ae6005d8dc24f40,
-        16675,
-        &[29, 51, 118],
-    ),
-    (
-        "neurospora-compartments",
-        "first-reaction",
-        99,
-        0,
-        0x6e39fdd94688adcf,
-        20023,
-        &[9, 282, 321],
     ),
 ];
 

@@ -60,7 +60,7 @@ fn parallel_equals_sequential_for_flat_models() {
 
 #[test]
 fn parallel_equals_sequential_for_every_engine_kind() {
-    // The seq-vs-par agreement matrix over all five integrators: the
+    // The seq-vs-par agreement matrix over all four integrators: the
     // engine abstraction must not leak scheduling into trajectories.
     for model in [
         biomodels::simple::decay(60, 1.0),
@@ -71,7 +71,6 @@ fn parallel_equals_sequential_for_every_engine_kind() {
         for kind in [
             EngineKind::Ssa,
             EngineKind::TauLeap { tau: 0.07 },
-            EngineKind::FirstReaction,
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -92,25 +91,6 @@ fn parallel_equals_sequential_for_every_engine_kind() {
             }
         }
     }
-}
-
-#[test]
-fn first_reaction_drives_compartment_models_in_the_pipeline() {
-    // The exact engines both handle compartments; the seq-vs-par contract
-    // holds for the first-reaction integrator too.
-    let model = Arc::new(biomodels::cell_transport(
-        biomodels::CellTransportParams::default(),
-    ));
-    let cfg = SimConfig::new(6, 2.0)
-        .quantum(0.25)
-        .sample_period(0.125)
-        .sim_workers(3)
-        .stat_workers(2)
-        .seed(9)
-        .engine(EngineKind::FirstReaction);
-    let par = run_simulation(Arc::clone(&model), &cfg).unwrap();
-    let seq = run_sequential(model, &cfg).unwrap();
-    assert_eq!(par.rows, seq.rows);
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: multiset algebra, tree matching vs brute force, rewrite
 //! well-formedness, wire codec round-trips, alignment and windowing laws,
-//! and the stochastic-engine contracts (tau-leap non-negativity and
-//! slicing invariance, first-reaction/direct-method coupling).
+//! and the stochastic-engine contracts (tau-leap non-negativity, slicing
+//! invariance of the direct method and the leaping engines).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use cwc_repro::biomodels::CellTransportParams;
 use cwc_repro::gillespie::engine::EngineKind;
-use cwc_repro::gillespie::{AdaptiveTauEngine, FirstReactionEngine, SampleClock, TauLeapEngine};
+use cwc_repro::gillespie::{AdaptiveTauEngine, SampleClock, TauLeapEngine};
 
 use cwc_repro::cwc::matching::{apply_at, assignments, match_count};
 use cwc_repro::cwc::multiset::{binomial, Multiset};
@@ -319,27 +320,40 @@ proptest! {
     }
 
     #[test]
-    fn first_reaction_couples_bit_for_bit_with_direct_method(
-        n0 in 1u64..50,
-        rate in 0.05f64..4.0,
+    fn ssa_trajectories_are_slicing_invariant(
+        n0 in 1u64..60,
+        birth in 1.0f64..40.0,
+        nutrient0 in 0u64..200,
+        cells0 in 1usize..4,
+        mut cuts in proptest::collection::vec(0.0f64..4.0, 1..6),
         seed in any::<u64>(),
     ) {
-        // Single-channel model + shared instance stream ⇒ the two exact
-        // methods consume randomness identically (the draw discipline
-        // documented in gillespie::rng) ⇒ identical trajectories,
-        // bit for bit, under arbitrary quantum slicing.
-        let model = Arc::new(cwc_repro::biomodels::simple::decay(n0, rate));
-        let mut direct = EngineKind::Ssa
-            .build(Arc::clone(&model), seed, 3)
-            .expect("ssa builds");
-        let mut frm = FirstReactionEngine::coupled(model, seed, 3);
-        for t in [0.3, 1.1, 2.0, 4.5, 10.0] {
-            direct.run_until(t);
-            frm.run_until(t);
-            prop_assert_eq!(direct.time(), frm.time());
-            prop_assert_eq!(direct.observe(), frm.observe());
-            prop_assert_eq!(direct.events(), frm.steps());
-            prop_assert_eq!(direct.term(), Some(frm.term()));
+        // The direct method holds its drawn-but-unfired event across
+        // arbitrary quantum boundaries on both cores: a multi-channel flat
+        // model (dense core) and a small compartment model (tree core).
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        let flat = cwc_repro::biomodels::simple::birth_death(birth, 1.0, n0);
+        let comp = cwc_repro::biomodels::cell_transport(CellTransportParams {
+            nutrient0,
+            cells0,
+            ..CellTransportParams::default()
+        });
+        for model in [flat, comp] {
+            let model = Arc::new(model);
+            let run = |bounds: &[f64]| {
+                let mut e = EngineKind::Ssa
+                    .build(Arc::clone(&model), seed, 1)
+                    .expect("ssa builds");
+                let mut clock = SampleClock::new(0.0, 0.25);
+                let mut samples = Vec::new();
+                let mut fired = 0;
+                for &t in bounds.iter().chain(&[4.0]) {
+                    fired += e.run_sampled(t, &mut clock, |t, v| samples.push((t, v.to_vec())));
+                }
+                (samples, fired, e.events(), e.time(), e.term())
+            };
+            prop_assert_eq!(run(&[]), run(&cuts));
         }
     }
 }

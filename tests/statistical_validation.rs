@@ -154,32 +154,6 @@ fn adaptive_tau_and_hybrid_means_track_exact_ssa_on_schlogl() {
 }
 
 #[test]
-fn first_reaction_means_track_exact_ssa_on_decay() {
-    // Both exact integrators must agree with the closed form through the
-    // full pipeline.
-    let n0 = 200u64;
-    let model = Arc::new(biomodels::simple::decay(n0, 1.0));
-    let cfg = SimConfig::new(64, 2.0)
-        .quantum(0.5)
-        .sample_period(0.5)
-        .sim_workers(4)
-        .seed(31)
-        .engine(EngineKind::FirstReaction);
-    let report = run_simulation(model, &cfg).unwrap();
-    for row in &report.rows {
-        let p = (-row.time).exp();
-        let expected = n0 as f64 * p;
-        let se = (n0 as f64 * p * (1.0 - p) / 64.0).sqrt().max(0.5);
-        assert!(
-            (row.observables[0].mean - expected).abs() < 6.0 * se,
-            "t = {}: mean {} vs expected {expected}",
-            row.time,
-            row.observables[0].mean
-        );
-    }
-}
-
-#[test]
 fn michaelis_menten_mass_balance_holds_in_every_row() {
     let p = biomodels::MichaelisMentenParams::default();
     let model = Arc::new(biomodels::michaelis_menten(p));

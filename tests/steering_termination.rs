@@ -24,7 +24,6 @@ fn engine_kinds() -> Vec<EngineKind> {
     vec![
         EngineKind::Ssa,
         EngineKind::TauLeap { tau: 0.05 },
-        EngineKind::FirstReaction,
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,

@@ -4,9 +4,8 @@
 //! A counting global allocator (thread-local counters, so parallel test
 //! threads don't interfere) wraps the system allocator; after a warm-up
 //! that grows every reusable buffer to its steady-state capacity, a long
-//! run of exact-engine steps must perform zero heap allocations — on the
-//! flat *and* the compartmentalised Neurospora model, for both the direct
-//! and the first-reaction method.
+//! run of direct-method steps must perform zero heap allocations — on the
+//! flat *and* the compartmentalised Neurospora model.
 //!
 //! What makes this hold on the tree core (compartment models):
 //! propensities live in the incrementally-updated reaction table (no
@@ -104,16 +103,6 @@ fn assert_alloc_free_steps(
 fn ssa_step_is_allocation_free_on_compartment_model() {
     let model = Arc::new(neurospora_compartments(NeurosporaParams::default()));
     assert_alloc_free_steps(EngineKind::Ssa, model, "neurospora_compartments/ssa");
-}
-
-#[test]
-fn first_reaction_step_is_allocation_free_on_compartment_model() {
-    let model = Arc::new(neurospora_compartments(NeurosporaParams::default()));
-    assert_alloc_free_steps(
-        EngineKind::FirstReaction,
-        model,
-        "neurospora_compartments/first-reaction",
-    );
 }
 
 #[test]

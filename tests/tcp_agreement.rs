@@ -136,7 +136,6 @@ fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
     let kinds = [
         EngineKind::Ssa,
         EngineKind::TauLeap { tau: 0.05 },
-        EngineKind::FirstReaction,
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,
