@@ -40,9 +40,9 @@ use std::time::Instant;
 use biomodels::{conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams};
 use cwc::model::Model;
 use gillespie::adaptive::AdaptiveTauEngine;
-use gillespie::batch::kernels::{Kernel, KernelDispatch};
 use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
+use gillespie::kernels::{Kernel, KernelDispatch};
 
 /// Tolerated regression of the adaptive/fixed speedup ratio vs the
 /// committed baseline (CI noise headroom).

@@ -26,24 +26,11 @@
 //!   missing from the run, or on a measured one with no committed row.
 //!   Only configurations whose committed speedup is ≥ [`GATE_MIN_RATIO`]
 //!   are gated; near-1.0 ratios are noise-dominated and reported
-//!   informationally;
-//! - `--batched`  measure the batched SoA tier instead: aggregate
-//!   firings/sec of whole [`BatchedSsaEngine`] batches (every width in
-//!   [`BATCH_WIDTHS`]) vs a *single* scalar SSA instance, per model
-//!   (conversion cycle, Schlögl, wide flat cycle). Writes
-//!   `BENCH_batched.json`; with `--check F` the gate fails when a
-//!   configuration loses more than [`BATCHED_RATIO_TOLERANCE`] of its
-//!   committed batched/scalar ratio (SIMD kernels only) or drops under
-//!   its hard floor ([`BATCHED_HARD_FLOOR`], on the rows of
-//!   [`HARD_FLOOR_ROWS`], any kernels) — see [`check_batched`];
-//! - `--kernels K` with `--batched`: force the kernel dispatch (`auto`,
-//!   `scalar` or `simd`); trajectories are bit-identical either way, so
-//!   this only moves the throughput numbers.
+//!   informationally.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use biomodels::simple::conversion_cycle;
 use biomodels::{
     lotka_volterra, neurospora_compartments, neurospora_flat, schlogl, LotkaVolterraParams,
     NeurosporaParams, SchloglParams,
@@ -51,58 +38,14 @@ use biomodels::{
 use cwc::matching::{apply_at, choose_assignment, match_count};
 use cwc::model::Model;
 use cwc::term::{Path, Term};
-use gillespie::batch::kernels::Kernel;
-use gillespie::batch::BatchedSsaEngine;
 use gillespie::engine::{EngineKind, EngineStep};
 use gillespie::rng::{sim_rng, SimRng};
-use gillespie::ssa::SampleClock;
 use gillespie::KernelDispatch;
 use rand::Rng;
 
 /// Tolerated regression of the incremental/full speedup ratio vs the
 /// committed baseline (CI noise headroom).
 const RATIO_TOLERANCE: f64 = 0.25;
-
-/// Tolerated regression of the batched/scalar ratio vs the committed
-/// baseline. Wider than [`RATIO_TOLERANCE`]: `--quick` systematically
-/// understates the batch side (the single scalar instance gains more from
-/// quick's smaller working set than a wide batch does), so a tight
-/// committed-ratio gate would flake. Unchanged by the dense scalar core:
-/// the `--quick` readings against the ratios committed in
-/// `BENCH_batched.json` (0.47 against 0.65, 0.76–0.90 against 0.85, 0.65
-/// against 0.83) all sit inside it.
-const BATCHED_RATIO_TOLERANCE: f64 = 0.4;
-
-/// The batched tier's acceptance bar — a batch out-fires a single scalar
-/// instance — on the rows where the tier still has a mechanism of its own
-/// ([`HARD_FLOOR_ROWS`]).
-///
-/// *What it guards:* the reason the tier exists. Until scalar SSA stepped
-/// flat models on dense counts and one SoA row, every row cleared this bar
-/// (committed w8/w32/w64: `conversion_cycle` 3.3/3.4/2.9, `schlogl`
-/// 1.9/1.8/1.8, `wide_flat_cycle` 3.3/2.4/2.5) and the bar was on every
-/// row. The layout edge is gone by arithmetic in the denominator (the
-/// batched rates themselves did not move), so `conversion_cycle`
-/// (1.06/1.06/1.12 in the committed full run) and `schlogl`
-/// (0.83/0.79/0.74) are reported informationally and held only to the
-/// tolerance band.
-///
-/// *Claim not met:* the bar stays on `wide_flat_cycle` w8/w32 because the
-/// replica-interleaved prefix fold was expected to keep those rows at
-/// 1.15–1.2×. It does not: the committed full run reads **0.85 / 0.73**
-/// (second full run 0.95 / 0.78, `--quick` 0.76–0.90 / 0.6–0.8), so after
-/// this change the tier wins on no measured workload — ROADMAP item 3(a)
-/// carries the follow-up (show a workload where it wins, or remove the tier
-/// and this gate). The bar is neither lowered to the reading nor deleted:
-/// [`check_batched`] evaluates it on every run and prints `NOT MET`, and it
-/// fails the gate again from the first committed baseline that clears it
-/// (a baseline that itself reads under the bar cannot be regressed from).
-const BATCHED_HARD_FLOOR: f64 = 1.0;
-
-/// `(model, width)` rows that carry [`BATCHED_HARD_FLOOR`]: wide rows at
-/// the two widths the prototype read above 1.0 (w64 read 0.9× there
-/// already).
-const HARD_FLOOR_ROWS: [(&str, u64); 2] = [("wide_flat_cycle", 8), ("wide_flat_cycle", 32)];
 
 /// `--check` only gates configurations whose committed speedup is at
 /// least this much: where the two modes are near-equivalent (ratio ≈ 1,
@@ -115,9 +58,6 @@ struct Measurement {
     model: &'static str,
     engine: &'static str,
     mode: &'static str,
-    /// Batch width of the row: 1 for scalar rows and for everything the
-    /// non-batched matrix measures, the replica count for batched rows.
-    width: usize,
     steps: u64,
     steps_per_sec: f64,
 }
@@ -252,87 +192,14 @@ fn time_steps(
 const WARMUP: u64 = 2_000;
 const SEGMENT: u64 = 25_000;
 
-/// Replica counts measured per model in `--batched` mode: below, at and
-/// above the SIMD kernels' sweet spot (the headline width the CI ratio
-/// gate pins is 32).
-const BATCH_WIDTHS: [usize; 3] = [8, 32, 64];
-
-/// Runs `step` (which returns firings per invocation) until at least
-/// `duration_s` wall seconds have elapsed; returns (firings, seconds).
-/// Duration-based segments keep every row's measurement long enough that
-/// scheduler blips on a shared host cannot dominate it.
-fn time_for(duration_s: f64, mut step: impl FnMut() -> u64) -> (u64, f64) {
-    let start = Instant::now();
-    let mut done = 0u64;
-    loop {
-        done += step();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= duration_s {
-            return (done, elapsed);
-        }
-    }
-}
-
-/// One warmed-up batched stepper: advances through repeated quanta on a
-/// never-exhausting model, counting aggregate firings. The sampling grid
-/// is pushed past the horizon so the measurement times raw stepping, like
-/// the scalar loops.
-fn batch_stepper(
-    model: &Arc<Model>,
-    width: usize,
-    dispatch: KernelDispatch,
-    warm_firings: u64,
-) -> impl FnMut() -> u64 {
-    let mut batch = BatchedSsaEngine::new(Arc::clone(model), 1, 0, width)
-        .expect("flat model")
-        .with_kernel_dispatch(dispatch);
-    let mut clocks: Vec<SampleClock> = (0..width).map(|_| SampleClock::new(0.0, 1e18)).collect();
-    let dt = 0.05;
-    let mut t = batch.time();
-    let mut quantum = move || -> u64 {
-        t += dt;
-        batch
-            .advance_quantum_batch(t, &mut clocks)
-            .iter()
-            .map(|o| o.events)
-            .sum::<u64>()
-    };
-    let mut warm = 0u64;
-    while warm < warm_firings {
-        warm += quantum();
-    }
-    quantum
-}
-
-/// One warmed-up scalar stepper: a single SSA instance stepped in chunks
-/// (so the elapsed-time check amortises over many steps).
-fn scalar_stepper(model: &Arc<Model>, warm_steps: u64) -> impl FnMut() -> u64 {
-    let mut engine = EngineKind::Ssa
-        .build(Arc::clone(model), 1, 0)
-        .expect("flat model");
-    for _ in 0..warm_steps {
-        engine.step();
-    }
-    move || {
-        let mut fired = 0u64;
-        for _ in 0..1_000 {
-            if !matches!(engine.step(), EngineStep::Exhausted) {
-                fired += 1;
-            }
-        }
-        fired
-    }
-}
-
-/// Measurement passes per row, in both modes: every row is timed this
-/// many times and reports its best pass. Single-shot timings on shared
-/// hardware swing by tens of percent (noisy neighbours, turbo decay over
-/// the row sequence), which best-of-N absorbs; alternating the pass
-/// direction keeps any systematic slowdown over a pass from always
-/// penalising the same rows. The exact matrix needs it as much as the
-/// batched one: its fastest quick segments last a few milliseconds, and a
-/// single pass let one blip read `neurospora_flat`'s ratio as 3.08
-/// against 4.3–4.5 in the other quick runs of the same tree.
+/// Measurement passes per row: every row is timed this many times and
+/// reports its best pass. Single-shot timings on shared hardware swing by
+/// tens of percent (noisy neighbours, turbo decay over the row sequence),
+/// which best-of-N absorbs; alternating the pass direction keeps any
+/// systematic slowdown over a pass from always penalising the same rows.
+/// The fastest quick segments last a few milliseconds, and a single pass
+/// let one blip read `neurospora_flat`'s ratio as 3.08 against 4.3–4.5 in
+/// the other quick runs of the same tree.
 const PASSES: usize = 3;
 
 /// Times `rows` rows [`PASSES`] times each through `measure` (`row →
@@ -350,66 +217,6 @@ fn best_of_passes(rows: usize, mut measure: impl FnMut(usize) -> (u64, f64)) -> 
         }
     }
     best
-}
-
-/// Aggregate firings/sec of whole batches (each [`BATCH_WIDTHS`] width)
-/// vs a *single* scalar SSA instance, per model: one worker pass drives a
-/// whole batch, and the scalar single-instance rate on the same machine
-/// is the yardstick its aggregate is read against. Every model here
-/// never exhausts (the cycles conserve mass, Schlögl has constant-source
-/// rules), so the firing-count loop always terminates.
-fn measure_batched(quick: bool, dispatch: KernelDispatch) -> Vec<Measurement> {
-    let cases: Vec<(&'static str, Arc<Model>)> = vec![
-        // Narrow and busy: the case the batch used to win by layout alone.
-        (
-            "conversion_cycle",
-            Arc::new(conversion_cycle(32, 3_200, 1.0)),
-        ),
-        // Few rules, huge a0: per-round fixed costs dominate.
-        ("schlogl", Arc::new(schlogl(SchloglParams::default()))),
-        // Many rules, sparse firing: the incidence-driven refresh regime.
-        (
-            "wide_flat_cycle",
-            Arc::new(conversion_cycle(300, 1_500, 1.0)),
-        ),
-    ];
-    let measure_secs = if quick { 0.08 } else { 0.75 };
-    let warm = if quick { WARMUP / 4 } else { WARMUP };
-
-    // One row per (model, width 1 scalar | batched width); measured
-    // PASSES times below, keeping each row's best pass.
-    let mut rows: Vec<(usize, usize)> = Vec::new(); // (case index, width; 0 = scalar)
-    for case in 0..cases.len() {
-        rows.push((case, 0));
-        for width in BATCH_WIDTHS {
-            rows.push((case, width));
-        }
-    }
-    let best = best_of_passes(rows.len(), |row| {
-        let (case, width) = rows[row];
-        let model = &cases[case].1;
-        let (steps, secs) = if width == 0 {
-            time_for(measure_secs, scalar_stepper(model, warm))
-        } else {
-            time_for(
-                measure_secs,
-                batch_stepper(model, width, dispatch, warm * width as u64),
-            )
-        };
-        (steps, steps as f64 / secs)
-    });
-
-    rows.iter()
-        .zip(best)
-        .map(|(&(case, width), (steps, steps_per_sec))| Measurement {
-            model: cases[case].0,
-            engine: "ssa",
-            mode: if width == 0 { "scalar" } else { "batched" },
-            width: width.max(1),
-            steps,
-            steps_per_sec,
-        })
-        .collect()
 }
 
 /// A per-instance stepper factory: one row of the exact matrix.
@@ -495,7 +302,6 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
                 model,
                 engine,
                 mode,
-                width: 1,
                 steps,
                 steps_per_sec,
             },
@@ -513,8 +319,8 @@ fn to_json(results: &[Measurement], quick: bool, header: &bench::RunHeader) -> S
     for (i, m) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"engine\": \"{}\", \"mode\": \"{}\", \"width\": {}, \"steps\": {}, \"steps_per_sec\": {:.1}}}{comma}\n",
-            m.model, m.engine, m.mode, m.width, m.steps, m.steps_per_sec
+            "    {{\"model\": \"{}\", \"engine\": \"{}\", \"mode\": \"{}\", \"steps\": {}, \"steps_per_sec\": {:.1}}}{comma}\n",
+            m.model, m.engine, m.mode, m.steps, m.steps_per_sec
         ));
     }
     s.push_str("  ]\n}\n");
@@ -538,18 +344,15 @@ fn num_field(chunk: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// `(model, engine, width) -> steps/sec` per mode, parsed from the
-/// emitted JSON. Rows without a `width` field (pre-width baselines)
-/// default to width 1.
-fn parse_rates(json: &str, mode: &str) -> Vec<((String, String, u64), f64)> {
+/// `(model, engine) -> steps/sec` per mode, parsed from the emitted JSON.
+fn parse_rates(json: &str, mode: &str) -> Vec<((String, String), f64)> {
     json.split('}')
         .filter_map(|chunk| {
             let m = str_field(chunk, "model")?;
             let e = str_field(chunk, "engine")?;
             let md = str_field(chunk, "mode")?;
-            let w = num_field(chunk, "width").unwrap_or(1.0) as u64;
             let r = num_field(chunk, "steps_per_sec")?;
-            (md == mode).then_some(((m, e, w), r))
+            (md == mode).then_some(((m, e), r))
         })
         .collect()
 }
@@ -559,101 +362,11 @@ fn ratios(json: &str) -> Vec<((String, String), f64)> {
     let inc = parse_rates(json, "incremental");
     let full = parse_rates(json, "full_reenum");
     inc.into_iter()
-        .filter_map(|((m, e, _), i)| {
-            let f = full.iter().find(|((fm, fe, _), _)| *fm == m && *fe == e)?.1;
+        .filter_map(|((m, e), i)| {
+            let f = full.iter().find(|((fm, fe), _)| *fm == m && *fe == e)?.1;
             (f > 0.0).then_some(((m, e), i / f))
         })
         .collect()
-}
-
-/// Aggregate-batched/scalar-single-instance ratios per `(model, engine,
-/// batch width)` configuration (`--batched` mode JSON): each batched row
-/// against its model's single scalar instance.
-fn batched_ratios(json: &str) -> Vec<((String, String, u64), f64)> {
-    let batched = parse_rates(json, "batched");
-    let scalar = parse_rates(json, "scalar");
-    batched
-        .into_iter()
-        .filter_map(|((m, e, w), b)| {
-            let s = scalar
-                .iter()
-                .find(|((sm, se, _), _)| *sm == m && *se == e)?
-                .1;
-            (s > 0.0).then_some(((m, e, w), b / s))
-        })
-        .collect()
-}
-
-/// The `--batched --check` gate, per batched configuration:
-///
-/// - *tolerance band* — the fresh batched/scalar ratio must stay within
-///   [`BATCHED_RATIO_TOLERANCE`] of the committed one. The committed
-///   ratios were measured with the SIMD kernels, so the band is gated only
-///   when `kernel` (the resolved dispatch of this run: CPU, `--kernels`
-///   and the force-scalar env override) is the SIMD set; a scalar-kernel
-///   run reports it informationally, so the baseline stays portable;
-/// - *hard floor* — on [`HARD_FLOOR_ROWS`] the fresh ratio is also read
-///   against [`BATCHED_HARD_FLOOR`], whatever the kernels (the only check
-///   on a scalar-kernel run, as before). It fails the gate when the
-///   committed baseline cleared it; while the committed reading is itself
-///   under the bar the row prints `NOT MET` instead (see the constant).
-fn check_batched(committed_path: &str, fresh_json: &str, kernel: Kernel) -> Result<(), String> {
-    let committed = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read baseline {committed_path}: {e}"))?;
-    let baseline = batched_ratios(&committed);
-    let current = batched_ratios(fresh_json);
-    if baseline.is_empty() {
-        return Err(format!(
-            "no batched/scalar ratios in baseline {committed_path}"
-        ));
-    }
-    let simd = kernel == Kernel::Avx2;
-    if !simd {
-        println!("scalar kernels in this run: gating the hard floor only");
-    }
-    let mut failures = Vec::new();
-    for ((model, engine, width), committed_ratio) in &baseline {
-        let Some((_, now)) = current
-            .iter()
-            .find(|((m, e, w), _)| m == model && e == engine && w == width)
-        else {
-            failures.push(format!("{model}/{engine}/w{width}: missing from fresh run"));
-            continue;
-        };
-        let row = format!("{model}/{engine}/w{width}");
-        let band = committed_ratio * (1.0 - BATCHED_RATIO_TOLERANCE);
-        let floored = HARD_FLOOR_ROWS.contains(&(model.as_str(), *width));
-        if simd && *now < band {
-            failures.push(format!(
-                "{row}: batched/scalar ratio {now:.2} fell below {band:.2} \
-                 (committed {committed_ratio:.2}, tolerance {}%)",
-                BATCHED_RATIO_TOLERANCE * 100.0
-            ));
-        } else if floored && *now < BATCHED_HARD_FLOOR {
-            if *committed_ratio >= BATCHED_HARD_FLOOR {
-                failures.push(format!(
-                    "{row}: batched/scalar ratio {now:.2} fell below the hard floor \
-                     {BATCHED_HARD_FLOOR:.1} (committed {committed_ratio:.2})"
-                ));
-            } else {
-                println!(
-                    "NOT MET {row}: batched ratio {now:.2} is under the hard floor \
-                     {BATCHED_HARD_FLOOR:.1}, and so is the committed {committed_ratio:.2} \
-                     (known: see BATCHED_HARD_FLOOR / ROADMAP item 3(a))"
-                );
-            }
-        } else {
-            println!(
-                "{} {row}: batched ratio {now:.2} (committed {committed_ratio:.2})",
-                if simd || floored { "ok" } else { "info" }
-            );
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
 }
 
 fn check(committed_path: &str, fresh_json: &str) -> Result<(), String> {
@@ -712,20 +425,8 @@ fn arg_value(flag: &str) -> Option<String> {
 
 fn main() {
     let quick = bench::quick_mode();
-    let batched_mode = std::env::args().any(|a| a == "--batched");
-    let dispatch: KernelDispatch = arg_value("--kernels")
-        .map(|s| s.parse().expect("--kernels takes auto, scalar or simd"))
-        .unwrap_or_default();
-    let mut header = bench::RunHeader::start(dispatch.resolve());
-    let results = if batched_mode {
-        bench::note(&format!(
-            "kernel dispatch: {dispatch} (SIMD available: {})",
-            gillespie::batch::kernels::simd_available()
-        ));
-        measure_batched(quick, dispatch)
-    } else {
-        measure_all(quick)
-    };
+    let mut header = bench::RunHeader::start(KernelDispatch::Auto.resolve());
+    let results = measure_all(quick);
     header.finish();
     bench::note(&format!("run header: {}", header.to_json()));
 
@@ -736,47 +437,28 @@ fn main() {
                 m.model.to_string(),
                 m.engine.to_string(),
                 m.mode.to_string(),
-                format!("{}", m.width),
                 format!("{:.0}", m.steps_per_sec),
             ]
         })
         .collect();
     bench::print_table(
         "step_throughput (steps/sec)",
-        &["model", "engine", "mode", "width", "steps_per_sec"],
+        &["model", "engine", "mode", "steps_per_sec"],
         &rows,
     );
     let json = to_json(&results, quick, &header);
-    if batched_mode {
-        for ((model, engine, width), r) in batched_ratios(&json) {
-            bench::note(&format!(
-                "{model}/{engine}: batch of {width} fires {r:.2}x a single scalar instance"
-            ));
-        }
-    } else {
-        for ((model, engine), r) in ratios(&json) {
-            bench::note(&format!(
-                "{model}/{engine}: incremental is {r:.2}x full re-enumeration"
-            ));
-        }
+    for ((model, engine), r) in ratios(&json) {
+        bench::note(&format!(
+            "{model}/{engine}: incremental is {r:.2}x full re-enumeration"
+        ));
     }
 
-    let default_out = if batched_mode {
-        "BENCH_batched.json"
-    } else {
-        "BENCH_ssa_step.json"
-    };
-    let out = arg_value("--out").unwrap_or_else(|| default_out.to_string());
+    let out = arg_value("--out").unwrap_or_else(|| "BENCH_ssa_step.json".to_string());
     std::fs::write(&out, &json).expect("write bench json");
     bench::note(&format!("wrote {out}"));
 
     if let Some(baseline) = arg_value("--check") {
-        let outcome = if batched_mode {
-            check_batched(&baseline, &json, dispatch.resolve())
-        } else {
-            check(&baseline, &json)
-        };
-        match outcome {
+        match check(&baseline, &json) {
             Ok(()) => bench::note("step-throughput gate: ok"),
             Err(msg) => {
                 eprintln!("step-throughput gate FAILED:\n{msg}");

@@ -166,7 +166,7 @@ pub struct RunHeader {
 
 impl RunHeader {
     /// Captures the box, build and kernels and times the start spin.
-    pub fn start(kernel: gillespie::batch::kernels::Kernel) -> Self {
+    pub fn start(kernel: gillespie::kernels::Kernel) -> Self {
         let cpu = std::fs::read_to_string("/proc/cpuinfo")
             .ok()
             .and_then(|info| {

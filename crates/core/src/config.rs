@@ -81,22 +81,22 @@ pub struct SimConfig {
     /// Base RNG seed; instance `i` uses a seed derived from it.
     pub base_seed: u64,
     /// The stochastic integrator driving every trajectory (SSA by
-    /// default; the flat-only kinds — tau-leap, adaptive-tau, hybrid,
-    /// batched — are restricted to flat mass-action models and rejected
-    /// at run start otherwise, with an error naming the offending rule).
-    /// With [`EngineKind::Batched`], sim workers pull whole batches of
-    /// `width` replicas instead of single instances; results are
-    /// bit-for-bit the SSA results for every width.
+    /// default; the leaping kinds — tau-leap, adaptive-tau, hybrid — are
+    /// restricted to flat mass-action models and rejected at run start
+    /// otherwise, with an error naming the offending rule). With
+    /// [`EngineKind::Batched`], sim workers pull tasks of `width`
+    /// instances instead of single instances, each stepped by scalar SSA;
+    /// results are bit-for-bit the SSA results for every width and model.
     pub engine: EngineKind,
-    /// Kernel selection for the batched tier's SIMD layer
-    /// ([`gillespie::KernelDispatch`]): `Auto` (the default) uses the
-    /// vectorised kernels whenever the CPU supports them, `Scalar` and
+    /// Kernel selection for the propensity rows of the batched kind's
+    /// replicas ([`gillespie::KernelDispatch`]): `Auto` (the default) uses
+    /// the AVX2 row kernels whenever the CPU supports them, `Scalar` and
     /// `Simd` force one side. Every kernel produces bit-for-bit the same
     /// trajectories, so this knob changes throughput only. It is honoured
-    /// by the in-process batched farm ([`run_simulation`]) only: the
-    /// scalar engine kinds ignore it, and shard workers — threads, child
-    /// processes and TCP daemons alike — never receive it and always
-    /// resolve `Auto` locally.
+    /// by the in-process farm ([`run_simulation`]) with
+    /// [`EngineKind::Batched`] only: the other kinds resolve `Auto`, and
+    /// shard workers — threads, child processes and TCP daemons alike —
+    /// never receive it and always resolve `Auto` locally.
     ///
     /// [`run_simulation`]: crate::runner::run_simulation
     pub kernel_dispatch: gillespie::KernelDispatch,
@@ -388,8 +388,8 @@ impl SimConfig {
         self
     }
 
-    /// Selects the batched tier's kernels (see
-    /// [`SimConfig::kernel_dispatch`]); a no-op for scalar engine kinds.
+    /// Selects the row kernels of the batched kind's replicas (see
+    /// [`SimConfig::kernel_dispatch`]); a no-op for the other kinds.
     pub fn kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
         self.kernel_dispatch = dispatch;
         self

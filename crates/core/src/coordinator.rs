@@ -684,9 +684,9 @@ mod tests {
 
     #[test]
     fn batched_sharded_rows_equal_single_process_rows() {
-        // The batched tier through the sharded path: every shard runs a
-        // farm of whole-batch tasks over its slice, and the merged stream
-        // must still be bit-for-bit the single-process scalar run.
+        // The batched kind through the sharded path: every shard runs a
+        // farm of `width`-instance tasks over its slice, and the merged
+        // stream must still be bit-for-bit the single-process scalar run.
         let model = Arc::new(decay(40, 1.0));
         let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
         let batched_cfg = cfg().engine(EngineKind::Batched { width: 4 });
@@ -698,6 +698,37 @@ mod tests {
             .unwrap();
             assert_eq!(sharded.rows, single.rows, "shards={shards}");
             assert_eq!(sharded.events, single.events, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn batched_kind_on_a_compartment_model_equals_ssa() {
+        // `cell_transport` steps on the tree core (transport, division,
+        // death): the batched kind must give SSA's rows, events and
+        // whole-run summary, in process and sharded.
+        let model = Arc::new(biomodels::cell_transport(
+            biomodels::CellTransportParams::default(),
+        ));
+        let ssa = run_simulation(Arc::clone(&model), &cfg()).unwrap();
+        assert!(ssa.events > 0);
+        let summary = |report: &SimReport| format!("{:?}", report.summary);
+        let batched_cfg = cfg().engine(EngineKind::Batched { width: 3 });
+        let batched = run_simulation(Arc::clone(&model), &batched_cfg).unwrap();
+        assert_eq!(batched.rows, ssa.rows);
+        assert_eq!(batched.events, ssa.events);
+        assert_eq!(summary(&batched), summary(&ssa));
+        for shards in [1usize, 2, 3] {
+            let sharded_cfg = batched_cfg.clone().shards(shards);
+            let sharded =
+                run_simulation_sharded_in_process(Arc::clone(&model), &sharded_cfg).unwrap();
+            let ssa_sharded =
+                run_simulation_sharded_in_process(Arc::clone(&model), &cfg().shards(shards))
+                    .unwrap();
+            assert_eq!(sharded.rows, ssa.rows, "shards={shards}");
+            assert_eq!(sharded.events, ssa.events, "shards={shards}");
+            // A sharded summary is merged from partials: compare it with
+            // SSA's at the same shard count.
+            assert_eq!(summary(&sharded), summary(&ssa_sharded), "shards={shards}");
         }
     }
 

@@ -267,11 +267,11 @@ pub fn run_simulation_steered(
 
 /// Sequential reference implementation: same rows, no parallelism.
 ///
-/// Always runs per-instance scalar engines, even for
+/// Always runs one task per instance, even for
 /// [`EngineKind::Batched`](gillespie::engine::EngineKind::Batched) —
-/// a batch replica is *defined* as the scalar SSA trajectory of its
-/// instance, so the scalar run is the batched tier's reference, and the
-/// seq-vs-par agreement tests check the SoA engine against it.
+/// a batch replica *is* the scalar SSA trajectory of its instance, so the
+/// per-instance run is the batched kind's reference, and the seq-vs-par
+/// agreement tests check its `width`-instance farm tasks against it.
 ///
 /// # Errors
 ///
@@ -385,7 +385,7 @@ mod tests {
                 threshold: 8.0,
             },
             // The sequential reference runs scalar engines, so this is
-            // the batched tier vs its per-instance definition.
+            // the batched kind vs its per-instance definition.
             EngineKind::Batched { width: 4 },
         ] {
             let cfg = small_cfg().engine(kind);
@@ -416,12 +416,10 @@ mod tests {
     fn kernel_dispatch_knob_never_changes_the_report() {
         use gillespie::engine::EngineKind;
         use gillespie::KernelDispatch;
-        let model = Arc::new(birth_death(25.0, 1.0, 5));
-        let auto = run_simulation(
-            Arc::clone(&model),
-            &small_cfg().engine(EngineKind::Batched { width: 4 }),
-        )
-        .unwrap();
+        // 40 rules: past the short-row cutoff, so the replicas' rows fold
+        // and select on the dispatched kernels, not the inline scans.
+        let model = Arc::new(biomodels::simple::conversion_cycle(40, 400, 1.0));
+        let auto = run_simulation(Arc::clone(&model), &small_cfg()).unwrap();
         for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
             let cfg = small_cfg()
                 .engine(EngineKind::Batched { width: 4 })
@@ -445,7 +443,6 @@ mod tests {
                 epsilon: 0.05,
                 threshold: 8.0,
             },
-            EngineKind::Batched { width: 4 },
         ] {
             let cfg = small_cfg().engine(kind);
             let err = run_simulation(Arc::clone(&model), &cfg).unwrap_err();

@@ -12,13 +12,13 @@
 //! [`fastflow::master_worker`]) — and [`SimWorker`] runs one quantum per
 //! task, counts its events, forwards the produced [`SampleBatch`]es
 //! towards the alignment stage and feeds incomplete tasks back. Both are
-//! generic over the unit of scheduling, a [`QuantumTask`]: a scalar
-//! [`SimTask`] (one instance) or a [`BatchSimTask`] (a whole batch of
-//! replicas, the batched tier).
+//! generic over the unit of scheduling, a [`QuantumTask`]: a [`SimTask`]
+//! (one instance) or a [`BatchSimTask`] (`width` consecutive instances,
+//! the batched kind's task grain).
 //! [`sim_farm`] assembles the farm half of the Fig. 2 network for a run
-//! or a shard's slice of one; it holds the only tier branch, and both
-//! arms settle on the same per-instance `SampleBatch` stream — bit for
-//! bit — so everything downstream is tier-agnostic.
+//! or a shard's slice of one; it holds the only task-grain branch, and
+//! both arms settle on the same per-instance `SampleBatch` stream — bit
+//! for bit — so everything downstream is grain-agnostic.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -126,14 +126,7 @@ pub trait QuantumTask: Send + 'static {
 
 impl QuantumTask for SimTask {
     fn quantum(&mut self, mut emit: impl FnMut(SampleBatch)) {
-        let mut samples = Vec::new();
-        let events = self.run_quantum(&mut samples);
-        emit(SampleBatch {
-            instance: self.instance(),
-            samples,
-            events,
-            finished: self.is_done(),
-        });
+        emit(self.run_quantum_batch());
     }
 
     fn is_done(&self) -> bool {
@@ -142,8 +135,10 @@ impl QuantumTask for SimTask {
 }
 
 impl QuantumTask for BatchSimTask {
-    fn quantum(&mut self, emit: impl FnMut(SampleBatch)) {
-        self.run_quantum().into_iter().for_each(emit);
+    fn quantum(&mut self, mut emit: impl FnMut(SampleBatch)) {
+        for task in &mut self.tasks {
+            emit(task.run_quantum_batch());
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -201,10 +196,11 @@ impl<T> TaskMaster<T> {
 /// Worker node of the simulation farm: runs one quantum per task.
 ///
 /// An instance's batch is forwarded only when it carries samples or
-/// finishes the trajectory — the same rule on both tiers, so the sample
-/// streams reaching the downstream stages do not depend on the unit of
-/// scheduling. Events are counted here, at the source, because a quantum
-/// shorter than the sampling period fires events and forwards nothing.
+/// finishes the trajectory — the same rule for both task grains, so the
+/// sample streams reaching the downstream stages do not depend on the
+/// unit of scheduling. Events are counted here, at the source, because a
+/// quantum shorter than the sampling period fires events and forwards
+/// nothing.
 #[derive(Debug)]
 pub struct SimWorker<T> {
     steering: Steering,
@@ -260,9 +256,9 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
 /// reactions fired by every quantum the farm executed, complete once the
 /// pipeline has been joined.
 ///
-/// `kernel_dispatch` selects the batched tier's kernels and is ignored by
-/// the scalar tier; every kernel is bit-for-bit identical, so it never
-/// changes the stream.
+/// `kernel_dispatch` selects the propensity-row kernels of the batched
+/// kind's replicas (every other kind resolves `Auto`); every kernel is
+/// bit-for-bit identical, so it never changes the stream.
 ///
 /// # Errors
 ///
@@ -284,8 +280,8 @@ pub fn sim_farm(
     steering: &Steering,
 ) -> Result<(Pipeline<SampleBatch>, Arc<AtomicU64>), EngineError> {
     match engine {
-        // Batched tier: workers pull whole batches of `width` replicas
-        // (the last batch may be narrower) instead of single instances.
+        // Batched kind: workers pull tasks of `width` replicas (the last
+        // may be narrower) instead of single instances.
         EngineKind::Batched { width } => {
             let count = instances.end - instances.start;
             let tasks = batch_spans(instances.start, count, width)
@@ -351,7 +347,7 @@ mod tests {
 
     type Samples = Vec<(f64, Vec<u64>)>;
 
-    /// Both tiers of the one constructor (width 3 never divides the
+    /// Both task grains of the one constructor (width 3 never divides the
     /// instance counts below, so the last batch is narrower).
     const TIERS: [EngineKind; 2] = [EngineKind::Ssa, EngineKind::Batched { width: 3 }];
 

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use cwc::model::Model;
 pub use gillespie::batch::batch_spans;
-use gillespie::batch::BatchedSsaEngine;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
@@ -133,6 +132,19 @@ impl SimTask {
         (self.engine.time() + self.quantum).min(self.t_end)
     }
 
+    /// Runs one quantum and packs it as the instance's [`SampleBatch`]
+    /// (the unit the farm forwards towards alignment).
+    pub fn run_quantum_batch(&mut self) -> SampleBatch {
+        let mut samples = Vec::new();
+        let events = self.run_quantum(&mut samples);
+        SampleBatch {
+            instance: self.instance(),
+            samples,
+            events,
+            finished: self.is_done(),
+        }
+    }
+
     /// Runs one quantum, appending produced samples to `out`.
     ///
     /// Returns the number of reactions fired in the quantum.
@@ -147,37 +159,31 @@ impl SimTask {
     }
 }
 
-/// A simulation task that advances a whole *batch* of trajectories per
-/// quantum: the batched-tier counterpart of [`SimTask`], carrying one
-/// [`BatchedSsaEngine`] and one sampling clock per replica.
+/// A farm task of `width` consecutive instances — the unit of scheduling
+/// of [`EngineKind::Batched`]: one scalar direct-method [`SimTask`] per
+/// replica, advanced one quantum each per visit.
 ///
 /// With [`EngineKind::Batched`], the task generation stage chunks the
-/// instance range into `ceil(instances / width)` of these, and the sim
-/// workers pull whole batches through the feedback cycle instead of single
-/// instances. Every replica's sample stream and event count is bit-for-bit
-/// what the scalar [`SimTask`] of the same instance would produce.
+/// instance range into `ceil(instances / width)` of these
+/// ([`batch_spans`]), and the sim workers pull whole tasks through the
+/// feedback cycle instead of single instances. Every replica *is* the
+/// scalar SSA task of its instance, so its sample stream and event count
+/// are what the run would produce with [`EngineKind::Ssa`].
 #[derive(Debug, Clone)]
 pub struct BatchSimTask {
-    /// The batched engine (SoA state, per-replica RNG streams).
-    pub engine: BatchedSsaEngine,
-    /// Persistent τ-grid clocks, one per replica (survive quantum
-    /// boundaries).
-    pub clocks: Vec<SampleClock>,
-    /// Time horizon of the run.
-    pub t_end: f64,
-    /// Quantum length Q.
-    pub quantum: f64,
+    /// The replicas, in instance order.
+    pub tasks: Vec<SimTask>,
 }
 
 impl BatchSimTask {
     /// Creates the task for replicas `first_instance ..
     /// first_instance + width`, sharing an already-compiled dependency
-    /// graph across the run's batches.
+    /// graph across the run's tasks.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] when the model is not flat mass-action
-    /// (the error names the offending rule).
+    /// Returns [`EngineError`] when the direct method cannot drive
+    /// `model` (it drives every valid model).
     #[allow(clippy::too_many_arguments)]
     pub fn with_engine_deps(
         model: Arc<Model>,
@@ -189,62 +195,55 @@ impl BatchSimTask {
         quantum: f64,
         sample_period: f64,
     ) -> Result<Self, EngineError> {
-        Ok(BatchSimTask {
-            engine: BatchedSsaEngine::with_deps(model, deps, base_seed, first_instance, width)?,
-            clocks: (0..width)
-                .map(|_| SampleClock::new(0.0, sample_period))
-                .collect(),
-            t_end,
-            quantum,
-        })
+        let tasks = (first_instance..first_instance + width as u64)
+            .map(|instance| {
+                SimTask::with_engine_deps(
+                    EngineKind::Ssa,
+                    Arc::clone(&model),
+                    Arc::clone(&deps),
+                    base_seed,
+                    instance,
+                    t_end,
+                    quantum,
+                    sample_period,
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(BatchSimTask { tasks })
     }
 
-    /// Selects the engine's kernels (scalar / SIMD / auto-detected; see
-    /// [`gillespie::KernelDispatch`]). Purely a throughput knob — every
-    /// kernel produces bit-for-bit the same trajectories.
+    /// Selects the kernels of every replica's propensity row (scalar /
+    /// SIMD / auto-detected; see [`gillespie::KernelDispatch`]). Purely a
+    /// throughput knob — every kernel produces bit-for-bit the same
+    /// trajectories.
     #[must_use]
     pub fn with_kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
-        self.engine = self.engine.with_kernel_dispatch(dispatch);
+        self.tasks = self
+            .tasks
+            .into_iter()
+            .map(|task| SimTask {
+                engine: match task.engine {
+                    Engine::Ssa(engine) => Engine::Ssa(engine.with_kernel_dispatch(dispatch)),
+                    other => other,
+                },
+                ..task
+            })
+            .collect();
         self
     }
 
-    /// Instance id of the batch's first replica.
-    pub fn first_instance(&self) -> u64 {
-        self.engine.first_instance()
-    }
-
-    /// Number of replicas in the batch.
-    pub fn width(&self) -> usize {
-        self.engine.width()
-    }
-
-    /// True when every replica reached the horizon (the batch is in
-    /// lockstep, so one time comparison covers them all).
+    /// True when every replica reached the horizon.
     pub fn is_done(&self) -> bool {
-        self.engine.time() >= self.t_end
+        self.tasks.iter().all(SimTask::is_done)
     }
 
-    /// End of the next quantum (capped at the horizon).
-    pub fn next_quantum_end(&self) -> f64 {
-        (self.engine.time() + self.quantum).min(self.t_end)
-    }
-
-    /// Runs one quantum across the whole batch; returns one finished
-    /// [`SampleBatch`] per replica, in replica (= instance) order, each
-    /// carrying that replica's quantum samples and event count.
+    /// Runs one quantum of every replica; returns one [`SampleBatch`] per
+    /// replica, in replica (= instance) order, each carrying that
+    /// replica's quantum samples and event count.
     pub fn run_quantum(&mut self) -> Vec<SampleBatch> {
-        let horizon = self.next_quantum_end();
-        let outcomes = self.engine.advance_quantum_batch(horizon, &mut self.clocks);
-        let finished = self.is_done();
-        outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(r, o)| SampleBatch {
-                instance: self.engine.instance(r),
-                samples: o.samples,
-                events: o.events,
-                finished,
-            })
+        self.tasks
+            .iter_mut()
+            .map(SimTask::run_quantum_batch)
             .collect()
     }
 }
@@ -360,59 +359,98 @@ mod tests {
     fn batch_task_quanta_equal_scalar_task_quanta_bit_for_bit() {
         use gillespie::deps::ModelDeps;
 
-        let model = Arc::new(decay(25, 1.0));
-        let deps = Arc::new(ModelDeps::compile(&model));
-        let width = 4usize;
-        let mut batch = BatchSimTask::with_engine_deps(
-            Arc::clone(&model),
-            Arc::clone(&deps),
-            42,
-            0,
-            width,
-            2.0,
-            0.5,
-            0.25,
-        )
-        .unwrap();
-        let mut scalars: Vec<SimTask> = (0..width as u64)
-            .map(|i| {
-                SimTask::with_engine_deps(
-                    EngineKind::Ssa,
+        // A flat model (dense core) and a compartment model with division
+        // and death (tree core, structural rebuilds).
+        let models = [
+            Arc::new(decay(25, 1.0)),
+            Arc::new(biomodels::cell_transport(
+                biomodels::CellTransportParams::default(),
+            )),
+        ];
+        for model in models {
+            let deps = Arc::new(ModelDeps::compile(&model));
+            for width in [1usize, 3, 8] {
+                let first = 2;
+                let mut batch = BatchSimTask::with_engine_deps(
                     Arc::clone(&model),
                     Arc::clone(&deps),
                     42,
-                    i,
+                    first,
+                    width,
                     2.0,
                     0.5,
                     0.25,
                 )
-                .unwrap()
-            })
-            .collect();
-        while !batch.is_done() {
-            let batches = batch.run_quantum();
-            assert_eq!(batches.len(), width);
-            for (r, b) in batches.iter().enumerate() {
-                let mut samples = Vec::new();
-                let events = scalars[r].run_quantum(&mut samples);
-                assert_eq!(b.instance, r as u64);
-                assert_eq!(b.samples, samples, "replica {r}");
-                assert_eq!(b.events, events, "replica {r}");
-                assert_eq!(b.finished, scalars[r].is_done(), "replica {r}");
+                .unwrap();
+                let mut scalars: Vec<SimTask> = (first..first + width as u64)
+                    .map(|i| {
+                        SimTask::with_engine_deps(
+                            EngineKind::Ssa,
+                            Arc::clone(&model),
+                            Arc::clone(&deps),
+                            42,
+                            i,
+                            2.0,
+                            0.5,
+                            0.25,
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let name = &model.name;
+                let mut events = 0;
+                while !batch.is_done() {
+                    let batches = batch.run_quantum();
+                    assert_eq!(batches.len(), width);
+                    for (r, b) in batches.iter().enumerate() {
+                        let mut samples = Vec::new();
+                        let scalar_events = scalars[r].run_quantum(&mut samples);
+                        assert_eq!(b.instance, first + r as u64);
+                        assert_eq!(b.samples, samples, "{name} w{width} replica {r}");
+                        assert_eq!(b.events, scalar_events, "{name} w{width} replica {r}");
+                        assert_eq!(b.finished, scalars[r].is_done(), "{name} w{width}");
+                        events += b.events;
+                    }
+                }
+                assert!(scalars.iter().all(SimTask::is_done));
+                assert!(events > 0, "{name} w{width} never fired");
             }
         }
-        assert!(scalars.iter().all(SimTask::is_done));
     }
 
     #[test]
-    fn batch_task_rejects_compartment_models_naming_the_rule() {
-        use gillespie::deps::ModelDeps;
-        let model = Arc::new(biomodels::cell_transport(
-            biomodels::CellTransportParams::default(),
-        ));
-        let deps = Arc::new(ModelDeps::compile(&model));
-        let err = BatchSimTask::with_engine_deps(model, deps, 1, 0, 4, 1.0, 0.5, 0.25).unwrap_err();
-        assert!(err.to_string().contains('`'), "{err}");
+    fn batch_task_kernel_dispatch_reaches_every_replica_row() {
+        use gillespie::kernels::Kernel;
+        use gillespie::KernelDispatch;
+
+        let model = Arc::new(decay(25, 1.0));
+        let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
+        let replicas = |dispatch| {
+            BatchSimTask::with_engine_deps(
+                Arc::clone(&model),
+                Arc::clone(&deps),
+                42,
+                0,
+                3,
+                2.0,
+                0.5,
+                0.25,
+            )
+            .unwrap()
+            .with_kernel_dispatch(dispatch)
+            .tasks
+            .into_iter()
+            .map(|task| match task.engine {
+                Engine::Ssa(engine) => engine.kernel(),
+                other => panic!("a batch replica is SSA, got {}", other.kind()),
+            })
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(replicas(KernelDispatch::Scalar), [Kernel::Scalar; 3]);
+        assert_eq!(
+            replicas(KernelDispatch::Simd),
+            [KernelDispatch::Simd.resolve(); 3]
+        );
     }
 
     #[test]

@@ -38,9 +38,9 @@ use cwc::model::Model;
 use cwc::species::Species;
 use rand::Rng;
 
-use crate::batch::kernels::{self, Kernel, KernelDispatch, RuleMask};
 use crate::deps::ModelDeps;
 use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::kernels::{self, Kernel, KernelDispatch, RuleMask};
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::SampleClock;
 
@@ -95,7 +95,7 @@ struct PendingTransition {
 /// `props`, the enabled/critical masks and their counts by walking
 /// `FlatModel::incidence` over the changed species; the two prefix rows
 /// lazily, refolded from a dirty watermark through the width-1 row
-/// kernels of [`crate::batch::kernels`] (honouring the engine's
+/// kernels of [`crate::kernels`] (honouring the engine's
 /// [`KernelDispatch`]). Every value is bit-identical to what the
 /// full-recompute replica scans up from scratch on each draw.
 #[derive(Debug, Clone, Default)]

@@ -10,10 +10,8 @@
 //! once against it. The enum is the only dispatch mechanism: there is no
 //! engine trait, and a new integrator is a new variant.
 //!
-//! The batched tier ([`crate::batch::BatchedSsaEngine`]) keeps the same
-//! quantum contract for a whole *batch* of replicas advanced in lockstep
-//! over SoA state; workers pull whole batches through its
-//! `advance_quantum_batch` instead of single instances.
+//! [`EngineKind::Batched`] is the direct method with a coarser farm task
+//! (see [`crate::batch`]): every replica it builds is an [`Engine::Ssa`].
 //!
 //! [`EngineKind`] is the *configuration-level* selector — a small `Copy`
 //! value that travels in `SimConfig` and across the wire to remote farms —
@@ -114,14 +112,13 @@ pub enum EngineKind {
         /// leaves the exact phase (must be finite and ≥ 1).
         threshold: f64,
     },
-    /// Batched SoA direct method: sim workers advance whole batches of up
-    /// to `width` replicas in lockstep over structure-of-arrays state (the
-    /// [`crate::batch`] tier). Exact — every replica is bit-for-bit the
-    /// scalar [`EngineKind::Ssa`] trajectory of the same instance. Flat,
-    /// top-level, mass-action models only.
+    /// The direct method with a coarser task grain: the farm schedules
+    /// `width` consecutive instances per task (see [`crate::batch`]), and
+    /// each replica is stepped by the scalar [`EngineKind::Ssa`] engine of
+    /// its instance. Accepts every model SSA accepts.
     Batched {
-        /// Replicas per batch (must be ≥ 1). Instances are chunked into
-        /// `ceil(instances / width)` batches; the last may be narrower.
+        /// Instances per farm task (must be ≥ 1). Instances are chunked
+        /// into `ceil(instances / width)` tasks; the last may be narrower.
         width: usize,
     },
 }
@@ -313,7 +310,9 @@ impl EngineKind {
     ) -> Result<Engine, EngineError> {
         self.validate()?;
         match self {
-            EngineKind::Ssa => Ok(Engine::Ssa(SsaEngine::with_deps(
+            // A batched replica *is* the scalar direct method of its
+            // instance; only the farm's task grain differs.
+            EngineKind::Ssa | EngineKind::Batched { .. } => Ok(Engine::Ssa(SsaEngine::with_deps(
                 model, deps, base_seed, instance,
             ))),
             EngineKind::TauLeap { tau } => {
@@ -328,21 +327,6 @@ impl EngineKind {
                 let engine = HybridEngine::with_deps(model, deps, base_seed, instance)?;
                 Ok(Engine::Hybrid(Box::new(
                     engine.with_epsilon(epsilon).with_threshold(threshold),
-                )))
-            }
-            EngineKind::Batched { .. } => {
-                // Per-instance builds of the batched kind (remote farms,
-                // device fallbacks, per-instance reference paths) hand out
-                // the scalar direct method: a batch replica is *defined*
-                // as bit-for-bit that scalar trajectory, so the scalar
-                // engine is its exact single-instance materialization.
-                // The model contract is still the batch tier's: reject
-                // non-flat models here, naming the offending rule, so a
-                // batched run fails at start everywhere, not just where a
-                // real batch is built.
-                crate::batch::BatchedSsaEngine::check_model(&model, &deps)?;
-                Ok(Engine::Ssa(SsaEngine::with_deps(
-                    model, deps, base_seed, instance,
                 )))
             }
         }
@@ -367,9 +351,9 @@ impl fmt::Display for EngineKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A flat-only engine (tau-leaping, adaptive tau-leaping, the hybrid
-    /// SSA/tau engine, the batched SSA engine) cannot drive this model
-    /// (compartments, nested sites or non-mass-action laws); the inner
-    /// error names the engine and the offending rule.
+    /// SSA/tau engine) cannot drive this model (compartments, nested sites
+    /// or non-mass-action laws); the inner error names the engine and the
+    /// offending rule.
     FlatModel(FlatModelError),
     /// The configured leap length is not positive and finite.
     InvalidTau {
@@ -386,7 +370,7 @@ pub enum EngineError {
         /// The offending value.
         threshold: f64,
     },
-    /// The configured batch width is zero.
+    /// The configured batch width (instances per task) is zero.
     InvalidWidth {
         /// The offending value.
         width: usize,
@@ -475,9 +459,9 @@ pub enum Engine {
 
 impl Engine {
     /// The configuration that would rebuild this engine. An engine built
-    /// from [`EngineKind::Batched`] reports [`EngineKind::Ssa`]: the
-    /// per-instance materialization of a batch replica *is* the scalar
-    /// direct method, and rebuilding it as such is bit-for-bit faithful.
+    /// from [`EngineKind::Batched`] reports [`EngineKind::Ssa`]: a batch
+    /// replica *is* the scalar direct method, and rebuilding it as such is
+    /// bit-for-bit faithful.
     pub fn kind(&self) -> EngineKind {
         match self {
             Engine::Ssa(_) => EngineKind::Ssa,
@@ -957,14 +941,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_kind_rejects_compartment_models_naming_rule_and_engine() {
-        let err = EngineKind::Batched { width: 4 }
-            .build(comp_model(), 1, 0)
-            .unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, EngineError::FlatModel(_)), "{msg}");
-        assert!(msg.contains("`r`"), "{msg}");
-        assert!(msg.contains("the batched SSA engine"), "{msg}");
+    fn batched_kind_steps_compartment_models_like_ssa() {
+        // A rule inside `cell` on a term that has one: the tree core.
+        let mut m = Model::new("comp");
+        let a = m.species("A");
+        m.rule("r")
+            .at("cell")
+            .consumes("A", 1)
+            .rate(1.0)
+            .build()
+            .unwrap();
+        let cell = m.label("cell");
+        m.initial.add_compartment(cwc::term::Compartment::new(
+            cell,
+            cwc::multiset::Multiset::new(),
+            Term::from_atoms(cwc::multiset::Multiset::from([(a, 25)])),
+        ));
+        m.observe("A", a);
+        let model = Arc::new(m);
+        let mut scalar = EngineKind::Ssa.build(Arc::clone(&model), 4, 2).unwrap();
+        let mut batch_built = EngineKind::Batched { width: 3 }
+            .build(Arc::clone(&model), 4, 2)
+            .unwrap();
+        assert!(matches!(batch_built, Engine::Ssa(_)));
+        let mut c1 = SampleClock::new(0.0, 0.25);
+        let mut c2 = SampleClock::new(0.0, 0.25);
+        let mut events = 0;
+        for t in [0.6, 1.9, 4.0] {
+            let want = scalar.advance_quantum(t, &mut c1);
+            events += want.events;
+            assert_eq!(batch_built.advance_quantum(t, &mut c2), want, "t = {t}");
+        }
+        assert!(events > 0, "the compartment rule never fired");
+        assert_eq!(batch_built.term(), scalar.term());
     }
 
     #[test]

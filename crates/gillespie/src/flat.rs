@@ -9,8 +9,8 @@
 //! never rebuilt per instance) serves both tiers:
 //!
 //! - the **exact tier** — the dense core of [`crate::ssa::SsaEngine`]
-//!   (and through it the hybrid's exact phase) and the
-//!   batched engine of [`crate::batch`] — reads the *slot* tables
+//!   (and through it the hybrid's exact phase and every replica of the
+//!   batched kind) — reads the *slot* tables
 //!   (`SlotTables`: the rules with a non-zero rate, in rule order, with
 //!   their reactants, net stoichiometry, kinetic laws — compiled once
 //!   here into [`CompiledLaw`]s, so a refresh never recomputes `kⁿ` and
@@ -23,8 +23,8 @@
 //!   reactant/stoichiometry/rate rows, the Cao–Gillespie–Petzold
 //!   step-size bound (`FlatModel::cgp_tau_with`) with its
 //!   highest-order-reaction `g_i` factors, and the same observable plan.
-//!   These engines additionally need mass-action laws; they (and the
-//!   batched engine) obtain the shared form through `mass_action_flat`,
+//!   These engines additionally need mass-action laws; they obtain the
+//!   shared form through `mass_action_flat`,
 //!   which names the offending rule and the refusing engine in a
 //!   [`FlatModelError`] the config layer surfaces verbatim.
 //!
@@ -40,7 +40,6 @@ use cwc::species::{Label, Species};
 use cwc::term::Term;
 use rand::Rng;
 
-use crate::batch::kernels::SlotPlan;
 use crate::deps::ModelDeps;
 
 /// Error constructing a flat-model engine (fixed tau-leaping, adaptive
@@ -181,8 +180,6 @@ pub(crate) struct SlotTables {
     /// their species are dense indices already ([`Species::raw`] *is* the
     /// index space).
     pub laws: Vec<CompiledLaw>,
-    /// Per-slot vectorization plans of the batched kernels.
-    pub plans: Vec<SlotPlan>,
     /// Slot → slots whose propensity a firing of it can move: the
     /// dependency graph's same-site affected list, mapped to slots
     /// (ascending, so the first entry is the lowest stale slot).
@@ -284,10 +281,9 @@ fn species_space(model: &Model) -> usize {
 /// binomial selection counts (saturating, zero as soon as a reactant is
 /// short), handed to the rule's compiled kinetic law ([`CompiledLaw`], the
 /// reference [`RateLaw::propensity_with`]'s bits) with a single float
-/// cast, then the positive clamp. The definition the dense core, the
-/// batched scalar kernels and (under their exactness guards) the AVX2
-/// kernels all reproduce bit-for-bit; `count` looks a species index up in
-/// whatever layout the caller keeps.
+/// cast, then the positive clamp. The definition the dense core
+/// reproduces bit-for-bit; `count` looks a species index up in whatever
+/// layout the caller keeps.
 #[inline]
 pub(crate) fn exact_propensity(
     reactants: &[(usize, u64)],
@@ -315,8 +311,8 @@ pub(crate) fn exact_propensity(
 }
 
 /// The shared flat form of `model` for an engine that additionally needs
-/// mass-action laws (the leaping engines and the batched engine; `engine`
-/// is the name that appears in the rejection).
+/// mass-action laws (the leaping engines; `engine` is the name that
+/// appears in the rejection).
 ///
 /// # Errors
 ///
@@ -396,14 +392,10 @@ impl FlatModel {
             rule_slot[r as usize] = j as u32;
         }
         let slot_rules = || slot_rule.iter().map(|&r| r as usize);
-        let slot_reactants = Rows::from_rows(slot_rules().map(|r| reactants[r].iter().copied()));
         let slots = SlotTables {
             delta: Rows::from_rows(slot_rules().map(|r| delta[r].iter().copied())),
             rates: slot_rules().map(|r| rates[r]).collect(),
             laws: slot_rules().map(|r| model.rules[r].law.compile()).collect(),
-            plans: (0..slot_rule.len())
-                .map(|j| SlotPlan::of(&slot_reactants[j]))
-                .collect(),
             // The dependency graph never lists a zero-rate rule (compiled
             // deps by construction, received ones by `validate_for`), so
             // every affected rule has a slot.
@@ -412,7 +404,7 @@ impl FlatModel {
                     .iter()
                     .map(|&q| rule_slot[q as usize])
             })),
-            reactants: slot_reactants,
+            reactants: Rows::from_rows(slot_rules().map(|r| reactants[r].iter().copied())),
             rule: slot_rule,
         };
         debug_assert!(slots.affects.entries.iter().all(|&j| j != u32::MAX));
@@ -858,7 +850,6 @@ mod tests {
 
     #[test]
     fn flat_form_is_compiled_once_per_deps_not_per_engine() {
-        use crate::batch::BatchedSsaEngine;
         use crate::engine::EngineKind;
         let (m, deps) = schlogl_like();
         let model = Arc::new(m);
@@ -878,7 +869,6 @@ mod tests {
             kind.build_with_deps(Arc::clone(&model), Arc::clone(&deps), 1, instance)
                 .unwrap();
         }
-        BatchedSsaEngine::with_deps(Arc::clone(&model), Arc::clone(&deps), 1, 0, 8).unwrap();
         assert_eq!(FlatModel::thread_compile_count(), before + 1);
         // A clone of the deps carries the compiled form along.
         let cloned = ModelDeps::clone(&deps);

@@ -44,9 +44,9 @@ use std::sync::Arc;
 
 use cwc::model::Model;
 
-use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
 use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::kernels::{self, Kernel, KernelDispatch};
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
 

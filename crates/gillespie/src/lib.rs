@@ -24,22 +24,25 @@
 //!   of re-enumerated per step (the step-throughput lever for CWC's
 //!   tree-matching propensities), and the SoA propensity row both cores
 //!   share — one ordered `-0.0`-identity prefix fold and one selection,
-//!   on the kernel layer's `row_fold_from`/`row_select`;
+//!   on the [`kernels`] layer's `row_fold_from`/`row_select`;
 //! - [`trajectory`]: the time-aligned [`Cut`];
 //! - [`flat`]: the compiled flat form of a model — slot tables, the
-//!   exact propensity formula and the observable plan of the dense core
-//!   and the batched tier; stoichiometry rows and the
-//!   Cao–Gillespie–Petzold step bound of every leaping engine — plus the
-//!   common rejection error;
+//!   exact propensity formula and the observable plan of the dense core;
+//!   stoichiometry rows and the Cao–Gillespie–Petzold step bound of every
+//!   leaping engine — plus the common rejection error;
 //! - [`tau_leap`]: approximate fixed-step Poisson leaping for flat models
 //!   (an extension beyond the paper, in the spirit of StochKit);
 //! - [`adaptive`]: adaptive tau-leaping — CGP step-size selection with
 //!   critical-reaction partitioning and an exact-SSA fallback;
 //! - [`hybrid`]: the hybrid exact/approximate engine — dense-core SSA
 //!   segments with CGP-sized leaps when propensities stratify;
-//! - [`batch`]: the batched SoA tier — [`BatchedSsaEngine`] advances a
-//!   whole batch of replicas of one flat model in lockstep, every
-//!   replica bit-for-bit the scalar SSA trajectory of the same instance;
+//! - [`batch`]: the batched kind's task grain — [`batch::batch_spans`]
+//!   chunks instances into farm tasks whose replicas each step on the
+//!   scalar direct method;
+//! - [`kernels`] (defined as `batch::kernels`, where the batched tier
+//!   introduced it): the runtime-dispatched scalar/AVX2 propensity-row
+//!   scans (folds, selections) behind the exact tier's long rows and every
+//!   leaping engine, bit-for-bit identical either way;
 //! - [`rng`]: deterministic per-instance seeding *and* the per-engine draw
 //!   discipline, making every execution back-end (multicore, distributed,
 //!   simulated GPGPU) produce identical trajectories for identical seeds.
@@ -61,12 +64,12 @@ pub mod tau_leap;
 pub mod trajectory;
 
 pub use adaptive::AdaptiveTauEngine;
-pub use batch::kernels::KernelDispatch;
-pub use batch::BatchedSsaEngine;
+pub use batch::kernels;
 pub use deps::{KeptChild, ModelDeps, RuleDeps};
 pub use engine::{Engine, EngineError, EngineKind, EngineStep, QuantumOutcome};
 pub use flat::FlatModelError;
 pub use hybrid::HybridEngine;
+pub use kernels::KernelDispatch;
 pub use rng::{instance_seed, sim_rng, SimRng};
 pub use ssa::{Reaction, SampleClock, SsaEngine, StepOutcome};
 pub use table::ReactionTable;

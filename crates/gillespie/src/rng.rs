@@ -52,13 +52,11 @@
 //!   the committed state and consumes nothing, and the primary stream is
 //!   never touched outside exact segments — so the exact stream's
 //!   alignment is independent of how often leaping engages;
-//! - **batched SSA** ([`crate::batch::BatchedSsaEngine`]): replica `r` of
-//!   a batch with first instance `f` owns the stream of instance `f + r`
-//!   (same [`sim_rng`] derivation) and replicates the **direct method**
-//!   discipline above on it, draw for draw — streams never interleave
-//!   across replicas, so the lockstep schedule cannot perturb a
-//!   trajectory and every replica is bit-for-bit scalar SSA instance
-//!   `f + r`.
+//! - **batched SSA** ([`crate::engine::EngineKind::Batched`]): replica
+//!   `r` of a task starting at instance `f` is the scalar direct-method
+//!   stream of instance `f + r` — the replica *is* a scalar
+//!   [`crate::ssa::SsaEngine`] on that stream, so the task's width never
+//!   moves a draw.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

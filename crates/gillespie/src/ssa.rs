@@ -57,6 +57,7 @@ use rand::Rng;
 
 use crate::deps::ModelDeps;
 use crate::flat::FlatModel;
+use crate::kernels::{Kernel, KernelDispatch};
 use crate::rng::{sim_rng, SimRng};
 use crate::table::{PropensityRow, ReactionTable};
 
@@ -275,6 +276,25 @@ impl SsaEngine {
             sample_buf: Vec::new(),
             a0_sums: 0,
         }
+    }
+
+    /// Selects the kernels of the propensity row's long-row scans
+    /// (builder-style; the default is [`KernelDispatch::Auto`]). Both
+    /// kernel sets are bit-for-bit identical, so this never changes the
+    /// trajectory.
+    #[must_use]
+    pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
+        let row = match &mut self.core {
+            Core::Tree(tree) => tree.table.row_mut(),
+            Core::Dense(dense) => &mut dense.row,
+        };
+        row.kernel = dispatch.resolve();
+        self
+    }
+
+    /// The kernel set the propensity row's long-row scans run on.
+    pub fn kernel(&self) -> Kernel {
+        self.row().kernel
     }
 
     /// The current term, materialised on demand: the tree core's term, or

@@ -60,8 +60,8 @@ use cwc::rule::CompiledLaw;
 use cwc::species::Label;
 use cwc::term::{SiteId, SiteRegistry, Term};
 
-use crate::batch::kernels::{self, Kernel, KernelDispatch};
 use crate::deps::ModelDeps;
+use crate::kernels::{self, Kernel, KernelDispatch};
 
 /// Rows shorter than this many slots fold with the inline scalar reference
 /// (`kernels::row_fold_scalar_from`) and select with the inline branch-free
@@ -101,7 +101,7 @@ pub(crate) struct PropensityRow {
     active: usize,
     /// The row kernels this process resolved to (scalar or AVX2,
     /// bit-identical; `CWC_FORCE_SCALAR_KERNELS` forces the former).
-    kernel: Kernel,
+    pub(crate) kernel: Kernel,
 }
 
 impl Default for PropensityRow {
@@ -362,6 +362,12 @@ impl ReactionTable {
     /// The propensity row of the table's slots.
     pub(crate) fn row(&self) -> &PropensityRow {
         &self.row
+    }
+
+    /// The propensity row, for settings that never move a bit of it (its
+    /// kernel set).
+    pub(crate) fn row_mut(&mut self) -> &mut PropensityRow {
+        &mut self.row
     }
 
     /// The `(site, rule)` key of entry `i`.

@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use cwc::model::Model;
-use gillespie::batch::{batch_spans, BatchedSsaEngine};
 use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
 
@@ -30,21 +29,13 @@ pub struct KernelOutput {
     pub samples: Vec<(f64, Vec<u64>)>,
 }
 
-/// How the resident instances are laid out on the device.
-#[derive(Debug)]
-enum Lanes {
-    /// One engine per lane, advanced lane by lane.
-    Scalar(Vec<Engine>),
-    /// The batched tier: SoA batches of replicas, each batch advancing
-    /// its contiguous block of lanes in lockstep — the closest CPU-side
-    /// analogue of the warp execution model the kernel simulates.
-    Batched(Vec<BatchedSsaEngine>),
-}
-
 /// The device-resident map: all instances advance in lockstep quanta.
 #[derive(Debug)]
 pub struct DeviceMap {
-    lanes: Lanes,
+    /// One engine per lane, advanced lane by lane (a batched kind's
+    /// groups are scalar direct-method engines too, so its lanes are
+    /// laid out like every other kind's).
+    lanes: Vec<Engine>,
     clocks: Vec<SampleClock>,
     t_end: f64,
     quantum: f64,
@@ -95,32 +86,9 @@ impl DeviceMap {
         // Compile the model once for the whole device load; every lane's
         // engine shares the dependency graph.
         let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
-        let lanes = match kind {
-            EngineKind::Batched { width } => {
-                kind.validate()?;
-                Lanes::Batched(
-                    batch_spans(0, instances, width)
-                        .into_iter()
-                        .map(|(first, w)| {
-                            BatchedSsaEngine::with_deps(
-                                Arc::clone(&model),
-                                Arc::clone(&deps),
-                                base_seed,
-                                first,
-                                w,
-                            )
-                        })
-                        .collect::<Result<_, _>>()?,
-                )
-            }
-            _ => Lanes::Scalar(
-                (0..instances)
-                    .map(|i| {
-                        kind.build_with_deps(Arc::clone(&model), Arc::clone(&deps), base_seed, i)
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-        };
+        let lanes = (0..instances)
+            .map(|i| kind.build_with_deps(Arc::clone(&model), Arc::clone(&deps), base_seed, i))
+            .collect::<Result<_, _>>()?;
         let clocks = (0..instances)
             .map(|_| SampleClock::new(0.0, sample_period))
             .collect();
@@ -149,39 +117,16 @@ impl DeviceMap {
         let horizon = (self.time + self.quantum).min(self.t_end);
         let mut events = vec![0u64; self.clocks.len()];
         let mut outputs = Vec::with_capacity(self.clocks.len());
-        match &mut self.lanes {
-            Lanes::Scalar(engines) => {
-                for (i, engine) in engines.iter_mut().enumerate() {
-                    // The "kernel" only needs advance-one-quantum,
-                    // whatever the integrator.
-                    let outcome = engine.advance_quantum(horizon, &mut self.clocks[i]);
-                    events[i] = outcome.events;
-                    if !outcome.samples.is_empty() {
-                        outputs.push(KernelOutput {
-                            instance: engine.instance(),
-                            samples: outcome.samples,
-                        });
-                    }
-                }
-            }
-            Lanes::Batched(batches) => {
-                for batch in batches.iter_mut() {
-                    // Each batch owns the contiguous block of lanes (and
-                    // clocks) starting at its first instance.
-                    let first = batch.first_instance() as usize;
-                    let w = batch.width();
-                    let outcomes =
-                        batch.advance_quantum_batch(horizon, &mut self.clocks[first..first + w]);
-                    for (r, outcome) in outcomes.into_iter().enumerate() {
-                        events[first + r] = outcome.events;
-                        if !outcome.samples.is_empty() {
-                            outputs.push(KernelOutput {
-                                instance: batch.instance(r),
-                                samples: outcome.samples,
-                            });
-                        }
-                    }
-                }
+        for (i, engine) in self.lanes.iter_mut().enumerate() {
+            // The "kernel" only needs advance-one-quantum, whatever the
+            // integrator.
+            let outcome = engine.advance_quantum(horizon, &mut self.clocks[i]);
+            events[i] = outcome.events;
+            if !outcome.samples.is_empty() {
+                outputs.push(KernelOutput {
+                    instance: engine.instance(),
+                    samples: outcome.samples,
+                });
             }
         }
         self.events_log.push(events);
@@ -250,8 +195,7 @@ mod tests {
                 epsilon: 0.05,
                 threshold: 8.0,
             },
-            // Batched lanes: 4 instances at width 3 → batches of 3 and 1,
-            // each replica still bit-identical to `kind.build` (scalar SSA).
+            // Batched lanes: scalar SSA engines, like `kind.build`.
             EngineKind::Batched { width: 3 },
         ] {
             let mut device =

@@ -1,8 +1,8 @@
 //! Quickstart: build a CWC model, run the parallel simulation-analysis
 //! pipeline with the exact (SSA) integrator, print the resulting
 //! statistics as CSV — then re-run the *same* pipeline under the batched
-//! SoA tier, fixed-step tau-leaping and adaptive (CGP) tau-leaping with
-//! one config knob (`SimConfig::engine`) and compare.
+//! kind, fixed-step tau-leaping and adaptive (CGP) tau-leaping with one
+//! config knob (`SimConfig::engine`) and compare.
 //!
 //! Everything the program needs is imported from the `cwc_repro` umbrella
 //! crate: the end-to-end run API (`SimConfig`, `EngineKind`,
@@ -131,10 +131,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Batched tier: workers advance whole batches of 8 replicas in SoA
-    // lockstep instead of single instances. Every replica replays the
-    // scalar SSA draw discipline on its own RNG stream, so the rows are
-    // bit-for-bit identical to the plain SSA run above.
+    // Batched kind: workers pull tasks of 8 instances instead of single
+    // instances. Every replica is stepped by scalar SSA on its own RNG
+    // stream, so the rows are bit-for-bit identical to the plain SSA run
+    // above.
     let batched_cfg = cfg.clone().engine(EngineKind::batched(8)?);
     let batched = run_simulation(Arc::clone(&model), &batched_cfg)?;
     if batched.rows != report.rows || batched.events != report.events {

@@ -4,9 +4,9 @@
 #
 #   bash scripts/bench_tables.sh [repo-root]
 #
-# Prints three markdown tables — the exact tier's step throughput
-# (BENCH_ssa_step.json), the batched tier (BENCH_batched.json) and the two
-# wide adaptive cases (BENCH_adaptive_tau.json). After
+# Prints two markdown tables — the exact tier's step throughput
+# (BENCH_ssa_step.json) and the two wide adaptive cases
+# (BENCH_adaptive_tau.json). After
 # regenerating a BENCH file, paste the matching table over the one in
 # README.md.
 set -euo pipefail
@@ -49,27 +49,6 @@ rows BENCH_ssa_step.json | awk -F';' '
     }'
 echo
 header BENCH_ssa_step.json
-
-echo
-echo "<!-- BENCH_batched.json -->"
-echo "| model | scalar (fires/s) | batch w8 | w32 | w64 | w8 / w32 / w64 ratio |"
-echo "|---|---|---|---|---|---|"
-rows BENCH_batched.json | awk -F';' '
-    {
-        delete f
-        for (i = 1; i <= NF; i++) { split($i, kv, "="); f[kv[1]] = kv[2] }
-        key = (f["mode"] == "scalar") ? "s" : f["width"]
-        rate[f["model"], key] = f["steps_per_sec"]
-        if (!(f["model"] in seen)) { seen[f["model"]] = 1; order[++n] = f["model"] }
-    }
-    END {
-        for (k = 1; k <= n; k++) {
-            m = order[k]; s = rate[m, "s"]
-            printf "| `%s` | %.1fM | %.1fM | %.1fM | %.1fM | %.2fx / %.2fx / %.2fx |\n", m,
-                s / 1e6, rate[m, 8] / 1e6, rate[m, 32] / 1e6, rate[m, 64] / 1e6,
-                rate[m, 8] / s, rate[m, 32] / s, rate[m, 64] / s
-        }
-    }'
 
 echo
 echo "<!-- BENCH_adaptive_tau.json -->"

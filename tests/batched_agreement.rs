@@ -1,31 +1,28 @@
-//! The batched SoA tier's core contract (PR 6): every replica of a
-//! [`BatchedSsaEngine`] batch is **bit-for-bit** the scalar direct-method
-//! trajectory of the same instance.
+//! The batched kind's core contract: every replica of a
+//! [`BatchSimTask`] — the farm task of
+//! [`EngineKind::Batched`](cwc_repro::EngineKind::Batched) — is
+//! **bit-for-bit** the scalar direct-method trajectory of the same
+//! instance, whatever the kernel dispatch of its propensity rows.
 //!
-//! Two pillars, mirroring `tests/incremental_table.rs`:
-//!
-//! 1. **Golden trajectory fingerprints** — full sampled batched runs over
-//!    irregular quantum slicings on the three flat models of the agreement
-//!    matrix, hashed bit-for-bit (`f64::to_bits` on every grid time,
-//!    every observable value). The golden constants were recorded from the
-//!    *scalar* [`SsaEngine`] driven through the identical schedule — the
-//!    batched tier must reproduce them exactly, and a live scalar replay
-//!    cross-checks the recording method itself.
-//!
-//! 2. **Propensity-sum identity** — a property test that the batch's
-//!    vectorized `a0` equals the scalar engine's running total *in bits*
-//!    at every quantum boundary, including the `-0.0` an exhausted state
-//!    reports (the sign bit distinguishes "no enabled reactions" from a
-//!    genuine zero-propensity sum, so it must survive vectorization).
+//! Golden trajectory fingerprints: full sampled runs of `width`-replica
+//! tasks on the three flat models of the agreement matrix, hashed
+//! bit-for-bit (`f64::to_bits` on every grid time, every observable
+//! value). The golden constants were recorded from the *scalar*
+//! [`SsaEngine`] driven through an irregular quantum schedule; the tasks
+//! step on a different, uneven quantum, so reproducing the constants also
+//! pins the quantum contract. A live scalar replay cross-checks the
+//! recording method itself.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use cwc_repro::biomodels::{schlogl, simple, SchloglParams};
 use cwc_repro::cwc::model::Model;
-use cwc_repro::gillespie::batch::kernels::KernelDispatch;
-use cwc_repro::gillespie::batch::BatchedSsaEngine;
+use cwc_repro::cwcsim::task::BatchSimTask;
+use cwc_repro::gillespie::deps::ModelDeps;
+use cwc_repro::gillespie::engine::Engine;
 use cwc_repro::gillespie::ssa::{SampleClock, SsaEngine};
+use cwc_repro::gillespie::KernelDispatch;
 
 // ---------------------------------------------------------------------------
 // Golden trajectory fingerprints
@@ -42,8 +39,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 
 /// The irregular quantum schedule: cycles through uneven fractions of the
 /// horizon so quantum boundaries land between, on, and beyond event times.
-/// Indexed by quantum count (not events) so it is common to every replica
-/// of a lockstep batch.
+/// Indexed by quantum count (not events), like a farm task's quanta.
 fn schedule(t_end: f64) -> impl Iterator<Item = f64> {
     let quanta = [0.13, 0.29, 0.5, 0.77, 1.0];
     let mut t = 0.0;
@@ -58,8 +54,8 @@ fn schedule(t_end: f64) -> impl Iterator<Item = f64> {
     })
 }
 
-/// Per-replica `(sample_hash, events, final_observables)` of a batched run
-/// over the irregular schedule.
+/// Per-replica `(sample_hash, events, final_observables)` of one
+/// [`BatchSimTask`] of `width` replicas from instance `first`.
 fn batched_fingerprints(
     model: Arc<Model>,
     seed: u64,
@@ -71,7 +67,7 @@ fn batched_fingerprints(
 }
 
 /// Like [`batched_fingerprints`], with an explicit kernel dispatch — the
-/// scalar and SIMD kernel layers must both reproduce the goldens.
+/// scalar and SIMD row kernels must both reproduce the goldens.
 fn batched_fingerprints_with(
     model: Arc<Model>,
     seed: u64,
@@ -80,22 +76,30 @@ fn batched_fingerprints_with(
     t_end: f64,
     dispatch: KernelDispatch,
 ) -> Vec<(u64, u64, Vec<u64>)> {
-    let mut batch = BatchedSsaEngine::new(model, seed, first, width)
-        .unwrap()
-        .with_kernel_dispatch(dispatch);
-    let mut clocks: Vec<SampleClock> = (0..width)
-        .map(|_| SampleClock::new(0.0, t_end / 40.0))
-        .collect();
+    let deps = Arc::new(ModelDeps::compile(&model));
+    // An uneven quantum, not the recording schedule: 0.37 never divides
+    // the horizon, so boundaries fall between events and the last quantum
+    // is capped short.
+    let quantum = 0.37 * t_end / 10.0;
+    let mut task = BatchSimTask::with_engine_deps(
+        model,
+        deps,
+        seed,
+        first,
+        width,
+        t_end,
+        quantum,
+        t_end / 40.0,
+    )
+    .unwrap()
+    .with_kernel_dispatch(dispatch);
     let mut hashes = vec![0u64; width];
     let mut events = vec![0u64; width];
-    for t in schedule(t_end) {
-        for (r, outcome) in batch
-            .advance_quantum_batch(t, &mut clocks)
-            .into_iter()
-            .enumerate()
-        {
-            events[r] += outcome.events;
-            for (ts, v) in &outcome.samples {
+    while !task.is_done() {
+        for (r, batch) in task.run_quantum().into_iter().enumerate() {
+            assert_eq!(batch.instance, first + r as u64);
+            events[r] += batch.events;
+            for (ts, v) in &batch.samples {
                 hashes[r] = fnv1a(hashes[r], &ts.to_bits().to_le_bytes());
                 for &x in v {
                     hashes[r] = fnv1a(hashes[r], &x.to_le_bytes());
@@ -104,12 +108,12 @@ fn batched_fingerprints_with(
         }
     }
     (0..width)
-        .map(|r| (hashes[r], events[r], batch.observe_replica(r)))
+        .map(|r| (hashes[r], events[r], task.tasks[r].engine.observe()))
         .collect()
 }
 
 /// The scalar reference: instance `first + r` through the identical
-/// schedule and clock — the definition the batched tier must reproduce.
+/// schedule and clock — the definition the batched kind must reproduce.
 fn scalar_fingerprints(
     model: Arc<Model>,
     seed: u64,
@@ -215,8 +219,9 @@ fn batched_trajectories_match_the_golden_scalar_fingerprints() {
 
 /// The kernel-dispatch matrix: forcing the scalar reference and
 /// requesting SIMD (which resolves to AVX2 where available, scalar
-/// elsewhere) must both land exactly on the golden fingerprints — the
-/// kernel layer may never change a bit of a trajectory. Together with
+/// elsewhere) on the replicas' rows must both land exactly on the golden
+/// fingerprints — the kernel layer may never change a bit of a
+/// trajectory. Together with
 /// CI's `CWC_FORCE_SCALAR_KERNELS` leg this runs the suite "both ways".
 #[test]
 fn golden_fingerprints_hold_under_every_kernel_dispatch() {
@@ -247,8 +252,7 @@ fn golden_fingerprints_hold_under_every_kernel_dispatch() {
     }
 }
 
-/// Chunk-plus-tail widths through the engine: width 33 runs eight AVX2
-/// chunks and one scalar tail lane; every lane must still be the scalar
+/// A wide task: every one of 33 replicas must still be the scalar
 /// instance's trajectory, whichever kernel set is dispatched.
 #[test]
 fn wide_batches_match_scalar_instances_under_both_dispatches() {
@@ -283,7 +287,7 @@ fn golden_rows_match_a_live_scalar_replay() {
 
 /// A flat cascade that always exhausts: A decays two ways, B decays too,
 /// so for a long enough horizon the terminal state has no enabled
-/// reactions and both tiers must report `a0 = -0.0` (bitwise).
+/// reactions and both sides must report `a0 = -0.0` (bitwise).
 fn cascade(a0: u64, b0: u64, k1: f64, k2: f64) -> Arc<Model> {
     let mut m = Model::new("cascade");
     let a = m.species("A");
@@ -304,6 +308,9 @@ fn cascade(a0: u64, b0: u64, k1: f64, k2: f64) -> Arc<Model> {
 }
 
 proptest! {
+    /// After every quantum of a [`BatchSimTask`], each replica's total
+    /// propensity is bitwise the scalar engine's for its instance at the
+    /// same time — exhaustion's `-0.0` included.
     #[test]
     fn batched_propensity_sums_equal_scalar_sums_bit_for_bit(
         seed in 0u64..5_000,
@@ -317,22 +324,35 @@ proptest! {
         // Long horizon: most cases reach exhaustion, exercising the -0.0
         // identity and not just the live-propensity path.
         let t_end = 40.0;
-        let mut batch = BatchedSsaEngine::new(Arc::clone(&model), seed, 0, width).unwrap();
-        let mut clocks: Vec<SampleClock> = (0..width)
-            .map(|_| SampleClock::new(0.0, t_end / 8.0))
-            .collect();
+        let deps = Arc::new(ModelDeps::compile(&model));
+        let mut task = BatchSimTask::with_engine_deps(
+            Arc::clone(&model),
+            deps,
+            seed,
+            0,
+            width,
+            t_end,
+            0.37 * t_end / 10.0,
+            t_end / 8.0,
+        )
+        .unwrap();
         let mut scalars: Vec<(SsaEngine, SampleClock)> = (0..width as u64)
             .map(|i| (
                 SsaEngine::new(Arc::clone(&model), seed, i),
                 SampleClock::new(0.0, t_end / 8.0),
             ))
             .collect();
-        for t in schedule(t_end) {
-            batch.advance_quantum_batch(t, &mut clocks);
+        while !task.is_done() {
+            task.run_quantum();
             for (r, (engine, clock)) in scalars.iter_mut().enumerate() {
+                let replica = &task.tasks[r].engine;
+                let t = replica.time();
                 engine.run_sampled(t, clock, |_, _| {});
+                let Engine::Ssa(batched) = replica else {
+                    panic!("replica {r} is not the direct method");
+                };
                 let scalar_a0 = engine.total_propensity();
-                let batch_a0 = batch.total_propensity(r);
+                let batch_a0 = batched.total_propensity();
                 prop_assert!(
                     batch_a0.to_bits() == scalar_a0.to_bits(),
                     "replica {r} a0 diverged at t={t}: batched {batch_a0:?} \
@@ -344,12 +364,14 @@ proptest! {
         }
         // The terminal comparison must have included genuine exhaustion
         // whenever everything drained: -0.0, not +0.0.
-        for (r, (engine, _)) in scalars.iter().enumerate() {
-            if engine.observe() == [0, 0] {
-                prop_assert!(
-                    batch.total_propensity(r).to_bits() == (-0.0f64).to_bits(),
-                    "exhausted replica {r} must report -0.0"
-                );
+        for (r, task) in task.tasks.iter().enumerate() {
+            if let Engine::Ssa(batched) = &task.engine {
+                if batched.observe() == [0, 0] {
+                    prop_assert!(
+                        batched.total_propensity().to_bits() == (-0.0f64).to_bits(),
+                        "exhausted replica {r} must report -0.0"
+                    );
+                }
             }
         }
     }

@@ -55,8 +55,8 @@ fn sharded_farm_matches_multicore() {
 #[test]
 fn sharded_farm_matches_multicore_for_every_engine_kind() {
     // The engine kind reaches every shard inside its ShardSpec; each
-    // shard's farm must rebuild the exact same integrators — whole
-    // batches on the batched tier.
+    // shard's farm must rebuild the exact same integrators — tasks of
+    // `width` instances on the batched kind.
     let model = Arc::new(biomodels::simple::birth_death(30.0, 1.0, 10));
     for kind in engine_kinds() {
         let cfg = cfg().engine(kind);

@@ -5,7 +5,7 @@
 //! - a worker that crashes, stalls or corrupts its stream mid-run is
 //!   detected, its slice is requeued, and the merged report is
 //!   **bit-for-bit** identical to a fault-free single-process run — for
-//!   every engine kind, including the batched SoA tier;
+//!   every engine kind, including the batched kind;
 //! - with a zero retry budget the same faults surface as *typed* errors
 //!   (`Crashed`, `Frame { offset, .. }`, `Timeout { silent_for }`),
 //!   never as a hang;
@@ -105,7 +105,7 @@ fn fault_matrix_recovers_bit_for_bit_or_fails_typed() {
     }
 }
 
-/// Recovery determinism across every engine kind, the batched SoA tier
+/// Recovery determinism across every engine kind, the batched kind
 /// included: crash one of three shards mid-stream, retry once, and the
 /// merged rows must equal the fault-free single-process run exactly.
 #[test]

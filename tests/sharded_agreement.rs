@@ -26,9 +26,9 @@ fn engine_kinds() -> Vec<EngineKind> {
             epsilon: 0.05,
             threshold: 8.0,
         },
-        // The batched SoA tier: shards run whole-batch farms over their
-        // slices (7 instances, width 3 → uneven batches inside shards),
-        // yet every replica is bit-identical to scalar SSA.
+        // The batched kind: shards run farms of 3-instance tasks over
+        // their slices (7 instances → uneven tasks inside shards), yet
+        // every replica is bit-identical to scalar SSA.
         EngineKind::Batched { width: 3 },
     ]
 }

@@ -5,7 +5,7 @@
 //!   report (`StatRow`s, event count *and* the mergeable `RunSummary`,
 //!   compared by its wire encoding) as the single-process runner and as
 //!   the local `ProcessTransport` — for every engine kind, the batched
-//!   SoA tier included, and every shard count;
+//!   kind included, and every shard count;
 //! - a worker killed mid-run (SIGKILL, no protocol goodbye) is detected
 //!   and its slice requeued onto a *surviving* worker, and the merged
 //!   report is still bit-for-bit identical;
