@@ -2,7 +2,7 @@
 //! compartmentalised terms (the tree-matching overhead the paper calls
 //! "significantly more complex than a plain Gillespie algorithm") — plus
 //! the per-engine-kind comparison on Lotka–Volterra (one exact reaction vs
-//! one Poisson leap through the same `Engine` abstraction).
+//! one adaptive transition through the same `Engine` abstraction).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench_ssa(c: &mut Criterion) {
     let lv = Arc::new(biomodels::lotka_volterra(
         biomodels::LotkaVolterraParams::default(),
     ));
-    for kind in [EngineKind::Ssa, EngineKind::TauLeap { tau: 0.001 }] {
+    for kind in [EngineKind::Ssa, EngineKind::AdaptiveTau { epsilon: 0.03 }] {
         g.bench_function(format!("lotka_volterra_{}_step", kind.name()), |b| {
             let mut engine = kind.build(Arc::clone(&lv), 1, 0).unwrap();
             b.iter(|| match engine.step() {

@@ -1,6 +1,6 @@
 //! Ablation (beyond the paper): sweep the stochastic integrator under the
-//! unchanged parallel harness — the exact direct method, fixed-step
-//! tau-leaping, adaptive (CGP) tau-leaping and the hybrid SSA/tau engine.
+//! unchanged parallel harness — the exact direct method, adaptive (CGP)
+//! tau-leaping and the hybrid SSA/tau engine.
 //! StochKit-FF ships tau-leaping as a first-class alternative to the exact
 //! SSA; the multicore-aware-simulators report argues the simulation kernel
 //! must be swappable under the same farm. This harness runs the *same*
@@ -19,10 +19,9 @@ use biomodels::{lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams};
 use cwc::model::Model;
 use cwcsim::{run_simulation, EngineKind, SimConfig};
 
-fn sweep(name: &str, model: Arc<Model>, cfg: &SimConfig, tau: f64) {
+fn sweep(name: &str, model: Arc<Model>, cfg: &SimConfig) {
     let kinds = [
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau },
         EngineKind::AdaptiveTau { epsilon: 0.03 },
         EngineKind::Hybrid {
             epsilon: 0.03,
@@ -78,7 +77,7 @@ fn sweep(name: &str, model: Arc<Model>, cfg: &SimConfig, tau: f64) {
 fn main() {
     let quick = quick_mode();
     let instances = if quick { 8 } else { 48 };
-    let (t_end, tau) = if quick { (2.0, 0.02) } else { (6.0, 0.01) };
+    let t_end = if quick { 2.0 } else { 6.0 };
 
     let cfg = SimConfig::new(instances, t_end)
         .quantum(t_end / 12.0)
@@ -91,13 +90,11 @@ fn main() {
         "schlogl (bistable)",
         Arc::new(schlogl(SchloglParams::default())),
         &cfg,
-        tau,
     );
     sweep(
         "lotka-volterra (oscillatory)",
         Arc::new(lotka_volterra(LotkaVolterraParams::default())),
         &cfg,
-        tau,
     );
 
     bench::note(

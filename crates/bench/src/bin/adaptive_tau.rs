@@ -1,11 +1,9 @@
 //! Adaptive tau-leaping speed/accuracy sweep: the CGP engine and the
-//! hybrid SSA/tau engine vs fixed-step leaping and exact SSA.
+//! hybrid SSA/tau engine vs exact SSA.
 //!
-//! Fixed-step tau-leaping must pick its leap length for the *worst* state
-//! a trajectory visits, so on stiff configurations (Schlögl's `a0` in the
-//! thousands) an accurate fixed τ fires less than one reaction per leap
-//! and the method degenerates. Adaptive step-size selection re-sizes every
-//! leap from the committed state — this harness measures what that buys:
+//! Adaptive step-size selection re-sizes every leap from the committed
+//! state, so no leap length is sized for the worst state a trajectory
+//! visits — this harness measures what that buys:
 //!
 //! - **speed** — reaction firings per wall-second, per engine, running
 //!   full trajectories to a fixed horizon (so every engine does the same
@@ -18,21 +16,22 @@
 //!   the kernel-accelerated CGP/Poisson sweeps, the all-critical case
 //!   the incidence list and incremental a0 maintenance).
 //!
-//! Output: a human table on stdout plus `BENCH_adaptive_tau.json`
-//! (override with `--out PATH`). Flags:
+//! Every row is timed [`bench::PASSES`] times in alternated order and
+//! keeps its fastest pass. Output: a human table on stdout plus
+//! `BENCH_adaptive_tau.json` (override with `--out PATH`), both carrying a
+//! run header ([`bench::RunHeader`]: CPU, resolved kernels, commit, and a
+//! calibration spin at the start and the end). Flags:
 //!
 //! - `--quick`    fewer averaged instances (the CI smoke configuration);
 //! - `--csv`      emit rows in the CI baseline CSV format instead;
-//! - `--check F`  compare against the committed baseline `F`: the
-//!   adaptive-vs-fixed *speedup ratio* per model must stay within
-//!   [`RATIO_TOLERANCE`] of the committed one (ratios, not absolute
-//!   firings/sec, so the gate is hardware-independent), the fresh
+//! - `--check F`  check the fresh run: it must measure exactly the
+//!   (model, engine) rows of the committed baseline `F`, the
 //!   adaptive-vs-SSA ratio on the leap-regime wide case must clear the
 //!   absolute [`SSA_RATIO_FLOORS`] for the resolved kernel dispatch, the
-//!   fresh adaptive-vs-full-recompute ratio on the all-critical wide case
-//!   must clear [`INCIDENCE_GAIN_FLOORS`], and every
-//!   approximate engine's mean must agree with the fresh SSA mean within
-//!   [`ACCURACY_SIGMA`] standard errors. Exit non-zero on violation.
+//!   adaptive-vs-full-recompute ratio on the all-critical wide case must
+//!   clear [`INCIDENCE_GAIN_FLOORS`], and every approximate engine's mean
+//!   must agree with the SSA mean within [`ACCURACY_SIGMA`] standard
+//!   errors. Exit non-zero on violation.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,27 +43,19 @@ use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
 use gillespie::kernels::{Kernel, KernelDispatch};
 
-/// Tolerated regression of the adaptive/fixed speedup ratio vs the
-/// committed baseline (CI noise headroom).
-const RATIO_TOLERANCE: f64 = 0.35;
-
-/// Committed speedups below this are reported informationally, not gated
-/// (near-1.0 ratios are measurement noise by construction).
-const GATE_MIN_SPEEDUP: f64 = 1.5;
-
 /// Accuracy gate: |mean − ssa mean| must stay within this many standard
 /// errors of the difference of the two ensemble means.
 const ACCURACY_SIGMA: f64 = 6.0;
 
-/// The engine whose speedup over `fixed-tau` is gated.
+/// The engine whose ratios over `ssa` and its full-recompute replica are
+/// gated.
 const GATED_ENGINE: &str = "adaptive-0.05";
 
 /// Absolute floors on the [`GATED_ENGINE`]-vs-`ssa` firings/sec ratio of
 /// the *fresh* run, per model: `(model, avx2_floor, scalar_floor)`. The
 /// AVX2 floor applies when [`KernelDispatch::Auto`] resolves to the SIMD
 /// kernels; the scalar floor applies under `CWC_FORCE_SCALAR_KERNELS`
-/// or on CPUs without AVX2, so the gate is sound off-AVX2. Unlike the
-/// baseline-relative speedup gate these are absolute: they pin the
+/// or on CPUs without AVX2, so the gate is sound off-AVX2. They pin the
 /// kernel-accelerated leap path itself — if it regresses to full-width
 /// rescans the leap-regime ratio collapses well below 2 (it reads 43–75×
 /// since exact SSA steps on the dense core; 155× before).
@@ -158,13 +149,9 @@ fn measure(
     (firings, firings as f64 / wall, wall, mean, se)
 }
 
-fn engines_for(fixed_tau: f64) -> Vec<(String, EngineSpec)> {
+fn engines() -> Vec<(String, EngineSpec)> {
     vec![
         ("ssa".into(), EngineSpec::Kind(EngineKind::Ssa)),
-        (
-            "fixed-tau".into(),
-            EngineSpec::Kind(EngineKind::TauLeap { tau: fixed_tau }),
-        ),
         (
             "adaptive-0.01".into(),
             EngineSpec::Kind(EngineKind::AdaptiveTau { epsilon: 0.01 }),
@@ -193,21 +180,12 @@ fn engines_for(fixed_tau: f64) -> Vec<(String, EngineSpec)> {
 
 fn measure_all(quick: bool) -> Vec<Measurement> {
     let instances = if quick { 12 } else { 48 };
-    // (name, model, accurate fixed τ for the stiffness of the model,
-    // horizon). The fixed τ is what a user would have to pick to keep the
-    // fixed-step engine accurate over the whole run — the number the
-    // adaptive engine's speedup is measured against.
-    let cases: Vec<(&'static str, Arc<Model>, f64, f64)> = vec![
-        (
-            "schlogl",
-            Arc::new(schlogl(SchloglParams::default())),
-            2e-4,
-            6.0,
-        ),
+    // (name, model, horizon).
+    let cases: Vec<(&'static str, Arc<Model>, f64)> = vec![
+        ("schlogl", Arc::new(schlogl(SchloglParams::default())), 6.0),
         (
             "lotka_volterra",
             Arc::new(lotka_volterra(LotkaVolterraParams::default())),
-            1e-3,
             4.0,
         ),
         // The wide flat case: 300 rules at ~200 molecules per species —
@@ -221,7 +199,6 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
         (
             "wide_flat_cycle",
             Arc::new(conversion_cycle(300, 60_000, 1.0)),
-            1e-3,
             0.5,
         ),
         // The all-critical wide case: same 300 rules at ~5 molecules per
@@ -237,34 +214,49 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
         (
             "wide_flat_cycle_crit",
             Arc::new(conversion_cycle(300, 1_500, 1.0)),
-            1e-3,
             2.0,
         ),
     ];
-    let mut out = Vec::new();
-    for (name, model, fixed_tau, t_end) in &cases {
+    // One row per (case, engine); every row is timed `bench::PASSES`
+    // times and keeps its fastest pass (the means and standard errors are
+    // the same in every pass: same seeds, same trajectories).
+    let mut rows = Vec::new();
+    for (name, model, t_end) in &cases {
         let deps = Arc::new(ModelDeps::compile(model));
-        for (engine, kind) in engines_for(*fixed_tau) {
-            let (firings, rate, wall, mean, se) = measure(model, &deps, &kind, instances, *t_end);
-            out.push(Measurement {
-                model: name,
+        for (engine, spec) in engines() {
+            rows.push((*name, model, Arc::clone(&deps), *t_end, engine, spec));
+        }
+    }
+    let best = bench::best_of_passes(
+        rows.len(),
+        |r| {
+            let (_, model, deps, t_end, _, spec) = &rows[r];
+            measure(model, deps, spec, instances, *t_end)
+        },
+        |&(_, rate, ..)| rate,
+    );
+    rows.into_iter()
+        .zip(best)
+        .map(
+            |((model, _, _, _, engine, _), (firings, rate, wall, mean, se))| Measurement {
+                model,
                 engine,
                 firings,
                 firings_per_sec: rate,
                 wall_s: wall,
                 mean,
                 se,
-            });
-        }
-    }
-    out
+            },
+        )
+        .collect()
 }
 
-fn to_json(results: &[Measurement], quick: bool) -> String {
+fn to_json(results: &[Measurement], quick: bool, header: &bench::RunHeader) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"schema\": \"cwc-repro/adaptive-tau/v1\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
+    s.push_str(&format!("  \"header\": {},\n", header.to_json()));
     s.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -334,52 +326,39 @@ fn incidence_gains(json: &str) -> Vec<(String, f64)> {
     gated_ratios(json, FULL_RECOMPUTE_ENGINE)
 }
 
-/// Adaptive-over-fixed speedup per model.
-fn speedups(json: &str) -> Vec<(String, f64)> {
-    gated_ratios(json, "fixed-tau")
-}
-
 /// Adaptive-over-SSA ratio per model (the [`SSA_RATIO_FLOORS`] input).
 fn ssa_ratios(json: &str) -> Vec<(String, f64)> {
     gated_ratios(json, "ssa")
 }
 
-/// The speed gate (vs the committed baseline) plus the absolute
-/// adaptive-vs-SSA ratio floors plus the accuracy gate (internal to the
-/// fresh run: every approximate mean vs the fresh SSA mean).
+/// The row-set check (vs the committed baseline) plus the absolute
+/// adaptive-vs-SSA and incidence-gain floors plus the accuracy gate
+/// (internal to the fresh run: every approximate mean vs the fresh SSA
+/// mean).
 fn check(committed_path: &str, fresh: &[Measurement], fresh_json: &str) -> Result<(), String> {
     let committed = std::fs::read_to_string(committed_path)
         .map_err(|e| format!("cannot read baseline {committed_path}: {e}"))?;
-    let baseline = speedups(&committed);
+    let keys = |json: &str| -> Vec<(String, String)> {
+        parse_rates(json).into_iter().map(|(key, _)| key).collect()
+    };
+    let (baseline, current) = (keys(&committed), keys(fresh_json));
     if baseline.is_empty() {
-        return Err(format!("no speedup ratios in baseline {committed_path}"));
+        return Err(format!("no rows in baseline {committed_path}"));
     }
-    let current = speedups(fresh_json);
     let mut failures = Vec::new();
 
-    // Speed: the adaptive engine must keep its committed edge over
-    // fixed-step leaping.
-    for (model, committed_ratio) in &baseline {
-        let Some((_, now)) = current.iter().find(|(m, _)| m == model) else {
-            failures.push(format!("{model}: missing from fresh run"));
-            continue;
-        };
-        if *committed_ratio < GATE_MIN_SPEEDUP {
-            println!(
-                "info {model}: {GATED_ENGINE}/fixed-tau ratio {now:.2} (committed \
-                 {committed_ratio:.2} < {GATE_MIN_SPEEDUP} — informational, not gated)"
-            );
-            continue;
+    // Rows: the committed file must describe exactly what the harness
+    // measures, so a deleted or renamed engine cannot leave a stale row.
+    for key @ (model, engine) in &baseline {
+        if !current.contains(key) {
+            failures.push(format!("{model}/{engine}: missing from fresh run"));
         }
-        let floor = committed_ratio * (1.0 - RATIO_TOLERANCE);
-        if *now < floor {
+    }
+    for key @ (model, engine) in &current {
+        if !baseline.contains(key) {
             failures.push(format!(
-                "{model}: {GATED_ENGINE}/fixed-tau speedup {now:.2} fell below {floor:.2} \
-                 (committed {committed_ratio:.2}, tolerance {}%)",
-                RATIO_TOLERANCE * 100.0
+                "{model}/{engine}: measured, but no committed row in {committed_path}"
             ));
-        } else {
-            println!("ok {model}: speedup {now:.2} (committed {committed_ratio:.2})");
         }
     }
 
@@ -477,7 +456,10 @@ fn arg_value(flag: &str) -> Option<String> {
 
 fn main() {
     let quick = bench::quick_mode();
+    let mut header = bench::RunHeader::start(KernelDispatch::Auto.resolve());
     let results = measure_all(quick);
+    header.finish();
+    bench::note(&format!("run header: {}", header.to_json()));
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -504,12 +486,7 @@ fn main() {
         ],
         &rows,
     );
-    let json = to_json(&results, quick);
-    for (model, s) in speedups(&json) {
-        bench::note(&format!(
-            "{model}: {GATED_ENGINE} is {s:.2}x fixed-tau (firings/sec)"
-        ));
-    }
+    let json = to_json(&results, quick, &header);
     for (model, r) in ssa_ratios(&json) {
         let floors = SSA_RATIO_FLOORS
             .iter()

@@ -192,33 +192,6 @@ fn time_steps(
 const WARMUP: u64 = 2_000;
 const SEGMENT: u64 = 25_000;
 
-/// Measurement passes per row: every row is timed this many times and
-/// reports its best pass. Single-shot timings on shared hardware swing by
-/// tens of percent (noisy neighbours, turbo decay over the row sequence),
-/// which best-of-N absorbs; alternating the pass direction keeps any
-/// systematic slowdown over a pass from always penalising the same rows.
-/// The fastest quick segments last a few milliseconds, and a single pass
-/// let one blip read `neurospora_flat`'s ratio as 3.08 against 4.3–4.5 in
-/// the other quick runs of the same tree.
-const PASSES: usize = 3;
-
-/// Times `rows` rows [`PASSES`] times each through `measure` (`row →
-/// (steps, steps/s)`), alternating the row order per pass, and keeps each
-/// row's fastest pass.
-fn best_of_passes(rows: usize, mut measure: impl FnMut(usize) -> (u64, f64)) -> Vec<(u64, f64)> {
-    let mut best = vec![(0, 0.0); rows];
-    for pass in 0..PASSES {
-        for i in 0..rows {
-            let row = if pass % 2 == 0 { i } else { rows - 1 - i };
-            let (steps, rate) = measure(row);
-            if rate > best[row].1 {
-                best[row] = (steps, rate);
-            }
-        }
-    }
-    best
-}
-
 /// A per-instance stepper factory: one row of the exact matrix.
 type Stepper = Box<dyn Fn(u64) -> Box<dyn FnMut() -> bool>>;
 
@@ -264,12 +237,11 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
         });
         rows.push((name, "ssa", "full_reenum", 1, naive));
         // The leaping kinds (flat models only), reported for the
-        // engine × model matrix: fixed tau-leap is table-free; adaptive
-        // and hybrid share the compiled stoichiometry (the hybrid's exact
-        // phase drives the dense core's row). A transition here is one
-        // `Engine::step` (a leap may fire many reactions).
-        let leaping: [(&'static str, EngineKind); 3] = [
-            ("tau-leap", EngineKind::TauLeap { tau: 0.01 }),
+        // engine × model matrix: adaptive and hybrid share the compiled
+        // stoichiometry (the hybrid's exact phase drives the dense core's
+        // row). A transition here is one `Engine::step` (a leap may fire
+        // many reactions).
+        let leaping: [(&'static str, EngineKind); 2] = [
             ("adaptive-tau", EngineKind::AdaptiveTau { epsilon: 0.03 }),
             (
                 "hybrid",
@@ -291,10 +263,15 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
             }
         }
     }
-    let best = best_of_passes(rows.len(), |r| {
-        let divisor = rows[r].3;
-        time_steps(instances, WARMUP / divisor, SEGMENT / divisor, &rows[r].4)
-    });
+    // Every row is timed `bench::PASSES` times; its fastest pass is kept.
+    let best = bench::best_of_passes(
+        rows.len(),
+        |r| {
+            let divisor = rows[r].3;
+            time_steps(instances, WARMUP / divisor, SEGMENT / divisor, &rows[r].4)
+        },
+        |&(_, rate)| rate,
+    );
     rows.iter()
         .zip(best)
         .map(

@@ -81,7 +81,7 @@ pub struct SimConfig {
     /// Base RNG seed; instance `i` uses a seed derived from it.
     pub base_seed: u64,
     /// The stochastic integrator driving every trajectory (SSA by
-    /// default; the leaping kinds — tau-leap, adaptive-tau, hybrid — are
+    /// default; the leaping kinds — adaptive-tau, hybrid — are
     /// restricted to flat mass-action models and rejected at run start
     /// otherwise, with an error naming the offending rule). With
     /// [`EngineKind::Batched`], sim workers pull tasks of `width`
@@ -679,19 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn non_positive_tau_leap_length_is_rejected_with_specific_message() {
-        for tau in [0.0, -0.5, f64::NAN, f64::INFINITY] {
-            let cfg = SimConfig::new(1, 10.0).engine(EngineKind::TauLeap { tau });
-            let msg = rejection_message(&cfg);
-            assert!(msg.contains("tau-leap"), "tau={tau}: {msg}");
-        }
-        SimConfig::new(1, 10.0)
-            .engine(EngineKind::TauLeap { tau: 0.1 })
-            .validate()
-            .unwrap();
-    }
-
-    #[test]
     fn out_of_range_adaptive_epsilon_is_rejected_with_specific_message() {
         for epsilon in [0.0, -0.1, 1.0, 2.0, f64::NAN] {
             let cfg = SimConfig::new(1, 10.0).engine(EngineKind::AdaptiveTau { epsilon });
@@ -774,7 +761,7 @@ mod tests {
         assert_eq!(err.field(), "window");
 
         let err = SimConfig::new(1, 10.0)
-            .engine(EngineKind::TauLeap { tau: 0.0 })
+            .engine(EngineKind::AdaptiveTau { epsilon: 0.0 })
             .validate()
             .unwrap_err();
         assert!(matches!(err, ConfigError::Engine(_)));

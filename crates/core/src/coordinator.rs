@@ -759,7 +759,9 @@ mod tests {
         let model = Arc::new(biomodels::cell_transport(
             biomodels::CellTransportParams::default(),
         ));
-        let cfg = cfg().engine(EngineKind::TauLeap { tau: 0.1 }).shards(2);
+        let cfg = cfg()
+            .engine(EngineKind::AdaptiveTau { epsilon: 0.05 })
+            .shards(2);
         let err = run_simulation_sharded_in_process(model, &cfg).unwrap_err();
         assert!(matches!(err, SimError::Engine(_)), "{err}");
     }

@@ -112,7 +112,7 @@ pub enum SimError {
     /// The model failed validation.
     Model(cwc::model::ModelError),
     /// The configured engine kind cannot drive the model (e.g.
-    /// tau-leaping on a compartment model).
+    /// adaptive tau-leaping on a compartment model).
     Engine(gillespie::engine::EngineError),
     /// A pipeline node panicked.
     Pipeline(fastflow::error::Error),
@@ -378,7 +378,6 @@ mod tests {
         let model = Arc::new(decay(40, 1.0));
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.1 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -437,7 +436,6 @@ mod tests {
             biomodels::CellTransportParams::default(),
         ));
         for kind in [
-            EngineKind::TauLeap { tau: 0.1 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

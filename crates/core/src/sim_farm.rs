@@ -263,7 +263,7 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
 /// # Errors
 ///
 /// Returns [`EngineError`] when `engine` cannot drive `model` (e.g.
-/// tau-leaping on a compartment model).
+/// adaptive tau-leaping on a compartment model).
 #[allow(clippy::too_many_arguments)]
 pub fn sim_farm(
     model: Arc<Model>,

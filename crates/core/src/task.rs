@@ -6,8 +6,8 @@
 //! workers along the feedback cycle.
 //!
 //! A task is *engine-agnostic*: it wraps whichever [`Engine`] the run's
-//! [`EngineKind`] built — exact direct method, fixed or adaptive
-//! tau-leaping, or the hybrid SSA/tau engine — behind the same
+//! [`EngineKind`] built — exact direct method, adaptive tau-leaping, or
+//! the hybrid SSA/tau engine — behind the same
 //! advance-one-quantum contract, so the farm, its shards and the GPGPU
 //! map schedule every integrator identically.
 
@@ -66,7 +66,7 @@ impl SimTask {
     /// # Errors
     ///
     /// Returns [`EngineError`] when `kind` cannot drive `model` (e.g.
-    /// tau-leaping on a compartment model).
+    /// adaptive tau-leaping on a compartment model).
     #[allow(clippy::too_many_arguments)]
     pub fn with_engine(
         kind: EngineKind,
@@ -331,7 +331,6 @@ mod tests {
         // The quantum contract holds per engine kind, not just for SSA.
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.07 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -455,11 +454,12 @@ mod tests {
 
     #[test]
     fn tau_leap_task_rejects_compartment_models() {
+        // The leaping tier is adaptive tau-leaping; it needs a flat model.
         let model = Arc::new(biomodels::cell_transport(
             biomodels::CellTransportParams::default(),
         ));
         let err = SimTask::with_engine(
-            EngineKind::TauLeap { tau: 0.1 },
+            EngineKind::AdaptiveTau { epsilon: 0.05 },
             model,
             1,
             0,

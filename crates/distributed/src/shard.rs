@@ -1250,9 +1250,9 @@ mod tests {
     #[test]
     fn serve_shard_reports_simulation_errors_as_error_frames() {
         let mut j = job(2, 2, 0);
-        // Tau-leaping a compartment model is a worker-side sim error.
+        // Leaping over a compartment model is a worker-side sim error.
         j.model = biomodels::cell_transport(biomodels::CellTransportParams::default());
-        j.spec.engine = gillespie::engine::EngineKind::TauLeap { tau: 0.1 };
+        j.spec.engine = gillespie::engine::EngineKind::AdaptiveTau { epsilon: 0.05 };
         let mut input = Vec::new();
         write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
         let mut output = Vec::new();
@@ -1300,8 +1300,9 @@ mod tests {
         assert!(err.to_string().contains("empty input"), "{err}");
     }
 
-    /// A job naming engine tag 2 (retired with the first-reaction engine,
-    /// never reused) is a typed decode error, not a worker panic.
+    /// A job naming a retired engine tag (1, the fixed-step tau-leap
+    /// engine; 2, the first-reaction engine; never reused) is a typed
+    /// decode error, not a worker panic.
     #[test]
     fn serve_shard_rejects_a_job_with_the_retired_engine_tag() {
         let payload = |engine| {
@@ -1309,29 +1310,28 @@ mod tests {
             j.spec.engine = engine;
             wire::to_bytes(&ToShard::Job(Box::new(j)))
         };
-        // The engine tag is the first byte where an SSA and a tau-leap
-        // job differ.
-        let mut bytes = payload(gillespie::engine::EngineKind::Ssa);
-        let tau_leap = payload(gillespie::engine::EngineKind::TauLeap { tau: 0.1 });
-        let at = bytes
-            .iter()
-            .zip(&tau_leap)
-            .position(|(a, b)| a != b)
-            .unwrap();
-        assert_eq!((bytes[at], tau_leap[at]), (0, 1));
-        bytes[at] = 2;
-        let mut input = (bytes.len() as u32).to_le_bytes().to_vec();
-        input.extend_from_slice(&bytes);
-        let mut output = Vec::new();
-        let err = serve_shard(Cursor::new(input), &mut output).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServeError::Frame(FrameError::Wire(WireError::BadTag(2)))
-            ),
-            "{err}"
-        );
-        assert!(output.is_empty());
+        // The engine tag is the first byte where an SSA and an
+        // adaptive-tau job differ.
+        let ssa = payload(gillespie::engine::EngineKind::Ssa);
+        let adaptive = payload(gillespie::engine::EngineKind::AdaptiveTau { epsilon: 0.1 });
+        let at = ssa.iter().zip(&adaptive).position(|(a, b)| a != b).unwrap();
+        assert_eq!((ssa[at], adaptive[at]), (0, 3));
+        for tag in [1, 2] {
+            let mut bytes = ssa.clone();
+            bytes[at] = tag;
+            let mut input = (bytes.len() as u32).to_le_bytes().to_vec();
+            input.extend_from_slice(&bytes);
+            let mut output = Vec::new();
+            let err = serve_shard(Cursor::new(input), &mut output).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Frame(FrameError::Wire(WireError::BadTag(t))) if t == tag
+                ),
+                "{err}"
+            );
+            assert!(output.is_empty());
+        }
     }
 
     #[test]

@@ -233,19 +233,15 @@ impl Wire for SampleBatch {
 }
 
 /// The engine selector crosses the wire as a tag byte plus the kind's
-/// knobs where applicable (tag 0 = SSA, 1 = tau-leap + leap length,
-/// 2 = retired, never reused (it named the deleted first-reaction
-/// engine and decodes to [`WireError::BadTag`]), 3 = adaptive-tau +
-/// epsilon, 4 = hybrid + epsilon and switch threshold, 5 = batched +
-/// batch width).
+/// knobs where applicable (tag 0 = SSA, 3 = adaptive-tau + epsilon,
+/// 4 = hybrid + epsilon and switch threshold, 5 = batched + batch width).
+/// Tags 1 and 2 are retired, never reused: they named the deleted
+/// fixed-step tau-leap and first-reaction engines, and decode to
+/// [`WireError::BadTag`].
 impl Wire for EngineKind {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             EngineKind::Ssa => buf.push(0),
-            EngineKind::TauLeap { tau } => {
-                buf.push(1);
-                tau.encode(buf);
-            }
             EngineKind::AdaptiveTau { epsilon } => {
                 buf.push(3);
                 epsilon.encode(buf);
@@ -265,9 +261,6 @@ impl Wire for EngineKind {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
             0 => Ok(EngineKind::Ssa),
-            1 => Ok(EngineKind::TauLeap {
-                tau: f64::decode(r)?,
-            }),
             3 => Ok(EngineKind::AdaptiveTau {
                 epsilon: f64::decode(r)?,
             }),
@@ -1061,6 +1054,17 @@ mod tests {
     }
 
     #[test]
+    fn retired_tau_leap_tag_is_rejected() {
+        // Tag 1 named the deleted fixed-step tau-leap engine; it is never
+        // reused. Its leap length followed the tag, so pad as it would.
+        let mut bytes = to_bytes(&EngineKind::AdaptiveTau { epsilon: 0.1 });
+        let at = bytes.len() - 9;
+        assert_eq!(bytes[at], 3);
+        bytes[at] = 1;
+        assert_eq!(from_bytes::<EngineKind>(&bytes), Err(WireError::BadTag(1)));
+    }
+
+    #[test]
     fn bad_magic_is_rejected() {
         let mut bytes = to_bytes(&1u64);
         bytes[0] = b'X';
@@ -1214,7 +1218,6 @@ mod tests {
         // The engine kind reaches every shard worker inside its spec.
         for engine in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.125 },
             EngineKind::AdaptiveTau { epsilon: 0.03 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

@@ -1,11 +1,11 @@
 //! Adaptive tau-leaping: Cao–Gillespie–Petzold step-size selection with
 //! critical-reaction partitioning and an exact-SSA fallback.
 //!
-//! Fixed-step leaping ([`crate::tau_leap`]) makes the user pick τ; pick it
-//! too large and the approximation degrades (or the leap thrashes in
-//! negativity halving), too small and every leap fires less than one
-//! reaction and the method is slower than exact SSA. This engine picks τ
-//! from the *state* instead, the design StochKit popularised (Cao,
+//! This is the crate's one leaping method. A fixed leap length would make
+//! the user pick τ: too large and the approximation degrades (or the leap
+//! thrashes in negativity halving), too small and every leap fires less
+//! than one reaction and the method is slower than exact SSA. This engine
+//! picks τ from the *state* instead, the design StochKit popularised (Cao,
 //! Gillespie & Petzold, "Efficient step size selection for the tau-leaping
 //! simulation method", J. Chem. Phys. 124, 2006):
 //!
@@ -26,11 +26,12 @@
 //!
 //! ## Quantum-exact execution
 //!
-//! Identical contract to the fixed-step engine: every transition (leap,
-//! critical firing or fallback step) is drawn from the committed state
-//! only, held *pending* when it ends beyond the quantum horizon, and
-//! committed in a later quantum — never re-drawn or truncated. The RNG
-//! draw discipline per transition is documented in [`crate::rng`].
+//! Every transition (leap, critical firing or fallback step) is drawn
+//! from the committed state only, held *pending* when it ends beyond the
+//! quantum horizon, and committed in a later quantum — never re-drawn or
+//! truncated. Samples inside a transition report the committed state in
+//! force, so rescheduling cannot change a trajectory. The RNG draw
+//! discipline per transition is documented in [`crate::rng`].
 
 use std::sync::Arc;
 

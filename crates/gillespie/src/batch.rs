@@ -204,7 +204,7 @@ mod tests {
         // engine kind must report what `eval_observables` reports on the
         // full term: the four inert `A` stay in `Everywhere` and in
         // `AtLabel(cell)`, and `AtLabel(TOP)` follows the root like
-        // `TopOnly` — on all five kinds, in every phase of the hybrid.
+        // `TopOnly` — on all four kinds, in every phase of the hybrid.
         use crate::engine::EngineKind;
         let check = |kind: &str, time: f64, v: &[u64]| {
             let top = v[1];
@@ -216,7 +216,6 @@ mod tests {
             let model = inert_compartment_model(top);
             for kind in [
                 EngineKind::Ssa,
-                EngineKind::TauLeap { tau: 0.05 },
                 EngineKind::AdaptiveTau { epsilon: 0.05 },
                 EngineKind::Hybrid {
                     epsilon: 0.05,

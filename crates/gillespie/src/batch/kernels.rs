@@ -5,7 +5,7 @@
 //! order) and its prefix fold are the direct-method state of the exact
 //! tier's long rows (`table::PropensityRow`, at or above
 //! `table::SHORT_ROW_SLOTS` slots) and the per-draw state of the leaping
-//! engines ([`crate::adaptive`], [`crate::hybrid`], [`crate::tau_leap`]).
+//! engines ([`crate::adaptive`], [`crate::hybrid`]).
 //! The scans over it — the `a0` / `a0_crit` folds, the direct-method and
 //! critical selections — exist twice: a portable scalar reference and an
 //! x86_64 AVX2 variant selected at runtime via `is_x86_feature_detected!`.
@@ -353,8 +353,7 @@ pub(crate) fn row_fold_masked_from(
 
 /// Adds-only `-0.0`-identity fold of the positive entries of `props` —
 /// the a0 of a row without materialising the prefix column (the
-/// hybrid decide path and the fixed-leap absorbing probe need only the
-/// total). Bit-identical to the plain `iter().sum()` it replaces whenever
+/// hybrid decide path needs only the total). Bit-identical to the plain `iter().sum()` it replaces whenever
 /// at least one propensity is positive; when none is, it returns `-0.0`
 /// where the sum returned `0.0`, and the two compare equal in every
 /// ordering the engines use.

@@ -3,7 +3,7 @@
 //!
 //! The paper's architecture is deliberately engine-neutral — the farm of
 //! "sim eng" boxes only requires that a task advance by one simulation
-//! quantum and emit samples on the τ grid. This module packages the four
+//! quantum and emit samples on the τ grid. This module packages the three
 //! integrators of this crate behind the concrete [`Engine`] enum, so tasks
 //! stay `Clone + Send` without boxing and every downstream layer (task
 //! farm, sharded farm, simulated GPGPU, benchmarks) is written
@@ -16,17 +16,16 @@
 //! [`EngineKind`] is the *configuration-level* selector — a small `Copy`
 //! value that travels in `SimConfig` and across the wire to remote farms —
 //! and [`EngineKind::build`] is the only place engines are constructed.
-//! Prefer the validated constructors ([`EngineKind::tau_leap`],
-//! [`EngineKind::adaptive_tau`], [`EngineKind::hybrid`],
-//! [`EngineKind::batched`]) over struct literals: they reject bad knobs at
-//! construction instead of at run start.
+//! Prefer the validated constructors ([`EngineKind::adaptive_tau`],
+//! [`EngineKind::hybrid`], [`EngineKind::batched`]) over struct literals:
+//! they reject bad knobs at construction instead of at run start.
 //!
 //! ## The quantum contract
 //!
 //! An engine advanced to `t_goal` in any number of slices must produce the
 //! same trajectory, samples and event counts as one monolithic run: the
-//! exact engines keep their drawn-but-unfired event pending across
-//! boundaries, the leaping engines keep their drawn-but-uncommitted
+//! exact engine keeps its drawn-but-unfired event pending across
+//! boundaries, the adaptive engine keeps its drawn-but-uncommitted
 //! leap/transition pending, and the hybrid engine additionally pins its
 //! phase-switch points to reaction counts rather than horizons. The unit
 //! and property tests of each engine module pin this down; the pipeline's
@@ -43,7 +42,6 @@ use crate::deps::ModelDeps;
 use crate::flat::FlatModelError;
 use crate::hybrid::HybridEngine;
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
-use crate::tau_leap::TauLeapEngine;
 
 /// Everything one quantum of one instance produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +50,7 @@ pub struct QuantumOutcome {
     /// in time order.
     pub samples: Vec<(f64, Vec<u64>)>,
     /// Reaction firings committed during the quantum (for workload
-    /// accounting; a tau-leap counts every firing of its committed leaps).
+    /// accounting; a leap counts every firing it commits).
     pub events: u64,
 }
 
@@ -75,7 +73,7 @@ pub struct QuantumOutcome {
 /// m.initial.add_atoms(a, 50);
 /// m.observe("A", a);
 ///
-/// let mut engine = EngineKind::TauLeap { tau: 0.05 }
+/// let mut engine = EngineKind::AdaptiveTau { epsilon: 0.03 }
 ///     .build(Arc::new(m), 42, 0)
 ///     .unwrap();
 /// engine.run_until(2.0);
@@ -87,16 +85,11 @@ pub enum EngineKind {
     /// any CWC model, compartments included.
     #[default]
     Ssa,
-    /// Approximate Poisson tau-leaping with native leap length `tau`.
-    /// Flat, top-level, mass-action models only (StochKit's alternative
-    /// integrator, an extension beyond the paper).
-    TauLeap {
-        /// Native leap length of the integrator (*not* the sampling τ).
-        tau: f64,
-    },
     /// Adaptive tau-leaping: Cao–Gillespie–Petzold step-size selection
     /// with critical-reaction partitioning and an exact-SSA fallback.
-    /// Flat, top-level, mass-action models only.
+    /// Flat, top-level, mass-action models only (StochKit's alternative
+    /// integrator, an extension beyond the paper). Every leap length is
+    /// chosen from the state; there is none for the user to pick.
     AdaptiveTau {
         /// Relative-propensity-change bound ε (Cao et al. recommend
         /// 0.03–0.05; must be in `(0, 1)`).
@@ -128,36 +121,10 @@ impl EngineKind {
     pub fn name(&self) -> &'static str {
         match self {
             EngineKind::Ssa => "ssa",
-            EngineKind::TauLeap { .. } => "tau-leap",
             EngineKind::AdaptiveTau { .. } => "adaptive-tau",
             EngineKind::Hybrid { .. } => "hybrid",
             EngineKind::Batched { .. } => "batched",
         }
-    }
-
-    /// Validated constructor for [`EngineKind::TauLeap`]: rejects a
-    /// non-positive or non-finite leap length at construction time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidTau`] for a bad leap length.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gillespie::engine::{EngineError, EngineKind};
-    ///
-    /// let kind = EngineKind::tau_leap(0.05).unwrap();
-    /// assert_eq!(kind, EngineKind::TauLeap { tau: 0.05 });
-    /// assert!(matches!(
-    ///     EngineKind::tau_leap(0.0),
-    ///     Err(EngineError::InvalidTau { .. })
-    /// ));
-    /// ```
-    pub fn tau_leap(tau: f64) -> Result<Self, EngineError> {
-        let kind = EngineKind::TauLeap { tau };
-        kind.validate()?;
-        Ok(kind)
     }
 
     /// Validated constructor for [`EngineKind::AdaptiveTau`]: rejects a
@@ -241,21 +208,17 @@ impl EngineKind {
     }
 
     /// Checks the model-independent parameters of this kind — the single
-    /// owner of the leap-length/epsilon/threshold rules, shared by
+    /// owner of the epsilon/threshold/width rules, shared by
     /// [`EngineKind::build`] and config-level validation.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidTau`] for a non-positive or
-    /// non-finite tau-leap length, [`EngineError::InvalidEpsilon`] for a
-    /// CGP bound outside `(0, 1)`, [`EngineError::InvalidThreshold`]
+    /// Returns [`EngineError::InvalidEpsilon`] for a CGP bound outside
+    /// `(0, 1)`, [`EngineError::InvalidThreshold`]
     /// for a hybrid switch threshold below 1 or non-finite, and
     /// [`EngineError::InvalidWidth`] for a zero batch width.
     pub fn validate(&self) -> Result<(), EngineError> {
         match *self {
-            EngineKind::TauLeap { tau } if !(tau > 0.0 && tau.is_finite()) => {
-                Err(EngineError::InvalidTau { tau })
-            }
             EngineKind::Batched { width } if width == 0 => Err(EngineError::InvalidWidth { width }),
             EngineKind::AdaptiveTau { epsilon } | EngineKind::Hybrid { epsilon, .. }
                 if !(epsilon > 0.0 && epsilon < 1.0) =>
@@ -279,9 +242,10 @@ impl EngineKind {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] when the kind cannot drive `model`:
-    /// tau-leaping rejects compartment rules, nested-site rules,
-    /// non-mass-action laws and non-positive `tau`.
+    /// Returns [`EngineError`] when the kind cannot drive `model` or its
+    /// knobs are invalid: the leaping kinds (adaptive tau-leaping and the
+    /// hybrid) reject compartment rules, nested-site rules and
+    /// non-mass-action laws.
     pub fn build(
         self,
         model: Arc<Model>,
@@ -315,10 +279,6 @@ impl EngineKind {
             EngineKind::Ssa | EngineKind::Batched { .. } => Ok(Engine::Ssa(SsaEngine::with_deps(
                 model, deps, base_seed, instance,
             ))),
-            EngineKind::TauLeap { tau } => {
-                let engine = TauLeapEngine::with_deps(model, deps, base_seed, instance)?;
-                Ok(Engine::TauLeap(engine.with_tau(tau)))
-            }
             EngineKind::AdaptiveTau { epsilon } => {
                 let engine = AdaptiveTauEngine::with_deps(model, deps, base_seed, instance)?;
                 Ok(Engine::AdaptiveTau(Box::new(engine.with_epsilon(epsilon))))
@@ -336,7 +296,6 @@ impl EngineKind {
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineKind::TauLeap { tau } => write!(f, "tau-leap(τ={tau})"),
             EngineKind::AdaptiveTau { epsilon } => write!(f, "adaptive-tau(ε={epsilon})"),
             EngineKind::Hybrid { epsilon, threshold } => {
                 write!(f, "hybrid(ε={epsilon}, θ={threshold})")
@@ -350,16 +309,11 @@ impl fmt::Display for EngineKind {
 /// Error building an engine from an [`EngineKind`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// A flat-only engine (tau-leaping, adaptive tau-leaping, the hybrid
-    /// SSA/tau engine) cannot drive this model (compartments, nested sites
+    /// A flat-only engine (adaptive tau-leaping, the hybrid SSA/tau
+    /// engine) cannot drive this model (compartments, nested sites
     /// or non-mass-action laws); the inner error names the engine and the
     /// offending rule.
     FlatModel(FlatModelError),
-    /// The configured leap length is not positive and finite.
-    InvalidTau {
-        /// The offending value.
-        tau: f64,
-    },
     /// The configured CGP bound ε is outside `(0, 1)`.
     InvalidEpsilon {
         /// The offending value.
@@ -381,12 +335,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::FlatModel(e) => write!(f, "{e}"),
-            EngineError::InvalidTau { tau } => {
-                write!(
-                    f,
-                    "tau-leap leap length must be positive and finite, got {tau}"
-                )
-            }
             EngineError::InvalidEpsilon { epsilon } => {
                 write!(
                     f,
@@ -415,22 +363,23 @@ impl From<FlatModelError> for EngineError {
 }
 
 /// Outcome of one atomic engine transition ([`Engine::step`]): a reaction
-/// for the exact engines, one committed leap for tau-leaping.
+/// for the exact engine, one committed leap or transition for the leaping
+/// and hybrid engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineStep {
     /// The engine advanced by `dt`, firing `events` reactions.
     Advanced {
         /// Time that elapsed.
         dt: f64,
-        /// Reactions fired (1 for exact engines, the leap total for
-        /// tau-leaping).
+        /// Reactions fired (1 for the exact engine, the leap total for
+        /// a leap).
         events: u64,
     },
     /// No reaction is enabled; the state is absorbing.
     Exhausted,
 }
 
-/// A concrete simulation engine: one of the four integrators, behind one
+/// A concrete simulation engine: one of the three integrators, behind one
 /// `Clone + Send` value (no boxing, no generics in the task types).
 ///
 /// All methods dispatch to the wrapped engine. One call to
@@ -440,12 +389,16 @@ pub enum EngineStep {
 /// scheduling round, and every variant is *slicing-invariant*: any
 /// partition of `[0, t_end]` into quanta yields the same trajectory and
 /// sample stream.
+///
+/// The exact engine is the only unboxed variant, so the enum is as large
+/// as it: the direct method is the paper's integrator and the common
+/// case, and its step path stays one indirection shorter than the
+/// leaping kinds'.
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
 pub enum Engine {
     /// Exact direct method.
     Ssa(SsaEngine),
-    /// Approximate fixed-step Poisson tau-leaping.
-    TauLeap(TauLeapEngine),
     /// Approximate adaptive (CGP) tau-leaping (boxed: the incremental
     /// hot path carries SoA rows, criticality epochs and reusable
     /// buffers, and would otherwise dominate the size of every task
@@ -465,7 +418,6 @@ impl Engine {
     pub fn kind(&self) -> EngineKind {
         match self {
             Engine::Ssa(_) => EngineKind::Ssa,
-            Engine::TauLeap(e) => EngineKind::TauLeap { tau: e.tau() },
             Engine::AdaptiveTau(e) => EngineKind::AdaptiveTau {
                 epsilon: e.epsilon(),
             },
@@ -480,7 +432,6 @@ impl Engine {
     pub fn time(&self) -> f64 {
         match self {
             Engine::Ssa(e) => e.time(),
-            Engine::TauLeap(e) => e.time(),
             Engine::AdaptiveTau(e) => e.time(),
             Engine::Hybrid(e) => e.time(),
         }
@@ -490,7 +441,6 @@ impl Engine {
     pub fn instance(&self) -> u64 {
         match self {
             Engine::Ssa(e) => e.instance(),
-            Engine::TauLeap(e) => e.instance(),
             Engine::AdaptiveTau(e) => e.instance(),
             Engine::Hybrid(e) => e.instance(),
         }
@@ -500,7 +450,6 @@ impl Engine {
     pub fn observe(&self) -> Vec<u64> {
         match self {
             Engine::Ssa(e) => e.observe(),
-            Engine::TauLeap(e) => e.observe(),
             Engine::AdaptiveTau(e) => e.observe(),
             Engine::Hybrid(e) => e.observe(),
         }
@@ -510,7 +459,6 @@ impl Engine {
     pub fn events(&self) -> u64 {
         match self {
             Engine::Ssa(e) => e.steps(),
-            Engine::TauLeap(e) => e.firings(),
             Engine::AdaptiveTau(e) => e.firings(),
             Engine::Hybrid(e) => e.firings(),
         }
@@ -519,16 +467,16 @@ impl Engine {
     /// The current CWC term of the exact engine, by value: materialised
     /// on demand from whichever core the engine steps on (see
     /// [`SsaEngine::term`]) — an inspection call, not a step-path one.
-    /// `None` for the leaping kinds (fixed and adaptive tau-leaping, the
-    /// hybrid), whose committed state is a species-count vector.
+    /// `None` for the leaping kinds (adaptive tau-leaping, the hybrid),
+    /// whose committed state is a species-count vector.
     pub fn term(&self) -> Option<Term> {
         match self {
             Engine::Ssa(e) => Some(e.term()),
-            Engine::TauLeap(_) | Engine::AdaptiveTau(_) | Engine::Hybrid(_) => None,
+            Engine::AdaptiveTau(_) | Engine::Hybrid(_) => None,
         }
     }
 
-    /// Executes one atomic transition: one reaction (exact engines) or
+    /// Executes one atomic transition: one reaction (exact engine) or
     /// one committed leap/transition (the leaping and hybrid engines).
     pub fn step(&mut self) -> EngineStep {
         match self {
@@ -536,23 +484,10 @@ impl Engine {
                 StepOutcome::Fired { dt, .. } => EngineStep::Advanced { dt, events: 1 },
                 StepOutcome::Exhausted => EngineStep::Exhausted,
             },
-            Engine::TauLeap(e) => {
-                // leap() first commits any leap held pending by the
+            Engine::AdaptiveTau(e) => {
+                // advance() first commits any leap held pending by the
                 // quantum-execution API, so measure dt and events as
                 // clock/firings deltas to keep the two consistent.
-                let (before_firings, before_time) = (e.firings(), e.time());
-                let taken = e.leap(e.tau());
-                let dt = e.time() - before_time;
-                if taken == 0.0 && dt == 0.0 {
-                    EngineStep::Exhausted
-                } else {
-                    EngineStep::Advanced {
-                        dt,
-                        events: e.firings() - before_firings,
-                    }
-                }
-            }
-            Engine::AdaptiveTau(e) => {
                 let (before_firings, before_time) = (e.firings(), e.time());
                 let taken = e.advance();
                 let dt = e.time() - before_time;
@@ -581,12 +516,6 @@ impl Engine {
     pub fn run_until(&mut self, t_end: f64) -> u64 {
         match self {
             Engine::Ssa(e) => e.run_until(t_end),
-            // A muted clock (zero-sample limit) turns sampled advancement
-            // into plain advancement on the same pending-leap path.
-            Engine::TauLeap(e) => {
-                let mut muted = SampleClock::new(0.0, 1.0).with_limit(0);
-                e.run_sampled(t_end, &mut muted, |_, _| {})
-            }
             Engine::AdaptiveTau(e) => e.run_until(t_end),
             Engine::Hybrid(e) => e.run_until(t_end),
         }
@@ -601,7 +530,6 @@ impl Engine {
     {
         match self {
             Engine::Ssa(e) => e.run_sampled(t_end, clock, on_sample),
-            Engine::TauLeap(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::AdaptiveTau(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::Hybrid(e) => e.run_sampled(t_end, clock, on_sample),
         }
@@ -647,7 +575,6 @@ mod tests {
         let model = decay_model(10, 1.0);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.1 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -660,20 +587,6 @@ mod tests {
             assert_eq!(engine.observe(), vec![10]);
             assert_eq!(engine.time(), 0.0);
         }
-    }
-
-    #[test]
-    fn tau_leap_rejects_compartment_models_and_bad_tau() {
-        let model = comp_model();
-        let err = EngineKind::TauLeap { tau: 0.1 }
-            .build(Arc::clone(&model), 1, 0)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::FlatModel(_)));
-        let err = EngineKind::TauLeap { tau: 0.0 }
-            .build(decay_model(1, 1.0), 1, 0)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidTau { .. }));
-        assert!(err.to_string().contains("positive"));
     }
 
     #[test]
@@ -700,15 +613,8 @@ mod tests {
             }};
         }
         let m = || Arc::clone(&model);
-        let cases: [(EngineKind, Run); 4] = [
+        let cases: [(EngineKind, Run); 3] = [
             (EngineKind::Ssa, direct!(SsaEngine::new(m(), 7, 2), steps)),
-            (
-                EngineKind::TauLeap { tau: 0.05 },
-                direct!(
-                    TauLeapEngine::new(m(), 7, 2).unwrap().with_tau(0.05),
-                    firings
-                ),
-            ),
             (
                 EngineKind::AdaptiveTau { epsilon: 0.05 },
                 direct!(
@@ -749,7 +655,6 @@ mod tests {
         let model = decay_model(20, 1.0);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.05 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -770,7 +675,6 @@ mod tests {
         let model = decay_model(0, 1.0);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.05 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -787,7 +691,6 @@ mod tests {
         let model = decay_model(25, 2.0);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.05 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -803,20 +706,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_validate_owns_the_tau_rule() {
-        assert!(EngineKind::Ssa.validate().is_ok());
-        assert!(EngineKind::TauLeap { tau: 0.5 }.validate().is_ok());
-        for tau in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            // matches! rather than assert_eq: NaN never compares equal.
-            assert!(matches!(
-                EngineKind::TauLeap { tau }.validate(),
-                Err(EngineError::InvalidTau { .. })
-            ));
-        }
-    }
-
-    #[test]
     fn engine_kind_validate_owns_the_epsilon_and_threshold_rules() {
+        assert!(EngineKind::Ssa.validate().is_ok());
         assert!(EngineKind::AdaptiveTau { epsilon: 0.05 }.validate().is_ok());
         assert!(EngineKind::Hybrid {
             epsilon: 0.05,
@@ -867,7 +758,6 @@ mod tests {
     fn flat_only_kinds_reject_compartment_models_naming_rule_and_engine() {
         let model = comp_model();
         for (kind, engine_name) in [
-            (EngineKind::TauLeap { tau: 0.1 }, "tau-leaping"),
             (
                 EngineKind::AdaptiveTau { epsilon: 0.05 },
                 "adaptive tau-leaping",
@@ -900,10 +790,6 @@ mod tests {
     #[test]
     fn validated_constructors_accept_good_knobs_and_reject_bad_ones() {
         assert_eq!(
-            EngineKind::tau_leap(0.1).unwrap(),
-            EngineKind::TauLeap { tau: 0.1 }
-        );
-        assert_eq!(
             EngineKind::adaptive_tau(0.03).unwrap(),
             EngineKind::AdaptiveTau { epsilon: 0.03 }
         );
@@ -918,10 +804,6 @@ mod tests {
             EngineKind::batched(32).unwrap(),
             EngineKind::Batched { width: 32 }
         );
-        assert!(matches!(
-            EngineKind::tau_leap(f64::NAN),
-            Err(EngineError::InvalidTau { .. })
-        ));
         assert!(matches!(
             EngineKind::adaptive_tau(0.0),
             Err(EngineError::InvalidEpsilon { .. })
@@ -997,10 +879,6 @@ mod tests {
     #[test]
     fn display_names_are_stable() {
         assert_eq!(EngineKind::Ssa.to_string(), "ssa");
-        assert_eq!(
-            EngineKind::TauLeap { tau: 0.5 }.to_string(),
-            "tau-leap(τ=0.5)"
-        );
         assert_eq!(
             EngineKind::AdaptiveTau { epsilon: 0.05 }.to_string(),
             "adaptive-tau(ε=0.05)"

@@ -17,9 +17,8 @@
 //!   takes integral Hill powers without libm — and the slot-to-slot
 //!   affected lists of the dependency graph), the one propensity formula
 //!   `exact_propensity` and the observable plan;
-//! - the **leaping tier** — fixed-step tau-leaping ([`crate::tau_leap`]),
-//!   adaptive tau-leaping ([`crate::adaptive`]) and the leap phase of the
-//!   hybrid engine ([`crate::hybrid`]) — reads the rule-indexed
+//! - the **leaping tier** — adaptive tau-leaping ([`crate::adaptive`])
+//!   and the leap phase of the hybrid engine ([`crate::hybrid`]) — reads the rule-indexed
 //!   reactant/stoichiometry/rate rows, the Cao–Gillespie–Petzold
 //!   step-size bound (`FlatModel::cgp_tau_with`) with its
 //!   highest-order-reaction `g_i` factors, and the same observable plan.
@@ -42,8 +41,8 @@ use rand::Rng;
 
 use crate::deps::ModelDeps;
 
-/// Error constructing a flat-model engine (fixed tau-leaping, adaptive
-/// tau-leaping, or the hybrid SSA/tau engine).
+/// Error constructing a flat-model engine (adaptive tau-leaping or the
+/// hybrid SSA/tau engine).
 ///
 /// Every variant names the offending rule *and* the engine that rejected
 /// it, so a config-level failure pinpoints the model line to fix. The
@@ -856,7 +855,6 @@ mod tests {
         let before = FlatModel::thread_compile_count();
         let kinds = [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.01 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,
@@ -902,7 +900,7 @@ mod tests {
         assert_eq!(own.initial_counts(), &[40]);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.01 },
+            EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Batched { width: 2 },
         ] {
             let run = |deps: Arc<ModelDeps>| {

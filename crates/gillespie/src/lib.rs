@@ -30,10 +30,10 @@
 //!   exact propensity formula and the observable plan of the dense core;
 //!   stoichiometry rows and the Cao–Gillespie–Petzold step bound of every
 //!   leaping engine — plus the common rejection error;
-//! - [`tau_leap`]: approximate fixed-step Poisson leaping for flat models
+//! - [`adaptive`]: the leaping tier — adaptive tau-leaping, CGP
+//!   step-size selection with critical-reaction partitioning and an
+//!   exact-SSA fallback, so no leap length is left for the user to pick
 //!   (an extension beyond the paper, in the spirit of StochKit);
-//! - [`adaptive`]: adaptive tau-leaping — CGP step-size selection with
-//!   critical-reaction partitioning and an exact-SSA fallback;
 //! - [`hybrid`]: the hybrid exact/approximate engine — dense-core SSA
 //!   segments with CGP-sized leaps when propensities stratify;
 //! - [`batch`]: the batched kind's task grain — [`batch::batch_spans`]
@@ -60,7 +60,6 @@ pub mod hybrid;
 pub mod rng;
 pub mod ssa;
 pub mod table;
-pub mod tau_leap;
 pub mod trajectory;
 
 pub use adaptive::AdaptiveTauEngine;
@@ -73,5 +72,4 @@ pub use kernels::KernelDispatch;
 pub use rng::{instance_seed, sim_rng, SimRng};
 pub use ssa::{Reaction, SampleClock, SsaEngine, StepOutcome};
 pub use table::ReactionTable;
-pub use tau_leap::{TauLeapEngine, TauLeapError};
 pub use trajectory::Cut;

@@ -21,9 +21,6 @@
 //!   single-channel selection is deterministic and consumes nothing — the
 //!   SSA, hybrid and batched goldens pin this), and one uniform in
 //!   `[0, 1)` for the assignment choice;
-//! - **tau-leaping** ([`crate::tau_leap::TauLeapEngine`]): per drawn leap,
-//!   one Poisson variate per reaction with non-zero propensity, in rule
-//!   order, re-drawn on each negativity-halving retry;
 //! - **adaptive tau-leaping** ([`crate::adaptive::AdaptiveTauEngine`]):
 //!   per drawn transition, in this order — (a) when the CGP bound falls
 //!   below the SSA-fallback threshold, one uniform in `[ε, 1)` for the

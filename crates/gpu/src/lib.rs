@@ -12,7 +12,7 @@
 //!   optional per-quantum re-packing of instances into warps;
 //! - [`map_device`]: the functional `ff_mapCUDA` equivalent — it advances
 //!   *real* engines behind the [`gillespie::engine::Engine`] abstraction
-//!   (any [`gillespie::engine::EngineKind`]: SSA, fixed or adaptive
+//!   (any [`gillespie::engine::EngineKind`]: SSA, adaptive
 //!   tau-leaping, hybrid, batched SSA) under kernel-barrier semantics, so
 //!   simulation results are bit-identical to CPU execution while the timing comes from the
 //!   SIMT model.

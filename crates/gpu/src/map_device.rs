@@ -72,7 +72,7 @@ impl DeviceMap {
     /// # Errors
     ///
     /// Returns [`EngineError`] when `kind` cannot drive `model` (e.g.
-    /// tau-leaping on a compartment model).
+    /// adaptive tau-leaping on a compartment model).
     #[allow(clippy::too_many_arguments)]
     pub fn with_engine(
         kind: EngineKind,
@@ -189,7 +189,6 @@ mod tests {
         let model = Arc::new(decay(30, 1.0));
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.1 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

@@ -1,8 +1,8 @@
 //! Quickstart: build a CWC model, run the parallel simulation-analysis
 //! pipeline with the exact (SSA) integrator, print the resulting
 //! statistics as CSV — then re-run the *same* pipeline under the batched
-//! kind, fixed-step tau-leaping and adaptive (CGP) tau-leaping with one
-//! config knob (`SimConfig::engine`) and compare.
+//! kind and adaptive (CGP) tau-leaping with one config knob
+//! (`SimConfig::engine`) and compare.
 //!
 //! Everything the program needs is imported from the `cwc_repro` umbrella
 //! crate: the end-to-end run API (`SimConfig`, `EngineKind`,
@@ -148,21 +148,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Engine selection: the dimerisation model is flat mass-action, so the
-    // approximate tau-leaping integrator may drive the identical pipeline
-    // (compartment models would be rejected here with an engine error).
-    let leap_cfg = cfg.clone().engine(EngineKind::tau_leap(0.05)?);
-    let leap = run_simulation(Arc::clone(&model), &leap_cfg)?;
-    eprintln!(
-        "tau-leap re-run: {} firings in {:?}; grand mean of A {:.2} vs exact {:.2}",
-        leap.events,
-        leap.wall,
-        leap.grand_mean(0),
-        report.grand_mean(0),
-    );
-
-    // Adaptive tau-leaping: no leap length to pick — every leap is sized
-    // from the state so propensities change by at most epsilon per leap
-    // (critical reactions near exhaustion still fire exactly).
+    // approximate adaptive tau-leaping integrator may drive the identical
+    // pipeline (compartment models would be rejected here with an engine
+    // error). No leap length to pick — every leap is sized from the state
+    // so propensities change by at most epsilon per leap (critical
+    // reactions near exhaustion still fire exactly).
     let adaptive_cfg = cfg.engine(EngineKind::adaptive_tau(0.03)?);
     let adaptive = run_simulation(model, &adaptive_cfg)?;
     eprintln!(

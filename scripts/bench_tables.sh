@@ -70,3 +70,5 @@ rows BENCH_adaptive_tau.json | awk -F';' '
                 s / 1e6, a / 1e6, r / 1e6, h / 1e6, a / s, a / r
         }
     }'
+echo
+header BENCH_adaptive_tau.json

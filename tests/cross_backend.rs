@@ -24,10 +24,9 @@ fn cfg() -> SimConfig {
 
 /// The engine matrix of the correctness tests (the batched and leaping
 /// kinds need flat mass-action models; every model used here qualifies).
-fn engine_kinds() -> [EngineKind; 5] {
+fn engine_kinds() -> [EngineKind; 4] {
     [
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau: 0.1 },
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,

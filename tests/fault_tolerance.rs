@@ -113,7 +113,6 @@ fn recovery_is_bit_for_bit_for_every_engine_kind() {
     let model = Arc::new(biomodels::simple::decay(60, 1.0));
     let kinds = [
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau: 0.05 },
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,

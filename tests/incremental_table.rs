@@ -8,7 +8,7 @@
 //!    reproduce every stream bit-for-bit: same sample values at the same
 //!    grid times, same event counts, same final state, across irregular
 //!    quantum slicings, for the direct method (flat and compartmentalised
-//!    models) and fixed tau-leaping (flat models).
+//!    models).
 //!
 //! 2. **Table = recompute** — after an arbitrary prefix of firings
 //!    (including structural ones that force rebuilds), the incrementally
@@ -79,7 +79,6 @@ fn model_by_name(name: &str) -> Arc<Model> {
 fn kind_by_name(name: &str) -> EngineKind {
     match name {
         "ssa" => EngineKind::Ssa,
-        "tau-leap" => EngineKind::TauLeap { tau: 0.01 },
         other => panic!("unknown golden engine {other}"),
     }
 }
@@ -108,24 +107,6 @@ const GOLDEN: &[GoldenRow] = &[
     ("schlogl", "ssa", 2014, 3, 0x551e905b70da0f99, 14346, &[442]),
     ("schlogl", "ssa", 99, 0, 0xdc8d1d0a78b16d03, 20469, &[583]),
     (
-        "schlogl",
-        "tau-leap",
-        2014,
-        3,
-        0x2c869fe7d288bfb2,
-        5444,
-        &[94],
-    ),
-    (
-        "schlogl",
-        "tau-leap",
-        99,
-        0,
-        0x70d0f02117291d20,
-        6190,
-        &[116],
-    ),
-    (
         "lotka-volterra",
         "ssa",
         2014,
@@ -142,24 +123,6 @@ const GOLDEN: &[GoldenRow] = &[
         0x7373f1b4d4443efc,
         3018,
         &[134, 121],
-    ),
-    (
-        "lotka-volterra",
-        "tau-leap",
-        2014,
-        3,
-        0xf2f4a5c0f6b13267,
-        3040,
-        &[138, 79],
-    ),
-    (
-        "lotka-volterra",
-        "tau-leap",
-        99,
-        0,
-        0xbbed4a94400cf1b1,
-        2960,
-        &[103, 46],
     ),
     (
         "neurospora-compartments",

@@ -1,5 +1,5 @@
 //! Golden trajectory fingerprints for the approximate tier (adaptive
-//! tau-leaping, the hybrid engine, and fixed tau-leaping on wide models).
+//! tau-leaping and the hybrid engine).
 //!
 //! Recorded from the pre-kernel-hot-path engines (the full-scan
 //! implementation, commit `d87ece0`). The incremental/kernel-routed
@@ -76,7 +76,6 @@ fn kind_by_name(name: &str) -> EngineKind {
             epsilon: 0.05,
             threshold: 16.0,
         },
-        "tau-leap" => EngineKind::TauLeap { tau: 0.01 },
         other => panic!("unknown golden engine {other}"),
     }
 }
@@ -178,15 +177,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[3],
     ),
     (
-        "wide-cycle-lo",
-        "tau-leap",
-        2014,
-        3,
-        0xaa74478101bfc0cf,
-        1125,
-        &[5],
-    ),
-    (
         "wide-cycle-hi",
         "adaptive",
         2014,
@@ -212,15 +202,6 @@ const GOLDEN: &[GoldenRow] = &[
         0xf30cc95333e6a341,
         17325,
         &[228],
-    ),
-    (
-        "wide-cycle-hi",
-        "tau-leap",
-        2014,
-        3,
-        0x4fc970d05f090d14,
-        18126,
-        &[207],
     ),
 ];
 

@@ -7,8 +7,7 @@
 //! observable: this suite pins the incremental engine against its
 //! full-recompute replica — same draws, same samples, same final state,
 //! bit for bit — across the model zoo and both kernel dispatches, and
-//! pins the hybrid and fixed tau-leap engines as dispatch-invariant on
-//! the same zoo. CI runs the whole file twice (once with
+//! pins the hybrid engine as dispatch-invariant on the same zoo. CI runs the whole file twice (once with
 //! `CWC_FORCE_SCALAR_KERNELS=1`), so the scalar reference path gets the
 //! identical coverage on AVX2 hosts too.
 
@@ -20,9 +19,7 @@ use cwc_repro::biomodels::{
     conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams,
 };
 use cwc_repro::cwc::model::Model;
-use cwc_repro::gillespie::{
-    AdaptiveTauEngine, HybridEngine, KernelDispatch, SampleClock, TauLeapEngine,
-};
+use cwc_repro::gillespie::{AdaptiveTauEngine, HybridEngine, KernelDispatch, SampleClock};
 
 /// Everything observable about one trajectory: the sampled stream (times
 /// bit-exact via `to_bits`), the final observables, the clock, and the
@@ -87,25 +84,6 @@ fn trace_hybrid(mut engine: HybridEngine, t_end: f64) -> Trace {
     }
 }
 
-fn trace_tau_leap(mut engine: TauLeapEngine, t_end: f64) -> Trace {
-    let mut clock = SampleClock::new(0.0, t_end / 16.0);
-    let mut samples = Vec::new();
-    let mut firings = 0;
-    for t in quanta(t_end) {
-        firings += engine.run_sampled(t, &mut clock, |ts, v| {
-            samples.push((ts.to_bits(), v.to_vec()));
-        });
-    }
-    Trace {
-        samples,
-        finals: engine.observe(),
-        time: engine.time().to_bits(),
-        firings,
-        leaps: engine.leaps(),
-        exact_steps: 0,
-    }
-}
-
 /// Runs the adaptive engine in all four refresh × dispatch combinations
 /// and asserts one shared trace: {incidence cache (the default),
 /// full-recompute replica} × {Auto, Scalar}. Under the scalar CI leg Auto
@@ -158,23 +136,6 @@ fn assert_hybrid_dispatch_invariant(model: &Arc<Model>, seed: u64, instance: u64
     assert_eq!(auto, scalar, "hybrid dispatch changed the trajectory");
 }
 
-fn assert_tau_leap_dispatch_invariant(
-    model: &Arc<Model>,
-    seed: u64,
-    instance: u64,
-    tau: f64,
-    t_end: f64,
-) {
-    let build = || {
-        TauLeapEngine::new(Arc::clone(model), seed, instance)
-            .unwrap()
-            .with_tau(tau)
-    };
-    let auto = trace_tau_leap(build(), t_end);
-    let scalar = trace_tau_leap(build().with_kernel_dispatch(KernelDispatch::Scalar), t_end);
-    assert_eq!(auto, scalar, "tau-leap dispatch changed the trajectory");
-}
-
 /// The deterministic zoo: the bench models plus conversion-cycle
 /// structural extremes (minimal two-species cycle, absorbing-adjacent
 /// sparse cycle, the all-critical wide regime, the leaping wide regime).
@@ -212,10 +173,9 @@ fn adaptive_replicas_agree_across_the_zoo() {
 }
 
 #[test]
-fn hybrid_and_tau_leap_are_dispatch_invariant_across_the_zoo() {
+fn hybrid_is_dispatch_invariant_across_the_zoo() {
     for (_name, model, t_end) in zoo() {
         assert_hybrid_dispatch_invariant(&model, 11, 2, t_end);
-        assert_tau_leap_dispatch_invariant(&model, 11, 2, 0.02, t_end);
     }
 }
 
@@ -237,10 +197,10 @@ proptest! {
         assert_adaptive_replicas_agree(&model, seed, instance, 0.4);
     }
 
-    /// The same structural sweep for the hybrid and fixed tau-leap
-    /// engines' kernel-routed leap paths.
+    /// The same structural sweep for the hybrid engine's kernel-routed
+    /// leap path.
     #[test]
-    fn hybrid_and_tau_leap_dispatch_invariant_on_random_cycles(
+    fn hybrid_dispatch_invariant_on_random_cycles(
         species in 2usize..24,
         copies_per_species in 0u64..300,
         rate in 0.2f64..3.0,
@@ -249,6 +209,5 @@ proptest! {
         let copies = copies_per_species * species as u64;
         let model = Arc::new(conversion_cycle(species, copies, rate));
         assert_hybrid_dispatch_invariant(&model, seed, 1, 0.4);
-        assert_tau_leap_dispatch_invariant(&model, seed, 1, 0.05, 0.4);
     }
 }

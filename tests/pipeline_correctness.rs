@@ -70,7 +70,6 @@ fn parallel_equals_sequential_for_every_engine_kind() {
         let model = Arc::new(model);
         for kind in [
             EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.07 },
             EngineKind::AdaptiveTau { epsilon: 0.05 },
             EngineKind::Hybrid {
                 epsilon: 0.05,

@@ -1,15 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: multiset algebra, tree matching vs brute force, rewrite
 //! well-formedness, wire codec round-trips, alignment and windowing laws,
-//! and the stochastic-engine contracts (tau-leap non-negativity, slicing
-//! invariance of the direct method and the leaping engines).
+//! and the stochastic-engine contracts (adaptive tau-leap non-negativity,
+//! slicing invariance of the direct method and the leaping engines).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use cwc_repro::biomodels::CellTransportParams;
 use cwc_repro::gillespie::engine::EngineKind;
-use cwc_repro::gillespie::{AdaptiveTauEngine, SampleClock, TauLeapEngine};
+use cwc_repro::gillespie::{AdaptiveTauEngine, SampleClock};
 
 use cwc_repro::cwc::matching::{apply_at, assignments, match_count};
 use cwc_repro::cwc::multiset::{binomial, Multiset};
@@ -192,67 +192,6 @@ proptest! {
         let mut e = EngineKind::Ssa.build(model, seed, 0).expect("ssa builds");
         let fired = e.run_until(1e9);
         prop_assert_eq!(fired, n0);
-    }
-
-    #[test]
-    fn tau_leap_never_produces_negative_species_counts(
-        n0 in 0u64..40,
-        birth in 0.5f64..30.0,
-        death in 0.1f64..8.0,
-        tau in 0.01f64..2.0,
-        seed in any::<u64>(),
-    ) {
-        // Aggressive leap lengths on small populations hammer the
-        // negativity-halving path; the committed state must stay a valid
-        // species-count vector at every quantum boundary.
-        let model = Arc::new(cwc_repro::biomodels::simple::birth_death(birth, death, n0));
-        let mut e = TauLeapEngine::new(model, seed, 0)
-            .expect("flat model")
-            .with_tau(tau);
-        let mut clock = SampleClock::new(0.0, 0.5);
-        for k in 1..=8 {
-            e.run_sampled(k as f64 * 0.5, &mut clock, |_, values| {
-                // Observables report committed counts, never a negative
-                // value cast to u64.
-                assert!(values[0] < u64::MAX / 2);
-            });
-            prop_assert!(
-                e.counts().iter().all(|&c| c >= 0),
-                "negative state {:?} (tau {tau})",
-                e.counts()
-            );
-        }
-    }
-
-    #[test]
-    fn tau_leap_trajectories_are_slicing_invariant(
-        n0 in 1u64..30,
-        tau in 0.02f64..0.5,
-        cut in 0.05f64..3.95,
-        seed in any::<u64>(),
-    ) {
-        // One arbitrary quantum boundary must not change the committed
-        // trajectory: pending leaps are held, never re-drawn.
-        let model = Arc::new(cwc_repro::biomodels::simple::birth_death(20.0, 1.0, n0));
-        let mut whole = TauLeapEngine::new(Arc::clone(&model), seed, 1)
-            .expect("flat model")
-            .with_tau(tau);
-        let mut wc = SampleClock::new(0.0, 0.25);
-        let mut ws = Vec::new();
-        whole.run_sampled(4.0, &mut wc, |t, v| ws.push((t, v.to_vec())));
-
-        let mut sliced = TauLeapEngine::new(model, seed, 1)
-            .expect("flat model")
-            .with_tau(tau);
-        let mut sc = SampleClock::new(0.0, 0.25);
-        let mut ss = Vec::new();
-        sliced.run_sampled(cut, &mut sc, |t, v| ss.push((t, v.to_vec())));
-        sliced.run_sampled(4.0, &mut sc, |t, v| ss.push((t, v.to_vec())));
-
-        prop_assert_eq!(ws, ss);
-        prop_assert_eq!(whole.counts(), sliced.counts());
-        prop_assert_eq!(whole.firings(), sliced.firings());
-        prop_assert_eq!(whole.time(), sliced.time());
     }
 
     #[test]

@@ -20,7 +20,6 @@ use cwc_repro::distrt::shard::run_simulation_sharded;
 fn engine_kinds() -> Vec<EngineKind> {
     vec![
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau: 0.05 },
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,
@@ -34,7 +33,7 @@ fn engine_kinds() -> Vec<EngineKind> {
 }
 
 /// Flat models (every engine kind accepts them), scaled small enough to
-/// keep the 3 models × 5 kinds × 3 shard counts matrix fast.
+/// keep the 3 models × 4 kinds × 3 shard counts matrix fast.
 fn models() -> Vec<(&'static str, Arc<Model>)> {
     vec![
         ("decay", Arc::new(biomodels::simple::decay(60, 1.0))),

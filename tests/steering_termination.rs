@@ -23,7 +23,6 @@ use cwc_repro::distrt::shard::run_simulation_sharded_steered;
 fn engine_kinds() -> Vec<EngineKind> {
     vec![
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau: 0.05 },
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,

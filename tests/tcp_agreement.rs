@@ -135,7 +135,6 @@ fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
     let model = Arc::new(biomodels::simple::decay(60, 1.0));
     let kinds = [
         EngineKind::Ssa,
-        EngineKind::TauLeap { tau: 0.05 },
         EngineKind::AdaptiveTau { epsilon: 0.05 },
         EngineKind::Hybrid {
             epsilon: 0.05,
