@@ -166,7 +166,6 @@ impl<'a> ClusterWorld<'a> {
                 link_busy: false,
             })
             .collect();
-        let _ = &owner; // partition captured in per-host ready queues
         ClusterWorld {
             trace,
             p,
@@ -248,7 +247,6 @@ impl<'a> ClusterWorld<'a> {
                 samples as f64 * self.p.costs.sec_per_aligned_sample / self.p.hosts[0].core_rate();
             self.align_busy = true;
             self.align_busy_s += service;
-            let _ = samples;
             sched.schedule_in(service, Ev::AlignDone);
         }
     }

@@ -160,15 +160,14 @@ impl<'a> PipelineWorld<'a> {
             + events as f64 * self.p.costs.sec_per_event / self.p.host.core_rate()
     }
 
-    /// Samples instance `i` produces in quantum `q` (uniform grid split).
-    fn samples_in_quantum(&self, instance: usize, q: usize) -> u64 {
+    /// Samples an instance produces in quantum `q` (uniform grid split).
+    fn samples_in_quantum(&self, q: usize) -> u64 {
         let total = self.trace.samples_per_instance;
         let quanta = self.trace.quanta as u64;
         // Distribute `total` samples over `quanta` quanta as evenly as the
         // integer grid allows (first quanta carry the remainder).
         let base = total / quanta;
         let extra = total % quanta;
-        let _ = instance;
         base + u64::from((q as u64) < extra)
     }
 
@@ -196,7 +195,7 @@ impl<'a> PipelineWorld<'a> {
     }
 
     fn try_start_sim(&mut self, sched: &mut Scheduler<Ev>) {
-        while self.sim_busy < self.p.sim_workers && self.pool_has_core_for_sim() {
+        while self.sim_busy < self.p.sim_workers && self.pool_has_core() {
             let Some(instance) = self.ready.pop_front() else {
                 break;
             };
@@ -205,10 +204,6 @@ impl<'a> PipelineWorld<'a> {
             self.sim_busy_s += service;
             sched.schedule_in(service, Ev::Sim { instance });
         }
-    }
-
-    fn pool_has_core_for_sim(&self) -> bool {
-        self.p.dedicated_stages || self.pool_busy() < self.pool_capacity()
     }
 
     fn try_start_align(&mut self, sched: &mut Scheduler<Ev>) {
@@ -248,7 +243,7 @@ impl World for PipelineWorld<'_> {
             Ev::Sim { instance } => {
                 self.sim_busy -= 1;
                 let q = self.next_quantum[instance];
-                let samples = self.samples_in_quantum(instance, q);
+                let samples = self.samples_in_quantum(q);
                 self.next_quantum[instance] += 1;
                 if self.next_quantum[instance] < self.trace.quanta {
                     // Feedback: reschedule the incomplete task.

@@ -76,11 +76,11 @@ const A0_EST_MAX_UPDATES: u64 = 1 << 22;
 /// firing riding on a truncated leap, or one exact fallback step.
 #[derive(Debug, Clone)]
 struct PendingTransition {
-    /// Sparse candidate state: `(species index, new value)`, deduped.
+    /// Sparse next state: `(species index, new count)`, deduped.
     /// Committing applies exactly these writes and refreshes exactly the
-    /// rules incident to these species, making the per-transition work
-    /// O(affected) instead of O(all rules) / O(all species).
-    updates: Vec<(usize, i64)>,
+    /// slots incident to these species, making the per-transition work
+    /// O(affected) instead of O(all slots) / O(all species).
+    updates: Vec<(usize, u64)>,
     /// Absolute time at which the transition commits.
     end: f64,
     /// Firings the transition applies when committed.
@@ -101,7 +101,7 @@ struct PendingTransition {
 /// full-recompute replica scans up from scratch on each draw.
 #[derive(Debug, Clone, Default)]
 struct HotState {
-    /// Cached per-rule propensities of the committed state.
+    /// Cached per-slot propensities of the committed state.
     props: Vec<f64>,
     /// `enabled[r]` ⟺ `props[r] > 0.0`.
     enabled: RuleMask,
@@ -141,8 +141,9 @@ impl HotState {
     /// Full rescan: recompute every propensity, classification and
     /// count from `state`. Runs once per cache (in)validation, not per
     /// draw.
-    fn rebuild(&mut self, flat: &FlatModel, state: &[i64]) {
-        flat.propensities_into(state, &mut self.props);
+    fn rebuild(&mut self, flat: &FlatModel, state: &[u64]) {
+        self.props.clear();
+        self.props.extend(flat.slot_propensities(state));
         let n = self.props.len();
         self.enabled = RuleMask::new(n);
         self.crit = RuleMask::new(n);
@@ -273,17 +274,14 @@ impl HotState {
     }
 }
 
-/// True when firing rule `r` could exhaust a reactant within
+/// True when firing slot `r` could exhaust a reactant within
 /// [`N_CRITICAL`] firings from `state`. A free function so commit-time
-/// maintenance can classify rules while the engine is partially
+/// maintenance can classify slots while the engine is partially
 /// borrowed.
-fn rule_is_critical(flat: &FlatModel, state: &[i64], r: usize) -> bool {
-    flat.delta[r].iter().any(|&(i, d)| {
-        if d >= 0 {
-            return false;
-        }
-        (state[i] / -d) < N_CRITICAL as i64
-    })
+fn rule_is_critical(flat: &FlatModel, state: &[u64], r: usize) -> bool {
+    flat.delta[r]
+        .iter()
+        .any(|&(i, d)| d < 0 && state[i] / d.unsigned_abs() < N_CRITICAL)
 }
 
 /// Flat-model approximate simulator with adaptive (CGP) step-size
@@ -294,7 +292,7 @@ pub struct AdaptiveTauEngine {
     /// The model's shared flat form.
     flat: Arc<FlatModel>,
     /// `state[i]` = copies of species index `i` (last *committed* state).
-    state: Vec<i64>,
+    state: Vec<u64>,
     /// Time of the last committed transition boundary.
     committed: f64,
     /// Reported simulation clock (advances to quantum horizons; always
@@ -331,13 +329,14 @@ pub struct AdaptiveTauEngine {
     /// draw so steady state does no O(species) clearing.
     seen_buf: Vec<bool>,
     /// Sparse candidate values for species marked in `seen_buf` (the
-    /// hot path's replacement for cloning the whole state per draw).
+    /// hot path's replacement for cloning the whole state per draw) —
+    /// signed, since this is where a leap that overshoots shows up.
     cand_buf: Vec<i64>,
     /// Reusable changed-species index list for the hot path.
     changed_buf: Vec<usize>,
     /// Recycled `updates` allocation: commits return the spent vector
     /// here, the next draw reuses it (zero steady-state allocation).
-    updates_pool: Vec<(usize, i64)>,
+    updates_pool: Vec<(usize, u64)>,
     /// Requested kernel dispatch policy and its resolution.
     dispatch: KernelDispatch,
     kernel: Kernel,
@@ -369,7 +368,7 @@ impl AdaptiveTauEngine {
         instance: u64,
     ) -> Result<Self, FlatModelError> {
         let flat = mass_action_flat(&model, &deps, "adaptive tau-leaping")?;
-        let state = flat.initial_state();
+        let state = flat.initial_counts().to_vec();
         let species_len = flat.species_len();
         Ok(AdaptiveTauEngine {
             model,
@@ -486,26 +485,23 @@ impl AdaptiveTauEngine {
 
     /// Current copy number of `species`.
     pub fn count(&self, species: Species) -> u64 {
-        self.state
-            .get(species.raw() as usize)
-            .map_or(0, |&c| c as u64)
+        self.state.get(species.raw() as usize).copied().unwrap_or(0)
     }
 
     /// The committed per-species state vector (ascending interned
     /// species order), for invariant tests.
-    pub fn counts(&self) -> &[i64] {
+    pub fn counts(&self) -> &[u64] {
         &self.state
     }
 
     /// Evaluates the model's observables on the committed state.
     pub fn observe(&self) -> Vec<u64> {
         let mut values = Vec::new();
-        self.flat
-            .observe_into(|i| self.state[i] as u64, &mut values);
+        self.flat.observe_into(|i| self.state[i], &mut values);
         values
     }
 
-    /// True when firing rule `r` could exhaust a reactant within
+    /// True when firing slot `r` could exhaust a reactant within
     /// [`N_CRITICAL`] firings from `state`.
     fn is_critical(&self, r: usize) -> bool {
         rule_is_critical(&self.flat, &self.state, r)
@@ -538,7 +534,7 @@ impl AdaptiveTauEngine {
         updates.extend(
             self.flat.delta[chosen]
                 .iter()
-                .map(|&(i, d)| (i, self.state[i] + d)),
+                .map(|&(i, d)| (i, self.state[i].wrapping_add_signed(d))),
         );
         PendingTransition {
             updates,
@@ -573,7 +569,8 @@ impl AdaptiveTauEngine {
         props: &mut Vec<f64>,
         critical: &mut Vec<bool>,
     ) -> Option<PendingTransition> {
-        self.flat.propensities_into(&self.state, props);
+        props.clear();
+        props.extend(self.flat.slot_propensities(&self.state));
         let a0: f64 = props.iter().sum();
         if a0 <= 0.0 {
             return None;
@@ -619,7 +616,7 @@ impl AdaptiveTauEngine {
             } else {
                 (tau1, false)
             };
-            let mut candidate = self.state.clone();
+            let mut candidate: Vec<i64> = self.state.iter().map(|&c| c as i64).collect();
             let mut firings = 0u64;
             let mut changed: Vec<usize> = Vec::new();
             for (r, &a) in props.iter().enumerate() {
@@ -671,7 +668,7 @@ impl AdaptiveTauEngine {
             }
             if candidate.iter().all(|&c| c >= 0) {
                 return Some(PendingTransition {
-                    updates: changed.iter().map(|&i| (i, candidate[i])).collect(),
+                    updates: changed.iter().map(|&i| (i, candidate[i] as u64)).collect(),
                     end: self.committed + leap_len,
                     firings,
                     exact: fire_critical && firings == 1,
@@ -694,7 +691,7 @@ impl AdaptiveTauEngine {
     ///   re-classification (a rule's criticality depends only on its
     ///   reactant counts, and every such change routes through
     ///   `FlatModel::incidence` at commit);
-    /// - the masked folds add the same values in the same rule order as
+    /// - the masked folds add the same values in the same slot order as
     ///   the replica's skip-scans, so `a0`/`a0_crit` carry the same bits
     ///   (`-0.0` vs `0.0` seeds are washed out by the first positive add
     ///   and compare equal otherwise);
@@ -776,7 +773,11 @@ impl AdaptiveTauEngine {
                 }
                 let mut updates = std::mem::take(updates_pool);
                 updates.clear();
-                updates.extend(flat.delta[chosen].iter().map(|&(i, d)| (i, state[i] + d)));
+                updates.extend(
+                    flat.delta[chosen]
+                        .iter()
+                        .map(|&(i, d)| (i, state[i].wrapping_add_signed(d))),
+                );
                 return Some(PendingTransition {
                     updates,
                     end: committed + dt,
@@ -806,7 +807,7 @@ impl AdaptiveTauEngine {
                 for &(i, d) in &flat.delta[r] {
                     if !seen_buf[i] {
                         seen_buf[i] = true;
-                        cand_buf[i] = state[i];
+                        cand_buf[i] = state[i] as i64;
                         changed.push(i);
                     }
                     cand_buf[i] += d * k as i64;
@@ -827,7 +828,7 @@ impl AdaptiveTauEngine {
                 for &(i, d) in &flat.delta[chosen] {
                     if !seen_buf[i] {
                         seen_buf[i] = true;
-                        cand_buf[i] = state[i];
+                        cand_buf[i] = state[i] as i64;
                         changed.push(i);
                     }
                     cand_buf[i] += d;
@@ -841,7 +842,7 @@ impl AdaptiveTauEngine {
             let updates = if ok {
                 let mut updates = std::mem::take(updates_pool);
                 updates.clear();
-                updates.extend(changed.iter().map(|&i| (i, cand_buf[i])));
+                updates.extend(changed.iter().map(|&i| (i, cand_buf[i] as u64)));
                 Some(updates)
             } else {
                 None
@@ -882,7 +883,7 @@ impl AdaptiveTauEngine {
             } = self;
             for &(i, _) in &p.updates {
                 for &r in &flat.incidence[i] {
-                    let a = flat.propensity(state, r);
+                    let a = flat.slot_propensity(r, |sp| state[sp]);
                     let critical = a > 0.0 && rule_is_critical(flat, state, r);
                     hot.update_rule(r, a, critical);
                 }
@@ -1057,7 +1058,8 @@ mod tests {
         assert_eq!(e.firings(), 5);
         assert_eq!(e.leaps(), 0, "no Poisson leap on a critical-only state");
         assert_eq!(e.exact_steps(), 5);
-        assert!(e.counts().iter().all(|&c| c >= 0));
+        // A leap that escaped the negativity check would wrap around.
+        assert!(e.counts().iter().all(|&c| c < u64::MAX / 2));
     }
 
     #[test]
@@ -1067,7 +1069,8 @@ mod tests {
             .unwrap()
             .with_epsilon(0.3);
         e.run_until(5.0);
-        assert!(e.counts().iter().all(|&c| c >= 0));
+        // A leap that escaped the negativity check would wrap around.
+        assert!(e.counts().iter().all(|&c| c < u64::MAX / 2));
     }
 
     #[test]

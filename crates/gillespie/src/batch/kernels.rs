@@ -351,35 +351,6 @@ pub(crate) fn row_fold_masked_from(
     }
 }
 
-/// Adds-only `-0.0`-identity fold of the positive entries of `props` —
-/// the a0 of a row without materialising the prefix column (the
-/// hybrid decide path needs only the total). Bit-identical to the plain `iter().sum()` it replaces whenever
-/// at least one propensity is positive; when none is, it returns `-0.0`
-/// where the sum returned `0.0`, and the two compare equal in every
-/// ordering the engines use.
-pub(crate) fn row_sum(kernel: Kernel, props: &[f64]) -> f64 {
-    match kernel {
-        Kernel::Scalar => {
-            let mut acc = -0.0f64;
-            for &p in props {
-                if p > 0.0 {
-                    acc += p;
-                }
-            }
-            acc
-        }
-        Kernel::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `row_fold_from`.
-            unsafe {
-                avx2::row_sum(props)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 kernel resolved on a non-x86_64 target")
-        }
-    }
-}
-
 /// Direct-method selection on a non-decreasing prefix row: the
 /// first slot whose cumulative propensity exceeds `target`, or
 /// `prefix.len()` on floating-point shortfall (the caller applies its
@@ -581,39 +552,6 @@ mod avx2 {
         acc
     }
 
-    /// AVX2 `row_sum`: the fold total without the prefix column.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by construction of [`super::Kernel::Avx2`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_sum(props: &[f64]) -> f64 {
-        let n = props.len();
-        let mut acc = -0.0f64;
-        let mut j = 0;
-        while j + LANES <= n {
-            let p = _mm256_loadu_pd(props.as_ptr().add(j));
-            let pos = _mm256_cmp_pd::<_CMP_GT_OQ>(p, _mm256_setzero_pd());
-            let bits = _mm256_movemask_pd(pos);
-            if bits != 0 {
-                for lane in 0..LANES {
-                    if bits & (1 << lane) != 0 {
-                        acc += props[j + lane];
-                    }
-                }
-            }
-            j += LANES;
-        }
-        while j < n {
-            let p = props[j];
-            if p > 0.0 {
-                acc += p;
-            }
-            j += 1;
-        }
-        acc
-    }
-
     /// AVX2 `row_select`: the module docs' counting scan on one row — on
     /// a non-decreasing prefix the count of not-yet-crossed
     /// slots *is* the crossing index, and the scan stops at the first
@@ -732,15 +670,6 @@ mod tests {
             let mask = mask_from_words(n, &words);
             let (ref_prefix, ref_total) = ref_fold(&raw, |_| true);
             let (ref_mprefix, ref_mtotal) = ref_fold(&raw, |j| mask.get(j));
-            let ref_sum: f64 = {
-                let mut acc = -0.0f64;
-                for &p in &raw {
-                    if p > 0.0 {
-                        acc += p;
-                    }
-                }
-                acc
-            };
             // A refold start and a mutation somewhere at-or-after it: the
             // partial refold seeded from prefix[from-1] must equal a full
             // refold of the mutated row.
@@ -757,10 +686,6 @@ mod tests {
                 prop_assert!(
                     prefix.iter().zip(&ref_prefix).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{kernel:?} full fold prefix diverged"
-                );
-                prop_assert!(
-                    row_sum(kernel, &raw).to_bits() == ref_sum.to_bits(),
-                    "{kernel:?} row_sum"
                 );
                 // Partial refold over the mutated row.
                 let mut scratch = ref_prefix.clone();

@@ -3,29 +3,35 @@
 //!
 //! A model is *flat* when every rule is compartment-free and applies at
 //! the top level — a property of the input (`FlatModel::accepts`). Its
-//! term then collapses to a species-count vector indexed by
+//! term then collapses to a `u64` species-count vector indexed by
 //! [`Species::raw`], and one compiled `FlatModel` (crate-private, cached
 //! in the model's [`ModelDeps`] by `ModelDeps::flat`, shared by `Arc`,
-//! never rebuilt per instance) serves both tiers:
+//! never rebuilt per instance) serves both tiers through one form:
 //!
-//! - the **exact tier** — the dense core of [`crate::ssa::SsaEngine`]
-//!   (and through it the hybrid's exact phase and every replica of the
-//!   batched kind) — reads the *slot* tables
-//!   (`SlotTables`: the rules with a non-zero rate, in rule order, with
-//!   their reactants, net stoichiometry, kinetic laws — compiled once
-//!   here into [`CompiledLaw`]s, so a refresh never recomputes `kⁿ` and
-//!   takes integral Hill powers without libm — and the slot-to-slot
-//!   affected lists of the dependency graph), the one propensity formula
-//!   `exact_propensity` and the observable plan;
-//! - the **leaping tier** — adaptive tau-leaping ([`crate::adaptive`])
-//!   and the leap phase of the hybrid engine ([`crate::hybrid`]) — reads the rule-indexed
-//!   reactant/stoichiometry/rate rows, the Cao–Gillespie–Petzold
-//!   step-size bound (`FlatModel::cgp_tau_with`) with its
-//!   highest-order-reaction `g_i` factors, and the same observable plan.
-//!   These engines additionally need mass-action laws; they obtain the
-//!   shared form through `mass_action_flat`,
-//!   which names the offending rule and the refusing engine in a
-//!   [`FlatModelError`] the config layer surfaces verbatim.
+//! - **one row set** — one *slot* per rule with a non-zero rate, in rule
+//!   order, holding its reactants, net stoichiometry, rate, kinetic law
+//!   (compiled once here into a [`CompiledLaw`], so a refresh never
+//!   recomputes `kⁿ` and takes integral Hill powers without libm) and the
+//!   slot-to-slot affected list of the dependency graph. A zero-rate rule
+//!   has no slot, so it has no effect on any engine;
+//! - **one formula** — `exact_propensity`, the exact `u64` binomial
+//!   product handed to the compiled law, which every count-stepping
+//!   engine reads its propensities from;
+//! - **one observable plan**.
+//!
+//! The **exact tier** — the dense core of [`crate::ssa::SsaEngine`], and
+//! through it the hybrid's exact phase and every replica of the batched
+//! kind — steps on exactly that. The **leaping tier** — adaptive
+//! tau-leaping ([`crate::adaptive`]) and the leap phase of the hybrid
+//! engine ([`crate::hybrid`]) — adds the Cao–Gillespie–Petzold step-size
+//! bound (`FlatModel::cgp_tau_with`), whose highest-order-reaction `g_i`
+//! factors and species-to-slot incidence lists are built over the same
+//! slots. Its committed state is the same `u64` count vector; only a
+//! leap's candidate values are signed, since that is where a negative
+//! count is detected. The leaping engines additionally need mass-action
+//! laws; they obtain the shared form through `mass_action_flat`, which
+//! names the offending rule and the refusing engine in a
+//! [`FlatModelError`] the config layer surfaces verbatim.
 //!
 //! The crate-private `poisson` sampler every leap draw consumes lives
 //! here too.
@@ -160,31 +166,6 @@ impl<T> std::ops::Index<usize> for Rows<T> {
     }
 }
 
-/// The exact tier's view of a flat model: one *slot* per rule with a
-/// non-zero rate, in rule order — the order of the propensity row, which
-/// the golden fingerprints pin. Everything is slot-indexed so the step
-/// loop never maps between the two index spaces.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotTables {
-    /// Slot → rule index.
-    pub rule: Vec<u32>,
-    /// Per-slot reactant multiplicities, `(species index, count)`,
-    /// ascending species order (the tree matcher's product order).
-    pub reactants: Rows<(usize, u64)>,
-    /// Per-slot net stoichiometric change per firing.
-    pub delta: Rows<(usize, i64)>,
-    /// Per-slot rate constants.
-    pub rates: Vec<f64>,
-    /// Per-slot kinetic laws, compiled once here ([`RateLaw::compile`]);
-    /// their species are dense indices already ([`Species::raw`] *is* the
-    /// index space).
-    pub laws: Vec<CompiledLaw>,
-    /// Slot → slots whose propensity a firing of it can move: the
-    /// dependency graph's same-site affected list, mapped to slots
-    /// (ascending, so the first entry is the lowest stale slot).
-    pub affects: Rows<u32>,
-}
-
 /// How one observable reads a flat state: the root count it follows (if
 /// its site reads the root at all) plus everything that can never change.
 #[derive(Debug, Clone, Copy)]
@@ -209,6 +190,11 @@ struct Source {
 /// A flat model compiled to dense index space: the state is a count
 /// vector indexed by [`Species::raw`], and every count-stepping engine
 /// reads its tables from here (see the module docs).
+///
+/// Every per-reaction row is indexed by *slot*: one per rule with a
+/// non-zero rate, in rule order — the order of the propensity row, which
+/// the golden fingerprints pin — so no step loop maps between two index
+/// spaces.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatModel {
     /// What of the model, beyond its rules, the form was compiled from
@@ -219,20 +205,29 @@ pub(crate) struct FlatModel {
     /// handle the rules, the root of the initial term or the observables
     /// mention beyond it.
     initial: Vec<u64>,
-    /// Per-rule reactant multiplicities, `(species index, count)`.
+    /// Slot → rule index.
+    pub rule: Vec<u32>,
+    /// Per-slot reactant multiplicities, `(species index, count)`,
+    /// ascending species order (the tree matcher's product order).
     pub reactants: Rows<(usize, u64)>,
-    /// Per-rule net stoichiometric change per firing.
+    /// Per-slot net stoichiometric change per firing.
     pub delta: Rows<(usize, i64)>,
-    /// Per-rule rate constants.
+    /// Per-slot rate constants.
     pub rates: Vec<f64>,
-    /// The exact tier's slot-indexed tables.
-    pub slots: SlotTables,
+    /// Per-slot kinetic laws, compiled once here ([`RateLaw::compile`]);
+    /// their species are dense indices already ([`Species::raw`] *is* the
+    /// index space).
+    pub laws: Vec<CompiledLaw>,
+    /// Slot → slots whose propensity a firing of it can move: the
+    /// dependency graph's same-site affected list, mapped to slots
+    /// (ascending, so the first entry is the lowest stale slot).
+    pub affects: Rows<u32>,
     /// One plan per model observable, in registration order.
     observables: Vec<ObsPlan>,
     /// Per-species `(reaction order, copies required)` pairs over the
-    /// rules consuming that species — the static inputs of the CGP
+    /// slots consuming that species — the static inputs of the CGP
     /// `g_i` factor, precomputed so the tau-selection hot path avoids an
-    /// O(rules × reactants) rescan per species.
+    /// O(slots × reactants) rescan per species.
     g_pairs: Rows<(u64, u64)>,
     /// Per-species CGP `g_i` when it does not depend on the copy number
     /// (no order-2/3 pair needing ≥2 copies of the species), `NaN` when
@@ -240,10 +235,11 @@ pub(crate) struct FlatModel {
     /// reactant, making the per-draw `g_factor` table walk a constant
     /// load on the adaptive hot path.
     g_const: Vec<f64>,
-    /// Species → rules whose *propensity depends on* that species (its
-    /// reactants). When a transition changes species `i`, exactly the
-    /// rules in `incidence[i]` can change propensity — the adaptive
-    /// engine's O(affected) per-transition refresh reads this.
+    /// Species → slots whose *propensity depends on* that species (its
+    /// reactants; the leaping tier's laws are mass action). When a
+    /// transition changes species `i`, exactly the slots in
+    /// `incidence[i]` can change propensity — the adaptive engine's
+    /// O(affected) per-transition refresh reads this.
     pub incidence: Rows<usize>,
 }
 
@@ -275,14 +271,14 @@ fn species_space(model: &Model) -> usize {
     n
 }
 
-/// The exact tier's propensity of one slot — the tree matcher's `h`
-/// replayed on dense counts: the exact `u64` product of per-reactant
-/// binomial selection counts (saturating, zero as soon as a reactant is
-/// short), handed to the rule's compiled kinetic law ([`CompiledLaw`], the
-/// reference [`RateLaw::propensity_with`]'s bits) with a single float
-/// cast, then the positive clamp. The definition the dense core
-/// reproduces bit-for-bit; `count` looks a species index up in whatever
-/// layout the caller keeps.
+/// The propensity of one slot, for every count-stepping engine — the
+/// tree matcher's `h` replayed on dense counts: the exact `u64` product
+/// of per-reactant binomial selection counts (saturating, zero as soon as
+/// a reactant is short), handed to the rule's compiled kinetic law
+/// ([`CompiledLaw`], the reference [`RateLaw::propensity_with`]'s bits)
+/// with a single float cast, then the positive clamp. The definition the
+/// dense core reproduces bit-for-bit; `count` looks a species index up in
+/// whatever layout the caller keeps.
 #[inline]
 pub(crate) fn exact_propensity(
     reactants: &[(usize, u64)],
@@ -366,47 +362,38 @@ impl FlatModel {
         let ns = species_space(model);
         let index_of = |s: Species| s.raw() as usize;
         let nrules = model.rules.len();
+
+        // The slots: the rules that ever enter a propensity row.
+        let rule: Vec<u32> = (0..nrules as u32)
+            .filter(|&r| model.rules[r as usize].rate != 0.0)
+            .collect();
+        let mut rule_slot = vec![u32::MAX; nrules];
+        for (j, &r) in rule.iter().enumerate() {
+            rule_slot[r as usize] = j as u32;
+        }
+        let slot_rules = || rule.iter().map(|&r| &model.rules[r as usize]);
         let reactants = Rows::from_rows(
-            model
-                .rules
-                .iter()
-                .map(|rule| rule.lhs.atoms.iter().map(|(s, n)| (index_of(s), n))),
+            slot_rules().map(|rule| rule.lhs.atoms.iter().map(|(s, n)| (index_of(s), n))),
         );
         // Net stoichiometry straight from the compiled dependency info
         // (ascending species order, like the indices).
-        let delta = Rows::from_rows((0..nrules).map(|ri| {
-            deps.rule(ri)
+        let delta = Rows::from_rows(rule.iter().map(|&r| {
+            deps.rule(r as usize)
                 .site_delta
                 .iter()
                 .map(|&(s, v)| (index_of(s), v))
         }));
-        let rates: Vec<f64> = model.rules.iter().map(|rule| rule.rate).collect();
-
-        // Exact-tier slots: the rules that ever enter a propensity row.
-        let slot_rule: Vec<u32> = (0..nrules as u32)
-            .filter(|&r| rates[r as usize] != 0.0)
-            .collect();
-        let mut rule_slot = vec![u32::MAX; nrules];
-        for (j, &r) in slot_rule.iter().enumerate() {
-            rule_slot[r as usize] = j as u32;
-        }
-        let slot_rules = || slot_rule.iter().map(|&r| r as usize);
-        let slots = SlotTables {
-            delta: Rows::from_rows(slot_rules().map(|r| delta[r].iter().copied())),
-            rates: slot_rules().map(|r| rates[r]).collect(),
-            laws: slot_rules().map(|r| model.rules[r].law.compile()).collect(),
-            // The dependency graph never lists a zero-rate rule (compiled
-            // deps by construction, received ones by `validate_for`), so
-            // every affected rule has a slot.
-            affects: Rows::from_rows(slot_rules().map(|r| {
-                deps.same_site_affected(r)
-                    .iter()
-                    .map(|&q| rule_slot[q as usize])
-            })),
-            reactants: Rows::from_rows(slot_rules().map(|r| reactants[r].iter().copied())),
-            rule: slot_rule,
-        };
-        debug_assert!(slots.affects.entries.iter().all(|&j| j != u32::MAX));
+        let rates: Vec<f64> = slot_rules().map(|rule| rule.rate).collect();
+        let laws = slot_rules().map(|rule| rule.law.compile()).collect();
+        // The dependency graph never lists a zero-rate rule (compiled deps
+        // by construction, received ones by `validate_for`), so every
+        // affected rule has a slot.
+        let affects = Rows::from_rows(rule.iter().map(|&r| {
+            deps.same_site_affected(r as usize)
+                .iter()
+                .map(|&q| rule_slot[q as usize])
+        }));
+        debug_assert!(affects.entries.iter().all(|&j| j != u32::MAX));
 
         let initial: Vec<u64> = (0..ns as u32)
             .map(|raw| model.initial.atoms.count(Species::from_raw(raw)))
@@ -427,12 +414,12 @@ impl FlatModel {
             })
             .collect();
 
-        // Per-species rows (g pairs, incidence) via counting sort: rules
-        // land in ascending rule order per species, as the old per-species
-        // append produced.
+        // Per-species rows (g pairs, incidence) via counting sort: slots
+        // land in ascending slot order per species.
+        let nslots = rule.len();
         let mut counts = vec![0u32; ns];
-        for ri in 0..nrules {
-            for &(i, _) in &reactants[ri] {
+        for j in 0..nslots {
+            for &(i, _) in &reactants[j] {
                 counts[i] += 1;
             }
         }
@@ -445,13 +432,13 @@ impl FlatModel {
         let mut g_entries = vec![(0u64, 0u64); total];
         let mut inc_entries = vec![0usize; total];
         let mut cursor: Vec<u32> = offsets[..ns].to_vec();
-        for ri in 0..nrules {
-            let r = &reactants[ri];
+        for j in 0..nslots {
+            let r = &reactants[j];
             let order: u64 = r.iter().map(|&(_, n)| n).sum();
             for &(i, k) in r {
                 let at = cursor[i] as usize;
                 g_entries[at] = (order, k);
-                inc_entries[at] = ri;
+                inc_entries[at] = j;
                 cursor[i] += 1;
             }
         }
@@ -479,10 +466,12 @@ impl FlatModel {
                 observables: model.observables.clone(),
             },
             initial,
+            rule,
             reactants,
             delta,
             rates,
-            slots,
+            laws,
+            affects,
             observables,
             g_pairs,
             g_const,
@@ -497,14 +486,17 @@ impl FlatModel {
     /// and the laws of the live rules. Linear compares, no allocation: this
     /// runs once per engine construction.
     pub fn compiled_from(&self, model: &Model) -> bool {
+        let live = (model.rules.iter().enumerate())
+            .filter(|(_, rule)| rule.rate != 0.0)
+            .map(|(r, _)| r);
         self.source.initial == model.initial
             && self.source.observables == model.observables
             && self.initial.len() == species_space(model)
-            && self.rates.len() == model.rules.len()
-            && (self.rates.iter().zip(&model.rules))
-                .all(|(r, rule)| r.to_bits() == rule.rate.to_bits())
-            && (self.slots.rule.iter().zip(&self.slots.laws))
-                .all(|(&r, law)| *law == model.rules[r as usize].law.compile())
+            && live.eq(self.rule.iter().map(|&r| r as usize))
+            && (self.rule.iter().zip(&self.rates).zip(&self.laws)).all(|((&r, rate), law)| {
+                let rule = &model.rules[r as usize];
+                rate.to_bits() == rule.rate.to_bits() && *law == rule.law.compile()
+            })
     }
 
     /// Flat compilations this thread has performed — the test hook
@@ -514,9 +506,9 @@ impl FlatModel {
         FLAT_COMPILE_COUNT.with(std::cell::Cell::get)
     }
 
-    /// Number of rules.
-    pub fn rules(&self) -> usize {
-        self.rates.len()
+    /// Number of slots (the rules with a non-zero rate).
+    pub fn slots(&self) -> usize {
+        self.rule.len()
     }
 
     /// Length of every state vector (see the `initial` field).
@@ -529,22 +521,21 @@ impl FlatModel {
         &self.initial
     }
 
-    /// The initial species-count vector, in the leaping engines' signed
-    /// representation.
-    pub fn initial_state(&self) -> Vec<i64> {
-        self.initial.iter().map(|&c| c as i64).collect()
-    }
-
-    /// Propensity of exact-tier slot `slot` under `count` (see
-    /// [`exact_propensity`]).
+    /// Propensity of slot `slot` under `count` (see [`exact_propensity`]).
     #[inline]
     pub fn slot_propensity(&self, slot: usize, count: impl Fn(usize) -> u64) -> f64 {
         exact_propensity(
-            &self.slots.reactants[slot],
-            self.slots.rates[slot],
-            &self.slots.laws[slot],
+            &self.reactants[slot],
+            self.rates[slot],
+            &self.laws[slot],
             count,
         )
+    }
+
+    /// Every slot's propensity under `counts`, in slot order — the one
+    /// loop each engine fills a whole propensity row with.
+    pub fn slot_propensities<'a>(&'a self, counts: &'a [u64]) -> impl Iterator<Item = f64> + 'a {
+        (0..self.slots()).map(move |slot| self.slot_propensity(slot, |sp| counts[sp]))
     }
 
     /// Evaluates the model's observables on a flat state into `out`
@@ -563,33 +554,11 @@ impl FlatModel {
         );
     }
 
-    /// Mass-action propensity of rule `r` in `state`: rate times the
-    /// product of per-reactant binomial selection counts (the same `h`
-    /// the tree-matching engines compute on flat terms).
-    pub fn propensity(&self, state: &[i64], r: usize) -> f64 {
-        let mut h = 1.0;
-        for &(i, k) in &self.reactants[r] {
-            let n = state[i];
-            if n < k as i64 {
-                return 0.0;
-            }
-            h *= cwc::multiset::binomial(n as u64, k) as f64;
-        }
-        self.rates[r] * h
-    }
-
-    /// All propensities of `state`, written into a reusable buffer in
-    /// rule order (the leaping engines' per-transition path).
-    pub fn propensities_into(&self, state: &[i64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.rules()).map(|r| self.propensity(state, r)));
-    }
-
     /// The Cao–Gillespie–Petzold highest-order factor `g_i` for species
     /// `i`: the largest correction over reactions consuming `i`, so that
     /// a relative change `epsilon / g_i` in `x_i` bounds the relative
     /// change of every propensity (Cao, Gillespie & Petzold 2006, eq. 27).
-    fn g_factor(&self, i: usize, x: i64) -> f64 {
+    fn g_factor(&self, i: usize, x: u64) -> f64 {
         // Constant-g fast path: same bits as the table walk below (each
         // entry it folds is the same literal the walk would produce).
         let g = self.g_const[i];
@@ -618,7 +587,7 @@ impl FlatModel {
     }
 
     /// The CGP adaptive leap bound: the largest `tau` such that the
-    /// expected relative change of every propensity over the reactions
+    /// expected relative change of every propensity over the slots
     /// selected by `include` stays within `epsilon`, accumulating into a
     /// reusable [`CgpScratch`] (the adaptive engine computes the bound on
     /// every transition draw; this keeps that path allocation-light).
@@ -631,7 +600,7 @@ impl FlatModel {
     pub fn cgp_tau_with<F>(
         &self,
         scratch: &mut CgpScratch,
-        state: &[i64],
+        state: &[u64],
         props: &[f64],
         epsilon: f64,
         include: F,
@@ -646,11 +615,11 @@ impl FlatModel {
         mu.resize(n, 0.0);
         sigma2.clear();
         sigma2.resize(n, 0.0);
-        for (r, &a) in props.iter().enumerate() {
-            if a <= 0.0 || !include(r) {
+        for (j, &a) in props.iter().enumerate() {
+            if a <= 0.0 || !include(j) {
                 continue;
             }
-            for &(i, d) in &self.delta[r] {
+            for &(i, d) in &self.delta[j] {
                 let df = d as f64;
                 mu[i] += df * a;
                 sigma2[i] += df * df * a;
@@ -659,15 +628,15 @@ impl FlatModel {
         self.cgp_species_tau(scratch, state, epsilon)
     }
 
-    /// [`cgp_tau_with`](Self::cgp_tau_with) over a pre-filtered rule set:
-    /// `rules` must yield exactly the reactions the closure variant would
+    /// [`cgp_tau_with`](Self::cgp_tau_with) over a pre-filtered slot set:
+    /// `slots` must yield exactly the slots the closure variant would
     /// keep (`a > 0` and included) — the adaptive hot path feeds it the
     /// enabled∧non-critical mask iterator, skipping the full-width scan.
     ///
     /// Sparse on both ends: only species actually touched by a yielded
-    /// rule are accumulated, minimised over and re-zeroed, so the cost is
+    /// slot are accumulated, minimised over and re-zeroed, so the cost is
     /// O(yielded stoichiometry), not O(species). Bit-identical to the
-    /// closure variant: the surviving rules accumulate in the same order
+    /// closure variant: the surviving slots accumulate in the same order
     /// per species, and the final fold is a minimum over per-species
     /// bounds — order-independent for the non-NaN values both compute.
     ///
@@ -678,10 +647,10 @@ impl FlatModel {
     pub(crate) fn cgp_tau_masked(
         &self,
         scratch: &mut CgpScratch,
-        state: &[i64],
+        state: &[u64],
         props: &[f64],
         epsilon: f64,
-        rules: impl Iterator<Item = usize>,
+        slots: impl Iterator<Item = usize>,
     ) -> f64 {
         let n = self.species_len();
         if scratch.mu.len() != n {
@@ -691,10 +660,10 @@ impl FlatModel {
             scratch.sigma2.resize(n, 0.0);
         }
         scratch.touched.clear();
-        for r in rules {
-            let a = props[r];
-            debug_assert!(a > 0.0, "masked CGP fed a disabled rule");
-            for &(i, d) in &self.delta[r] {
+        for j in slots {
+            let a = props[j];
+            debug_assert!(a > 0.0, "masked CGP fed a disabled slot");
+            for &(i, d) in &self.delta[j] {
                 let df = d as f64;
                 if scratch.mu[i] == 0.0 && scratch.sigma2[i] == 0.0 {
                     scratch.touched.push(i);
@@ -725,7 +694,7 @@ impl FlatModel {
     }
 
     /// The shared per-species minimisation step of the CGP bound.
-    fn cgp_species_tau(&self, scratch: &CgpScratch, state: &[i64], epsilon: f64) -> f64 {
+    fn cgp_species_tau(&self, scratch: &CgpScratch, state: &[u64], epsilon: f64) -> f64 {
         let mut tau = f64::INFINITY;
         for (i, &s) in state.iter().enumerate().take(self.species_len()) {
             let (mu, sigma2) = (scratch.mu[i], scratch.sigma2[i]);
@@ -819,13 +788,13 @@ mod tests {
     fn compile_matches_model_shape() {
         let (m, deps) = schlogl_like();
         let flat = FlatModel::compile(&m, &deps);
-        assert_eq!(flat.rules(), 4);
+        assert_eq!(flat.slots(), 4);
         assert_eq!(flat.species_len(), 1);
-        let state = flat.initial_state();
-        assert_eq!(state, vec![250]);
+        let state = flat.initial_counts();
+        assert_eq!(state, &[250]);
         // Trimolecular propensity is rate * C(250, 3).
         let expected = 1e-4 * cwc::multiset::binomial(250, 3) as f64;
-        assert!((flat.propensity(&state, 1) - expected).abs() < 1e-9 * expected);
+        assert!((flat.slot_propensity(1, |sp| state[sp]) - expected).abs() < 1e-9 * expected);
     }
 
     #[test]
@@ -932,12 +901,16 @@ mod tests {
         m.initial.add_atoms(a, 3);
         let deps = ModelDeps::compile(&m);
         let flat = FlatModel::compile(&m, &deps);
-        assert_eq!(flat.rules(), 3);
-        assert_eq!(flat.slots.rule, vec![1, 2]);
-        assert_eq!(flat.slots.rates, vec![1.0, 2.0]);
+        assert_eq!(flat.slots(), 2);
+        assert_eq!(flat.rule, vec![1, 2]);
+        assert_eq!(flat.rates, vec![1.0, 2.0]);
         // a_to_b moves A and B: both live slots; b_out moves B only.
-        assert_eq!(&flat.slots.affects[0], &[0, 1]);
-        assert_eq!(&flat.slots.affects[1], &[1]);
+        assert_eq!(&flat.affects[0], &[0, 1]);
+        assert_eq!(&flat.affects[1], &[1]);
+        // The dead rule reaches neither the CGP inputs nor the incidence
+        // lists: A is consumed by a_to_b alone.
+        assert_eq!(&flat.incidence[a.raw() as usize], &[0]);
+        assert_eq!(flat.g_pairs[a.raw() as usize].len(), 1);
         assert_eq!(flat.slot_propensity(0, |sp| flat.initial_counts()[sp]), 3.0);
         assert_eq!(flat.slot_propensity(1, |sp| flat.initial_counts()[sp]), 0.0);
     }
@@ -960,17 +933,16 @@ mod tests {
     fn cgp_tau_scales_with_epsilon_and_excludes_reactions() {
         let (m, deps) = schlogl_like();
         let flat = FlatModel::compile(&m, &deps);
-        let state = flat.initial_state();
-        let mut props = Vec::new();
-        flat.propensities_into(&state, &mut props);
+        let state = flat.initial_counts();
+        let props: Vec<f64> = flat.slot_propensities(state).collect();
         let mut scratch = CgpScratch::default();
-        let t1 = flat.cgp_tau_with(&mut scratch, &state, &props, 0.01, |_| true);
-        let t5 = flat.cgp_tau_with(&mut scratch, &state, &props, 0.05, |_| true);
+        let t1 = flat.cgp_tau_with(&mut scratch, state, &props, 0.01, |_| true);
+        let t5 = flat.cgp_tau_with(&mut scratch, state, &props, 0.05, |_| true);
         assert!(t1 > 0.0 && t1.is_finite());
         assert!(t5 > t1, "larger epsilon must allow larger leaps");
         // Excluding every reaction leaves the leap unbounded.
         assert_eq!(
-            flat.cgp_tau_with(&mut scratch, &state, &props, 0.05, |_| false),
+            flat.cgp_tau_with(&mut scratch, state, &props, 0.05, |_| false),
             f64::INFINITY
         );
     }

@@ -6,22 +6,28 @@
 //! cold starts are exact-SSA territory. This engine runs both regimes and
 //! switches between them from the committed state:
 //!
-//! - **Exact phase** — the unmodified [`SsaEngine`] on its dense core (a
-//!   hybrid model is flat by construction, so the count vector and the
-//!   incrementally maintained propensity row of the direct method are
-//!   reused verbatim), driven in fixed segments of [`EXACT_SEGMENT`]
-//!   reactions between switch decisions. Handing a leap-phase state back
-//!   to it is a counts copy plus one row recompute.
-//! - **Leap phase** — Poisson leaps over the flat species-count vector,
-//!   with the leap length picked by the Cao–Gillespie–Petzold bound
-//!   (`epsilon` knob, shared with [`crate::adaptive`]).
+//! - **One state.** The engine's committed state is its exact engine's:
+//!   the unmodified [`SsaEngine`] on its dense core (a hybrid model is
+//!   flat by construction), with its `u64` count vector and the
+//!   incrementally maintained propensity row of the direct method. Both
+//!   phases read it and nothing else holds a copy, so no phase decides
+//!   which state is current.
+//! - **Exact phase** — that engine, driven in fixed segments of
+//!   [`EXACT_SEGMENT`] reactions between switch decisions.
+//! - **Leap phase** — Poisson leaps over the same count vector, with the
+//!   leap length picked by the Cao–Gillespie–Petzold bound (`epsilon`
+//!   knob, shared with [`crate::adaptive`]). A leap's candidate counts are
+//!   signed, so an overshoot shows up as a negative value; a committed
+//!   leap is written back into the exact engine (a counts copy plus one
+//!   row recompute).
 //! - **The switch.** At each decision point the engine computes the CGP
-//!   leap `τ(x)` and the total propensity `a0(x)` of the committed state:
-//!   when `τ·a0 ≥ threshold` — at least `threshold` expected firings per
-//!   leap — the propensities have stratified enough that leaping wins, and
-//!   the engine leaps; otherwise it runs the next exact segment. Decisions
-//!   are pure functions of the committed state, so they consume no
-//!   randomness and cannot depend on quantum boundaries.
+//!   leap `τ(x)` of the committed state and reads its total propensity
+//!   `a0(x)` off the maintained row: when `τ·a0 ≥ threshold` — at least
+//!   `threshold` expected firings per leap — the propensities have
+//!   stratified enough that leaping wins, and the engine leaps; otherwise
+//!   it runs the next exact segment. Decisions are pure functions of the
+//!   committed state, so they consume no randomness and cannot depend on
+//!   quantum boundaries.
 //!
 //! Like every flat-model engine, the hybrid rejects compartment models at
 //! construction ([`FlatModelError`]); the exact phase alone could drive
@@ -46,9 +52,10 @@ use cwc::model::Model;
 
 use crate::deps::ModelDeps;
 use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
-use crate::kernels::{self, Kernel, KernelDispatch};
+use crate::kernels::KernelDispatch;
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
+use crate::table::PropensityRow;
 
 /// Default relative-propensity-change bound ε of the leap phase.
 pub const DEFAULT_EPSILON: f64 = 0.03;
@@ -67,8 +74,8 @@ const LEAP_STREAM_SALT: u64 = 0x4859_4252_4944_5331;
 /// A Poisson leap drawn but not yet committed.
 #[derive(Debug, Clone)]
 struct PendingLeap {
-    /// Candidate state after the leap.
-    state: Vec<i64>,
+    /// Species counts after the leap.
+    counts: Vec<u64>,
     /// Absolute time at which the leap commits.
     end: f64,
     /// Firings the leap applies when committed.
@@ -93,18 +100,16 @@ enum Phase {
 /// CGP-sized Poisson leaps when propensities stratify.
 #[derive(Debug, Clone)]
 pub struct HybridEngine {
-    /// The exact phase: a full direct-method engine (dense counts,
-    /// incremental propensity row, primary RNG stream).
+    /// The exact phase and the committed state: a full direct-method
+    /// engine (dense counts, incremental propensity row, primary RNG
+    /// stream) that every committed leap is written back into.
     exact: SsaEngine,
     /// The model's shared flat form (the exact engine steps on it too).
     flat: Arc<FlatModel>,
-    /// Committed species counts — authoritative outside exact segments,
-    /// refreshed from the exact engine's counts at decision points.
-    state: Vec<i64>,
     phase: Phase,
-    /// True while `exact` reflects the committed state (stale after a
-    /// leap commits, until the next exact segment resynchronises it).
-    synced: bool,
+    /// True from the first leap after an exact segment (or construction)
+    /// until the next exact segment starts — what counts a switch.
+    leaping: bool,
     epsilon: f64,
     threshold: f64,
     /// Reported simulation clock.
@@ -119,24 +124,18 @@ pub struct HybridEngine {
     cgp_scratch: CgpScratch,
     /// Configured kernel knob (see [`KernelDispatch`]).
     dispatch: KernelDispatch,
-    /// The knob resolved against this CPU: which kernels the leap-phase
-    /// folds run on. Never changes results — both are bit-identical.
-    kernel: Kernel,
-    /// Reusable propensity row for the leap-phase decision.
-    props_buf: Vec<f64>,
-    /// Rules with nonzero propensity at the decision point, ascending —
-    /// the Poisson sweep iterates these instead of scanning every rule.
-    active_buf: Vec<u32>,
-    /// Reusable candidate-state row for leap drawing (recycled through
-    /// the committed-state vector on leap commits).
+    /// Reusable signed candidate counts of a leap being drawn.
     cand_buf: Vec<i64>,
+    /// The last committed leap's counts vector, recycled by the next draw.
+    counts_buf: Vec<u64>,
 }
 
-/// The exact engine's count vector (a hybrid model is flat, so its exact
-/// engine always runs the dense core).
-fn exact_counts(exact: &SsaEngine) -> &[u64] {
+/// The exact engine's count vector and propensity row — the committed
+/// state (a hybrid model is flat, so its exact engine always runs the
+/// dense core).
+fn exact_state(exact: &SsaEngine) -> (&[u64], &PropensityRow) {
     exact
-        .dense_counts()
+        .dense_state()
         .expect("flat models step on the dense core")
 }
 
@@ -167,14 +166,12 @@ impl HybridEngine {
         instance: u64,
     ) -> Result<Self, FlatModelError> {
         let flat = mass_action_flat(&model, &deps, "the hybrid SSA/tau engine")?;
-        let state = flat.initial_state();
         let exact = SsaEngine::with_deps(Arc::clone(&model), deps, base_seed, instance);
         Ok(HybridEngine {
             exact,
             flat,
-            state,
             phase: Phase::Decide,
-            synced: true,
+            leaping: false,
             epsilon: DEFAULT_EPSILON,
             threshold: DEFAULT_THRESHOLD,
             time: 0.0,
@@ -184,21 +181,20 @@ impl HybridEngine {
             switches: 0,
             cgp_scratch: CgpScratch::default(),
             dispatch: KernelDispatch::Auto,
-            kernel: KernelDispatch::Auto.resolve(),
-            props_buf: Vec::new(),
-            active_buf: Vec::new(),
             cand_buf: Vec::new(),
+            counts_buf: Vec::new(),
         })
     }
 
-    /// Selects the kernel implementation for the leap phase's full-width
-    /// folds (builder-style; the default is [`KernelDispatch::Auto`]).
-    /// Both dispatches are bit-for-bit identical, so this is a
-    /// performance knob, never a semantics knob.
+    /// Selects the kernel implementation of the exact engine's row scans,
+    /// which the leap phase reads its total propensity from (builder-style;
+    /// the default is [`KernelDispatch::Auto`]). Both dispatches are
+    /// bit-for-bit identical, so this is a performance knob, never a
+    /// semantics knob.
     #[must_use]
     pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
         self.dispatch = dispatch;
-        self.kernel = dispatch.resolve();
+        self.exact = self.exact.with_kernel_dispatch(dispatch);
         self
     }
 
@@ -281,48 +277,13 @@ impl HybridEngine {
     }
 
     /// The committed species counts (ascending interned species order).
-    ///
-    /// `synced` — not the phase — decides authority: after an exact
-    /// segment ends the engine sits in `Decide` with the flat vector not
-    /// yet refreshed, so the exact engine's counts stay authoritative
-    /// until the next leap commits.
-    pub fn counts(&self) -> Vec<i64> {
-        if self.synced {
-            exact_counts(&self.exact)
-                .iter()
-                .map(|&c| c as i64)
-                .collect()
-        } else {
-            self.state.clone()
-        }
+    pub fn counts(&self) -> &[u64] {
+        exact_state(&self.exact).0
     }
 
-    /// Evaluates the model's observables on the committed state (same
-    /// authority rule as [`HybridEngine::counts`]; both sides read the one
-    /// observable plan of the flat form, so a phase switch cannot move a
-    /// value).
+    /// Evaluates the model's observables on the committed state.
     pub fn observe(&self) -> Vec<u64> {
-        if self.synced {
-            return self.exact.observe();
-        }
-        let mut values = Vec::new();
-        self.flat
-            .observe_into(|i| self.state[i] as u64, &mut values);
-        values
-    }
-
-    /// Refreshes the flat state vector from the exact engine's counts.
-    fn sync_state_from_exact(&mut self) {
-        for (s, &c) in self.state.iter_mut().zip(exact_counts(&self.exact)) {
-            *s = c as i64;
-        }
-    }
-
-    /// Pushes the flat state into the exact engine (leap → exact
-    /// hand-off): a counts copy and one row recompute.
-    fn sync_exact_from_state(&mut self) {
-        self.exact.reset_flat_state(&self.state, self.time);
-        self.synced = true;
+        self.exact.observe()
     }
 
     /// Draws a CGP-sized Poisson leap from the committed state, halving
@@ -330,34 +291,31 @@ impl HybridEngine {
     /// longer worth `threshold` firings — the caller runs an exact segment
     /// instead.
     ///
-    /// The Poisson sweep walks `active` (the nonzero-propensity rules of
-    /// the decision point, ascending) — the same rules, in the same
-    /// order, that the historical full scan drew for, so the leap-stream
-    /// consumption is unchanged draw-for-draw.
-    fn draw_leap(
-        &mut self,
-        props: &[f64],
-        active: &[u32],
-        a0: f64,
-        mut tau: f64,
-    ) -> Option<PendingLeap> {
+    /// The Poisson sweep walks the enabled slots of the exact engine's row
+    /// in slot order — one draw per enabled reaction, the leap-stream
+    /// discipline [`crate::rng`] documents.
+    fn draw_leap(&mut self, a0: f64, mut tau: f64) -> Option<PendingLeap> {
+        let (counts, row) = exact_state(&self.exact);
         loop {
             if !(tau.is_finite() && tau * a0 >= self.threshold) {
                 return None;
             }
-            self.cand_buf.clone_from(&self.state);
+            self.cand_buf.clear();
+            self.cand_buf.extend(counts.iter().map(|&c| c as i64));
             let mut firings = 0u64;
-            for &r in active {
-                let r = r as usize;
-                let k = poisson(&mut self.leap_rng, props[r] * tau);
+            for (j, a) in row.active_entries() {
+                let k = poisson(&mut self.leap_rng, a * tau);
                 firings += k;
-                for &(i, d) in &self.flat.delta[r] {
+                for &(i, d) in &self.flat.delta[j] {
                     self.cand_buf[i] += d * k as i64;
                 }
             }
             if self.cand_buf.iter().all(|&c| c >= 0) {
+                let mut next = std::mem::take(&mut self.counts_buf);
+                next.clear();
+                next.extend(self.cand_buf.iter().map(|&c| c as u64));
                 return Some(PendingLeap {
-                    state: std::mem::take(&mut self.cand_buf),
+                    counts: next,
                     end: self.time + tau,
                     firings,
                 });
@@ -370,33 +328,13 @@ impl HybridEngine {
     /// next exact segment. Consumes leap-stream randomness only when a
     /// leap is actually drawn; never touches the primary stream.
     fn decide(&mut self) {
-        if self.synced && matches!(self.phase, Phase::Decide) {
-            // Coming out of an exact segment (or from construction):
-            // refresh the flat view of the term.
-            self.sync_state_from_exact();
-        }
-        self.flat
-            .propensities_into(&self.state, &mut self.props_buf);
-        self.active_buf.clear();
-        self.active_buf.extend(
-            self.props_buf
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a > 0.0)
-                .map(|(r, _)| r as u32),
-        );
-        // Bit-identical to the historical `props.iter().sum()`: zero
-        // propensities are exact additive identities on a non-negative
-        // running sum, and the kernels add the positive slots in the same
-        // serial order (`-0.0` start only surfaces when every rule is
-        // dead, where the `> 0.0` comparisons below agree for both
-        // zeros).
-        let a0 = kernels::row_sum(self.kernel, &self.props_buf);
+        let (counts, row) = exact_state(&self.exact);
+        let a0 = row.total();
         let tau = if a0 > 0.0 {
             self.flat.cgp_tau_with(
                 &mut self.cgp_scratch,
-                &self.state,
-                &self.props_buf,
+                counts,
+                row.props(),
                 self.epsilon,
                 |_| true,
             )
@@ -404,29 +342,34 @@ impl HybridEngine {
             0.0
         };
         if a0 > 0.0 && tau.is_finite() && tau * a0 >= self.threshold {
-            let props = std::mem::take(&mut self.props_buf);
-            let active = std::mem::take(&mut self.active_buf);
-            let drawn = self.draw_leap(&props, &active, a0, tau);
-            self.props_buf = props;
-            self.active_buf = active;
-            if let Some(p) = drawn {
-                if self.synced {
+            if let Some(p) = self.draw_leap(a0, tau) {
+                if !self.leaping {
                     self.switches += 1; // exact → leap
                 }
-                self.synced = false;
+                self.leaping = true;
                 self.phase = Phase::Leap(p);
                 return;
             }
         }
         // Exact segment (also the absorbing case: the exact engine
         // fast-forwards and keeps emitting samples).
-        if !self.synced {
+        if self.leaping {
             self.switches += 1; // leap → exact
-            self.sync_exact_from_state();
+            self.leaping = false;
         }
         self.phase = Phase::Exact {
             until: self.exact.steps() + EXACT_SEGMENT,
         };
+    }
+
+    /// Commits the pending leap `p`: writes its counts back into the exact
+    /// engine, which recomputes its row from them.
+    fn commit_leap(&mut self, p: PendingLeap) {
+        self.exact.reset_flat_state(&p.counts, p.end);
+        self.counts_buf = p.counts;
+        self.time = p.end;
+        self.leap_firings += p.firings;
+        self.leaps += 1;
     }
 
     /// Runs until `t_end`, invoking `on_sample(t, observables)` at every
@@ -482,13 +425,8 @@ impl HybridEngine {
                     let Phase::Leap(p) = std::mem::replace(&mut self.phase, Phase::Decide) else {
                         unreachable!("matched Leap above");
                     };
-                    // Recycle the outgoing state row as the next draw's
-                    // candidate buffer.
-                    self.cand_buf = std::mem::replace(&mut self.state, p.state);
-                    self.time = p.end;
-                    self.leap_firings += p.firings;
-                    self.leaps += 1;
                     fired += p.firings;
+                    self.commit_leap(p);
                 }
             }
         }
@@ -530,11 +468,9 @@ impl HybridEngine {
                     let Phase::Leap(p) = std::mem::replace(&mut self.phase, Phase::Decide) else {
                         unreachable!("matched Leap above");
                     };
-                    self.cand_buf = std::mem::replace(&mut self.state, p.state);
-                    self.time = p.end;
-                    self.leap_firings += p.firings;
-                    self.leaps += 1;
-                    return (self.time - t0, p.firings);
+                    let firings = p.firings;
+                    self.commit_leap(p);
+                    return (self.time - t0, firings);
                 }
             }
         }
@@ -643,7 +579,8 @@ mod tests {
         assert!(e.leaps() > 0);
         assert!(e.exact_steps() > 0, "the tail must run exactly");
         assert!(e.switches() >= 2);
-        assert!(e.counts().iter().all(|&c| c >= 0));
+        // A leap that escaped the negativity check would wrap around.
+        assert!(e.counts().iter().all(|&c| c < u64::MAX / 2));
     }
 
     #[test]
@@ -683,8 +620,8 @@ mod tests {
         // leap → exact → leap: whatever phase the engine is in, its
         // counts and observables are those of a from-scratch exact engine
         // reset to the same counts — inert compartment included, so a
-        // phase switch cannot move an observable — and after a hand-off
-        // the exact engine's incrementally maintained row is the
+        // phase switch cannot move an observable — and the exact engine's
+        // row, incrementally maintained or rewritten by a leap, is the
         // recomputed one, bit for bit.
         use cwc::model::ObservableSite;
         // A large `A` population decays fast (leap phase, then the exact
@@ -716,28 +653,22 @@ mod tests {
             .unwrap()
             .with_epsilon(0.05)
             .with_threshold(8.0);
-        let mut synced_checks = 0;
         for k in 1..=300 {
             e.run_until(k as f64 * 0.1);
-            let counts = e.counts();
             let mut fresh = SsaEngine::new(Arc::clone(&model), 0, 0);
-            fresh.reset_flat_state(&counts, e.time());
-            let top = counts[0] as u64;
+            fresh.reset_flat_state(e.counts(), e.time());
+            let top = e.counts()[0];
             assert_eq!(e.observe(), fresh.observe(), "k = {k}");
             assert_eq!(e.observe(), [top + 7, top, 7], "k = {k}");
-            if e.synced {
-                synced_checks += 1;
-                assert_eq!(
-                    e.exact.total_propensity().to_bits(),
-                    fresh.total_propensity().to_bits(),
-                    "k = {k}"
-                );
-                assert_eq!(e.exact.cached_reactions(), fresh.cached_reactions());
-            }
+            assert_eq!(
+                e.exact.total_propensity().to_bits(),
+                fresh.total_propensity().to_bits(),
+                "k = {k}"
+            );
+            assert_eq!(e.exact.cached_reactions(), fresh.cached_reactions());
         }
         assert!(e.leaps() > 0 && e.exact_steps() > 0);
         assert!(e.switches() >= 3, "{} switches", e.switches());
-        assert!(synced_checks > 0);
     }
 
     #[test]
@@ -755,9 +686,8 @@ mod tests {
     #[test]
     fn observe_is_fresh_at_exact_segment_boundaries() {
         // Regression: after exactly EXACT_SEGMENT exact firings the engine
-        // sits in the decide state with the flat vector not yet refreshed;
-        // observe()/counts() must read the exact term, not the stale
-        // segment-start snapshot.
+        // sits in the decide state; observe()/counts() must read the
+        // state the segment left, not a segment-start snapshot.
         let model = decay_model(200, 1.0);
         let mut e = HybridEngine::new(Arc::clone(&model), 5, 0).unwrap();
         let mut reference = SsaEngine::new(model, 5, 0);
@@ -768,7 +698,7 @@ mod tests {
         assert_eq!(e.exact_steps(), EXACT_SEGMENT);
         assert_eq!(e.observe(), reference.observe());
         assert_eq!(e.observe(), vec![200 - EXACT_SEGMENT]);
-        assert_eq!(e.counts(), vec![(200 - EXACT_SEGMENT) as i64]);
+        assert_eq!(e.counts(), [200 - EXACT_SEGMENT]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   interchangeable); otherwise (b) one uniform in `[ε, 1)` for the
 //!   critical block's exponential clock **iff any critical reaction is
 //!   enabled**, then one Poisson variate per enabled *non-critical*
-//!   reaction in rule order, then one uniform in `[0, a0_crit)` for the
+//!   reaction in slot order, then one uniform in `[0, a0_crit)` for the
 //!   critical selection **iff the critical clock fired first**. A
 //!   negativity overshoot halves the bound and re-runs (b) from the top —
 //!   every draw remains a pure function of the committed state and the
@@ -42,13 +42,17 @@
 //!   plain SSA until the first phase switch. The leap phase consumes a
 //!   dedicated stream seeded from `base_seed ^ LEAP_STREAM_SALT` (same
 //!   instance mixing), drawing one Poisson variate per enabled reaction
-//!   in rule order per *candidate* leap — including candidates that
+//!   in slot order per *candidate* leap — including candidates that
 //!   negativity-halving shrinks or abandons entirely (an abandoned
 //!   candidate still advanced the leap stream by one draw set). The
 //!   switch test itself (`τ·a0` vs the threshold) is a pure function of
 //!   the committed state and consumes nothing, and the primary stream is
 //!   never touched outside exact segments — so the exact stream's
-//!   alignment is independent of how often leaping engages;
+//!   alignment is independent of how often leaping engages.
+//!
+//!   "Slot order" is the flat form's row order: the rules with a non-zero
+//!   rate, in rule order. A zero-rate rule is never enabled, so this
+//!   visits the same reactions in the same order as rule order would;
 //! - **batched SSA** ([`crate::engine::EngineKind::Batched`]): replica
 //!   `r` of a task starting at instance `f` is the scalar direct-method
 //!   stream of instance `f + r` — the replica *is* a scalar

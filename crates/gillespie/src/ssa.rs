@@ -125,8 +125,8 @@ impl DenseCore {
     fn recompute_row(&mut self) {
         let DenseCore { flat, counts, row } = self;
         row.clear();
-        for slot in 0..flat.slots.rule.len() {
-            row.push(flat.slot_propensity(slot, |sp| counts[sp]));
+        for p in flat.slot_propensities(counts) {
+            row.push(p);
         }
         row.refold_from(0);
     }
@@ -136,11 +136,11 @@ impl DenseCore {
     #[inline]
     fn fire(&mut self, slot: usize) {
         let DenseCore { flat, counts, row } = self;
-        for &(sp, d) in &flat.slots.delta[slot] {
+        for &(sp, d) in &flat.delta[slot] {
             debug_assert!(d >= 0 || counts[sp] >= d.unsigned_abs(), "count underflow");
             counts[sp] = counts[sp].wrapping_add_signed(d);
         }
-        let affected = &flat.slots.affects[slot];
+        let affected = &flat.affects[slot];
         for &j in affected {
             row.set(
                 j as usize,
@@ -457,15 +457,16 @@ impl SsaEngine {
     fn site_rule(&self, entry: usize) -> (SiteId, usize) {
         match &self.core {
             Core::Tree(tree) => tree.table.site_rule(entry),
-            Core::Dense(dense) => (SiteId::ROOT, dense.flat.slots.rule[entry] as usize),
+            Core::Dense(dense) => (SiteId::ROOT, dense.flat.rule[entry] as usize),
         }
     }
 
-    /// The root counts per species index, on the dense core.
-    pub(crate) fn dense_counts(&self) -> Option<&[u64]> {
+    /// The root counts per species index and the propensity row over the
+    /// flat form's slots, on the dense core.
+    pub(crate) fn dense_state(&self) -> Option<(&[u64], &PropensityRow)> {
         match &self.core {
             Core::Tree(_) => None,
-            Core::Dense(dense) => Some(&dense.counts),
+            Core::Dense(dense) => Some((&dense.counts, &dense.row)),
         }
     }
 
@@ -522,7 +523,7 @@ impl SsaEngine {
         match &mut self.core {
             Core::Dense(dense) => {
                 dense.fire(entry);
-                (dense.flat.slots.rule[entry] as usize, SiteId::ROOT)
+                (dense.flat.rule[entry] as usize, SiteId::ROOT)
             }
             Core::Tree(tree) => {
                 let TreeCore {
@@ -654,24 +655,23 @@ impl SsaEngine {
         fired
     }
 
-    /// Replaces the dense core's counts with `state` at simulation time
+    /// Replaces the dense core's counts with `counts` at simulation time
     /// `time`, dropping any pending event and recomputing the row from
-    /// them. The hybrid engine uses this to hand a leap-phase state back
-    /// to its exact phase; a recomputed row is bit-identical to an
-    /// incrementally maintained one (each slot is a pure function of the
-    /// counts, and the fold is the same ordered fold).
+    /// them. The hybrid engine writes every committed leap back through
+    /// this; a recomputed row is bit-identical to an incrementally
+    /// maintained one (each slot is a pure function of the counts, and the
+    /// fold is the same ordered fold).
     ///
     /// # Panics
     ///
     /// Panics on the tree core: the one caller, the hybrid engine, is
     /// flat by construction.
-    pub(crate) fn reset_flat_state(&mut self, state: &[i64], time: f64) {
+    pub(crate) fn reset_flat_state(&mut self, counts: &[u64], time: f64) {
         let Core::Dense(dense) = &mut self.core else {
             unreachable!("only flat models hand a count vector back");
         };
-        debug_assert!(state.iter().all(|&c| c >= 0), "negative leap state");
         dense.counts.clear();
-        dense.counts.extend(state.iter().map(|&c| c as u64));
+        dense.counts.extend_from_slice(counts);
         dense.recompute_row();
         self.time = time;
         self.pending = None;

@@ -208,6 +208,11 @@ impl PropensityRow {
             .map(|(i, &p)| (i, p))
     }
 
+    /// Every slot's propensity, in row order (zero where disabled).
+    pub fn props(&self) -> &[f64] {
+        &self.props
+    }
+
     /// Total number of slots (enabled or not).
     pub fn len(&self) -> usize {
         self.props.len()

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use cwc_repro::biomodels::simple::birth_death;
 use cwc_repro::biomodels::{
     conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams,
 };
@@ -58,15 +59,49 @@ fn fingerprint(
 /// full-recompute (legacy) adaptive path, the wide conversion cycles
 /// exercise the incremental one — `wide-cycle-lo` (5 copies/species) stays
 /// in the pure-critical regime, `wide-cycle-hi` (200 copies/species)
-/// leaps.
+/// leaps. `birth-death` has a zero-order source (`h = 1`, no reactant);
+/// `catalytic` carries an enabled rule with no net effect (`A -> A`) in
+/// every draw.
 fn model_by_name(name: &str) -> Arc<Model> {
     match name {
         "schlogl" => Arc::new(schlogl(SchloglParams::default())),
         "lotka-volterra" => Arc::new(lotka_volterra(LotkaVolterraParams::default())),
         "wide-cycle-lo" => Arc::new(conversion_cycle(48, 240, 1.0)),
         "wide-cycle-hi" => Arc::new(conversion_cycle(40, 8_000, 1.0)),
+        "birth-death" => Arc::new(birth_death(2_000.0, 1.0, 500)),
+        "catalytic" => Arc::new(catalytic()),
         other => panic!("unknown golden model {other}"),
     }
+}
+
+/// `A ⇌ B` plus the catalytic no-op `A -> A`.
+fn catalytic() -> Model {
+    let mut m = Model::new("catalytic");
+    let a = m.species("A");
+    let b = m.species("B");
+    m.rule("touch")
+        .consumes("A", 1)
+        .produces("A", 1)
+        .rate(2.0)
+        .build()
+        .unwrap();
+    m.rule("forward")
+        .consumes("A", 1)
+        .produces("B", 1)
+        .rate(1.0)
+        .build()
+        .unwrap();
+    m.rule("back")
+        .consumes("B", 1)
+        .produces("A", 1)
+        .rate(0.5)
+        .build()
+        .unwrap();
+    m.initial.add_atoms(a, 3_000);
+    m.initial.add_atoms(b, 20);
+    m.observe("A", a);
+    m.observe("B", b);
+    m
 }
 
 fn kind_by_name(name: &str) -> EngineKind {
@@ -86,6 +121,8 @@ fn horizon(model: &str) -> f64 {
         "lotka-volterra" => 8.0,
         "wide-cycle-lo" => 4.0,
         "wide-cycle-hi" => 2.0,
+        "birth-death" => 4.0,
+        "catalytic" => 3.0,
         _ => unreachable!(),
     }
 }
@@ -203,6 +240,78 @@ const GOLDEN: &[GoldenRow] = &[
         17325,
         &[228],
     ),
+    (
+        "birth-death",
+        "adaptive",
+        2014,
+        3,
+        0x625d2f889a976bf8,
+        11501,
+        &[1959],
+    ),
+    (
+        "birth-death",
+        "adaptive",
+        99,
+        0,
+        0xf761193242342e08,
+        11175,
+        &[2005],
+    ),
+    (
+        "birth-death",
+        "hybrid",
+        2014,
+        3,
+        0xa7a8dec23413940b,
+        14293,
+        &[1971],
+    ),
+    (
+        "birth-death",
+        "hybrid",
+        99,
+        0,
+        0x542bf3cbaac37c34,
+        11247,
+        &[2045],
+    ),
+    (
+        "catalytic",
+        "adaptive",
+        2014,
+        3,
+        0xd7cb96b3c692f881,
+        13423,
+        &[1058, 1962],
+    ),
+    (
+        "catalytic",
+        "adaptive",
+        99,
+        0,
+        0x6fefca131c0ba186,
+        15463,
+        &[992, 2028],
+    ),
+    (
+        "catalytic",
+        "hybrid",
+        2014,
+        3,
+        0x64efc417e3994867,
+        13596,
+        &[1010, 2010],
+    ),
+    (
+        "catalytic",
+        "hybrid",
+        99,
+        0,
+        0x546ccb747c3b75e6,
+        12795,
+        &[1012, 2008],
+    ),
 ];
 
 #[test]
@@ -236,4 +345,43 @@ fn record() {
         );
         println!("(\"{model}\", \"{engine}\", {seed}, {instance}, {h:#018x}, {e}, &{o:?}),");
     }
+}
+
+#[test]
+fn a_zero_rate_rule_changes_no_trajectory() {
+    // A rule with rate 0 never fires, so adding one must leave every kind's
+    // trajectory untouched — even a second-order one, whose reactant would
+    // otherwise raise the CGP `g_i` of the species it consumes and shrink
+    // every leap.
+    let with_counts = |mut m: Model| {
+        for i in 0..40 {
+            let s = m.species(&format!("S{i}"));
+            m.observe(&format!("count S{i}"), s);
+        }
+        Arc::new(m)
+    };
+    let plain = with_counts(conversion_cycle(40, 8_000, 1.0));
+    let mut dead = conversion_cycle(40, 8_000, 1.0);
+    dead.rule("never")
+        .consumes("S3", 2)
+        .produces("S7", 1)
+        .rate(0.0)
+        .build()
+        .unwrap();
+    let dead = with_counts(dead);
+    let moved: Vec<EngineKind> = [
+        EngineKind::Ssa,
+        EngineKind::AdaptiveTau { epsilon: 0.05 },
+        EngineKind::Hybrid {
+            epsilon: 0.05,
+            threshold: 16.0,
+        },
+    ]
+    .into_iter()
+    .filter(|&kind| {
+        fingerprint(Arc::clone(&plain), kind, 2014, 3, 2.0)
+            != fingerprint(Arc::clone(&dead), kind, 2014, 3, 2.0)
+    })
+    .collect();
+    assert!(moved.is_empty(), "a zero-rate rule moved {moved:?}");
 }
