@@ -13,8 +13,9 @@
 //!   bistable, Lotka–Volterra oscillatory: the two hard cases; the wide
 //!   conversion cycles — 300 rules, 2 species touched per transition —
 //!   isolate per-transition scan cost: the leap-regime case exercises
-//!   the kernel-accelerated CGP/Poisson sweeps, the all-critical case
-//!   the incidence list and incremental a0 maintenance).
+//!   the CGP bound and Poisson sweep over the non-critical slots, the
+//!   all-critical case the incidence-list refresh of the two
+//!   direct-method rows).
 //!
 //! Every row is timed [`bench::PASSES`] times in alternated order and
 //! keeps its fastest pass. Output: a human table on stdout plus
@@ -24,7 +25,9 @@
 //!
 //! - `--quick`    fewer averaged instances (the CI smoke configuration);
 //! - `--csv`      emit rows in the CI baseline CSV format instead;
-//! - `--check F`  check the fresh run: it must measure exactly the
+//! - `--check F`  check the fresh run (written only to an explicit
+//!   `--out`, never over the default file, which is the baseline): it
+//!   must measure exactly the
 //!   (model, engine) rows of the committed baseline `F`, the
 //!   adaptive-vs-SSA ratio on the leap-regime wide case must clear the
 //!   absolute [`SSA_RATIO_FLOORS`] for the resolved kernel dispatch, the
@@ -56,7 +59,7 @@ const GATED_ENGINE: &str = "adaptive-0.05";
 /// AVX2 floor applies when [`KernelDispatch::Auto`] resolves to the SIMD
 /// kernels; the scalar floor applies under `CWC_FORCE_SCALAR_KERNELS`
 /// or on CPUs without AVX2, so the gate is sound off-AVX2. They pin the
-/// kernel-accelerated leap path itself — if it regresses to full-width
+/// incremental leap path itself — if it regresses to full-width
 /// rescans the leap-regime ratio collapses well below 2 (it reads 43–75×
 /// since exact SSA steps on the dense core; 155× before).
 ///
@@ -192,9 +195,9 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
         // wide enough that full-width scans dominate naive engines, and
         // populous enough that every species sits above the critical
         // threshold, so the adaptive tier actually leaps. This is the
-        // regime the kernel-accelerated hot path (masked CGP μ/σ
-        // accumulation, Poisson leap sweep, active-rule list) is built
-        // for, and the case carries the adaptive-vs-SSA ratio floor
+        // regime the sparse CGP μ/σ accumulation and the Poisson sweep
+        // over the enabled non-critical slots are built for, and the
+        // case carries the adaptive-vs-SSA ratio floor
         // ([`SSA_RATIO_FLOORS`]).
         (
             "wide_flat_cycle",
@@ -207,10 +210,11 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
         // it and SSA bottom out on the same serial propensity-fold floor.
         // Each firing touches 2 species = 2 incident rules; the
         // full-recompute replica rescans all 300 propensities per
-        // transition. This is the regime the incidence list and the
-        // incremental a0 screen exist for — at the seed this case ran at
-        // 0.17x SSA; [`INCIDENCE_GAIN_FLOORS`] pins the O(affected)
-        // refresh that recovered it.
+        // transition. This is the regime the incidence-list refresh of
+        // the two rows exists for (an infinite CGP bound never folds the
+        // main row) — at the seed this case ran at 0.17x SSA;
+        // [`INCIDENCE_GAIN_FLOORS`] pins the O(affected) refresh that
+        // recovered it.
         (
             "wide_flat_cycle_crit",
             Arc::new(conversion_cycle(300, 1_500, 1.0)),
@@ -363,8 +367,8 @@ fn check(committed_path: &str, fresh: &[Measurement], fresh_json: &str) -> Resul
     }
 
     // Absolute adaptive-vs-SSA ratio floors on the fresh run: the
-    // kernel-accelerated hot path must keep its edge over exact SSA on
-    // the wide cases, under whichever kernels this process resolved to.
+    // incremental hot path must keep its edge over exact SSA on the wide
+    // leap-regime case, under whichever kernels this process resolved to.
     let avx2 = matches!(KernelDispatch::Auto.resolve(), Kernel::Avx2);
     let fresh_ratios = ssa_ratios(fresh_json);
     for (model, avx2_floor, scalar_floor) in SSA_RATIO_FLOORS {
@@ -447,13 +451,6 @@ fn check(committed_path: &str, fresh: &[Measurement], fresh_json: &str) -> Resul
     }
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
     let quick = bench::quick_mode();
     let mut header = bench::RunHeader::start(KernelDispatch::Auto.resolve());
@@ -507,11 +504,8 @@ fn main() {
         ));
     }
 
-    let out = arg_value("--out").unwrap_or_else(|| "BENCH_adaptive_tau.json".to_string());
-    std::fs::write(&out, &json).expect("write bench json");
-    bench::note(&format!("wrote {out}"));
-
-    if let Some(baseline) = arg_value("--check") {
+    bench::write_results("BENCH_adaptive_tau.json", &json);
+    if let Some(baseline) = bench::arg_value("--check") {
         match check(&baseline, &results, &json) {
             Ok(()) => bench::note("adaptive-tau gate: ok"),
             Err(msg) => {

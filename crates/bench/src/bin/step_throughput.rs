@@ -19,7 +19,9 @@
 //! whether two files came from comparable boxes. Flags:
 //!
 //! - `--quick`    fewer averaged instances (the CI smoke configuration);
-//! - `--check F`  after measuring, compare the incremental/full speedup
+//! - `--check F`  after measuring (the fresh run is written only to an
+//!   explicit `--out`, never over the default file, which is the
+//!   baseline), compare the incremental/full speedup
 //!   ratio per configuration against the committed baseline `F` and exit
 //!   non-zero on a >25 % regression (ratios, not absolute steps/sec, so
 //!   the gate is hardware-independent), on a committed configuration
@@ -393,13 +395,6 @@ fn check(committed_path: &str, fresh_json: &str) -> Result<(), String> {
     }
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
     let quick = bench::quick_mode();
     let mut header = bench::RunHeader::start(KernelDispatch::Auto.resolve());
@@ -430,11 +425,8 @@ fn main() {
         ));
     }
 
-    let out = arg_value("--out").unwrap_or_else(|| "BENCH_ssa_step.json".to_string());
-    std::fs::write(&out, &json).expect("write bench json");
-    bench::note(&format!("wrote {out}"));
-
-    if let Some(baseline) = arg_value("--check") {
+    bench::write_results("BENCH_ssa_step.json", &json);
+    if let Some(baseline) = bench::arg_value("--check") {
         match check(&baseline, &json) {
             Ok(()) => bench::note("step-throughput gate: ok"),
             Err(msg) => {

@@ -109,6 +109,31 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// The value following `flag` on the command line, if any.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Writes a gate binary's results: to `--out PATH` when given, otherwise
+/// to `default` — except under `--check`, which writes only to an
+/// explicit `--out`: the default file is the committed baseline a check
+/// reads, so writing it first would overwrite the baseline and check the
+/// fresh run against itself.
+pub fn write_results(default: &str, json: &str) {
+    let out = match arg_value("--out") {
+        Some(out) => out,
+        None if arg_value("--check").is_some() => {
+            return note("--check without --out: results not written");
+        }
+        None => default.to_string(),
+    };
+    std::fs::write(&out, json).expect("write bench json");
+    note(&format!("wrote {out}"));
+}
+
 /// True when `--csv` was passed (comma-separated tables, titles as `#`
 /// comment lines — the CI baseline-artifact format).
 pub fn csv_mode() -> bool {

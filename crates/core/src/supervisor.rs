@@ -218,7 +218,14 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
                 match self.next_msg(s)? {
                     ShardMsg::Cut(cut) => {
                         self.merger.push(s, cut, &mut self.full_cuts);
+                        // A terminated run forwards no more cuts: a shard
+                        // may emit some before it hears the termination,
+                        // and dropping a suffix keeps the drained rows a
+                        // prefix of the full run's.
                         for cut in self.full_cuts.drain(..) {
+                            if self.steering.is_terminated() {
+                                break;
+                            }
                             let _ = (self.emit)(cut);
                         }
                     }
@@ -814,6 +821,58 @@ mod tests {
         .unwrap();
         assert_eq!(report.rows, single.rows);
         assert_eq!(report.events, single.events);
+    }
+
+    /// Shards that never hear the run's steering: each runs its whole
+    /// slice on a steering of its own and forwards every message — a
+    /// `cwc-shard` child that emits cuts before it reads its Terminate
+    /// frame, taken to the limit.
+    struct DeafTransport;
+
+    impl ShardTransport for DeafTransport {
+        fn launch_shard(
+            &mut self,
+            model: Arc<Model>,
+            deps: Arc<ModelDeps>,
+            spec: &ShardSpec,
+            _steering: &Steering,
+            sink: mpsc::SyncSender<ShardFeed>,
+            activity: Arc<ShardActivity>,
+        ) -> Result<ShardHandle, ShardError> {
+            activity.exempt_forever();
+            let shard = spec.range.shard;
+            let spec = spec.clone();
+            let join = thread::spawn(move || {
+                let _ = run_shard(model, deps, &spec, &Steering::new(), |msg| {
+                    let _ = sink.send(ShardFeed::Msg(msg));
+                });
+            });
+            Ok(ShardHandle::new(shard, join))
+        }
+    }
+
+    #[test]
+    fn a_terminated_run_forwards_no_cut_a_shard_still_emits() {
+        let model = Arc::new(decay(40, 1.0));
+        let steering = Steering::new();
+        steering.terminate();
+        let report = run_simulation_sharded_with(
+            Arc::clone(&model),
+            &cfg().shards(2),
+            &steering,
+            &mut DeafTransport,
+        )
+        .unwrap();
+        assert!(report.rows.is_empty(), "{} rows", report.rows.len());
+        // Unterminated, the same shards deliver the whole run.
+        let full = run_simulation_sharded_with(
+            Arc::clone(&model),
+            &cfg().shards(2),
+            &Steering::new(),
+            &mut DeafTransport,
+        )
+        .unwrap();
+        assert_eq!(full.rows, run_simulation(model, &cfg()).unwrap().rows);
     }
 
     #[test]

@@ -32,6 +32,22 @@
 //! truncated. Samples inside a transition report the committed state in
 //! force, so rescheduling cannot change a trajectory. The RNG draw
 //! discipline per transition is documented in [`crate::rng`].
+//!
+//! ## The hot path
+//!
+//! The engine steps on the exact tier's direct-method row,
+//! `table::PropensityRow`, twice: a *main* row of every slot's propensity
+//! (its total is `a0`, its `select` the fallback step's slot) and a
+//! *critical* row holding a slot's propensity when the slot is critical
+//! and `0.0` otherwise (`a0_crit` and the critical firing). A slot leaps
+//! iff `main > 0 && crit == 0`; the CGP bound and the Poisson sweep walk
+//! the list of those slots. Commits refresh only the slots incident to
+//! the changed species; each row refolds from its lowest changed slot
+//! when a draw needs its total, and the list rescans the rows from the
+//! lowest slot whose leaping status changed. The full-recompute replica
+//! ([`AdaptiveTauEngine::with_full_recompute`]) re-derives all of it with
+//! plain scans on every draw and is the reference the hot path is pinned
+//! against, bit for bit.
 
 use std::sync::Arc;
 
@@ -41,9 +57,10 @@ use rand::Rng;
 
 use crate::deps::ModelDeps;
 use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
-use crate::kernels::{self, Kernel, KernelDispatch, RuleMask};
+use crate::kernels::KernelDispatch;
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::SampleClock;
+use crate::table::PropensityRow;
 
 /// Default relative-propensity-change bound ε (Cao et al. recommend
 /// 0.03–0.05).
@@ -57,20 +74,6 @@ pub const N_CRITICAL: u64 = 10;
 /// this many expected firings per leap — the engine takes an exact step
 /// instead of leaping.
 pub const SSA_FALLBACK_MULT: f64 = 10.0;
-
-/// Two-sided relative slack around the incremental `a0` estimate used to
-/// screen the SSA-fallback guard without folding the full row. The
-/// estimate's true drift from the exact fold bits is bounded by roughly
-/// `(updates since resync + rules) × 2⁻⁵³` relative — capped below
-/// ~5 × 10⁻¹⁰ by [`A0_EST_MAX_UPDATES`] — so this margin is ≥ 20×
-/// conservative; comparisons that stay inconclusive inside it fall back
-/// to the exact fold.
-const A0_EST_REL: f64 = 1e-8;
-
-/// Forced-refold cap: after this many incremental `a0` updates without
-/// an exact resync the screen stands down (returns inconclusive) until
-/// the next fold re-anchors the estimate.
-const A0_EST_MAX_UPDATES: u64 = 1 << 22;
 
 /// A drawn-but-not-yet-committed transition: one leap, one critical
 /// firing riding on a truncated leap, or one exact fallback step.
@@ -90,188 +93,100 @@ struct PendingTransition {
     exact: bool,
 }
 
-/// Kernel-routed incremental per-draw state for the adaptive hot path
-/// (the `!full_recompute` side). Everything here describes the last
-/// *committed* state and is maintained at commit time in O(affected):
-/// `props`, the enabled/critical masks and their counts by walking
-/// `FlatModel::incidence` over the changed species; the two prefix rows
-/// lazily, refolded from a dirty watermark through the width-1 row
-/// kernels of [`crate::kernels`] (honouring the engine's
-/// [`KernelDispatch`]). Every value is bit-identical to what the
-/// full-recompute replica scans up from scratch on each draw.
+/// The hot path's state: two direct-method rows of the committed state,
+/// the exact tier's [`PropensityRow`], and the slot list read off them.
+/// Commits refresh the slots incident to the changed species
+/// (O(affected)); each row's prefix, and the list, is refreshed lazily,
+/// from the lowest slot changed since its last refresh, only when a draw
+/// needs it.
 #[derive(Debug, Clone, Default)]
 struct HotState {
-    /// Cached per-slot propensities of the committed state.
-    props: Vec<f64>,
-    /// `enabled[r]` ⟺ `props[r] > 0.0`.
-    enabled: RuleMask,
-    /// `crit[r]` ⟺ enabled and within [`N_CRITICAL`] firings of
-    /// exhausting a reactant — the criticality partition, re-classified
-    /// only for rules whose reactant species changed since last commit.
-    crit: RuleMask,
-    /// Number of enabled rules. `active == 0` ⟺ the legacy `a0 <= 0.0`
-    /// absorbing check (an adds-only fold of no positive entries).
-    active: usize,
-    /// Number of enabled critical rules (`a0_crit > 0.0` ⟺ `n_crit > 0`).
-    n_crit: usize,
-    /// Adds-only prefix fold over all rules — the exact-fallback
-    /// selection row; slots below `main_dirty` hold committed bits.
-    main_prefix: Vec<f64>,
-    /// First rule whose `main_prefix` slot may be stale (`len` = clean).
+    /// Every slot's propensity: the exact fallback step's row.
+    main: PropensityRow,
+    /// A critical slot's propensity, `0.0` on every other slot: the
+    /// critical block's row. A slot is *enabled and not critical* — it
+    /// leaps — iff `main > 0 && crit == 0`.
+    crit: PropensityRow,
+    /// First slot whose `main` prefix may be stale (`len` = clean).
     main_dirty: usize,
-    /// Fold total (the legacy `a0` bits) once `main_dirty == len`.
-    main_total: f64,
-    /// Critical-only masked prefix fold — the critical selection row.
-    crit_prefix: Vec<f64>,
-    /// First rule whose `crit_prefix` slot may be stale (`len` = clean).
+    /// First slot whose `crit` prefix may be stale (`len` = clean).
     crit_dirty: usize,
-    /// Masked fold total (the legacy `a0_crit` bits) once clean.
-    crit_total: f64,
-    /// Incrementally-maintained estimate of the main fold total,
-    /// re-anchored to the exact bits at every `refold_main`. Only ever
-    /// used through [`HotState::screen_fallback`]'s conservative
-    /// interval — never as `a0` itself.
-    a0_est: f64,
-    /// Incremental updates applied to `a0_est` since its last exact
-    /// resync (drives the [`A0_EST_MAX_UPDATES`] stand-down).
-    est_updates: u64,
+    /// The enabled, non-critical slots in slot order — the leap sweep's
+    /// and the CGP bound's slot set.
+    leaping: Vec<usize>,
+    /// First slot whose membership in `leaping` may be stale (`len` =
+    /// clean).
+    leaping_dirty: usize,
 }
 
 impl HotState {
-    /// Full rescan: recompute every propensity, classification and
-    /// count from `state`. Runs once per cache (in)validation, not per
-    /// draw.
+    /// Refills both rows from `state` (kernels kept). Runs once per cache
+    /// (in)validation, not per draw.
     fn rebuild(&mut self, flat: &FlatModel, state: &[u64]) {
-        self.props.clear();
-        self.props.extend(flat.slot_propensities(state));
-        let n = self.props.len();
-        self.enabled = RuleMask::new(n);
-        self.crit = RuleMask::new(n);
-        self.active = 0;
-        self.n_crit = 0;
-        for r in 0..n {
-            if self.props[r] > 0.0 {
-                self.enabled.assign(r, true);
-                self.active += 1;
-                if rule_is_critical(flat, state, r) {
-                    self.crit.assign(r, true);
-                    self.n_crit += 1;
-                }
-            }
+        self.main.clear();
+        self.crit.clear();
+        for (r, a) in flat.slot_propensities(state).enumerate() {
+            self.main.push(a);
+            self.crit.push(critical_part(flat, state, r, a));
         }
-        self.main_prefix.clear();
-        self.main_prefix.resize(n, 0.0);
         self.main_dirty = 0;
-        self.main_total = -0.0;
-        self.crit_prefix.clear();
-        self.crit_prefix.resize(n, 0.0);
         self.crit_dirty = 0;
-        self.crit_total = -0.0;
-        // Any evaluation within a few ulps of the fold works as the
-        // anchor; the screen's slack absorbs the difference.
-        self.a0_est = self.props.iter().sum();
-        self.est_updates = 0;
+        self.leaping_dirty = 0;
     }
 
-    /// The full-row fold total (the legacy `a0 = Σ props` bits),
-    /// refolding the stale prefix tail first. Lazy: the pure-critical
-    /// regime never calls this, so dead rules are never scanned.
-    fn refold_main(&mut self, kernel: Kernel) -> f64 {
-        if self.main_dirty < self.props.len() {
-            self.main_total =
-                kernels::row_fold_from(kernel, &self.props, &mut self.main_prefix, self.main_dirty);
-            self.main_dirty = self.props.len();
-            // Exact bits in hand: re-anchor the screening estimate.
-            self.a0_est = self.main_total;
-            self.est_updates = 0;
+    /// Commit-time refresh of slot `r` to propensity `a` and critical
+    /// part `c`, lowering the watermark of each row whose bits moved and
+    /// of the list when the slot starts or stops leaping.
+    fn update(&mut self, r: usize, a: f64, c: f64) {
+        let leaps = |a: f64, c: f64| a > 0.0 && c == 0.0;
+        if leaps(self.main.props()[r], self.crit.props()[r]) != leaps(a, c) {
+            self.leaping_dirty = self.leaping_dirty.min(r);
         }
-        self.main_total
-    }
-
-    /// The critical-row masked fold total (the legacy `a0_crit` bits),
-    /// refolding the stale tail first.
-    fn refold_crit(&mut self, kernel: Kernel) -> f64 {
-        if self.crit_dirty < self.props.len() {
-            self.crit_total = kernels::row_fold_masked_from(
-                kernel,
-                &self.props,
-                &self.crit,
-                &mut self.crit_prefix,
-                self.crit_dirty,
-            );
-            self.crit_dirty = self.props.len();
-        }
-        self.crit_total
-    }
-
-    /// Conservative screen of the replica's fallback guard
-    /// `tau1 < SSA_FALLBACK_MULT / a0` (for finite `tau1`) that avoids
-    /// folding the full row when the comparison cannot be close.
-    ///
-    /// Soundness: the exact fold total `S` lies within `a0_est ±
-    /// a0_est·A0_EST_REL` (the estimate's drift bound is ≥ 20× smaller —
-    /// see [`A0_EST_REL`]), and FP division is monotone, so
-    /// `SSA_FALLBACK_MULT / S` is bracketed by the quotients at the
-    /// interval's edges. A `tau1` beyond the far edge decides the exact
-    /// comparison; anything inside returns `None` and the caller folds
-    /// the row and compares exactly.
-    fn screen_fallback(&self, tau1: f64) -> Option<bool> {
-        if self.main_dirty >= self.props.len() {
-            // Row already clean: the exact total is cached anyway.
-            return Some(tau1 < SSA_FALLBACK_MULT / self.main_total);
-        }
-        if self.est_updates > A0_EST_MAX_UPDATES || !self.a0_est.is_finite() {
-            return None;
-        }
-        let slack = self.a0_est * A0_EST_REL;
-        let lo = self.a0_est - slack;
-        let hi = self.a0_est + slack;
-        if lo <= 0.0 {
-            return None;
-        }
-        if tau1 < SSA_FALLBACK_MULT / hi {
-            Some(true)
-        } else if tau1 >= SSA_FALLBACK_MULT / lo {
-            Some(false)
-        } else {
-            None
+        for (row, dirty, v) in [
+            (&mut self.main, &mut self.main_dirty, a),
+            (&mut self.crit, &mut self.crit_dirty, c),
+        ] {
+            if row.props()[r].to_bits() != v.to_bits() {
+                row.set(r, v);
+                *dirty = (*dirty).min(r);
+            }
         }
     }
 
-    /// Commit-time refresh of one rule: new propensity + classification.
-    /// Idempotent, so a rule incident to two changed species may be
-    /// visited twice without drifting the counts or watermarks.
-    fn update_rule(&mut self, r: usize, a: f64, critical: bool) {
-        let value_changed = self.props[r].to_bits() != a.to_bits();
-        if value_changed {
-            self.a0_est += a - self.props[r];
-            self.est_updates += 1;
-            self.props[r] = a;
-            if self.main_dirty > r {
-                self.main_dirty = r;
-            }
-        }
-        let enabled = a > 0.0;
-        if self.enabled.assign(r, enabled) != enabled {
-            if enabled {
-                self.active += 1;
-            } else {
-                self.active -= 1;
-            }
-        }
-        if self.crit.assign(r, critical) != critical {
-            if critical {
-                self.n_crit += 1;
-            } else {
-                self.n_crit -= 1;
-            }
-            if self.crit_dirty > r {
-                self.crit_dirty = r;
-            }
-        } else if critical && value_changed && self.crit_dirty > r {
-            self.crit_dirty = r;
+    /// `a0`: the main row's total, refolding its stale tail first.
+    fn a0(&mut self) -> f64 {
+        refold(&mut self.main, &mut self.main_dirty)
+    }
+
+    /// `a0_crit`: the critical row's total, refolding its stale tail
+    /// first.
+    fn a0_crit(&mut self) -> f64 {
+        refold(&mut self.crit, &mut self.crit_dirty)
+    }
+
+    /// Brings `leaping` up to date: keeps the slots below its watermark
+    /// and rescans the rows from there (`main > 0 && crit == 0`).
+    fn refresh_leaping(&mut self) {
+        let (from, n) = (self.leaping_dirty, self.main.len());
+        if from < n {
+            let keep = self.leaping.partition_point(|&r| r < from);
+            self.leaping.truncate(keep);
+            let (main, crit) = (self.main.props(), self.crit.props());
+            let leaps = (from..n).filter(|&r| main[r] > 0.0 && crit[r] == 0.0);
+            self.leaping.extend(leaps);
+            self.leaping_dirty = n;
         }
     }
+}
+
+/// Refolds `row` from its watermark `dirty` (then clean) and returns its
+/// total.
+fn refold(row: &mut PropensityRow, dirty: &mut usize) -> f64 {
+    if *dirty < row.len() {
+        row.refold_from(*dirty);
+        *dirty = row.len();
+    }
+    row.total()
 }
 
 /// True when firing slot `r` could exhaust a reactant within
@@ -282,6 +197,36 @@ fn rule_is_critical(flat: &FlatModel, state: &[u64], r: usize) -> bool {
     flat.delta[r]
         .iter()
         .any(|&(i, d)| d < 0 && state[i] / d.unsigned_abs() < N_CRITICAL)
+}
+
+/// Slot `r`'s entry in the critical row: its propensity `a` when it is
+/// enabled and critical, `0.0` otherwise.
+fn critical_part(flat: &FlatModel, state: &[u64], r: usize, a: f64) -> f64 {
+    if a > 0.0 && rule_is_critical(flat, state, r) {
+        a
+    } else {
+        0.0
+    }
+}
+
+/// The replica's direct-method scan: the first slot kept by `include`
+/// whose running sum of positive propensities exceeds `target`, the last
+/// such slot on floating-point shortfall — the slot
+/// [`PropensityRow::select`] returns on the same row.
+fn scan_select(props: &[f64], include: impl Fn(usize) -> bool, target: f64) -> usize {
+    let mut acc = 0.0;
+    let mut chosen = None;
+    for (r, &a) in props.iter().enumerate() {
+        if a <= 0.0 || !include(r) {
+            continue;
+        }
+        acc += a;
+        chosen = Some(r);
+        if target < acc {
+            break;
+        }
+    }
+    chosen.expect("a positive total implies an enabled slot")
 }
 
 /// Flat-model approximate simulator with adaptive (CGP) step-size
@@ -314,16 +259,15 @@ pub struct AdaptiveTauEngine {
     props_buf: Vec<f64>,
     crit_buf: Vec<bool>,
     cgp_scratch: CgpScratch,
-    /// Incremental kernel-routed state of the hot path; valid only when
-    /// `cache_ready` and maintained across commits in O(affected).
+    /// The hot path's two rows; valid only when `cache_ready` and
+    /// maintained across commits in O(affected).
     hot: HotState,
     /// True once `hot` describes the committed state.
     cache_ready: bool,
     /// Replica knob: recompute every propensity, criticality flag and
-    /// fold on every draw with plain scalar scans (the pre-kernel
-    /// behaviour). Bit-identical results; exists so tests and the
-    /// `adaptive_tau` bench can pin/measure what the incremental hot
-    /// path buys.
+    /// sum on every draw with plain scalar scans. Bit-identical results;
+    /// exists so tests and the `adaptive_tau` bench can pin/measure what
+    /// the incremental hot path buys.
     full_recompute: bool,
     /// Per-species "already marked changed" bitmap, un-marked after each
     /// draw so steady state does no O(species) clearing.
@@ -337,9 +281,8 @@ pub struct AdaptiveTauEngine {
     /// Recycled `updates` allocation: commits return the spent vector
     /// here, the next draw reuses it (zero steady-state allocation).
     updates_pool: Vec<(usize, u64)>,
-    /// Requested kernel dispatch policy and its resolution.
+    /// Requested kernel dispatch policy (the rows hold its resolution).
     dispatch: KernelDispatch,
-    kernel: Kernel,
 }
 
 impl AdaptiveTauEngine {
@@ -394,17 +337,18 @@ impl AdaptiveTauEngine {
             changed_buf: Vec::new(),
             updates_pool: Vec::new(),
             dispatch: KernelDispatch::Auto,
-            kernel: KernelDispatch::Auto.resolve(),
         })
     }
 
-    /// Sets the kernel dispatch policy for the hot path's row folds,
-    /// selection scans and masked sweeps (default [`KernelDispatch::Auto`]).
-    /// Every dispatch produces bit-identical trajectories; the knob exists
-    /// for benchmarking and for pinning the scalar reference in tests.
+    /// Sets the kernel dispatch policy for the hot path's row folds and
+    /// selections (default [`KernelDispatch::Auto`]). Every dispatch
+    /// produces bit-identical trajectories; the knob exists for
+    /// benchmarking and for pinning the scalar reference in tests.
     pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
         self.dispatch = dispatch;
-        self.kernel = dispatch.resolve();
+        let kernel = dispatch.resolve();
+        self.hot.main.kernel = kernel;
+        self.hot.crit.kernel = kernel;
         self
     }
 
@@ -422,7 +366,6 @@ impl AdaptiveTauEngine {
     pub fn with_full_recompute(mut self) -> Self {
         self.full_recompute = true;
         self.cache_ready = false;
-        self.cgp_scratch = CgpScratch::default();
         self
     }
 
@@ -501,12 +444,6 @@ impl AdaptiveTauEngine {
         values
     }
 
-    /// True when firing slot `r` could exhaust a reactant within
-    /// [`N_CRITICAL`] firings from `state`.
-    fn is_critical(&self, r: usize) -> bool {
-        rule_is_critical(&self.flat, &self.state, r)
-    }
-
     /// One exact direct-method step on the count vector (the SSA
     /// fallback), full-scan replica flavour. Draw discipline: one
     /// waiting-time uniform, one selection uniform in `[0, a0)` (always
@@ -515,16 +452,7 @@ impl AdaptiveTauEngine {
         let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         let dt = -u1.ln() / a0;
         let target = self.rng.gen_range(0.0..a0);
-        let mut acc = 0.0;
-        let mut chosen = props.len() - 1;
-        for (r, &a) in props.iter().enumerate() {
-            acc += a;
-            if target < acc {
-                chosen = r;
-                break;
-            }
-        }
-        self.exact_transition(chosen, dt)
+        self.exact_transition(scan_select(props, |_| true, target), dt)
     }
 
     /// Packages one exact firing of `chosen` as a sparse transition.
@@ -577,22 +505,22 @@ impl AdaptiveTauEngine {
         }
         // Partition: critical reactions fire exactly, the rest leap.
         critical.clear();
-        for (r, &a) in props.iter().enumerate() {
-            let c = a > 0.0 && self.is_critical(r);
-            critical.push(c);
-        }
+        critical.extend(
+            (props.iter().enumerate())
+                .map(|(r, &a)| a > 0.0 && rule_is_critical(&self.flat, &self.state, r)),
+        );
         let a0_crit: f64 = props
             .iter()
             .enumerate()
             .filter(|&(r, _)| critical[r])
             .map(|(_, &a)| a)
             .sum();
-        let mut tau1 = self.flat.cgp_tau_with(
+        let mut tau1 = self.flat.cgp_tau(
             &mut self.cgp_scratch,
             &self.state,
             props,
             self.epsilon,
-            |r| !critical[r],
+            (0..props.len()).filter(|&r| props[r] > 0.0 && !critical[r]),
         );
         loop {
             // Leaping cannot pay for itself below the fallback bound; and
@@ -638,20 +566,7 @@ impl AdaptiveTauEngine {
             }
             if fire_critical {
                 let target = self.rng.gen_range(0.0..a0_crit);
-                let mut acc = 0.0;
-                let mut chosen = None;
-                for (r, &a) in props.iter().enumerate() {
-                    if !critical[r] {
-                        continue;
-                    }
-                    acc += a;
-                    if target < acc {
-                        chosen = Some(r);
-                        break;
-                    }
-                    chosen = Some(r); // last critical wins on fp slack
-                }
-                let chosen = chosen.expect("a0_crit > 0 implies a critical reaction");
+                let chosen = scan_select(props, |r| critical[r], target);
                 for &(i, d) in &self.flat.delta[chosen] {
                     candidate[i] += d;
                     if !self.seen_buf[i] {
@@ -682,29 +597,27 @@ impl AdaptiveTauEngine {
         }
     }
 
-    /// The incremental kernel-routed draw. Bit-identical to
+    /// The hot path's draw, on the two maintained rows. Bit-identical to
     /// [`Self::draw_full`] by construction:
     ///
-    /// - `active == 0` ⟺ the replica's `a0 <= 0.0` (an adds-only fold
-    ///   with no positive entry cannot exceed zero);
-    /// - the maintained criticality masks equal the per-draw
-    ///   re-classification (a rule's criticality depends only on its
-    ///   reactant counts, and every such change routes through
-    ///   `FlatModel::incidence` at commit);
-    /// - the masked folds add the same values in the same slot order as
-    ///   the replica's skip-scans, so `a0`/`a0_crit` carry the same bits
-    ///   (`-0.0` vs `0.0` seeds are washed out by the first positive add
-    ///   and compare equal otherwise);
-    /// - the CGP bound accumulates over the same enabled non-critical
-    ///   rules in the same order (`cgp_tau_masked`);
-    /// - Poisson sweeps visit the same rules in the same order, so the
-    ///   RNG stream is consumed identically; selection searches return
-    ///   the replica scans' crossing slots.
+    /// - the main row's enabled count is zero ⟺ the replica's
+    ///   `a0 <= 0.0` (an adds-only fold with no positive entry cannot
+    ///   exceed zero);
+    /// - the critical row equals the per-draw re-classification (a slot's
+    ///   criticality depends only on its reactant counts, and every such
+    ///   change routes through `FlatModel::incidence` at commit);
+    /// - each row's fold adds the same values in the same slot order as
+    ///   the replica's sums, so `a0`/`a0_crit` carry the same bits, and
+    ///   `PropensityRow::select` returns the replica scans' slots;
+    /// - the CGP bound and the Poisson sweep visit the same enabled
+    ///   non-critical slots in the same order, so the RNG stream is
+    ///   consumed identically.
     ///
-    /// When `tau1` is infinite the fallback guard needs no `a0` at all
-    /// (`tau1 < mult/a0` is false for every positive `a0`), so the
-    /// pure-critical regime never folds the full-width row — that plus
-    /// the O(affected) commits is where the speedup comes from.
+    /// The main row is folded only when its total decides the fallback
+    /// test (see the guard), so the critical regimes rarely fold it, and
+    /// with every enabled slot critical the slot list is empty and the
+    /// sweep is skipped: with the O(affected) commits, that is where the
+    /// speed comes from.
     fn draw_incremental(&mut self) -> Option<PendingTransition> {
         if !self.cache_ready {
             self.hot.rebuild(&self.flat, &self.state);
@@ -719,62 +632,60 @@ impl AdaptiveTauEngine {
             cgp_scratch,
             seen_buf,
             cand_buf,
-            changed_buf,
+            changed_buf: changed,
             updates_pool,
             ..
         } = self;
-        let (kernel, epsilon, committed) = (self.kernel, self.epsilon, self.committed);
-        if hot.active == 0 {
+        let (epsilon, committed) = (self.epsilon, self.committed);
+        if hot.main.active_count() == 0 {
             return None;
         }
-        let mut tau1 = if hot.active == hot.n_crit {
-            // No enabled non-critical rule: the CGP scan accumulates
-            // nothing and the bound is unbounded.
-            f64::INFINITY
-        } else {
-            flat.cgp_tau_masked(
-                cgp_scratch,
-                state,
-                &hot.props,
-                epsilon,
-                hot.enabled.iter_minus(&hot.crit),
-            )
-        };
-        let changed = changed_buf;
+        let n_crit = hot.crit.active_count();
+        // With every enabled slot critical the list is empty and nothing
+        // bounds the leap: tau1 is infinite.
+        hot.refresh_leaping();
+        let mut tau1 = flat.cgp_tau(
+            cgp_scratch,
+            state,
+            hot.main.props(),
+            epsilon,
+            hot.leaping.iter().copied(),
+        );
         loop {
             // Replica guard: `tau1 < mult/a0 || (!tau1.is_finite() &&
-            // a0_crit <= 0.0)`. Each fold is forced only when its value
-            // can matter: the full row only when tau1 is finite (an
-            // infinite tau1 fails `tau1 < mult/a0` for every positive
-            // a0), the critical row only when a critical clock actually
-            // runs (`a0_crit <= 0.0` ⟺ `n_crit == 0`, no bits needed).
-            let fallback = if tau1.is_finite() {
-                match hot.screen_fallback(tau1) {
-                    Some(f) => f,
-                    None => tau1 < SSA_FALLBACK_MULT / hot.refold_main(kernel),
-                }
+            // a0_crit <= 0.0)`, where `a0_crit <= 0.0` ⟺ no critical
+            // slot. The main row is folded only when its total can decide:
+            // an infinite tau1 fails `tau1 < mult/a0` for every positive
+            // a0, and so does one with `tau1 >= mult/a0_crit`, because
+            // `a0 >= a0_crit` bit for bit (the critical row folds a subset
+            // of the main row's positive terms in the same order, and
+            // rounded addition and division are monotone).
+            let fallback = if !tau1.is_finite() {
+                n_crit == 0
+            } else if n_crit > 0 && tau1 >= SSA_FALLBACK_MULT / hot.a0_crit() {
+                false
             } else {
-                hot.n_crit == 0
+                tau1 < SSA_FALLBACK_MULT / hot.a0()
+            };
+            let mut firings = 0u64;
+            let mut mark = |i: usize, by: i64| {
+                if !seen_buf[i] {
+                    seen_buf[i] = true;
+                    cand_buf[i] = state[i] as i64;
+                    changed.push(i);
+                }
+                cand_buf[i] += by;
             };
             if fallback {
-                // Exact step, hot flavour: identical draw discipline and
-                // selection index to `draw_exact_step`, but the linear
-                // accumulate scan becomes a kernel search over the
-                // maintained prefix row (same partial sums, same
-                // crossing slot).
-                let a0 = hot.refold_main(kernel);
+                // Exact step: the draw discipline of `draw_exact_step`.
+                let a0 = hot.a0();
                 let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 let dt = -u1.ln() / a0;
                 let target = rng.gen_range(0.0..a0);
-                let mut chosen = kernels::row_select(kernel, &hot.main_prefix, target);
-                if chosen >= hot.props.len() {
-                    // fp-slack shortfall: the replica scan's default slot.
-                    chosen = hot.props.len() - 1;
-                }
                 let mut updates = std::mem::take(updates_pool);
                 updates.clear();
                 updates.extend(
-                    flat.delta[chosen]
+                    flat.delta[hot.main.select(target)]
                         .iter()
                         .map(|&(i, d)| (i, state[i].wrapping_add_signed(d))),
                 );
@@ -785,10 +696,9 @@ impl AdaptiveTauEngine {
                     exact: true,
                 });
             }
-            let tau2 = if hot.n_crit > 0 {
-                let a0_crit = hot.refold_crit(kernel);
+            let tau2 = if n_crit > 0 {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                -u.ln() / a0_crit
+                -u.ln() / hot.a0_crit()
             } else {
                 f64::INFINITY
             };
@@ -797,41 +707,21 @@ impl AdaptiveTauEngine {
             } else {
                 (tau1, false)
             };
-            let mut firings = 0u64;
-            for r in hot.enabled.iter_minus(&hot.crit) {
-                let k = poisson(rng, hot.props[r] * leap_len);
+            for &r in &hot.leaping {
+                let k = poisson(rng, hot.main.props()[r] * leap_len);
                 if k == 0 {
                     continue;
                 }
                 firings += k;
                 for &(i, d) in &flat.delta[r] {
-                    if !seen_buf[i] {
-                        seen_buf[i] = true;
-                        cand_buf[i] = state[i] as i64;
-                        changed.push(i);
-                    }
-                    cand_buf[i] += d * k as i64;
+                    mark(i, d * k as i64);
                 }
             }
             if fire_critical {
                 // tau2 finite ⟹ the critical row was folded above.
-                let target = rng.gen_range(0.0..hot.crit_total);
-                let mut chosen = kernels::row_select(kernel, &hot.crit_prefix, target);
-                if chosen >= hot.props.len() {
-                    // fp-slack shortfall: the replica's "last critical
-                    // wins" terminal slot.
-                    chosen = hot
-                        .crit
-                        .last_set()
-                        .expect("a0_crit > 0 implies a critical reaction");
-                }
-                for &(i, d) in &flat.delta[chosen] {
-                    if !seen_buf[i] {
-                        seen_buf[i] = true;
-                        cand_buf[i] = state[i] as i64;
-                        changed.push(i);
-                    }
-                    cand_buf[i] += d;
+                let target = rng.gen_range(0.0..hot.crit.total());
+                for &(i, d) in &flat.delta[hot.crit.select(target)] {
+                    mark(i, d);
                 }
                 firings += 1;
             }
@@ -871,12 +761,12 @@ impl AdaptiveTauEngine {
         for &(i, v) in &p.updates {
             self.state[i] = v;
         }
-        // O(affected) hot-state refresh: only rules whose reactant
-        // species changed can differ in propensity *or* criticality
-        // (a negative net delta implies the species is a reactant, so
-        // `incidence` covers both); everything else keeps committed
-        // bits. The fold watermarks drop to the lowest refreshed rule,
-        // leaving the prefix rows below it valid.
+        // O(affected) row refresh: only slots whose reactant species
+        // changed can differ in propensity *or* criticality (a negative
+        // net delta implies the species is a reactant, so `incidence`
+        // covers both); everything else keeps committed bits. The
+        // watermarks drop to the lowest refreshed slot, leaving the
+        // prefixes below it valid.
         if self.cache_ready && !self.full_recompute {
             let Self {
                 flat, state, hot, ..
@@ -884,8 +774,7 @@ impl AdaptiveTauEngine {
             for &(i, _) in &p.updates {
                 for &r in &flat.incidence[i] {
                     let a = flat.slot_propensity(r, |sp| state[sp]);
-                    let critical = a > 0.0 && rule_is_critical(flat, state, r);
-                    hot.update_rule(r, a, critical);
+                    hot.update(r, a, critical_part(flat, state, r, a));
                 }
             }
         }
@@ -980,6 +869,7 @@ impl AdaptiveTauEngine {
 mod tests {
     use super::*;
     use cwc::model::Model;
+    use proptest::prelude::*;
 
     fn decay_model(n: u64, rate: f64) -> Arc<Model> {
         let mut m = Model::new("decay");
@@ -1005,6 +895,30 @@ mod tests {
             .unwrap();
         m.initial.add_atoms(a, n0);
         m.observe("A", a);
+        Arc::new(m)
+    }
+
+    /// `n` species in a conversion cycle `S{i} → S{i+1}`, `per` copies
+    /// each, staggered rates: most transitions touch only a few of the
+    /// species.
+    fn cycle_model(n: usize, per: u64) -> Arc<Model> {
+        let mut m = Model::new("chain");
+        for i in 0..n {
+            let name = format!("S{i}");
+            let s = m.species(&name);
+            m.initial.add_atoms(s, per);
+            m.observe(&name, s);
+        }
+        for i in 0..n {
+            let from = format!("S{i}");
+            let to = format!("S{}", (i + 1) % n);
+            m.rule(&format!("r{i}"))
+                .consumes(&from, 1)
+                .produces(&to, 1)
+                .rate(1.0 + i as f64 * 0.1)
+                .build()
+                .unwrap();
+        }
         Arc::new(m)
     }
 
@@ -1156,27 +1070,7 @@ mod tests {
         // A multi-species chain where most transitions touch only a few
         // of the species, so the incidence refresh really skips work —
         // and must not change a single bit of the trajectory.
-        let model = {
-            let mut m = Model::new("chain");
-            let n = 12;
-            for i in 0..n {
-                let name = format!("S{i}");
-                let s = m.species(&name);
-                m.initial.add_atoms(s, 200);
-                m.observe(&name, s);
-            }
-            for i in 0..n {
-                let from = format!("S{i}");
-                let to = format!("S{}", (i + 1) % n);
-                m.rule(&format!("r{i}"))
-                    .consumes(&from, 1)
-                    .produces(&to, 1)
-                    .rate(1.0 + i as f64 * 0.1)
-                    .build()
-                    .unwrap();
-            }
-            Arc::new(m)
-        };
+        let model = cycle_model(12, 200);
         for seed in [1u64, 9, 42] {
             let mut fast = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                 .unwrap()
@@ -1202,6 +1096,51 @@ mod tests {
             assert_eq!(fast.firings(), slow.firings(), "seed {seed}");
             assert_eq!(fast.leaps(), slow.leaps(), "seed {seed}");
             assert_eq!(fast.exact_steps(), slow.exact_steps(), "seed {seed}");
+        }
+    }
+
+    /// Bit-exact view of a row: each slot's propensity and prefix entry.
+    fn row_bits(row: &PropensityRow) -> Vec<(u64, u64)> {
+        (row.props().iter().zip(row.prefix()))
+            .map(|(a, p)| (a.to_bits(), p.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn refolded_rows_equal_rows_rebuilt_from_the_committed_counts(
+            species in 2usize..70,
+            per in 4u64..16,
+            seed in 0u64..1_000,
+        ) {
+            // Around N_CRITICAL copies per species, so slots keep crossing
+            // the critical threshold both ways; from 32 slots on the rows
+            // fold and select through the dispatched kernels.
+            let model = cycle_model(species, per);
+            for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
+                let mut e = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
+                    .unwrap()
+                    .with_kernel_dispatch(dispatch);
+                for step in 0..150 {
+                    e.advance();
+                    let mut kept = e.hot.clone();
+                    let mut rebuilt = kept.clone();
+                    rebuilt.rebuild(&e.flat, &e.state);
+                    for hot in [&mut kept, &mut rebuilt] {
+                        hot.a0();
+                        hot.a0_crit();
+                        hot.refresh_leaping();
+                    }
+                    prop_assert!(
+                        row_bits(&kept.main) == row_bits(&rebuilt.main)
+                            && row_bits(&kept.crit) == row_bits(&rebuilt.crit),
+                        "{dispatch:?}: rows drifted from the counts after commit {step}"
+                    );
+                    prop_assert_eq!(&kept.leaping, &rebuilt.leaping);
+                    prop_assert_eq!(kept.main.active_count(), rebuilt.main.active_count());
+                    prop_assert_eq!(kept.crit.active_count(), rebuilt.crit.active_count());
+                }
+            }
         }
     }
 

@@ -2,22 +2,23 @@
 //! propensity-row scans every engine's hot loop runs.
 //!
 //! A propensity row (`props[slot]`, one trajectory's propensities in slot
-//! order) and its prefix fold are the direct-method state of the exact
-//! tier's long rows (`table::PropensityRow`, at or above
-//! `table::SHORT_ROW_SLOTS` slots) and the per-draw state of the leaping
-//! engines ([`crate::adaptive`], [`crate::hybrid`]).
-//! The scans over it — the `a0` / `a0_crit` folds, the direct-method and
-//! critical selections — exist twice: a portable scalar reference and an
-//! x86_64 AVX2 variant selected at runtime via `is_x86_feature_detected!`.
-//! The two are **bit-for-bit identical** by construction:
+//! order) and its prefix fold are the direct-method state of every
+//! engine: `table::PropensityRow`, the row of the exact tier's two cores,
+//! of the hybrid (through its dense core) and, twice over, of adaptive
+//! tau-leaping (its main and critical rows). Rows at or above
+//! `table::SHORT_ROW_SLOTS` slots run their two scans here — the fold and
+//! the direct-method selection — which exist twice: a portable scalar
+//! reference and an x86_64 AVX2 variant selected at runtime via
+//! `is_x86_feature_detected!`. The two are **bit-for-bit identical** by
+//! construction:
 //!
 //! - the fold is an ordered adds-only accumulation from the `-0.0`
 //!   identity that skips non-positive entries, and a partial refold
 //!   reseeds from the stored `prefix[from - 1]` bits (the exact tail of
 //!   the full fold, since the lower slots are untouched). The AVX2
-//!   variants keep the adds in scalar order — an ordered fold cannot be
-//!   reassociated — and win by *skipping*: four-lane compares classify
-//!   whole chunks as disabled/unmasked and store the flat accumulator
+//!   variant keeps the adds in scalar order — an ordered fold cannot be
+//!   reassociated — and wins by *skipping*: a four-lane compare
+//!   classifies whole chunks as disabled and stores the flat accumulator
 //!   without touching the lanes;
 //! - selection finds the first slot whose prefix exceeds the target. The
 //!   scalar kernel binary-searches; the AVX2 kernel *counts* the slots
@@ -131,150 +132,6 @@ fn force_scalar_env() -> bool {
 /// row, so the cutover is purely a speed knob.
 const SELECT_SCAN_MAX_SLOTS: usize = 64;
 
-/// Dense bitmask over rule indices backed by `u64` words, with
-/// ascending-order set-bit iteration — the active-rule list of the
-/// leaping engines. Bit operations are exact integers, so the mask layer
-/// itself needs no scalar/SIMD split; the folds and selections consuming
-/// it do.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RuleMask {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl RuleMask {
-    /// An all-clear mask over `len` rules.
-    pub(crate) fn new(len: usize) -> Self {
-        RuleMask {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// Whether bit `i` is set.
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Sets bit `i` to `on`, returning the previous value.
-    #[inline]
-    pub(crate) fn assign(&mut self, i: usize, on: bool) -> bool {
-        debug_assert!(i < self.len);
-        let word = &mut self.words[i / 64];
-        let bit = 1u64 << (i % 64);
-        let was = *word & bit != 0;
-        if on {
-            *word |= bit;
-        } else {
-            *word &= !bit;
-        }
-        was
-    }
-
-    /// Clears every bit (test-only: the engines rebuild masks in place
-    /// via [`RuleMask::assign`]).
-    #[cfg(test)]
-    pub(crate) fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Ascending iteration over the set bits (test-only: the reference
-    /// for [`RuleMask::iter_minus`]; the engines sweep via `iter_minus`).
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> SetBits<'_> {
-        SetBits {
-            words: &self.words,
-            word: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
-    /// The highest set index, or `None` when the mask is empty.
-    pub(crate) fn last_set(&self) -> Option<usize> {
-        for (w, &word) in self.words.iter().enumerate().rev() {
-            if word != 0 {
-                return Some(w * 64 + 63 - word.leading_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Ascending iteration over the bits set here and clear in `minus`
-    /// (the enabled-and-not-critical sweep order of the leap engines).
-    pub(crate) fn iter_minus<'a>(&'a self, minus: &'a RuleMask) -> SetBitsMinus<'a> {
-        debug_assert_eq!(self.len, minus.len);
-        let current = match (self.words.first(), minus.words.first()) {
-            (Some(&a), Some(&b)) => a & !b,
-            (Some(&a), None) => a,
-            _ => 0,
-        };
-        SetBitsMinus {
-            words: &self.words,
-            minus: &minus.words,
-            word: 0,
-            current,
-        }
-    }
-}
-
-/// Ascending set-bit iterator of a [`RuleMask`] (test-only, see
-/// [`RuleMask::iter`]).
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct SetBits<'a> {
-    words: &'a [u64],
-    word: usize,
-    current: u64,
-}
-
-#[cfg(test)]
-impl Iterator for SetBits<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word += 1;
-            if self.word >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word * 64 + bit)
-    }
-}
-
-/// Ascending iterator over `a & !b` of two [`RuleMask`]s.
-#[derive(Debug)]
-pub(crate) struct SetBitsMinus<'a> {
-    words: &'a [u64],
-    minus: &'a [u64],
-    word: usize,
-    current: u64,
-}
-
-impl Iterator for SetBitsMinus<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word += 1;
-            if self.word >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word] & !self.minus[self.word];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word * 64 + bit)
-    }
-}
-
 /// Partial refold of a prefix row over the *enabled* (positive)
 /// propensities: reseeds the accumulator from `prefix[from - 1]` (the
 /// `-0.0` identity at 0), replays the adds-only fold over `from..`, and
@@ -313,49 +170,10 @@ pub(crate) fn row_fold_scalar_from(props: &[f64], prefix: &mut [f64], from: usiz
     acc
 }
 
-/// Like [`row_fold_from`], adding only the slots set in `mask` (the
-/// critical block's a0_crit row). Masked slots are enabled by
-/// construction; the defensive `p > 0.0` test keeps the `-0.0` identity
-/// safe regardless.
-pub(crate) fn row_fold_masked_from(
-    kernel: Kernel,
-    props: &[f64],
-    mask: &RuleMask,
-    prefix: &mut [f64],
-    from: usize,
-) -> f64 {
-    debug_assert_eq!(props.len(), prefix.len());
-    debug_assert_eq!(props.len(), mask.len);
-    let seed = if from == 0 { -0.0f64 } else { prefix[from - 1] };
-    match kernel {
-        Kernel::Scalar => {
-            let mut acc = seed;
-            for j in from..props.len() {
-                let p = props[j];
-                if p > 0.0 && mask.get(j) {
-                    acc += p;
-                }
-                prefix[j] = acc;
-            }
-            acc
-        }
-        Kernel::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `row_fold_from`.
-            unsafe {
-                avx2::row_fold_masked_from(props, mask, prefix, from, seed)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("AVX2 kernel resolved on a non-x86_64 target")
-        }
-    }
-}
-
 /// Direct-method selection on a non-decreasing prefix row: the
 /// first slot whose cumulative propensity exceeds `target`, or
-/// `prefix.len()` on floating-point shortfall (the caller applies its
-/// engine's backstop rule — last slot for the exact-step scan, last
-/// critical slot for the critical block). Scalar: binary search. AVX2:
+/// `prefix.len()` on floating-point shortfall (`PropensityRow::select`
+/// then takes the last enabled slot). Scalar: binary search. AVX2:
 /// four-lane counting scan up to [`SELECT_SCAN_MAX_SLOTS`] slots, binary
 /// search above — identical by the count-of-not-crossed argument of the
 /// module docs.
@@ -418,7 +236,7 @@ mod avx2 {
     /// f64 lanes per AVX2 vector.
     const LANES: usize = 4;
 
-    /// Branchless chunk body shared by the row folds: keeps the lanes
+    /// Branchless chunk body of [`row_fold_from`]: keeps the lanes
     /// selected by `keep` and replaces the rest with `-0.0`, whose
     /// addition is an exact identity on every f64 (`x + (-0.0) == x`
     /// bit-for-bit, including `x == ±0.0` under round-to-nearest), so the
@@ -475,75 +293,6 @@ mod avx2 {
         while j < n {
             let p = props[j];
             if p > 0.0 {
-                acc += p;
-            }
-            prefix[j] = acc;
-            j += 1;
-        }
-        acc
-    }
-
-    /// AVX2 `row_fold_masked_from`: like [`row_fold_from`] with the add
-    /// predicate `p > 0 && mask`. The head runs scalar until the slot
-    /// index is 4-aligned, so every chunk's mask nibble sits inside one
-    /// `u64` word (64 is a multiple of 4).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by construction of [`super::Kernel::Avx2`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_fold_masked_from(
-        props: &[f64],
-        mask: &super::RuleMask,
-        prefix: &mut [f64],
-        from: usize,
-        seed: f64,
-    ) -> f64 {
-        let n = props.len();
-        let mut acc = seed;
-        let mut j = from;
-        while j < n && j % LANES != 0 {
-            let p = props[j];
-            if p > 0.0 && mask.get(j) {
-                acc += p;
-            }
-            prefix[j] = acc;
-            j += 1;
-        }
-        // Nibble → per-lane all-ones/all-zeros selector (index bit k sets
-        // lane k), so the chunk body can blend instead of branching.
-        const LANE_MASKS: [[u64; 4]; 16] = {
-            let mut t = [[0u64; 4]; 16];
-            let mut m = 0;
-            while m < 16 {
-                let mut lane = 0;
-                while lane < 4 {
-                    if m & (1 << lane) != 0 {
-                        t[m][lane] = u64::MAX;
-                    }
-                    lane += 1;
-                }
-                m += 1;
-            }
-            t
-        };
-        while j + LANES <= n {
-            let nibble = ((mask.words[j / 64] >> (j % 64)) & 0xF) as usize;
-            if nibble == 0 {
-                _mm256_storeu_pd(prefix.as_mut_ptr().add(j), _mm256_set1_pd(acc));
-                j += LANES;
-                continue;
-            }
-            let p = _mm256_loadu_pd(props.as_ptr().add(j));
-            let pos = _mm256_cmp_pd::<_CMP_GT_OQ>(p, _mm256_setzero_pd());
-            let sel = _mm256_loadu_pd(LANE_MASKS[nibble].as_ptr().cast::<f64>());
-            let keep = _mm256_and_pd(pos, sel);
-            fold_chunk(p, keep, &mut acc, prefix.as_mut_ptr().add(j));
-            j += LANES;
-        }
-        while j < n {
-            let p = props[j];
-            if p > 0.0 && mask.get(j) {
                 acc += p;
             }
             prefix[j] = acc;
@@ -633,11 +382,11 @@ mod tests {
     }
 
     /// Scalar reference for the row fold: the literal legacy loop.
-    fn ref_fold(props: &[f64], keep: impl Fn(usize) -> bool) -> (Vec<f64>, f64) {
+    fn ref_fold(props: &[f64]) -> (Vec<f64>, f64) {
         let mut acc = -0.0f64;
         let mut prefix = vec![0.0; props.len()];
         for (j, &p) in props.iter().enumerate() {
-            if p > 0.0 && keep(j) {
+            if p > 0.0 {
                 acc += p;
             }
             prefix[j] = acc;
@@ -645,40 +394,54 @@ mod tests {
         (prefix, acc)
     }
 
-    fn mask_from_words(len: usize, words: &[u64]) -> RuleMask {
-        let mut mask = RuleMask::new(len);
-        for j in 0..len {
-            if words[j / 64] & (1 << (j % 64)) != 0 {
-                mask.assign(j, true);
-            }
+    /// Row lengths the AVX2 loops split differently: empty, shorter than
+    /// one four-lane chunk, exactly one chunk, one slot past it, and
+    /// either side of 64 (the selection's scan/search cutover).
+    const EDGE_LENS: [usize; 8] = [0, 1, 3, 4, 5, 63, 64, 65];
+
+    /// A drawn row with roughly 40 % of its slots disabled (the drawn
+    /// value doubles as the coin: the stub proptest has no weighted
+    /// choice), cycled or cut to `EDGE_LENS[pick]`, or whole past the end
+    /// of the table.
+    fn test_row(raw: &[f64], pick: usize) -> Vec<f64> {
+        let raw = raw.iter().map(|&p| if p < 20.0 { 0.0 } else { p });
+        match EDGE_LENS.get(pick) {
+            Some(&n) => raw.cycle().take(n).collect(),
+            None => raw.collect(),
         }
-        mask
     }
 
     proptest! {
         #[test]
         fn row_folds_are_bit_identical_across_kernels_and_refold_starts(
             raw in proptest::collection::vec(0.001f64..50.0, 1..150),
-            words in proptest::collection::vec(0u64..u64::MAX, 3),
+            len_pick in 0usize..12,
+            start_kind in 0usize..5,
             from_num in 0usize..150,
             bump_num in 0usize..150,
         ) {
-            // Roughly 40% of slots disabled: the drawn value doubles as
-            // the coin (the stub proptest has no weighted-choice strategy).
-            let raw: Vec<f64> = raw.iter().map(|&p| if p < 20.0 { 0.0 } else { p }).collect();
+            let raw = test_row(&raw, len_pick);
             let n = raw.len();
-            let mask = mask_from_words(n, &words);
-            let (ref_prefix, ref_total) = ref_fold(&raw, |_| true);
-            let (ref_mprefix, ref_mtotal) = ref_fold(&raw, |j| mask.get(j));
-            // A refold start and a mutation somewhere at-or-after it: the
-            // partial refold seeded from prefix[from-1] must equal a full
-            // refold of the mutated row.
-            let from = from_num % n;
-            let bump = from + bump_num % (n - from);
+            let (ref_prefix, ref_total) = ref_fold(&raw);
+            // A refold start — anywhere, at `len` (nothing left to fold),
+            // or on either side of a four-lane chunk boundary — and a
+            // mutation somewhere at-or-after it: the partial refold seeded
+            // from prefix[from-1] must equal a full refold of the mutated
+            // row.
+            let boundary = from_num % (n + 1) / 4 * 4;
+            let from = match start_kind {
+                0 => from_num % (n + 1),
+                1 => n,
+                2 => boundary.saturating_sub(1),
+                3 => boundary,
+                _ => (boundary + 1).min(n),
+            };
             let mut bumped = raw.clone();
-            bumped[bump] = if bumped[bump] > 0.0 { 0.0 } else { 7.25 };
-            let (ref_bprefix, ref_btotal) = ref_fold(&bumped, |_| true);
-            let (ref_bmprefix, ref_bmtotal) = ref_fold(&bumped, |j| mask.get(j));
+            if from < n {
+                let bump = from + bump_num % (n - from);
+                bumped[bump] = if bumped[bump] > 0.0 { 0.0 } else { 7.25 };
+            }
+            let (ref_bprefix, ref_btotal) = ref_fold(&bumped);
             for kernel in kernels_under_test() {
                 let mut prefix = vec![0.0; n];
                 let total = row_fold_from(kernel, &raw, &mut prefix, 0);
@@ -693,30 +456,11 @@ mod tests {
                 let btotal = row_fold_from(kernel, &bumped, &mut scratch, from);
                 prop_assert!(
                     btotal.to_bits() == ref_btotal.to_bits(),
-                    "{kernel:?} refold total"
+                    "{kernel:?} refold total, len {n} from {from}"
                 );
                 prop_assert!(
                     scratch.iter().zip(&ref_bprefix).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kernel:?} partial refold from {from} diverged"
-                );
-                // Masked variants, full and partial.
-                let mut mprefix = vec![0.0; n];
-                let mtotal = row_fold_masked_from(kernel, &raw, &mask, &mut mprefix, 0);
-                prop_assert!(
-                    mtotal.to_bits() == ref_mtotal.to_bits(),
-                    "{kernel:?} masked total"
-                );
-                prop_assert!(
-                    mprefix.iter().zip(&ref_mprefix).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kernel:?} masked fold prefix diverged"
-                );
-                let mut mscratch = ref_mprefix.clone();
-                mscratch[..from].copy_from_slice(&ref_bmprefix[..from]);
-                let bmtotal = row_fold_masked_from(kernel, &bumped, &mask, &mut mscratch, from);
-                prop_assert_eq!(bmtotal.to_bits(), ref_bmtotal.to_bits());
-                prop_assert!(
-                    mscratch.iter().zip(&ref_bmprefix).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kernel:?} masked partial refold from {from} diverged"
+                    "{kernel:?} partial refold of len {n} from {from} diverged"
                 );
             }
         }
@@ -724,64 +468,35 @@ mod tests {
         #[test]
         fn row_select_agrees_with_the_linear_scan(
             raw in proptest::collection::vec(0.001f64..50.0, 1..150),
+            len_pick in 0usize..12,
             frac in 0.0f64..1.1,
         ) {
-            let raw: Vec<f64> = raw.iter().map(|&p| if p < 20.0 { 0.0 } else { p }).collect();
+            let raw = test_row(&raw, len_pick);
             let n = raw.len();
-            let (prefix, total) = ref_fold(&raw, |_| true);
+            let (prefix, total) = ref_fold(&raw);
             // Sweep across the row, past the end (shortfall) included.
             let target = total.max(0.0) * frac;
             let want = prefix.iter().position(|&p| p > target).unwrap_or(n);
             for kernel in kernels_under_test() {
                 prop_assert!(
                     row_select(kernel, &prefix, target) == want,
-                    "{kernel:?} select at target {target}"
+                    "{kernel:?} select at target {target}, len {n}"
                 );
             }
             prop_assert!(
                 row_count_uncrossed(&prefix, target) == want,
-                "branch-free count at target {target}"
+                "branch-free count at target {target}, len {n}"
             );
         }
-
-        #[test]
-        fn rule_mask_iterators_match_the_bit_definition(
-            words_a in proptest::collection::vec(0u64..u64::MAX, 3),
-            words_b in proptest::collection::vec(0u64..u64::MAX, 3),
-            len in 1usize..150,
-        ) {
-            let a = mask_from_words(len, &words_a);
-            let b = mask_from_words(len, &words_b);
-            let want_a: Vec<usize> = (0..len).filter(|&j| a.get(j)).collect();
-            let want_minus: Vec<usize> =
-                (0..len).filter(|&j| a.get(j) && !b.get(j)).collect();
-            prop_assert_eq!(a.iter().collect::<Vec<_>>(), want_a.clone());
-            prop_assert_eq!(a.iter_minus(&b).collect::<Vec<_>>(), want_minus);
-            prop_assert_eq!(a.last_set(), want_a.last().copied());
-        }
-    }
-
-    #[test]
-    fn rule_mask_assign_reports_the_previous_bit_and_clear_resets() {
-        let mut mask = RuleMask::new(70);
-        assert!(!mask.assign(3, true));
-        assert!(mask.assign(3, true));
-        assert!(!mask.assign(69, true));
-        assert_eq!(mask.last_set(), Some(69));
-        assert!(mask.assign(69, false));
-        assert_eq!(mask.last_set(), Some(3));
-        mask.clear();
-        assert_eq!(mask.last_set(), None);
-        assert_eq!(mask.iter().count(), 0);
     }
 
     #[test]
     fn row_select_covers_both_scan_and_search_regimes() {
         // A long non-decreasing row forces the binary-search path
         // (> SELECT_SCAN_MAX_SLOTS); a short one takes the counting scan.
-        for n in [5usize, 64, 65, 200] {
+        for n in EDGE_LENS.into_iter().chain([200]) {
             let props: Vec<f64> = (0..n).map(|j| (j % 3) as f64).collect();
-            let (prefix, total) = ref_fold(&props, |_| true);
+            let (prefix, total) = ref_fold(&props);
             for kernel in kernels_under_test() {
                 for target in [
                     -0.0,

@@ -24,9 +24,10 @@
 //! kind — steps on exactly that. The **leaping tier** — adaptive
 //! tau-leaping ([`crate::adaptive`]) and the leap phase of the hybrid
 //! engine ([`crate::hybrid`]) — adds the Cao–Gillespie–Petzold step-size
-//! bound (`FlatModel::cgp_tau_with`), whose highest-order-reaction `g_i`
-//! factors and species-to-slot incidence lists are built over the same
-//! slots. Its committed state is the same `u64` count vector; only a
+//! bound: one sparse `FlatModel::cgp_tau` over the slot set a caller
+//! names, which the adaptive hot path, its full-recompute replica and the
+//! hybrid all call. Its highest-order-reaction `g_i` factors and the
+//! species-to-slot incidence lists are built over the same slots. Its committed state is the same `u64` count vector; only a
 //! leap's candidate values are signed, since that is where a negative
 //! count is detected. The leaping engines additionally need mass-action
 //! laws; they obtain the shared form through `mass_action_flat`, which
@@ -588,63 +589,23 @@ impl FlatModel {
 
     /// The CGP adaptive leap bound: the largest `tau` such that the
     /// expected relative change of every propensity over the slots
-    /// selected by `include` stays within `epsilon`, accumulating into a
-    /// reusable [`CgpScratch`] (the adaptive engine computes the bound on
-    /// every transition draw; this keeps that path allocation-light).
-    /// Returns `f64::INFINITY` when no included reaction moves any
-    /// species (nothing bounds the leap).
+    /// `slots` yields stays within `epsilon`. `slots` must yield enabled
+    /// slots (`props[j] > 0`) in ascending order; the leaping engines
+    /// pass their enabled non-critical slots (adaptive) or every enabled
+    /// slot (hybrid). Returns `f64::INFINITY` when no yielded slot moves
+    /// any species (nothing bounds the leap).
     ///
-    /// Per species `i` touched by an included reaction, with
+    /// Per species `i` touched by a yielded slot, with
     /// `mu_i = Σ_r d_ri a_r` and `sigma2_i = Σ_r d_ri² a_r`:
     /// `tau ≤ min(max(εx_i/g_i, 1)/|mu_i|, max(εx_i/g_i, 1)²/sigma2_i)`.
-    pub fn cgp_tau_with<F>(
-        &self,
-        scratch: &mut CgpScratch,
-        state: &[u64],
-        props: &[f64],
-        epsilon: f64,
-        include: F,
-    ) -> f64
-    where
-        F: Fn(usize) -> bool,
-    {
-        let n = self.species_len();
-        let mu = &mut scratch.mu;
-        let sigma2 = &mut scratch.sigma2;
-        mu.clear();
-        mu.resize(n, 0.0);
-        sigma2.clear();
-        sigma2.resize(n, 0.0);
-        for (j, &a) in props.iter().enumerate() {
-            if a <= 0.0 || !include(j) {
-                continue;
-            }
-            for &(i, d) in &self.delta[j] {
-                let df = d as f64;
-                mu[i] += df * a;
-                sigma2[i] += df * df * a;
-            }
-        }
-        self.cgp_species_tau(scratch, state, epsilon)
-    }
-
-    /// [`cgp_tau_with`](Self::cgp_tau_with) over a pre-filtered slot set:
-    /// `slots` must yield exactly the slots the closure variant would
-    /// keep (`a > 0` and included) — the adaptive hot path feeds it the
-    /// enabled∧non-critical mask iterator, skipping the full-width scan.
     ///
     /// Sparse on both ends: only species actually touched by a yielded
-    /// slot are accumulated, minimised over and re-zeroed, so the cost is
-    /// O(yielded stoichiometry), not O(species). Bit-identical to the
-    /// closure variant: the surviving slots accumulate in the same order
-    /// per species, and the final fold is a minimum over per-species
-    /// bounds — order-independent for the non-NaN values both compute.
-    ///
-    /// Contract: `scratch.mu`/`scratch.sigma2` are all-zero between
-    /// calls (this function restores that before returning; resizing
-    /// zero-fills). Callers switching a scratch over from
-    /// [`cgp_tau_with`] must reset it first.
-    pub(crate) fn cgp_tau_masked(
+    /// slot are accumulated, minimised over and re-zeroed in the reusable
+    /// [`CgpScratch`], so the cost is O(yielded stoichiometry), not
+    /// O(species), and the per-draw path allocates nothing. The minimum
+    /// over per-species bounds is order-independent, so the bits depend
+    /// only on the slot set.
+    pub(crate) fn cgp_tau(
         &self,
         scratch: &mut CgpScratch,
         state: &[u64],
@@ -662,7 +623,7 @@ impl FlatModel {
         scratch.touched.clear();
         for j in slots {
             let a = props[j];
-            debug_assert!(a > 0.0, "masked CGP fed a disabled slot");
+            debug_assert!(a > 0.0, "CGP bound fed a disabled slot");
             for &(i, d) in &self.delta[j] {
                 let df = d as f64;
                 if scratch.mu[i] == 0.0 && scratch.sigma2[i] == 0.0 {
@@ -692,30 +653,11 @@ impl FlatModel {
         }
         tau
     }
-
-    /// The shared per-species minimisation step of the CGP bound.
-    fn cgp_species_tau(&self, scratch: &CgpScratch, state: &[u64], epsilon: f64) -> f64 {
-        let mut tau = f64::INFINITY;
-        for (i, &s) in state.iter().enumerate().take(self.species_len()) {
-            let (mu, sigma2) = (scratch.mu[i], scratch.sigma2[i]);
-            if mu == 0.0 && sigma2 == 0.0 {
-                continue;
-            }
-            let bound = (epsilon * s as f64 / self.g_factor(i, s)).max(1.0);
-            if mu != 0.0 {
-                tau = tau.min(bound / mu.abs());
-            }
-            if sigma2 > 0.0 {
-                tau = tau.min(bound * bound / sigma2);
-            }
-        }
-        tau
-    }
 }
 
-/// Reusable per-species accumulators for [`FlatModel::cgp_tau_with`] and
-/// its sparse sibling `cgp_tau_masked` (which also tracks the touched
-/// species so it can restore the all-zero invariant in O(touched)).
+/// Reusable per-species accumulators of `FlatModel::cgp_tau`: all zero
+/// between calls, with the species one call touched, so it restores that
+/// in O(touched).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CgpScratch {
     mu: Vec<f64>,
@@ -936,15 +878,17 @@ mod tests {
         let state = flat.initial_counts();
         let props: Vec<f64> = flat.slot_propensities(state).collect();
         let mut scratch = CgpScratch::default();
-        let t1 = flat.cgp_tau_with(&mut scratch, state, &props, 0.01, |_| true);
-        let t5 = flat.cgp_tau_with(&mut scratch, state, &props, 0.05, |_| true);
+        let mut tau = |eps: f64, slots: &[usize]| {
+            flat.cgp_tau(&mut scratch, state, &props, eps, slots.iter().copied())
+        };
+        let t1 = tau(0.01, &[0, 1, 2, 3]);
+        let t5 = tau(0.05, &[0, 1, 2, 3]);
         assert!(t1 > 0.0 && t1.is_finite());
         assert!(t5 > t1, "larger epsilon must allow larger leaps");
+        // The scratch is clean again: the same call, the same bits.
+        assert_eq!(tau(0.01, &[0, 1, 2, 3]).to_bits(), t1.to_bits());
         // Excluding every reaction leaves the leap unbounded.
-        assert_eq!(
-            flat.cgp_tau_with(&mut scratch, state, &props, 0.05, |_| false),
-            f64::INFINITY
-        );
+        assert_eq!(tau(0.05, &[]), f64::INFINITY);
     }
 
     #[test]

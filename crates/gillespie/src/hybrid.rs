@@ -331,12 +331,12 @@ impl HybridEngine {
         let (counts, row) = exact_state(&self.exact);
         let a0 = row.total();
         let tau = if a0 > 0.0 {
-            self.flat.cgp_tau_with(
+            self.flat.cgp_tau(
                 &mut self.cgp_scratch,
                 counts,
                 row.props(),
                 self.epsilon,
-                |_| true,
+                row.active_entries().map(|(j, _)| j),
             )
         } else {
             0.0

@@ -213,6 +213,12 @@ impl PropensityRow {
         &self.props
     }
 
+    /// The prefix fold, as of the last [`refold_from`](Self::refold_from).
+    #[cfg(test)]
+    pub fn prefix(&self) -> &[f64] {
+        &self.prefix
+    }
+
     /// Total number of slots (enabled or not).
     pub fn len(&self) -> usize {
         self.props.len()

@@ -1,8 +1,8 @@
 //! Hot-path equivalence suite for the kernel-accelerated leap tier.
 //!
-//! The adaptive engine keeps criticality flags, the total propensity and
-//! the CGP accumulators *incrementally* (epoch-stamped, riding the
-//! incidence lists) and routes its full-width folds through the
+//! The adaptive engine keeps its propensities, criticality and leaping
+//! slots *incrementally* (two direct-method rows refreshed through the
+//! incidence lists) and folds and selects on them through the
 //! runtime-dispatched kernel layer. None of that is allowed to be
 //! observable: this suite pins the incremental engine against its
 //! full-recompute replica — same draws, same samples, same final state,
