@@ -5,9 +5,9 @@
 //! SSA; the multicore-aware-simulators report argues the simulation kernel
 //! must be swappable under the same farm. This harness runs the *same*
 //! pipeline (farm → alignment → windows → statistics) with each
-//! `EngineKind` on the Schlögl and Lotka–Volterra models and reports wall
-//! time, event counts and the accuracy of the approximate integrators
-//! against the exact one.
+//! `EngineKind` on the Schlögl, Lotka–Volterra and Neurospora models and
+//! reports wall time, event counts and the accuracy of the approximate
+//! integrators against the exact one.
 //!
 //! Run: `cargo run -p bench --release --bin ablation_engine_sweep`
 //! (`--quick` shrinks the ensembles, `--csv` emits the CI baseline format)
@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use bench::{print_table, quick_mode, secs};
-use biomodels::{lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams};
+use biomodels::{
+    lotka_volterra, neurospora_flat, schlogl, LotkaVolterraParams, NeurosporaParams, SchloglParams,
+};
 use cwc::model::Model;
 use cwcsim::{run_simulation, EngineKind, SimConfig};
 
@@ -32,18 +34,9 @@ fn sweep(name: &str, model: Arc<Model>, cfg: &SimConfig) {
     let mut ssa_mean = None;
     for kind in kinds {
         let cfg = cfg.clone().engine(kind);
-        let report = match run_simulation(Arc::clone(&model), &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                // Pad to the header width and strip commas from the error
-                // text so --csv rows stay column-aligned.
-                let reason = format!("unsupported: {e}").replace(',', ";");
-                let mut row = vec![kind.name().into(), reason];
-                row.resize(6, "-".into());
-                rows.push(row);
-                continue;
-            }
-        };
+        // Every kind runs every swept model: a refusal is a failure.
+        let report = run_simulation(Arc::clone(&model), &cfg)
+            .unwrap_or_else(|e| panic!("{name}: {} refused the model: {e}", kind.name()));
         let mean = report.grand_mean(0);
         let ssa = *ssa_mean.get_or_insert(mean);
         let drift = if ssa.abs() > f64::EPSILON {
@@ -95,6 +88,18 @@ fn main() {
         "lotka-volterra (oscillatory)",
         Arc::new(lotka_volterra(LotkaVolterraParams::default())),
         &cfg,
+    );
+    // The paper's model runs in hours: one day (three, full) on the same grid.
+    let hours = 12.0 * t_end;
+    sweep(
+        "neurospora (the paper's model: Hill and saturating laws)",
+        Arc::new(neurospora_flat(NeurosporaParams::default())),
+        &SimConfig {
+            t_end: hours,
+            quantum: hours / 12.0,
+            sample_period: hours / 24.0,
+            ..cfg.clone()
+        },
     );
 
     bench::note(

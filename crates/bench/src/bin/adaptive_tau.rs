@@ -15,7 +15,8 @@
 //!   isolate per-transition scan cost: the leap-regime case exercises
 //!   the CGP bound and Poisson sweep over the non-critical slots, the
 //!   all-critical case the incidence-list refresh of the two
-//!   direct-method rows).
+//!   direct-method rows; Neurospora, the paper's model, sizes the
+//!   trade-off where Hill and saturating laws bound the leaps).
 //!
 //! Every row is timed [`bench::PASSES`] times in alternated order and
 //! keeps its fastest pass. Output: a human table on stdout plus
@@ -39,7 +40,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use biomodels::{conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams};
+use biomodels::{
+    conversion_cycle, lotka_volterra, neurospora_flat, schlogl, LotkaVolterraParams,
+    NeurosporaParams, SchloglParams,
+};
 use cwc::model::Model;
 use gillespie::adaptive::AdaptiveTauEngine;
 use gillespie::deps::ModelDeps;
@@ -219,6 +223,16 @@ fn measure_all(quick: bool) -> Vec<Measurement> {
             "wide_flat_cycle_crit",
             Arc::new(conversion_cycle(300, 1_500, 1.0)),
             2.0,
+        ),
+        // The paper's model: six rules at Ω = 100, Hill-repressed
+        // transcription and two saturating degradations, over two days
+        // (about two oscillations). Tens to hundreds of molecules per
+        // species: the regime where the leaping tier must earn its keep
+        // against exact SSA.
+        (
+            "neurospora_flat",
+            Arc::new(neurospora_flat(NeurosporaParams::default())),
+            48.0,
         ),
     ];
     // One row per (case, engine); every row is timed `bench::PASSES`

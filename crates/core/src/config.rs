@@ -81,9 +81,9 @@ pub struct SimConfig {
     /// Base RNG seed; instance `i` uses a seed derived from it.
     pub base_seed: u64,
     /// The stochastic integrator driving every trajectory (SSA by
-    /// default; the leaping kinds — adaptive-tau, hybrid — are
-    /// restricted to flat mass-action models and rejected at run start
-    /// otherwise, with an error naming the offending rule). With
+    /// default; the leaping kinds — adaptive-tau, hybrid — take every
+    /// flat model, whatever its kinetic laws, and reject a compartment
+    /// model at run start, with an error naming the offending rule). With
     /// [`EngineKind::Batched`], sim workers pull tasks of `width`
     /// instances instead of single instances, each stepped by scalar SSA;
     /// results are bit-for-bit the SSA results for every width and model.

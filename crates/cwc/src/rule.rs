@@ -190,11 +190,6 @@ impl RateLaw {
         }
     }
 
-    /// True for plain mass action.
-    pub fn is_mass_action(&self) -> bool {
-        matches!(self, RateLaw::MassAction)
-    }
-
     /// The step-path form of this law (see [`CompiledLaw`]).
     pub fn compile(&self) -> CompiledLaw {
         match *self {

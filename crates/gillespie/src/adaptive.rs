@@ -18,7 +18,9 @@
 //!    step for which the expected relative change of every propensity
 //!    stays within the `epsilon` knob (per-species mean/variance bounds
 //!    from the compiled [`ModelDeps`] stoichiometry
-//!    — the `cgp_tau` bound of [`crate::flat`]).
+//!    — the `cgp_tau` bound of [`crate::flat`], whose `g_i` factors cover
+//!    the Hill and saturating laws as well as mass action, so the engine
+//!    runs every flat model, the paper's Neurospora included).
 //! 3. **SSA fallback.** When the bound collapses below
 //!    [`SSA_FALLBACK_MULT`] expected firings' worth of time (τ < mult/a0),
 //!    leaping cannot beat exact stepping, so the engine takes one exact
@@ -42,7 +44,8 @@
 //! and `0.0` otherwise (`a0_crit` and the critical firing). A slot leaps
 //! iff `main > 0 && crit == 0`; the CGP bound and the Poisson sweep walk
 //! the list of those slots. Commits refresh only the slots incident to
-//! the changed species; each row refolds from its lowest changed slot
+//! the changed species (those consuming one, and those whose kinetic law
+//! reads one); each row refolds from its lowest changed slot
 //! when a draw needs its total, and the list rescans the rows from the
 //! lowest slot whose leaping status changed. The full-recompute replica
 //! ([`AdaptiveTauEngine::with_full_recompute`]) re-derives all of it with
@@ -56,7 +59,7 @@ use cwc::species::Species;
 use rand::Rng;
 
 use crate::deps::ModelDeps;
-use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::flat::{flat_form, poisson, CgpScratch, FlatModel, FlatModelError};
 use crate::kernels::KernelDispatch;
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::SampleClock;
@@ -281,6 +284,8 @@ pub struct AdaptiveTauEngine {
     /// Recycled `updates` allocation: commits return the spent vector
     /// here, the next draw reuses it (zero steady-state allocation).
     updates_pool: Vec<(usize, u64)>,
+    /// Reusable observable buffer every sample is written into.
+    obs_buf: Vec<u64>,
     /// Requested kernel dispatch policy (the rows hold its resolution).
     dispatch: KernelDispatch,
 }
@@ -291,8 +296,8 @@ impl AdaptiveTauEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FlatModelError`] when any rule uses compartments, applies
-    /// below the top level or has a non-mass-action law.
+    /// Returns [`FlatModelError`] when any rule uses compartments or
+    /// applies below the top level.
     pub fn new(model: Arc<Model>, base_seed: u64, instance: u64) -> Result<Self, FlatModelError> {
         let deps = Arc::new(ModelDeps::compile(&model));
         Self::with_deps(model, deps, base_seed, instance)
@@ -303,14 +308,14 @@ impl AdaptiveTauEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FlatModelError`] when the model is not flat mass-action.
+    /// Returns [`FlatModelError`] when the model is not flat.
     pub fn with_deps(
         model: Arc<Model>,
         deps: Arc<ModelDeps>,
         base_seed: u64,
         instance: u64,
     ) -> Result<Self, FlatModelError> {
-        let flat = mass_action_flat(&model, &deps, "adaptive tau-leaping")?;
+        let flat = flat_form(&model, &deps, "adaptive tau-leaping")?;
         let state = flat.initial_counts().to_vec();
         let species_len = flat.species_len();
         Ok(AdaptiveTauEngine {
@@ -336,6 +341,7 @@ impl AdaptiveTauEngine {
             cand_buf: vec![0; species_len],
             changed_buf: Vec::new(),
             updates_pool: Vec::new(),
+            obs_buf: Vec::new(),
             dispatch: KernelDispatch::Auto,
         })
     }
@@ -761,10 +767,11 @@ impl AdaptiveTauEngine {
         for &(i, v) in &p.updates {
             self.state[i] = v;
         }
-        // O(affected) row refresh: only slots whose reactant species
-        // changed can differ in propensity *or* criticality (a negative
-        // net delta implies the species is a reactant, so `incidence`
-        // covers both); everything else keeps committed bits. The
+        // O(affected) row refresh: only slots whose propensity reads a
+        // changed species — a reactant or a law's modifier — can differ
+        // in propensity *or* criticality (a negative net delta implies
+        // the species is a reactant, so `incidence` covers both);
+        // everything else keeps committed bits. The
         // watermarks drop to the lowest refreshed slot, leaving the
         // prefixes below it valid.
         if self.cache_ready && !self.full_recompute {
@@ -850,8 +857,9 @@ impl AdaptiveTauEngine {
                 if ts > horizon {
                     break;
                 }
-                let values = self.observe();
-                on_sample(ts, &values);
+                let state = &self.state;
+                self.flat.observe_into(|i| state[i], &mut self.obs_buf);
+                on_sample(ts, &self.obs_buf);
                 clock.advance();
             }
             if t_next > t_end {
@@ -902,6 +910,15 @@ mod tests {
     /// each, staggered rates: most transitions touch only a few of the
     /// species.
     fn cycle_model(n: usize, per: u64) -> Arc<Model> {
+        Arc::new(cycle(n, per, false))
+    }
+
+    /// [`cycle_model`]'s cycle; with `laws`, the rules take mass action,
+    /// Hill repression, Hill activation and a saturating law in turn
+    /// (`i % 4`), each law reading the species half-way round the cycle,
+    /// which the rule does not consume — so a modifier's change, not a
+    /// reactant's, is what moves those slots.
+    fn cycle(n: usize, per: u64, laws: bool) -> Model {
         let mut m = Model::new("chain");
         for i in 0..n {
             let name = format!("S{i}");
@@ -912,14 +929,22 @@ mod tests {
         for i in 0..n {
             let from = format!("S{i}");
             let to = format!("S{}", (i + 1) % n);
-            m.rule(&format!("r{i}"))
+            let rule = m
+                .rule(&format!("r{i}"))
                 .consumes(&from, 1)
                 .produces(&to, 1)
-                .rate(1.0 + i as f64 * 0.1)
-                .build()
-                .unwrap();
+                .rate(1.0 + i as f64 * 0.1);
+            let modifier = format!("S{}", (i + n / 2) % n);
+            let k = per as f64;
+            let rule = match (laws, i % 4) {
+                (false, _) | (true, 0) => rule,
+                (true, 1) => rule.repressed_by(&modifier, k, 4.0),
+                (true, 2) => rule.activated_by(&modifier, k, 2.5),
+                _ => rule.saturating_on(&modifier, k),
+            };
+            rule.build().unwrap();
         }
-        Arc::new(m)
+        m
     }
 
     #[test]
@@ -1112,11 +1137,13 @@ mod tests {
             species in 2usize..70,
             per in 4u64..16,
             seed in 0u64..1_000,
+            laws in any::<bool>(),
         ) {
             // Around N_CRITICAL copies per species, so slots keep crossing
             // the critical threshold both ways; from 32 slots on the rows
-            // fold and select through the dispatched kernels.
-            let model = cycle_model(species, per);
+            // fold and select through the dispatched kernels. With laws, a
+            // slot whose modifier moved must be refreshed as well.
+            let model = Arc::new(cycle(species, per, laws));
             for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
                 let mut e = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                     .unwrap()

@@ -87,17 +87,18 @@ pub enum EngineKind {
     Ssa,
     /// Adaptive tau-leaping: Cao–Gillespie–Petzold step-size selection
     /// with critical-reaction partitioning and an exact-SSA fallback.
-    /// Flat, top-level, mass-action models only (StochKit's alternative
-    /// integrator, an extension beyond the paper). Every leap length is
-    /// chosen from the state; there is none for the user to pick.
+    /// Flat models only — compartment-free, top-level rules — under every
+    /// kinetic law (StochKit's alternative integrator, an extension beyond
+    /// the paper). Every leap length is chosen from the state; there is
+    /// none for the user to pick.
     AdaptiveTau {
         /// Relative-propensity-change bound ε (Cao et al. recommend
         /// 0.03–0.05; must be in `(0, 1)`).
         epsilon: f64,
     },
     /// Hybrid exact/approximate: dense-core SSA segments with
-    /// CGP-sized Poisson leaps when propensities stratify. Flat,
-    /// top-level, mass-action models only.
+    /// CGP-sized Poisson leaps when propensities stratify. Flat models
+    /// only, under every kinetic law.
     Hybrid {
         /// Relative-propensity-change bound ε of the leap phase.
         epsilon: f64,
@@ -244,8 +245,7 @@ impl EngineKind {
     ///
     /// Returns [`EngineError`] when the kind cannot drive `model` or its
     /// knobs are invalid: the leaping kinds (adaptive tau-leaping and the
-    /// hybrid) reject compartment rules, nested-site rules and
-    /// non-mass-action laws.
+    /// hybrid) reject compartment rules and nested-site rules.
     pub fn build(
         self,
         model: Arc<Model>,
@@ -310,8 +310,8 @@ impl fmt::Display for EngineKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A flat-only engine (adaptive tau-leaping, the hybrid SSA/tau
-    /// engine) cannot drive this model (compartments, nested sites
-    /// or non-mass-action laws); the inner error names the engine and the
+    /// engine) cannot drive this model, because a rule uses compartments
+    /// or applies inside one; the inner error names the engine and the
     /// offending rule.
     FlatModel(FlatModelError),
     /// The configured CGP bound ε is outside `(0, 1)`.

@@ -26,13 +26,50 @@
 //! engine ([`crate::hybrid`]) — adds the Cao–Gillespie–Petzold step-size
 //! bound: one sparse `FlatModel::cgp_tau` over the slot set a caller
 //! names, which the adaptive hot path, its full-recompute replica and the
-//! hybrid all call. Its highest-order-reaction `g_i` factors and the
-//! species-to-slot incidence lists are built over the same slots. Its committed state is the same `u64` count vector; only a
-//! leap's candidate values are signed, since that is where a negative
-//! count is detected. The leaping engines additionally need mass-action
-//! laws; they obtain the shared form through `mass_action_flat`, which
-//! names the offending rule and the refusing engine in a
-//! [`FlatModelError`] the config layer surfaces verbatim.
+//! hybrid all call. Its `g_i` factors and the species-to-slot incidence
+//! lists are built over the same slots. Its committed state is the same
+//! `u64` count vector; only a leap's candidate values are signed, since
+//! that is where a negative count is detected.
+//!
+//! One acceptance rule serves every kind: a model is flat or it is not.
+//! The leaping engines obtain the shared form through `flat_form`, which
+//! derives its refusal from the predicate `FlatModel::accepts` is, naming
+//! the first non-flat rule and the refusing engine in a
+//! [`FlatModelError`] the config layer surfaces verbatim. Every kinetic
+//! law runs on every kind.
+//!
+//! ## The step-size bound covers every kinetic law
+//!
+//! CGP bound a leap so that no propensity moves by more than a relative
+//! `ε`, and they get there one species at a time. To first order a
+//! propensity `a_j` moves by `Σ_i s_ji |Δx_i / x_i|`, where
+//! `s_ji = |∂ ln a_j / ∂ ln x_i|` is its log-sensitivity to species `i`.
+//! Write `S_j = Σ_i s_ji`. If every species stays within
+//! `|Δx_i| ≤ ε x_i / g_i`, with `g_i ≥ S_j` for every slot `j` that reads
+//! `i`, then `a_j` moves by at most `Σ_i s_ji ε / S_j = ε`. For mass action
+//! `S_j` is the reaction order (CGP's "highest order of reaction", with
+//! their copy-number corrections when a reactant is taken twice or three
+//! times), which is the `(order, copies)` table of `g_factor`.
+//!
+//! A kinetic law multiplies the binomial product by a factor whose
+//! log-sensitivity has a closed-form bound in the one species it reads:
+//!
+//! - both Hill laws: `|∂ ln a / ∂ ln c| = n cⁿ / (kⁿ + cⁿ) ≤ n` for
+//!   repression, `n kⁿ / (kⁿ + cⁿ) ≤ n` for activation. A Hill slot's
+//!   `S_j` is at most its reactant order plus `n`, so compilation counts
+//!   it at order `order + ⌈n⌉`, for its reactants and its modifier alike;
+//! - `Saturating`: its value `rate · c / (km + c)` ignores `h`, and its
+//!   sensitivity in the substrate is `km / (km + c) ≤ 1`, which the floor
+//!   `g_i ≥ 1` already covers. It adds no order; the slot's reactant
+//!   entries over-cover a value that does not read them.
+//!
+//! Compilation folds these terms into `g_pairs` and `g_const`, and lists a
+//! law-reading slot under its modifier in `incidence` too: a change in the
+//! modifier moves the propensity exactly as a change in a reactant does.
+//! A mass-action model compiles to the tables it always did, so its
+//! per-draw path reads the same values and keeps every bit. Critical
+//! classification reads only the net stoichiometry, and a modifier the
+//! rule does not consume has none, so it does not change.
 //!
 //! The crate-private `poisson` sampler every leap draw consumes lives
 //! here too.
@@ -48,71 +85,30 @@ use rand::Rng;
 
 use crate::deps::ModelDeps;
 
-/// Error constructing a flat-model engine (adaptive tau-leaping or the
-/// hybrid SSA/tau engine).
+/// Error constructing a leaping engine (adaptive tau-leaping or the
+/// hybrid SSA/tau engine) on a model that is not flat: one of its rules
+/// has compartment patterns or productions, or applies below the top
+/// level — a rule `FlatModel::accepts` refuses.
 ///
-/// Every variant names the offending rule *and* the engine that rejected
-/// it, so a config-level failure pinpoints the model line to fix. The
-/// direct method accepts all of these models, every kinetic law
-/// included; only the leaping state reduction requires flatness.
+/// It names the first such rule, in rule order, *and* the engine that
+/// refused it, so a config-level failure pinpoints the model line to fix.
+/// Every kinetic law is accepted, and the direct method accepts these
+/// models too; only the leaping state reduction requires flatness.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlatModelError {
-    /// The model has a rule with compartment patterns or productions.
-    NotFlat {
-        /// Engine that rejected the model.
-        engine: &'static str,
-        /// Name of the offending rule.
-        rule: String,
-    },
-    /// The model has a rule that does not apply at the top level.
-    NotTopLevel {
-        /// Engine that rejected the model.
-        engine: &'static str,
-        /// Name of the offending rule.
-        rule: String,
-    },
-    /// The model has a rule with a non-mass-action kinetic law.
-    NotMassAction {
-        /// Engine that rejected the model.
-        engine: &'static str,
-        /// Name of the offending rule.
-        rule: String,
-    },
-}
-
-impl FlatModelError {
-    /// Name of the rule the engine refused.
-    pub fn rule(&self) -> &str {
-        match self {
-            FlatModelError::NotFlat { rule, .. }
-            | FlatModelError::NotTopLevel { rule, .. }
-            | FlatModelError::NotMassAction { rule, .. } => rule,
-        }
-    }
+pub struct FlatModelError {
+    /// Engine that refused the model.
+    pub engine: &'static str,
+    /// Name of the refused rule.
+    pub rule: String,
 }
 
 impl std::fmt::Display for FlatModelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlatModelError::NotFlat { engine, rule } => {
-                write!(
-                    f,
-                    "rule `{rule}` uses compartments; {engine} needs a flat model"
-                )
-            }
-            FlatModelError::NotTopLevel { engine, rule } => {
-                write!(
-                    f,
-                    "rule `{rule}` applies inside a compartment; {engine} needs top-level rules"
-                )
-            }
-            FlatModelError::NotMassAction { engine, rule } => {
-                write!(
-                    f,
-                    "rule `{rule}` has a non-mass-action law; {engine} supports mass action only"
-                )
-            }
-        }
+        let FlatModelError { engine, rule } = self;
+        write!(
+            f,
+            "rule `{rule}` uses compartments or applies inside one; {engine} needs a flat model"
+        )
     }
 }
 
@@ -131,30 +127,15 @@ pub(crate) struct Rows<T> {
 }
 
 impl<T> Rows<T> {
-    fn with_rows(rows: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        Rows {
-            offsets,
-            entries: Vec::new(),
-        }
-    }
-
-    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
-        self.entries.extend(row);
-        self.offsets.push(self.entries.len() as u32);
-    }
-
-    fn from_parts(offsets: Vec<u32>, entries: Vec<T>) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap() as usize, entries.len());
-        Rows { offsets, entries }
-    }
-
     /// One row per item of `rows`, in order.
     pub(crate) fn from_rows<R: IntoIterator<Item = T>>(rows: impl IntoIterator<Item = R>) -> Self {
-        let mut out = Rows::with_rows(0);
+        let mut out = Rows {
+            offsets: vec![0],
+            entries: Vec::new(),
+        };
         for row in rows {
-            out.push_row(row);
+            out.entries.extend(row);
+            out.offsets.push(out.entries.len() as u32);
         }
         out
     }
@@ -225,20 +206,23 @@ pub(crate) struct FlatModel {
     pub affects: Rows<u32>,
     /// One plan per model observable, in registration order.
     observables: Vec<ObsPlan>,
-    /// Per-species `(reaction order, copies required)` pairs over the
-    /// slots consuming that species — the static inputs of the CGP
-    /// `g_i` factor, precomputed so the tau-selection hot path avoids an
-    /// O(slots × reactants) rescan per species.
+    /// Per-species `(order, copies required)` pairs over the slots whose
+    /// propensity reads that species (row for row with `incidence`) — the
+    /// static inputs of the CGP `g_i` factor, precomputed so the
+    /// tau-selection hot path avoids an O(slots × reactants) rescan per
+    /// species. The order is the slot's reactant order plus its law's
+    /// extra order; a law's modifier that is not a reactant takes zero
+    /// copies (see the module docs).
     g_pairs: Rows<(u64, u64)>,
     /// Per-species CGP `g_i` when it does not depend on the copy number
     /// (no order-2/3 pair needing ≥2 copies of the species), `NaN` when
-    /// it does. Most mass-action models are first-order in each
-    /// reactant, making the per-draw `g_factor` table walk a constant
-    /// load on the adaptive hot path.
+    /// it does. Most models are first-order in each reactant, making the
+    /// per-draw `g_factor` table walk a constant load on the adaptive hot
+    /// path.
     g_const: Vec<f64>,
-    /// Species → slots whose *propensity depends on* that species (its
-    /// reactants; the leaping tier's laws are mass action). When a
-    /// transition changes species `i`, exactly the slots in
+    /// Species → slots whose *propensity depends on* that species: the
+    /// slots consuming it and the slots whose kinetic law reads it. When
+    /// a transition changes species `i`, exactly the slots in
     /// `incidence[i]` can change propensity — the adaptive engine's
     /// O(affected) per-transition refresh reads this.
     pub incidence: Rows<usize>,
@@ -260,11 +244,8 @@ fn species_space(model: &Model) -> usize {
     for rule in &model.rules {
         rule.lhs.atoms.iter().for_each(|(s, _)| cover(s));
         rule.rhs.atoms.iter().for_each(|(s, _)| cover(s));
-        match rule.law {
-            RateLaw::MassAction => {}
-            RateLaw::HillRepression { inhibitor: s, .. }
-            | RateLaw::HillActivation { activator: s, .. }
-            | RateLaw::Saturating { substrate: s, .. } => cover(s),
+        if let Some((i, _)) = law_input(&rule.law) {
+            cover(Species::from_raw(i as u32));
         }
     }
     model.initial.atoms.iter().for_each(|(s, _)| cover(s));
@@ -306,50 +287,75 @@ pub(crate) fn exact_propensity(
     }
 }
 
-/// The shared flat form of `model` for an engine that additionally needs
-/// mass-action laws (the leaping engines; `engine` is the name that
-/// appears in the rejection).
+/// The shared flat form of `model` for a leaping engine (`engine` is the
+/// name the refusal carries).
 ///
 /// # Errors
 ///
 /// Returns the [`FlatModelError`] of the first rule, in rule order, that
-/// uses compartments, applies below the top level or has a
-/// non-mass-action law.
-pub(crate) fn mass_action_flat(
+/// `FlatModel::accepts` refuses.
+pub(crate) fn flat_form(
     model: &Model,
     deps: &ModelDeps,
     engine: &'static str,
 ) -> Result<Arc<FlatModel>, FlatModelError> {
-    for rule in &model.rules {
-        let rule_name = || rule.name.clone();
-        if !rule.is_flat() {
-            return Err(FlatModelError::NotFlat {
-                engine,
-                rule: rule_name(),
-            });
-        }
-        if rule.site != Label::TOP {
-            return Err(FlatModelError::NotTopLevel {
-                engine,
-                rule: rule_name(),
-            });
-        }
-        if !rule.law.is_mass_action() {
-            return Err(FlatModelError::NotMassAction {
-                engine,
-                rule: rule_name(),
-            });
-        }
+    match FlatModel::refused_rule(model) {
+        Some(rule) => Err(FlatModelError {
+            engine,
+            rule: rule.name.clone(),
+        }),
+        None => Ok(deps.flat(model).expect("an accepted model has a flat form")),
     }
-    Ok(deps.flat(model).expect("every rule is flat and top-level"))
+}
+
+/// What a slot's kinetic law reads beyond its reactants: the species
+/// index of its modifier and the law's extra order in the CGP bound —
+/// `⌈n⌉` for a Hill law, none for `Saturating` (see the module docs).
+fn law_input(law: &RateLaw) -> Option<(usize, u64)> {
+    match *law {
+        RateLaw::MassAction => None,
+        RateLaw::HillRepression {
+            inhibitor: s, n, ..
+        }
+        | RateLaw::HillActivation {
+            activator: s, n, ..
+        } => Some((s.raw() as usize, n.ceil() as u64)),
+        RateLaw::Saturating { substrate, .. } => Some((substrate.raw() as usize, 0)),
+    }
+}
+
+/// CGP's `g` for one `(order, copies)` pair at copy number `x`: the
+/// order, corrected when the species is taken twice or three times by an
+/// order-2/3 reaction (capped constants for tiny `x`, no division by
+/// zero). Higher orders take the coarse bound `g = order`.
+fn pair_g((order, k): (u64, u64), x: u64) -> f64 {
+    let xf = x as f64;
+    match (order, k) {
+        (1, _) => 1.0,
+        (2, 1) => 2.0,
+        (2, 2) if x > 1 => 2.0 + 1.0 / (xf - 1.0),
+        (2, 2) => 3.0,
+        (3, 1) => 3.0,
+        (3, 2) if x > 1 => 1.5 * (2.0 + 1.0 / (xf - 1.0)),
+        (3, 2) => 4.5,
+        (3, 3) if x > 2 => 3.0 + 1.0 / (xf - 1.0) + 2.0 / (xf - 2.0),
+        (3, 3) => 6.0,
+        (o, _) => o as f64,
+    }
 }
 
 impl FlatModel {
+    /// The first rule of `model`, in rule order, that keeps it from being
+    /// flat: one with compartment patterns or productions, or one applying
+    /// below the top level.
+    fn refused_rule(model: &Model) -> Option<&Rule> {
+        (model.rules.iter()).find(|rule| !rule.is_flat() || rule.site != Label::TOP)
+    }
+
     /// Whether `model` is flat: every rule compartment-free and applying
     /// at the top level.
     pub fn accepts(model: &Model) -> bool {
-        let flat_top = |rule: &Rule| rule.is_flat() && rule.site == Label::TOP;
-        model.rules.iter().all(flat_top)
+        Self::refused_rule(model).is_none()
     }
 
     /// Compiles the flat form of `model` (which [`accepts`](Self::accepts)
@@ -415,50 +421,32 @@ impl FlatModel {
             })
             .collect();
 
-        // Per-species rows (g pairs, incidence) via counting sort: slots
-        // land in ascending slot order per species.
-        let nslots = rule.len();
-        let mut counts = vec![0u32; ns];
-        for j in 0..nslots {
-            for &(i, _) in &reactants[j] {
-                counts[i] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(ns + 1);
-        offsets.push(0u32);
-        for &c in &counts {
-            offsets.push(offsets.last().unwrap() + c);
-        }
-        let total = *offsets.last().unwrap() as usize;
-        let mut g_entries = vec![(0u64, 0u64); total];
-        let mut inc_entries = vec![0usize; total];
-        let mut cursor: Vec<u32> = offsets[..ns].to_vec();
-        for j in 0..nslots {
+        // Per-species rows (g pairs, incidence), slots ascending: what
+        // each slot's propensity reads, with its CGP pair — its reactants,
+        // then its law's modifier unless that is a reactant too.
+        let mut by_species = vec![Vec::new(); ns];
+        for (j, rule) in slot_rules().enumerate() {
             let r = &reactants[j];
-            let order: u64 = r.iter().map(|&(_, n)| n).sum();
+            let input = law_input(&rule.law);
+            let order = r.iter().map(|&(_, n)| n).sum::<u64>() + input.map_or(0, |(_, e)| e);
             for &(i, k) in r {
-                let at = cursor[i] as usize;
-                g_entries[at] = (order, k);
-                inc_entries[at] = j;
-                cursor[i] += 1;
+                by_species[i].push((j, (order, k)));
+            }
+            if let Some((m, _)) = input.filter(|&(m, _)| r.iter().all(|&(i, _)| i != m)) {
+                by_species[m].push((j, (order, 0)));
             }
         }
-        let g_pairs = Rows::from_parts(offsets.clone(), g_entries);
-        let incidence = Rows::from_parts(offsets, inc_entries);
+        let g_pairs = Rows::from_rows(by_species.iter().map(|row| row.iter().map(|s| s.1)));
+        let incidence = Rows::from_rows(by_species.iter().map(|row| row.iter().map(|s| s.0)));
         let g_const = (0..ns)
             .map(|i| {
-                let mut g: f64 = 1.0;
-                for &(order, k) in &g_pairs[i] {
-                    g = g.max(match (order, k) {
-                        (1, _) => 1.0,
-                        (2, 1) => 2.0,
-                        (3, 1) => 3.0,
-                        // Copy-number-dependent entries: no constant g.
-                        (2, 2) | (3, 2) | (3, 3) => return f64::NAN,
-                        (o, _) => o as f64,
-                    });
+                let pairs = &g_pairs[i];
+                if (pairs.iter()).any(|&pair| matches!(pair, (2, 2) | (3, 2) | (3, 3))) {
+                    return f64::NAN; // copy-number dependent
                 }
-                g
+                pairs
+                    .iter()
+                    .fold(1.0, |g: f64, &pair| g.max(pair_g(pair, 0)))
             })
             .collect();
         FlatModel {
@@ -560,31 +548,12 @@ impl FlatModel {
     /// a relative change `epsilon / g_i` in `x_i` bounds the relative
     /// change of every propensity (Cao, Gillespie & Petzold 2006, eq. 27).
     fn g_factor(&self, i: usize, x: u64) -> f64 {
-        // Constant-g fast path: same bits as the table walk below (each
-        // entry it folds is the same literal the walk would produce).
+        // Constant-g fast path: same bits as the walk (the same fold).
         let g = self.g_const[i];
         if !g.is_nan() {
             return g;
         }
-        let xf = x as f64;
-        let mut g: f64 = 1.0;
-        for &(order, k) in &self.g_pairs[i] {
-            let gr = match (order, k) {
-                (1, _) => 1.0,
-                (2, 1) => 2.0,
-                (2, 2) if x > 1 => 2.0 + 1.0 / (xf - 1.0),
-                (2, 2) => 3.0,
-                (3, 1) => 3.0,
-                (3, 2) if x > 1 => 1.5 * (2.0 + 1.0 / (xf - 1.0)),
-                (3, 2) => 4.5,
-                (3, 3) if x > 2 => 3.0 + 1.0 / (xf - 1.0) + 2.0 / (xf - 2.0),
-                (3, 3) => 6.0,
-                // Higher orders: the coarse bound g = order is standard.
-                (o, _) => o as f64,
-            };
-            g = g.max(gr);
-        }
-        g
+        (self.g_pairs[i].iter()).fold(1.0, |g: f64, &pair| g.max(pair_g(pair, x)))
     }
 
     /// The CGP adaptive leap bound: the largest `tau` such that the
@@ -751,8 +720,8 @@ mod tests {
         let deps = Arc::new(ModelDeps::compile(&m));
         assert!(!FlatModel::accepts(&m));
         assert!(deps.flat(&m).is_none());
-        let err = mass_action_flat(&m, &deps, "adaptive tau-leaping").unwrap_err();
-        assert_eq!(err.rule(), "transport");
+        let err = flat_form(&m, &deps, "adaptive tau-leaping").unwrap_err();
+        assert_eq!(err.rule, "transport");
         let msg = err.to_string();
         assert!(msg.contains("`transport`"), "{msg}");
         assert!(msg.contains("adaptive tau-leaping"), "{msg}");
@@ -855,6 +824,52 @@ mod tests {
         assert_eq!(flat.g_pairs[a.raw() as usize].len(), 1);
         assert_eq!(flat.slot_propensity(0, |sp| flat.initial_counts()[sp]), 3.0);
         assert_eq!(flat.slot_propensity(1, |sp| flat.initial_counts()[sp]), 0.0);
+    }
+
+    #[test]
+    fn law_inputs_reach_the_incidence_lists_and_the_cgp_g() {
+        // Neurospora's shape plus an activated import: `tx` reads only its
+        // Hill modifier, `deg` saturates on its own reactant, `imp` consumes
+        // Fc and reads M through a non-integral Hill law.
+        let mut m = Model::new("laws");
+        let (mrna, fc, fnuc) = (m.species("M"), m.species("Fc"), m.species("Fn"));
+        m.rule("tx")
+            .produces("M", 1)
+            .rate(160.0)
+            .repressed_by("Fn", 100.0, 4.0)
+            .build()
+            .unwrap();
+        m.rule("deg")
+            .consumes("M", 1)
+            .rate(50.0)
+            .saturating_on("M", 50.0)
+            .build()
+            .unwrap();
+        m.rule("imp")
+            .consumes("Fc", 1)
+            .produces("Fn", 1)
+            .rate(0.5)
+            .activated_by("M", 10.0, 2.5)
+            .build()
+            .unwrap();
+        m.rule("exp")
+            .consumes("Fn", 1)
+            .produces("Fc", 1)
+            .rate(0.6)
+            .build()
+            .unwrap();
+        let flat = FlatModel::compile(&m, &ModelDeps::compile(&m));
+        let [mrna, fc, fnuc] = [mrna, fc, fnuc].map(|s| s.raw() as usize);
+        assert_eq!(&flat.incidence[mrna], &[1, 2]);
+        assert_eq!(&flat.incidence[fc], &[2]);
+        assert_eq!(&flat.incidence[fnuc], &[0, 3]);
+        // A Hill slot counts at its reactant order plus ⌈n⌉, for its
+        // reactants and its modifier; the saturating law adds nothing.
+        assert_eq!(&flat.g_pairs[mrna], &[(1, 1), (4, 0)]);
+        assert_eq!(&flat.g_pairs[fnuc], &[(4, 0), (1, 1)]);
+        for (i, g) in [(mrna, 4.0), (fc, 4.0), (fnuc, 4.0)] {
+            assert_eq!(flat.g_factor(i, 100), g);
+        }
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //!   committed state, so they consume no randomness and cannot depend on
 //!   quantum boundaries.
 //!
-//! Like every flat-model engine, the hybrid rejects compartment models at
-//! construction ([`FlatModelError`]); the exact phase alone could drive
-//! them, but the leap phase's state reduction could not.
+//! Like adaptive tau-leaping, the hybrid takes every flat model, whatever
+//! its kinetic laws (the CGP bound covers them all, see [`crate::flat`]),
+//! and rejects compartment models at construction ([`FlatModelError`]);
+//! the exact phase alone could drive them, but the leap phase's state
+//! reduction could not.
 //!
 //! ## Quantum-exact execution and the RNG streams
 //!
@@ -51,7 +53,7 @@ use std::sync::Arc;
 use cwc::model::Model;
 
 use crate::deps::ModelDeps;
-use crate::flat::{mass_action_flat, poisson, CgpScratch, FlatModel, FlatModelError};
+use crate::flat::{flat_form, poisson, CgpScratch, FlatModel, FlatModelError};
 use crate::kernels::KernelDispatch;
 use crate::rng::{sim_rng, SimRng};
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
@@ -128,6 +130,9 @@ pub struct HybridEngine {
     cand_buf: Vec<i64>,
     /// The last committed leap's counts vector, recycled by the next draw.
     counts_buf: Vec<u64>,
+    /// Reusable observable buffer the leap phase's samples are written
+    /// into.
+    obs_buf: Vec<u64>,
 }
 
 /// The exact engine's count vector and propensity row — the committed
@@ -145,8 +150,8 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FlatModelError`] when any rule uses compartments, applies
-    /// below the top level or has a non-mass-action law.
+    /// Returns [`FlatModelError`] when any rule uses compartments or
+    /// applies below the top level.
     pub fn new(model: Arc<Model>, base_seed: u64, instance: u64) -> Result<Self, FlatModelError> {
         let deps = Arc::new(ModelDeps::compile(&model));
         Self::with_deps(model, deps, base_seed, instance)
@@ -158,14 +163,14 @@ impl HybridEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FlatModelError`] when the model is not flat mass-action.
+    /// Returns [`FlatModelError`] when the model is not flat.
     pub fn with_deps(
         model: Arc<Model>,
         deps: Arc<ModelDeps>,
         base_seed: u64,
         instance: u64,
     ) -> Result<Self, FlatModelError> {
-        let flat = mass_action_flat(&model, &deps, "the hybrid SSA/tau engine")?;
+        let flat = flat_form(&model, &deps, "the hybrid SSA/tau engine")?;
         let exact = SsaEngine::with_deps(Arc::clone(&model), deps, base_seed, instance);
         Ok(HybridEngine {
             exact,
@@ -183,6 +188,7 @@ impl HybridEngine {
             dispatch: KernelDispatch::Auto,
             cand_buf: Vec::new(),
             counts_buf: Vec::new(),
+            obs_buf: Vec::new(),
         })
     }
 
@@ -412,8 +418,9 @@ impl HybridEngine {
                         if ts > horizon {
                             break;
                         }
-                        let values = self.observe();
-                        on_sample(ts, &values);
+                        let counts = exact_state(&self.exact).0;
+                        self.flat.observe_into(|i| counts[i], &mut self.obs_buf);
+                        on_sample(ts, &self.obs_buf);
                         clock.advance();
                     }
                     if t_next > t_end {

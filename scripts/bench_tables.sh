@@ -5,7 +5,7 @@
 #   bash scripts/bench_tables.sh [repo-root]
 #
 # Prints two markdown tables — the exact tier's step throughput
-# (BENCH_ssa_step.json) and the two wide adaptive cases
+# (BENCH_ssa_step.json) and the two wide adaptive cases plus Neurospora
 # (BENCH_adaptive_tau.json). After
 # regenerating a BENCH file, paste the matching table over the one in
 # README.md.
@@ -61,7 +61,7 @@ rows BENCH_adaptive_tau.json | awk -F';' '
         rate[f["model"], f["engine"]] = f["firings_per_sec"]
     }
     END {
-        n = split("wide_flat_cycle wide_flat_cycle_crit", cases, " ")
+        n = split("wide_flat_cycle wide_flat_cycle_crit neurospora_flat", cases, " ")
         for (k = 1; k <= n; k++) {
             m = cases[k]
             s = rate[m, "ssa"]; a = rate[m, "adaptive-0.05"]

@@ -8,7 +8,10 @@
 use std::sync::Arc;
 
 use cwc_repro::biomodels;
-use cwc_repro::cwcsim::{run_simulation, run_simulation_sharded_in_process, EngineKind, SimConfig};
+use cwc_repro::cwc::model::Model;
+use cwc_repro::cwcsim::{
+    run_sequential, run_simulation, run_simulation_sharded_in_process, EngineKind, SimConfig,
+};
 use cwc_repro::gillespie::ssa::SampleClock;
 use cwc_repro::simt::DeviceMap;
 
@@ -22,8 +25,8 @@ fn cfg() -> SimConfig {
         .seed(2024)
 }
 
-/// The engine matrix of the correctness tests (the batched and leaping
-/// kinds need flat mass-action models; every model used here qualifies).
+/// The engine matrix of the correctness tests (the leaping kinds need
+/// flat models, under any kinetic law; every model used here qualifies).
 fn engine_kinds() -> [EngineKind; 4] {
     [
         EngineKind::Ssa,
@@ -66,36 +69,66 @@ fn sharded_farm_matches_multicore_for_every_engine_kind() {
     }
 }
 
+/// Runs `kind` on the simulated device and asserts every instance's
+/// samples equal those of the plain engine driven to the horizon at once.
+fn assert_device_matches_plain_engines(kind: EngineKind, model: &Arc<Model>, cfg: &SimConfig) {
+    let mut device = DeviceMap::with_engine(
+        kind,
+        Arc::clone(model),
+        cfg.instances,
+        cfg.base_seed,
+        cfg.t_end,
+        cfg.quantum,
+        cfg.sample_period,
+    )
+    .unwrap();
+    let outputs = device.run_to_end();
+
+    for i in 0..cfg.instances {
+        let mut engine = kind.build(Arc::clone(model), cfg.base_seed, i).unwrap();
+        let mut clock = SampleClock::new(0.0, cfg.sample_period);
+        let expected = engine.advance_quantum(cfg.t_end, &mut clock).samples;
+        let got: Vec<(f64, Vec<u64>)> = outputs
+            .iter()
+            .filter(|o| o.instance == i)
+            .flat_map(|o| o.samples.clone())
+            .collect();
+        assert_eq!(got, expected, "{kind}: instance {i} diverged on the device");
+    }
+}
+
 #[test]
 fn gpu_lockstep_matches_plain_engines() {
     let model = Arc::new(biomodels::lotka_volterra(
         biomodels::LotkaVolterraParams::default(),
     ));
-    let cfg = cfg();
     for kind in engine_kinds() {
-        let mut device = DeviceMap::with_engine(
-            kind,
-            Arc::clone(&model),
-            cfg.instances,
-            cfg.base_seed,
-            cfg.t_end,
-            cfg.quantum,
-            cfg.sample_period,
-        )
-        .unwrap();
-        let outputs = device.run_to_end();
+        assert_device_matches_plain_engines(kind, &model, &cfg());
+    }
+}
 
-        for i in 0..cfg.instances {
-            let mut engine = kind.build(Arc::clone(&model), cfg.base_seed, i).unwrap();
-            let mut clock = SampleClock::new(0.0, cfg.sample_period);
-            let expected = engine.advance_quantum(cfg.t_end, &mut clock).samples;
-            let got: Vec<(f64, Vec<u64>)> = outputs
-                .iter()
-                .filter(|o| o.instance == i)
-                .flat_map(|o| o.samples.clone())
-                .collect();
-            assert_eq!(got, expected, "{kind}: instance {i} diverged on the device");
-        }
+#[test]
+fn the_papers_model_agrees_across_backends_on_the_leaping_kinds() {
+    // Neurospora's Hill-repressed transcription and saturating
+    // degradations on the leaping kinds: farm, sequential reference and
+    // device map must still agree bit for bit.
+    let model = Arc::new(biomodels::neurospora_flat(
+        biomodels::NeurosporaParams::default(),
+    ));
+    let cfg = SimConfig::new(6, 12.0)
+        .quantum(2.0)
+        .sample_period(1.0)
+        .sim_workers(3)
+        .stat_workers(2)
+        .window(4, 2)
+        .seed(2024);
+    for kind in &engine_kinds()[1..3] {
+        let cfg = cfg.clone().engine(*kind);
+        let farm = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        let seq = run_sequential(Arc::clone(&model), &cfg).unwrap();
+        assert_eq!(farm.rows, seq.rows, "{kind}: farm vs sequential");
+        assert_eq!(farm.events, seq.events, "{kind}");
+        assert_device_matches_plain_engines(*kind, &model, &cfg);
     }
 }
 

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use cwc_repro::biomodels::simple::birth_death;
 use cwc_repro::biomodels::{
-    conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams,
+    conversion_cycle, lotka_volterra, neurospora_flat, schlogl, LotkaVolterraParams,
+    NeurosporaParams, SchloglParams,
 };
 use cwc_repro::cwc::model::Model;
 use cwc_repro::gillespie::engine::EngineKind;
@@ -61,9 +62,11 @@ fn fingerprint(
 /// in the pure-critical regime, `wide-cycle-hi` (200 copies/species)
 /// leaps. `birth-death` has a zero-order source (`h = 1`, no reactant);
 /// `catalytic` carries an enabled rule with no net effect (`A -> A`) in
-/// every draw.
+/// every draw; `neurospora` is the paper's model, whose Hill-repressed
+/// transcription reads a species it does not consume.
 fn model_by_name(name: &str) -> Arc<Model> {
     match name {
+        "neurospora" => Arc::new(neurospora_flat(NeurosporaParams::default())),
         "schlogl" => Arc::new(schlogl(SchloglParams::default())),
         "lotka-volterra" => Arc::new(lotka_volterra(LotkaVolterraParams::default())),
         "wide-cycle-lo" => Arc::new(conversion_cycle(48, 240, 1.0)),
@@ -123,6 +126,7 @@ fn horizon(model: &str) -> f64 {
         "wide-cycle-hi" => 2.0,
         "birth-death" => 4.0,
         "catalytic" => 3.0,
+        "neurospora" => 24.0,
         _ => unreachable!(),
     }
 }
@@ -139,7 +143,9 @@ type GoldenRow = (
 );
 
 /// Recorded by running the pre-hot-path engines (full-scan draws, commit
-/// `d87ece0`); regenerate with the ignored `record` test below.
+/// `d87ece0`); regenerate with the ignored `record` test below. The
+/// `neurospora` rows came later, once the leaping tier took every kinetic
+/// law; the adaptive engine's full-recompute replica reproduces them.
 const GOLDEN: &[GoldenRow] = &[
     (
         "schlogl",
@@ -311,6 +317,42 @@ const GOLDEN: &[GoldenRow] = &[
         0x546ccb747c3b75e6,
         12795,
         &[1012, 2008],
+    ),
+    (
+        "neurospora",
+        "adaptive",
+        2014,
+        3,
+        0x81756926cba4ae2c,
+        14746,
+        &[117, 23, 59],
+    ),
+    (
+        "neurospora",
+        "adaptive",
+        99,
+        0,
+        0x92b6f7274e252a37,
+        14881,
+        &[47, 22, 109],
+    ),
+    (
+        "neurospora",
+        "hybrid",
+        2014,
+        3,
+        0x10ca89bc7df9c290,
+        15025,
+        &[129, 16, 61],
+    ),
+    (
+        "neurospora",
+        "hybrid",
+        99,
+        0,
+        0x7a7267131b582cdc,
+        17500,
+        &[13, 145, 190],
     ),
 ];
 

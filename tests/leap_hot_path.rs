@@ -16,7 +16,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cwc_repro::biomodels::{
-    conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams,
+    conversion_cycle, lotka_volterra, neurospora_flat, schlogl, LotkaVolterraParams,
+    NeurosporaParams, SchloglParams,
 };
 use cwc_repro::cwc::model::Model;
 use cwc_repro::gillespie::{AdaptiveTauEngine, HybridEngine, KernelDispatch, SampleClock};
@@ -136,12 +137,18 @@ fn assert_hybrid_dispatch_invariant(model: &Arc<Model>, seed: u64, instance: u64
     assert_eq!(auto, scalar, "hybrid dispatch changed the trajectory");
 }
 
-/// The deterministic zoo: the bench models plus conversion-cycle
-/// structural extremes (minimal two-species cycle, absorbing-adjacent
-/// sparse cycle, the all-critical wide regime, the leaping wide regime).
+/// The deterministic zoo: the bench models, the paper's Neurospora (Hill
+/// and saturating laws), plus conversion-cycle structural extremes
+/// (minimal two-species cycle, absorbing-adjacent sparse cycle, the
+/// all-critical wide regime, the leaping wide regime).
 fn zoo() -> Vec<(&'static str, Arc<Model>, f64)> {
     vec![
         ("schlogl", Arc::new(schlogl(SchloglParams::default())), 1.5),
+        (
+            "neurospora",
+            Arc::new(neurospora_flat(NeurosporaParams::default())),
+            12.0,
+        ),
         (
             "lotka-volterra",
             Arc::new(lotka_volterra(LotkaVolterraParams::default())),

@@ -33,7 +33,7 @@ fn engine_kinds() -> Vec<EngineKind> {
 }
 
 /// Flat models (every engine kind accepts them), scaled small enough to
-/// keep the 3 models × 4 kinds × 3 shard counts matrix fast.
+/// keep the 4 models × 4 kinds × 3 shard counts matrix fast.
 fn models() -> Vec<(&'static str, Arc<Model>)> {
     vec![
         ("decay", Arc::new(biomodels::simple::decay(60, 1.0))),
@@ -44,6 +44,13 @@ fn models() -> Vec<(&'static str, Arc<Model>)> {
         (
             "schlogl",
             Arc::new(biomodels::schlogl(biomodels::SchloglParams::default())),
+        ),
+        // The paper's model: Hill and saturating laws on every kind.
+        (
+            "neurospora",
+            Arc::new(biomodels::neurospora_flat(
+                biomodels::NeurosporaParams::default(),
+            )),
         ),
     ]
 }

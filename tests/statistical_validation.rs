@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use cwc_repro::biomodels;
 use cwc_repro::cwcsim::{run_simulation, EngineKind, SimConfig, StatEngineKind};
+use cwc_repro::gillespie::{ModelDeps, SampleClock};
+use cwc_repro::streamstat::period::analyse_period;
 
 #[test]
 fn decay_ensemble_mean_follows_exponential() {
@@ -159,5 +161,122 @@ fn neurospora_short_run_is_alive_and_bounded() {
     );
     for row in &report.rows {
         assert!(row.observables[0].max < 10_000.0, "mRNA bounded");
+    }
+}
+
+/// Two-sample Kolmogorov–Smirnov test: the statistic `D` (the largest gap
+/// between the two empirical CDFs, ties stepped together) and its
+/// asymptotic p-value — the smallest α at which the test rejects
+/// (Stephens' small-sample correction, as in Numerical Recipes' `kstwo`).
+fn ks_two_sample(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let sorted = |v: &[f64]| {
+        let mut v = v.to_vec();
+        v.sort_by(f64::total_cmp);
+        v
+    };
+    let (a, b) = (sorted(a), sorted(b));
+    let (n, m) = (a.len() as f64, b.len() as f64);
+    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] <= x {
+            i += 1;
+        }
+        while j < b.len() && b[j] <= x {
+            j += 1;
+        }
+        d = d.max((i as f64 / n - j as f64 / m).abs());
+    }
+    let ne = (n * m / (n + m)).sqrt();
+    let lambda = (ne + 0.12 + 0.11 / ne) * d;
+    // Q_KS(λ) = 2 Σ_{k≥1} (-1)^{k-1} e^{-2k²λ²}; 1 when it does not settle
+    // (λ near zero: no evidence against equality).
+    let mut p = 0.0;
+    for k in 1..=100 {
+        let term = 2.0 * (-2.0 * (k * k) as f64 * lambda * lambda).exp();
+        p += if k % 2 == 1 { term } else { -term };
+        if term < 1e-12 {
+            return (d, p.clamp(0.0, 1.0));
+        }
+    }
+    (d, 1.0)
+}
+
+/// The two distributions the leaping tier must reproduce on the paper's
+/// model, one entry per trajectory: the mean oscillation period of the
+/// frq mRNA after the 48 h transient, and the FRQ_n count at 72 h.
+fn neurospora_ensemble(kind: EngineKind, base_seed: u64, instances: u64) -> (Vec<f64>, Vec<f64>) {
+    const T_END: f64 = 120.0;
+    const TRANSIENT: f64 = 48.0;
+    const FRQ_N_AT: f64 = 72.0;
+    let model = Arc::new(biomodels::neurospora_flat(
+        biomodels::NeurosporaParams::default(),
+    ));
+    let deps = Arc::new(ModelDeps::compile(&model));
+    let (mut periods, mut frq_n) = (Vec::new(), Vec::new());
+    for instance in 0..instances {
+        let mut engine = kind
+            .build_with_deps(Arc::clone(&model), Arc::clone(&deps), base_seed, instance)
+            .unwrap();
+        let mut clock = SampleClock::new(0.0, 0.5);
+        let (mut times, mut mrna) = (Vec::new(), Vec::new());
+        engine.run_sampled(T_END, &mut clock, |t, v| {
+            if t >= TRANSIENT {
+                times.push(t);
+                mrna.push(v[0] as f64);
+            }
+            if t == FRQ_N_AT {
+                frq_n.push(v[2] as f64);
+            }
+        });
+        // A trajectory with fewer than two peaks has no period: it ranks
+        // above every measured one.
+        let analysis = analyse_period(&times, &mrna, 8, 0.3, 20);
+        periods.push(analysis.mean_period().unwrap_or(f64::INFINITY));
+    }
+    (periods, frq_n)
+}
+
+#[test]
+fn leaping_kinds_match_ssa_in_distribution_on_neurospora() {
+    // The CGP bound's law terms (Hill repression of transcription, the
+    // saturating degradations) must keep the leaping tier's oscillator
+    // the exact one in distribution, not only in mean. Each engine runs
+    // its own base seed: before its first switch the hybrid is SSA on the
+    // same seeds, which would make the two samples dependent.
+    const INSTANCES: u64 = 200;
+    const ALPHA: f64 = 0.001;
+    let kinds = [
+        (EngineKind::Ssa, 1_001),
+        (EngineKind::AdaptiveTau { epsilon: 0.03 }, 2_002),
+        (
+            EngineKind::Hybrid {
+                epsilon: 0.03,
+                threshold: 8.0,
+            },
+            3_003,
+        ),
+    ];
+    // One thread per engine: the three ensembles are independent.
+    let ensembles: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (kinds.iter())
+            .map(|&(kind, seed)| scope.spawn(move || neurospora_ensemble(kind, seed, INSTANCES)))
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    let (ssa_periods, ssa_frq_n) = &ensembles[0];
+    for ((kind, _), (periods, frq_n)) in kinds.iter().zip(&ensembles).skip(1) {
+        assert_eq!(frq_n.len(), INSTANCES as usize, "{kind}");
+        for (what, exact, approx) in [
+            ("period", ssa_periods, periods),
+            ("FRQ_n at 72 h", ssa_frq_n, frq_n),
+        ] {
+            let (d, p) = ks_two_sample(exact, approx);
+            eprintln!("{kind} {what}: D = {d:.4}, p = {p:.4}");
+            assert!(
+                p >= ALPHA,
+                "{kind} {what}: KS D = {d:.4}, p = {p:.2e} < {ALPHA}"
+            );
+        }
     }
 }

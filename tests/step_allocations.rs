@@ -1,5 +1,6 @@
 //! Steady-state `step()` is allocation-free (PR 3 acceptance), and on a
-//! flat model so is a whole *sampled* quantum of the direct method.
+//! flat model so is a whole *sampled* quantum of the direct method and of
+//! both leaping kinds.
 //!
 //! A counting global allocator (thread-local counters, so parallel test
 //! threads don't interfere) wraps the system allocator; after a warm-up
@@ -33,8 +34,8 @@ use cwc_repro::biomodels::{
 };
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
-use cwc_repro::gillespie::engine::{EngineKind, EngineStep};
-use cwc_repro::gillespie::ssa::{SampleClock, SsaEngine};
+use cwc_repro::gillespie::engine::{Engine, EngineKind, EngineStep};
+use cwc_repro::gillespie::ssa::SampleClock;
 use cwc_repro::gillespie::trajectory::Cut;
 
 struct CountingAllocator;
@@ -119,13 +120,55 @@ fn ssa_step_is_allocation_free_on_flat_models() {
     );
 }
 
+/// Runs `warmup` quanta of `quantum` on `engine`, a sample every `period`
+/// (dense samples, events between them, through `run_sampled` — the call
+/// a farm worker makes per scheduling round), then asserts that ten more
+/// quanta allocate nothing: no `Vec` per sample, no B-tree node churn as
+/// counts cross zero, no buffer still growing.
+fn assert_alloc_free_quanta(
+    label: &str,
+    mut engine: Engine,
+    quantum: f64,
+    period: f64,
+    warmup: u32,
+) {
+    let mut clock = SampleClock::new(0.0, period);
+    // (samples seen, sum of their values) — read through a `Cell` so
+    // the counts are visible between quanta.
+    let seen = Cell::new((0u64, 0u64));
+    let sink = |_t: f64, values: &[u64]| {
+        let (n, sum) = seen.get();
+        seen.set((n + 1, sum.wrapping_add(values.iter().sum::<u64>())));
+    };
+    let mut t = 0.0;
+    for _ in 0..warmup {
+        t += quantum;
+        engine.run_sampled(t, &mut clock, sink);
+    }
+    let (before, (samples_before, _)) = (allocations(), seen.get());
+    let mut fired = 0;
+    for _ in 0..10 {
+        t += quantum;
+        fired += engine.run_sampled(t, &mut clock, sink);
+    }
+    let allocated = allocations() - before;
+    let (samples, checksum) = seen.get();
+    let sampled = samples - samples_before;
+    assert!(
+        fired > 1_000 && sampled >= 300,
+        "{label}: {fired} events, {sampled} samples"
+    );
+    assert_eq!(
+        allocated, 0,
+        "{label}: {allocated} heap allocations over {sampled} samples / {fired} events"
+    );
+    assert!(checksum > 0);
+}
+
 #[test]
 fn ssa_sampled_quantum_is_allocation_free_on_flat_models() {
-    // Dense samples (many per quantum, events between them) through
-    // `run_sampled`, the call a farm worker makes per scheduling round:
-    // once the first quantum has sized the sample buffer, the engine
-    // allocates nothing — no `Vec` per sample, no B-tree node churn as
-    // counts cross zero.
+    // Once the first quantum has sized the sample buffer, the direct
+    // method allocates nothing.
     for (label, model, quantum, period) in [
         (
             "neurospora_flat",
@@ -140,38 +183,26 @@ fn ssa_sampled_quantum_is_allocation_free_on_flat_models() {
             0.005,
         ),
     ] {
-        let mut engine = SsaEngine::new(model, 7, 0);
-        let mut clock = SampleClock::new(0.0, period);
-        // (samples seen, sum of their values) — read through a `Cell` so
-        // the counts are visible between quanta.
-        let seen = Cell::new((0u64, 0u64));
-        let sink = |_t: f64, values: &[u64]| {
-            let (n, sum) = seen.get();
-            seen.set((n + 1, sum.wrapping_add(values.iter().sum::<u64>())));
-        };
-        let mut t = 0.0;
-        for _ in 0..3 {
-            t += quantum;
-            engine.run_sampled(t, &mut clock, sink);
-        }
-        let (before, (samples_before, _)) = (allocations(), seen.get());
-        let mut fired = 0;
-        for _ in 0..10 {
-            t += quantum;
-            fired += engine.run_sampled(t, &mut clock, sink);
-        }
-        let allocated = allocations() - before;
-        let (samples, checksum) = seen.get();
-        let sampled = samples - samples_before;
-        assert!(
-            fired > 1_000 && sampled >= 300,
-            "{label}: {fired} events, {sampled} samples"
-        );
-        assert_eq!(
-            allocated, 0,
-            "{label}: {allocated} heap allocations over {sampled} samples / {fired} events"
-        );
-        assert!(checksum > 0);
+        let engine = EngineKind::Ssa.build(model, 7, 0).unwrap();
+        assert_alloc_free_quanta(label, engine, quantum, period, 3);
+    }
+}
+
+#[test]
+fn leaping_sampled_quanta_are_allocation_free_on_neurospora() {
+    // The paper's model on both leaping kinds: leaps, exact steps and
+    // samples alike. The warm-up spans a whole oscillation (period ≈
+    // 21.5 h), so every buffer has met the widest transition of the orbit.
+    let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
+    for kind in [
+        EngineKind::AdaptiveTau { epsilon: 0.03 },
+        EngineKind::Hybrid {
+            epsilon: 0.03,
+            threshold: 8.0,
+        },
+    ] {
+        let engine = kind.build(Arc::clone(&model), 7, 0).unwrap();
+        assert_alloc_free_quanta(&kind.to_string(), engine, 2.0, 0.05, 12);
     }
 }
 
