@@ -6,7 +6,7 @@
 //! - **default** — the *real* sharded runner: `cwc-shard` child OS
 //!   processes (one per shard) simulate slices of the trajectory
 //!   ensemble and stream aligned partial cuts + mergeable statistics
-//!   back over stdio; the table reports measured wall-clock speedup vs
+//!   back over a loopback socket each; the table reports measured wall-clock speedup vs
 //!   the single-shard run, with the rows asserted bit-for-bit identical
 //!   across shard counts. Build the worker first
 //!   (`cargo build --release --bin cwc-shard`); when it cannot be
@@ -144,7 +144,7 @@ fn sharded(workers: Option<Vec<String>>) {
             if tcp {
                 format!("cwc-workerd daemons over TCP: {}", base.workers.join(", "))
             } else {
-                "cwc-shard worker processes, wire-v7 stdio streams".to_string()
+                "cwc-shard worker processes, wire-v7 over loopback sockets".to_string()
             }
         ),
         &[

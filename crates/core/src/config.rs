@@ -8,14 +8,14 @@ use crate::engines::StatEngineKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Local workers: `shards = 1` runs a single in-process shard;
-    /// more shards spawn one `cwc-shard` child process each. The
-    /// default.
+    /// more shards spawn one `cwc-shard` child process per shard
+    /// attempt, each serving one loopback TCP connection. The default.
     #[default]
     Process,
     /// Remote workers: every shard attempt is served by one of the
-    /// `cwc-workerd` daemons listed in [`SimConfig::workers`], over TCP
-    /// with the same length-prefixed wire protocol the process
-    /// transport speaks on stdio. Requires a non-empty worker list.
+    /// `cwc-workerd` daemons listed in [`SimConfig::workers`], over the
+    /// same socket path and wire protocol the process transport's
+    /// loopback children serve. Requires a non-empty worker list.
     Tcp,
 }
 
@@ -107,8 +107,9 @@ pub struct SimConfig {
     /// Number of shards the instance range is partitioned into. With 1
     /// (the default) the run stays a single in-process pipeline; with
     /// more, each shard runs its slice of the instances in a separate
-    /// worker (the sharded runners spawn one `cwc-shard` child process
-    /// per shard) and streams partial cuts back for merging. Per-instance
+    /// worker (a `cwc-shard` child process per shard attempt, or a
+    /// `cwc-workerd` connection under [`TransportKind::Tcp`]) and streams
+    /// partial cuts back for merging. Per-instance
     /// seeding makes the results identical for every shard count.
     pub shards: usize,
     /// Retry budget of the shard supervisor: how many times a *failed*
@@ -123,9 +124,9 @@ pub struct SimConfig {
     /// (cut, end-of-stream *or* heartbeat) for this long is declared
     /// stalled, its worker is killed, and the failure enters the retry
     /// path. `None` (the default) disables the watchdog. Only meaningful
-    /// for shards whose transport reports liveness (the `cwc-shard`
-    /// process transport); in-process shards share the coordinator's
-    /// failure domain and are exempt.
+    /// for out-of-process shards (`cwc-shard` children and `cwc-workerd`
+    /// connections alike report liveness); in-process shards share the
+    /// coordinator's failure domain and are exempt.
     pub shard_timeout: Option<f64>,
     /// Base delay, in seconds, of the bounded-exponential retry backoff:
     /// attempt `k` waits `min(shard_backoff * 2^k, shard_backoff_max)`
@@ -133,9 +134,10 @@ pub struct SimConfig {
     pub shard_backoff: f64,
     /// Upper bound, in seconds, on a single retry backoff delay.
     pub shard_backoff_max: f64,
-    /// Period, in seconds, between the heartbeat (`Progress`) frames a
-    /// `cwc-shard` worker emits so the watchdog can tell a slow shard
-    /// from a stalled one. Shipped to workers in their `ShardSpec`.
+    /// Period, in seconds, between the heartbeat (`Progress`) frames an
+    /// out-of-process worker (`cwc-shard` or `cwc-workerd`) emits so the
+    /// watchdog can tell a slow shard from a stalled one. Shipped to
+    /// workers in their `ShardSpec`.
     pub heartbeat_period: f64,
     /// Where shard attempts execute: local workers (the default) or the
     /// TCP farm of `cwc-workerd` daemons in [`SimConfig::workers`].
@@ -150,205 +152,62 @@ pub struct SimConfig {
     pub connect_timeout: f64,
 }
 
-/// Error returned by [`SimConfig::validate`]: one variant per validation
-/// rule, carrying the offending values.
+/// Error returned by [`SimConfig::validate`]: the first violated rule.
 ///
 /// [`ConfigError::field`] names the rejected configuration field and
-/// [`ConfigError::reason`] gives the human-readable rule; `Display`
-/// renders `invalid simulation config: <reason>`, so existing
-/// message-matching callers keep working.
+/// [`ConfigError::reason`] gives the human-readable rule, offending
+/// values included; `Display` renders `invalid simulation config:
+/// <reason>`. An invalid engine parameter keeps the engine's own error
+/// as the `source()`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// `instances` was zero — a run needs at least one trajectory.
-    ZeroInstances,
-    /// `t_end` was not positive and finite.
-    InvalidTEnd {
-        /// The offending horizon.
-        t_end: f64,
-    },
-    /// `quantum` was not positive and finite.
-    InvalidQuantum {
-        /// The offending quantum.
-        quantum: f64,
-    },
-    /// `sample_period` was not positive and finite.
-    InvalidSamplePeriod {
-        /// The offending period.
-        sample_period: f64,
-    },
-    /// `sample_period` exceeded `t_end`, leaving a single-point τ grid.
-    SamplePeriodBeyondHorizon {
-        /// The offending period.
-        sample_period: f64,
-        /// The run's horizon.
-        t_end: f64,
-    },
-    /// The engine kind's parameters are invalid (the kind owns its
-    /// parameter rules; see [`EngineKind::validate`]).
-    Engine(gillespie::engine::EngineError),
-    /// `sim_workers` was zero.
-    ZeroSimWorkers,
-    /// `stat_workers` was zero.
-    ZeroStatWorkers,
-    /// The sliding-window width or slide was zero.
-    ZeroWindow {
-        /// Configured width, in cuts.
-        width: usize,
-        /// Configured slide, in cuts.
-        slide: usize,
-    },
-    /// The sliding-window slide exceeded its width (windows would skip
-    /// cuts).
-    SlideBeyondWidth {
-        /// Configured width, in cuts.
-        width: usize,
-        /// Configured slide, in cuts.
-        slide: usize,
-    },
-    /// The statistical engine set was empty.
-    NoStatEngines,
-    /// `channel_capacity` was zero.
-    ZeroChannelCapacity,
-    /// `shards` was zero.
-    ZeroShards,
-    /// `shard_timeout` was set but not positive and finite.
-    InvalidShardTimeout {
-        /// The offending deadline, in seconds.
-        timeout: f64,
-    },
-    /// A backoff knob was invalid: the base must be non-negative and
-    /// finite, the cap finite and at least the base.
-    InvalidShardBackoff {
-        /// Configured base delay, in seconds.
-        base: f64,
-        /// Configured delay cap, in seconds.
-        max: f64,
-    },
-    /// `heartbeat_period` was not positive and finite.
-    InvalidHeartbeatPeriod {
-        /// The offending period, in seconds.
-        period: f64,
-    },
-    /// `shard_timeout` was below `heartbeat_period`: every shard would be
-    /// declared stalled between two heartbeats.
-    ShardTimeoutBelowHeartbeat {
-        /// Configured watchdog deadline, in seconds.
-        timeout: f64,
-        /// Configured heartbeat period, in seconds.
-        period: f64,
-    },
-    /// `transport` was [`TransportKind::Tcp`] but the worker list was
-    /// empty — a TCP farm needs somewhere to place shards.
-    NoWorkers,
-    /// A worker address was not `host:port` with a valid port.
-    InvalidWorkerAddr {
-        /// The offending address, verbatim.
-        addr: String,
-    },
-    /// `connect_timeout` was not positive and finite.
-    InvalidConnectTimeout {
-        /// The offending deadline, in seconds.
-        timeout: f64,
-    },
+pub struct ConfigError {
+    field: &'static str,
+    reason: String,
+    engine: Option<gillespie::engine::EngineError>,
 }
 
 impl ConfigError {
+    fn new(field: &'static str, reason: impl Into<String>) -> Self {
+        ConfigError {
+            field,
+            reason: reason.into(),
+            engine: None,
+        }
+    }
+
     /// The configuration field the error is about.
     pub fn field(&self) -> &'static str {
-        match self {
-            ConfigError::ZeroInstances => "instances",
-            ConfigError::InvalidTEnd { .. } => "t_end",
-            ConfigError::InvalidQuantum { .. } => "quantum",
-            ConfigError::InvalidSamplePeriod { .. }
-            | ConfigError::SamplePeriodBeyondHorizon { .. } => "sample_period",
-            ConfigError::Engine(_) => "engine",
-            ConfigError::ZeroSimWorkers => "sim_workers",
-            ConfigError::ZeroStatWorkers => "stat_workers",
-            ConfigError::ZeroWindow { .. } | ConfigError::SlideBeyondWidth { .. } => "window",
-            ConfigError::NoStatEngines => "engines",
-            ConfigError::ZeroChannelCapacity => "channel_capacity",
-            ConfigError::ZeroShards => "shards",
-            ConfigError::InvalidShardTimeout { .. }
-            | ConfigError::ShardTimeoutBelowHeartbeat { .. } => "shard_timeout",
-            ConfigError::InvalidShardBackoff { .. } => "shard_backoff",
-            ConfigError::InvalidHeartbeatPeriod { .. } => "heartbeat_period",
-            ConfigError::NoWorkers | ConfigError::InvalidWorkerAddr { .. } => "workers",
-            ConfigError::InvalidConnectTimeout { .. } => "connect_timeout",
-        }
+        self.field
     }
 
     /// The violated rule, human-readable (what `Display` prints after the
     /// `invalid simulation config: ` prefix).
     pub fn reason(&self) -> String {
-        match self {
-            ConfigError::ZeroInstances => "instances must be > 0".into(),
-            ConfigError::InvalidTEnd { .. } => "t_end must be positive and finite".into(),
-            ConfigError::InvalidQuantum { .. } => "quantum must be positive and finite".into(),
-            ConfigError::InvalidSamplePeriod { .. } => {
-                "sample_period must be positive and finite".into()
-            }
-            ConfigError::SamplePeriodBeyondHorizon {
-                sample_period,
-                t_end,
-            } => format!(
-                "sample_period ({sample_period}) must not exceed t_end ({t_end}): the τ \
-                 grid would hold a single sample at t = 0"
-            ),
-            ConfigError::Engine(e) => e.to_string(),
-            ConfigError::ZeroSimWorkers => "sim_workers must be > 0".into(),
-            ConfigError::ZeroStatWorkers => "stat_workers must be > 0".into(),
-            ConfigError::ZeroWindow { .. } => "window width/slide must be > 0".into(),
-            ConfigError::SlideBeyondWidth { .. } => {
-                "window slide must not exceed window width".into()
-            }
-            ConfigError::NoStatEngines => "at least one statistical engine".into(),
-            ConfigError::ZeroChannelCapacity => "channel_capacity must be > 0".into(),
-            ConfigError::ZeroShards => "shards must be > 0 (1 = single in-process shard)".into(),
-            ConfigError::InvalidShardTimeout { timeout } => {
-                format!("shard_timeout ({timeout}) must be positive and finite when set")
-            }
-            ConfigError::InvalidShardBackoff { base, max } => format!(
-                "shard_backoff base ({base}) must be non-negative and finite, and the cap \
-                 ({max}) finite and >= the base"
-            ),
-            ConfigError::InvalidHeartbeatPeriod { period } => {
-                format!("heartbeat_period ({period}) must be positive and finite")
-            }
-            ConfigError::ShardTimeoutBelowHeartbeat { timeout, period } => format!(
-                "shard_timeout ({timeout}) must be at least heartbeat_period ({period}): \
-                 the watchdog would declare every shard stalled between two heartbeats"
-            ),
-            ConfigError::NoWorkers => {
-                "the tcp transport needs at least one worker address (host:port)".into()
-            }
-            ConfigError::InvalidWorkerAddr { addr } => {
-                format!("worker address `{addr}` must be host:port with a valid port")
-            }
-            ConfigError::InvalidConnectTimeout { timeout } => {
-                format!("connect_timeout ({timeout}) must be positive and finite")
-            }
-        }
+        self.reason.clone()
     }
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid simulation config: {}", self.reason())
+        write!(f, "invalid simulation config: {}", self.reason)
     }
 }
 
 impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ConfigError::Engine(e) => Some(e),
-            _ => None,
-        }
+        self.engine
+            .as_ref()
+            .map(|e| e as &(dyn std::error::Error + 'static))
     }
 }
 
 impl From<gillespie::engine::EngineError> for ConfigError {
     fn from(e: gillespie::engine::EngineError) -> Self {
-        ConfigError::Engine(e)
+        ConfigError {
+            field: "engine",
+            reason: e.to_string(),
+            engine: Some(e),
+        }
     }
 }
 
@@ -518,92 +377,106 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] variant of the first violated rule,
-    /// naming the offending parameter.
+    /// Returns a [`ConfigError`] for the first violated rule, naming the
+    /// offending parameter.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let reject = |field, reason: String| Err(ConfigError::new(field, reason));
+        let positive_finite = |x: f64| x > 0.0 && x.is_finite();
         if self.instances == 0 {
-            return Err(ConfigError::ZeroInstances);
+            return reject("instances", "instances must be > 0".into());
         }
-        if !(self.t_end > 0.0 && self.t_end.is_finite()) {
-            return Err(ConfigError::InvalidTEnd { t_end: self.t_end });
+        if !positive_finite(self.t_end) {
+            return reject("t_end", "t_end must be positive and finite".into());
         }
-        if !(self.quantum > 0.0 && self.quantum.is_finite()) {
-            return Err(ConfigError::InvalidQuantum {
-                quantum: self.quantum,
-            });
+        if !positive_finite(self.quantum) {
+            return reject("quantum", "quantum must be positive and finite".into());
         }
-        if !(self.sample_period > 0.0 && self.sample_period.is_finite()) {
-            return Err(ConfigError::InvalidSamplePeriod {
-                sample_period: self.sample_period,
-            });
+        if !positive_finite(self.sample_period) {
+            return reject(
+                "sample_period",
+                "sample_period must be positive and finite".into(),
+            );
         }
         if self.sample_period > self.t_end {
-            return Err(ConfigError::SamplePeriodBeyondHorizon {
-                sample_period: self.sample_period,
-                t_end: self.t_end,
-            });
+            return reject(
+                "sample_period",
+                format!(
+                    "sample_period ({}) must not exceed t_end ({}): the τ grid would hold a \
+                     single sample at t = 0",
+                    self.sample_period, self.t_end
+                ),
+            );
         }
         // The kind's parameter rules live with EngineKind (single owner);
         // the model-dependent checks happen when engines are built.
         self.engine.validate()?;
         if self.sim_workers == 0 {
-            return Err(ConfigError::ZeroSimWorkers);
+            return reject("sim_workers", "sim_workers must be > 0".into());
         }
         if self.stat_workers == 0 {
-            return Err(ConfigError::ZeroStatWorkers);
+            return reject("stat_workers", "stat_workers must be > 0".into());
         }
         if self.window_width == 0 || self.window_slide == 0 {
-            return Err(ConfigError::ZeroWindow {
-                width: self.window_width,
-                slide: self.window_slide,
-            });
+            return reject("window", "window width/slide must be > 0".into());
         }
         if self.window_slide > self.window_width {
-            return Err(ConfigError::SlideBeyondWidth {
-                width: self.window_width,
-                slide: self.window_slide,
-            });
+            return reject("window", "window slide must not exceed window width".into());
         }
         if self.engines.is_empty() {
-            return Err(ConfigError::NoStatEngines);
+            return reject("engines", "at least one statistical engine".into());
         }
         if self.channel_capacity == 0 {
-            return Err(ConfigError::ZeroChannelCapacity);
+            return reject("channel_capacity", "channel_capacity must be > 0".into());
         }
         if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
+            return reject(
+                "shards",
+                "shards must be > 0 (1 = single in-process shard)".into(),
+            );
         }
         if let Some(timeout) = self.shard_timeout {
-            if !(timeout > 0.0 && timeout.is_finite()) {
-                return Err(ConfigError::InvalidShardTimeout { timeout });
+            if !positive_finite(timeout) {
+                return reject(
+                    "shard_timeout",
+                    format!("shard_timeout ({timeout}) must be positive and finite when set"),
+                );
             }
         }
-        if !(self.shard_backoff >= 0.0
-            && self.shard_backoff.is_finite()
-            && self.shard_backoff_max.is_finite()
-            && self.shard_backoff_max >= self.shard_backoff)
-        {
-            return Err(ConfigError::InvalidShardBackoff {
-                base: self.shard_backoff,
-                max: self.shard_backoff_max,
-            });
+        let (base, max) = (self.shard_backoff, self.shard_backoff_max);
+        if !(base >= 0.0 && base.is_finite() && max.is_finite() && max >= base) {
+            return reject(
+                "shard_backoff",
+                format!(
+                    "shard_backoff base ({base}) must be non-negative and finite, and the cap \
+                     ({max}) finite and >= the base"
+                ),
+            );
         }
-        if !(self.heartbeat_period > 0.0 && self.heartbeat_period.is_finite()) {
-            return Err(ConfigError::InvalidHeartbeatPeriod {
-                period: self.heartbeat_period,
-            });
+        let period = self.heartbeat_period;
+        if !positive_finite(period) {
+            return reject(
+                "heartbeat_period",
+                format!("heartbeat_period ({period}) must be positive and finite"),
+            );
         }
         if let Some(timeout) = self.shard_timeout {
-            if timeout < self.heartbeat_period {
-                return Err(ConfigError::ShardTimeoutBelowHeartbeat {
-                    timeout,
-                    period: self.heartbeat_period,
-                });
+            if timeout < period {
+                return reject(
+                    "shard_timeout",
+                    format!(
+                        "shard_timeout ({timeout}) must be at least heartbeat_period \
+                         ({period}): the watchdog would declare every shard stalled between \
+                         two heartbeats"
+                    ),
+                );
             }
         }
         if self.transport == TransportKind::Tcp {
             if self.workers.is_empty() {
-                return Err(ConfigError::NoWorkers);
+                return reject(
+                    "workers",
+                    "the tcp transport needs at least one worker address (host:port)".into(),
+                );
             }
             for addr in &self.workers {
                 // host:port with a valid u16 port — resolution (DNS or
@@ -612,14 +485,19 @@ impl SimConfig {
                     .rsplit_once(':')
                     .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
                 if !valid {
-                    return Err(ConfigError::InvalidWorkerAddr { addr: addr.clone() });
+                    return reject(
+                        "workers",
+                        format!("worker address `{addr}` must be host:port with a valid port"),
+                    );
                 }
             }
         }
-        if !(self.connect_timeout > 0.0 && self.connect_timeout.is_finite()) {
-            return Err(ConfigError::InvalidConnectTimeout {
-                timeout: self.connect_timeout,
-            });
+        let timeout = self.connect_timeout;
+        if !positive_finite(timeout) {
+            return reject(
+                "connect_timeout",
+                format!("connect_timeout ({timeout}) must be positive and finite"),
+            );
         }
         Ok(())
     }
@@ -733,47 +611,58 @@ mod tests {
     #[test]
     fn config_errors_are_structured_with_field_and_reason_accessors() {
         let err = SimConfig::new(0, 10.0).validate().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroInstances);
         assert_eq!(err.field(), "instances");
+        assert_eq!(err.reason(), "instances must be > 0");
 
         let err = SimConfig::new(1, 10.0)
             .quantum(-2.0)
             .validate()
             .unwrap_err();
-        assert_eq!(err, ConfigError::InvalidQuantum { quantum: -2.0 });
         assert_eq!(err.field(), "quantum");
+        assert_eq!(err.reason(), "quantum must be positive and finite");
 
         let err = SimConfig::new(1, 10.0)
             .sample_period(11.0)
             .validate()
             .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::SamplePeriodBeyondHorizon {
-                sample_period: 11.0,
-                t_end: 10.0
-            }
-        );
         assert_eq!(err.field(), "sample_period");
+        assert_eq!(
+            err.reason(),
+            "sample_period (11) must not exceed t_end (10): the τ grid would hold a single \
+             sample at t = 0"
+        );
 
         let err = SimConfig::new(1, 10.0).window(2, 3).validate().unwrap_err();
-        assert_eq!(err, ConfigError::SlideBeyondWidth { width: 2, slide: 3 });
         assert_eq!(err.field(), "window");
+        assert_eq!(err.reason(), "window slide must not exceed window width");
 
         let err = SimConfig::new(1, 10.0)
             .engine(EngineKind::AdaptiveTau { epsilon: 0.0 })
             .validate()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::Engine(_)));
         assert_eq!(err.field(), "engine");
         // The Display contract: prefix + the reason accessor, verbatim.
+        assert_eq!(
+            err.to_string(),
+            "invalid simulation config: adaptive/hybrid epsilon must be in (0, 1), got 0"
+        );
         assert_eq!(
             err.to_string(),
             format!("invalid simulation config: {}", err.reason())
         );
         // The engine error stays reachable as a typed source.
         use std::error::Error;
-        assert!(err.source().is_some());
+        let source = err.source().expect("engine error as the source");
+        assert!(source
+            .downcast_ref::<gillespie::engine::EngineError>()
+            .is_some());
+        assert_eq!(source.to_string(), err.reason());
+        // Every other rule has no source.
+        assert!(SimConfig::new(0, 10.0)
+            .validate()
+            .unwrap_err()
+            .source()
+            .is_none());
     }
 
     #[test]
@@ -881,14 +770,12 @@ mod tests {
             .shard_timeout(0.5)
             .validate()
             .unwrap_err();
+        assert_eq!(err.field(), "shard_timeout");
         assert_eq!(
-            err,
-            ConfigError::ShardTimeoutBelowHeartbeat {
-                timeout: 0.5,
-                period: 1.0
-            }
+            err.to_string(),
+            "invalid simulation config: shard_timeout (0.5) must be at least heartbeat_period \
+             (1): the watchdog would declare every shard stalled between two heartbeats"
         );
-        assert!(err.to_string().contains("heartbeat"), "{err}");
         // Equal is legal (one heartbeat always fits the deadline).
         SimConfig::new(1, 10.0)
             .heartbeat_period(0.5)
@@ -929,8 +816,11 @@ mod tests {
             .transport(TransportKind::Tcp)
             .validate()
             .unwrap_err();
-        assert_eq!(err, ConfigError::NoWorkers);
         assert_eq!(err.field(), "workers");
+        assert_eq!(
+            err.reason(),
+            "the tcp transport needs at least one worker address (host:port)"
+        );
         assert!(err.to_string().contains("worker"), "{err}");
         // A process transport ignores the (empty) worker list.
         SimConfig::new(1, 10.0).validate().unwrap();
@@ -944,12 +834,11 @@ mod tests {
                 .workers(vec![addr.into()])
                 .validate()
                 .unwrap_err();
-            assert_eq!(
-                err,
-                ConfigError::InvalidWorkerAddr { addr: addr.into() },
-                "addr={addr}"
-            );
             assert_eq!(err.field(), "workers");
+            assert_eq!(
+                err.reason(),
+                format!("worker address `{addr}` must be host:port with a valid port")
+            );
             assert!(err.to_string().contains(addr), "{err}");
         }
         // IPv6 with a port (host:port split from the right) is legal.

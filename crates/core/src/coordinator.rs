@@ -17,10 +17,11 @@
 //! *Where* shards run is the [`ShardTransport`] seam: this crate
 //! provides [`InProcessTransport`] (one thread per shard — also the
 //! degenerate `shards = 1` path, which spawns no child process); the
-//! `distrt` crate adds the real multi-process transport that spawns one
-//! `cwc-shard` child per shard and speaks length-prefixed wire-v7
-//! frames over stdio, plus the TCP transport that places shard attempts
-//! on remote `cwc-workerd` daemons over the same protocol.
+//! `distrt` crate adds the two out-of-process transports, which share
+//! one socket path and one length-prefixed wire-v7 protocol: the process
+//! transport spawns one `cwc-shard` child per shard attempt and connects
+//! to the loopback port it announces; the TCP transport places shard
+//! attempts on remote `cwc-workerd` daemons.
 //!
 //! Shard *failures* — crash, corrupt stream, watchdog timeout — are
 //! handled by the [`ShardSupervisor`](crate::supervisor::ShardSupervisor)
@@ -382,7 +383,7 @@ pub struct ShardHandle {
     /// The shard this handle belongs to.
     pub shard: usize,
     /// The shard's driver thread (the shard itself in the in-process
-    /// transport; the child's stdout reader in the process transport).
+    /// transport; the socket reader in the out-of-process transports).
     pub join: std::thread::JoinHandle<()>,
     /// Best-effort cancellation: kill the child process / terminate the
     /// shard-local steering. `None` when the transport has no way to

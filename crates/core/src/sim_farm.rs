@@ -69,7 +69,7 @@ impl Steering {
     /// Spawns a watcher that runs `on_terminate` once, on its own thread,
     /// when termination is requested: the relay that carries the flag over
     /// a boundary it cannot cross by itself (a shard-local handle, a
-    /// child's stdin, a socket). The watcher lives exactly as long as the
+    /// socket). The watcher lives exactly as long as the
     /// returned guard — dropping it, on return or on unwind, stops and
     /// joins the thread, and `on_terminate` never runs afterwards.
     pub fn watch(&self, on_terminate: impl FnOnce() + Send + 'static) -> SteeringWatch {

@@ -16,7 +16,7 @@
 //! | `crash`         | stop writing frames and exit (EOF mid-stream)     |
 //! | `stall`         | stop writing frames *and heartbeats*, stay alive  |
 //! | `corrupt-frame` | emit a length-prefixed frame of garbage, then die |
-//! | `garbage`       | emit raw non-frame bytes on stdout, then die      |
+//! | `garbage`       | emit raw non-frame bytes on its stream, then die  |
 //! | `delay-start`   | sleep `ms` before starting work (and heartbeats)  |
 //!
 //! and keys

@@ -4,17 +4,18 @@
 //! (Aldinucci et al., ICDCS 2014, §IV-B and §V):
 //!
 //! **Functional** — [`wire`] (the explicit serialisation the distributed
-//! pipeline adds around unchanged stages) and [`shard`] (the
-//! *multi-process* deployment: one `cwc-shard` child OS process per
-//! shard, streaming aligned partial cuts plus mergeable partial
-//! statistics back over stdio as length-prefixed wire-v7 frames —
-//! bit-for-bit identical analysis rows to the single-process runner; the
-//! same sharded farm runs on threads behind
-//! `cwcsim::InProcessTransport`). [`net`] lifts the same
-//! protocol onto TCP: `cwc-workerd` daemons on real hosts serve shard
-//! attempts behind a registration handshake, and the coordinator's
+//! pipeline adds around unchanged stages), [`shard`] (the shard protocol,
+//! the worker body and the *multi-process* deployment: one `cwc-shard`
+//! child OS process per shard attempt, a one-shot worker on a loopback
+//! port streaming aligned partial cuts plus mergeable partial statistics
+//! back as length-prefixed wire-v7 frames — bit-for-bit identical
+//! analysis rows to the single-process runner; the same sharded farm
+//! runs on threads behind `cwcsim::InProcessTransport`) and [`net`] (the
+//! socket path both out-of-process transports run on: `cwc-workerd`
+//! daemons on real hosts serve shard attempts behind the same
+//! registration handshake, and the coordinator's
 //! [`net::TcpShardTransport`] places (and, after a worker death,
-//! *re*-places) slices across the surviving workers. [`fault`] is the
+//! *re*-places) slices across the surviving workers). [`fault`] is the
 //! fault-injection harness for that deployment: an env-driven plan
 //! (`CWC_SHARD_FAULT`) makes a chosen worker crash, stall, corrupt its
 //! stream or start late, so the supervisor's recovery paths are

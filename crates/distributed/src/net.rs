@@ -1,9 +1,12 @@
-//! The TCP shard transport: the farm spans real hosts.
+//! The socket path every out-of-process shard runs on.
 //!
-//! [`crate::shard`] runs every shard as a local child process; this
-//! module speaks the *same* length-prefixed wire-v7 protocol over TCP
-//! so shard attempts can land on remote machines running the
-//! `cwc-workerd` daemon (repo root, `src/bin/cwc-workerd.rs`):
+//! A shard attempt outside the coordinator is one TCP connection to a
+//! worker that speaks the length-prefixed wire-v7 shard protocol of
+//! [`crate::shard`]. Two workers serve it, both through
+//! [`serve_connection`]: the `cwc-workerd` daemon (repo root,
+//! `src/bin/cwc-workerd.rs`), one per host, and the one-shot `cwc-shard`
+//! child that [`ProcessTransport`](crate::shard::ProcessTransport)
+//! spawns per attempt on a loopback port.
 //!
 //! ```text
 //! worker ──▶ coordinator:   WorkerHello{protocol, capacity}
@@ -11,17 +14,20 @@
 //! worker ──▶ coordinator:   (Cut | Progress)* then End | Error
 //! ```
 //!
-//! One TCP connection per shard *attempt*: the coordinator's
-//! [`TcpShardTransport`] connects to a worker from its static registry
-//! (`SimConfig::workers`), reads the worker's [`WorkerHello`]
-//! (registration: protocol version + worker capacity — a version
-//! mismatch or a malformed/silent peer is a typed error within
-//! `SimConfig::connect_timeout`, never a hang), ships the job frame —
-//! model, spec **and** the coordinator's pre-compiled [`ModelDeps`], so
-//! a remote worker never recompiles the model — and then reads the
-//! standard [`ToCoordinator`](crate::shard::ToCoordinator) stream back,
-//! feeding the supervisor's [`ShardActivity`] watchdog clock exactly like
-//! the process transport.
+//! Per attempt the coordinator connects ([`connect_worker`]), reads the
+//! worker's [`WorkerHello`] (registration: protocol version + worker
+//! capacity — a version mismatch or a malformed/silent peer is a typed
+//! error within the connect timeout, never a hang) and hands the socket
+//! to one attempt body that both transports call: it ships the job frame
+//! — model, spec **and** the coordinator's pre-compiled [`ModelDeps`], so
+//! a worker never recompiles the model — forwards steering termination
+//! as a `Terminate` frame, and reads the standard
+//! [`ToCoordinator`](crate::shard::ToCoordinator) stream back into the
+//! supervisor, feeding its [`ShardActivity`] watchdog clock. What the two
+//! transports add around that body is only where the worker comes from:
+//! [`TcpShardTransport`] picks a daemon from its static registry
+//! (`SimConfig::workers`); the process transport spawns, watches and
+//! reaps a child.
 //!
 //! ## Requeue lands on a survivor
 //!
@@ -62,7 +68,7 @@ use cwcsim::config::SimConfig;
 use cwcsim::coordinator::{
     ShardActivity, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
-use cwcsim::sim_farm::Steering;
+use cwcsim::sim_farm::{Steering, SteeringWatch};
 use gillespie::deps::ModelDeps;
 
 use crate::shard::{
@@ -70,10 +76,10 @@ use crate::shard::{
 };
 use crate::wire::{self, Wire, WireError, WireReader};
 
-/// The exit status `cwc-workerd` dies with when an injected fault
-/// fires, mirroring `cwc-shard` — distinct from genuine failures in CI
-/// logs, and the whole-daemon death is the point: it forces the
-/// supervisor to requeue the slice onto a *surviving* worker.
+/// The exit status a worker process (`cwc-workerd` or `cwc-shard`) dies
+/// with when an injected fault fires — distinct from genuine failures in
+/// CI logs. For the daemon the whole-process death is the point: it
+/// forces the supervisor to requeue the slice onto a *surviving* worker.
 pub const FAULT_EXIT: i32 = 3;
 
 /// The worker registration frame — first thing a `cwc-workerd` daemon
@@ -203,9 +209,9 @@ pub fn connect_worker(
 }
 
 /// The `cwc-workerd` daemon body: a TCP listener whose every accepted
-/// connection is served on its own thread — hello frame out, then
-/// [`serve_shard`] over the socket (the exact worker body `cwc-shard`
-/// runs over stdio, fault-injection harness included).
+/// connection is served on its own thread through [`serve_connection`]
+/// (the body the one-shot `cwc-shard` child serves its one connection
+/// with, fault-injection harness included).
 #[derive(Debug)]
 pub struct WorkerDaemon {
     listener: TcpListener,
@@ -260,7 +266,8 @@ impl WorkerDaemon {
 }
 
 /// Serves one accepted coordinator connection: writes the registration
-/// hello, then hands the socket to [`serve_shard`].
+/// hello, then hands the socket to [`serve_shard`]. Every worker —
+/// each `cwc-workerd` connection, each `cwc-shard` child — runs this.
 ///
 /// # Errors
 ///
@@ -408,6 +415,9 @@ struct PatientStream {
     stop: Arc<AtomicBool>,
 }
 
+/// The [`PatientStream`] poll period.
+const POLL: Duration = Duration::from_millis(100);
+
 impl Read for PatientStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
@@ -429,17 +439,126 @@ impl Read for PatientStream {
     }
 }
 
+/// Appends `extra` to the detail of a stream failure (`Crashed`,
+/// `Frame`); other kinds carry no free-form stream detail and pass
+/// through unchanged.
+pub(crate) fn append_detail(kind: ShardErrorKind, extra: &str) -> ShardErrorKind {
+    match kind {
+        ShardErrorKind::Crashed(m) => ShardErrorKind::Crashed(m + extra),
+        ShardErrorKind::Frame { offset, detail } => ShardErrorKind::Frame {
+            offset,
+            detail: detail + extra,
+        },
+        other => other,
+    }
+}
+
+/// One shard attempt on a connected, greeted worker — the body both
+/// out-of-process transports run, in two halves. [`Attempt::start`]
+/// ships the job frame and starts relaying steering termination as a
+/// `Terminate` frame; [`Attempt::pump`], on the attempt's reader thread,
+/// streams the worker's frames into the supervisor and hands the verdict
+/// to the transport, which alone knows what backs the attempt (the
+/// process transport's child, the TCP transport's registry slot). A
+/// failed `Terminate` write is recorded and appended to whatever error
+/// then surfaces, so a dead socket during steering stays visible.
+pub(crate) struct Attempt {
+    stream: TcpStream,
+    stop: Arc<AtomicBool>,
+    watch: SteeringWatch,
+    terminate_note: Arc<Mutex<Option<String>>>,
+}
+
+impl Attempt {
+    /// Ships `job` on `stream` and starts the `Terminate` relay.
+    ///
+    /// # Errors
+    ///
+    /// The socket could not be set up or the job frame not written;
+    /// nothing has been started.
+    pub(crate) fn start(
+        stream: TcpStream,
+        job: ShardJob,
+        steering: &Steering,
+    ) -> Result<Self, FrameError> {
+        // Reads stay interruptible (see PatientStream) without ever
+        // erroring a quiet-but-healthy worker — stall detection is the
+        // watchdog's job.
+        stream.set_read_timeout(Some(POLL))?;
+        // The job goes out on a writable clone, which then carries
+        // Terminate.
+        let mut writer = stream.try_clone()?;
+        write_frame(&mut writer, &ToShard::Job(Box::new(job)))?;
+        let terminate_note: Arc<Mutex<Option<String>>> = Arc::default();
+        let note = Arc::clone(&terminate_note);
+        let watch = steering.watch(move || {
+            if let Err(e) = write_frame(&mut writer, &ToShard::Terminate) {
+                *note.lock().expect("terminate note mutex") =
+                    Some(format!("terminate frame write failed: {e}"));
+            }
+        });
+        Ok(Attempt {
+            stream,
+            stop: Arc::new(AtomicBool::new(false)),
+            watch,
+            terminate_note,
+        })
+    }
+
+    /// A cancel hook for the attempt: stops the reader and shuts the
+    /// socket down, so [`pump`](Self::pump) returns at once.
+    pub(crate) fn canceller(&self) -> impl Fn() + Send + 'static {
+        let stop = Arc::clone(&self.stop);
+        let sock = self.stream.try_clone().ok();
+        move || {
+            stop.store(true, Ordering::Release);
+            if let Some(s) = &sock {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// Pumps the worker's frames into `sink` and its liveness into
+    /// `activity` until the stream ends, then hands the pump's verdict to
+    /// `finish` (the transport's bookkeeping, which may enrich an error's
+    /// details) and reports what it returns: a failure goes into `sink`,
+    /// blamed on `shard`. `label` names the worker in error details.
+    pub(crate) fn pump(
+        self,
+        shard: usize,
+        sink: &mpsc::SyncSender<ShardFeed>,
+        activity: &ShardActivity,
+        label: &str,
+        finish: impl FnOnce(Result<(), ShardErrorKind>) -> Result<(), ShardErrorKind>,
+    ) {
+        let input = PatientStream {
+            stream: self.stream,
+            stop: self.stop,
+        };
+        let result = pump_frames(input, sink, activity, label);
+        drop(self.watch);
+        if let Err(mut kind) = finish(result) {
+            if let Some(note) = self
+                .terminate_note
+                .lock()
+                .expect("terminate note mutex")
+                .take()
+            {
+                kind = append_detail(kind, &format!("; {note}"));
+            }
+            let _ = sink.send(ShardFeed::Failed(ShardError::new(shard, kind)));
+        }
+    }
+}
+
 impl ShardTransport for TcpShardTransport {
     /// Places `spec`'s attempt on a worker: candidate selection (shard
     /// `s` prefers worker `s mod live`, retries avoid the worker that
-    /// just failed the shard), connect + hello handshake, job
-    /// frame out, then a reader thread streaming the worker's frames
-    /// into `sink` and its liveness into `activity` — the same frame
-    /// pump the process transport runs. A candidate whose connection,
-    /// handshake or job send fails is marked dead and the
-    /// next candidate is tried within the *same* call; only when every
-    /// candidate is exhausted does the call fail (typed `Spawn`).
-    #[allow(clippy::too_many_lines)]
+    /// just failed the shard), connect + hello handshake, then the
+    /// attempt body both transports share. A candidate whose connection,
+    /// handshake or job send fails is marked dead and the next candidate
+    /// is tried within the *same* call; only when every candidate is
+    /// exhausted does the call fail (typed `Spawn`).
     fn launch_shard(
         &mut self,
         model: Arc<Model>,
@@ -469,96 +588,53 @@ impl ShardTransport for TcpShardTransport {
                 let reg = self.registry.lock().expect("registry mutex");
                 reg.workers[w].addr.clone()
             };
+            let mark_dead = |failure: String, failures: &mut Vec<String>| {
+                self.registry.lock().expect("registry mutex").workers[w].alive = false;
+                failures.push(format!("worker {addr}: {failure}"));
+            };
 
-            // Connect + handshake, then drop to a short poll timeout:
-            // reads stay interruptible (see PatientStream) without ever
-            // erroring a quiet-but-healthy worker — stall detection is
-            // the watchdog's job.
-            let connected = connect_worker(&addr, self.connect_timeout).and_then(|(s, h)| {
-                s.set_read_timeout(Some(Duration::from_millis(100)))
-                    .map_err(|e| HandshakeError::Frame(FrameError::Io(e)))?;
-                Ok((s, h))
-            });
-            let (stream, hello) = match connected {
+            let (stream, hello) = match connect_worker(&addr, self.connect_timeout) {
                 Ok(ok) => ok,
                 Err(e) => {
-                    self.registry.lock().expect("registry mutex").workers[w].alive = false;
-                    failures.push(format!("worker {addr}: {e}"));
+                    mark_dead(e.to_string(), &mut failures);
                     continue;
                 }
             };
-
-            // Ship the job — model, spec and the coordinator's one
-            // dependency compilation — on a writable clone of the
-            // socket (the clone then carries Terminate frames).
             let job = ShardJob {
                 model: (*model).clone(),
                 spec: spec.clone(),
                 deps: Some((*deps).clone()),
             };
-            let send = stream
-                .try_clone()
-                .map_err(FrameError::Io)
-                .and_then(|mut wr| {
-                    write_frame(&mut wr, &ToShard::Job(Box::new(job))).map_err(FrameError::Io)?;
-                    Ok(wr)
-                });
-            let mut writer = match send {
-                Ok(wr) => wr,
+            let attempt = match Attempt::start(stream, job, steering) {
+                Ok(attempt) => attempt,
                 Err(e) => {
-                    self.registry.lock().expect("registry mutex").workers[w].alive = false;
-                    failures.push(format!("worker {addr}: job send failed: {e}"));
+                    mark_dead(format!("job send failed: {e}"), &mut failures);
                     continue;
                 }
             };
-
-            {
-                let mut reg = self.registry.lock().expect("registry mutex");
-                reg.workers[w].hello = Some(hello);
-                reg.last.insert(shard, w);
-                reg.placements.push(Placement {
-                    shard,
-                    attempt: spec.attempt,
-                    worker: w,
-                });
-            }
-
-            let stop = Arc::new(AtomicBool::new(false));
-
-            // Steering watcher: forwards global termination as a
-            // Terminate frame so the worker drains at the next quantum
-            // boundaries, exactly like the process transport.
-            let watch = steering.watch(move || {
-                let _ = write_frame(&mut writer, &ToShard::Terminate);
-            });
-
-            let cancel = {
-                let stop = Arc::clone(&stop);
-                let sock = stream.try_clone().ok();
-                move || {
-                    stop.store(true, Ordering::Release);
-                    if let Some(s) = &sock {
-                        let _ = s.shutdown(Shutdown::Both);
-                    }
-                }
-            };
-
-            let reader_registry = Arc::clone(&self.registry);
+            let cancel = attempt.canceller();
+            let registry = Arc::clone(&self.registry);
+            let label = format!("worker {addr}");
             let join = std::thread::spawn(move || {
-                let input = PatientStream { stream, stop };
-                let result = pump_frames(input, &sink, &activity, &format!("worker {addr}"));
-                drop(watch);
-                if let Err(kind) = result {
+                attempt.pump(shard, &sink, &activity, &label, |result| {
                     // The connection died mid-run: assume the worker is
                     // gone (a daemon that fault-exited certainly is) so
                     // the requeue prefers survivors even before its
                     // avoid-the-last-worker rule kicks in. Sim errors
                     // are the worker *telling* us something — it lives.
-                    if !matches!(kind, ShardErrorKind::Sim(_)) {
-                        reader_registry.lock().expect("registry mutex").workers[w].alive = false;
+                    if matches!(&result, Err(kind) if !matches!(kind, ShardErrorKind::Sim(_))) {
+                        registry.lock().expect("registry mutex").workers[w].alive = false;
                     }
-                    let _ = sink.send(ShardFeed::Failed(ShardError::new(shard, kind)));
-                }
+                    result
+                });
+            });
+            let mut reg = self.registry.lock().expect("registry mutex");
+            reg.workers[w].hello = Some(hello);
+            reg.last.insert(shard, w);
+            reg.placements.push(Placement {
+                shard,
+                attempt: spec.attempt,
+                worker: w,
             });
             return Ok(ShardHandle::new(shard, join).with_cancel(cancel));
         }

@@ -1,13 +1,15 @@
-//! The real multi-process shard transport and the `cwc-shard` worker.
+//! The shard protocol, the worker body and the process transport.
 //!
 //! `cwcsim::coordinator` defines the sharded farm's machinery behind the
 //! `ShardTransport` seam and ships an in-process (thread) transport;
-//! this module provides the production one: every shard is a real child
-//! OS process running the `cwc-shard` worker binary (repo root,
-//! `src/bin/cwc-shard.rs`), spoken to over stdio with length-prefixed
-//! wire-v7 frames. The same worker body ([`serve_shard`]) also serves
-//! TCP connections in the `cwc-workerd` network daemon (see
-//! [`crate::net`]) — the protocol below is transport-agnostic.
+//! this module and [`crate::net`] provide the out-of-process ones. Both
+//! run a shard attempt the same way: one TCP connection to a worker
+//! serving [`serve_shard`] behind a hello ([`crate::net::serve_connection`]).
+//! [`ProcessTransport`] spawns one `cwc-shard` child per attempt (repo
+//! root, `src/bin/cwc-shard.rs`) — a one-shot worker on an ephemeral
+//! loopback port, keeping per-attempt process isolation — and
+//! [`TcpShardTransport`](crate::net::TcpShardTransport) dials
+//! `cwc-workerd` daemons on real hosts. Frames travel over sockets only.
 //!
 //! ## Protocol
 //!
@@ -16,10 +18,17 @@
 //! payload — see [`crate::wire`]).
 //!
 //! ```text
-//! coordinator ──stdin──▶ shard:   Job(model + ShardSpec + deps) [Terminate]
-//! shard ──stdout──▶ coordinator:  (Cut | Progress)* (cuts in grid order)
-//!                                 End{events, summary} | Error(message)
+//! cwc-shard child ──stdout──▶ coordinator:  "cwc-shard listening on <addr>"
+//! worker ──socket──▶ coordinator:  WorkerHello{protocol, capacity}
+//! coordinator ──socket──▶ worker:  Job(model + ShardSpec + deps) [Terminate]
+//! worker ──socket──▶ coordinator:  (Cut | Progress)* (cuts in grid order)
+//!                                  End{events, summary} | Error(message)
 //! ```
+//!
+//! The first line is the process transport's only use of the child's
+//! stdout; the child's stdin carries nothing at all — it is a lifeline
+//! whose end-of-file (the coordinator reaped the child, or died) makes
+//! the child exit, so no child outlives its coordinator.
 //!
 //! The job carries the model's pre-compiled dependency graph
 //! ([`ModelDeps`], wire v7): the coordinator compiles once per run and
@@ -33,37 +42,38 @@
 //! shard that is *slow* (heartbeats flowing, no cut yet) from one that
 //! is *stalled* (no frame of any kind for `SimConfig::shard_timeout`).
 //!
-//! A shard that exits without `End` or `Error` is a crash; the
-//! coordinator's reader surfaces it as a typed
-//! [`ShardError`] (exit status and captured stderr
-//! attached), never a hang. A truncated or length-corrupt frame becomes
-//! [`ShardErrorKind::Frame`] with the byte offset of the offending
-//! frame. Failures feed the shard supervisor
-//! (`cwcsim::supervisor::ShardSupervisor`), which requeues the slice on
-//! a fresh child within the configured retry budget — deterministic
-//! per-instance seeding makes the replay bit-for-bit.
-//! [`Steering::terminate`] reaches children as a `Terminate` frame:
-//! each child's control thread flips its local steering flag and the
-//! shard drains at the next quantum boundaries, still ending with a
-//! well-formed `End` frame.
+//! A worker whose stream ends without `End` or `Error` has crashed; the
+//! coordinator's reader surfaces it as a typed [`ShardError`] (for a
+//! child: exit status and captured stderr attached), never a hang. A
+//! truncated or length-corrupt frame becomes [`ShardErrorKind::Frame`]
+//! with the byte offset of the offending frame. Failures feed the shard
+//! supervisor (`cwcsim::supervisor::ShardSupervisor`), which requeues
+//! the slice on a fresh child or a surviving daemon within the
+//! configured retry budget — deterministic per-instance seeding makes
+//! the replay bit-for-bit. [`Steering::terminate`] reaches workers as a
+//! `Terminate` frame: each worker's control thread flips its local
+//! steering flag and the shard drains at the next quantum boundaries,
+//! still ending with a well-formed `End` frame.
 //!
 //! ## Fault injection
 //!
 //! Every failure mode above can be injected on purpose via the
 //! [`FAULT_ENV`](crate::fault::FAULT_ENV) environment variable on the
 //! worker (see [`crate::fault`]): crash after k cuts, stall forever,
-//! corrupt frame, garbage on stdout, delayed start. The harness lives
-//! in [`serve_shard`] itself so the in-tree recovery tests and the CI
-//! fault-injection smoke leg exercise the exact production code paths.
+//! corrupt frame, garbage on the stream, delayed start. The harness
+//! lives in [`serve_shard`] itself so the in-tree recovery tests and the
+//! CI fault-injection smoke leg exercise the exact production code
+//! paths.
 //!
 //! [`Steering::terminate`]: cwcsim::Steering::terminate
 //! [`ShardActivity`]: cwcsim::coordinator::ShardActivity
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
@@ -79,12 +89,13 @@ use gillespie::deps::ModelDeps;
 use gillespie::trajectory::Cut;
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::net::{append_detail, connect_worker, Attempt};
 use crate::wire::{self, Wire, WireError, WireReader};
 
 /// Environment variable overriding the `cwc-shard` binary location.
 pub const SHARD_BIN_ENV: &str = "CWC_SHARD_BIN";
 
-/// Frames the coordinator sends to a shard (over its stdin).
+/// Frames the coordinator sends to a shard worker.
 #[derive(Debug, Clone)]
 pub enum ToShard {
     /// The work assignment: the full model plus the shard's spec
@@ -110,7 +121,7 @@ pub struct ShardJob {
     pub deps: Option<ModelDeps>,
 }
 
-/// Frames a shard sends to the coordinator (over its stdout).
+/// Frames a shard worker sends to the coordinator.
 #[derive(Debug, Clone)]
 pub enum ToCoordinator {
     /// An aligned partial cut over the shard's instances, in grid order.
@@ -393,7 +404,7 @@ impl From<FrameError> for ServeError {
     }
 }
 
-/// The `cwc-shard` worker body: reads a [`ToShard::Job`] frame from
+/// The shard worker body: reads a [`ToShard::Job`] frame from
 /// `input`, runs the shard's slice through the standard farm + alignment
 /// pipeline, and streams [`ToCoordinator`] frames to `output` — cuts in
 /// grid order, `Progress` heartbeats every `spec.heartbeat_period`
@@ -410,8 +421,9 @@ impl From<FrameError> for ServeError {
 /// returns: the worker goes silent and stays alive until killed, which
 /// is exactly what the coordinator's watchdog must be able to handle.
 ///
-/// Takes any `Read`/`Write` pair, so tests can drive the full protocol
-/// through in-memory buffers without spawning a process.
+/// Takes any `Read`/`Write` pair — the two halves of a socket in every
+/// worker ([`crate::net::serve_connection`]), in-memory buffers in tests
+/// that drive the full protocol without a process or a socket.
 ///
 /// # Errors
 ///
@@ -598,8 +610,8 @@ where
 
 /// The coordinator-side frame pump: decodes a shard worker's output
 /// stream and feeds the supervisor until the stream ends one way or
-/// another. Both remote transports drive their readers with it and keep
-/// their own reaping and bookkeeping around it.
+/// another. The attempt body both out-of-process transports share drives
+/// its reader with it.
 ///
 /// Every frame touches `activity` (the watchdog's liveness clock).
 /// `Progress` heartbeats do nothing else; a `Cut` is forwarded into the
@@ -654,20 +666,30 @@ pub(crate) fn pump_frames(
     }
 }
 
-/// A shard child's stdin, shared between the steering watcher and the
-/// launcher (None once deliberately closed).
-type SharedStdin = Arc<Mutex<Option<ChildStdin>>>;
-
 /// The multi-process transport: one `cwc-shard` child per shard
-/// attempt. The supervisor calls [`ShardTransport::launch_shard`] again
-/// on every requeue, so each child is single-use; cancellation closes
-/// the child's stdin and kills the process (which unblocks the reader
-/// thread at EOF).
+/// attempt, a one-shot loopback worker. The child announces the
+/// ephemeral port it listens on; the transport connects to it and runs
+/// the attempt body the TCP transport runs (hello, job frame,
+/// `Terminate` on steering, frame pump). What stays here is the child
+/// itself: binary resolution, per-child environment, the stderr drain,
+/// the kill on cancel, and reaping it to put its exit status and stderr
+/// tail into crash reports. The supervisor calls
+/// [`ShardTransport::launch_shard`] again on every requeue, so each
+/// child is single-use.
 #[derive(Debug)]
 pub struct ProcessTransport {
     binary: PathBuf,
     env: Vec<(String, String)>,
 }
+
+/// How long the connection to an announced `cwc-shard` and its hello may
+/// take. A constant, not a knob: on loopback both take microseconds. (A
+/// child that never announces is a silent shard, which the supervisor's
+/// watchdog puts down like any other.)
+const LOOPBACK_DEADLINE: Duration = Duration::from_secs(10);
+
+/// What a `cwc-shard` child prints on stdout before its address.
+const ANNOUNCEMENT: &str = "cwc-shard listening on ";
 
 impl ProcessTransport {
     /// Resolves the worker binary — [`SHARD_BIN_ENV`] first, then
@@ -739,11 +761,13 @@ impl ProcessTransport {
 }
 
 impl ShardTransport for ProcessTransport {
-    /// Spawns one `cwc-shard` child for `spec`'s slice; the returned
-    /// handle's reader thread streams its frames into `sink` and feeds
-    /// the watchdog's `activity` clock (heartbeats included), and its
-    /// cancel hook closes the child's stdin and kills the process.
-    #[allow(clippy::too_many_lines)]
+    /// Spawns one `cwc-shard` child for `spec`'s slice and returns at
+    /// once, so a run's children start side by side. The handle's thread
+    /// connects to the address the child announces and runs the shared
+    /// attempt body on that connection; its cancel hook kills the child,
+    /// which ends the connection too. A child that dies, or stays
+    /// silent, before the connection is up is a typed `Spawn` failure
+    /// carrying its exit status and stderr.
     fn launch_shard(
         &mut self,
         model: Arc<Model>,
@@ -754,160 +778,124 @@ impl ShardTransport for ProcessTransport {
         activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError> {
         let shard = spec.range.shard;
+        // stdin is the child's lifeline and carries no frames: it stays
+        // open in `Child` until the child is reaped, and closes by itself
+        // if this process dies, so no child outlives its coordinator.
+        let mut child = Command::new(&self.binary)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .envs(self.env.iter().map(|(k, v)| (k, v)))
+            .spawn()
+            .map_err(|e| {
+                let m = format!("{}: {e}", self.binary.display());
+                ShardError::new(shard, ShardErrorKind::Spawn(m))
+            })?;
+        let stdout = child.stdout.take().expect("piped stdout");
+        let stderr = drain(child.stderr.take().expect("piped stderr"));
+        // Shared with the cancel hook; the attempt thread takes it to reap.
+        let child = Arc::new(Mutex::new(Some(child)));
         let job = ShardJob {
             model: (*model).clone(),
             spec: spec.clone(),
             deps: Some((*deps).clone()),
         };
-        let spawn_err = |m: String| ShardError::new(shard, ShardErrorKind::Spawn(m));
-        let mut cmd = Command::new(&self.binary);
-        cmd.stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        for (k, v) in &self.env {
-            cmd.env(k, v);
-        }
-        let mut child: Child = cmd
-            .spawn()
-            .map_err(|e| spawn_err(format!("{}: {e}", self.binary.display())))?;
-        let mut stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let stderr_pipe = child.stderr.take().expect("piped stderr");
-        if let Err(e) = write_frame(&mut stdin, &ToShard::Job(Box::new(job))) {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(spawn_err(format!("failed to send job: {e}")));
-        }
-        // The stdin handle stays open (shared with the steering watcher)
-        // so a Terminate frame can still reach the child mid-run.
-        let stdin: SharedStdin = Arc::new(Mutex::new(Some(stdin)));
-        // The child itself is shared with the cancel hook so a stalled
-        // worker can be killed outright; the reader reaps it.
-        let child = Arc::new(Mutex::new(Some(child)));
-        // A failed Terminate write is not swallowed: it is recorded here
-        // and attached to whatever error the reader surfaces, so a dead
-        // pipe during steering stays visible.
-        let terminate_note: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-        // Drain stderr from the start: a child blocked on a full stderr
-        // pipe would stop emitting stdout frames — the exact hang the
-        // typed-error contract rules out. Only a bounded head is kept
-        // for crash reports; the thread dies with the pipe.
-        let stderr_buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let mut pipe = stderr_pipe;
-            let buf = Arc::clone(&stderr_buf);
-            std::thread::spawn(move || {
-                let mut chunk = [0u8; 4096];
-                loop {
-                    match pipe.read(&mut chunk) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => {
-                            let mut b = buf.lock().expect("stderr buffer mutex");
-                            if b.len() < 64 * 1024 {
-                                b.extend_from_slice(&chunk[..n]);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        let watch = {
-            let stdin = Arc::clone(&stdin);
-            let note = Arc::clone(&terminate_note);
-            steering.watch(move || {
-                if let Some(pipe) = stdin.lock().expect("stdin mutex").as_mut() {
-                    if let Err(e) = write_frame(pipe, &ToShard::Terminate) {
-                        *note.lock().expect("terminate note mutex") =
-                            Some(format!("terminate frame write failed: {e}"));
-                    }
-                }
-            })
-        };
-
-        let cancel = {
-            let stdin = Arc::clone(&stdin);
-            let child = Arc::clone(&child);
-            move || {
-                // Closing stdin first gives a healthy child a clean EOF;
-                // the kill handles the unhealthy (stalled) one — and
-                // unblocks the reader thread at stdout EOF either way.
-                *stdin.lock().expect("stdin mutex") = None;
-                if let Some(c) = child.lock().expect("child mutex").as_mut() {
-                    let _ = c.kill();
-                }
-            }
-        };
-
-        let reader_stdin = Arc::clone(&stdin);
-        let reader_child = Arc::clone(&child);
+        let steering = steering.clone();
+        let reaped = Arc::clone(&child);
         let join = std::thread::spawn(move || {
-            let _hold_stdin = reader_stdin; // closed when the reader ends
-            let result = pump_frames(stdout, &sink, &activity, "cwc-shard child");
-            drop(watch);
-            // Reap the child; enrich failures with its status, stderr
-            // and any recorded Terminate-write failure.
-            let exit = match reader_child.lock().expect("child mutex").take() {
-                Some(mut c) => {
-                    // A child that stopped writing but never exits would
-                    // turn wait() into the hang the typed-error contract
-                    // rules out; after EOF the only reason to linger is a
-                    // wedged child, so put it down first.
-                    if result.is_err() {
-                        let _ = c.kill();
-                    }
-                    Some(c.wait())
+            let reap = |kill| reap(&reaped, stderr, kill);
+            let started = announced_addr(stdout)
+                .and_then(|addr| {
+                    connect_worker(&addr, LOOPBACK_DEADLINE)
+                        .map_err(|e| format!("connecting to the child at {addr}: {e}"))
+                })
+                .and_then(|(stream, _hello)| {
+                    Attempt::start(stream, job, &steering)
+                        .map_err(|e| format!("failed to send job: {e}"))
+                });
+            match started {
+                Ok(attempt) => attempt.pump(shard, &sink, &activity, "cwc-shard child", |result| {
+                    // After a failure the child may be wedged rather
+                    // than gone: kill it, or reaping it could hang.
+                    let report = reap(result.is_err());
+                    result.map_err(|kind| append_detail(kind, &report))
+                }),
+                Err(m) => {
+                    let kind = ShardErrorKind::Spawn(m + &reap(true));
+                    let _ = sink.send(ShardFeed::Failed(ShardError::new(shard, kind)));
                 }
-                None => None,
-            };
-            if let Err(kind) = result {
-                let kind = match kind {
-                    ShardErrorKind::Sim(m) => ShardErrorKind::Sim(m),
-                    ShardErrorKind::Crashed(m) => {
-                        ShardErrorKind::Crashed(enrich(m, &exit, &stderr_buf, &terminate_note))
-                    }
-                    ShardErrorKind::Frame { offset, detail } => ShardErrorKind::Frame {
-                        offset,
-                        detail: enrich(detail, &exit, &stderr_buf, &terminate_note),
-                    },
-                    other => other,
-                };
-                let _ = sink.send(ShardFeed::Failed(ShardError::new(shard, kind)));
             }
         });
-        Ok(ShardHandle::new(shard, join).with_cancel(cancel))
+        Ok(ShardHandle::new(shard, join).with_cancel(move || {
+            if let Some(c) = child.lock().expect("child mutex").as_mut() {
+                let _ = c.kill();
+            }
+        }))
     }
 }
 
-/// Appends a child's exit status, captured-stderr tail and any recorded
-/// Terminate-write failure to an error detail string.
-fn enrich(
-    mut detail: String,
-    exit: &Option<io::Result<std::process::ExitStatus>>,
-    stderr_buf: &Mutex<Vec<u8>>,
-    terminate_note: &Mutex<Option<String>>,
-) -> String {
-    if let Some(Ok(status)) = exit {
-        detail.push_str(&format!(" (exit: {status}"));
-        let stderr =
-            String::from_utf8_lossy(&stderr_buf.lock().expect("stderr buffer mutex")).into_owned();
-        let stderr = stderr.trim();
-        if !stderr.is_empty() {
-            let tail: String = stderr.chars().take(400).collect();
-            detail.push_str(&format!(", stderr: {tail}"));
+/// Reaps a process attempt's child — killed first when `kill` — and
+/// renders its exit status and stderr tail as `" (exit: …, stderr: …)"`;
+/// empty if it cannot be waited for.
+fn reap(child: &Mutex<Option<Child>>, stderr: JoinHandle<Vec<u8>>, kill: bool) -> String {
+    let Some(mut child) = child.lock().expect("child mutex").take() else {
+        return String::new();
+    };
+    if kill {
+        let _ = child.kill();
+    }
+    let Ok(status) = child.wait() else {
+        return String::new();
+    };
+    // The child has exited, so its stderr pipe is at EOF and the drain
+    // ends: the tail is complete, not a race with the reader.
+    let stderr = stderr.join().unwrap_or_default();
+    let stderr = String::from_utf8_lossy(&stderr);
+    let stderr = stderr.trim();
+    let mut report = format!(" (exit: {status}");
+    if !stderr.is_empty() {
+        let tail: String = stderr.chars().take(400).collect();
+        report.push_str(&format!(", stderr: {tail}"));
+    }
+    report.push(')');
+    report
+}
+
+/// Drains a child's stderr from the start — a child blocked on a full
+/// stderr pipe would stop serving its socket, the exact hang the
+/// typed-error contract rules out — keeping a bounded head for crash
+/// reports. The thread ends with the pipe.
+fn drain(mut pipe: ChildStderr) -> JoinHandle<Vec<u8>> {
+    std::thread::spawn(move || {
+        let mut kept = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = pipe.read(&mut chunk) {
+            if kept.len() < 64 * 1024 {
+                kept.extend_from_slice(&chunk[..n]);
+            }
         }
-        detail.push(')');
+        kept
+    })
+}
+
+/// Reads the address a `cwc-shard` child announces on its stdout.
+fn announced_addr(stdout: ChildStdout) -> Result<String, String> {
+    let mut line = String::new();
+    match BufReader::new(stdout).read_line(&mut line) {
+        Ok(0) => Err("the child exited before announcing its address".into()),
+        Ok(_) => line
+            .trim_end()
+            .strip_prefix(ANNOUNCEMENT)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("unexpected announcement {line:?}")),
+        Err(e) => Err(format!("reading the child's address: {e}")),
     }
-    if let Some(note) = terminate_note.lock().expect("terminate note mutex").take() {
-        detail.push_str(&format!("; {note}"));
-    }
-    detail
 }
 
 /// Runs a sharded simulation with real `cwc-shard` child processes (one
-/// per shard; `cfg.shards = 1` degenerates to a single in-process shard
-/// with no child spawn) and merges the shards' partial cuts and
+/// per shard attempt, each serving one loopback connection;
+/// `cfg.shards = 1` degenerates to a single in-process shard with no
+/// child spawn) and merges the shards' partial cuts and
 /// mergeable streaming statistics. Bit-for-bit identical [`StatRow`]s to
 /// `cwcsim::run_simulation` for any shard count.
 ///

@@ -411,6 +411,17 @@ mod tests {
         }
     }
 
+    /// `row` copied into a larger buffer at `shift` `f64`s past a 32-byte
+    /// boundary — 1–3 put every AVX2 load of the row off alignment — and
+    /// the row's start index in that buffer.
+    fn placed(row: &[f64], shift: usize) -> (Vec<f64>, usize) {
+        let mut buf = vec![0.0; row.len() + 8];
+        let start = buf.as_ptr().align_offset(32) + shift;
+        assert_eq!(buf[start..].as_ptr() as usize % 32, shift * 8);
+        buf[start..start + row.len()].copy_from_slice(row);
+        (buf, start)
+    }
+
     proptest! {
         #[test]
         fn row_folds_are_bit_identical_across_kernels_and_refold_starts(
@@ -419,6 +430,7 @@ mod tests {
             start_kind in 0usize..5,
             from_num in 0usize..150,
             bump_num in 0usize..150,
+            shift in 0usize..4,
         ) {
             let raw = test_row(&raw, len_pick);
             let n = raw.len();
@@ -442,18 +454,25 @@ mod tests {
                 bumped[bump] = if bumped[bump] > 0.0 { 0.0 } else { 7.25 };
             }
             let (ref_bprefix, ref_btotal) = ref_fold(&bumped);
+            // Every slice the kernels see starts `shift` f64s off a
+            // 32-byte boundary.
+            let (raw_buf, at) = placed(&raw, shift);
+            let (bumped_buf, bat) = placed(&bumped, shift);
+            let (raw, bumped) = (&raw_buf[at..at + n], &bumped_buf[bat..bat + n]);
             for kernel in kernels_under_test() {
-                let mut prefix = vec![0.0; n];
-                let total = row_fold_from(kernel, &raw, &mut prefix, 0);
+                let (mut prefix_buf, pat) = placed(&vec![0.0; n], shift);
+                let prefix = &mut prefix_buf[pat..pat + n];
+                let total = row_fold_from(kernel, raw, prefix, 0);
                 prop_assert!(total.to_bits() == ref_total.to_bits(), "{kernel:?} total");
                 prop_assert!(
                     prefix.iter().zip(&ref_prefix).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{kernel:?} full fold prefix diverged"
                 );
                 // Partial refold over the mutated row.
-                let mut scratch = ref_prefix.clone();
+                let (mut scratch_buf, sat) = placed(&ref_prefix, shift);
+                let scratch = &mut scratch_buf[sat..sat + n];
                 scratch[..from].copy_from_slice(&ref_bprefix[..from]);
-                let btotal = row_fold_from(kernel, &bumped, &mut scratch, from);
+                let btotal = row_fold_from(kernel, bumped, scratch, from);
                 prop_assert!(
                     btotal.to_bits() == ref_btotal.to_bits(),
                     "{kernel:?} refold total, len {n} from {from}"
@@ -470,6 +489,7 @@ mod tests {
             raw in proptest::collection::vec(0.001f64..50.0, 1..150),
             len_pick in 0usize..12,
             frac in 0.0f64..1.1,
+            shift in 0usize..4,
         ) {
             let raw = test_row(&raw, len_pick);
             let n = raw.len();
@@ -477,14 +497,17 @@ mod tests {
             // Sweep across the row, past the end (shortfall) included.
             let target = total.max(0.0) * frac;
             let want = prefix.iter().position(|&p| p > target).unwrap_or(n);
+            // Selected from a slice `shift` f64s off a 32-byte boundary.
+            let (prefix_buf, at) = placed(&prefix, shift);
+            let prefix = &prefix_buf[at..at + n];
             for kernel in kernels_under_test() {
                 prop_assert!(
-                    row_select(kernel, &prefix, target) == want,
+                    row_select(kernel, prefix, target) == want,
                     "{kernel:?} select at target {target}, len {n}"
                 );
             }
             prop_assert!(
-                row_count_uncrossed(&prefix, target) == want,
+                row_count_uncrossed(prefix, target) == want,
                 "branch-free count at target {target}, len {n}"
             );
         }

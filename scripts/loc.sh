@@ -3,23 +3,28 @@
 #
 #   bash scripts/loc.sh [repo-root]
 #
-# Three buckets, physical lines, vendor/ and target/ excluded:
+# Four buckets, physical lines, target/ excluded:
 #   product     crates/, src/, examples/ — up to each file's test module
 #   test        tests/ trees, plus every `#[cfg(test)] mod …` tail (the
 #               repo's convention: the test module closes the file)
 #   benchmarks  benchmarks/
+#   vendor      vendor/ — the offline stand-ins for external crates, code
+#               we own; printed on its own line and kept out of `total`
+#               so totals stay comparable with readings taken before the
+#               line existed
 # Run it on the parent checkout and on the change; the PR's net is the
-# difference of the totals. Code moved from product into a test module
+# difference of the totals (plus the vendor line's). Code moved from product into a test module
 # shows up as product − / test +, never as a removal.
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 find . -name '*.rs' \
-    -not -path './vendor/*' -not -path '*/target/*' -not -path './.bench_build/*' \
+    -not -path '*/target/*' -not -path './.bench_build/*' \
     -print0 | sort -z | xargs -0 awk '
     FNR == 1 {
         in_test = 0; cfg = 0
         if (FILENAME ~ /^\.\/benchmarks\//) bucket = "benchmarks"
+        else if (FILENAME ~ /^\.\/vendor\//) bucket = "vendor"
         else if (FILENAME ~ /\/tests\//) bucket = "test"
         else bucket = "product"
     }
@@ -36,5 +41,6 @@ find . -name '*.rs' \
         printf "product     %6d\n", n["product"]
         printf "test        %6d\n", n["test"]
         printf "benchmarks  %6d\n", n["benchmarks"]
+        printf "vendor      %6d\n", n["vendor"]
         printf "total       %6d\n", total
     }'

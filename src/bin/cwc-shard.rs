@@ -1,35 +1,65 @@
-//! `cwc-shard` — the sharded simulation farm's worker process.
+//! `cwc-shard` — the process transport's one-shot loopback worker.
 //!
 //! Spawned by the coordinator (`distrt::shard::ProcessTransport`), one
-//! per shard. Protocol (length-prefixed wire-v7 frames over stdio):
-//! a `Job` frame on stdin carries the full model plus this shard's
-//! instance slice; the worker runs the standard farm + alignment
-//! pipeline on the slice and streams aligned partial cuts, `Progress`
-//! heartbeats, plus one end-of-stream mergeable statistics state back
-//! on stdout. A `Terminate` frame on stdin drains the shard at the
-//! next quantum boundaries. See `distrt::shard` for the full contract.
+//! per shard attempt. It binds an ephemeral loopback port, prints
+//! `cwc-shard listening on <addr>` on stdout, and serves exactly one
+//! connection through `distrt::net::serve_connection` — the hello plus
+//! the shard worker body `cwc-workerd` runs per connection: a `Job`
+//! frame carrying the model, the slice spec and the coordinator's
+//! pre-compiled dependency graph in; aligned partial cuts, `Progress`
+//! heartbeats and one mergeable statistics state out; a `Terminate`
+//! frame drains the shard at the next quantum boundaries. See
+//! `distrt::shard` for the full contract.
+//!
+//! stdin is a lifeline that carries no frames: when it closes — the
+//! coordinator reaped the child or died — the worker exits within one
+//! read, so a child never outlives its coordinator, connected or not.
 //!
 //! Setting `CWC_SHARD_FAULT` (see `distrt::fault`) arms the
 //! fault-injection harness: the worker crashes, stalls, corrupts its
 //! stream or starts late on cue so supervisor recovery is testable
 //! end-to-end.
 //!
-//! Not meant to be run by hand; exits 2 on a malformed input stream
-//! and 3 when an injected fault fired (so a harness can tell a planned
-//! death from a real one).
+//! Not meant to be run by hand; exits 2 on an error (a malformed input
+//! stream, a closed lifeline) and 3 when an injected fault fired (so a
+//! harness can tell a planned death from a real one).
 
-use std::io;
+use std::io::{self, Write};
+use std::net::TcpListener;
+
+use cwc_repro::distrt::net::{serve_connection, FAULT_EXIT};
+use cwc_repro::distrt::shard::ServeError;
 
 fn main() {
-    // Unlocked handle: the heartbeat thread inside `serve_shard` needs
-    // the writer to be `Send` (StdoutLock is not).
-    let stdout = io::BufWriter::new(io::stdout());
-    if let Err(e) = cwc_repro::distrt::shard::serve_shard(io::stdin(), stdout) {
+    std::thread::spawn(|| {
+        // Returns at EOF: nobody holds the other end any more.
+        let _ = io::copy(&mut io::stdin(), &mut io::sink());
+        die("stdin closed: the coordinator is gone");
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| die(&format!("bind: {e}")));
+    match listener.local_addr() {
+        Ok(addr) => {
+            // Parsed by the process transport; keep the wording stable.
+            println!("cwc-shard listening on {addr}");
+            let _ = io::stdout().flush();
+        }
+        Err(e) => die(&format!("local_addr: {e}")),
+    }
+    let (stream, _) = listener
+        .accept()
+        .unwrap_or_else(|e| die(&format!("accept: {e}")));
+    drop(listener);
+    if let Err(e) = serve_connection(stream, 1) {
         eprintln!("cwc-shard: {e}");
         let code = match e {
-            cwc_repro::distrt::shard::ServeError::Fault(_) => 3,
+            ServeError::Fault(_) => FAULT_EXIT,
             _ => 2,
         };
         std::process::exit(code);
     }
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("cwc-shard: {msg}");
+    std::process::exit(2);
 }

@@ -2,13 +2,13 @@
 //!
 //! Runs on each machine of a cluster; the coordinator
 //! (`distrt::net::TcpShardTransport`, selected with `--transport tcp`)
-//! dials it once per shard attempt. Per connection the daemon writes a
-//! `WorkerHello` registration frame (protocol version + capacity) and
-//! then serves the standard shard protocol — the exact worker body
-//! `cwc-shard` runs over stdio, here over the socket: a `Job` frame
-//! carrying the model, the slice spec and the coordinator's
-//! pre-compiled dependency graph in, aligned partial cuts plus
-//! heartbeats plus one mergeable statistics state out.
+//! dials it once per shard attempt. Every connection is served through
+//! `distrt::net::serve_connection`, the body the one-shot `cwc-shard`
+//! child serves its one connection with: a `WorkerHello` registration
+//! frame (protocol version + capacity) out, then a `Job` frame carrying
+//! the model, the slice spec and the coordinator's pre-compiled
+//! dependency graph in, aligned partial cuts plus heartbeats plus one
+//! mergeable statistics state out.
 //!
 //! ```text
 //! cwc-workerd --listen 0.0.0.0:7701 --capacity 8

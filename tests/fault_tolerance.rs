@@ -213,6 +213,120 @@ fn exhausted_budget_reports_the_full_attempt_history() {
     }
 }
 
+/// A crash report names the child's exit status (the harness's distinct
+/// fault exit, 3) and the tail of what it wrote to stderr.
+#[test]
+fn crash_reports_carry_the_childs_exit_status_and_stderr_tail() {
+    let err = run_faulted(&cfg().shards(2), "crash:shard=1,cuts=1")
+        .expect_err("no retry budget: the crash must surface");
+    match err {
+        SimError::Shard(e) => match &e.kind {
+            ShardErrorKind::Crashed(detail) => {
+                assert!(detail.contains("exit status: 3"), "{detail}");
+                assert!(detail.contains("injected fault: crash"), "{detail}");
+            }
+            other => panic!("expected Crashed, got {other}: {e}"),
+        },
+        other => panic!("expected SimError::Shard, got {other}"),
+    }
+}
+
+/// How long an orphaned `cwc-shard` may outlive its coordinator: its
+/// stdin lifeline ends it within one read, so this only absorbs
+/// scheduling noise.
+const ORPHAN_EXIT_BOUND: Duration = Duration::from_secs(5);
+
+/// Spawns a `cwc-shard` the way the process transport does (stdin held
+/// as the lifeline) and returns it with the address it announced.
+fn spawn_shard_child(plan: &str) -> (Child, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cwc-shard"))
+        .env(FAULT_ENV, plan)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cwc-shard");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("cwc-shard announces its address");
+    let addr = line
+        .trim()
+        .strip_prefix("cwc-shard listening on ")
+        .unwrap_or_else(|| panic!("unexpected announcement: {line:?}"))
+        .to_string();
+    (child, addr)
+}
+
+/// Drops the child's lifeline — what the coordinator dying looks like
+/// from the child — and waits up to [`ORPHAN_EXIT_BOUND`] for it to exit.
+fn orphan_and_wait(mut child: Child, what: &str) {
+    drop(child.stdin.take());
+    let start = Instant::now();
+    while start.elapsed() < ORPHAN_EXIT_BOUND {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            assert_eq!(status.code(), Some(2), "{what}: {status}");
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    panic!("{what}: cwc-shard outlived its coordinator by {ORPHAN_EXIT_BOUND:?}");
+}
+
+/// No leaked child: a `cwc-shard` whose coordinator never connects, or
+/// connects and goes away — even while the shard is stalled by an
+/// injected fault and would otherwise never return — exits on its own
+/// within [`ORPHAN_EXIT_BOUND`].
+#[test]
+fn orphaned_cwc_shard_exits_on_its_own() {
+    use cwc_repro::cwcsim::coordinator::ShardSpec;
+    use cwc_repro::cwcsim::plan::ShardRange;
+    use cwc_repro::distrt::net::connect_worker;
+    use cwc_repro::distrt::shard::{read_frame, write_frame, ShardJob, ToCoordinator, ToShard};
+
+    let (child, _) = spawn_shard_child("");
+    orphan_and_wait(child, "never connected");
+
+    let (child, addr) = spawn_shard_child("stall:cuts=1");
+    let (mut stream, _) = connect_worker(&addr, Duration::from_secs(10)).expect("hello");
+    let run_cfg = SimConfig::new(2, 1.0e6)
+        .quantum(0.5)
+        .sample_period(0.5)
+        .heartbeat_period(0.05);
+    let job = ShardJob {
+        model: biomodels::simple::decay(40, 1.0),
+        spec: ShardSpec::from_config(
+            &run_cfg,
+            ShardRange {
+                shard: 0,
+                first_instance: 0,
+                count: 2,
+            },
+        ),
+        deps: None,
+    };
+    write_frame(&mut stream, &ToShard::Job(Box::new(job))).expect("job frame");
+    // The stall has fired once the child, after its first cut, goes
+    // silent for ten heartbeat periods while its socket stays open.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("read timeout");
+    let mut cuts = 0;
+    loop {
+        match read_frame::<ToCoordinator>(&mut stream) {
+            Ok(Some(ToCoordinator::Cut(_))) => cuts += 1,
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("the stalled child closed its socket"),
+            Err(_) if cuts > 0 => break,
+            Err(e) => panic!("no frame before the stall: {e}"),
+        }
+    }
+    drop(stream);
+    orphan_and_wait(child, "stalled, then abandoned");
+}
+
 /// A fault-armed `cwc-workerd` daemon on an ephemeral loopback port,
 /// killed on drop. The fault plan rides the daemon's environment, same
 /// as the process-transport tests above.

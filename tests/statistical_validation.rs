@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use cwc_repro::biomodels;
+use cwc_repro::cwc::model::Model;
 use cwc_repro::cwcsim::{run_simulation, EngineKind, SimConfig, StatEngineKind};
 use cwc_repro::gillespie::{ModelDeps, SampleClock};
 use cwc_repro::streamstat::period::analyse_period;
@@ -279,4 +280,100 @@ fn leaping_kinds_match_ssa_in_distribution_on_neurospora() {
             );
         }
     }
+}
+
+/// Observable 0 of every trajectory of `kind` on `model` at time `t`,
+/// one entry per instance.
+fn observable_at(
+    model: &Arc<Model>,
+    kind: EngineKind,
+    base_seed: u64,
+    instances: u64,
+    t: f64,
+) -> Vec<f64> {
+    let deps = Arc::new(ModelDeps::compile(model));
+    (0..instances)
+        .map(|instance| {
+            let mut engine = kind
+                .build_with_deps(Arc::clone(model), Arc::clone(&deps), base_seed, instance)
+                .unwrap();
+            let mut at_t = None;
+            engine.run_sampled(t, &mut SampleClock::new(0.0, t), |time, v| {
+                if time == t {
+                    at_t = Some(v[0] as f64);
+                }
+            });
+            at_t.expect("the clock samples the horizon")
+        })
+        .collect()
+}
+
+/// The leaping kinds against SSA on `model`: observable 0 at `t`, 200
+/// trajectories per engine, each engine on its own base seed (before its
+/// first switch the hybrid is SSA on the same seeds, which would make
+/// the samples dependent). Returns `(kind, D, p)` per leaping kind.
+fn leaping_kinds_vs_ssa_at(model: Model, t: f64) -> Vec<(EngineKind, f64, f64)> {
+    const INSTANCES: u64 = 200;
+    let model = Arc::new(model);
+    let kinds = [
+        (EngineKind::Ssa, 1_001),
+        (EngineKind::AdaptiveTau { epsilon: 0.03 }, 2_002),
+        (
+            EngineKind::Hybrid {
+                epsilon: 0.03,
+                threshold: 8.0,
+            },
+            3_003,
+        ),
+    ];
+    // One thread per engine: the three ensembles are independent.
+    let ensembles: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (kinds.iter())
+            .map(|&(kind, seed)| {
+                let model = &model;
+                scope.spawn(move || observable_at(model, kind, seed, INSTANCES, t))
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    (kinds.iter().zip(&ensembles).skip(1))
+        .map(|(&(kind, _), approx)| {
+            let (d, p) = ks_two_sample(&ensembles[0], approx);
+            eprintln!("{kind} on {}: D = {d:.4}, p = {p:.4}", model.name);
+            (kind, d, p)
+        })
+        .collect()
+}
+
+/// Asserts that neither leaping kind's KS test against SSA rejects at
+/// α = 0.001.
+fn assert_leaping_kinds_match_ssa(model: Model, t: f64) {
+    const ALPHA: f64 = 0.001;
+    let name = model.name.clone();
+    for (kind, d, p) in leaping_kinds_vs_ssa_at(model, t) {
+        assert!(
+            p >= ALPHA,
+            "{kind} on {name}: KS D = {d:.4}, p = {p:.2e} < {ALPHA}"
+        );
+    }
+}
+
+/// The bimodal case a mean test cannot judge: X at t = 6, when the
+/// ensemble has split between Schlögl's two basins. Measured: D = 0.075
+/// (adaptive, p = 0.61) and D = 0.080 (hybrid, p = 0.53). About 4.5 s in a
+/// debug build on 2 vCPUs.
+#[test]
+fn leaping_kinds_match_ssa_in_distribution_on_schlogl() {
+    assert_leaping_kinds_match_ssa(biomodels::schlogl(biomodels::SchloglParams::default()), 6.0);
+}
+
+/// Prey at t = 6 on Lotka–Volterra, the same setup. Measured: D = 0.075
+/// (adaptive, p = 0.61) and D = 0.095 (hybrid, p = 0.31). About 1 s in a
+/// debug build on 2 vCPUs.
+#[test]
+fn leaping_kinds_match_ssa_in_distribution_on_lotka_volterra() {
+    assert_leaping_kinds_match_ssa(
+        biomodels::lotka_volterra(biomodels::LotkaVolterraParams::default()),
+        6.0,
+    );
 }

@@ -97,7 +97,7 @@ fn sharded_termination_drains_a_prefix_for_every_engine_kind() {
         let steering = Steering::new();
         let killer = terminate_after(&steering, Duration::from_millis(8));
         // shards = 2: real cwc-shard child processes; terminate reaches
-        // them as a Terminate control frame on stdin.
+        // them as a Terminate control frame on their loopback sockets.
         let drained = run_simulation_sharded_steered(model(), &cfg, &steering).unwrap();
         killer.join().unwrap();
         assert_prefix(kind, "sharded", &drained, &full);
