@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use fastflow::node::{Flow, Outbox, Stage};
-use gillespie::trajectory::Cut;
+use gillespie::trajectory::{Cut, Row};
 
 use crate::task::SampleBatch;
 
@@ -37,7 +37,7 @@ pub struct Alignment {
 #[derive(Debug)]
 struct PendingCut {
     time: f64,
-    values: Vec<Option<Vec<u64>>>,
+    values: Vec<Option<Row>>,
     filled: u64,
 }
 
@@ -158,7 +158,10 @@ mod tests {
     fn batch(instance: u64, samples: &[(f64, u64)]) -> SampleBatch {
         SampleBatch {
             instance,
-            samples: samples.iter().map(|&(t, v)| (t, vec![v])).collect(),
+            samples: samples
+                .iter()
+                .map(|&(t, v)| (t, Row::from_slice(&[v])))
+                .collect(),
             events: 0,
             finished: false,
         }

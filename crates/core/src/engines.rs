@@ -160,11 +160,12 @@ impl StatEngineSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gillespie::trajectory::Row;
 
     fn cut(time: f64, values: Vec<u64>) -> Cut {
         Cut {
             time,
-            values: values.into_iter().map(|v| vec![v]).collect(),
+            values: values.into_iter().map(|v| Row::from_slice(&[v])).collect(),
         }
     }
 

@@ -183,9 +183,12 @@ impl RunSummary {
         if self.obs.is_empty() {
             self.obs = (0..n_obs).map(|_| self.blank_obs()).collect();
         }
-        for (k, s) in self.obs.iter_mut().enumerate() {
-            for row in &cut.values {
-                let x = row[k] as f64;
+        // One row-major pass: every observable's accumulators still see
+        // their values in instance order, so the bits are those of a pass
+        // per observable.
+        for row in &cut.values {
+            for (s, &v) in self.obs.iter_mut().zip(row.iter()) {
+                let x = v as f64;
                 s.running.push(x);
                 if let Some(h) = &mut s.histogram {
                     h.push(x);
@@ -285,11 +288,12 @@ impl Mergeable for RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gillespie::trajectory::Row;
 
     fn cut(time: f64, values: &[&[u64]]) -> Cut {
         Cut {
             time,
-            values: values.iter().map(|v| v.to_vec()).collect(),
+            values: values.iter().map(|v| Row::from_slice(v)).collect(),
         }
     }
 

@@ -342,10 +342,11 @@ mod tests {
     use super::*;
     use crate::alignment::Alignment;
     use biomodels::simple::{birth_death, decay};
+    use gillespie::trajectory::Row;
     use std::collections::HashMap;
     use std::sync::mpsc::TryRecvError;
 
-    type Samples = Vec<(f64, Vec<u64>)>;
+    type Samples = Vec<(f64, Row)>;
 
     /// Both task grains of the one constructor (width 3 never divides the
     /// instance counts below, so the last batch is narrower).

@@ -18,6 +18,7 @@ pub use gillespie::batch::batch_spans;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
+use gillespie::trajectory::Row;
 
 /// A simulation task: one trajectory's engine state and sampling clock.
 ///
@@ -148,13 +149,16 @@ impl SimTask {
     /// Runs one quantum, appending produced samples to `out`.
     ///
     /// Returns the number of reactions fired in the quantum.
-    pub fn run_quantum(&mut self, out: &mut Vec<(f64, Vec<u64>)>) -> u64 {
+    pub fn run_quantum(&mut self, out: &mut Vec<(f64, Row)>) -> u64 {
         let horizon = self.next_quantum_end();
-        // Push straight into `out` (the farm's hottest loop) instead of
-        // collecting an intermediate QuantumOutcome.
+        // The clock knows the quantum's sample count: grow `out` once, then
+        // push each sample's inline row straight into it (the farm's
+        // hottest loop) instead of collecting an intermediate
+        // QuantumOutcome.
+        out.reserve(self.clock.due_by(horizon));
         self.engine
             .run_sampled(horizon, &mut self.clock, |t, values| {
-                out.push((t, values.to_vec()))
+                out.push((t, Row::from_slice(values)))
             })
     }
 }
@@ -254,7 +258,7 @@ pub struct SampleBatch {
     /// The trajectory that produced the samples.
     pub instance: u64,
     /// `(grid time, observable values)` pairs, in time order.
-    pub samples: Vec<(f64, Vec<u64>)>,
+    pub samples: Vec<(f64, Row)>,
     /// Reactions fired during the quantum (for workload accounting).
     pub events: u64,
     /// True when this is the instance's final batch.

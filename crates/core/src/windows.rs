@@ -108,6 +108,7 @@ impl Stage for WindowGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gillespie::trajectory::Row;
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -209,7 +210,7 @@ mod tests {
     fn cut(k: u64) -> Cut {
         Cut {
             time: k as f64,
-            values: vec![vec![k]],
+            values: vec![Row::from_slice(&[k])],
         }
     }
 

@@ -942,6 +942,7 @@ pub fn run_simulation_sharded_steered(
 mod tests {
     use super::*;
     use biomodels::simple::decay;
+    use gillespie::trajectory::Row;
     use std::io::Cursor;
 
     fn job(instances: u64, shard_count: u64, first: u64) -> ShardJob {
@@ -981,7 +982,7 @@ mod tests {
     fn cut(time: f64) -> ToCoordinator {
         ToCoordinator::Cut(Cut {
             time,
-            values: vec![vec![1], vec![2]],
+            values: vec![Row::from_slice(&[1]), Row::from_slice(&[2])],
         })
     }
 

@@ -21,7 +21,7 @@ use cwcsim::task::SampleBatch;
 use cwcsim::ShardSpec;
 use gillespie::deps::{KeptChild, ModelDeps, RuleDeps};
 use gillespie::engine::EngineKind;
-use gillespie::trajectory::Cut;
+use gillespie::trajectory::{Cut, Row};
 use streamstat::histogram::Histogram;
 use streamstat::quantile::P2Quantile;
 use streamstat::welford::Running;
@@ -211,6 +211,30 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// A sample row travels exactly like a `Vec<u64>` (length, then the
+/// values), and decodes straight into the row: a length the frame cannot
+/// hold is an error before anything is allocated.
+impl Wire for Row {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u64).encode(buf);
+        for v in self.iter() {
+            v.encode(buf);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = u64::decode(r)?;
+        let bytes = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_mul(8))
+            .ok_or(WireError::UnexpectedEof)?;
+        Ok(r.take(bytes)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
     }
 }
 
@@ -1030,7 +1054,10 @@ mod tests {
     fn sample_batch_roundtrips() {
         roundtrip(SampleBatch {
             instance: 17,
-            samples: vec![(0.0, vec![1, 2]), (0.5, vec![3, 4])],
+            samples: vec![
+                (0.0, Row::from_slice(&[1, 2])),
+                (0.5, Row::from_slice(&[3, 4])),
+            ],
             events: 99,
             finished: true,
         });
@@ -1129,12 +1156,68 @@ mod tests {
     fn cut_roundtrips() {
         roundtrip(Cut {
             time: 1.25,
-            values: vec![vec![1, 2], vec![3, 4], vec![5, 6]],
+            values: vec![
+                Row::from_slice(&[1, 2]),
+                Row::from_slice(&[3, 4]),
+                Row::from_slice(&[5, 6]),
+            ],
         });
         roundtrip(Cut {
             time: 0.0,
             values: vec![],
         });
+    }
+
+    /// Bytes from a whitespace-separated hex dump.
+    fn hex(dump: &str) -> Vec<u8> {
+        let digits: Vec<u8> = dump.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn cut_frames_keep_their_v7_bytes_for_inline_and_spilled_rows() {
+        // The v7 cut layout written out by hand: envelope, time, row
+        // count, then every row as its length and its values — the bytes
+        // of a `Vec<Vec<u64>>`, whether the row is inline or spilled.
+        let three = Cut {
+            time: 0.5,
+            values: vec![Row::from_slice(&[1, 2, 3]), Row::from_slice(&[4, 5, 6])],
+        };
+        let three_v7 = hex("
+            43574353 0700 000000000000e03f 0200000000000000
+            0300000000000000 0100000000000000 0200000000000000 0300000000000000
+            0300000000000000 0400000000000000 0500000000000000 0600000000000000");
+        let six = Cut {
+            time: 2.0,
+            values: vec![Row::from_slice(&[1, 2, 3, 4, 5, 6])],
+        };
+        let six_v7 = hex("
+            43574353 0700 0000000000000040 0100000000000000
+            0600000000000000 0100000000000000 0200000000000000 0300000000000000
+                             0400000000000000 0500000000000000 0600000000000000");
+        for (cut, v7) in [(three, three_v7), (six, six_v7)] {
+            assert_eq!(to_bytes(&cut), v7);
+            assert_eq!(from_bytes::<Cut>(&v7), Ok(cut));
+        }
+    }
+
+    #[test]
+    fn a_row_longer_than_its_frame_fails_before_allocating() {
+        // One row claiming 2^61 and u64::MAX values, then nothing.
+        for len in [1u64 << 61, u64::MAX] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            VERSION.encode(&mut bytes);
+            len.encode(&mut bytes);
+            assert_eq!(from_bytes::<Row>(&bytes), Err(WireError::UnexpectedEof));
+        }
+        // One value short of the announced length.
+        let mut bytes = to_bytes(&Row::from_slice(&[1, 2, 3, 4, 5]));
+        bytes.truncate(bytes.len() - 8);
+        assert_eq!(from_bytes::<Row>(&bytes), Err(WireError::UnexpectedEof));
     }
 
     #[test]
@@ -1200,7 +1283,11 @@ mod tests {
         let mut s = RunSummary::new(engines);
         s.push_cut(&Cut {
             time: 0.0,
-            values: vec![vec![10], vec![20], vec![30]],
+            values: vec![
+                Row::from_slice(&[10]),
+                Row::from_slice(&[20]),
+                Row::from_slice(&[30]),
+            ],
         });
         let bytes = to_bytes(&s);
         let mut back: RunSummary = from_bytes(&bytes).unwrap();

@@ -21,7 +21,7 @@ use cwcsim::engines::{StatEngineKind, StatEngineSet};
 use cwcsim::task::SimTask;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
-use gillespie::trajectory::Cut;
+use gillespie::trajectory::{Cut, Row};
 
 use crate::wire;
 
@@ -268,7 +268,9 @@ impl CostModel {
         let width = 512usize;
         let cut = Cut {
             time: 0.0,
-            values: (0..width).map(|i| vec![i as u64, (i * 7) as u64]).collect(),
+            values: (0..width)
+                .map(|i| Row::from_slice(&[i as u64, (i * 7) as u64]))
+                .collect(),
         };
         let reps = 200;
         let start = Instant::now();

@@ -128,7 +128,9 @@ mod tests {
             let mut scalar = SsaEngine::new(Arc::clone(&model), base_seed, instance);
             let mut clock = SampleClock::new(0.0, period);
             let mut expected = Vec::new();
-            scalar.run_sampled(t_end, &mut clock, |t, v| expected.push((t, v.to_vec())));
+            scalar.run_sampled(t_end, &mut clock, |t, v| {
+                expected.push((t, crate::trajectory::Row::from_slice(v)))
+            });
             assert_eq!(samples, expected, "replica {r} samples diverged");
             assert_eq!(replica.events(), scalar.steps(), "replica {r} steps");
             assert_eq!(replica.observe(), scalar.observe(), "replica {r}");

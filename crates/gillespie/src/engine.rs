@@ -42,13 +42,14 @@ use crate::deps::ModelDeps;
 use crate::flat::FlatModelError;
 use crate::hybrid::HybridEngine;
 use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
+use crate::trajectory::Row;
 
 /// Everything one quantum of one instance produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantumOutcome {
     /// `(grid time, observable values)` pairs emitted in the quantum,
     /// in time order.
-    pub samples: Vec<(f64, Vec<u64>)>,
+    pub samples: Vec<(f64, Row)>,
     /// Reaction firings committed during the quantum (for workload
     /// accounting; a leap counts every firing it commits).
     pub events: u64,
@@ -537,8 +538,8 @@ impl Engine {
 
     /// Advances to `t_goal`, collecting the quantum's samples and events.
     pub fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::new();
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, v.to_vec())));
+        let mut samples = Vec::with_capacity(clock.due_by(t_goal));
+        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, Row::from_slice(v))));
         QuantumOutcome { samples, events }
     }
 }
@@ -601,14 +602,16 @@ mod tests {
         // against the directly constructed integrator, same seed and
         // instance, bit-identical samples, events and time.
         let model = decay_model(30, 1.0);
-        type Run = (Vec<(f64, Vec<u64>)>, u64, f64);
+        type Run = (Vec<(f64, Row)>, u64, f64);
         // The concrete engines share method names, not a type.
         macro_rules! direct {
             ($engine:expr, $events:ident) => {{
                 let mut engine = $engine;
                 let mut clock = SampleClock::new(0.0, 0.25);
                 let mut samples = Vec::new();
-                engine.run_sampled(3.0, &mut clock, |t, v| samples.push((t, v.to_vec())));
+                engine.run_sampled(3.0, &mut clock, |t, v| {
+                    samples.push((t, Row::from_slice(v)))
+                });
                 (samples, engine.$events(), engine.time())
             }};
         }

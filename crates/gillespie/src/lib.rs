@@ -25,7 +25,8 @@
 //!   tree-matching propensities), and the SoA propensity row both cores
 //!   share — one ordered `-0.0`-identity prefix fold and one selection,
 //!   on the [`kernels`] layer's `row_fold_from`/`row_select`;
-//! - [`trajectory`]: the time-aligned [`Cut`];
+//! - [`trajectory`]: the sample [`Row`] (a few counts, held inline) and
+//!   the time-aligned [`Cut`];
 //! - [`flat`]: the compiled flat form of a model — slot tables, the
 //!   exact propensity formula and the observable plan of the dense core;
 //!   stoichiometry rows and the Cao–Gillespie–Petzold step bound of every
@@ -72,4 +73,4 @@ pub use kernels::KernelDispatch;
 pub use rng::{instance_seed, sim_rng, SimRng};
 pub use ssa::{Reaction, SampleClock, SsaEngine, StepOutcome};
 pub use table::ReactionTable;
-pub use trajectory::Cut;
+pub use trajectory::{Cut, Row};

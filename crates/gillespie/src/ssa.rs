@@ -747,6 +747,19 @@ impl SampleClock {
         self.next += self.period;
     }
 
+    /// Number of grid points the clock will yield up to and including
+    /// `t_end` — exactly the samples a quantum ending at `t_end` emits, so
+    /// a caller can size its sample buffer once.
+    pub fn due_by(&self, t_end: f64) -> usize {
+        let mut clock = self.clone();
+        let mut due = 0;
+        while clock.peek().is_some_and(|t| t <= t_end) {
+            clock.advance();
+            due += 1;
+        }
+        due
+    }
+
     /// Number of samples emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted

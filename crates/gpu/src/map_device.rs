@@ -16,6 +16,7 @@ use std::sync::Arc;
 use cwc::model::Model;
 use gillespie::engine::{Engine, EngineError, EngineKind};
 use gillespie::ssa::SampleClock;
+use gillespie::trajectory::Row;
 
 use crate::device::DeviceSpec;
 use crate::executor::{simulate_device_run, GpuRunReport, WarpPacking};
@@ -26,7 +27,7 @@ pub struct KernelOutput {
     /// Instance id.
     pub instance: u64,
     /// `(grid time, observable values)` pairs produced in the quantum.
-    pub samples: Vec<(f64, Vec<u64>)>,
+    pub samples: Vec<(f64, Row)>,
 }
 
 /// The device-resident map: all instances advance in lockstep quanta.
@@ -205,7 +206,7 @@ mod tests {
                 let mut engine = kind.build(Arc::clone(&model), 9, i).unwrap();
                 let mut clock = SampleClock::new(0.0, 0.25);
                 let expected = engine.advance_quantum(2.0, &mut clock).samples;
-                let got: Vec<(f64, Vec<u64>)> = outputs
+                let got: Vec<(f64, Row)> = outputs
                     .iter()
                     .filter(|o| o.instance == i)
                     .flat_map(|o| o.samples.clone())

@@ -26,6 +26,8 @@
 pub struct Histogram {
     lo: f64,
     hi: f64,
+    /// Bin width, `(hi - lo) / bins`, computed once.
+    width: f64,
     bins: Vec<u64>,
     count: u64,
 }
@@ -42,6 +44,7 @@ impl Histogram {
         Histogram {
             lo,
             hi,
+            width: (hi - lo) / bins as f64,
             bins: vec![0; bins],
             count: 0,
         }
@@ -55,8 +58,7 @@ impl Histogram {
         } else if x >= self.hi {
             nbins - 1
         } else {
-            let w = (self.hi - self.lo) / nbins as f64;
-            (((x - self.lo) / w) as usize).min(nbins - 1)
+            (((x - self.lo) / self.width) as usize).min(nbins - 1)
         };
         self.bins[idx] += 1;
         self.count += 1;
@@ -90,6 +92,7 @@ impl Histogram {
         Histogram {
             lo,
             hi,
+            width: (hi - lo) / bins.len() as f64,
             bins,
             count,
         }
@@ -111,7 +114,7 @@ impl Histogram {
 
     /// `(low_edge, high_edge)` of bin `i`.
     pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
+        let w = self.width;
         (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
     }
 

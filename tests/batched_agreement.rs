@@ -101,7 +101,7 @@ fn batched_fingerprints_with(
             events[r] += batch.events;
             for (ts, v) in &batch.samples {
                 hashes[r] = fnv1a(hashes[r], &ts.to_bits().to_le_bytes());
-                for &x in v {
+                for &x in v.iter() {
                     hashes[r] = fnv1a(hashes[r], &x.to_le_bytes());
                 }
             }

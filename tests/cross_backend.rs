@@ -13,6 +13,7 @@ use cwc_repro::cwcsim::{
     run_sequential, run_simulation, run_simulation_sharded_in_process, EngineKind, SimConfig,
 };
 use cwc_repro::gillespie::ssa::SampleClock;
+use cwc_repro::gillespie::trajectory::Row;
 use cwc_repro::simt::DeviceMap;
 
 fn cfg() -> SimConfig {
@@ -88,7 +89,7 @@ fn assert_device_matches_plain_engines(kind: EngineKind, model: &Arc<Model>, cfg
         let mut engine = kind.build(Arc::clone(model), cfg.base_seed, i).unwrap();
         let mut clock = SampleClock::new(0.0, cfg.sample_period);
         let expected = engine.advance_quantum(cfg.t_end, &mut clock).samples;
-        let got: Vec<(f64, Vec<u64>)> = outputs
+        let got: Vec<(f64, Row)> = outputs
             .iter()
             .filter(|o| o.instance == i)
             .flat_map(|o| o.samples.clone())
@@ -135,7 +136,7 @@ fn the_papers_model_agrees_across_backends_on_the_leaping_kinds() {
 #[test]
 fn gpu_quantum_size_does_not_change_results() {
     let model = Arc::new(biomodels::simple::birth_death(30.0, 1.0, 0));
-    type Samples = Vec<(f64, Vec<u64>)>;
+    type Samples = Vec<(f64, Row)>;
     fn by_instance(outputs: Vec<(u64, Samples)>) -> Vec<(u64, Samples)> {
         let mut per_instance: std::collections::BTreeMap<u64, Samples> = Default::default();
         for (i, s) in outputs {

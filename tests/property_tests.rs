@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cwc_repro::biomodels::CellTransportParams;
 use cwc_repro::gillespie::engine::EngineKind;
-use cwc_repro::gillespie::{AdaptiveTauEngine, SampleClock};
+use cwc_repro::gillespie::{AdaptiveTauEngine, Row, SampleClock};
 
 use cwc_repro::cwc::matching::{apply_at, assignments, match_count};
 use cwc_repro::cwc::multiset::{binomial, Multiset};
@@ -139,10 +139,12 @@ proptest! {
         events in any::<u64>(),
         finished in any::<bool>(),
         samples in proptest::collection::vec(
-            (0.0f64..1e6, proptest::collection::vec(any::<u64>(), 0..5)),
+            (0.0f64..1e6, proptest::collection::vec(any::<u64>(), 0..7)),
             0..20
         ),
     ) {
+        // Rows of 0..=6 values: inline rows and spilled ones.
+        let samples = samples.iter().map(|(t, v)| (*t, Row::from_slice(v))).collect();
         let batch = SampleBatch { instance, samples, events, finished };
         let bytes = to_bytes(&batch);
         let back: SampleBatch = from_bytes(&bytes).unwrap();
@@ -159,7 +161,7 @@ proptest! {
         // Corrupt a valid message.
         let valid = to_bytes(&SampleBatch {
             instance: 1,
-            samples: vec![(1.0, vec![2, 3])],
+            samples: vec![(1.0, Row::from_slice(&[2, 3]))],
             events: 4,
             finished: false,
         });

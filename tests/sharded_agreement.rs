@@ -13,9 +13,11 @@ use std::sync::Arc;
 use cwc_repro::biomodels;
 use cwc_repro::cwc::model::Model;
 use cwc_repro::cwcsim::{
-    run_simulation, EngineKind, ShardErrorKind, SimConfig, SimError, StatEngineKind,
+    run_sequential, run_simulation, run_simulation_sharded_in_process, EngineKind, ShardErrorKind,
+    SimConfig, SimError, SimReport, StatEngineKind,
 };
 use cwc_repro::distrt::shard::run_simulation_sharded;
+use cwc_repro::distrt::wire;
 
 fn engine_kinds() -> Vec<EngineKind> {
     vec![
@@ -87,6 +89,81 @@ fn sharded_rows_are_bit_for_bit_identical_across_the_matrix() {
                 );
             }
         }
+    }
+}
+
+/// A flat source → six-species chain → sink network observing all six
+/// species: more observables than a sample row holds inline, so every
+/// sample, cut and cut frame of its runs takes the spilled-row path.
+fn six_observable_chain() -> Arc<Model> {
+    let mut m = Model::new("six-observable-chain");
+    let names = ["A", "B", "C", "D", "E", "F"];
+    for name in names {
+        let s = m.species(name);
+        m.initial.add_atoms(s, 10);
+        m.observe(name, s);
+    }
+    m.rule("source")
+        .produces("A", 1)
+        .rate(20.0)
+        .build()
+        .unwrap();
+    for pair in names.windows(2) {
+        m.rule(&format!("{}->{}", pair[0], pair[1]))
+            .consumes(pair[0], 1)
+            .produces(pair[1], 1)
+            .rate(1.0)
+            .build()
+            .unwrap();
+    }
+    m.rule("sink").consumes("F", 1).rate(0.5).build().unwrap();
+    Arc::new(m)
+}
+
+/// Rows, events and the merged `RunSummary` (through its canonical wire
+/// encoding) of two reports.
+fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
+    assert_eq!(a.rows, b.rows, "{label}: rows diverged");
+    assert_eq!(a.events, b.events, "{label}: event counts diverged");
+    assert_eq!(
+        wire::to_bytes(&a.summary),
+        wire::to_bytes(&b.summary),
+        "{label}: summaries diverged"
+    );
+}
+
+#[test]
+fn spilled_rows_agree_bit_for_bit_on_every_runner() {
+    let model = six_observable_chain();
+    for kind in engine_kinds() {
+        let base = cfg().engine(kind).engines(vec![
+            StatEngineKind::MeanVariance,
+            StatEngineKind::KMeans { k: 2 },
+            StatEngineKind::Quantile { p: 0.5 },
+            StatEngineKind::Histogram {
+                lo: 0.0,
+                hi: 60.0,
+                bins: 12,
+            },
+        ]);
+        let farm = run_simulation(Arc::clone(&model), &base).unwrap();
+        assert_eq!(farm.summary.observables().len(), 6, "{kind}");
+        assert!(farm.events > 0, "{kind}: nothing fired");
+        let seq = run_sequential(Arc::clone(&model), &base).unwrap();
+        assert_reports_identical(&farm, &seq, &format!("{kind}: farm vs sequential"));
+
+        // A sharded summary folds one partial per shard, so it is compared
+        // at equal shard counts; rows and events against the farm.
+        let two = base.clone().shards(2);
+        let in_process = run_simulation_sharded_in_process(Arc::clone(&model), &two).unwrap();
+        let processes = run_simulation_sharded(Arc::clone(&model), &two).unwrap();
+        assert_eq!(in_process.rows, farm.rows, "{kind}: in-process shards");
+        assert_eq!(in_process.events, farm.events, "{kind}: in-process shards");
+        assert_reports_identical(
+            &processes,
+            &in_process,
+            &format!("{kind}: process vs in-process shards"),
+        );
     }
 }
 

@@ -21,6 +21,10 @@
 //! writes each sample's observables into one reused buffer, which is what
 //! extends the guarantee from stepping to sampled quanta.
 //!
+//! A farm task's quantum adds exactly one allocation on top: the batch's
+//! sample vector, sized once from the sampling clock. Samples are inline
+//! rows, so the count does not grow with the samples in the quantum.
+//!
 //! The same allocator pins the window layer: [`WindowGen`] hands each cut
 //! downstream by move, so a cut through it costs a small constant number
 //! of allocations whatever the instance count and window width.
@@ -32,11 +36,12 @@ use std::sync::Arc;
 use cwc_repro::biomodels::{
     neurospora_compartments, neurospora_flat, schlogl, NeurosporaParams, SchloglParams,
 };
+use cwc_repro::cwcsim::task::SimTask;
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
 use cwc_repro::gillespie::engine::{Engine, EngineKind, EngineStep};
 use cwc_repro::gillespie::ssa::SampleClock;
-use cwc_repro::gillespie::trajectory::Cut;
+use cwc_repro::gillespie::trajectory::{Cut, Row};
 
 struct CountingAllocator;
 
@@ -206,6 +211,36 @@ fn leaping_sampled_quanta_are_allocation_free_on_neurospora() {
     }
 }
 
+#[test]
+fn a_sampled_quantum_batch_is_one_allocation_whatever_its_sample_count() {
+    // The Fig. 3 stream's farm task: Neurospora on the direct method,
+    // quantum 0.1, a sample every 0.002 — 50 samples a quantum — and a
+    // sparser grid for contrast. Rows are inline and the batch sizes its
+    // sample vector once from the clock, so a quantum's batch is one
+    // allocation, not one per sample.
+    let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
+    for period in [0.002, 0.02] {
+        let mut task = SimTask::new(Arc::clone(&model), 2014, 3, 0.8, 0.1, period);
+        // Warm-up quantum: the engine sizes its reusable buffers.
+        drop(task.run_quantum_batch());
+        let (mut quanta, mut samples) = (0u64, 0usize);
+        let before = allocations();
+        while !task.is_done() {
+            samples += task.run_quantum_batch().samples.len();
+            quanta += 1;
+        }
+        let allocated = allocations() - before;
+        assert!(
+            quanta >= 7 && samples as u64 >= 4 * quanta,
+            "{quanta} quanta, {samples} samples"
+        );
+        assert!(
+            allocated <= quanta,
+            "period {period}: {allocated} allocations over {quanta} quanta / {samples} samples"
+        );
+    }
+}
+
 /// Heap allocations `WindowGen` makes per cut at slide 1, emitted windows
 /// included.
 fn window_allocations_per_cut(instances: usize, width: usize) -> f64 {
@@ -213,7 +248,7 @@ fn window_allocations_per_cut(instances: usize, width: usize) -> f64 {
     let cuts: Vec<Cut> = (0..CUTS)
         .map(|k| Cut {
             time: k as f64,
-            values: vec![vec![k as u64; 3]; instances],
+            values: vec![Row::from_slice(&[k as u64; 3]); instances],
         })
         .collect();
     let mut gen = WindowGen::new(width, 1);
