@@ -1,17 +1,20 @@
-//! Safe typed channels over the lock-free SPSC queues.
+//! Safe typed channels over the lock-free SPSC queue.
 //!
 //! A channel is the FastFlow *stream*: the arrows of Fig. 2 in the paper.
 //! [`Sender`] and [`Receiver`] own their side of the queue (neither is
 //! `Clone`), which is what makes handing out the `unsafe` queue operations
-//! sound. Bounded channels provide backpressure between pipeline stages;
-//! unbounded channels serve feedback edges where backpressure could deadlock
-//! the cycle.
+//! sound. Every pipeline edge is a [`bounded`] channel: backpressure
+//! between stages, and on the farm's feedback edge a plain bound — the
+//! master never blocks, so its in-flight count bounds the notice edge.
+//! [`unbounded`] is a locked queue for code that drives stages by hand on
+//! one thread, such as the sequential oracle; no pipeline edge uses it.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::backoff::Backoff;
 use crate::spsc::{PushError, SpscQueue};
-use crate::unbounded::UnboundedSpsc;
 
 /// Error returned when sending on a channel whose receiver is gone.
 ///
@@ -53,7 +56,10 @@ impl<T: std::fmt::Debug> std::error::Error for TrySendError<T> {}
 #[allow(clippy::large_enum_variant)]
 enum Flavor<T> {
     Bounded(SpscQueue<T>),
-    Unbounded(UnboundedSpsc<T>),
+    Unbounded {
+        items: Mutex<VecDeque<T>>,
+        closed: AtomicBool,
+    },
 }
 
 struct Shared<T> {
@@ -64,21 +70,43 @@ impl<T> Shared<T> {
     fn close(&self) {
         match &self.queue {
             Flavor::Bounded(q) => q.close(),
-            Flavor::Unbounded(q) => q.close(),
+            Flavor::Unbounded { closed, .. } => closed.store(true, Ordering::Release),
         }
     }
 
     fn is_closed(&self) -> bool {
         match &self.queue {
             Flavor::Bounded(q) => q.is_closed(),
-            Flavor::Unbounded(q) => q.is_closed(),
+            Flavor::Unbounded { closed, .. } => closed.load(Ordering::Acquire),
         }
     }
 
-    fn len(&self) -> usize {
+    /// Called only by the channel's one [`Sender`].
+    fn try_push(&self, value: T) -> Result<(), T> {
         match &self.queue {
-            Flavor::Bounded(q) => q.len(),
-            Flavor::Unbounded(q) => q.len(),
+            // SAFETY: `Sender` is not Clone, so this is the only producer.
+            Flavor::Bounded(q) => unsafe { q.try_push(value) }.map_err(|PushError(v)| v),
+            // A push or pop cannot leave the deque inconsistent, so a
+            // poisoned lock still guards a valid queue.
+            Flavor::Unbounded { items, .. } => {
+                items
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push_back(value);
+                Ok(())
+            }
+        }
+    }
+
+    /// Called only by the channel's one [`Receiver`].
+    fn try_pop(&self) -> Option<T> {
+        match &self.queue {
+            // SAFETY: `Receiver` is not Clone, so this is the only consumer.
+            Flavor::Bounded(q) => unsafe { q.try_pop() },
+            Flavor::Unbounded { items, .. } => items
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop_front(),
         }
     }
 }
@@ -120,10 +148,17 @@ pub fn bounded<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Creates an unbounded SPSC channel (sends never block).
+/// Creates an unbounded channel (sends never block): a locked deque.
+///
+/// No pipeline edge uses it — they are all [`bounded`]. It serves code
+/// that plays several stages on one thread, where a bounded edge would
+/// need draining before every push.
 pub fn unbounded<T: Send>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Flavor::Unbounded(UnboundedSpsc::new()),
+        queue: Flavor::Unbounded {
+            items: Mutex::new(VecDeque::new()),
+            closed: AtomicBool::new(false),
+        },
     });
     (
         Sender {
@@ -140,30 +175,17 @@ impl<T: Send> Sender<T> {
     ///
     /// Returns [`SendError`] with the value if the receiver was dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &self.shared.queue {
-            Flavor::Unbounded(q) => {
-                if self.shared.is_closed() {
-                    return Err(SendError(value));
-                }
-                // SAFETY: `Sender` is not Clone, so this is the only producer.
-                unsafe { q.push(value) };
-                Ok(())
+        let mut value = value;
+        let mut backoff = Backoff::new();
+        loop {
+            if self.shared.is_closed() {
+                return Err(SendError(value));
             }
-            Flavor::Bounded(q) => {
-                let mut value = value;
-                let mut backoff = Backoff::new();
-                loop {
-                    if self.shared.is_closed() {
-                        return Err(SendError(value));
-                    }
-                    // SAFETY: single producer by construction.
-                    match unsafe { q.try_push(value) } {
-                        Ok(()) => return Ok(()),
-                        Err(PushError(v)) => {
-                            value = v;
-                            backoff.wait();
-                        }
-                    }
+            match self.shared.try_push(value) {
+                Ok(()) => return Ok(()),
+                Err(v) => {
+                    value = v;
+                    backoff.wait();
                 }
             }
         }
@@ -179,24 +201,7 @@ impl<T: Send> Sender<T> {
         if self.shared.is_closed() {
             return Err(TrySendError::Disconnected(value));
         }
-        match &self.shared.queue {
-            Flavor::Unbounded(q) => {
-                // SAFETY: single producer by construction.
-                unsafe { q.push(value) };
-                Ok(())
-            }
-            // SAFETY: single producer by construction.
-            Flavor::Bounded(q) => {
-                unsafe { q.try_push(value) }.map_err(|PushError(v)| TrySendError::Full(v))
-            }
-        }
-    }
-
-    /// Number of items currently queued (racy snapshot).
-    ///
-    /// Schedulers use this as the load estimate of the consumer.
-    pub fn queued(&self) -> usize {
-        self.shared.len()
+        self.shared.try_push(value).map_err(TrySendError::Full)
     }
 
     /// True when the receiving side has been dropped.
@@ -228,29 +233,15 @@ impl<T: Send> Receiver<T> {
     /// [`TryRecvError::Empty`] when no item is queued yet;
     /// [`TryRecvError::Disconnected`] at end of stream.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let item = match &self.shared.queue {
-            // SAFETY: `Receiver` is not Clone, so this is the only consumer.
-            Flavor::Bounded(q) => unsafe { q.try_pop() },
-            Flavor::Unbounded(q) => unsafe { q.try_pop() },
-        };
-        match item {
+        match self.shared.try_pop() {
             Some(v) => Ok(v),
+            // Re-check after observing closed: the sender may have pushed
+            // between our pop and its close.
             None if self.shared.is_closed() => {
-                // Re-check after observing closed: the sender may have pushed
-                // between our pop and its close.
-                let retry = match &self.shared.queue {
-                    Flavor::Bounded(q) => unsafe { q.try_pop() },
-                    Flavor::Unbounded(q) => unsafe { q.try_pop() },
-                };
-                retry.ok_or(TryRecvError::Disconnected)
+                self.shared.try_pop().ok_or(TryRecvError::Disconnected)
             }
             None => Err(TryRecvError::Empty),
         }
-    }
-
-    /// Number of items currently queued (racy snapshot).
-    pub fn queued(&self) -> usize {
-        self.shared.len()
     }
 
     /// True when the sender is gone; items may still be queued.
@@ -322,7 +313,6 @@ impl<T> Drop for Receiver<T> {
 impl<T> std::fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sender")
-            .field("queued", &self.shared.len())
             .field("closed", &self.shared.is_closed())
             .finish()
     }
@@ -331,7 +321,6 @@ impl<T> std::fmt::Debug for Sender<T> {
 impl<T> std::fmt::Debug for Receiver<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Receiver")
-            .field("queued", &self.shared.len())
             .field("closed", &self.shared.is_closed())
             .finish()
     }
@@ -362,6 +351,50 @@ mod tests {
         let got: Vec<u32> = rx.iter().collect();
         assert_eq!(got.len(), 2000);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn unbounded_keeps_fifo_and_eos_across_threads() {
+        let (tx, rx) = unbounded();
+        let total = 20_000u64;
+        let producer = std::thread::spawn(move || {
+            for i in 0..total {
+                tx.send(i).unwrap();
+                if i % 1024 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            // Dropping `tx` here is the end of stream.
+        });
+        let mut expected = 0u64;
+        for v in rx.iter() {
+            assert_eq!(v, expected);
+            expected += 1;
+        }
+        assert_eq!(expected, total);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        producer.join().unwrap();
+    }
+
+    #[test]
+    fn unbounded_drop_runs_destructors_of_queued_items() {
+        use std::sync::atomic::AtomicUsize;
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug)]
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (tx, rx) = unbounded();
+        for _ in 0..600 {
+            tx.send(Counted).unwrap();
+        }
+        drop(rx);
+        assert!(tx.send(Counted).is_err(), "refused and dropped");
+        drop(tx);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 601);
     }
 
     #[test]
@@ -415,15 +448,6 @@ mod tests {
         assert_eq!(rx.recv(), Some(0));
         assert_eq!(rx.recv(), Some(1));
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn queued_reflects_pending_items() {
-        let (tx, rx) = bounded(8);
-        tx.send(1u8).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(tx.queued(), 2);
-        assert_eq!(rx.queued(), 2);
     }
 
     #[test]

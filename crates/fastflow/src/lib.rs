@@ -7,12 +7,14 @@
 //!
 //! | Layer | Modules |
 //! |---|---|
-//! | Building blocks | [`spsc`], [`unbounded`], [`channel`], [`backoff`] |
+//! | Building blocks | [`spsc`], [`channel`], [`backoff`] |
 //! | Core patterns | [`pipeline`], [`farm`] (ordered), [`master_worker`] (feedback) |
 //!
-//! Processing components are threads; channels are lock-free
-//! single-producer single-consumer FIFO queues — the CSP/actor hybrid model
-//! of the paper. Every pattern is generated from user-provided [`node`]
+//! Processing components are threads; every edge between them is one
+//! bounded lock-free single-producer single-consumer FIFO queue — the
+//! CSP/actor hybrid model of the paper. FastFlow puts the feedback channel
+//! on an unbounded queue; here the farm master never blocks, so the tasks
+//! it has in flight bound that edge too. Every pattern is generated from user-provided [`node`]
 //! implementations (the white boxes of the paper's figures); dispatching,
 //! gathering, scheduling and feedback plumbing are produced by the pattern
 //! combinators (the grey boxes).
@@ -60,7 +62,6 @@ pub mod metrics;
 pub mod node;
 pub mod pipeline;
 pub mod spsc;
-pub mod unbounded;
 
 pub use error::{Error, Result};
 pub use master_worker::{FeedbackWorker, Master, Scheduler};
@@ -76,13 +77,11 @@ mod tests {
         assert_send::<crate::channel::Sender<u32>>();
         assert_send::<crate::channel::Receiver<u32>>();
         assert_send::<crate::spsc::SpscQueue<u32>>();
-        assert_send::<crate::unbounded::UnboundedSpsc<u32>>();
     }
 
     #[test]
     fn queues_are_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<crate::spsc::SpscQueue<u32>>();
-        assert_sync::<crate::unbounded::UnboundedSpsc<u32>>();
     }
 }

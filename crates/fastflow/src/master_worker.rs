@@ -5,7 +5,7 @@
 //! feedback channel". This module provides exactly that shape:
 //!
 //! ```text
-//!                ┌──────────── completion notices (unbounded) ──────────┐
+//!                ┌────── completion notices (bounded, `capacity` each) ─┐
 //!                ▼                                                      │
 //! upstream ─▶ master ─▶ task queues (bounded, `capacity` each) ─▶ workers
 //!             [ready queue]                                         │ forward
@@ -41,8 +41,12 @@
 //! itself is unbounded: the tasks of a feedback farm are long-lived, and
 //! admitting all of them is what keeps them in step.
 //!
-//! Notice channels are **unbounded** ([`crate::unbounded`]): reporting a
-//! completion never blocks a worker.
+//! A notice channel is bounded by the same `capacity`, and reporting a
+//! completion still never blocks a worker: each task yields exactly one
+//! notice, and a worker holds at most `capacity` tasks until the master
+//! reads their notices, so its notice queue always has room. The worker
+//! sends with `try_send`, and a full notice queue panics as a broken
+//! count, the mirror of the master's `try_send` on the task edge.
 
 use std::collections::VecDeque;
 
@@ -200,11 +204,12 @@ impl<T: Send + 'static> Pipeline<T> {
             task_tx.push(tx);
             task_rx.push(rx);
         }
-        // Workers -> master (unbounded completion notices).
+        // Workers -> master (completion notices, bounded by the tasks in
+        // flight: see the module docs).
         let mut fb_tx = Vec::with_capacity(n);
         let mut fb_rx = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = channel::unbounded::<Notice<M::Fb>>();
+            let (tx, rx) = channel::bounded::<Notice<M::Fb>>(self.capacity);
             fb_tx.push(tx);
             fb_rx.push(rx);
         }
@@ -398,14 +403,16 @@ fn run_feedback_worker<W: FeedbackWorker>(
     let mut outbox = Outbox::new(&out);
     while let Some(task) = tasks.recv() {
         let payload = worker.on_task(task, &mut outbox);
-        if feedback
-            .send(Notice {
-                worker: index,
-                payload,
-            })
-            .is_err()
-        {
-            break; // master gone (only possible on panic)
+        let notice = Notice {
+            worker: index,
+            payload,
+        };
+        match feedback.try_send(notice) {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => {
+                unreachable!("worker {index} sent more notices than it had tasks in flight")
+            }
+            Err(TrySendError::Disconnected(_)) => break, // master gone (only on panic)
         }
         if outbox.is_disconnected() {
             break;
@@ -727,6 +734,53 @@ mod tests {
         }
     }
 
+    /// A [`QuantumWorker`] that yields its thread on a fixed pattern of
+    /// (worker, task, round), so notices and tasks interleave unevenly.
+    struct YieldingWorker(usize);
+
+    impl FeedbackWorker for YieldingWorker {
+        type Task = QuantumTask;
+        type Fb = QuantumTask;
+        type Out = (usize, u32);
+
+        fn on_task(
+            &mut self,
+            task: QuantumTask,
+            out: &mut Outbox<'_, (usize, u32)>,
+        ) -> Option<QuantumTask> {
+            if (self.0 + task.id + task.remaining as usize) % 3 == 0 {
+                std::thread::yield_now();
+            }
+            QuantumWorker.on_task(task, out)
+        }
+    }
+
+    /// The notice edge has the task queue's capacity (3 rounds up to a
+    /// 4-slot ring): a notice that found it full would panic the worker.
+    #[test]
+    fn notice_edges_as_deep_as_task_queues_never_fill() {
+        let (tasks, rounds) = (40, 25u32);
+        let expected: Vec<(usize, u32)> = (0..tasks)
+            .flat_map(|id| (0..rounds).map(move |r| (id, r)))
+            .collect();
+        for capacity in [1, 2, 3] {
+            for workers in [1, 2, 5] {
+                let pool = (0..workers).map(YieldingWorker).collect();
+                let farm =
+                    Pipeline::from_source_with_capacity(uniform_tasks(tasks, rounds), capacity)
+                        .master_worker_farm(QuantumMaster, pool);
+                let (done, result) = mpsc::channel();
+                std::thread::spawn(move || done.send(farm.collect()));
+                let mut out = match result.recv_timeout(STALL_LIMIT) {
+                    Ok(Ok(out)) => out,
+                    other => panic!("capacity {capacity}, {workers} workers: {other:?}"),
+                };
+                out.sort_unstable();
+                assert_eq!(out, expected, "capacity {capacity}, {workers} workers");
+            }
+        }
+    }
+
     // --------------------------------------------------- policy, thread-free
 
     /// A [`MasterLoop`] whose channels end in the test, which plays
@@ -736,6 +790,8 @@ mod tests {
         upstream: Option<Sender<QuantumTask>>,
         task_rx: Vec<Receiver<QuantumTask>>,
         fb_tx: Vec<Sender<Notice<QuantumTask>>>,
+        /// Per worker: tasks dequeued and not yet completed.
+        executing: Vec<usize>,
     }
 
     impl Rig {
@@ -747,12 +803,13 @@ mod tests {
                 upstream.try_send(task).unwrap();
             }
             let (task_tx, task_rx) = (0..workers).map(|_| channel::bounded(capacity)).unzip();
-            let (fb_tx, fb_rx) = (0..workers).map(|_| channel::unbounded()).unzip();
+            let (fb_tx, fb_rx) = (0..workers).map(|_| channel::bounded(capacity)).unzip();
             Rig {
                 master: MasterLoop::new(QuantumMaster, upstream_rx, task_tx, fb_rx, capacity),
                 upstream: Some(upstream),
                 task_rx,
                 fb_tx,
+                executing: vec![0; workers],
             }
         }
 
@@ -768,15 +825,30 @@ mod tests {
 
         /// Worker `w` dequeues its next task, if it has one.
         fn dequeue(&mut self, w: usize) -> Option<QuantumTask> {
-            self.task_rx[w].try_recv().ok()
+            let task = self.task_rx[w].try_recv().ok();
+            self.executing[w] += usize::from(task.is_some());
+            task
         }
 
         /// Worker `w` reports `task`'s quantum done, feeding it back while
-        /// it has rounds left.
+        /// it has rounds left. Sent as the worker run-time sends it, so
+        /// every schedule below also checks the notice edge's bound.
         fn complete(&mut self, w: usize, mut task: QuantumTask) {
+            self.executing[w] -= 1;
             task.remaining -= 1;
             let payload = (task.remaining > 0).then_some(task);
-            self.fb_tx[w].send(Notice { worker: w, payload }).unwrap();
+            self.fb_tx[w]
+                .try_send(Notice { worker: w, payload })
+                .expect("notice edge has room");
+        }
+
+        /// Per worker: tasks handed over and not yet dequeued.
+        fn queued(&self) -> Vec<usize> {
+            let held = &self.master.dispatch.inflight;
+            held.iter()
+                .zip(&self.executing)
+                .map(|(h, e)| h - e)
+                .collect()
         }
     }
 
@@ -817,27 +889,20 @@ mod tests {
         // also shows that none was attempted without room.
         let mut rig = Rig::new(2, 2, 10, 1);
         assert_eq!(rig.settle(), Sweep::Idle);
-        let queued = |rig: &Rig| {
-            rig.master
-                .task_tx
-                .iter()
-                .map(Sender::queued)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(queued(&rig), [2, 2]);
+        assert_eq!(rig.queued(), [2, 2]);
         assert_eq!(rig.master.dispatch.ready.len(), 6);
 
         // Dequeuing frees a slot but not the room: the task is executing.
         let task = rig.dequeue(0).unwrap();
         assert_eq!(task.id, 0, "oldest task, lowest-indexed worker");
         assert_eq!(rig.settle(), Sweep::Idle);
-        assert_eq!(queued(&rig), [1, 2]);
+        assert_eq!(rig.queued(), [1, 2]);
 
         // Its completion notice does, for exactly one task — the oldest
         // one still waiting.
         rig.complete(0, task);
         assert_eq!(rig.settle(), Sweep::Idle);
-        assert_eq!(queued(&rig), [2, 2]);
+        assert_eq!(rig.queued(), [2, 2]);
         assert_eq!(rig.master.dispatch.ready.front().unwrap().id, 5);
 
         // The less loaded worker is served first.
@@ -845,7 +910,7 @@ mod tests {
         rig.complete(1, a);
         rig.complete(1, b);
         assert_eq!(rig.settle(), Sweep::Idle);
-        assert_eq!(queued(&rig), [2, 2]);
+        assert_eq!(rig.queued(), [2, 2]);
         assert_eq!(rig.master.dispatch.inflight, vec![2, 2]);
         assert_eq!(rig.master.dispatch.ready.len(), 3);
     }

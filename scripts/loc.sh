@@ -12,6 +12,8 @@
 #               we own; printed on its own line and kept out of `total`
 #               so totals stay comparable with readings taken before the
 #               line existed
+# and one count, `unsafe`: product lines that use the `unsafe` keyword,
+# comment lines (doc examples included) left out.
 # Run it on the parent checkout and on the change; the PR's net is the
 # difference of the totals (plus the vendor line's). Code moved from product into a test module
 # shows up as product − / test +, never as a removal.
@@ -35,6 +37,8 @@ find . -name '*.rs' \
         }
         cfg = ($0 == "#[cfg(test)]")
         n[(bucket == "product" && in_test) ? "test" : bucket]++
+        if (bucket == "product" && !in_test && $0 !~ /^[ \t]*\/\// \
+            && $0 ~ /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/) n["unsafe"]++
     }
     END {
         total = n["product"] + n["test"] + n["benchmarks"]
@@ -43,4 +47,5 @@ find . -name '*.rs' \
         printf "benchmarks  %6d\n", n["benchmarks"]
         printf "vendor      %6d\n", n["vendor"]
         printf "total       %6d\n", total
+        printf "unsafe      %6d\n", n["unsafe"]
     }'
