@@ -354,6 +354,18 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_try_recv_pops_in_push_order_then_empty() {
+        let (tx, rx) = unbounded();
+        tx.send(1u32).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        drop(tx);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
     fn unbounded_keeps_fifo_and_eos_across_threads() {
         let (tx, rx) = unbounded();
         let total = 20_000u64;
