@@ -1,12 +1,13 @@
 //! Ablation (beyond the paper): sweep the Q/τ ratio across a decade on
-//! both platforms. Table I samples only Q/τ ∈ {10, 1}; this harness maps
+//! both platforms — the CPU as the pipeline DES model of `distrt::cluster`
+//! on one 32-core host, the GPU as the SIMT model. Table I samples only Q/τ ∈ {10, 1}; this harness maps
 //! the full trade-off — kernel-overhead amortisation vs occupancy and
 //! rebalancing — and shows where the optimum sits for each instance count.
 //!
 //! Run: `cargo run -p bench --release --bin ablation_quantum_sweep`
 
 use bench::{costs, print_table, quick_mode, secs, trace_with};
-use distrt::multicore::{simulate_multicore, MulticoreParams};
+use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
 use simt::executor::simulate_device_run_with_buffering;
 use simt::{DeviceSpec, WarpPacking};
@@ -24,10 +25,10 @@ fn main() {
         for factor in [1usize, 2, 5, 10, 20, 60] {
             let coarse = fine.coarsen(factor);
             let spq = fine.samples_per_instance as f64 / coarse.quanta as f64;
-            let mut p = MulticoreParams::new(HostProfile::nehalem32(), 32, 4);
+            let mut p = ClusterParams::single_host(HostProfile::nehalem32(), 32, 4);
             p.costs = cost;
             p.dispatch_overhead_s = 0.3e-6;
-            let cpu = simulate_multicore(&coarse, &p).makespan_s;
+            let cpu = simulate_cluster(&coarse, &p).makespan_s;
             let gpu_r = simulate_device_run_with_buffering(
                 &coarse.events,
                 &device,

@@ -5,8 +5,8 @@
 //! with (top) 1 statistical engine and (bottom) 4 statistical engines.
 //!
 //! The workload is recorded from real Neurospora engine runs; the platform
-//! timing comes from the calibrated multicore DES model (`desim`, the
-//! stand-in for hardware we do not have). Expected shape: near-ideal
+//! timing comes from the calibrated pipeline DES model on one host
+//! (`distrt::cluster`, the stand-in for hardware we do not have). Expected shape: near-ideal
 //! speedup for ≤ 512 trajectories; with 1 statistical engine the
 //! 1024-trajectory curve flattens (on-line analysis saturates); 4 engines
 //! recover it.
@@ -15,7 +15,7 @@
 //! (add `--quick` for a synthetic workload).
 
 use bench::{costs, f2, print_table, quick_mode, trace_with};
-use distrt::multicore::{simulate_multicore, MulticoreParams};
+use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
 
 fn main() {
@@ -44,10 +44,10 @@ fn main() {
             let trace = full.take_instances(n);
             let mut base = None;
             for (i, &w) in workers.iter().enumerate() {
-                let mut p = MulticoreParams::new(HostProfile::nehalem32(), w, stat_engines);
+                let mut p = ClusterParams::single_host(HostProfile::nehalem32(), w, stat_engines);
                 p.costs = cost;
                 p.dispatch_overhead_s = 0.3e-6;
-                let out = simulate_multicore(&trace, &p);
+                let out = simulate_cluster(&trace, &p);
                 // Speedup relative to this configuration's own 1-worker
                 // run, as the paper measures it.
                 let baseline = *base.get_or_insert(out.makespan_s);

@@ -6,6 +6,8 @@
 //! sub-linearity comes from "the additional work done by the on-line
 //! alignment of trajectories during the simulation".
 //!
+//! The VM is the pipeline DES model of `distrt::cluster` on one host
+//! whose stages share the VM's four cores (`distrt::cloud::single_vm`).
 //! Model times are scaled so the 1-core point matches the paper's 224
 //! minutes, making the remaining points directly comparable.
 //!

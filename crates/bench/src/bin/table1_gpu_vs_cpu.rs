@@ -2,7 +2,8 @@
 //!
 //! Reproduces the paper's Table I: Neurospora execution time for
 //! N ∈ {128, 512, 1024, 2048} simulation instances with quantum/sampling
-//! ratios Q/τ ∈ {10, 1}, on 32 CPU cores and on the simulated Tesla K40.
+//! ratios Q/τ ∈ {10, 1}, on 32 CPU cores (the pipeline DES model of
+//! `distrt::cluster` on one host) and on the simulated Tesla K40.
 //!
 //! Both platforms replay the *same* recorded workload (the fine τ-grained
 //! trace and its 10× coarsening are the same trajectories, thanks to the
@@ -15,7 +16,7 @@
 //! Run: `cargo run -p bench --release --bin table1_gpu_vs_cpu`
 
 use bench::{costs, print_table, quick_mode, secs, trace_with};
-use distrt::multicore::{simulate_multicore, MulticoreParams};
+use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
 use simt::executor::simulate_device_run_with_buffering;
 use simt::{DeviceSpec, WarpPacking};
@@ -45,13 +46,13 @@ fn main() {
         let spq_fine = fine.samples_per_instance as f64 / fine.quanta as f64;
         let spq_coarse = fine.samples_per_instance as f64 / coarse.quanta as f64;
 
-        // CPU side: 32-core Nehalem pipeline model, 4 stat engines. The
+        // CPU side: the pipeline on one 32-core Nehalem, 4 stat engines. The
         // FastFlow dispatch costs well under a microsecond per task.
-        let mut p = MulticoreParams::new(HostProfile::nehalem32(), 32, 4);
+        let mut p = ClusterParams::single_host(HostProfile::nehalem32(), 32, 4);
         p.costs = cost;
         p.dispatch_overhead_s = 0.3e-6;
-        let cpu_q10 = simulate_multicore(&coarse, &p).makespan_s;
-        let cpu_q1 = simulate_multicore(&fine, &p).makespan_s;
+        let cpu_q10 = simulate_cluster(&coarse, &p).makespan_s;
+        let cpu_q1 = simulate_cluster(&fine, &p).makespan_s;
 
         // GPU side: SIMT model with per-quantum rebalancing.
         let gpu_q10 = simulate_device_run_with_buffering(

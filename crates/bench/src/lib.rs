@@ -171,7 +171,7 @@ pub fn note(text: &str) {
 /// What produced a bench file: the box, the build, the resolved kernels,
 /// and how fast the box was at the start and the end of the run — so two
 /// files from different sessions say whether they are comparable
-/// (ROADMAP item 1(e); the box's speed drifts between sessions).
+/// (added in commit 238035f; the box's speed drifts between sessions).
 #[derive(Debug)]
 pub struct RunHeader {
     /// CPU model name (`/proc/cpuinfo`), or `unknown`.

@@ -12,7 +12,6 @@
 //!   Bridge workstations (Fig. 6 bottom).
 
 use crate::cluster::{simulate_cluster, ClusterOutcome, ClusterParams};
-use crate::multicore::{simulate_multicore, MulticoreParams, PipelineOutcome};
 use crate::platform::{HostProfile, NetworkProfile};
 use crate::workload::{CostModel, WorkloadTrace};
 
@@ -21,16 +20,15 @@ use crate::workload::{CostModel, WorkloadTrace};
 /// # Panics
 ///
 /// Panics if `cores` is 0 or > 4.
-pub fn single_vm(trace: &WorkloadTrace, cores: usize, costs: CostModel) -> PipelineOutcome {
+pub fn single_vm(trace: &WorkloadTrace, cores: usize, costs: CostModel) -> ClusterOutcome {
     let host = HostProfile::ec2_quad().with_cores(cores);
     // Inside one VM every stage shares the same cores: simulation,
     // alignment and statistics compete, which is why the paper's speedup
     // tops out at 3.15 of 4.
-    let mut p = MulticoreParams::new(host, cores, 1);
+    let mut p = ClusterParams::single_host(host, cores, 1);
     p.costs = costs;
-    p.dedicated_stages = false;
-    p.pool_cores = Some(4); // the VM keeps its 4 cores regardless
-    simulate_multicore(trace, &p)
+    p.shared_pool = Some(4); // the VM keeps its 4 cores regardless
+    simulate_cluster(trace, &p)
 }
 
 /// Fig. 6 (top): a virtual cluster of `vms` quad-core EC2 VMs.
@@ -61,15 +59,9 @@ pub fn heterogeneous(
     hosts: Vec<HostProfile>,
     costs: CostModel,
 ) -> ClusterOutcome {
-    let params = ClusterParams {
-        hosts,
-        network: NetworkProfile::ec2(),
-        stat_engines: 4,
-        costs,
-        values_per_sample: 3,
-        dispatch_overhead_s: 2e-6,
-    };
-    simulate_cluster(trace, &params)
+    let mut p = ClusterParams::new(hosts, NetworkProfile::ec2());
+    p.costs = costs;
+    simulate_cluster(trace, &p)
 }
 
 #[cfg(test)]

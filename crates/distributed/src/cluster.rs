@@ -1,4 +1,5 @@
-//! Discrete-event model of the distributed CWC simulator.
+//! Discrete-event model of the paper's Fig. 2 pipeline on one or more
+//! hosts.
 //!
 //! "The simulation pipeline was changed to a farm of simulation pipelines
 //! that can be run on different platforms. Each farm receives simulation
@@ -7,15 +8,25 @@
 //! results." (§IV-B)
 //!
 //! The model: every host runs a local farm of simulation engines over its
-//! cores; instances are partitioned across hosts proportionally to host
-//! capacity (parameters are shipped once — cheap). Each completed quantum
-//! produces a sample batch that crosses the host's uplink (a serialised
-//! link with latency, bandwidth and per-message overhead from the
-//! [`NetworkProfile`]) to host 0, where the alignment thread and the farm
-//! of statistical engines run, exactly as in the multicore model. Hosts
-//! may be heterogeneous ([`HostProfile`] per host), which is how the
-//! paper's EC2 + Nehalem + Sandy Bridge experiment (Fig. 6 bottom) is
-//! deployed.
+//! cores, executing quanta on demand with feedback rescheduling; instances
+//! are partitioned across hosts proportionally to host capacity
+//! (parameters are shipped once — cheap). Each completed quantum produces
+//! a sample batch for host 0, where a single alignment thread re-groups
+//! samples into cuts and a farm of statistical engines analyses complete
+//! cuts. Host 0's own batches go straight to alignment; every other host's
+//! cross its uplink (a serialised link with latency, bandwidth and
+//! per-message overhead from the [`NetworkProfile`]). Hosts may be
+//! heterogeneous ([`HostProfile`] per host), which is how the paper's
+//! EC2 + Nehalem + Sandy Bridge experiment (Fig. 6 bottom) is deployed;
+//! the multicore simulator of Fig. 3 is the one-host case
+//! ([`ClusterParams::single_host`]).
+//!
+//! The workload matrix comes from real engine runs ([`WorkloadTrace`]),
+//! the unit costs from measurements ([`CostModel`]), so the model's only
+//! synthetic inputs are core counts, speeds and links. The Fig. 3 shape
+//! emerges by itself: analysis work per cut grows with the number of
+//! trajectories, so with one statistical engine the analysis stage
+//! saturates for large datasets, and a farm of 4 restores scalability.
 
 use std::collections::VecDeque;
 
@@ -24,44 +35,66 @@ use desim::{simulate, Scheduler, World};
 use crate::platform::{HostProfile, NetworkProfile};
 use crate::workload::{CostModel, WorkloadTrace};
 
-/// Parameters of one cluster/cloud simulation.
+/// Parameters of one simulation of the pipeline on a set of hosts.
 #[derive(Debug, Clone)]
 pub struct ClusterParams {
     /// Participating hosts; host 0 also runs alignment and analysis.
     pub hosts: Vec<HostProfile>,
-    /// Interconnect between hosts (host 0's stages are reached through it).
+    /// Interconnect from every other host to host 0.
     pub network: NetworkProfile,
     /// Statistical engines on host 0.
     pub stat_engines: usize,
     /// Measured unit costs on the reference core.
     pub costs: CostModel,
-    /// Observable values per sample.
-    pub values_per_sample: usize,
     /// Fixed scheduling overhead per dispatched quantum.
     pub dispatch_overhead_s: f64,
+    /// `None` (default): alignment and statistics run on their own cores
+    /// next to host 0's simulation cores. `Some(n)`: host 0's simulation
+    /// engines, alignment and statistics all compete for one pool of `n`
+    /// cores — the right model for a small VM where the whole pipeline
+    /// shares four cores (the paper's Fig. 5, whose speedup tops out at
+    /// 3.15/4 because of "the additional work done by the on-line
+    /// alignment of trajectories"). A VM keeps all its cores when fewer
+    /// simulation workers run: analysis then overlaps for free, which is
+    /// why the 1-worker baseline excludes analysis time.
+    pub shared_pool: Option<usize>,
 }
 
 impl ClusterParams {
-    /// A homogeneous cluster of `n` copies of `host` on `network`, with the
-    /// paper's default of 4 statistical engines.
-    pub fn homogeneous(n: usize, host: HostProfile, network: NetworkProfile) -> Self {
+    /// `hosts` on `network`, with the paper's default of 4 statistical
+    /// engines on dedicated cores, nominal costs and a 2 µs dispatch.
+    pub fn new(hosts: Vec<HostProfile>, network: NetworkProfile) -> Self {
         ClusterParams {
-            hosts: (0..n).map(|_| host.clone()).collect(),
+            hosts,
             network,
             stat_engines: 4,
             costs: CostModel::nominal(),
-            values_per_sample: 3,
             dispatch_overhead_s: 2e-6,
+            shared_pool: None,
         }
     }
 
-    /// Total cores across the deployment.
-    pub fn total_cores(&self) -> usize {
-        self.hosts.iter().map(|h| h.cores).sum()
+    /// A homogeneous cluster of `n` copies of `host` on `network`.
+    pub fn homogeneous(n: usize, host: HostProfile, network: NetworkProfile) -> Self {
+        Self::new(vec![host; n], network)
+    }
+
+    /// The multicore simulator (Fig. 3): one `host` with `sim_workers`
+    /// simulation engines and `stat_engines` statistical engines. No batch
+    /// crosses the network, so its profile is immaterial.
+    pub fn single_host(host: HostProfile, sim_workers: usize, stat_engines: usize) -> Self {
+        let host = HostProfile {
+            cores: sim_workers,
+            ..host
+        };
+        ClusterParams {
+            stat_engines,
+            ..Self::new(vec![host], NetworkProfile::ipoib())
+        }
     }
 }
 
-/// Timing outcome of the cluster model.
+/// Timing outcome of the model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
     /// Wall-clock makespan.
@@ -73,9 +106,10 @@ pub struct ClusterOutcome {
     pub align_busy_s: f64,
     /// Aggregate statistical-engine busy time on host 0.
     pub stat_busy_s: f64,
-    /// Total time messages spent occupying uplinks.
+    /// Total time batches of hosts other than host 0 occupied uplinks.
     pub net_busy_s: f64,
-    /// Messages shipped across the network.
+    /// Sample batches sent to alignment, one per simulated quantum —
+    /// host 0's included, though they cross no link.
     pub messages: u64,
     /// Cuts analysed.
     pub cuts: u64,
@@ -94,35 +128,54 @@ impl ClusterOutcome {
     }
 }
 
+/// One quantum's samples of one instance, on its way to alignment.
+#[derive(Debug, Clone, Copy)]
+struct Batch {
+    instance: usize,
+    samples: u64,
+}
+
 #[derive(Debug)]
 enum Ev {
-    SimDone { host: usize, instance: usize },
-    LinkFree { host: usize },
-    BatchArrives { samples: u64 },
+    /// Time 0: fills every host's cores.
+    Start,
+    SimDone {
+        host: usize,
+        instance: usize,
+    },
+    LinkFree {
+        host: usize,
+    },
+    BatchArrives(Batch),
     AlignDone,
     StatDone,
 }
 
 struct HostState {
+    /// Instances ready for a simulation core (FIFO = on-demand + feedback).
     ready: VecDeque<usize>,
     busy: usize,
-    link_queue: VecDeque<u64>, // samples per queued batch
+    link_queue: VecDeque<Batch>,
     link_busy: bool,
 }
 
 struct ClusterWorld<'a> {
     trace: &'a WorkloadTrace,
     p: &'a ClusterParams,
+    /// Per-instance next quantum index.
     next_quantum: Vec<usize>,
     hosts: Vec<HostState>,
-    align_queue: VecDeque<u64>,
+    align_queue: VecDeque<Batch>,
     align_busy: bool,
+    /// Per-cut fill counts.
     cut_fill: Vec<u64>,
     next_cut: usize,
-    stat_queue: VecDeque<usize>,
+    /// Complete cuts waiting for a statistical engine.
+    stat_queued: u64,
     stat_busy: usize,
     cuts_done: u64,
-    samples_sent: Vec<u64>,
+    /// Per-instance samples aligned so far: the instance's next cut slot.
+    samples_aligned: Vec<u64>,
     // accounting
     sim_work_s: f64,
     align_busy_s: f64,
@@ -155,11 +208,8 @@ impl<'a> ClusterWorld<'a> {
             }
             lo = hi.min(n);
         }
-        let hosts = p
-            .hosts
-            .iter()
-            .enumerate()
-            .map(|(h, _)| HostState {
+        let hosts = (0..p.hosts.len())
+            .map(|h| HostState {
                 ready: (0..n).filter(|&i| owner[i] == h).collect(),
                 busy: 0,
                 link_queue: VecDeque::new(),
@@ -175,10 +225,10 @@ impl<'a> ClusterWorld<'a> {
             align_busy: false,
             cut_fill: vec![0; trace.samples_per_instance as usize],
             next_cut: 0,
-            stat_queue: VecDeque::new(),
+            stat_queued: 0,
             stat_busy: 0,
             cuts_done: 0,
-            samples_sent: vec![0; n],
+            samples_aligned: vec![0; n],
             sim_work_s: 0.0,
             align_busy_s: 0.0,
             stat_busy_s: 0.0,
@@ -187,20 +237,41 @@ impl<'a> ClusterWorld<'a> {
         }
     }
 
+    /// Samples an instance produces in quantum `q` (uniform grid split:
+    /// the first quanta carry the remainder).
     fn samples_in_quantum(&self, q: usize) -> u64 {
         let total = self.trace.samples_per_instance;
         let quanta = self.trace.quanta as u64;
         total / quanta + u64::from((q as u64) < total % quanta)
     }
 
+    /// Whether host 0's stages may take one more core: always, unless
+    /// they share a pool.
+    fn pool_has_core(&self) -> bool {
+        self.p.shared_pool.map_or(true, |cores| {
+            self.hosts[0].busy + usize::from(self.align_busy) + self.stat_busy < cores
+        })
+    }
+
+    fn try_start_all(&mut self, sched: &mut Scheduler<Ev>) {
+        // Analysis stages get priority on host 0: draining the stream
+        // keeps the pipeline's memory footprint bounded, which is how the
+        // real scheduler behaves under backpressure.
+        self.try_start_align(sched);
+        self.try_start_stat(sched);
+        for host in 0..self.hosts.len() {
+            self.try_start_sim(host, sched);
+            self.try_start_link(host, sched);
+        }
+    }
+
     fn try_start_sim(&mut self, host: usize, sched: &mut Scheduler<Ev>) {
         let profile = &self.p.hosts[host];
-        while self.hosts[host].busy < profile.cores {
+        while self.hosts[host].busy < profile.cores && (host != 0 || self.pool_has_core()) {
             let Some(instance) = self.hosts[host].ready.pop_front() else {
                 break;
             };
-            let q = self.next_quantum[instance];
-            let events = self.trace.events[q][instance];
+            let events = self.trace.events[self.next_quantum[instance]][instance];
             let work = events as f64 * self.p.costs.sec_per_event;
             let service = self.p.dispatch_overhead_s + work / profile.core_rate();
             self.hosts[host].busy += 1;
@@ -213,38 +284,27 @@ impl<'a> ClusterWorld<'a> {
         if self.hosts[host].link_busy {
             return;
         }
-        let Some(&samples) = self.hosts[host].link_queue.front() else {
+        let Some(batch) = self.hosts[host].link_queue.pop_front() else {
             return;
         };
-        // Host 0's own batches use shared memory, not the network.
-        let (occupancy, latency) = if host == 0 {
-            let shm = NetworkProfile::shared_memory();
-            (
-                shm.per_message_s + self.trace.mean_batch_bytes / shm.bandwidth_bps,
-                shm.latency_s,
-            )
-        } else {
-            (
-                self.p.network.per_message_s
-                    + self.trace.mean_batch_bytes / self.p.network.bandwidth_bps,
-                self.p.network.latency_s,
-            )
-        };
+        let occupancy = self.p.network.occupancy(self.trace.mean_batch_bytes);
         self.hosts[host].link_busy = true;
         self.net_busy_s += occupancy;
-        self.messages += 1;
         // The link frees after `occupancy`; the batch lands `latency` later.
         sched.schedule_in(occupancy, Ev::LinkFree { host });
-        sched.schedule_in(occupancy + latency, Ev::BatchArrives { samples });
+        sched.schedule_in(
+            occupancy + self.p.network.latency_s,
+            Ev::BatchArrives(batch),
+        );
     }
 
     fn try_start_align(&mut self, sched: &mut Scheduler<Ev>) {
-        if self.align_busy {
+        if self.align_busy || !self.pool_has_core() {
             return;
         }
-        if let Some(&samples) = self.align_queue.front() {
-            let service =
-                samples as f64 * self.p.costs.sec_per_aligned_sample / self.p.hosts[0].core_rate();
+        if let Some(batch) = self.align_queue.front() {
+            let service = batch.samples as f64 * self.p.costs.sec_per_aligned_sample
+                / self.p.hosts[0].core_rate();
             self.align_busy = true;
             self.align_busy_s += service;
             sched.schedule_in(service, Ev::AlignDone);
@@ -252,14 +312,12 @@ impl<'a> ClusterWorld<'a> {
     }
 
     fn try_start_stat(&mut self, sched: &mut Scheduler<Ev>) {
-        while self.stat_busy < self.p.stat_engines {
-            if self.stat_queue.pop_front().is_none() {
-                break;
-            }
+        while self.stat_queued > 0 && self.stat_busy < self.p.stat_engines && self.pool_has_core() {
             let service = self.trace.instances as f64
-                * self.p.values_per_sample as f64
+                * self.trace.values_per_sample as f64
                 * self.p.costs.sec_per_stat_value
                 / self.p.hosts[0].core_rate();
+            self.stat_queued -= 1;
             self.stat_busy += 1;
             self.stat_busy_s += service;
             sched.schedule_in(service, Ev::StatDone);
@@ -267,103 +325,80 @@ impl<'a> ClusterWorld<'a> {
     }
 }
 
-/// The alignment stage needs to know which instance a batch belongs to;
-/// since all instances march through the same uniform grid, tracking a
-/// FIFO per arrival is equivalent — see `samples_sent` handling below.
 impl World for ClusterWorld<'_> {
     type Event = Ev;
 
     fn handle(&mut self, _time: f64, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
+            Ev::Start => {}
             Ev::SimDone { host, instance } => {
                 self.hosts[host].busy -= 1;
-                let q = self.next_quantum[instance];
-                let samples = self.samples_in_quantum(q);
+                let batch = Batch {
+                    instance,
+                    samples: self.samples_in_quantum(self.next_quantum[instance]),
+                };
                 self.next_quantum[instance] += 1;
                 if self.next_quantum[instance] < self.trace.quanta {
+                    // Feedback: reschedule the incomplete task.
                     self.hosts[host].ready.push_back(instance);
                 }
-                // Cut slots are filled when the batch is aligned at host 0;
-                // per-instance FIFO order on the link preserves the slot
-                // mapping, so only the running total is tracked here.
-                self.samples_sent[instance] += samples;
-                self.hosts[host].link_queue.push_back(samples);
-                self.try_start_sim(host, sched);
-                self.try_start_link(host, sched);
+                self.messages += 1;
+                if host == 0 {
+                    self.align_queue.push_back(batch);
+                } else {
+                    self.hosts[host].link_queue.push_back(batch);
+                }
             }
-            Ev::LinkFree { host } => {
-                self.hosts[host].link_busy = false;
-                self.hosts[host].link_queue.pop_front();
-                self.try_start_link(host, sched);
-            }
-            Ev::BatchArrives { samples } => {
-                self.align_queue.push_back(samples);
-                self.try_start_align(sched);
-            }
+            Ev::LinkFree { host } => self.hosts[host].link_busy = false,
+            Ev::BatchArrives(batch) => self.align_queue.push_back(batch),
             Ev::AlignDone => {
                 self.align_busy = false;
-                let samples = self.align_queue.pop_front().expect("align had a job");
-                // Fill cut slots: with a uniform grid, each arriving batch
-                // contributes one sample to `samples` consecutive cuts; the
-                // earliest incomplete cuts fill first.
-                let mut remaining = samples;
-                let mut k = self.next_cut;
-                while remaining > 0 && k < self.cut_fill.len() {
-                    if self.cut_fill[k] < self.trace.instances {
-                        self.cut_fill[k] += 1;
-                        remaining -= 1;
-                    }
-                    k += 1;
+                let Batch { instance, samples } =
+                    self.align_queue.pop_front().expect("align had a job");
+                // A link is FIFO and its latency fixed, so an instance's
+                // batches align in the order it sent them: each fills the
+                // instance's next `samples` cut slots.
+                let start = self.samples_aligned[instance] as usize;
+                for fill in self.cut_fill.iter_mut().skip(start).take(samples as usize) {
+                    *fill += 1;
                 }
+                self.samples_aligned[instance] += samples;
+                // Emit newly complete cuts in order.
                 while self.next_cut < self.cut_fill.len()
                     && self.cut_fill[self.next_cut] >= self.trace.instances
                 {
-                    self.stat_queue.push_back(self.next_cut);
+                    self.stat_queued += 1;
                     self.next_cut += 1;
                 }
-                self.try_start_align(sched);
-                self.try_start_stat(sched);
             }
             Ev::StatDone => {
                 self.stat_busy -= 1;
                 self.cuts_done += 1;
-                self.try_start_stat(sched);
             }
         }
+        self.try_start_all(sched);
     }
 }
 
-/// Runs the cluster model over a workload trace.
+/// Runs the model over a workload trace.
 ///
 /// # Panics
 ///
-/// Panics on an empty host list or empty trace.
+/// Panics on an empty host list, a host without cores, an empty trace or
+/// zero statistical engines.
 pub fn simulate_cluster(trace: &WorkloadTrace, params: &ClusterParams) -> ClusterOutcome {
     assert!(!params.hosts.is_empty(), "cluster needs at least one host");
+    assert!(
+        params.hosts.iter().all(|h| h.cores > 0),
+        "every host needs at least one simulation worker"
+    );
     assert!(trace.instances > 0, "trace has no instances");
     assert!(
         params.stat_engines > 0,
         "need at least one statistical engine"
     );
     let mut world = ClusterWorld::new(trace, params);
-    // Bootstrap every host's cores.
-    let mut seed: Vec<(f64, Ev)> = Vec::new();
-    for host in 0..params.hosts.len() {
-        let profile = &params.hosts[host];
-        while world.hosts[host].busy < profile.cores {
-            let Some(instance) = world.hosts[host].ready.pop_front() else {
-                break;
-            };
-            let q = world.next_quantum[instance];
-            let events = trace.events[q][instance];
-            let work = events as f64 * params.costs.sec_per_event;
-            let service = params.dispatch_overhead_s + work / profile.core_rate();
-            world.hosts[host].busy += 1;
-            world.sim_work_s += work;
-            seed.push((service, Ev::SimDone { host, instance }));
-        }
-    }
-    let makespan = simulate(&mut world, seed);
+    let makespan = simulate(&mut world, vec![(0.0, Ev::Start)]);
     ClusterOutcome {
         makespan_s: makespan,
         sim_work_s: world.sim_work_s,
@@ -433,18 +468,14 @@ mod tests {
     #[test]
     fn heterogeneous_deployment_uses_all_hosts() {
         let t = WorkloadTrace::synthetic(96, 16, 400.0);
-        let params = ClusterParams {
-            hosts: vec![
+        let params = ClusterParams::new(
+            vec![
                 HostProfile::ec2_quad(),
                 HostProfile::nehalem32(),
                 HostProfile::sandy_bridge16(),
             ],
-            network: NetworkProfile::ec2(),
-            stat_engines: 4,
-            costs: CostModel::nominal(),
-            values_per_sample: 3,
-            dispatch_overhead_s: 2e-6,
-        };
+            NetworkProfile::ec2(),
+        );
         let out = simulate_cluster(&t, &params);
         assert_eq!(out.cuts, t.samples_per_instance);
         // 52 cores total; decent parallelism expected.
@@ -460,17 +491,45 @@ mod tests {
     }
 
     #[test]
+    fn a_lagging_instance_holds_back_its_cuts() {
+        // Instance 1 spends 1 s in its first quantum while instance 0
+        // finishes both of its quanta at once. No cut is complete before
+        // instance 1's first batch is aligned, so all 100 cuts' analysis
+        // (2 instances × 3 values × 1 ms on one engine) comes after it.
+        let t = WorkloadTrace {
+            events: vec![vec![1, 1_000_000], vec![1, 1]],
+            samples_per_instance: 100,
+            ..WorkloadTrace::synthetic(2, 2, 1.0)
+        };
+        let costs = CostModel {
+            sec_per_stat_value: 1e-3,
+            ..CostModel::nominal()
+        };
+        let lag = 1_000_000.0 * costs.sec_per_event;
+        let serial_stats = 100.0 * 2.0 * 3.0 * costs.sec_per_stat_value;
+        // Reference-speed cores; on two hosts of one core each, instance
+        // 1 is host 1's.
+        let host = HostProfile::nehalem32();
+        let one_host = ClusterParams::single_host(host.clone(), 2, 1);
+        let two_hosts = ClusterParams::homogeneous(2, host.with_cores(1), NetworkProfile::ipoib());
+        for mut p in [one_host, two_hosts] {
+            p.costs = costs;
+            p.stat_engines = 1;
+            let out = simulate_cluster(&t, &p);
+            assert_eq!(out.cuts, 100);
+            assert!(
+                out.makespan_s >= lag + serial_stats,
+                "{} hosts: makespan {} < lag {lag} + stats {serial_stats}",
+                p.hosts.len(),
+                out.makespan_s
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one host")]
     fn empty_cluster_panics() {
         let t = trace();
-        let params = ClusterParams {
-            hosts: vec![],
-            network: NetworkProfile::ipoib(),
-            stat_engines: 1,
-            costs: CostModel::nominal(),
-            values_per_sample: 3,
-            dispatch_overhead_s: 0.0,
-        };
-        simulate_cluster(&t, &params);
+        simulate_cluster(&t, &ClusterParams::new(vec![], NetworkProfile::ipoib()));
     }
 }

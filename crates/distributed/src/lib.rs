@@ -23,11 +23,13 @@
 //!
 //! **Performance** — [`platform`] (host/VM/network profiles of the paper's
 //! testbeds), [`workload`] (event traces recorded from *real* engine runs
-//! plus measured unit costs), [`multicore`] (DES of the Fig. 3 pipeline),
-//! [`cluster`] (DES of the farm-of-pipelines over a network, Fig. 4) and
-//! [`cloud`] (EC2 deployments, Figs. 5–6). These models substitute the
-//! paper's hardware, which we do not have; the workloads they replay are
-//! recorded from real engine runs, so load imbalance is authentic.
+//! plus measured unit costs), [`cluster`] (one DES of the Fig. 2
+//! pipeline as a farm of pipelines on 1..N hosts: the multicore box of
+//! Fig. 3 and Table I is its one-host case, the Infiniband cluster of
+//! Fig. 4 its many-host case) and [`cloud`] (EC2 deployments, Figs. 5–6).
+//! These models substitute the paper's hardware, which we do not have;
+//! the workloads they replay are recorded from real engine runs, so load
+//! imbalance is authentic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +37,6 @@
 pub mod cloud;
 pub mod cluster;
 pub mod fault;
-pub mod multicore;
 pub mod net;
 pub mod platform;
 pub mod shard;
@@ -45,7 +46,6 @@ pub mod workload;
 pub use cloud::{heterogeneous, heterogeneous_deployment, single_vm, virtual_cluster};
 pub use cluster::{simulate_cluster, ClusterOutcome, ClusterParams};
 pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
-pub use multicore::{simulate_multicore, MulticoreParams, PipelineOutcome};
 pub use net::{TcpShardTransport, WorkerDaemon, WorkerHello};
 pub use platform::{HostProfile, NetworkProfile};
 pub use shard::{
@@ -53,3 +53,6 @@ pub use shard::{
 };
 pub use wire::{from_bytes, to_bytes, Wire, WireError, WireReader};
 pub use workload::{CostModel, WorkloadTrace};
+
+#[cfg(test)]
+mod multicore;

@@ -94,19 +94,11 @@ pub struct NetworkProfile {
 }
 
 impl NetworkProfile {
-    /// Time for one message of `bytes` to cross the link.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
-        self.latency_s + self.per_message_s + bytes as f64 / self.bandwidth_bps
-    }
-
-    /// Shared-memory "link" inside one host (stream between threads).
-    pub fn shared_memory() -> Self {
-        NetworkProfile {
-            name: "shared memory".into(),
-            latency_s: 0.5e-6,
-            bandwidth_bps: 8e9,
-            per_message_s: 0.1e-6,
-        }
+    /// Time one message of `bytes` holds the link: the per-message
+    /// overhead plus size over bandwidth. The message lands
+    /// [`latency_s`](Self::latency_s) after the link frees.
+    pub fn occupancy(&self, bytes: f64) -> f64 {
+        self.per_message_s + bytes / self.bandwidth_bps
     }
 
     /// Gigabit Ethernet.
@@ -174,20 +166,18 @@ mod tests {
 
     #[test]
     fn network_ordering_matches_physics() {
-        let shm = NetworkProfile::shared_memory();
         let gbe = NetworkProfile::gigabit_ethernet();
         let ib = NetworkProfile::ipoib();
-        let msg = 64 * 1024;
-        assert!(shm.transfer_time(msg) < ib.transfer_time(msg));
-        assert!(ib.transfer_time(msg) < gbe.transfer_time(msg));
+        let msg = 64.0 * 1024.0;
+        assert!(ib.occupancy(msg) < gbe.occupancy(msg));
         // Infiniband wins on both latency and bandwidth.
         assert!(ib.latency_s < gbe.latency_s);
         assert!(ib.bandwidth_bps > gbe.bandwidth_bps);
     }
 
     #[test]
-    fn transfer_time_scales_with_size() {
+    fn occupancy_scales_with_size() {
         let gbe = NetworkProfile::gigabit_ethernet();
-        assert!(gbe.transfer_time(1 << 20) > 10.0 * gbe.transfer_time(1 << 10));
+        assert!(gbe.occupancy(1024.0 * 1024.0) > 10.0 * gbe.occupancy(1024.0));
     }
 }

@@ -1,6 +1,7 @@
 //! Workload traces and cost calibration for the platform models.
 //!
-//! The platform models (multicore/cluster/cloud/GPU) need two inputs:
+//! The platform models (the pipeline DES in [`crate::cluster`], its cloud
+//! deployments, the GPU model) need two inputs:
 //!
 //! 1. **the workload shape** — how many SSA events each instance fires in
 //!    each quantum. [`WorkloadTrace::record`] obtains it by *running the
@@ -38,6 +39,8 @@ pub struct WorkloadTrace {
     pub instances: u64,
     /// Number of quanta.
     pub quanta: usize,
+    /// Observable values per sample (columns per trajectory per cut).
+    pub values_per_sample: usize,
 }
 
 impl WorkloadTrace {
@@ -83,6 +86,7 @@ impl WorkloadTrace {
         sample_period: f64,
     ) -> Self {
         let quanta = (t_end / quantum).ceil() as usize;
+        let values_per_sample = model.observables.len();
         let mut events = vec![vec![0u64; instances as usize]; quanta];
         let mut total_bytes = 0usize;
         let mut batches = 0usize;
@@ -138,6 +142,7 @@ impl WorkloadTrace {
             samples_per_instance,
             instances,
             quanta,
+            values_per_sample,
         }
     }
 
@@ -146,7 +151,8 @@ impl WorkloadTrace {
     ///
     /// Instance intensity follows a deterministic per-instance level
     /// (spread over one decade) with a slow sinusoidal drift — matching
-    /// the "random walks of simulation time" character without RNG.
+    /// the "random walks of simulation time" character without RNG. Each
+    /// sample carries three values, as Neurospora's do.
     pub fn synthetic(instances: u64, quanta: usize, mean_events: f64) -> Self {
         let mut events = vec![vec![0u64; instances as usize]; quanta];
         for i in 0..instances as usize {
@@ -164,6 +170,7 @@ impl WorkloadTrace {
             samples_per_instance: quanta as u64,
             instances,
             quanta,
+            values_per_sample: 3,
         }
     }
 
@@ -197,6 +204,7 @@ impl WorkloadTrace {
             samples_per_instance: self.samples_per_instance,
             instances: self.instances,
             quanta,
+            values_per_sample: self.values_per_sample,
         }
     }
 
@@ -220,6 +228,7 @@ impl WorkloadTrace {
             samples_per_instance: self.samples_per_instance,
             instances: n,
             quanta: self.quanta,
+            values_per_sample: self.values_per_sample,
         }
     }
 }
@@ -320,6 +329,7 @@ mod tests {
         assert!(trace.total_events() > 0);
         assert!(trace.mean_batch_bytes > 0.0);
         assert_eq!(trace.samples_per_instance, 13); // 0..=3.0 step 0.25
+        assert_eq!(trace.values_per_sample, model.observables.len());
     }
 
     #[test]

@@ -51,8 +51,9 @@ pub struct GpuRunReport {
 ///
 /// `events_per_quantum[q][i]` is the number of SSA events instance `i`
 /// fires during quantum `q` (0 once the instance has finished). The same
-/// matrix driven through the multicore model gives the CPU side of
-/// Table I, so both sides share the *identical* workload.
+/// matrix driven through the pipeline model on one host
+/// (`distrt::cluster`) gives the CPU side of Table I, so both sides share
+/// the *identical* workload.
 pub fn simulate_device_run(
     events_per_quantum: &[Vec<u64>],
     device: &DeviceSpec,

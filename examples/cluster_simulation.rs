@@ -6,7 +6,8 @@
 //!    worker processes over the wire codec, run
 //!    `cargo run --release --example quickstart -- --shards 3`);
 //! 2. *performance*: predict the same deployment's timing on the paper's
-//!    Infiniband cluster with the calibrated DES model.
+//!    Infiniband cluster with the calibrated DES model of the pipeline
+//!    (`distrt::cluster`; its one-host row is the multicore simulator).
 //!
 //! Run: `cargo run --release --example cluster_simulation`
 
