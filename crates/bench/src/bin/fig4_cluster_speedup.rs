@@ -144,7 +144,7 @@ fn sharded(workers: Option<Vec<String>>) {
             if tcp {
                 format!("cwc-workerd daemons over TCP: {}", base.workers.join(", "))
             } else {
-                "cwc-shard worker processes, wire-v7 over loopback sockets".to_string()
+                "cwc-shard worker processes, wire-v8 over loopback sockets".to_string()
             }
         ),
         &[

@@ -18,7 +18,7 @@
 //! provides [`InProcessTransport`] (one thread per shard — also the
 //! degenerate `shards = 1` path, which spawns no child process); the
 //! `distrt` crate adds the two out-of-process transports, which share
-//! one socket path and one length-prefixed wire-v7 protocol: the process
+//! one socket path and one length-prefixed wire-v8 protocol: the process
 //! transport spawns one `cwc-shard` child per shard attempt and connects
 //! to the loopback port it announces; the TCP transport places shard
 //! attempts on remote `cwc-workerd` daemons.

@@ -16,7 +16,8 @@
 //!   propensities and in-place rule application;
 //! - [`model`]: alphabet + initial term + rules + observables, with a
 //!   fluent [`model::RuleBuilder`];
-//! - [`parser`]: a textual model format.
+//! - [`parser`]: the textual model format — [`parse_model`] reads it,
+//!   [`render_model`] writes any model in it.
 //!
 //! ## Example
 //!
@@ -58,7 +59,7 @@ pub use matching::{
 };
 pub use model::{Model, ModelError, Observable, ObservableSite, RuleBuilder};
 pub use multiset::Multiset;
-pub use parser::{parse_model, ParseError};
+pub use parser::{parse_model, render_model, ParseError, MAX_NESTING};
 pub use rule::{CompPattern, CompProduction, Pattern, Production, Rule, RuleError};
 pub use species::{Alphabet, Label, Species};
 pub use term::{Compartment, Path, SiteId, SiteRegistry, Term};

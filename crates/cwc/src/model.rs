@@ -5,6 +5,7 @@
 //! observables sampled at every simulation instant).
 
 use crate::multiset::Multiset;
+use crate::parser::{check_names, MAX_NESTING};
 use crate::rule::{CompPattern, CompProduction, Pattern, Production, RateLaw, Rule, RuleError};
 use crate::species::{Alphabet, Label, Species};
 use crate::term::Term;
@@ -75,10 +76,22 @@ pub enum ModelError {
         /// The underlying error.
         source: RuleError,
     },
-    /// A name was used before being declared.
+    /// A handle the model's alphabet does not hold (`species #7`,
+    /// `label #2`).
     UnknownName(String),
     /// The model has no rules.
     Empty,
+    /// A name the text format cannot write (see [`crate::parser`]).
+    BadName {
+        /// What the name names: `model`, `species`, `label`, `rule` or
+        /// `observable`.
+        kind: &'static str,
+        /// The offending name.
+        name: String,
+    },
+    /// The initial term nests compartments deeper than
+    /// [`MAX_NESTING`].
+    TooDeep,
 }
 
 impl std::fmt::Display for ModelError {
@@ -87,6 +100,14 @@ impl std::fmt::Display for ModelError {
             ModelError::Rule { rule, source } => write!(f, "rule `{rule}`: {source}"),
             ModelError::UnknownName(n) => write!(f, "unknown species or label `{n}`"),
             ModelError::Empty => write!(f, "model has no rules"),
+            ModelError::BadName { kind, name } => write!(
+                f,
+                "{kind} name {name:?} cannot be written in the model text format"
+            ),
+            ModelError::TooDeep => write!(
+                f,
+                "the initial term nests compartments deeper than {MAX_NESTING} levels"
+            ),
         }
     }
 }
@@ -154,12 +175,17 @@ impl Model {
         self.observables.iter().map(|o| o.name.as_str()).collect()
     }
 
-    /// Final validation: at least one rule, all rules valid.
+    /// Final validation: at least one rule, all rules valid, every name
+    /// writable in the text format, every handle in the alphabet, and the
+    /// initial term at most [`MAX_NESTING`] deep — so every valid model
+    /// survives [`render_model`](crate::parser::render_model) →
+    /// [`parse_model`](crate::parser::parse_model) field for field.
     ///
     /// # Errors
     ///
     /// [`ModelError::Empty`] without rules, [`ModelError::Rule`] for the
-    /// first invalid rule.
+    /// first invalid rule, [`ModelError::BadName`],
+    /// [`ModelError::UnknownName`] or [`ModelError::TooDeep`].
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.rules.is_empty() {
             return Err(ModelError::Empty);
@@ -169,6 +195,74 @@ impl Model {
                 rule: rule.name.clone(),
                 source,
             })?;
+        }
+        check_names(self)?;
+        self.check_handles()
+    }
+
+    /// Refuses a handle the alphabet does not hold (a hand-built model can
+    /// carry any raw id) and an initial term nested past [`MAX_NESTING`].
+    fn check_handles(&self) -> Result<(), ModelError> {
+        let (n_species, n_labels) = (self.alphabet.species_count(), self.alphabet.label_count());
+        let unknown = |kind: &str, raw: u32| ModelError::UnknownName(format!("{kind} #{raw}"));
+        let species = |s: Species| {
+            ((s.raw() as usize) < n_species)
+                .then_some(())
+                .ok_or_else(|| unknown("species", s.raw()))
+        };
+        let label = |l: Label| {
+            (l.is_top() || (l.raw() as usize) < n_labels)
+                .then_some(())
+                .ok_or_else(|| unknown("label", l.raw()))
+        };
+        let atoms = |ms: &Multiset| ms.iter().try_for_each(|(s, _)| species(s));
+        for rule in &self.rules {
+            label(rule.site)?;
+            atoms(&rule.lhs.atoms)?;
+            atoms(&rule.rhs.atoms)?;
+            for c in &rule.lhs.comps {
+                label(c.label)?;
+                atoms(&c.wrap)?;
+                atoms(&c.atoms)?;
+            }
+            for c in &rule.rhs.comps {
+                let (site, wrap, content) = match c {
+                    CompProduction::Keep {
+                        add_wrap,
+                        add_atoms,
+                        ..
+                    } => (None, add_wrap, add_atoms),
+                    CompProduction::New { label, wrap, atoms } => (Some(*label), wrap, atoms),
+                    CompProduction::Dissolve { .. } => continue,
+                };
+                site.map_or(Ok(()), label)?;
+                atoms(wrap)?;
+                atoms(content)?;
+            }
+            match rule.law {
+                RateLaw::MassAction => {}
+                RateLaw::HillRepression { inhibitor: s, .. }
+                | RateLaw::HillActivation { activator: s, .. }
+                | RateLaw::Saturating { substrate: s, .. } => species(s)?,
+            }
+        }
+        for obs in &self.observables {
+            species(obs.species)?;
+            if let ObservableSite::AtLabel(l) = obs.site {
+                label(l)?;
+            }
+        }
+        let mut stack = vec![(&self.initial, 0)];
+        while let Some((term, depth)) = stack.pop() {
+            atoms(&term.atoms)?;
+            for c in &term.comps {
+                if depth == MAX_NESTING {
+                    return Err(ModelError::TooDeep);
+                }
+                label(c.label)?;
+                atoms(&c.wrap)?;
+                stack.push((&c.content, depth + 1));
+            }
         }
         Ok(())
     }
@@ -421,6 +515,80 @@ mod tests {
         ));
         assert_eq!(m.eval_observables(&term), vec![8, 2, 5]);
         assert_eq!(m.observable_names(), vec!["total_A", "top_A", "cell_A"]);
+    }
+
+    fn one_rule_model() -> Model {
+        let mut m = Model::new("ok");
+        let a = m.species("A");
+        m.rule("r").consumes("A", 1).rate(1.0).build().unwrap();
+        m.observe("count A", a);
+        m
+    }
+
+    #[test]
+    fn names_the_text_format_cannot_write_fail_validation() {
+        one_rule_model().validate().unwrap();
+        type Spoil = fn(&mut Model);
+        let cases: [(&str, Spoil); 12] = [
+            ("model", |m| m.name = String::new()),
+            ("model", |m| m.name = "a # b".into()),
+            ("model", |m| m.name = "a\nb".into()),
+            ("species", |m| {
+                m.species("");
+            }),
+            ("species", |m| {
+                m.species("9lives");
+            }),
+            ("species", |m| {
+                m.species("A-B");
+            }),
+            ("label", |m| {
+                m.label("a cell");
+            }),
+            ("rule", |m| m.rules[0].name = "two words".into()),
+            ("rule", |m| m.rules[0].name = "a:b".into()),
+            ("observable", |m| m.observables[0].name = "a=b".into()),
+            ("observable", |m| m.observables[0].name = " A".into()),
+            ("observable", |m| m.observables[0].name = "A\n".into()),
+        ];
+        for (kind, spoil) in cases {
+            let mut m = one_rule_model();
+            spoil(&mut m);
+            match m.validate() {
+                Err(ModelError::BadName { kind: k, .. }) => assert_eq!(k, kind),
+                other => panic!("{kind}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn dangling_handles_and_deep_terms_fail_validation() {
+        let mut m = one_rule_model();
+        m.observables[0].species = Species::from_raw(1);
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::UnknownName("species #1".into()))
+        );
+        let mut m = one_rule_model();
+        m.rules[0].site = Label::from_raw(0);
+        assert_eq!(
+            m.validate(),
+            Err(ModelError::UnknownName("label #0".into()))
+        );
+
+        let mut m = one_rule_model();
+        let cell = m.label("cell");
+        for depth in 0..=MAX_NESTING {
+            let inner = std::mem::take(&mut m.initial);
+            m.initial
+                .add_compartment(Compartment::new(cell, Multiset::new(), inner));
+            let expected = if depth < MAX_NESTING {
+                Ok(())
+            } else {
+                Err(ModelError::TooDeep)
+            };
+            assert_eq!(m.validate(), expected, "depth {}", depth + 1);
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Text format for CWC models.
+//! The text format for CWC models: the one way a model is read.
 //!
 //! A small line-oriented language so models can live in files next to the
 //! simulator (the paper's GUI "makes it possible to design the biological
-//! model"; this parser is the headless equivalent). Example:
+//! model"; this parser is the headless equivalent). It is also how a model
+//! reaches a shard worker: [`render_model`] prints any model, and
+//! [`parse_model`] reads the text back field for field. Example:
 //!
 //! ```text
 //! model birth-death
-//! # atoms: A; one compartment type: cell
+//! # atoms: A, R; one compartment type: cell
 //! term: A*100 (cell: R | A*3)
 //! rule birth @ 0.5 : A => A A
 //! rule death @ 0.1 : A =>
+//! rule feed @ 2.0 hill-repress(A, 50.0, 2.0) : => A
 //! rule uptake @ 1.0 : A (cell: R |) => [1: | A]
 //! rule lysis @ 0.01 : (cell: | A) => !1
 //! rule divide @ 0.02 in cell : A A => A (cell: | A)
@@ -18,20 +21,72 @@
 //! observe free_A = A at top
 //! ```
 //!
-//! Syntax summary:
-//! - atoms: `NAME` or `NAME*COUNT`;
-//! - compartments in terms: `(label: wrap-atoms | content)` (contents nest);
-//! - LHS compartment patterns: `(label: wrap-atoms | content-atoms)`;
-//! - RHS: `[i: wrap-adds | content-adds]` keeps LHS compartment `i`
-//!   (1-based), `!i` dissolves it, `(label: wrap | atoms)` creates a new
-//!   one; unreferenced matched compartments are destroyed;
-//! - `rule NAME @ RATE [in LABEL] : LHS => RHS` (top level when no `in`).
+//! ## Grammar
+//!
+//! One directive per line; `#` starts a comment and blank lines are
+//! skipped. A later `model` or `term:` line replaces an earlier one.
+//!
+//! ```text
+//! model NAME                  the model's name: the rest of the line
+//! species ID ID ...           interns species in this order
+//! labels ID ID ...            interns compartment labels in this order
+//! term: TERM                  the initial term
+//! rule RNAME @ RATE [LAW] [in ID] : PATTERN => PRODUCTION
+//! observe ONAME = ID [in ID | at top]
+//!
+//! TERM       ::= { ATOM | (ID: ATOM* | TERM) }
+//! PATTERN    ::= { ATOM | (ID: ATOM* | ATOM*) }
+//! PRODUCTION ::= { ATOM | (ID: ATOM* | ATOM*) | [I: ATOM* | ATOM*] | !I }
+//! ATOM       ::= ID | ID*COUNT
+//! LAW        ::= hill-repress(ID, K, N) | hill-activate(ID, K, N)
+//!              | saturating(ID, KM)
+//! ```
+//!
+//! - A term's compartment is `(label: wrap | content)`, contents nest. In a
+//!   pattern the content holds atoms only.
+//! - In a production `[i: wrap-adds | content-adds]` keeps LHS compartment
+//!   `i` (1-based), `!i` dissolves it and `(label: wrap | atoms)` creates a
+//!   new one; matched compartments no production names are destroyed.
+//! - A rule applies at the top level unless `in LABEL` names its site. The
+//!   law (default mass action) reads its species' count at that site:
+//!   `hill-repress` multiplies the mass-action propensity by
+//!   `Kᴺ/(Kᴺ + cᴺ)`, `hill-activate` by `cᴺ/(Kᴺ + cᴺ)`, and `saturating`
+//!   replaces it with `RATE · c/(KM + c)` (see [`RateLaw`]).
+//! - An observable counts its species everywhere, in the contents of every
+//!   compartment labelled `ID`, or at the top level only.
+//! - RATE, K, N and KM are Rust `f64` literals; [`render_model`] writes
+//!   them in Rust's shortest round-trip form, so they read back bit for
+//!   bit. COUNT is a `u64`, and an atom list whose counts of one species
+//!   sum past `u64::MAX` is an error.
+//!
+//! **Interning.** Names intern on first use, in reading order. The
+//! `species` and `labels` lines exist to fix that order up front, so a
+//! rendered model reads back with the same raw handles — and with them the
+//! same slot order and the same trajectories.
+//!
+//! **Names.** `ID` is an identifier: ASCII letters, digits, `_` and `'`,
+//! not starting with a digit (`top` names the top level, never a label).
+//! RNAME is non-empty, without whitespace, `:` or `#`. ONAME has no `=`,
+//! `#` or line break and no blanks at either end (it may be empty); NAME
+//! follows the same rule and is non-empty. [`Model::validate`] refuses a
+//! model holding any other name, so every valid model can be written.
+//!
+//! **Depth.** Compartments nest at most [`MAX_NESTING`] levels deep. A
+//! deeper term is a parse error (and fails [`Model::validate`]), so no
+//! file or job frame can exhaust the parser's stack.
+
+use std::fmt::Write;
+use std::iter::{from_fn, once, Peekable};
 
 use crate::model::{Model, ModelError, Observable, ObservableSite};
 use crate::multiset::Multiset;
-use crate::rule::{CompPattern, CompProduction, Pattern, Production, Rule};
-use crate::species::Label;
+use crate::rule::{CompPattern, CompProduction, Pattern, Production, RateLaw, Rule};
+use crate::species::{Alphabet, Label, Species};
 use crate::term::{Compartment, Term};
+
+/// The deepest compartment nesting the format reads (every model in the
+/// tree nests at most 3 deep).
+pub const MAX_NESTING: usize = 64;
 
 /// Error produced while parsing a model file.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,15 +105,6 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<(usize, ModelError)> for ParseError {
-    fn from((line, e): (usize, ModelError)) -> Self {
-        ParseError {
-            line,
-            message: e.to_string(),
-        }
-    }
-}
-
 /// Parses a model from its textual representation.
 ///
 /// # Errors
@@ -68,35 +114,12 @@ impl From<(usize, ModelError)> for ParseError {
 pub fn parse_model(source: &str) -> Result<Model, ParseError> {
     let mut model = Model::new("unnamed");
     for (idx, raw_line) in source.lines().enumerate() {
-        let line_no = idx + 1;
         let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |message: String| ParseError {
-            line: line_no,
-            message,
-        };
-        if let Some(rest) = line.strip_prefix("model ") {
-            model.name = rest.trim().to_owned();
-        } else if let Some(rest) = line.strip_prefix("species ") {
-            for name in rest.split_whitespace() {
-                model.species(name);
-            }
-        } else if let Some(rest) = line.strip_prefix("term:") {
-            let tokens = tokenize(rest).map_err(&err)?;
-            let mut cursor = Cursor::new(&tokens);
-            let term = parse_term(&mut cursor, &mut model)?.map_err(&err)?;
-            if !cursor.at_end() {
-                return Err(err("unexpected trailing input in term".to_string()));
-            }
-            model.initial = term;
-        } else if let Some(rest) = line.strip_prefix("rule ") {
-            parse_rule_line(rest, &mut model).map_err(&err)?;
-        } else if let Some(rest) = line.strip_prefix("observe ") {
-            parse_observe_line(rest, &mut model).map_err(&err)?;
-        } else {
-            return Err(err(format!("unrecognised directive: `{line}`")));
+        if !line.is_empty() {
+            parse_line(line, &mut model).map_err(|message| ParseError {
+                line: idx + 1,
+                message,
+            })?;
         }
     }
     Ok(model)
@@ -107,6 +130,35 @@ fn strip_comment(line: &str) -> &str {
         Some(i) => &line[..i],
         None => line,
     }
+}
+
+fn parse_line(line: &str, model: &mut Model) -> Result<(), String> {
+    if let Some(rest) = line.strip_prefix("model ") {
+        model.name = rest.trim().to_owned();
+    } else if let Some(rest) = line.strip_prefix("species ") {
+        for name in rest.split_whitespace() {
+            model.species(identifier(name)?);
+        }
+    } else if let Some(rest) = line.strip_prefix("labels ") {
+        for name in rest.split_whitespace() {
+            model.label(identifier(name)?);
+        }
+    } else if let Some(rest) = line.strip_prefix("term:") {
+        let tokens = tokenize(rest)?;
+        let mut tokens = tokens.iter().peekable();
+        let term = parse_term(&mut tokens, model, 0)?;
+        if tokens.peek().is_some() {
+            return Err("unexpected trailing input in term".to_owned());
+        }
+        model.initial = term;
+    } else if let Some(rest) = line.strip_prefix("rule ") {
+        parse_rule_line(rest, model)?;
+    } else if let Some(rest) = line.strip_prefix("observe ") {
+        parse_observe_line(rest, model)?;
+    } else {
+        return Err(format!("unrecognised directive: `{line}`"));
+    }
+    Ok(())
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -127,89 +179,43 @@ enum Token {
 fn tokenize(input: &str) -> Result<Vec<Token>, String> {
     let mut tokens = Vec::new();
     let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' => {
-                chars.next();
-            }
-            '(' => {
-                chars.next();
-                tokens.push(Token::LParen);
-            }
-            ')' => {
-                chars.next();
-                tokens.push(Token::RParen);
-            }
-            '[' => {
-                chars.next();
-                tokens.push(Token::LBracket);
-            }
-            ']' => {
-                chars.next();
-                tokens.push(Token::RBracket);
-            }
-            ':' => {
-                chars.next();
-                tokens.push(Token::Colon);
-            }
-            '|' => {
-                chars.next();
-                tokens.push(Token::Pipe);
-            }
-            '!' => {
-                chars.next();
-                tokens.push(Token::Bang);
-            }
+    while let Some(c) = chars.next() {
+        tokens.push(match c {
+            ' ' | '\t' => continue,
+            '(' => Token::LParen,
+            ')' => Token::RParen,
+            '[' => Token::LBracket,
+            ']' => Token::RBracket,
+            ':' => Token::Colon,
+            '|' => Token::Pipe,
+            '!' => Token::Bang,
             c if c.is_ascii_digit() || c == '.' => {
-                let mut num = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit()
-                        || d == '.'
-                        || d == 'e'
-                        || d == 'E'
-                        || d == '-' && num.ends_with(['e', 'E'])
-                        || d == '+' && num.ends_with(['e', 'E'])
-                    {
-                        num.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let mut num = String::from(c);
+                while let Some(d) = chars.next_if(|&d| {
+                    d.is_ascii_digit()
+                        || matches!(d, '.' | 'e' | 'E')
+                        || matches!(d, '-' | '+') && num.ends_with(['e', 'E'])
+                }) {
+                    num.push(d);
                 }
-                let value: f64 = num.parse().map_err(|_| format!("invalid number `{num}`"))?;
-                tokens.push(Token::Number(value));
+                Token::Number(num.parse().map_err(|_| format!("invalid number `{num}`"))?)
             }
             c if is_ident_char(c) => {
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if is_ident_char(d) {
-                        name.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if chars.peek() == Some(&'*') {
-                    chars.next();
-                    let mut num = String::new();
-                    while let Some(&d) = chars.peek() {
-                        if d.is_ascii_digit() {
-                            num.push(d);
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    let count: u64 = num
+                let name: String = once(c)
+                    .chain(from_fn(|| chars.next_if(|&d| is_ident_char(d))))
+                    .collect();
+                if chars.next_if_eq(&'*').is_some() {
+                    let count: String = from_fn(|| chars.next_if(char::is_ascii_digit)).collect();
+                    let count = count
                         .parse()
                         .map_err(|_| format!("invalid count after `{name}*`"))?;
-                    tokens.push(Token::Counted(name, count));
+                    Token::Counted(name, count)
                 } else {
-                    tokens.push(Token::Ident(name));
+                    Token::Ident(name)
                 }
             }
             other => return Err(format!("unexpected character `{other}`")),
-        }
+        });
     }
     Ok(tokens)
 }
@@ -218,230 +224,122 @@ fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_' || c == '\''
 }
 
-struct Cursor<'a> {
-    tokens: &'a [Token],
-    pos: usize,
+/// A species or label name the format can write.
+fn is_identifier(name: &str) -> bool {
+    name.starts_with(|c: char| !c.is_ascii_digit()) && name.chars().all(is_ident_char)
 }
 
-impl<'a> Cursor<'a> {
-    fn new(tokens: &'a [Token]) -> Self {
-        Cursor { tokens, pos: 0 }
-    }
-
-    fn peek(&self) -> Option<&'a Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<&'a Token> {
-        let t = self.tokens.get(self.pos);
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, token: &Token, what: &str) -> Result<(), String> {
-        match self.next() {
-            Some(t) if t == token => Ok(()),
-            other => Err(format!("expected {what}, found {other:?}")),
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+fn identifier(name: &str) -> Result<&str, String> {
+    if is_identifier(name) {
+        Ok(name)
+    } else {
+        Err(format!("`{name}` is not a species or label name"))
     }
 }
 
-/// Parses atoms (Ident/Counted tokens) until a structural token.
-fn parse_atoms(cursor: &mut Cursor<'_>, model: &mut Model) -> Multiset {
-    let mut ms = Multiset::new();
-    while let Some(token) = cursor.peek() {
-        match token {
-            Token::Ident(name) => {
-                let s = model.species(name);
-                ms.insert(s, 1);
-                cursor.next();
-            }
-            Token::Counted(name, n) => {
-                let s = model.species(name);
-                ms.insert(s, *n);
-                cursor.next();
-            }
-            _ => break,
-        }
-    }
-    ms
+/// Text a directive carries to the end of its line: no comment, no line
+/// break, no blanks at either end.
+fn is_line_text(name: &str) -> bool {
+    !name.contains(['#', '\n']) && name.trim() == name
 }
 
-/// Parses a (possibly nested) term: atoms and `(label: wrap | content)`.
-#[allow(clippy::type_complexity)]
-fn parse_term(
-    cursor: &mut Cursor<'_>,
+/// Refuses the names the format cannot write (see the module docs);
+/// part of [`Model::validate`].
+pub(crate) fn check_names(model: &Model) -> Result<(), ModelError> {
+    fn all<'a>(
+        kind: &'static str,
+        names: impl IntoIterator<Item = &'a String>,
+        writable: impl Fn(&str) -> bool,
+    ) -> Result<(), ModelError> {
+        match names.into_iter().find(|n| !writable(n)) {
+            Some(name) => Err(ModelError::BadName {
+                kind,
+                name: name.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+    let ab = &model.alphabet;
+    all("model", [&model.name], |n| !n.is_empty() && is_line_text(n))?;
+    all("species", ab.species_names(), is_identifier)?;
+    all("label", ab.label_names(), is_identifier)?;
+    all("rule", model.rules.iter().map(|r| &r.name), |n| {
+        !n.is_empty() && !n.contains(|c: char| c.is_whitespace() || matches!(c, ':' | '#'))
+    })?;
+    all(
+        "observable",
+        model.observables.iter().map(|o| &o.name),
+        |n| !n.contains('=') && is_line_text(n),
+    )
+}
+
+type Tokens<'a> = Peekable<std::slice::Iter<'a, Token>>;
+
+fn expect(tokens: &mut Tokens<'_>, token: &Token, what: &str) -> Result<(), String> {
+    match tokens.next() {
+        Some(t) if t == token => Ok(()),
+        other => Err(format!("expected {what}, found {other:?}")),
+    }
+}
+
+/// Adds atoms (Ident/Counted tokens) to `into` until a structural token.
+fn parse_atoms(
+    tokens: &mut Tokens<'_>,
     model: &mut Model,
-) -> Result<Result<Term, String>, ParseError> {
-    fn rec(cursor: &mut Cursor<'_>, model: &mut Model) -> Result<Term, String> {
-        let mut term = Term::new();
-        loop {
-            match cursor.peek() {
-                Some(Token::Ident(_)) | Some(Token::Counted(..)) => {
-                    let atoms = parse_atoms(cursor, model);
-                    term.atoms.add_all(&atoms);
-                }
-                Some(Token::LParen) => {
-                    cursor.next();
-                    let label = match cursor.next() {
-                        Some(Token::Ident(name)) => model.label(name),
-                        other => return Err(format!("expected label, found {other:?}")),
-                    };
-                    cursor.expect(&Token::Colon, "`:` after label")?;
-                    let wrap = parse_atoms(cursor, model);
-                    cursor.expect(&Token::Pipe, "`|` between wrap and content")?;
-                    let content = rec(cursor, model)?;
-                    cursor.expect(&Token::RParen, "closing `)`")?;
-                    term.add_compartment(Compartment::new(label, wrap, content));
-                }
-                _ => break,
-            }
-        }
-        Ok(term)
-    }
-    Ok(rec(cursor, model))
-}
-
-/// `NAME @ RATE [in LABEL] : LHS => RHS` (the `rule ` prefix is stripped).
-fn parse_rule_line(rest: &str, model: &mut Model) -> Result<(), String> {
-    let (head, body) = rest
-        .split_once(':')
-        .ok_or_else(|| "rule needs `:` separating header and body".to_owned())?;
-    let mut head_parts = head.split_whitespace();
-    let name = head_parts
-        .next()
-        .ok_or_else(|| "rule needs a name".to_owned())?
-        .to_owned();
-    match head_parts.next() {
-        Some("@") => {}
-        other => return Err(format!("expected `@` after rule name, found {other:?}")),
-    }
-    let rate: f64 = head_parts
-        .next()
-        .ok_or_else(|| "rule needs a rate after `@`".to_owned())?
-        .parse()
-        .map_err(|_| "invalid rate".to_owned())?;
-    let site = match head_parts.next() {
-        None => Label::TOP,
-        Some("in") => {
-            let label = head_parts
-                .next()
-                .ok_or_else(|| "`in` needs a label".to_owned())?;
-            model.label(label)
-        }
-        Some(other) => return Err(format!("unexpected token `{other}` in rule header")),
-    };
-    if head_parts.next().is_some() {
-        return Err("trailing tokens in rule header".to_owned());
-    }
-
-    let (lhs_src, rhs_src) = body
-        .split_once("=>")
-        .ok_or_else(|| "rule body needs `=>`".to_owned())?;
-
-    let lhs = parse_pattern(lhs_src, model)?;
-    let rhs = parse_production(rhs_src, model)?;
-    let rule = Rule {
-        name,
-        site,
-        lhs,
-        rhs,
-        rate,
-        law: crate::rule::RateLaw::MassAction,
-    };
-    model.push_rule(rule).map_err(|e| e.to_string())
-}
-
-fn parse_pattern(src: &str, model: &mut Model) -> Result<Pattern, String> {
-    let tokens = tokenize(src)?;
-    let mut cursor = Cursor::new(&tokens);
-    let mut pattern = Pattern::default();
+    into: &mut Multiset,
+) -> Result<(), String> {
     loop {
-        match cursor.peek() {
-            Some(Token::Ident(_)) | Some(Token::Counted(..)) => {
-                let atoms = parse_atoms(&mut cursor, model);
-                pattern.atoms.add_all(&atoms);
-            }
-            Some(Token::LParen) => {
-                cursor.next();
-                let label = match cursor.next() {
-                    Some(Token::Ident(name)) => model.label(name),
-                    other => return Err(format!("expected label, found {other:?}")),
-                };
-                cursor.expect(&Token::Colon, "`:` after label")?;
-                let wrap = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::Pipe, "`|` between wrap and content")?;
-                let atoms = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::RParen, "closing `)`")?;
-                pattern.comps.push(CompPattern { label, wrap, atoms });
-            }
-            None => break,
-            other => return Err(format!("unexpected token in pattern: {other:?}")),
+        let (name, n) = match tokens.peek() {
+            Some(Token::Ident(name)) => (name, 1),
+            Some(Token::Counted(name, n)) => (name, *n),
+            _ => return Ok(()),
+        };
+        tokens.next();
+        let s = model.species(name);
+        if into.count(s).checked_add(n).is_none() {
+            return Err(format!("the count of `{name}` overflows u64"));
         }
+        into.insert(s, n);
     }
-    Ok(pattern)
 }
 
-fn parse_production(src: &str, model: &mut Model) -> Result<Production, String> {
-    let tokens = tokenize(src)?;
-    let mut cursor = Cursor::new(&tokens);
-    let mut production = Production::default();
-    loop {
-        match cursor.peek() {
-            Some(Token::Ident(_)) | Some(Token::Counted(..)) => {
-                let atoms = parse_atoms(&mut cursor, model);
-                production.atoms.add_all(&atoms);
-            }
-            Some(Token::LParen) => {
-                cursor.next();
-                let label = match cursor.next() {
-                    Some(Token::Ident(name)) => model.label(name),
-                    other => return Err(format!("expected label, found {other:?}")),
-                };
-                cursor.expect(&Token::Colon, "`:` after label")?;
-                let wrap = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::Pipe, "`|` between wrap and content")?;
-                let atoms = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::RParen, "closing `)`")?;
-                production
-                    .comps
-                    .push(CompProduction::New { label, wrap, atoms });
-            }
-            Some(Token::LBracket) => {
-                cursor.next();
-                let index = parse_comp_index(&mut cursor)?;
-                cursor.expect(&Token::Colon, "`:` after kept compartment index")?;
-                let add_wrap = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::Pipe, "`|` between wrap and content adds")?;
-                let add_atoms = parse_atoms(&mut cursor, model);
-                cursor.expect(&Token::RBracket, "closing `]`")?;
-                production.comps.push(CompProduction::Keep {
-                    index,
-                    add_wrap,
-                    add_atoms,
-                });
-            }
-            Some(Token::Bang) => {
-                cursor.next();
-                let index = parse_comp_index(&mut cursor)?;
-                production.comps.push(CompProduction::Dissolve { index });
-            }
-            None => break,
-            other => return Err(format!("unexpected token in production: {other:?}")),
-        }
-    }
-    Ok(production)
+fn atoms(tokens: &mut Tokens<'_>, model: &mut Model) -> Result<Multiset, String> {
+    let mut atoms = Multiset::new();
+    parse_atoms(tokens, model, &mut atoms)?;
+    Ok(atoms)
 }
 
-/// Parses a 1-based compartment reference and converts to 0-based.
-fn parse_comp_index(cursor: &mut Cursor<'_>) -> Result<usize, String> {
-    match cursor.next() {
+/// `head: wrap | content` then `close`, after the opening bracket.
+fn parse_comp<H, C>(
+    tokens: &mut Tokens<'_>,
+    model: &mut Model,
+    head: impl FnOnce(&mut Tokens<'_>, &mut Model) -> Result<H, String>,
+    content: impl FnOnce(&mut Tokens<'_>, &mut Model) -> Result<C, String>,
+    close: &Token,
+) -> Result<(H, Multiset, C), String> {
+    let head = head(tokens, model)?;
+    expect(
+        tokens,
+        &Token::Colon,
+        "`:` after the compartment's label or index",
+    )?;
+    let wrap = atoms(tokens, model)?;
+    expect(tokens, &Token::Pipe, "`|` between wrap and content")?;
+    let content = content(tokens, model)?;
+    expect(tokens, close, "the compartment's closing bracket")?;
+    Ok((head, wrap, content))
+}
+
+fn label(tokens: &mut Tokens<'_>, model: &mut Model) -> Result<Label, String> {
+    match tokens.next() {
+        Some(Token::Ident(name)) => Ok(model.label(name)),
+        other => Err(format!("expected label, found {other:?}")),
+    }
+}
+
+/// A 1-based compartment reference, converted to 0-based.
+fn comp_index(tokens: &mut Tokens<'_>, _: &mut Model) -> Result<usize, String> {
+    match tokens.next() {
         Some(Token::Number(n)) if *n >= 1.0 && n.fract() == 0.0 => Ok((*n as usize) - 1),
         other => Err(format!(
             "expected 1-based compartment index, found {other:?}"
@@ -449,29 +347,333 @@ fn parse_comp_index(cursor: &mut Cursor<'_>) -> Result<usize, String> {
     }
 }
 
+/// A term nested `depth` compartments deep: atoms and
+/// `(label: wrap | content)`.
+fn parse_term(tokens: &mut Tokens<'_>, model: &mut Model, depth: usize) -> Result<Term, String> {
+    let mut term = Term::new();
+    parse_atoms(tokens, model, &mut term.atoms)?;
+    while tokens.next_if_eq(&&Token::LParen).is_some() {
+        if depth == MAX_NESTING {
+            return Err(format!(
+                "compartments nest deeper than {MAX_NESTING} levels"
+            ));
+        }
+        let (label, wrap, content) = parse_comp(
+            tokens,
+            model,
+            label,
+            |tokens, model| parse_term(tokens, model, depth + 1),
+            &Token::RParen,
+        )?;
+        term.add_compartment(Compartment::new(label, wrap, content));
+        parse_atoms(tokens, model, &mut term.atoms)?;
+    }
+    Ok(term)
+}
+
+/// The first whitespace-separated word of `s`, and the rest after it.
+fn word(s: &str) -> (&str, &str) {
+    let s = s.trim_start();
+    s.split_at(s.find(char::is_whitespace).unwrap_or(s.len()))
+}
+
+/// `NAME @ RATE [LAW] [in LABEL] : LHS => RHS` (the `rule ` prefix is
+/// stripped).
+fn parse_rule_line(rest: &str, model: &mut Model) -> Result<(), String> {
+    let (head, body) = rest
+        .split_once(':')
+        .ok_or("rule needs `:` separating header and body")?;
+    let (name, head) = word(head);
+    if name.is_empty() {
+        return Err("rule needs a name".to_owned());
+    }
+    let (at, head) = word(head);
+    if at != "@" {
+        return Err(format!("expected `@` after rule name, found `{at}`"));
+    }
+    let (rate, mut head) = word(head);
+    let rate: f64 = rate.parse().map_err(|_| format!("invalid rate `{rate}`"))?;
+    let law = match head.split_once('(') {
+        None => RateLaw::MassAction,
+        Some((kind, tail)) => {
+            let (args, tail) = tail.split_once(')').ok_or("rate law needs a closing `)`")?;
+            head = tail;
+            parse_law(kind.trim(), args, model)?
+        }
+    };
+    let site = match word(head) {
+        ("", _) => Label::TOP,
+        ("in", tail) => {
+            let (label, tail) = word(tail);
+            if !tail.trim().is_empty() {
+                return Err("trailing tokens in rule header".to_owned());
+            }
+            model.label(identifier(label)?)
+        }
+        (other, _) => return Err(format!("unexpected token `{other}` in rule header")),
+    };
+    let (lhs, rhs) = body.split_once("=>").ok_or("rule body needs `=>`")?;
+    let rule = Rule {
+        name: name.to_owned(),
+        site,
+        lhs: parse_pattern(lhs, model)?,
+        rhs: parse_side(rhs, model)?,
+        rate,
+        law,
+    };
+    model.push_rule(rule).map_err(|e| e.to_string())
+}
+
+/// `KIND(ID, params...)` after a rule's rate.
+fn parse_law(kind: &str, args: &str, model: &mut Model) -> Result<RateLaw, String> {
+    let args: Vec<&str> = args.split(',').map(str::trim).collect();
+    let num = |s: &str| {
+        s.parse::<f64>()
+            .map_err(|_| format!("invalid law parameter `{s}`"))
+    };
+    Ok(match (kind, &args[..]) {
+        ("hill-repress", [s, k, n]) => RateLaw::HillRepression {
+            inhibitor: model.species(identifier(s)?),
+            k: num(k)?,
+            n: num(n)?,
+        },
+        ("hill-activate", [s, k, n]) => RateLaw::HillActivation {
+            activator: model.species(identifier(s)?),
+            k: num(k)?,
+            n: num(n)?,
+        },
+        ("saturating", [s, km]) => RateLaw::Saturating {
+            substrate: model.species(identifier(s)?),
+            km: num(km)?,
+        },
+        _ => {
+            return Err(format!(
+                "unknown rate law `{kind}` with {} arguments",
+                args.len()
+            ))
+        }
+    })
+}
+
+/// One side of a rule: atoms, `(label: wrap | atoms)` and, on the
+/// right, `[i: wrap | atoms]` and `!i`.
+fn parse_side(src: &str, model: &mut Model) -> Result<Production, String> {
+    let tokens = tokenize(src)?;
+    let mut tokens = tokens.iter().peekable();
+    let mut side = Production::default();
+    parse_atoms(&mut tokens, model, &mut side.atoms)?;
+    while let Some(token) = tokens.next() {
+        side.comps.push(match token {
+            Token::LParen => {
+                let (label, wrap, atoms) =
+                    parse_comp(&mut tokens, model, label, atoms, &Token::RParen)?;
+                CompProduction::New { label, wrap, atoms }
+            }
+            Token::LBracket => {
+                let (index, add_wrap, add_atoms) =
+                    parse_comp(&mut tokens, model, comp_index, atoms, &Token::RBracket)?;
+                CompProduction::Keep {
+                    index,
+                    add_wrap,
+                    add_atoms,
+                }
+            }
+            Token::Bang => CompProduction::Dissolve {
+                index: comp_index(&mut tokens, model)?,
+            },
+            other => return Err(format!("unexpected token {other:?}")),
+        });
+        parse_atoms(&mut tokens, model, &mut side.atoms)?;
+    }
+    Ok(side)
+}
+
+/// A rule's left side: a [`parse_side`] whose compartments are all
+/// `(label: wrap | atoms)`.
+fn parse_pattern(src: &str, model: &mut Model) -> Result<Pattern, String> {
+    let side = parse_side(src, model)?;
+    let comps = side.comps.into_iter().map(|comp| match comp {
+        CompProduction::New { label, wrap, atoms } => Ok(CompPattern { label, wrap, atoms }),
+        _ => Err("a pattern matches compartments as `(label: wrap | atoms)` only".to_owned()),
+    });
+    Ok(Pattern {
+        atoms: side.atoms,
+        comps: comps.collect::<Result<_, _>>()?,
+    })
+}
+
 /// `NAME = SPECIES [in LABEL | at top]` (the `observe ` prefix is stripped).
 fn parse_observe_line(rest: &str, model: &mut Model) -> Result<(), String> {
-    let (name, spec) = rest
-        .split_once('=')
-        .ok_or_else(|| "observe needs `=`".to_owned())?;
-    let name = name.trim();
-    let mut parts = spec.split_whitespace();
-    let species_name = parts
-        .next()
-        .ok_or_else(|| "observe needs a species".to_owned())?;
-    let species = model.species(species_name);
-    let site = match (parts.next(), parts.next()) {
-        (None, _) => ObservableSite::Everywhere,
-        (Some("in"), Some(label)) => ObservableSite::AtLabel(model.label(label)),
-        (Some("at"), Some("top")) => ObservableSite::TopOnly,
-        other => return Err(format!("bad observable site {other:?}")),
+    let (name, spec) = rest.split_once('=').ok_or("observe needs `=`")?;
+    let words: Vec<&str> = spec.split_whitespace().collect();
+    let (species, site) = match words[..] {
+        [species] => (species, ObservableSite::Everywhere),
+        [species, "at", "top"] => (species, ObservableSite::TopOnly),
+        [species, "in", label] => (
+            species,
+            ObservableSite::AtLabel(model.label(identifier(label)?)),
+        ),
+        _ => return Err(format!("bad observable `{}`", spec.trim())),
     };
+    let species = model.species(identifier(species)?);
     model.observables.push(Observable {
-        name: name.to_owned(),
+        name: name.trim().to_owned(),
         species,
         site,
     });
     Ok(())
+}
+
+/// Prints `model` in the text format.
+///
+/// Total: it never fails. Every model that passes [`Model::validate`]
+/// reads back through [`parse_model`] field for field — name, the species
+/// and label names in interning order, rules (rates and law parameters
+/// bit for bit), initial term and observables. A handle the alphabet does
+/// not hold prints as `?`, which no parse accepts.
+pub fn render_model(model: &Model) -> String {
+    let ab = &model.alphabet;
+    let mut out = format!("model {}\n", model.name);
+    for (directive, names) in [
+        ("species", ab.species_names()),
+        ("labels", ab.label_names()),
+    ] {
+        if !names.is_empty() {
+            out.push_str(directive);
+            for name in names {
+                out.push(' ');
+                out.push_str(name);
+            }
+            out.push('\n');
+        }
+    }
+    out.push_str("term:");
+    write_term(&mut out, ab, &model.initial);
+    out.push('\n');
+    // `fmt::Write` for `String` never fails.
+    for rule in &model.rules {
+        let law = match rule.law {
+            RateLaw::MassAction => String::new(),
+            RateLaw::HillRepression { inhibitor, k, n } => {
+                format!(
+                    " hill-repress({}, {k:?}, {n:?})",
+                    species_name(ab, inhibitor)
+                )
+            }
+            RateLaw::HillActivation { activator, k, n } => {
+                format!(
+                    " hill-activate({}, {k:?}, {n:?})",
+                    species_name(ab, activator)
+                )
+            }
+            RateLaw::Saturating { substrate, km } => {
+                format!(" saturating({}, {km:?})", species_name(ab, substrate))
+            }
+        };
+        let _ = write!(out, "rule {} @ {:?}{law}", rule.name, rule.rate);
+        if !rule.site.is_top() {
+            let _ = write!(out, " in {}", label_name(ab, rule.site));
+        }
+        out.push_str(" :");
+        write_atoms(&mut out, ab, &rule.lhs.atoms);
+        for c in &rule.lhs.comps {
+            let head = label_name(ab, c.label);
+            write_comp(&mut out, ab, ['(', ')'], head, &c.wrap, |out| {
+                write_atoms(out, ab, &c.atoms)
+            });
+        }
+        out.push_str(" =>");
+        write_atoms(&mut out, ab, &rule.rhs.atoms);
+        for c in &rule.rhs.comps {
+            let (brackets, head, wrap, atoms) = match c {
+                CompProduction::Keep {
+                    index,
+                    add_wrap,
+                    add_atoms,
+                } => (
+                    ['[', ']'],
+                    (*index as u128 + 1).to_string(),
+                    add_wrap,
+                    add_atoms,
+                ),
+                CompProduction::New { label, wrap, atoms } => {
+                    (['(', ')'], label_name(ab, *label).to_owned(), wrap, atoms)
+                }
+                CompProduction::Dissolve { index } => {
+                    let _ = write!(out, " !{}", *index as u128 + 1);
+                    continue;
+                }
+            };
+            write_comp(&mut out, ab, brackets, &head, wrap, |out| {
+                write_atoms(out, ab, atoms)
+            });
+        }
+        out.push('\n');
+    }
+    for obs in &model.observables {
+        let site = match obs.site {
+            ObservableSite::Everywhere => String::new(),
+            ObservableSite::TopOnly => " at top".to_owned(),
+            ObservableSite::AtLabel(label) => format!(" in {}", label_name(ab, label)),
+        };
+        let species = species_name(ab, obs.species);
+        let _ = writeln!(out, "observe {} = {species}{site}", obs.name);
+    }
+    out
+}
+
+fn species_name(ab: &Alphabet, s: Species) -> &str {
+    ab.species_names()
+        .get(s.raw() as usize)
+        .map_or("?", String::as_str)
+}
+
+fn label_name(ab: &Alphabet, l: Label) -> &str {
+    if l.is_top() {
+        "top"
+    } else {
+        ab.label_names()
+            .get(l.raw() as usize)
+            .map_or("?", String::as_str)
+    }
+}
+
+/// ` NAME` or ` NAME*COUNT` per species.
+fn write_atoms(out: &mut String, ab: &Alphabet, atoms: &Multiset) {
+    for (s, n) in atoms.iter() {
+        out.push(' ');
+        out.push_str(species_name(ab, s));
+        if n != 1 {
+            let _ = write!(out, "*{n}");
+        }
+    }
+}
+
+/// ` (head: wrap | content)`, in the given brackets.
+fn write_comp(
+    out: &mut String,
+    ab: &Alphabet,
+    [open, close]: [char; 2],
+    head: &str,
+    wrap: &Multiset,
+    content: impl FnOnce(&mut String),
+) {
+    let _ = write!(out, " {open}{head}:");
+    write_atoms(out, ab, wrap);
+    out.push_str(" |");
+    content(out);
+    out.push(close);
+}
+
+/// Every atom and compartment of `term`, each after one space.
+pub(crate) fn write_term(out: &mut String, ab: &Alphabet, term: &Term) {
+    write_atoms(out, ab, &term.atoms);
+    for c in &term.comps {
+        let head = label_name(ab, c.label);
+        write_comp(out, ab, ['(', ')'], head, &c.wrap, |out| {
+            write_term(out, ab, &c.content)
+        });
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +793,125 @@ observe free_A = A at top
     fn scientific_notation_rates_parse() {
         let m = parse_model("rule r @ 1.5e-3 : A => B").unwrap();
         assert!((m.rules[0].rate - 1.5e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn laws_parse_after_the_rate() {
+        let m = parse_model(
+            "rule a @ 2 hill-repress(R, 5.5, 4) : => M\n\
+             rule b @ 1 hill-activate(R,1e2,2.5) in cell : => M\n\
+             rule c @ 0.5 saturating( M , 3 ) : M =>",
+        )
+        .unwrap();
+        let r = m.alphabet.find_species("R").unwrap();
+        let mrna = m.alphabet.find_species("M").unwrap();
+        assert_eq!(
+            m.rules[0].law,
+            RateLaw::HillRepression {
+                inhibitor: r,
+                k: 5.5,
+                n: 4.0
+            }
+        );
+        assert_eq!(
+            m.rules[1].law,
+            RateLaw::HillActivation {
+                activator: r,
+                k: 100.0,
+                n: 2.5
+            }
+        );
+        assert_eq!(m.rules[1].site, m.alphabet.find_label("cell").unwrap());
+        assert_eq!(
+            m.rules[2].law,
+            RateLaw::Saturating {
+                substrate: mrna,
+                km: 3.0
+            }
+        );
+        for bad in [
+            "rule r @ 1 hill(R, 1, 1) : =>",
+            "rule r @ 1 saturating(R) : =>",
+            "rule r @ 1 saturating(R, x) : =>",
+            "rule r @ 1 saturating(R, 1 : =>",
+            "rule r @ 1 saturating(R, -1) : =>",
+            "rule r @ 1 in cell saturating(R, 1) : =>",
+        ] {
+            assert!(parse_model(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn species_and_labels_lines_fix_interning_order() {
+        let m = parse_model("species B A\nlabels outer inner\nterm: A (inner: | B)").unwrap();
+        assert_eq!(m.alphabet.species_names(), ["B", "A"]);
+        assert_eq!(m.alphabet.label_names(), ["outer", "inner"]);
+        for bad in ["species 1A", "labels a(b", "species A*2"] {
+            assert!(parse_model(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn rendering_reads_back_field_for_field() {
+        let src = "model  every feature: A->B  \n\
+            species Z A R\n\
+            labels cell nucleus\n\
+            term: A*18446744073709551615 (cell: R | A*3 (nucleus: | Z)) (cell: |)\n\
+            rule a->b @ 0.30000000000000004 hill-repress(A, 1e-300, 4) : A (cell: R | A) => [1: Z | A*2]\n\
+            rule lysis @ -0 saturating(A, 2.5) in cell : (cell: | A) (nucleus: |) => !2 (cell: R | A)\n\
+            rule up @ 1e300 hill-activate(Z, 7, 0.5) in top : =>\n\
+            observe count Z = Z\n\
+            observe = A at top\n\
+            observe in_cell = A in cell\n";
+        let m = parse_model(src).unwrap();
+        m.validate().unwrap();
+        let text = render_model(&m);
+        let back = parse_model(&text).unwrap();
+        assert_eq!(back.name, "every feature: A->B");
+        assert_eq!(back.name, m.name);
+        assert_eq!(back.alphabet.species_names(), m.alphabet.species_names());
+        assert_eq!(back.alphabet.label_names(), m.alphabet.label_names());
+        assert_eq!(back.initial, m.initial);
+        assert_eq!(back.observables, m.observables);
+        // `Debug` prints every f64 in its shortest round-trip form, so
+        // equal strings are equal bits (`-0.0` included).
+        assert_eq!(format!("{:?}", back.rules), format!("{:?}", m.rules));
+        assert_eq!(m.rules[1].rate.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(render_model(&back), text);
+    }
+
+    #[test]
+    fn an_atom_count_past_u64_max_is_an_error() {
+        for src in [
+            "species A\nterm: A*18446744073709551615 A",
+            "term: A*18446744073709551615 (c: |) A",
+            "term: (c: A*18446744073709551615 A |)",
+            "rule r @ 1 : A*9223372036854775808 A*9223372036854775808 =>",
+            "rule r @ 1 : (c: | A A*18446744073709551615) =>",
+            "rule r @ 1 : => A*18446744073709551615 A",
+            "rule r @ 1 : (c: |) => [1: A A*18446744073709551615 |]",
+        ] {
+            let err = parse_model(src).unwrap_err();
+            assert!(err.message.contains("overflows"), "{src}: {err}");
+        }
+        // One short of overflowing is fine.
+        let m = parse_model("term: A*18446744073709551614 A").unwrap();
+        assert_eq!(m.initial.atoms.len(), u64::MAX);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let nested = |depth: usize| format!("term: {}{}", "(c: |".repeat(depth), ")".repeat(depth));
+        assert_eq!(
+            parse_model(&nested(MAX_NESTING)).unwrap().initial.depth(),
+            MAX_NESTING
+        );
+        // Far past the cap too: the parser stops at the cap, so a depth
+        // that would overflow a thread's stack is just an error.
+        for depth in [MAX_NESTING + 1, 100_000] {
+            let err = parse_model(&nested(depth)).unwrap_err();
+            assert!(err.message.contains("nest deeper"), "{err}");
+        }
     }
 
     #[test]

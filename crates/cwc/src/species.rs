@@ -170,6 +170,17 @@ impl Alphabet {
     pub fn label_count(&self) -> usize {
         self.label_names.len()
     }
+
+    /// Species names, indexed by raw handle (interning order).
+    pub fn species_names(&self) -> &[String] {
+        &self.species_names
+    }
+
+    /// Label names, indexed by raw handle (interning order; `top` is not
+    /// among them).
+    pub fn label_names(&self) -> &[String] {
+        &self.label_names
+    }
 }
 
 #[cfg(test)]

@@ -198,44 +198,15 @@ impl Term {
             .unwrap_or(0)
     }
 
-    /// Renders the term in CWC-like ASCII syntax using `alphabet` names:
-    /// atoms as `name*count`, compartments as `(label: wrap | content)`.
+    /// Renders the term as a model file's `term:` line writes it: atoms
+    /// as `name*count`, compartments as `(label: wrap | content)`;
+    /// `<empty>` for the empty term.
     pub fn display(&self, alphabet: &Alphabet) -> String {
-        fn atoms_to_string(ms: &Multiset, ab: &Alphabet, out: &mut String) {
-            let mut first = true;
-            for (s, n) in ms.iter() {
-                if !first {
-                    out.push(' ');
-                }
-                first = false;
-                if n == 1 {
-                    out.push_str(ab.species_name(s));
-                } else {
-                    out.push_str(&format!("{}*{}", ab.species_name(s), n));
-                }
-            }
-        }
-        fn rec(term: &Term, ab: &Alphabet, out: &mut String) {
-            atoms_to_string(&term.atoms, ab, out);
-            for c in &term.comps {
-                if !out.is_empty() && !out.ends_with(' ') {
-                    out.push(' ');
-                }
-                out.push('(');
-                out.push_str(ab.label_name(c.label));
-                out.push_str(": ");
-                atoms_to_string(&c.wrap, ab, out);
-                out.push_str(" | ");
-                rec(&c.content, ab, out);
-                out.push(')');
-            }
-        }
         let mut out = String::new();
-        rec(self, alphabet, &mut out);
-        if out.is_empty() {
-            "<empty>".to_owned()
-        } else {
-            out
+        crate::parser::write_term(&mut out, alphabet, self);
+        match out.strip_prefix(' ') {
+            Some(text) => text.to_owned(),
+            None => "<empty>".to_owned(),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! the worker body and the *multi-process* deployment: one `cwc-shard`
 //! child OS process per shard attempt, a one-shot worker on a loopback
 //! port streaming aligned partial cuts plus mergeable partial statistics
-//! back as length-prefixed wire-v7 frames — bit-for-bit identical
+//! back as length-prefixed wire-v8 frames — bit-for-bit identical
 //! analysis rows to the single-process runner; the same sharded farm
 //! runs on threads behind `cwcsim::InProcessTransport`) and [`net`] (the
 //! socket path both out-of-process transports run on: `cwc-workerd`

@@ -1,7 +1,7 @@
 //! The socket path every out-of-process shard runs on.
 //!
 //! A shard attempt outside the coordinator is one TCP connection to a
-//! worker that speaks the length-prefixed wire-v7 shard protocol of
+//! worker that speaks the length-prefixed wire-v8 shard protocol of
 //! [`crate::shard`]. Two workers serve it, both through
 //! [`serve_connection`]: the `cwc-workerd` daemon (repo root,
 //! `src/bin/cwc-workerd.rs`), one per host, and the one-shot `cwc-shard`
@@ -83,7 +83,7 @@ use crate::wire::{self, Wire, WireError, WireReader};
 pub const FAULT_EXIT: i32 = 3;
 
 /// The worker registration frame — first thing a `cwc-workerd` daemon
-/// writes on every accepted connection (wire v7).
+/// writes on every accepted connection (wire v7 and later).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerHello {
     /// The wire protocol version the worker speaks; the coordinator

@@ -14,13 +14,13 @@
 //! ## Protocol
 //!
 //! Every frame is a `u32` little-endian byte length followed by that
-//! many bytes of a standard enveloped wire-v7 message (magic, version,
+//! many bytes of a standard enveloped wire-v8 message (magic, version,
 //! payload — see [`crate::wire`]).
 //!
 //! ```text
 //! cwc-shard child ──stdout──▶ coordinator:  "cwc-shard listening on <addr>"
 //! worker ──socket──▶ coordinator:  WorkerHello{protocol, capacity}
-//! coordinator ──socket──▶ worker:  Job(model + ShardSpec + deps) [Terminate]
+//! coordinator ──socket──▶ worker:  Job(model text + ShardSpec + deps) [Terminate]
 //! worker ──socket──▶ coordinator:  (Cut | Progress)* (cuts in grid order)
 //!                                  End{events, summary} | Error(message)
 //! ```
@@ -108,8 +108,8 @@ pub enum ToShard {
 /// A shard's work assignment.
 #[derive(Debug, Clone)]
 pub struct ShardJob {
-    /// The model to simulate (shipped whole — shards accept arbitrary
-    /// models, not just registry names).
+    /// The model to simulate (shipped whole, as model text — shards
+    /// accept arbitrary models, not just registry names).
     pub model: Model,
     /// The shard's slice and run parameters.
     pub spec: ShardSpec,
@@ -146,16 +146,23 @@ pub enum ToCoordinator {
     },
 }
 
+/// The model travels as its model text (wire v8): the worker reads it
+/// with the same parser a model file goes through, and a text that does
+/// not parse is a typed [`WireError::Model`].
 impl Wire for ShardJob {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.model.encode(buf);
+        cwc::render_model(&self.model).encode(buf);
         self.spec.encode(buf);
         self.deps.encode(buf);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let model = cwc::parse_model(&String::decode(r)?).map_err(|e| WireError::Model {
+            line: e.line,
+            message: e.message,
+        })?;
         Ok(ShardJob {
-            model: Model::decode(r)?,
+            model,
             spec: ShardSpec::decode(r)?,
             deps: Option::decode(r)?,
         })
@@ -441,9 +448,10 @@ where
         }
         None => return Err(ServeError::Protocol("empty input stream".into())),
     };
-    // Re-validate the shipped model before running anything (the wire
-    // decoder only checks structure): an invalid model is a graceful
-    // Error frame for the coordinator, not a worker panic.
+    // Re-validate the shipped model before running anything (a model
+    // text can parse and still be invalid, e.g. hold no rule): an invalid
+    // model is a graceful Error frame for the coordinator, not a worker
+    // panic.
     if let Err(e) = job.model.validate() {
         write_frame(
             &mut output,
@@ -1268,6 +1276,40 @@ mod tests {
             matches!(&frames[0], ToCoordinator::Error(m) if m.contains("invalid model")),
             "{frames:?}"
         );
+    }
+
+    /// A job whose model text nests 100 000 compartments deep (a 600 kB
+    /// frame, far under the frame cap) is a typed decode error: the
+    /// parser stops at its nesting cap instead of recursing until the
+    /// stack overflows, so the serving process lives on.
+    #[test]
+    fn serve_shard_refuses_a_model_text_nested_past_the_cap() {
+        let j = job(2, 2, 0);
+        let deep = format!(
+            "model deep\nterm: {}{}\n",
+            "(c: |".repeat(100_000),
+            ")".repeat(100_000)
+        );
+        // A job frame written field by field around that text.
+        let mut bytes = wire::MAGIC.to_vec();
+        wire::VERSION.encode(&mut bytes);
+        bytes.push(0);
+        deep.encode(&mut bytes);
+        j.spec.encode(&mut bytes);
+        j.deps.encode(&mut bytes);
+        let mut input = (bytes.len() as u32).to_le_bytes().to_vec();
+        input.extend_from_slice(&bytes);
+        let mut output = Vec::new();
+        let err = serve_shard(Cursor::new(input), &mut output).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Frame(FrameError::Wire(WireError::Model { line: 2, message }))
+                    if message.contains("nest deeper than")
+            ),
+            "{err}"
+        );
+        assert!(output.is_empty());
     }
 
     #[test]

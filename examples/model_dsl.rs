@@ -1,11 +1,12 @@
 //! The textual CWC model format: parse a nested-compartment model from
-//! source, run it, and display the population dynamics.
+//! source, check that it reads back from its own rendering (the form a
+//! shard job ships it in), run it, and display the population dynamics.
 //!
 //! Run: `cargo run --release --example model_dsl`
 
 use std::sync::Arc;
 
-use cwc_repro::cwc::parse_model;
+use cwc_repro::cwc::{parse_model, render_model};
 use cwc_repro::cwcsim::{ascii_chart, run_simulation, SimConfig, StatEngineKind};
 
 const SOURCE: &str = r"
@@ -22,12 +23,14 @@ observe total_virions = V
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = parse_model(SOURCE)?;
-    println!(
-        "parsed model `{}`: {} rules, initial term: {}",
-        model.name,
-        model.rules.len(),
-        model.initial.display(&model.alphabet)
+    let text = render_model(&model);
+    let reparsed = parse_model(&text)?;
+    assert_eq!(
+        render_model(&reparsed),
+        text,
+        "the rendering must read back to the same model"
     );
+    println!("parsed model, as a shard job ships it:\n{text}");
 
     let cfg = SimConfig::new(24, 30.0)
         .quantum(1.0)

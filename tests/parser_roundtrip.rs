@@ -1,12 +1,20 @@
-//! Property: rendering a term with `Term::display` and re-parsing it as a
-//! `term:` line yields the same tree (names permitting), and model files
-//! survive a parse → rebuild cycle.
+//! The model text format is the one way a model is read, so every model
+//! must survive it: rendering a term with `Term::display` re-parses to the
+//! same tree, every bundled model and every random valid model reads back
+//! from `render_model` field for field (and runs the same rows), and
+//! mutated model text never panics the parser.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use cwc_repro::biomodels;
+use cwc_repro::cwc::model::{Model, ObservableSite};
 use cwc_repro::cwc::multiset::Multiset;
-use cwc_repro::cwc::parse_model;
+use cwc_repro::cwc::rule::{CompPattern, CompProduction, Pattern, Production, RateLaw, Rule};
+use cwc_repro::cwc::species::{Label, Species};
 use cwc_repro::cwc::term::{Compartment, Term};
+use cwc_repro::cwc::{parse_model, render_model};
 
 /// A small species vocabulary the parser can re-intern deterministically.
 const SPECIES: [&str; 4] = ["A", "B", "C", "D"];
@@ -108,4 +116,281 @@ observe inside = A in cell
     let report = cwc_repro::cwcsim::run_simulation(std::sync::Arc::new(model), &cfg).unwrap();
     assert_eq!(report.rows.len(), 9);
     assert_eq!(report.observable_names, vec!["free", "inside"]);
+}
+
+/// Asserts that `back` holds every field of `model`: the name, the species
+/// and label names in raw order, the rules (compared by their `Debug`
+/// form, which prints every `f64` in shortest round-trip form, so equal
+/// text is equal bits), the initial term and the observables.
+fn assert_same_model(back: &Model, model: &Model) {
+    assert_eq!(back.name, model.name);
+    assert_eq!(
+        back.alphabet.species_names(),
+        model.alphabet.species_names()
+    );
+    assert_eq!(back.alphabet.label_names(), model.alphabet.label_names());
+    assert_eq!(back.rules, model.rules, "{}", model.name);
+    assert_eq!(format!("{:?}", back.rules), format!("{:?}", model.rules));
+    assert_eq!(back.initial, model.initial, "{}", model.name);
+    assert_eq!(back.observables, model.observables, "{}", model.name);
+}
+
+fn roundtrip(model: &Model) -> Model {
+    model.validate().unwrap();
+    let text = render_model(model);
+    let back = parse_model(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", model.name));
+    assert_same_model(&back, model);
+    back
+}
+
+#[test]
+fn every_bundled_model_reads_back_from_its_rendering() {
+    for name in biomodels::model_names() {
+        roundtrip(&biomodels::model_by_name(name).unwrap());
+    }
+    let neuro = biomodels::NeurosporaParams {
+        omega: 37.0,
+        n: 2.5,
+        ..Default::default()
+    };
+    for model in [
+        biomodels::neurospora_flat(neuro),
+        biomodels::neurospora_compartments(neuro),
+        biomodels::cell_transport(biomodels::CellTransportParams::default()),
+        biomodels::conversion_cycle(300, 60_000, 1.0),
+        biomodels::birth_death(2.0, 0.1, 5),
+    ] {
+        roundtrip(&model);
+    }
+}
+
+#[test]
+fn neurospora_parsed_from_its_rendering_runs_the_same_rows() {
+    let built = biomodels::neurospora_flat(biomodels::NeurosporaParams::default());
+    let parsed = roundtrip(&built);
+    let cfg = cwc_repro::cwcsim::SimConfig::new(6, 24.0)
+        .quantum(2.0)
+        .sample_period(1.0)
+        .sim_workers(2)
+        .seed(17);
+    let a = cwc_repro::cwcsim::run_simulation(Arc::new(built), &cfg).unwrap();
+    let b = cwc_repro::cwcsim::run_simulation(Arc::new(parsed), &cfg).unwrap();
+    assert!(a.events > 0);
+    assert_eq!(a.events, b.events);
+    assert_eq!(a.rows, b.rows);
+}
+
+/// SplitMix64: the random models and mutations below are seeded and
+/// deterministic.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A positive finite `f64` from anywhere in the range, subnormals
+    /// included.
+    fn positive(&mut self) -> f64 {
+        let x = f64::from_bits(self.next() & 0x7fef_ffff_ffff_ffff);
+        if x > 0.0 {
+            x
+        } else {
+            0.25
+        }
+    }
+}
+
+/// A random valid model: up to four species and three labels, a nested
+/// initial term, rules with every law, site, pattern and production kind,
+/// and observables at every site kind.
+fn random_model(seed: u64) -> Model {
+    let mut r = Mix(seed);
+    let mut m = Model::new(&format!("random {seed}: x->y"));
+    let species: Vec<Species> = (0..1 + r.below(4))
+        .map(|i| m.species(&format!("S{i}_'")))
+        .collect();
+    let labels: Vec<Label> = (0..r.below(4)).map(|i| m.label(&format!("L{i}"))).collect();
+    let label = |r: &mut Mix| match labels.len() {
+        0 => Label::TOP,
+        n => labels[r.below(n)],
+    };
+    let atoms = |r: &mut Mix| -> Multiset {
+        (0..r.below(3))
+            .map(|_| {
+                let n = [1, 2, 7, u64::MAX / 4][r.below(4)];
+                (species[r.below(species.len())], n)
+            })
+            .collect()
+    };
+    fn term(
+        r: &mut Mix,
+        depth: usize,
+        atoms: &dyn Fn(&mut Mix) -> Multiset,
+        label: &dyn Fn(&mut Mix) -> Label,
+    ) -> Term {
+        let mut t = Term::from_atoms(atoms(r));
+        for _ in 0..if depth < 3 { r.below(3) } else { 0 } {
+            let content = term(r, depth + 1, atoms, label);
+            t.add_compartment(Compartment::new(label(r), atoms(r), content));
+        }
+        t
+    }
+    m.initial = term(&mut r, 0, &atoms, &label);
+    for i in 0..1 + r.below(5) {
+        let lhs = Pattern {
+            atoms: atoms(&mut r),
+            comps: (0..r.below(3))
+                .map(|_| CompPattern {
+                    label: label(&mut r),
+                    wrap: atoms(&mut r),
+                    atoms: atoms(&mut r),
+                })
+                .collect(),
+        };
+        let mut comps = Vec::new();
+        for index in 0..lhs.comps.len() {
+            match r.below(3) {
+                0 => comps.push(CompProduction::Keep {
+                    index,
+                    add_wrap: atoms(&mut r),
+                    add_atoms: atoms(&mut r),
+                }),
+                1 => comps.push(CompProduction::Dissolve { index }),
+                _ => {} // destroyed
+            }
+            if r.below(2) == 0 {
+                comps.push(CompProduction::New {
+                    label: label(&mut r),
+                    wrap: atoms(&mut r),
+                    atoms: atoms(&mut r),
+                });
+            }
+        }
+        let s = species[r.below(species.len())];
+        let law = match r.below(4) {
+            0 => RateLaw::MassAction,
+            1 => RateLaw::HillRepression {
+                inhibitor: s,
+                k: r.positive(),
+                n: r.positive(),
+            },
+            2 => RateLaw::HillActivation {
+                activator: s,
+                k: r.positive(),
+                n: r.positive(),
+            },
+            _ => RateLaw::Saturating {
+                substrate: s,
+                km: r.positive(),
+            },
+        };
+        let rule = Rule {
+            name: format!("r{i}(x)->y"),
+            site: label(&mut r),
+            lhs,
+            rhs: Production {
+                atoms: atoms(&mut r),
+                comps,
+            },
+            rate: if r.below(5) == 0 { 0.0 } else { r.positive() },
+            law,
+        };
+        m.push_rule(rule).unwrap();
+    }
+    for i in 0..r.below(5) {
+        let site = match r.below(3) {
+            0 => ObservableSite::Everywhere,
+            1 => ObservableSite::TopOnly,
+            _ => ObservableSite::AtLabel(label(&mut r)),
+        };
+        let s = species[r.below(species.len())];
+        m.observe_at(&format!("obs {i}"), s, site);
+    }
+    m
+}
+
+proptest! {
+    #[test]
+    fn random_models_read_back_from_their_rendering(seed in any::<u64>()) {
+        roundtrip(&random_model(seed));
+    }
+}
+
+/// Mutates `text` once: a byte changed, a truncation, a token duplicated
+/// or two tokens swapped.
+fn mutate(r: &mut Mix, text: &str) -> String {
+    const BYTES: &[u8] = b"()[]:|!*@#=,.-+ \n\tAZaz09eE'_";
+    let mut bytes = text.as_bytes().to_vec();
+    if bytes.is_empty() {
+        return String::new();
+    }
+    let tokens = |bytes: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(bytes)
+            .split(' ')
+            .map(str::to_owned)
+            .collect()
+    };
+    match r.below(5) {
+        0 => {
+            let at = r.below(bytes.len());
+            bytes[at] = BYTES[r.below(BYTES.len())];
+        }
+        1 => {
+            let at = r.below(bytes.len());
+            bytes[at] ^= 1 << r.below(8);
+        }
+        2 => bytes.truncate(r.below(bytes.len())),
+        3 => {
+            let mut t = tokens(&bytes);
+            let at = r.below(t.len());
+            t.insert(at, t[at].clone());
+            bytes = t.join(" ").into_bytes();
+        }
+        _ => {
+            let mut t = tokens(&bytes);
+            let (a, b) = (r.below(t.len()), r.below(t.len()));
+            t.swap(a, b);
+            bytes = t.join(" ").into_bytes();
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The parser's fuzz target, run as a seeded, bounded, deterministic test:
+/// mutated renderings of every bundled model never panic the parser, and
+/// whatever parses reaches a fixed point after one render/parse cycle.
+#[test]
+fn mutated_model_text_never_panics_and_reparses_to_a_fixed_point() {
+    let mut r = Mix(0x5eed);
+    let (mut cases, mut parsed) = (0, 0);
+    for name in biomodels::model_names() {
+        let text = render_model(&biomodels::model_by_name(name).unwrap());
+        for _ in 0..400 {
+            let mut x = text.clone();
+            for _ in 0..1 + r.below(3) {
+                x = mutate(&mut r, &x);
+            }
+            cases += 1;
+            let Ok(model) = parse_model(&x) else { continue };
+            parsed += 1;
+            let once = render_model(&model);
+            let again = parse_model(&once)
+                .unwrap_or_else(|e| panic!("{name}: rendering of a parse fails: {e}\n{once}"));
+            assert_eq!(render_model(&again), once, "{name}: mutated input\n{x}");
+        }
+    }
+    // Both outcomes are exercised.
+    assert!(
+        parsed > cases / 10 && parsed < cases,
+        "{parsed} of {cases} parsed"
+    );
 }

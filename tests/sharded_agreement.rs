@@ -246,3 +246,28 @@ fn missing_worker_binary_is_a_typed_spawn_error() {
     // The message should point the user at the fix.
     assert!(err.to_string().contains("spawn failed"), "{err}");
 }
+
+/// A name the model text format cannot write fails validation with a
+/// typed error naming it, before any engine or shard starts: on an
+/// in-process run (an observable with `=`) and on a sharded run, whose
+/// jobs would carry the model as text (a species starting with a digit).
+#[test]
+fn a_name_the_model_text_cannot_write_is_a_typed_model_error() {
+    use cwc_repro::cwc::ModelError;
+
+    let mut bad_observable = biomodels::simple::decay(20, 1.0);
+    bad_observable.observables[0].name = "A=1".into();
+    let err = run_simulation(Arc::new(bad_observable), &cfg()).unwrap_err();
+    assert!(
+        matches!(&err, SimError::Model(ModelError::BadName { kind: "observable", name }) if name == "A=1"),
+        "{err}"
+    );
+
+    let mut bad_species = biomodels::simple::decay(20, 1.0);
+    bad_species.species("2A");
+    let err = run_simulation_sharded(Arc::new(bad_species), &cfg().shards(2)).unwrap_err();
+    assert!(
+        matches!(&err, SimError::Model(ModelError::BadName { kind: "species", name }) if name == "2A"),
+        "{err}"
+    );
+}
