@@ -527,6 +527,59 @@ mod tests {
     }
 
     #[test]
+    fn multi_host_runs_reproduce_their_goldens_bit_for_bit() {
+        // (makespan_s.to_bits(), net_busy_s.to_bits(), messages): the
+        // order of link, latency and alignment events across hosts, which
+        // the one-host goldens in `multicore` never exercise.
+        let four_hosts = cluster(4, 2, NetworkProfile::ipoib());
+        // 1 MiB batches on gigabit Ethernet: the link is busy for all but
+        // ~0.1 ms of the run.
+        let link_bound = WorkloadTrace {
+            mean_batch_bytes: 1_048_576.0,
+            ..WorkloadTrace::synthetic(32, 16, 50.0)
+        };
+        let cases = [
+            (
+                "4 × xeon12(2) on IPoIB",
+                simulate_cluster(&trace(), &four_hosts),
+                (0x3fb1c07ea2a6d9b6, 0x3f7af494ae94f04a, 1024),
+            ),
+            (
+                "2 × xeon12(4) on gigabit Ethernet",
+                simulate_cluster(
+                    &link_bound,
+                    &cluster(2, 4, NetworkProfile::gigabit_ethernet()),
+                ),
+                (0x4002375b809e7e9e, 0x4002372452340807, 512),
+            ),
+            (
+                "2 EC2 VMs + Nehalem + 2 Sandy Bridge",
+                crate::cloud::heterogeneous(
+                    &WorkloadTrace::synthetic(96, 16, 400.0),
+                    crate::cloud::heterogeneous_deployment(2),
+                    CostModel::nominal(),
+                ),
+                (0x3f990130271deef4, 0x3f8ba1d560a87002, 1536),
+            ),
+        ];
+        for (name, out, (makespan, net, messages)) in cases {
+            assert_eq!(
+                (
+                    out.makespan_s.to_bits(),
+                    out.net_busy_s.to_bits(),
+                    out.messages
+                ),
+                (makespan, net, messages),
+                "{name}: makespan {} net {} vs {} {}",
+                out.makespan_s,
+                out.net_busy_s,
+                f64::from_bits(makespan),
+                f64::from_bits(net)
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one host")]
     fn empty_cluster_panics() {
         let t = trace();
