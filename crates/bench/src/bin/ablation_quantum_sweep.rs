@@ -6,16 +6,16 @@
 //!
 //! Run: `cargo run -p bench --release --bin ablation_quantum_sweep`
 
-use bench::{costs, print_table, quick_mode, secs, trace_with};
+use bench::{costs, print_table, quick_mode, secs, trace};
 use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
-use simt::executor::simulate_device_run_with_buffering;
+use simt::executor::simulate_device_run;
 use simt::{DeviceSpec, WarpPacking};
 
 fn main() {
     let quick = quick_mode();
     eprintln!("# ablation: recording workload ...");
-    let full = trace_with(1024, quick, 48.0, 600, 60.0);
+    let full = trace(1024, quick, 48.0, 600, 1, 60.0);
     let cost = costs(quick);
     let device = DeviceSpec::tesla_k40(cost.sec_per_event);
 
@@ -29,18 +29,13 @@ fn main() {
             p.costs = cost;
             p.dispatch_overhead_s = 0.3e-6;
             let cpu = simulate_cluster(&coarse, &p).makespan_s;
-            let gpu_r = simulate_device_run_with_buffering(
+            let gpu_r = simulate_device_run(
                 &coarse.events,
                 &device,
                 WarpPacking::RebalanceEachQuantum,
                 spq,
             );
-            let gpu_s = simulate_device_run_with_buffering(
-                &coarse.events,
-                &device,
-                WarpPacking::Static,
-                spq,
-            );
+            let gpu_s = simulate_device_run(&coarse.events, &device, WarpPacking::Static, spq);
             rows.push(vec![
                 format!("{factor}"),
                 format!("{}", coarse.quanta),

@@ -14,7 +14,7 @@
 //! Run: `cargo run -p bench --release --bin fig3_multicore_speedup`
 //! (add `--quick` for a synthetic workload).
 
-use bench::{costs, f2, print_table, quick_mode, trace_with};
+use bench::{costs, f2, print_table, quick_mode, trace};
 use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
 
@@ -30,7 +30,7 @@ fn main() {
     );
     // Dense τ grid (800 samples over 12 h): the analysis stream carries
     // the weight it has in the paper's configuration.
-    let full = trace_with(1024, quick, 12.0, 800, 8.0).coarsen(10); // Q/τ = 10
+    let full = trace(1024, quick, 12.0, 800, 1, 8.0).coarsen(10); // Q/τ = 10
     let cost = costs(quick);
     let workers = [1usize, 2, 4, 8, 12, 16, 20, 24, 28, 30];
     let trajectory_counts = [128u64, 512, 1024];

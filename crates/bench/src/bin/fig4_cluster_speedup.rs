@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{costs, f2, print_table, quick_mode, trace_with};
+use bench::{costs, f2, print_table, quick_mode, trace};
 use cwcsim::{SimConfig, TransportKind};
 use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::{HostProfile, NetworkProfile};
@@ -39,7 +39,7 @@ use distrt::shard::{run_simulation_sharded, ProcessTransport};
 fn emulated() {
     let quick = quick_mode();
     eprintln!("# FIG4 (emulated): recording workload ...");
-    let trace = trace_with(512, quick, 48.0, 500, 60.0).coarsen(10);
+    let trace = trace(512, quick, 48.0, 500, 1, 60.0).coarsen(10);
     let cost = costs(quick);
 
     for cores_per_host in [2usize, 4] {

@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig5_vm_speedup`
 
-use bench::{costs, dense_trace, f2, print_table, quick_mode};
+use bench::{costs, f2, print_table, quick_mode, trace};
 use distrt::cloud::single_vm;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     // Q/τ = 10 quanta with a dense sampling grid: the on-line analysis
     // carries ≈ 20% of the total work, the share behind the paper's
     // 3.15-of-4 speedup.
-    let trace = dense_trace(256, quick, 48.0, 50, 320);
+    let trace = trace(256, quick, 48.0, 50, 320, 150.0);
     let cost = costs(quick);
 
     let t1 = single_vm(&trace, 1, cost).makespan_s;

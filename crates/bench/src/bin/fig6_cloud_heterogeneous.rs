@@ -9,14 +9,14 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig6_cloud_heterogeneous`
 
-use bench::{costs, f2, print_table, quick_mode, trace_with};
+use bench::{costs, f2, print_table, quick_mode, trace};
 use distrt::cloud::{heterogeneous, virtual_cluster};
 use distrt::platform::HostProfile;
 
 fn main() {
     let quick = quick_mode();
     eprintln!("# FIG6: recording workload ...");
-    let trace = trace_with(512, quick, 48.0, 500, 60.0).coarsen(10);
+    let trace = trace(512, quick, 48.0, 500, 1, 60.0).coarsen(10);
     let cost = costs(quick);
 
     // ---- top: virtual cluster of quad-core VMs -------------------------

@@ -15,10 +15,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin table1_gpu_vs_cpu`
 
-use bench::{costs, print_table, quick_mode, secs, trace_with};
+use bench::{costs, print_table, quick_mode, secs, trace};
 use distrt::cluster::{simulate_cluster, ClusterParams};
 use distrt::platform::HostProfile;
-use simt::executor::simulate_device_run_with_buffering;
+use simt::executor::simulate_device_run;
 use simt::{DeviceSpec, WarpPacking};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     // A 48 h horizon (after burn-in) gives the compute-to-overhead ratio of
     // the paper's long runs; the divergence/occupancy trade-off only shows
     // when kernels are compute-dominated.
-    let full = trace_with(2048, quick, 48.0, 500, 60.0);
+    let full = trace(2048, quick, 48.0, 500, 1, 60.0);
     let cost = costs(quick);
     let device = DeviceSpec::tesla_k40(cost.sec_per_event);
 
@@ -55,14 +55,14 @@ fn main() {
         let cpu_q1 = simulate_cluster(&fine, &p).makespan_s;
 
         // GPU side: SIMT model with per-quantum rebalancing.
-        let gpu_q10 = simulate_device_run_with_buffering(
+        let gpu_q10 = simulate_device_run(
             &coarse.events,
             &device,
             WarpPacking::RebalanceEachQuantum,
             spq_coarse,
         )
         .total_s;
-        let gpu_q1 = simulate_device_run_with_buffering(
+        let gpu_q1 = simulate_device_run(
             &fine.events,
             &device,
             WarpPacking::RebalanceEachQuantum,

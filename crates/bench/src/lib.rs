@@ -12,53 +12,46 @@ use biomodels::neurospora::{neurospora_flat, NeurosporaParams};
 use cwc::model::Model;
 use distrt::workload::{CostModel, WorkloadTrace};
 
-/// Standard simulated horizon (hours) of harness runs. Shorter than the
-/// paper's 96-day cloud run so harnesses finish in minutes; the workload
-/// *shape* (per-quantum imbalance, phase decorrelation) is established
-/// well within a few circadian cycles.
-pub const HORIZON_H: f64 = 12.0;
-
-/// Quanta per run at the fine (τ-grained) slicing.
-pub const FINE_QUANTA: usize = 500;
-
 /// The Neurospora model used by all harnesses.
 pub fn neurospora_model() -> Arc<Model> {
     Arc::new(neurospora_flat(NeurosporaParams::default()))
 }
 
-/// Records (or synthesises, with `quick = true`) the τ-grained workload
-/// trace for `instances` trajectories.
+/// The workload trace of `instances` Neurospora trajectories over
+/// `horizon_h` hours in `quanta` quanta, sampled `samples_per_quantum`
+/// times per quantum (1 gives a τ-grained trace, one quantum per sample
+/// period, which `WorkloadTrace::coarsen` turns into the Q/τ > 1
+/// workloads of the same trajectories).
 ///
-/// The fine trace has one quantum per sample period; coarsening by 10
-/// yields the Q/τ = 10 workload of the same trajectories.
-pub fn fine_trace(instances: u64, quick: bool) -> WorkloadTrace {
-    trace_with(instances, quick, HORIZON_H, FINE_QUANTA, 15.0)
-}
-
-/// Records (or synthesises) a τ-grained trace with explicit horizon and
-/// quantum count. `mean_events` parameterises only the synthetic fallback.
-pub fn trace_with(
+/// Recorded by running the real engine after 60 h of burn-in, which
+/// decorrelates the oscillator phases (see `WorkloadTrace::record`) as in
+/// the paper's long runs; with `quick = true`, synthesised instead
+/// around `mean_events` events per quantum, which only that path reads.
+/// A denser sampling grid is how a figure matches the paper's analysis
+/// share of the work: our statistical engines are cheaper per value than
+/// the paper's period-detection stack.
+pub fn trace(
     instances: u64,
     quick: bool,
     horizon_h: f64,
-    fine_quanta: usize,
+    quanta: usize,
+    samples_per_quantum: usize,
     mean_events: f64,
 ) -> WorkloadTrace {
     if quick {
-        let mut t = WorkloadTrace::synthetic(instances, fine_quanta, mean_events);
-        t.samples_per_instance = fine_quanta as u64 + 1;
+        let mut t = WorkloadTrace::synthetic(instances, quanta, mean_events);
+        t.samples_per_instance = (quanta * samples_per_quantum) as u64 + 1;
         t
     } else {
-        let tau = horizon_h / fine_quanta as f64;
-        // 60 h of burn-in decorrelates the oscillator phases (see
-        // `record_with_burn_in`), matching the paper's long-run regime.
-        WorkloadTrace::record_with_burn_in(
+        let quantum = horizon_h / quanta as f64;
+        let tau = quantum / samples_per_quantum as f64;
+        WorkloadTrace::record(
             neurospora_model(),
             instances,
             2014,
             60.0,
             horizon_h,
-            tau,
+            quantum,
             tau,
         )
     }
@@ -70,37 +63,6 @@ pub fn costs(quick: bool) -> CostModel {
         CostModel::nominal()
     } else {
         CostModel::measure(neurospora_model())
-    }
-}
-
-/// Records a trace with independent quantum and sampling grids: `quanta`
-/// quanta, each sampled `samples_per_quantum` times. Used where the
-/// analysis share of the total work must match the paper's (our
-/// statistical engines are cheaper per value than the paper's
-/// period-detection stack, so the sampling grid compensates).
-pub fn dense_trace(
-    instances: u64,
-    quick: bool,
-    horizon_h: f64,
-    quanta: usize,
-    samples_per_quantum: usize,
-) -> WorkloadTrace {
-    if quick {
-        let mut t = WorkloadTrace::synthetic(instances, quanta, 150.0);
-        t.samples_per_instance = (quanta * samples_per_quantum) as u64 + 1;
-        t
-    } else {
-        let quantum = horizon_h / quanta as f64;
-        let tau = quantum / samples_per_quantum as f64;
-        WorkloadTrace::record_with_burn_in(
-            neurospora_model(),
-            instances,
-            2014,
-            60.0,
-            horizon_h,
-            quantum,
-            tau,
-        )
     }
 }
 
@@ -309,10 +271,13 @@ mod tests {
 
     #[test]
     fn quick_trace_has_expected_shape() {
-        let t = fine_trace(16, true);
+        let t = trace(16, true, 12.0, 500, 1, 15.0);
         assert_eq!(t.instances, 16);
-        assert_eq!(t.quanta, FINE_QUANTA);
-        assert_eq!(t.samples_per_instance, FINE_QUANTA as u64 + 1);
+        assert_eq!(t.quanta, 500);
+        assert_eq!(t.samples_per_instance, 501);
+        let dense = trace(16, true, 12.0, 50, 320, 150.0);
+        assert_eq!(dense.quanta, 50);
+        assert_eq!(dense.samples_per_instance, 50 * 320 + 1);
     }
 
     #[test]

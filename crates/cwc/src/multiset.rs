@@ -66,11 +66,18 @@ impl Multiset {
     }
 
     /// Adds `n` copies of `species`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the species, if its count would pass `u64::MAX`.
     pub fn insert(&mut self, species: Species, n: u64) {
         if n == 0 {
             return;
         }
-        *self.counts.entry(species).or_insert(0) += n;
+        let count = self.counts.entry(species).or_insert(0);
+        *count = count
+            .checked_add(n)
+            .unwrap_or_else(|| panic!("count of {species:?} overflows u64 ({count} + {n})"));
     }
 
     /// Removes `n` copies of `species`.

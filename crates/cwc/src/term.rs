@@ -371,6 +371,14 @@ mod tests {
         Label::from_raw(i)
     }
 
+    #[test]
+    #[should_panic(expected = "count of Species(0) overflows u64")]
+    fn add_atoms_past_u64_max_panics_naming_the_species() {
+        let mut t = Term::new();
+        t.add_atoms(sp(0), u64::MAX);
+        t.add_atoms(sp(0), 1);
+    }
+
     /// `A*2 (cell: m | B (nucleus: | C))`
     fn nested_term() -> Term {
         let mut root = Term::new();

@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use desim::{simulate, Scheduler, World};
+use desim::Scheduler;
 
 use crate::platform::{HostProfile, NetworkProfile};
 use crate::workload::{CostModel, WorkloadTrace};
@@ -137,15 +137,8 @@ struct Batch {
 
 #[derive(Debug)]
 enum Ev {
-    /// Time 0: fills every host's cores.
-    Start,
-    SimDone {
-        host: usize,
-        instance: usize,
-    },
-    LinkFree {
-        host: usize,
-    },
+    SimDone { host: usize, instance: usize },
+    LinkFree { host: usize },
     BatchArrives(Batch),
     AlignDone,
     StatDone,
@@ -323,14 +316,10 @@ impl<'a> ClusterWorld<'a> {
             sched.schedule_in(service, Ev::StatDone);
         }
     }
-}
 
-impl World for ClusterWorld<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, _time: f64, event: Ev, sched: &mut Scheduler<Ev>) {
+    /// Handles one event, then starts whatever it unblocked.
+    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
-            Ev::Start => {}
             Ev::SimDone { host, instance } => {
                 self.hosts[host].busy -= 1;
                 let batch = Batch {
@@ -398,9 +387,13 @@ pub fn simulate_cluster(trace: &WorkloadTrace, params: &ClusterParams) -> Cluste
         "need at least one statistical engine"
     );
     let mut world = ClusterWorld::new(trace, params);
-    let makespan = simulate(&mut world, vec![(0.0, Ev::Start)]);
+    let mut cal = Scheduler::new();
+    world.try_start_all(&mut cal);
+    while let Some(ev) = cal.pop() {
+        world.handle(ev, &mut cal);
+    }
     ClusterOutcome {
-        makespan_s: makespan,
+        makespan_s: cal.now(),
         sim_work_s: world.sim_work_s,
         align_busy_s: world.align_busy_s,
         stat_busy_s: world.stat_busy_s,

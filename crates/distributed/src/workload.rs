@@ -44,39 +44,19 @@ pub struct WorkloadTrace {
 }
 
 impl WorkloadTrace {
-    /// Records a trace by running `instances` real trajectories of `model`.
+    /// Records a trace by running `instances` real trajectories of `model`,
+    /// each advanced by `burn_in` time units before recording starts.
     ///
     /// The recorded event matrix is exactly what the real farm would
     /// execute (same seeds ⇒ same trajectories).
-    pub fn record(
-        model: Arc<Model>,
-        instances: u64,
-        base_seed: u64,
-        t_end: f64,
-        quantum: f64,
-        sample_period: f64,
-    ) -> Self {
-        Self::record_with_burn_in(
-            model,
-            instances,
-            base_seed,
-            0.0,
-            t_end,
-            quantum,
-            sample_period,
-        )
-    }
-
-    /// Like [`record`](WorkloadTrace::record), but advances every instance
-    /// by `burn_in` time units before recording starts.
     ///
     /// Burn-in matters for oscillatory models: trajectories started from a
     /// common initial state are phase-synchronised at first and decorrelate
     /// through stochastic phase diffusion. The paper's long cloud runs
     /// (96 simulated days) operate in the decorrelated regime, which is
-    /// where thread divergence bites; a fresh-start trace would understate
-    /// it.
-    pub fn record_with_burn_in(
+    /// where thread divergence bites; a fresh-start trace (`burn_in = 0`)
+    /// would understate it.
+    pub fn record(
         model: Arc<Model>,
         instances: u64,
         base_seed: u64,
@@ -318,7 +298,7 @@ mod tests {
     #[test]
     fn recorded_trace_matches_real_event_totals() {
         let model = Arc::new(decay(50, 1.0));
-        let trace = WorkloadTrace::record(Arc::clone(&model), 4, 7, 3.0, 0.5, 0.25);
+        let trace = WorkloadTrace::record(Arc::clone(&model), 4, 7, 0.0, 3.0, 0.5, 0.25);
         assert_eq!(trace.instances, 4);
         assert_eq!(trace.quanta, 6);
         // decay(50) fires at most 50 events per instance.
@@ -335,8 +315,8 @@ mod tests {
     #[test]
     fn trace_is_deterministic_for_fixed_seed() {
         let model = Arc::new(decay(30, 1.0));
-        let a = WorkloadTrace::record(Arc::clone(&model), 3, 5, 2.0, 0.5, 0.25);
-        let b = WorkloadTrace::record(model, 3, 5, 2.0, 0.5, 0.25);
+        let a = WorkloadTrace::record(Arc::clone(&model), 3, 5, 0.0, 2.0, 0.5, 0.25);
+        let b = WorkloadTrace::record(model, 3, 5, 0.0, 2.0, 0.5, 0.25);
         assert_eq!(a, b);
     }
 
@@ -344,7 +324,7 @@ mod tests {
     fn record_compiles_the_model_once() {
         let model = Arc::new(decay(30, 1.0));
         let before = ModelDeps::thread_compile_count();
-        let trace = WorkloadTrace::record(model, 16, 5, 1.0, 0.5, 0.25);
+        let trace = WorkloadTrace::record(model, 16, 5, 0.0, 1.0, 0.5, 0.25);
         assert_eq!(trace.instances, 16);
         assert_eq!(ModelDeps::thread_compile_count(), before + 1);
     }

@@ -54,20 +54,12 @@ pub struct GpuRunReport {
 /// matrix driven through the pipeline model on one host
 /// (`distrt::cluster`) gives the CPU side of Table I, so both sides share
 /// the *identical* workload.
+///
+/// Each thread holds `samples_per_quantum` results on chip, which lowers
+/// warp occupancy (see [`DeviceSpec::occupancy_warp_slots`]) — the
+/// mechanism that makes large quanta (high Q/τ) pay at high instance
+/// counts in Table I. One sample per quantum is the unbuffered case.
 pub fn simulate_device_run(
-    events_per_quantum: &[Vec<u64>],
-    device: &DeviceSpec,
-    packing: WarpPacking,
-) -> GpuRunReport {
-    simulate_device_run_with_buffering(events_per_quantum, device, packing, 1.0)
-}
-
-/// Like [`simulate_device_run`], with per-thread sample buffering taken
-/// into account: each thread holds `samples_per_quantum` results on chip,
-/// which lowers warp occupancy (see
-/// [`DeviceSpec::occupancy_warp_slots`]) — the mechanism that makes large
-/// quanta (high Q/τ) pay at high instance counts in Table I.
-pub fn simulate_device_run_with_buffering(
     events_per_quantum: &[Vec<u64>],
     device: &DeviceSpec,
     packing: WarpPacking,
@@ -149,7 +141,7 @@ mod tests {
     #[test]
     fn uniform_work_has_no_divergence() {
         let events = vec![vec![100u64; 64]; 4];
-        let r = simulate_device_run(&events, &device(), WarpPacking::Static);
+        let r = simulate_device_run(&events, &device(), WarpPacking::Static, 1.0);
         assert!((r.divergence - 1.0).abs() < 1e-12);
         assert_eq!(r.kernels, 4);
         // 64 instances = 2 warps ≤ 90 slots -> makespan = 100 events/kernel.
@@ -162,7 +154,7 @@ mod tests {
         // One hot thread per warp: warp pays the max for everyone.
         let mut quantum = vec![10u64; 32];
         quantum[0] = 1000;
-        let r = simulate_device_run(&[quantum], &device(), WarpPacking::Static);
+        let r = simulate_device_run(&[quantum], &device(), WarpPacking::Static, 1.0);
         assert!(r.divergence > 2.0, "divergence {}", r.divergence);
     }
 
@@ -181,8 +173,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let stat = simulate_device_run(&quanta, &device(), WarpPacking::Static);
-        let reb = simulate_device_run(&quanta, &device(), WarpPacking::RebalanceEachQuantum);
+        let stat = simulate_device_run(&quanta, &device(), WarpPacking::Static, 1.0);
+        let reb = simulate_device_run(&quanta, &device(), WarpPacking::RebalanceEachQuantum, 1.0);
         assert!(
             reb.total_s < stat.total_s * 0.85,
             "rebalanced {} vs static {}",
@@ -213,8 +205,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let stat = simulate_device_run(&quanta, &device(), WarpPacking::Static);
-        let reb = simulate_device_run(&quanta, &device(), WarpPacking::RebalanceEachQuantum);
+        let stat = simulate_device_run(&quanta, &device(), WarpPacking::Static, 1.0);
+        let reb = simulate_device_run(&quanta, &device(), WarpPacking::RebalanceEachQuantum, 1.0);
         assert!((stat.compute_s - reb.compute_s).abs() < 1e-12);
         let floor = 5.0 * 5000.0 * device().sec_per_event;
         assert!((stat.compute_s - floor).abs() < 1e-9);
@@ -225,7 +217,7 @@ mod tests {
         // Instance 1 finishes after the first quantum; later kernels ship
         // only instance 0.
         let events = vec![vec![100, 100], vec![100, 0], vec![100, 0]];
-        let r = simulate_device_run(&events, &device(), WarpPacking::Static);
+        let r = simulate_device_run(&events, &device(), WarpPacking::Static, 1.0);
         assert_eq!(r.kernels, 3);
         // Overhead for kernel 1 covers 2 instances; kernels 2-3 only 1.
         let d = device();
@@ -238,14 +230,14 @@ mod tests {
         // 90 slots; 180 uniform warps -> two rounds.
         let instances = 180 * 32;
         let events = vec![vec![50u64; instances]];
-        let r = simulate_device_run(&events, &device(), WarpPacking::Static);
+        let r = simulate_device_run(&events, &device(), WarpPacking::Static, 1.0);
         let expected_compute = 2.0 * 50.0 * device().sec_per_event;
         assert!((r.compute_s - expected_compute).abs() < 1e-9);
     }
 
     #[test]
     fn empty_run_is_zero() {
-        let r = simulate_device_run(&[], &device(), WarpPacking::Static);
+        let r = simulate_device_run(&[], &device(), WarpPacking::Static, 1.0);
         assert_eq!(r.total_s, 0.0);
         assert_eq!(r.kernels, 0);
         assert_eq!(r.divergence, 1.0);

@@ -146,7 +146,7 @@ impl DeviceMap {
 
     /// Simulated device timing of the kernels executed so far.
     pub fn device_timing(&self, device: &DeviceSpec, packing: WarpPacking) -> GpuRunReport {
-        simulate_device_run(&self.events_log, device, packing)
+        simulate_device_run(&self.events_log, device, packing, 1.0)
     }
 
     /// Per-kernel event matrix (for external timing models, e.g. the CPU

@@ -6,8 +6,10 @@
 //!    worker processes over the wire codec, run
 //!    `cargo run --release --example quickstart -- --shards 3`);
 //! 2. *performance*: predict the same deployment's timing on the paper's
-//!    Infiniband cluster with the calibrated DES model of the pipeline
-//!    (`distrt::cluster`; its one-host row is the multicore simulator).
+//!    Infiniband cluster with the DES model of the pipeline
+//!    (`distrt::cluster`; its one-host row is the multicore simulator),
+//!    priced with the nominal unit costs so the table depends only on the
+//!    code.
 //!
 //! Run: `cargo run --release --example cluster_simulation`
 
@@ -17,7 +19,7 @@ use cwc_repro::biomodels::simple::birth_death;
 use cwc_repro::cwcsim::{run_simulation, run_simulation_sharded_in_process, SimConfig};
 use cwc_repro::distrt::cluster::{simulate_cluster, ClusterParams};
 use cwc_repro::distrt::platform::{HostProfile, NetworkProfile};
-use cwc_repro::distrt::workload::{CostModel, WorkloadTrace};
+use cwc_repro::distrt::workload::WorkloadTrace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = Arc::new(birth_death(40.0, 1.0, 0));
@@ -43,14 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A heavier ensemble, so per-quantum compute dominates per-message
     // network costs (the regime the paper's cluster experiments run in).
     let heavy = Arc::new(birth_death(400.0, 1.0, 0));
-    let trace = WorkloadTrace::record(Arc::clone(&heavy), 256, 7, 20.0, 2.0, 0.5);
-    let costs = CostModel::measure(heavy);
+    let trace = WorkloadTrace::record(heavy, 256, 7, 0.0, 20.0, 2.0, 0.5);
     println!("\nperformance model (Infiniband cluster of 12-core Xeons):");
+    println!("(nominal unit costs; `cargo run --release -p bench --bin calibrate` measures this machine's)");
     println!("hosts\tmakespan\tspeedup vs sequential");
     for hosts in [1usize, 2, 4, 8] {
-        let mut p =
-            ClusterParams::homogeneous(hosts, HostProfile::xeon12(), NetworkProfile::ipoib());
-        p.costs = costs;
+        let p = ClusterParams::homogeneous(hosts, HostProfile::xeon12(), NetworkProfile::ipoib());
         let out = simulate_cluster(&trace, &p);
         println!(
             "{hosts}\t{:.2} ms\t{:.1}x",

@@ -21,7 +21,7 @@ fn umbrella_reexports_resolve() {
         finished: true,
     });
     let _spec = cwc_repro::simt::DeviceSpec::tesla_k40(1e-6);
-    let _resource = cwc_repro::desim::Resource::new(1);
+    let _calendar = cwc_repro::desim::Scheduler::<()>::new();
 }
 
 #[test]
