@@ -287,30 +287,13 @@ fn to_json(results: &[Measurement], quick: bool, header: &bench::RunHeader) -> S
     s
 }
 
-fn str_field(chunk: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = chunk.find(&tag)? + tag.len();
-    let end = chunk[start..].find('"')? + start;
-    Some(chunk[start..end].to_string())
-}
-
-fn num_field(chunk: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = chunk.find(&tag)? + tag.len();
-    let rest = &chunk[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// `(model, engine) -> firings/sec` parsed from the emitted JSON.
 fn parse_rates(json: &str) -> Vec<((String, String), f64)> {
     json.split('}')
         .filter_map(|chunk| {
-            let m = str_field(chunk, "model")?;
-            let e = str_field(chunk, "engine")?;
-            let r = num_field(chunk, "firings_per_sec")?;
+            let m = bench::str_field(chunk, "model")?;
+            let e = bench::str_field(chunk, "engine")?;
+            let r = bench::num_field(chunk, "firings_per_sec")?;
             Some(((m, e), r))
         })
         .collect()

@@ -96,6 +96,26 @@ pub fn write_results(default: &str, json: &str) {
     note(&format!("wrote {out}"));
 }
 
+/// The string value of `"key": "…"` in `chunk`, a slice of the flat
+/// JSON the gate binaries write (one object per result row).
+pub fn str_field(chunk: &str, key: &str) -> Option<String> {
+    let tag = format!("\"{key}\": \"");
+    let start = chunk.find(&tag)? + tag.len();
+    let end = chunk[start..].find('"')? + start;
+    Some(chunk[start..end].to_string())
+}
+
+/// The numeric value of `"key": …` in `chunk` (see [`str_field`]).
+pub fn num_field(chunk: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\": ");
+    let start = chunk.find(&tag)? + tag.len();
+    let rest = &chunk[start..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// True when `--csv` was passed (comma-separated tables, titles as `#`
 /// comment lines — the CI baseline-artifact format).
 pub fn csv_mode() -> bool {

@@ -120,13 +120,16 @@ pub struct SimConfig {
     /// to a fault-free one. 0 (the default) fails fast on the first
     /// shard failure, exactly like the pre-supervision farm.
     pub shard_retries: usize,
-    /// Watchdog deadline, in seconds: a shard that produces no frame
-    /// (cut, end-of-stream *or* heartbeat) for this long is declared
+    /// Watchdog deadline, in seconds: a shard attempt from which the
+    /// supervisor takes no feed (cut, end-of-stream *or* heartbeat) for
+    /// this long after the last one — or after its launch — is declared
     /// stalled, its worker is killed, and the failure enters the retry
-    /// path. `None` (the default) disables the watchdog. Only meaningful
-    /// for out-of-process shards (`cwc-shard` children and `cwc-workerd`
-    /// connections alike report liveness); in-process shards share the
-    /// coordinator's failure domain and are exempt.
+    /// path. A shard blocked on its full feed channel is never stalled:
+    /// the supervisor's receive on that channel returns at once. `None`
+    /// (the default) disables the watchdog. Only meaningful for
+    /// out-of-process shards (`cwc-shard` children and `cwc-workerd`
+    /// connections alike send heartbeats); in-process shards share the
+    /// coordinator's failure domain and are unwatched.
     pub shard_timeout: Option<f64>,
     /// Base delay, in seconds, of the bounded-exponential retry backoff:
     /// attempt `k` waits `min(shard_backoff * 2^k, shard_backoff_max)`

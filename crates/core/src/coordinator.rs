@@ -40,7 +40,7 @@
 //! therefore so are the [`StatRow`]s (the integration matrix in
 //! `tests/sharded_agreement.rs` pins this).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -254,81 +254,17 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Liveness clock of one shard attempt, shared between the shard's
-/// driver (which *touches* it on every frame, heartbeats included) and
-/// the supervisor's watchdog (which declares the shard stalled when the
-/// clock has not been touched for `SimConfig::shard_timeout`).
-///
-/// A driver that is blocked *forwarding* into the bounded per-shard
-/// channel — i.e. waiting on the coordinator, not on the shard — marks
-/// itself exempt for the duration, so back-pressure is never mistaken
-/// for a stall.
-#[derive(Debug)]
-pub struct ShardActivity {
-    started: Instant,
-    last_ms: AtomicU64,
-    exempt: AtomicBool,
-}
-
-impl Default for ShardActivity {
-    fn default() -> Self {
-        ShardActivity {
-            started: Instant::now(),
-            last_ms: AtomicU64::new(0),
-            exempt: AtomicBool::new(false),
-        }
-    }
-}
-
-impl ShardActivity {
-    /// A fresh clock: the launch instant counts as the first activity,
-    /// so worker startup is measured against the same deadline.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Records activity now.
-    pub fn touch(&self) {
-        self.last_ms
-            .store(self.started.elapsed().as_millis() as u64, Ordering::Release);
-    }
-
-    /// Marks the driver as blocked on the coordinator (`true`) or
-    /// actively waiting on the shard (`false`). Leaving the blocked
-    /// state counts as activity.
-    pub fn set_blocked(&self, blocked: bool) {
-        self.exempt.store(blocked, Ordering::Release);
-        if !blocked {
-            self.touch();
-        }
-    }
-
-    /// Permanently exempts this shard from the watchdog (used by the
-    /// in-process transport, whose shards share the coordinator's
-    /// failure domain).
-    pub fn exempt_forever(&self) {
-        self.exempt.store(true, Ordering::Release);
-    }
-
-    /// How long the shard has been silent — `Duration::ZERO` while the
-    /// driver is marked blocked on the coordinator.
-    pub fn silent_for(&self) -> Duration {
-        if self.exempt.load(Ordering::Acquire) {
-            return Duration::ZERO;
-        }
-        let last = Duration::from_millis(self.last_ms.load(Ordering::Acquire));
-        self.started.elapsed().saturating_sub(last)
-    }
-}
-
 /// What a shard's driver feeds the supervisor over the shard's bounded
-/// channel. Heartbeat frames are consumed by the driver itself (they
-/// only touch the [`ShardActivity`] clock) and never appear here.
+/// channel — the only sign of life the supervisor reads from a shard.
 #[derive(Debug)]
 pub enum ShardFeed {
     /// A message from the live shard (a partial cut or the
     /// end-of-stream report).
     Msg(ShardMsg),
+    /// The worker is alive but has no message yet (a `Progress` frame
+    /// on the wire). The merge drops it; taking it from the channel is
+    /// what keeps a slow shard clear of the watchdog.
+    Heartbeat,
     /// The attempt failed; no further feeds follow from it.
     Failed(ShardError),
 }
@@ -338,16 +274,15 @@ pub enum ShardFeed {
 ///
 /// The supervisor calls [`launch_shard`](ShardTransport::launch_shard)
 /// once per planned shard and *again* for every retry of a failed
-/// shard, each time with a fresh `sink`/`activity` pair and the spec's
-/// `attempt` bumped — so a transport only ever thinks about one worker
-/// at a time and requeueing needs no transport cooperation.
+/// shard, each time with a fresh `sink` and the spec's `attempt`
+/// bumped — so a transport only ever thinks about one worker at a time
+/// and requeueing needs no transport cooperation.
 pub trait ShardTransport {
     /// Launches one shard worker for `spec`'s slice, streaming its
-    /// messages into `sink` and its liveness into `activity`. The
-    /// launched driver must eventually send [`ShardMsg::End`] or
-    /// [`ShardFeed::Failed`] and then finish (a driver that vanishes
-    /// without either is treated as crashed); it observes `steering`
-    /// and drains early when the run is terminated.
+    /// messages into `sink`. The launched driver must eventually send
+    /// [`ShardMsg::End`] or [`ShardFeed::Failed`] and then finish (a
+    /// driver that vanishes without either is treated as crashed); it
+    /// observes `steering` and drains early when the run is terminated.
     ///
     /// `deps` is the model's dependency graph, compiled **once** by the
     /// coordinator: transports hand it to the worker (in-process) or
@@ -356,10 +291,14 @@ pub trait ShardTransport {
     ///
     /// The sink is *bounded* (the run's `channel_capacity`): a fast
     /// shard back-pressures against the supervisor instead of buffering
-    /// its whole lead in coordinator memory. A driver blocked in
-    /// `sink.send` must wrap the send in
-    /// [`ShardActivity::set_blocked`] so the watchdog does not mistake
-    /// back-pressure for a stall.
+    /// its whole lead in coordinator memory.
+    ///
+    /// The sink is also the attempt's liveness: unless the handle is
+    /// [`unwatched`](ShardHandle::unwatched), an attempt that feeds
+    /// nothing for `SimConfig::shard_timeout` is declared stalled, so a
+    /// driver with nothing to forward yet feeds [`ShardFeed::Heartbeat`].
+    /// A driver blocked on a full sink is never at risk: the supervisor's
+    /// next receive on that sink returns at once.
     ///
     /// # Errors
     ///
@@ -372,7 +311,6 @@ pub trait ShardTransport {
         spec: &ShardSpec,
         steering: &Steering,
         sink: mpsc::SyncSender<ShardFeed>,
-        activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError>;
 }
 
@@ -389,6 +327,8 @@ pub struct ShardHandle {
     /// shard-local steering. `None` when the transport has no way to
     /// interrupt the attempt.
     cancel: Option<Box<dyn Fn() + Send>>,
+    /// Whether the supervisor's watchdog times this attempt out.
+    watched: bool,
 }
 
 impl std::fmt::Debug for ShardHandle {
@@ -396,17 +336,19 @@ impl std::fmt::Debug for ShardHandle {
         f.debug_struct("ShardHandle")
             .field("shard", &self.shard)
             .field("cancel", &self.cancel.is_some())
+            .field("watched", &self.watched)
             .finish_non_exhaustive()
     }
 }
 
 impl ShardHandle {
-    /// A handle with no cancel hook.
+    /// A watched handle with no cancel hook.
     pub fn new(shard: usize, join: std::thread::JoinHandle<()>) -> Self {
         ShardHandle {
             shard,
             join,
             cancel: None,
+            watched: true,
         }
     }
 
@@ -415,6 +357,19 @@ impl ShardHandle {
     pub fn with_cancel(mut self, cancel: impl Fn() + Send + 'static) -> Self {
         self.cancel = Some(Box::new(cancel));
         self
+    }
+
+    /// Exempts the attempt from the watchdog: the supervisor waits on
+    /// its feeds for as long as they take.
+    #[must_use]
+    pub fn unwatched(mut self) -> Self {
+        self.watched = false;
+        self
+    }
+
+    /// Whether the watchdog times this attempt out.
+    pub fn is_watched(&self) -> bool {
+        self.watched
     }
 
     /// Fires the cancel hook, if any.
@@ -501,14 +456,7 @@ impl ShardTransport for InProcessTransport {
         spec: &ShardSpec,
         steering: &Steering,
         sink: mpsc::SyncSender<ShardFeed>,
-        activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError> {
-        // In-process shards share the coordinator's failure domain: a
-        // wedged shard thread cannot be killed anyway, so the watchdog
-        // would only convert a shared-process bug into a misleading
-        // per-shard timeout. They are exempt; the watchdog supervises
-        // *child processes* (see `distrt`'s transport).
-        activity.exempt_forever();
         let shard = spec.range.shard;
         let spec = spec.clone();
         // Cancellation flips a shard-local steering flag (the shard
@@ -534,7 +482,14 @@ impl ShardTransport for InProcessTransport {
                 )));
             }
         });
-        Ok(ShardHandle::new(shard, join).with_cancel(move || cancel.terminate()))
+        // In-process shards share the coordinator's failure domain: a
+        // wedged shard thread cannot be killed anyway, so the watchdog
+        // would only convert a shared-process bug into a misleading
+        // per-shard timeout. They are unwatched; the watchdog supervises
+        // *worker processes* (see `distrt`'s transports).
+        Ok(ShardHandle::new(shard, join)
+            .with_cancel(move || cancel.terminate())
+            .unwatched())
     }
 }
 
@@ -785,7 +740,6 @@ mod tests {
                 spec: &ShardSpec,
                 _steering: &Steering,
                 _sink: mpsc::SyncSender<ShardFeed>,
-                _activity: Arc<ShardActivity>,
             ) -> Result<ShardHandle, ShardError> {
                 Err(ShardError::new(
                     spec.range.shard,
@@ -824,7 +778,6 @@ mod tests {
                 spec: &ShardSpec,
                 _steering: &Steering,
                 sink: mpsc::SyncSender<ShardFeed>,
-                _activity: Arc<ShardActivity>,
             ) -> Result<ShardHandle, ShardError> {
                 Ok(ShardHandle::new(
                     spec.range.shard,

@@ -79,8 +79,8 @@ pub use alignment::Alignment;
 pub use config::{ConfigError, SimConfig, TransportKind};
 pub use coordinator::{
     run_shard, run_simulation_sharded_in_process, run_simulation_sharded_with, InProcessTransport,
-    ShardActivity, ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle,
-    ShardMsg, ShardSpec, ShardTransport,
+    ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
+    ShardSpec, ShardTransport,
 };
 pub use display::{ascii_chart, CsvRenderer};
 pub use engines::{ObsStats, StatBlock, StatEngineKind, StatEngineSet, StatRow};

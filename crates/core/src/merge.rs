@@ -37,9 +37,10 @@ use crate::engines::StatEngineKind;
 /// The queues themselves are unbounded, but the skew a shard can buffer
 /// here is bounded upstream: the supervisor gives every shard its *own*
 /// bounded channel and drains them round-robin, one cut per live shard
-/// per grid time, so a fast shard blocks (back-pressure, exempt from
-/// the watchdog) once it is `channel_capacity` cuts ahead of the merge
-/// frontier rather than buffering an arbitrary lead.
+/// per grid time, so a fast shard blocks (back-pressure, which cannot
+/// trip the watchdog: its full channel always has a feed to take) once
+/// it is `channel_capacity` cuts ahead of the merge frontier rather than
+/// buffering an arbitrary lead.
 #[derive(Debug)]
 pub struct CutMerger {
     queues: Vec<VecDeque<Cut>>,

@@ -10,12 +10,16 @@
 //! 1. **Detection.** Each shard attempt feeds one *bounded* channel
 //!    (capacity `SimConfig::channel_capacity` — a fast shard
 //!    back-pressures against the merge instead of buffering its whole
-//!    lead in memory, closing the PR-5 flow-control leftover) and one
-//!    [`ShardActivity`] liveness clock. A failure is a typed
-//!    [`ShardError`] fed by the driver (crash, nonzero exit, corrupt
-//!    frame), a vanished driver (channel disconnect without an
-//!    end-of-stream report), or a **watchdog timeout**: no frame —
-//!    heartbeats included — for `SimConfig::shard_timeout` seconds.
+//!    lead in memory, closing the PR-5 flow-control leftover), and that
+//!    channel is the attempt's only liveness signal. A failure is a
+//!    typed [`ShardError`] fed by the driver (crash, nonzero exit,
+//!    corrupt frame), a vanished driver (channel disconnect without an
+//!    end-of-stream report), or a **watchdog timeout**: the supervisor's
+//!    receive on a watched attempt's channel takes no feed —
+//!    heartbeats included — for `SimConfig::shard_timeout` seconds
+//!    since the last one it took (the launch counts as one). A driver
+//!    blocked on a full channel cannot trip it: the receive returns at
+//!    once.
 //! 2. **Recovery.** A failed slice is requeued onto a fresh worker with
 //!    a bounded-exponential backoff (`shard_backoff · 2^attempt`,
 //!    capped at `shard_backoff_max`) and a retry budget of
@@ -62,8 +66,8 @@ use streamstat::merge::Mergeable;
 
 use crate::config::SimConfig;
 use crate::coordinator::{
-    ShardActivity, ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle,
-    ShardMsg, ShardSpec, ShardTransport,
+    ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
+    ShardSpec, ShardTransport,
 };
 use crate::merge::{CutMerger, RunSummary};
 use crate::plan::{ShardPlan, ShardRange};
@@ -146,7 +150,7 @@ enum Recv {
     /// The driver dropped its sender (and everything buffered has been
     /// read) without an end-of-stream report or a failure notice.
     Disconnected,
-    /// The watchdog fired: the shard has been silent this long.
+    /// The watchdog fired: the shard has fed nothing for this long.
     Stalled(Duration),
 }
 
@@ -155,8 +159,9 @@ struct ShardState {
     range: ShardRange,
     /// Receiver of the *current* attempt's bounded channel.
     rx: Option<mpsc::Receiver<ShardFeed>>,
-    /// Liveness clock of the current attempt.
-    activity: Arc<ShardActivity>,
+    /// When the supervisor last took a feed from the current attempt
+    /// (or launched it) — where its watchdog deadline counts from.
+    last_feed: Instant,
     /// Driver handle of the current attempt.
     handle: Option<ShardHandle>,
     /// Failed-attempt history, oldest first.
@@ -174,7 +179,7 @@ impl ShardState {
         ShardState {
             range,
             rx: None,
-            activity: ShardActivity::new(),
+            last_feed: Instant::now(),
             handle: None,
             attempts: Vec::new(),
             delivered: 0,
@@ -250,19 +255,17 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
             let mut spec = ShardSpec::from_config(self.cfg, st.range);
             spec.attempt = st.attempts.len() as u32;
             let (tx, rx) = mpsc::sync_channel(self.cfg.channel_capacity);
-            let activity = ShardActivity::new();
             match self.transport.launch_shard(
                 Arc::clone(&self.model),
                 Arc::clone(&self.deps),
                 &spec,
                 self.steering,
                 tx,
-                Arc::clone(&activity),
             ) {
                 Ok(handle) => {
                     let st = &mut self.states[s];
                     st.rx = Some(rx);
-                    st.activity = activity;
+                    st.last_feed = Instant::now();
                     st.handle = Some(handle);
                     // The replacement replays the slice from the
                     // per-instance seeds; swallow what the merger
@@ -308,6 +311,7 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
                     }
                     return Ok(ShardMsg::End(end));
                 }
+                Recv::Feed(ShardFeed::Heartbeat) => {}
                 Recv::Feed(ShardFeed::Failed(e)) => {
                     self.recover(s, e)?;
                 }
@@ -337,39 +341,31 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
         }
     }
 
-    /// One blocking receive on shard `s`'s channel, woken periodically
-    /// to consult the watchdog when a timeout is configured.
-    fn recv_feed(&self, s: usize) -> Recv {
-        let st = &self.states[s];
+    /// One blocking receive on shard `s`'s channel. With a watchdog
+    /// configured and the attempt watched, it gives up `shard_timeout`
+    /// after the last feed taken from the attempt.
+    fn recv_feed(&mut self, s: usize) -> Recv {
+        let st = &mut self.states[s];
         let rx = st.rx.as_ref().expect("live shard has a receiver");
-        let Some(timeout) = self.cfg.shard_timeout else {
-            // No watchdog: a plain blocking receive (failures still
-            // surface as `Failed` feeds or a disconnect).
-            return match rx.recv() {
-                Ok(feed) => Recv::Feed(feed),
-                Err(mpsc::RecvError) => Recv::Disconnected,
-            };
-        };
-        let timeout = Duration::from_secs_f64(timeout);
-        let tick = (timeout / 4)
-            .min(Duration::from_millis(50))
-            .max(Duration::from_millis(1));
-        loop {
-            match rx.recv_timeout(tick) {
-                Ok(feed) => return Recv::Feed(feed),
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Recv::Disconnected,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // The channel being empty is not a stall by itself:
-                    // the clock is touched by every frame the driver
-                    // reads (heartbeats included), so only a shard that
-                    // produced *no frame at all* for the whole window
-                    // is declared stalled.
-                    let silent = st.activity.silent_for();
-                    if silent >= timeout {
-                        return Recv::Stalled(silent);
-                    }
-                }
+        let watched = st.handle.as_ref().is_some_and(ShardHandle::is_watched);
+        let received = match self.cfg.shard_timeout.filter(|_| watched) {
+            // No watchdog: failures still surface as `Failed` feeds or a
+            // disconnect.
+            None => rx
+                .recv()
+                .map_err(|mpsc::RecvError| mpsc::RecvTimeoutError::Disconnected),
+            Some(timeout) => {
+                let timeout = Duration::from_secs_f64(timeout);
+                rx.recv_timeout(timeout.saturating_sub(st.last_feed.elapsed()))
             }
+        };
+        match received {
+            Ok(feed) => {
+                st.last_feed = Instant::now();
+                Recv::Feed(feed)
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => Recv::Disconnected,
+            Err(mpsc::RecvTimeoutError::Timeout) => Recv::Stalled(st.last_feed.elapsed()),
         }
     }
 
@@ -574,24 +570,18 @@ mod tests {
             spec: &ShardSpec,
             steering: &Steering,
             sink: mpsc::SyncSender<ShardFeed>,
-            activity: Arc<ShardActivity>,
         ) -> Result<ShardHandle, ShardError> {
             let shard = spec.range.shard;
             if !self.faults.contains(&(shard, spec.attempt)) {
                 if self.hold_until_ends.is_none() {
-                    return self
-                        .inner
-                        .launch_shard(model, deps, spec, steering, sink, activity);
+                    return self.inner.launch_shard(model, deps, spec, steering, sink);
                 }
                 let (tx, rx) = mpsc::sync_channel(0);
                 let ends = Arc::clone(&self.ends);
                 self.forwarders
                     .push(thread::spawn(move || count_ends(rx, sink, ends)));
-                return self
-                    .inner
-                    .launch_shard(model, deps, spec, steering, tx, activity);
+                return self.inner.launch_shard(model, deps, spec, steering, tx);
             }
-            activity.exempt_forever();
             let spec = spec.clone();
             let cuts = self.cuts;
             let hold = self.hold_until_ends.map(|n| (n, Arc::clone(&self.ends)));
@@ -617,7 +607,7 @@ mod tests {
                     ShardErrorKind::Crashed("injected fault".into()),
                 )));
             });
-            Ok(ShardHandle::new(shard, join))
+            Ok(ShardHandle::new(shard, join).unwatched())
         }
     }
 
@@ -710,7 +700,6 @@ mod tests {
                 spec: &ShardSpec,
                 _steering: &Steering,
                 sink: mpsc::SyncSender<ShardFeed>,
-                _activity: Arc<ShardActivity>,
             ) -> Result<ShardHandle, ShardError> {
                 let shard = spec.range.shard;
                 let join = thread::spawn(move || {
@@ -737,9 +726,9 @@ mod tests {
         assert!(e.attempts.is_empty(), "sim errors must not be retried");
     }
 
-    /// Stalls chosen attempts (launches a driver that never produces a
-    /// frame and never touches its activity clock), delegating healthy
-    /// launches to the real in-process transport.
+    /// Stalls chosen attempts (launches a watched driver that never
+    /// feeds anything), delegating healthy launches to the real
+    /// in-process transport.
     struct StallingTransport {
         faults: Vec<(usize, u32)>,
         inner: InProcessTransport,
@@ -753,13 +742,10 @@ mod tests {
             spec: &ShardSpec,
             steering: &Steering,
             sink: mpsc::SyncSender<ShardFeed>,
-            activity: Arc<ShardActivity>,
         ) -> Result<ShardHandle, ShardError> {
             let shard = spec.range.shard;
             if !self.faults.contains(&(shard, spec.attempt)) {
-                return self
-                    .inner
-                    .launch_shard(model, deps, spec, steering, sink, activity);
+                return self.inner.launch_shard(model, deps, spec, steering, sink);
             }
             let local = Steering::new();
             let cancel = local.clone();
@@ -823,6 +809,62 @@ mod tests {
         assert_eq!(report.events, single.events);
     }
 
+    /// Shard 0 is slow: it feeds a cut every 0.25 s, with a heartbeat
+    /// every 50 ms in between. Shard 1 feeds its whole slice at once, so
+    /// its driver sits blocked on its full channel for most of the run.
+    struct SkewedTransport;
+
+    impl ShardTransport for SkewedTransport {
+        fn launch_shard(
+            &mut self,
+            model: Arc<Model>,
+            deps: Arc<ModelDeps>,
+            spec: &ShardSpec,
+            _steering: &Steering,
+            sink: mpsc::SyncSender<ShardFeed>,
+        ) -> Result<ShardHandle, ShardError> {
+            let shard = spec.range.shard;
+            let spec = spec.clone();
+            let join = thread::spawn(move || {
+                let _ = run_shard(model, deps, &spec, &Steering::new(), |msg| {
+                    if shard == 0 {
+                        for _ in 0..5 {
+                            thread::sleep(Duration::from_millis(50));
+                            let _ = sink.send(ShardFeed::Heartbeat);
+                        }
+                    }
+                    let _ = sink.send(ShardFeed::Msg(msg));
+                });
+            });
+            Ok(ShardHandle::new(shard, join))
+        }
+    }
+
+    #[test]
+    fn back_pressure_never_trips_the_watchdog() {
+        // Each round waits 0.25 s on shard 0 before it takes shard 1's
+        // next cut — longer than the timeout — but shard 1's channel is
+        // full by then, so the receive returns at once.
+        let model = Arc::new(decay(40, 1.0));
+        let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
+        let started = Instant::now();
+        let report = run_simulation_sharded_with(
+            Arc::clone(&model),
+            &cfg()
+                .shards(2)
+                .channel_capacity(1)
+                .shard_timeout(0.2)
+                .heartbeat_period(0.05),
+            &Steering::new(),
+            &mut SkewedTransport,
+        )
+        .unwrap();
+        assert_eq!(report.rows, single.rows);
+        assert_eq!(report.events, single.events);
+        // 13 cuts at 0.25 s each: the run outlasts the timeout many times.
+        assert!(started.elapsed() >= Duration::from_secs(3));
+    }
+
     /// Shards that never hear the run's steering: each runs its whole
     /// slice on a steering of its own and forwards every message — a
     /// `cwc-shard` child that emits cuts before it reads its Terminate
@@ -837,9 +879,7 @@ mod tests {
             spec: &ShardSpec,
             _steering: &Steering,
             sink: mpsc::SyncSender<ShardFeed>,
-            activity: Arc<ShardActivity>,
         ) -> Result<ShardHandle, ShardError> {
-            activity.exempt_forever();
             let shard = spec.range.shard;
             let spec = spec.clone();
             let join = thread::spawn(move || {
@@ -847,7 +887,7 @@ mod tests {
                     let _ = sink.send(ShardFeed::Msg(msg));
                 });
             });
-            Ok(ShardHandle::new(shard, join))
+            Ok(ShardHandle::new(shard, join).unwatched())
         }
     }
 

@@ -23,7 +23,9 @@
 //! a worker never recompiles the model — forwards steering termination
 //! as a `Terminate` frame, and reads the standard
 //! [`ToCoordinator`](crate::shard::ToCoordinator) stream back into the
-//! supervisor, feeding its [`ShardActivity`] watchdog clock. What the two
+//! supervisor's feed channel, heartbeats included — the only liveness
+//! signal its watchdog reads. The read blocks; cancelling the attempt
+//! shuts the socket down, which ends it. What the two
 //! transports add around that body is only where the worker comes from:
 //! [`TcpShardTransport`] picks a daemon from its static registry
 //! (`SimConfig::workers`); the process transport spawns, watches and
@@ -54,19 +56,17 @@
 //! elsewhere (`tests/tcp_agreement.rs` pins all of this).
 //!
 //! [`ModelDeps`]: gillespie::deps::ModelDeps
-//! [`ShardActivity`]: cwcsim::coordinator::ShardActivity
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use cwc::model::Model;
 use cwcsim::config::SimConfig;
 use cwcsim::coordinator::{
-    ShardActivity, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
+    ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 use cwcsim::sim_farm::{Steering, SteeringWatch};
 use gillespie::deps::ModelDeps;
@@ -299,7 +299,6 @@ pub struct Placement {
 struct WorkerState {
     addr: String,
     alive: bool,
-    hello: Option<WorkerHello>,
 }
 
 #[derive(Debug, Default)]
@@ -325,11 +324,7 @@ impl TcpShardTransport {
             registry: Arc::new(Mutex::new(Registry {
                 workers: workers
                     .into_iter()
-                    .map(|addr| WorkerState {
-                        addr,
-                        alive: true,
-                        hello: None,
-                    })
+                    .map(|addr| WorkerState { addr, alive: true })
                     .collect(),
                 last: HashMap::new(),
                 placements: Vec::new(),
@@ -345,13 +340,6 @@ impl TcpShardTransport {
         let timeout =
             Duration::try_from_secs_f64(cfg.connect_timeout).unwrap_or(Duration::from_secs(5));
         Self::new(cfg.workers.clone(), timeout)
-    }
-
-    /// The worker addresses this transport was built over, in index
-    /// order (the indices [`Placement::worker`] refers to).
-    pub fn worker_addrs(&self) -> Vec<String> {
-        let reg = self.registry.lock().expect("registry mutex");
-        reg.workers.iter().map(|w| w.addr.clone()).collect()
     }
 
     /// Indices of workers still considered alive (a worker is marked
@@ -403,42 +391,6 @@ impl TcpShardTransport {
     }
 }
 
-/// A socket reader that polls with a short OS read timeout so the
-/// blocking read can be interrupted: cancellation flips `stop` (and
-/// shuts the socket down) and the next poll returns clean EOF instead
-/// of leaving a thread parked in `recv` forever. Timeouts themselves
-/// are *not* errors here — the supervisor's watchdog owns stall
-/// detection via the activity clock; this layer only keeps partial
-/// frame reads intact across quiet stretches.
-struct PatientStream {
-    stream: TcpStream,
-    stop: Arc<AtomicBool>,
-}
-
-/// The [`PatientStream`] poll period.
-const POLL: Duration = Duration::from_millis(100);
-
-impl Read for PatientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                return Ok(0);
-            }
-            match (&self.stream).read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
 /// Appends `extra` to the detail of a stream failure (`Crashed`,
 /// `Frame`); other kinds carry no free-form stream detail and pass
 /// through unchanged.
@@ -459,12 +411,14 @@ pub(crate) fn append_detail(kind: ShardErrorKind, extra: &str) -> ShardErrorKind
 /// `Terminate` frame; [`Attempt::pump`], on the attempt's reader thread,
 /// streams the worker's frames into the supervisor and hands the verdict
 /// to the transport, which alone knows what backs the attempt (the
-/// process transport's child, the TCP transport's registry slot). A
-/// failed `Terminate` write is recorded and appended to whatever error
-/// then surfaces, so a dead socket during steering stays visible.
+/// process transport's child, the TCP transport's registry slot). The
+/// reader blocks on the socket: a stalled worker is the supervisor's
+/// watchdog's to notice, and the [`canceller`](Self::canceller)'s
+/// shutdown ends the read. A failed `Terminate` write is recorded and
+/// appended to whatever error then surfaces, so a dead socket during
+/// steering stays visible.
 pub(crate) struct Attempt {
     stream: TcpStream,
-    stop: Arc<AtomicBool>,
     watch: SteeringWatch,
     terminate_note: Arc<Mutex<Option<String>>>,
 }
@@ -481,10 +435,9 @@ impl Attempt {
         job: ShardJob,
         steering: &Steering,
     ) -> Result<Self, FrameError> {
-        // Reads stay interruptible (see PatientStream) without ever
-        // erroring a quiet-but-healthy worker — stall detection is the
-        // watchdog's job.
-        stream.set_read_timeout(Some(POLL))?;
+        // Drop the handshake's read deadline: a quiet-but-healthy worker
+        // is no error, and stall detection is the watchdog's job.
+        stream.set_read_timeout(None)?;
         // The job goes out on a writable clone, which then carries
         // Terminate.
         let mut writer = stream.try_clone()?;
@@ -499,27 +452,24 @@ impl Attempt {
         });
         Ok(Attempt {
             stream,
-            stop: Arc::new(AtomicBool::new(false)),
             watch,
             terminate_note,
         })
     }
 
-    /// A cancel hook for the attempt: stops the reader and shuts the
-    /// socket down, so [`pump`](Self::pump) returns at once.
+    /// A cancel hook for the attempt: shuts the socket down, so a read
+    /// blocked in [`pump`](Self::pump) sees end-of-stream at once.
     pub(crate) fn canceller(&self) -> impl Fn() + Send + 'static {
-        let stop = Arc::clone(&self.stop);
         let sock = self.stream.try_clone().ok();
         move || {
-            stop.store(true, Ordering::Release);
             if let Some(s) = &sock {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
     }
 
-    /// Pumps the worker's frames into `sink` and its liveness into
-    /// `activity` until the stream ends, then hands the pump's verdict to
+    /// Pumps the worker's frames into `sink` until the stream ends, then
+    /// hands the pump's verdict to
     /// `finish` (the transport's bookkeeping, which may enrich an error's
     /// details) and reports what it returns: a failure goes into `sink`,
     /// blamed on `shard`. `label` names the worker in error details.
@@ -527,15 +477,10 @@ impl Attempt {
         self,
         shard: usize,
         sink: &mpsc::SyncSender<ShardFeed>,
-        activity: &ShardActivity,
         label: &str,
         finish: impl FnOnce(Result<(), ShardErrorKind>) -> Result<(), ShardErrorKind>,
     ) {
-        let input = PatientStream {
-            stream: self.stream,
-            stop: self.stop,
-        };
-        let result = pump_frames(input, sink, activity, label);
+        let result = pump_frames(&self.stream, sink, label);
         drop(self.watch);
         if let Err(mut kind) = finish(result) {
             if let Some(note) = self
@@ -566,7 +511,6 @@ impl ShardTransport for TcpShardTransport {
         spec: &ShardSpec,
         steering: &Steering,
         sink: mpsc::SyncSender<ShardFeed>,
-        activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError> {
         let shard = spec.range.shard;
         let mut tried: Vec<usize> = Vec::new();
@@ -593,7 +537,7 @@ impl ShardTransport for TcpShardTransport {
                 failures.push(format!("worker {addr}: {failure}"));
             };
 
-            let (stream, hello) = match connect_worker(&addr, self.connect_timeout) {
+            let (stream, _hello) = match connect_worker(&addr, self.connect_timeout) {
                 Ok(ok) => ok,
                 Err(e) => {
                     mark_dead(e.to_string(), &mut failures);
@@ -616,7 +560,7 @@ impl ShardTransport for TcpShardTransport {
             let registry = Arc::clone(&self.registry);
             let label = format!("worker {addr}");
             let join = std::thread::spawn(move || {
-                attempt.pump(shard, &sink, &activity, &label, |result| {
+                attempt.pump(shard, &sink, &label, |result| {
                     // The connection died mid-run: assume the worker is
                     // gone (a daemon that fault-exited certainly is) so
                     // the requeue prefers survivors even before its
@@ -629,7 +573,6 @@ impl ShardTransport for TcpShardTransport {
                 });
             });
             let mut reg = self.registry.lock().expect("registry mutex");
-            reg.workers[w].hello = Some(hello);
             reg.last.insert(shard, w);
             reg.placements.push(Placement {
                 shard,
@@ -801,6 +744,57 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_attempt_on_a_silent_peer_ends_its_pump_at_once() {
+        // The peer accepts, then holds the connection open in silence
+        // until the test ends: only the canceller can end the read.
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let addr = hostile(move |s| {
+            let _ = done_rx.recv();
+            drop(s);
+        });
+        let stream = TcpStream::connect(&addr).unwrap();
+        let cfg = SimConfig::new(2, 1.0).quantum(0.5).sample_period(0.5);
+        let range = cwcsim::plan::ShardRange {
+            shard: 0,
+            first_instance: 0,
+            count: 2,
+        };
+        let job = ShardJob {
+            model: decay(5, 1.0),
+            spec: ShardSpec::from_config(&cfg, range),
+            deps: None,
+        };
+        let attempt = Attempt::start(stream, job, &Steering::new()).unwrap();
+        let cancel = attempt.canceller();
+        let (tx, rx) = mpsc::sync_channel(4);
+        let (ended_tx, ended_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            attempt.pump(0, &tx, "silent peer", |result| result);
+            let _ = ended_tx.send(());
+        });
+        // The reader is parked in a blocking read by now.
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(ended_rx.try_recv().is_err(), "the pump ended on its own");
+        cancel();
+        ended_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the pump outlived its canceller by a second");
+        reader.join().unwrap();
+        // A silent stream that ends is a crash, reported into the sink.
+        assert!(
+            matches!(
+                rx.try_recv(),
+                Ok(ShardFeed::Failed(ShardError {
+                    kind: ShardErrorKind::Crashed(_),
+                    ..
+                }))
+            ),
+            "expected a crash report"
+        );
+        let _ = done_tx.send(());
+    }
+
+    #[test]
     fn launch_exhausts_dead_candidates_into_one_typed_spawn_error() {
         // Two dead addresses: launch_shard fails over internally, then
         // surfaces one Spawn error naming both failures — without
@@ -824,14 +818,7 @@ mod tests {
         );
         let (tx, _rx) = mpsc::sync_channel(4);
         let err = transport
-            .launch_shard(
-                model,
-                deps,
-                &spec,
-                &Steering::new(),
-                tx,
-                ShardActivity::new(),
-            )
+            .launch_shard(model, deps, &spec, &Steering::new(), tx)
             .unwrap_err();
         assert!(matches!(err.kind, ShardErrorKind::Spawn(_)), "{err}");
         assert!(err.to_string().contains("no live worker"), "{err}");

@@ -37,10 +37,11 @@
 //!
 //! `Progress` frames are heartbeats, emitted every
 //! `ShardSpec::heartbeat_period` seconds from a side thread: the reader
-//! feeds them to the supervisor's [`ShardActivity`] clock (they carry
-//! the cut count purely as a diagnostic) so the watchdog can tell a
-//! shard that is *slow* (heartbeats flowing, no cut yet) from one that
-//! is *stalled* (no frame of any kind for `SimConfig::shard_timeout`).
+//! forwards each one into the shard's feed channel as a
+//! [`ShardFeed::Heartbeat`] (the cut count it carries is a diagnostic
+//! and goes no further), so the supervisor's watchdog can tell a shard
+//! that is *slow* (heartbeats flowing, no cut yet) from one that is
+//! *stalled* (nothing fed for `SimConfig::shard_timeout`).
 //!
 //! A worker whose stream ends without `End` or `Error` has crashed; the
 //! coordinator's reader surfaces it as a typed [`ShardError`] (for a
@@ -66,21 +67,20 @@
 //! paths.
 //!
 //! [`Steering::terminate`]: cwcsim::Steering::terminate
-//! [`ShardActivity`]: cwcsim::coordinator::ShardActivity
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cwc::model::Model;
 use cwcsim::config::{SimConfig, TransportKind};
 use cwcsim::coordinator::{
-    run_shard, run_simulation_sharded_with, InProcessTransport, ShardActivity, ShardEnd,
-    ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec, ShardTransport,
+    run_shard, run_simulation_sharded_with, InProcessTransport, ShardEnd, ShardError,
+    ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec, ShardTransport,
 };
 use cwcsim::merge::RunSummary;
 use cwcsim::runner::{SimError, SimReport};
@@ -138,8 +138,8 @@ pub enum ToCoordinator {
     Error(String),
     /// Heartbeat: the shard is alive and has written this many cuts so
     /// far. Emitted every `ShardSpec::heartbeat_period` seconds; the
-    /// coordinator's reader feeds it to the watchdog's activity clock
-    /// and never forwards it downstream.
+    /// coordinator's reader forwards it as a [`ShardFeed::Heartbeat`],
+    /// which keeps the shard clear of the watchdog and goes no further.
     Progress {
         /// Cuts written so far (diagnostic only).
         cuts: u64,
@@ -508,23 +508,19 @@ where
     // The heartbeat thread and the pipeline drain share the output
     // stream; frames are whole-frame atomic under this mutex.
     let output = Mutex::new(&mut output);
-    let hb_stop = AtomicBool::new(false);
+    // Stops the heartbeat thread: sent by a stall fault and at the end
+    // of the drain.
+    let (hb_stop, hb_stopped) = mpsc::channel::<()>();
     let cuts_written = AtomicU64::new(0);
     let mut write_err: Option<io::Error> = None;
     let mut fired: Option<FaultKind> = None;
     let write_steer = steering.clone();
 
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| {
+        let (output, cuts_written) = (&output, &cuts_written);
+        scope.spawn(move || {
             let period = Duration::from_secs_f64(job.spec.heartbeat_period.max(1e-3));
-            'beat: loop {
-                let wake = Instant::now() + period;
-                while Instant::now() < wake {
-                    if hb_stop.load(Ordering::Acquire) {
-                        break 'beat;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+            while let Err(mpsc::RecvTimeoutError::Timeout) = hb_stopped.recv_timeout(period) {
                 let frame = ToCoordinator::Progress {
                     cuts: cuts_written.load(Ordering::Relaxed),
                 };
@@ -567,7 +563,7 @@ where
                         FaultKind::Crash | FaultKind::Stall | FaultKind::DelayStart => {}
                     }
                     if p.kind == FaultKind::Stall {
-                        hb_stop.store(true, Ordering::Release);
+                        let _ = hb_stop.send(());
                     }
                     // Finish the simulation quickly (and quietly).
                     write_steer.terminate();
@@ -591,7 +587,7 @@ where
                 cuts_written.fetch_add(1, Ordering::Relaxed);
             }
         });
-        hb_stop.store(true, Ordering::Release);
+        let _ = hb_stop.send(());
         result
     });
 
@@ -621,12 +617,11 @@ where
 /// another. The attempt body both out-of-process transports share drives
 /// its reader with it.
 ///
-/// Every frame touches `activity` (the watchdog's liveness clock).
-/// `Progress` heartbeats do nothing else; a `Cut` is forwarded into the
-/// bounded `sink`, with the driver marked blocked for the duration —
-/// waiting on the *coordinator* is not a stall; `End` is forwarded and
-/// finishes the pump. A dropped receiver (attempt cancelled, run over)
-/// finishes it quietly too. `label` names the worker in error details.
+/// Every frame is forwarded into the bounded `sink` — a `Progress`
+/// heartbeat as [`ShardFeed::Heartbeat`], a `Cut` as a message — and
+/// `End` is forwarded and finishes the pump. A dropped receiver (attempt
+/// cancelled, run over) finishes it quietly too. `label` names the
+/// worker in error details.
 ///
 /// # Errors
 ///
@@ -636,25 +631,15 @@ where
 pub(crate) fn pump_frames(
     mut input: impl Read,
     sink: &mpsc::SyncSender<ShardFeed>,
-    activity: &ShardActivity,
     label: &str,
 ) -> Result<(), ShardErrorKind> {
     let mut offset = 0u64;
     loop {
         let frame_start = offset;
-        match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
-            Ok(Some(ToCoordinator::Progress { .. })) => activity.touch(),
-            Ok(Some(ToCoordinator::Cut(cut))) => {
-                activity.touch();
-                activity.set_blocked(true);
-                let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
-                activity.set_blocked(false);
-                if !delivered {
-                    return Ok(());
-                }
-            }
+        let feed = match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
+            Ok(Some(ToCoordinator::Progress { .. })) => ShardFeed::Heartbeat,
+            Ok(Some(ToCoordinator::Cut(cut))) => ShardFeed::Msg(ShardMsg::Cut(cut)),
             Ok(Some(ToCoordinator::End { events, summary })) => {
-                activity.touch();
                 let _ = sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
                 return Ok(());
             }
@@ -670,6 +655,9 @@ pub(crate) fn pump_frames(
                     detail: format!("{label}: {e}"),
                 })
             }
+        };
+        if sink.send(feed).is_err() {
+            return Ok(());
         }
     }
 }
@@ -783,7 +771,6 @@ impl ShardTransport for ProcessTransport {
         spec: &ShardSpec,
         steering: &Steering,
         sink: mpsc::SyncSender<ShardFeed>,
-        activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError> {
         let shard = spec.range.shard;
         // stdin is the child's lifeline and carries no frames: it stays
@@ -822,7 +809,7 @@ impl ShardTransport for ProcessTransport {
                         .map_err(|e| format!("failed to send job: {e}"))
                 });
             match started {
-                Ok(attempt) => attempt.pump(shard, &sink, &activity, "cwc-shard child", |result| {
+                Ok(attempt) => attempt.pump(shard, &sink, "cwc-shard child", |result| {
                     // After a failure the child may be wedged rather
                     // than gone: kill it, or reaping it could hang.
                     let report = reap(result.is_err());
@@ -1013,29 +1000,19 @@ mod tests {
     /// verdict and what it forwarded.
     fn pump(input: Vec<u8>) -> (Result<(), ShardErrorKind>, Vec<ShardFeed>) {
         let (tx, rx) = mpsc::sync_channel(16);
-        let result = pump_frames(
-            Cursor::new(input),
-            &tx,
-            &ShardActivity::new(),
-            "test worker",
-        );
+        let result = pump_frames(Cursor::new(input), &tx, "test worker");
         drop(tx);
         (result, rx.iter().collect())
     }
 
     #[test]
-    fn pump_heartbeat_touches_the_clock_and_forwards_nothing() {
-        let activity = ShardActivity::new();
-        std::thread::sleep(Duration::from_millis(100));
-        let silent_before = activity.silent_for();
-        let (tx, rx) = mpsc::sync_channel(16);
-        let input = stream(&[ToCoordinator::Progress { cuts: 3 }]);
-        let result = pump_frames(Cursor::new(input), &tx, &activity, "test worker");
-        // Without the touch the clock could only have grown.
-        assert!(activity.silent_for() < silent_before);
+    fn pump_forwards_a_heartbeat_as_one_heartbeat_feed() {
+        let (result, feeds) = pump(stream(&[ToCoordinator::Progress { cuts: 3 }]));
         assert!(matches!(result, Err(ShardErrorKind::Crashed(_))));
-        drop(tx);
-        assert_eq!(rx.iter().count(), 0);
+        assert!(
+            matches!(feeds.as_slice(), [ShardFeed::Heartbeat]),
+            "{feeds:?}"
+        );
     }
 
     #[test]
@@ -1102,12 +1079,7 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel(16);
         drop(rx);
         let input = stream(&[cut(0.0), cut(0.5), end()]);
-        let result = pump_frames(
-            Cursor::new(input),
-            &tx,
-            &ShardActivity::new(),
-            "test worker",
-        );
+        let result = pump_frames(Cursor::new(input), &tx, "test worker");
         assert!(result.is_ok(), "{result:?}");
     }
 
