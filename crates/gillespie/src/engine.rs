@@ -3,15 +3,19 @@
 //!
 //! The paper's architecture is deliberately engine-neutral — the farm of
 //! "sim eng" boxes only requires that a task advance by one simulation
-//! quantum and emit samples on the τ grid. This module packages the three
-//! integrators of this crate behind the concrete [`Engine`] enum, so tasks
-//! stay `Clone + Send` without boxing and every downstream layer (task
-//! farm, sharded farm, simulated GPGPU, benchmarks) is written
-//! once against it. The enum is the only dispatch mechanism: there is no
-//! engine trait, and a new integrator is a new variant.
+//! quantum and emit samples on the τ grid. This module packages the
+//! integrators of this crate — the direct method with an optional leap
+//! policy, and adaptive tau-leaping — behind the concrete [`Engine`] enum,
+//! so tasks stay `Clone + Send` and every downstream layer (task farm,
+//! sharded farm, simulated GPGPU, benchmarks) is written once against it.
+//! The enum is the only dispatch mechanism: there is no engine trait, and
+//! a new integrator is a new variant.
 //!
+//! Two kinds are the direct method under another configuration, so both
+//! build an [`Engine::Ssa`]: [`EngineKind::Hybrid`] is the direct method
+//! with a leap policy ([`SsaEngine::with_leap`]), and
 //! [`EngineKind::Batched`] is the direct method with a coarser farm task
-//! (see [`crate::batch`]): every replica it builds is an [`Engine::Ssa`].
+//! (see [`crate::batch`]).
 //!
 //! [`EngineKind`] is the *configuration-level* selector — a small `Copy`
 //! value that travels in `SimConfig` and across the wire to remote farms —
@@ -26,8 +30,9 @@
 //! same trajectory, samples and event counts as one monolithic run: the
 //! exact engine keeps its drawn-but-unfired event pending across
 //! boundaries, the adaptive engine keeps its drawn-but-uncommitted
-//! leap/transition pending, and the hybrid engine additionally pins its
-//! phase-switch points to reaction counts rather than horizons. The unit
+//! leap/transition pending, and a leap policy additionally keeps its
+//! pending leap and pins its phase-switch points to reaction counts
+//! rather than horizons. The unit
 //! and property tests of each engine module pin this down; the pipeline's
 //! seq-vs-par bit-for-bit tests rely on it.
 
@@ -40,8 +45,7 @@ use cwc::term::Term;
 use crate::adaptive::AdaptiveTauEngine;
 use crate::deps::ModelDeps;
 use crate::flat::FlatModelError;
-use crate::hybrid::HybridEngine;
-use crate::ssa::{SampleClock, SsaEngine, StepOutcome};
+use crate::ssa::{SampleClock, SsaEngine};
 use crate::trajectory::Row;
 
 /// Everything one quantum of one instance produced.
@@ -97,9 +101,10 @@ pub enum EngineKind {
         /// 0.03–0.05; must be in `(0, 1)`).
         epsilon: f64,
     },
-    /// Hybrid exact/approximate: dense-core SSA segments with
-    /// CGP-sized Poisson leaps when propensities stratify. Flat models
-    /// only, under every kinetic law.
+    /// The direct method with a leap policy: dense-core SSA segments
+    /// with CGP-sized Poisson leaps when propensities stratify (see
+    /// [`SsaEngine::with_leap`]). Flat models only, under every kinetic
+    /// law.
     Hybrid {
         /// Relative-propensity-change bound ε of the leap phase.
         epsilon: f64,
@@ -259,9 +264,9 @@ impl EngineKind {
 
     /// Builds the engine for `instance`, sharing an already-compiled
     /// dependency graph across instances. Every integrator consumes the
-    /// compilation: the exact engines drive their incremental reaction
-    /// tables with it (the hybrid's exact phase included), and the leaping
-    /// engines take their stoichiometry vectors from it.
+    /// compilation: the direct method drives its incremental propensity
+    /// row with it (under a leap policy too), and adaptive tau-leaping
+    /// takes its stoichiometry vectors from it.
     ///
     /// # Errors
     ///
@@ -284,12 +289,9 @@ impl EngineKind {
                 let engine = AdaptiveTauEngine::with_deps(model, deps, base_seed, instance)?;
                 Ok(Engine::AdaptiveTau(Box::new(engine.with_epsilon(epsilon))))
             }
-            EngineKind::Hybrid { epsilon, threshold } => {
-                let engine = HybridEngine::with_deps(model, deps, base_seed, instance)?;
-                Ok(Engine::Hybrid(Box::new(
-                    engine.with_epsilon(epsilon).with_threshold(threshold),
-                )))
-            }
+            EngineKind::Hybrid { epsilon, threshold } => Ok(Engine::Ssa(SsaEngine::with_leap(
+                model, deps, base_seed, instance, epsilon, threshold,
+            )?)),
         }
     }
 }
@@ -364,8 +366,8 @@ impl From<FlatModelError> for EngineError {
 }
 
 /// Outcome of one atomic engine transition ([`Engine::step`]): a reaction
-/// for the exact engine, one committed leap or transition for the leaping
-/// and hybrid engines.
+/// for the direct method, one committed leap or transition for adaptive
+/// tau-leaping and for a leap policy's leaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineStep {
     /// The engine advanced by `dt`, firing `events` reactions.
@@ -380,8 +382,9 @@ pub enum EngineStep {
     Exhausted,
 }
 
-/// A concrete simulation engine: one of the three integrators, behind one
-/// `Clone + Send` value (no boxing, no generics in the task types).
+/// A concrete simulation engine: the direct method with an optional leap
+/// policy, or adaptive tau-leaping, behind one `Clone + Send` value (no
+/// generics in the task types).
 ///
 /// All methods dispatch to the wrapped engine. One call to
 /// [`advance_quantum`](Engine::advance_quantum) (or
@@ -391,40 +394,35 @@ pub enum EngineStep {
 /// partition of `[0, t_end]` into quanta yields the same trajectory and
 /// sample stream.
 ///
-/// The exact engine is the only unboxed variant, so the enum is as large
-/// as it: the direct method is the paper's integrator and the common
-/// case, and its step path stays one indirection shorter than the
-/// leaping kinds'.
+/// The direct method is the unboxed variant, so the enum is as large as
+/// it: it is the paper's integrator and the common case, and its step path
+/// stays one indirection shorter than adaptive tau-leaping's.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum Engine {
-    /// Exact direct method.
+    /// The direct method, with or without a leap policy.
     Ssa(SsaEngine),
     /// Approximate adaptive (CGP) tau-leaping (boxed: the incremental
     /// hot path carries SoA rows, criticality epochs and reusable
     /// buffers, and would otherwise dominate the size of every task
     /// that carries this enum).
     AdaptiveTau(Box<AdaptiveTauEngine>),
-    /// Hybrid exact/approximate engine (boxed: it embeds a full exact
-    /// engine plus the flat reduction, and would otherwise dominate the
-    /// size of every task that carries this enum).
-    Hybrid(Box<HybridEngine>),
 }
 
 impl Engine {
-    /// The configuration that would rebuild this engine. An engine built
-    /// from [`EngineKind::Batched`] reports [`EngineKind::Ssa`]: a batch
-    /// replica *is* the scalar direct method, and rebuilding it as such is
-    /// bit-for-bit faithful.
+    /// The configuration that would rebuild this engine: a direct-method
+    /// engine with a leap policy reports [`EngineKind::Hybrid`]. An engine
+    /// built from [`EngineKind::Batched`] reports [`EngineKind::Ssa`]: a
+    /// batch replica *is* the scalar direct method, and rebuilding it as
+    /// such is bit-for-bit faithful.
     pub fn kind(&self) -> EngineKind {
         match self {
-            Engine::Ssa(_) => EngineKind::Ssa,
+            Engine::Ssa(e) => match e.leap_policy() {
+                None => EngineKind::Ssa,
+                Some((epsilon, threshold)) => EngineKind::Hybrid { epsilon, threshold },
+            },
             Engine::AdaptiveTau(e) => EngineKind::AdaptiveTau {
                 epsilon: e.epsilon(),
-            },
-            Engine::Hybrid(e) => EngineKind::Hybrid {
-                epsilon: e.epsilon(),
-                threshold: e.threshold(),
             },
         }
     }
@@ -434,7 +432,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.time(),
             Engine::AdaptiveTau(e) => e.time(),
-            Engine::Hybrid(e) => e.time(),
         }
     }
 
@@ -443,7 +440,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.instance(),
             Engine::AdaptiveTau(e) => e.instance(),
-            Engine::Hybrid(e) => e.instance(),
         }
     }
 
@@ -452,38 +448,38 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.observe(),
             Engine::AdaptiveTau(e) => e.observe(),
-            Engine::Hybrid(e) => e.observe(),
         }
     }
 
     /// Total reaction firings so far.
     pub fn events(&self) -> u64 {
         match self {
-            Engine::Ssa(e) => e.steps(),
+            Engine::Ssa(e) => e.firings(),
             Engine::AdaptiveTau(e) => e.firings(),
-            Engine::Hybrid(e) => e.firings(),
         }
     }
 
-    /// The current CWC term of the exact engine, by value: materialised
+    /// The current CWC term of the direct method, by value: materialised
     /// on demand from whichever core the engine steps on (see
     /// [`SsaEngine::term`]) — an inspection call, not a step-path one.
-    /// `None` for the leaping kinds (adaptive tau-leaping, the hybrid),
+    /// `Some` under a leap policy too (the hybrid kind): its dense core's
+    /// counts over the initial term. `None` for adaptive tau-leaping,
     /// whose committed state is a species-count vector.
     pub fn term(&self) -> Option<Term> {
         match self {
             Engine::Ssa(e) => Some(e.term()),
-            Engine::AdaptiveTau(_) | Engine::Hybrid(_) => None,
+            Engine::AdaptiveTau(_) => None,
         }
     }
 
-    /// Executes one atomic transition: one reaction (exact engine) or
-    /// one committed leap/transition (the leaping and hybrid engines).
+    /// Executes one atomic transition: one reaction (the direct method)
+    /// or one committed leap/transition (adaptive tau-leaping, a leap
+    /// policy's leaps).
     pub fn step(&mut self) -> EngineStep {
         match self {
-            Engine::Ssa(e) => match e.step() {
-                StepOutcome::Fired { dt, .. } => EngineStep::Advanced { dt, events: 1 },
-                StepOutcome::Exhausted => EngineStep::Exhausted,
+            Engine::Ssa(e) => match e.step_transition() {
+                (dt, events) if dt == 0.0 && events == 0 => EngineStep::Exhausted,
+                (dt, events) => EngineStep::Advanced { dt, events },
             },
             Engine::AdaptiveTau(e) => {
                 // advance() first commits any leap held pending by the
@@ -501,14 +497,6 @@ impl Engine {
                     }
                 }
             }
-            Engine::Hybrid(e) => {
-                let (dt, events) = e.step_transition();
-                if dt == 0.0 && events == 0 {
-                    EngineStep::Exhausted
-                } else {
-                    EngineStep::Advanced { dt, events }
-                }
-            }
         }
     }
 
@@ -518,7 +506,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.run_until(t_end),
             Engine::AdaptiveTau(e) => e.run_until(t_end),
-            Engine::Hybrid(e) => e.run_until(t_end),
         }
     }
 
@@ -532,7 +519,6 @@ impl Engine {
         match self {
             Engine::Ssa(e) => e.run_sampled(t_end, clock, on_sample),
             Engine::AdaptiveTau(e) => e.run_sampled(t_end, clock, on_sample),
-            Engine::Hybrid(e) => e.run_sampled(t_end, clock, on_sample),
         }
     }
 
@@ -633,10 +619,15 @@ mod tests {
                     threshold: 8.0,
                 },
                 direct!(
-                    HybridEngine::new(m(), 7, 2)
-                        .unwrap()
-                        .with_epsilon(0.05)
-                        .with_threshold(8.0),
+                    SsaEngine::with_leap(
+                        m(),
+                        Arc::new(ModelDeps::compile(&model)),
+                        7,
+                        2,
+                        0.05,
+                        8.0
+                    )
+                    .unwrap(),
                     firings
                 ),
             ),

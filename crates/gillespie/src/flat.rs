@@ -20,13 +20,15 @@
 //! - **one observable plan**.
 //!
 //! The **exact tier** — the dense core of [`crate::ssa::SsaEngine`], and
-//! through it the hybrid's exact phase and every replica of the batched
-//! kind — steps on exactly that. The **leaping tier** — adaptive
-//! tau-leaping ([`crate::adaptive`]) and the leap phase of the hybrid
-//! engine ([`crate::hybrid`]) — adds the Cao–Gillespie–Petzold step-size
-//! bound: one sparse `FlatModel::cgp_tau` over the slot set a caller
-//! names, which the adaptive hot path, its full-recompute replica and the
-//! hybrid all call. Its `g_i` factors and the species-to-slot incidence
+//! through it every replica of the batched kind and the exact steps of
+//! the hybrid — steps on exactly that. The **leaping tier** — adaptive
+//! tau-leaping ([`crate::adaptive`]) and the leap phase of the direct
+//! method's optional leap policy (the hybrid kind,
+//! [`SsaEngine::with_leap`](crate::ssa::SsaEngine::with_leap)) — adds
+//! the Cao–Gillespie–Petzold step-size bound: one sparse
+//! `FlatModel::cgp_tau` over the slot set a caller names, which the
+//! adaptive hot path, its full-recompute replica and the leap policy all
+//! call. Its `g_i` factors and the species-to-slot incidence
 //! lists are built over the same slots. Its committed state is the same
 //! `u64` count vector; only a leap's candidate values are signed, since
 //! that is where a negative count is detected.

@@ -12,13 +12,15 @@
 //!   the reaction dependency graph, shared across instances, plus the
 //!   lazily derived flat form of the model (compiled once per
 //!   [`ModelDeps`]);
-//! - [`ssa`]: the exact engine ([`SsaEngine`]) with pending-event
+//! - [`ssa`]: the direct-method engine ([`SsaEngine`]) with pending-event
 //!   preservation, so slicing a run into scheduler quanta never changes the
 //!   trajectory; plus the τ-grid [`SampleClock`]. It steps on one of two
 //!   cores, selected by the model: a *dense* core (species counts indexed
 //!   by `Species::raw()` and one propensity row) when every rule is
 //!   compartment-free and top-level, the *tree* core (term, tree matcher,
-//!   [`ReactionTable`]) otherwise;
+//!   [`ReactionTable`]) otherwise. An optional leap policy
+//!   ([`SsaEngine::with_leap`], the hybrid kind) adds CGP-sized leaps on
+//!   the dense core when propensities stratify;
 //! - [`table`]: the tree core's persistent [`ReactionTable`] of (site,
 //!   rule) propensities, updated incrementally after each firing instead
 //!   of re-enumerated per step (the step-throughput lever for CWC's
@@ -35,8 +37,6 @@
 //!   step-size selection with critical-reaction partitioning and an
 //!   exact-SSA fallback, so no leap length is left for the user to pick
 //!   (an extension beyond the paper, in the spirit of StochKit);
-//! - [`hybrid`]: the hybrid exact/approximate engine — dense-core SSA
-//!   segments with CGP-sized leaps when propensities stratify;
 //! - [`batch`]: the batched kind's task grain — [`batch::batch_spans`]
 //!   chunks instances into farm tasks whose replicas each step on the
 //!   scalar direct method;
@@ -57,7 +57,6 @@ pub mod batch;
 pub mod deps;
 pub mod engine;
 pub mod flat;
-pub mod hybrid;
 pub mod rng;
 pub mod ssa;
 pub mod table;
@@ -68,7 +67,6 @@ pub use batch::kernels;
 pub use deps::{KeptChild, ModelDeps, RuleDeps};
 pub use engine::{Engine, EngineError, EngineKind, EngineStep, QuantumOutcome};
 pub use flat::FlatModelError;
-pub use hybrid::HybridEngine;
 pub use kernels::KernelDispatch;
 pub use rng::{instance_seed, sim_rng, SimRng};
 pub use ssa::{Reaction, SampleClock, SsaEngine, StepOutcome};

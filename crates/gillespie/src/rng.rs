@@ -35,11 +35,12 @@
 //!   negativity overshoot halves the bound and re-runs (b) from the top —
 //!   every draw remains a pure function of the committed state and the
 //!   stream position, so slicing cannot perturb it;
-//! - **hybrid SSA/tau** ([`crate::hybrid::HybridEngine`]): *two* streams.
-//!   The exact phase consumes the instance's primary stream through an
-//!   embedded direct-method engine, with exactly the direct-method
-//!   discipline above — a hybrid trajectory is bit-for-bit identical to
-//!   plain SSA until the first phase switch. The leap phase consumes a
+//! - **the direct method with a leap policy** (the hybrid kind,
+//!   [`crate::ssa::SsaEngine::with_leap`]): *two* streams. The exact
+//!   phase consumes the instance's primary stream through the engine's
+//!   own direct-method steps, with exactly the direct-method discipline
+//!   above — a hybrid trajectory is bit-for-bit identical to plain SSA
+//!   until the first phase switch. The leap phase consumes a
 //!   dedicated stream seeded from `base_seed ^ LEAP_STREAM_SALT` (same
 //!   instance mixing), drawing one Poisson variate per enabled reaction
 //!   in slot order per *candidate* leap — including candidates that

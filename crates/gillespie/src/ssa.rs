@@ -46,6 +46,14 @@
 //! no matter how the run is sliced into quanta — the property the
 //! integration tests use to check that multicore, distributed and GPU
 //! execution paths agree exactly.
+//!
+//! ## The optional leap policy
+//!
+//! An engine built with [`SsaEngine::with_leap`] (the hybrid kind) adds
+//! CGP-sized Poisson leaps on the dense core whenever propensities
+//! stratify, switching between exact segments and leaps from the committed
+//! state; `leap.rs` documents the policy. Without one, every run path is
+//! the plain direct method above.
 
 use std::sync::Arc;
 
@@ -60,6 +68,8 @@ use crate::flat::FlatModel;
 use crate::kernels::{Kernel, KernelDispatch};
 use crate::rng::{sim_rng, SimRng};
 use crate::table::{PropensityRow, ReactionTable};
+
+mod leap;
 
 /// One enabled (rule, site) pair with its propensity.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,6 +211,9 @@ pub struct SsaEngine {
     /// step-loop iteration — the redundant per-phase re-summations of the
     /// naive implementation are gone; a unit test pins this).
     a0_sums: u64,
+    /// The optional leap policy (see [`SsaEngine::with_leap`]); `None`
+    /// runs the plain direct method.
+    leap: Option<Box<leap::Leap>>,
 }
 
 impl SsaEngine {
@@ -275,6 +288,7 @@ impl SsaEngine {
             steps: 0,
             sample_buf: Vec::new(),
             a0_sums: 0,
+            leap: None,
         }
     }
 
@@ -324,7 +338,9 @@ impl SsaEngine {
         self.instance
     }
 
-    /// Total reactions fired so far.
+    /// Reactions fired one at a time by the direct method: every firing
+    /// without a leap policy, the exact phase's under one (see
+    /// [`firings`](SsaEngine::firings)).
     pub fn steps(&self) -> u64 {
         self.steps
     }
@@ -461,15 +477,6 @@ impl SsaEngine {
         }
     }
 
-    /// The root counts per species index and the propensity row over the
-    /// flat form's slots, on the dense core.
-    pub(crate) fn dense_state(&self) -> Option<(&[u64], &PropensityRow)> {
-        match &self.core {
-            Core::Tree(_) => None,
-            Core::Dense(dense) => Some((&dense.counts, &dense.row)),
-        }
-    }
-
     /// `a0` for this step-loop iteration: one O(1) read of the row's
     /// ordered fold — shared by the waiting-time draw and the selection,
     /// replacing the naive implementation's two re-summations plus full
@@ -555,7 +562,9 @@ impl SsaEngine {
         }
     }
 
-    /// Executes one SSA step (direct method).
+    /// Executes one SSA step (direct method): one reaction, whatever the
+    /// leap policy. Under a policy, drive the engine with
+    /// [`step_transition`](SsaEngine::step_transition), which also leaps.
     pub fn step(&mut self) -> StepOutcome {
         let a0 = self.current_a0();
         match self.next_event_time(a0) {
@@ -575,6 +584,10 @@ impl SsaEngine {
     /// quantum, so slicing a run into quanta leaves the trajectory
     /// unchanged.
     pub fn run_until(&mut self, t_end: f64) -> u64 {
+        if self.leap.is_some() {
+            let mut muted = SampleClock::new(0.0, 1.0).with_limit(0);
+            return self.run_sampled(t_end, &mut muted, |_, _| {});
+        }
         let mut fired = 0;
         while self.time < t_end {
             let a0 = self.current_a0();
@@ -605,20 +618,26 @@ impl SsaEngine {
     /// before the event that crosses it), which is the standard alignment
     /// convention for piecewise-constant SSA trajectories — and exactly the
     /// "alignment of trajectories" contract of the simulation pipeline.
+    /// Under a leap policy a leap counts every firing it commits.
     pub fn run_sampled<F>(&mut self, t_end: f64, clock: &mut SampleClock, on_sample: F) -> u64
     where
         F: FnMut(f64, &[u64]),
     {
-        self.run_sampled_bounded(t_end, clock, u64::MAX, on_sample)
+        let Some(mut leap) = self.leap.take() else {
+            return self.run_sampled_bounded(t_end, clock, u64::MAX, on_sample);
+        };
+        let fired = leap.run_sampled(self, t_end, clock, on_sample);
+        self.leap = Some(leap);
+        fired
     }
 
-    /// Like [`run_sampled`](SsaEngine::run_sampled), but stops after at
-    /// most `max_steps` firings, leaving the clock mid-quantum. The hybrid
-    /// engine drives its exact segments through this: stopping on a step
-    /// count (a pure function of committed state) rather than a time keeps
-    /// the phase-switch schedule independent of quantum slicing. With
-    /// `max_steps = u64::MAX` this *is* `run_sampled`.
-    pub(crate) fn run_sampled_bounded<F>(
+    /// Like [`run_sampled`](SsaEngine::run_sampled) without a leap policy,
+    /// but stops after at most `max_steps` firings, leaving the clock
+    /// mid-quantum. The leap policy drives its exact segments through
+    /// this: stopping on a step count (a pure function of committed state)
+    /// rather than a time keeps the phase-switch schedule independent of
+    /// quantum slicing.
+    fn run_sampled_bounded<F>(
         &mut self,
         t_end: f64,
         clock: &mut SampleClock,
@@ -657,16 +676,16 @@ impl SsaEngine {
 
     /// Replaces the dense core's counts with `counts` at simulation time
     /// `time`, dropping any pending event and recomputing the row from
-    /// them. The hybrid engine writes every committed leap back through
+    /// them. The leap policy writes every committed leap back through
     /// this; a recomputed row is bit-identical to an incrementally
     /// maintained one (each slot is a pure function of the counts, and the
     /// fold is the same ordered fold).
     ///
     /// # Panics
     ///
-    /// Panics on the tree core: the one caller, the hybrid engine, is
-    /// flat by construction.
-    pub(crate) fn reset_flat_state(&mut self, counts: &[u64], time: f64) {
+    /// Panics on the tree core: a leap policy is only set on a flat
+    /// model.
+    fn reset_flat_state(&mut self, counts: &[u64], time: f64) {
         let Core::Dense(dense) = &mut self.core else {
             unreachable!("only flat models hand a count vector back");
         };

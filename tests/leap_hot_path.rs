@@ -7,7 +7,8 @@
 //! observable: this suite pins the incremental engine against its
 //! full-recompute replica — same draws, same samples, same final state,
 //! bit for bit — across the model zoo and both kernel dispatches, and
-//! pins the hybrid engine as dispatch-invariant on the same zoo. CI runs the whole file twice (once with
+//! pins the direct method under a leap policy (the hybrid kind) as
+//! dispatch-invariant on the same zoo. CI runs the whole file twice (once with
 //! `CWC_FORCE_SCALAR_KERNELS=1`), so the scalar reference path gets the
 //! identical coverage on AVX2 hosts too.
 
@@ -20,7 +21,7 @@ use cwc_repro::biomodels::{
     NeurosporaParams, SchloglParams,
 };
 use cwc_repro::cwc::model::Model;
-use cwc_repro::gillespie::{AdaptiveTauEngine, HybridEngine, KernelDispatch, SampleClock};
+use cwc_repro::gillespie::{AdaptiveTauEngine, KernelDispatch, ModelDeps, SampleClock, SsaEngine};
 
 /// Everything observable about one trajectory: the sampled stream (times
 /// bit-exact via `to_bits`), the final observables, the clock, and the
@@ -66,7 +67,7 @@ fn trace_adaptive(mut engine: AdaptiveTauEngine, t_end: f64) -> Trace {
     }
 }
 
-fn trace_hybrid(mut engine: HybridEngine, t_end: f64) -> Trace {
+fn trace_hybrid(mut engine: SsaEngine, t_end: f64) -> Trace {
     let mut clock = SampleClock::new(0.0, t_end / 16.0);
     let mut samples = Vec::new();
     let mut firings = 0;
@@ -81,7 +82,7 @@ fn trace_hybrid(mut engine: HybridEngine, t_end: f64) -> Trace {
         time: engine.time().to_bits(),
         firings,
         leaps: engine.leaps(),
-        exact_steps: engine.exact_steps(),
+        exact_steps: engine.steps(),
     }
 }
 
@@ -126,11 +127,17 @@ fn assert_adaptive_replicas_agree(model: &Arc<Model>, seed: u64, instance: u64, 
 }
 
 fn assert_hybrid_dispatch_invariant(model: &Arc<Model>, seed: u64, instance: u64, t_end: f64) {
+    let deps = Arc::new(ModelDeps::compile(model));
     let build = || {
-        HybridEngine::new(Arc::clone(model), seed, instance)
-            .unwrap()
-            .with_epsilon(0.05)
-            .with_threshold(8.0)
+        SsaEngine::with_leap(
+            Arc::clone(model),
+            Arc::clone(&deps),
+            seed,
+            instance,
+            0.05,
+            8.0,
+        )
+        .unwrap()
     };
     let auto = trace_hybrid(build(), t_end);
     let scalar = trace_hybrid(build().with_kernel_dispatch(KernelDispatch::Scalar), t_end);
@@ -204,7 +211,7 @@ proptest! {
         assert_adaptive_replicas_agree(&model, seed, instance, 0.4);
     }
 
-    /// The same structural sweep for the hybrid engine's kernel-routed
+    /// The same structural sweep for the leap policy's kernel-routed
     /// leap path.
     #[test]
     fn hybrid_dispatch_invariant_on_random_cycles(

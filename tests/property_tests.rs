@@ -1,14 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: multiset algebra, tree matching vs brute force, rewrite
 //! well-formedness, wire codec round-trips, alignment and windowing laws,
-//! and the stochastic-engine contracts (adaptive tau-leap non-negativity,
-//! slicing invariance of the direct method and the leaping engines).
+//! the stochastic-engine contracts (adaptive tau-leap non-negativity,
+//! slicing invariance of the direct method and the leaping kinds), and the
+//! cluster DES's lower bounds and message counts.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use cwc_repro::biomodels::CellTransportParams;
-use cwc_repro::gillespie::engine::EngineKind;
+use cwc_repro::gillespie::engine::{Engine, EngineKind};
 use cwc_repro::gillespie::{AdaptiveTauEngine, Row, SampleClock};
 
 use cwc_repro::cwc::matching::{apply_at, assignments, match_count};
@@ -17,7 +18,10 @@ use cwc_repro::cwc::rule::{Pattern, Production, RateLaw, Rule};
 use cwc_repro::cwc::species::{Label, Species};
 use cwc_repro::cwc::term::{Compartment, Path, Term};
 use cwc_repro::cwcsim::task::SampleBatch;
-use cwc_repro::distrt::{from_bytes, to_bytes};
+use cwc_repro::distrt::{
+    from_bytes, simulate_cluster, to_bytes, ClusterParams, HostProfile, NetworkProfile,
+    WorkloadTrace,
+};
 use cwc_repro::streamstat::welford::Running;
 
 fn arb_multiset() -> impl Strategy<Value = Multiset> {
@@ -203,33 +207,47 @@ proptest! {
         epsilon in 0.01f64..0.2,
         cut in 0.05f64..3.95,
         seed in any::<u64>(),
+        threshold in 1.0f64..32.0,
     ) {
-        // The adaptive engine's transition schedule (leaps, critical
-        // firings and SSA fallbacks alike) must not move when a quantum
-        // boundary lands at an arbitrary point: pending transitions are
-        // held, never re-drawn.
+        // Neither leaping kind's transition schedule may move when a
+        // quantum boundary lands at an arbitrary point: adaptive's leaps,
+        // critical firings and SSA fallbacks alike, and the hybrid's
+        // switch points, which are tied to reaction counts, not horizons.
+        // Pending transitions are held, never re-drawn.
         let model = Arc::new(cwc_repro::biomodels::simple::birth_death(birth, 1.0, n0));
-        let mut whole = AdaptiveTauEngine::new(Arc::clone(&model), seed, 1)
-            .expect("flat model")
-            .with_epsilon(epsilon);
-        let mut wc = SampleClock::new(0.0, 0.25);
-        let mut ws = Vec::new();
-        whole.run_sampled(4.0, &mut wc, |t, v| ws.push((t, v.to_vec())));
-
-        let mut sliced = AdaptiveTauEngine::new(model, seed, 1)
-            .expect("flat model")
-            .with_epsilon(epsilon);
-        let mut sc = SampleClock::new(0.0, 0.25);
-        let mut ss = Vec::new();
-        sliced.run_sampled(cut, &mut sc, |t, v| ss.push((t, v.to_vec())));
-        sliced.run_sampled(4.0, &mut sc, |t, v| ss.push((t, v.to_vec())));
-
-        prop_assert_eq!(ws, ss);
-        prop_assert_eq!(whole.counts(), sliced.counts());
-        prop_assert_eq!(whole.firings(), sliced.firings());
-        prop_assert_eq!(whole.leaps(), sliced.leaps());
-        prop_assert_eq!(whole.exact_steps(), sliced.exact_steps());
-        prop_assert_eq!(whole.time(), sliced.time());
+        for kind in [
+            EngineKind::AdaptiveTau { epsilon },
+            EngineKind::Hybrid { epsilon, threshold },
+        ] {
+            let run = |quanta: &[f64]| {
+                let mut engine = kind.build(Arc::clone(&model), seed, 1).expect("flat model");
+                let mut clock = SampleClock::new(0.0, 0.25);
+                let mut samples = Vec::new();
+                for &t in quanta {
+                    engine.run_sampled(t, &mut clock, |t, v| samples.push((t, v.to_vec())));
+                }
+                (engine, samples)
+            };
+            let (whole, ws) = run(&[4.0]);
+            let (sliced, ss) = run(&[cut, 4.0]);
+            prop_assert_eq!(ws, ss);
+            prop_assert_eq!(whole.events(), sliced.events());
+            prop_assert_eq!(whole.time(), sliced.time());
+            match (&whole, &sliced) {
+                (Engine::AdaptiveTau(w), Engine::AdaptiveTau(s)) => {
+                    prop_assert_eq!(w.counts(), s.counts());
+                    prop_assert_eq!(w.leaps(), s.leaps());
+                    prop_assert_eq!(w.exact_steps(), s.exact_steps());
+                }
+                (Engine::Ssa(w), Engine::Ssa(s)) => {
+                    prop_assert_eq!(w.term(), s.term());
+                    prop_assert_eq!(w.leaps(), s.leaps());
+                    prop_assert_eq!(w.steps(), s.steps());
+                    prop_assert_eq!(w.switches(), s.switches());
+                }
+                _ => unreachable!("{kind} built an engine of another kind"),
+            }
+        }
     }
 
     #[test]
@@ -297,5 +315,76 @@ proptest! {
             };
             prop_assert_eq!(run(&[]), run(&cuts));
         }
+    }
+
+    #[test]
+    fn cluster_makespans_respect_their_lower_bounds_and_counts(
+        (instances, quanta, samples, values, bytes) in
+            (1u64..=12, 1usize..=6, 1u64..=40, 1usize..=6, 64.0f64..1e6),
+        events in proptest::collection::vec(0u64..5_000, 72),
+        hosts in proptest::collection::vec((0usize..4, 1usize..=8), 1..=4),
+        (gigabit, stat_engines, pool) in (any::<bool>(), 1usize..=4, 0usize..=8),
+    ) {
+        // The cluster DES on random small traces and deployments: the
+        // makespan is at least every resource's lower bound, and the
+        // stream carries one batch per instance and quantum and yields
+        // one cut per sample. Monotonicity is not asserted: more
+        // bandwidth, less latency or faster cores can lengthen a run
+        // (ROADMAP item 17).
+        let trace = WorkloadTrace {
+            events: events
+                .chunks(12)
+                .take(quanta)
+                .map(|row| row[..instances as usize].to_vec())
+                .collect(),
+            mean_batch_bytes: bytes,
+            samples_per_instance: samples,
+            instances,
+            quanta,
+            values_per_sample: values,
+        };
+        let presets = [
+            HostProfile::nehalem32(),
+            HostProfile::sandy_bridge16(),
+            HostProfile::xeon12(),
+            HostProfile::ec2_quad(),
+        ];
+        let hosts = hosts
+            .iter()
+            .map(|&(preset, cores)| {
+                let host = presets[preset].clone();
+                let cores = cores.min(host.cores);
+                host.with_cores(cores)
+            })
+            .collect();
+        let network = if gigabit {
+            NetworkProfile::gigabit_ethernet()
+        } else {
+            NetworkProfile::ipoib()
+        };
+        let params = ClusterParams {
+            stat_engines,
+            // 0 draws "no shared pool".
+            shared_pool: (pool > 0).then_some(pool),
+            ..ClusterParams::new(hosts, network)
+        };
+        let out = simulate_cluster(&trace, &params);
+
+        let capacity: f64 = params.hosts.iter().map(|h| h.cores as f64 * h.core_rate()).sum();
+        for bound in [
+            out.sim_work_s / capacity,
+            out.align_busy_s,
+            out.stat_busy_s / stat_engines as f64,
+        ] {
+            // The relative 1e-12 absorbs the rounding of summed service
+            // times.
+            prop_assert!(
+                out.makespan_s >= bound * (1.0 - 1e-12),
+                "makespan {} below a lower bound {bound}: {out:?}",
+                out.makespan_s
+            );
+        }
+        prop_assert_eq!(out.messages, instances * quanta as u64);
+        prop_assert_eq!(out.cuts, samples);
     }
 }

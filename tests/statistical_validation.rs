@@ -257,8 +257,15 @@ fn leaping_kinds_match_ssa_in_distribution_on_neurospora() {
             },
             3_003,
         ),
+        (
+            EngineKind::Hybrid {
+                epsilon: 0.05,
+                threshold: 8.0,
+            },
+            4_004,
+        ),
     ];
-    // One thread per engine: the three ensembles are independent.
+    // One thread per engine: the four ensembles are independent.
     let ensembles: Vec<_> = std::thread::scope(|scope| {
         let runs: Vec<_> = (kinds.iter())
             .map(|&(kind, seed)| scope.spawn(move || neurospora_ensemble(kind, seed, INSTANCES)))
@@ -325,8 +332,15 @@ fn leaping_kinds_vs_ssa_at(model: Model, t: f64) -> Vec<(EngineKind, f64, f64)> 
             },
             3_003,
         ),
+        (
+            EngineKind::Hybrid {
+                epsilon: 0.05,
+                threshold: 8.0,
+            },
+            4_004,
+        ),
     ];
-    // One thread per engine: the three ensembles are independent.
+    // One thread per engine: the four ensembles are independent.
     let ensembles: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let runs: Vec<_> = (kinds.iter())
             .map(|&(kind, seed)| {
@@ -360,16 +374,18 @@ fn assert_leaping_kinds_match_ssa(model: Model, t: f64) {
 
 /// The bimodal case a mean test cannot judge: X at t = 6, when the
 /// ensemble has split between Schlögl's two basins. Measured: D = 0.075
-/// (adaptive, p = 0.61) and D = 0.080 (hybrid, p = 0.53). About 4.5 s in a
-/// debug build on 2 vCPUs.
+/// (adaptive, p = 0.61), D = 0.080 (hybrid at ε 0.03, p = 0.53) and
+/// D = 0.105 (hybrid at ε 0.05, p = 0.21). About 6 s in a debug build on
+/// 2 vCPUs.
 #[test]
 fn leaping_kinds_match_ssa_in_distribution_on_schlogl() {
     assert_leaping_kinds_match_ssa(biomodels::schlogl(biomodels::SchloglParams::default()), 6.0);
 }
 
 /// Prey at t = 6 on Lotka–Volterra, the same setup. Measured: D = 0.075
-/// (adaptive, p = 0.61) and D = 0.095 (hybrid, p = 0.31). About 1 s in a
-/// debug build on 2 vCPUs.
+/// (adaptive, p = 0.61), D = 0.095 (hybrid at ε 0.03, p = 0.31) and
+/// D = 0.125 (hybrid at ε 0.05, p = 0.081). About 1 s in a debug build on
+/// 2 vCPUs.
 #[test]
 fn leaping_kinds_match_ssa_in_distribution_on_lotka_volterra() {
     assert_leaping_kinds_match_ssa(
