@@ -321,6 +321,33 @@ mod tests {
     }
 
     #[test]
+    fn recorded_neurospora_trace_keeps_its_bits() {
+        // Pins the DES input bit for bit (events, batch sizes, sample
+        // count) across refactors of the quantum runner `record` drives.
+        let model = Arc::new(biomodels::neurospora_flat(
+            biomodels::NeurosporaParams::default(),
+        ));
+        let trace = WorkloadTrace::record(model, 3, 2014, 2.0, 4.0, 1.0, 0.25);
+        // FNV-1a over the event matrix, quantum-major.
+        let digest = trace
+            .events
+            .iter()
+            .flatten()
+            .flat_map(|e| e.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!((trace.quanta, trace.instances), (4, 3));
+        assert_eq!(
+            digest, 13_540_245_275_620_362_241,
+            "events {:?}",
+            trace.events
+        );
+        assert_eq!(trace.mean_batch_bytes.to_bits(), 4_641_276_075_354_095_616);
+        assert_eq!(trace.samples_per_instance, 17); // 2.0..=6.0 step 0.25
+    }
+
+    #[test]
     fn record_compiles_the_model_once() {
         let model = Arc::new(decay(30, 1.0));
         let before = ModelDeps::thread_compile_count();
