@@ -366,11 +366,6 @@ impl SimConfig {
         self
     }
 
-    /// The paper's Q/τ ratio.
-    pub fn q_over_tau(&self) -> f64 {
-        self.quantum / self.sample_period
-    }
-
     /// Number of samples each instance produces (grid 0, τ, 2τ, … ≤ t_end).
     pub fn samples_per_instance(&self) -> u64 {
         (self.t_end / self.sample_period).floor() as u64 + 1
@@ -513,12 +508,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         SimConfig::new(10, 100.0).validate().unwrap();
-    }
-
-    #[test]
-    fn q_over_tau_matches_paper_knob() {
-        let cfg = SimConfig::new(1, 100.0).quantum(5.0).sample_period(0.5);
-        assert!((cfg.q_over_tau() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   engine set);
 //! - [`task`]: the engine-agnostic simulation task objects streamed
 //!   through the farm (any [`EngineKind`]: SSA, adaptive tau-leaping,
-//!   hybrid SSA/tau, batched SSA);
+//!   hybrid SSA/tau, batched SSA) — `gillespie`'s one quantum runner,
+//!   re-exported, and the batched kind's coarser grain;
 //! - [`sim_farm`]: the farm of simulation engines — one master, one
 //!   worker, one constructor — with per-quantum rescheduling;
 //! - [`alignment`]: re-groups interleaved samples into time-ordered cuts;

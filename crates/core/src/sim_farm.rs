@@ -427,9 +427,20 @@ mod tests {
     fn farm_results_equal_sequential_execution() {
         let model = Arc::new(decay(25, 1.0));
         // Sequential reference.
+        let deps = Arc::new(ModelDeps::compile(&model));
         let mut expected: HashMap<u64, Samples> = HashMap::new();
         for i in 0..4 {
-            let mut task = SimTask::new(Arc::clone(&model), 3, i, 3.0, 0.75, 0.25);
+            let mut task = SimTask::with_engine_deps(
+                EngineKind::Ssa,
+                Arc::clone(&model),
+                Arc::clone(&deps),
+                3,
+                i,
+                3.0,
+                0.75,
+                0.25,
+            )
+            .unwrap();
             let samples = expected.entry(i).or_default();
             while !task.is_done() {
                 task.run_quantum(samples);
@@ -540,7 +551,10 @@ mod tests {
         let events = Arc::new(AtomicU64::new(0));
         let mut worker = SimWorker::new(steering.clone(), Arc::clone(&events));
         let (tx, rx) = fastflow::channel::unbounded();
-        let task = SimTask::new(Arc::new(decay(30, 1.0)), 1, 0, 2.0, 1.0, 0.5);
+        let model = Arc::new(decay(30, 1.0));
+        let deps = Arc::new(ModelDeps::compile(&model));
+        let task =
+            SimTask::with_engine_deps(EngineKind::Ssa, model, deps, 1, 0, 2.0, 1.0, 0.5).unwrap();
         steering.terminate();
         assert!(worker.on_task(task, &mut Outbox::new(&tx)).is_none());
         assert!(rx.try_recv().is_err());

@@ -25,16 +25,6 @@ pub struct Window {
 }
 
 impl Window {
-    /// Time of the first cut.
-    pub fn start_time(&self) -> f64 {
-        self.cuts.first().map(|c| c.time).unwrap_or(0.0)
-    }
-
-    /// Time of the last cut.
-    pub fn end_time(&self) -> f64 {
-        self.cuts.last().map(|c| c.time).unwrap_or(0.0)
-    }
-
     /// The trailing cuts that this window is responsible for analysing.
     pub fn fresh_cuts(&self) -> &[Cut] {
         &self.cuts[self.cuts.len() - self.fresh..]
@@ -307,13 +297,6 @@ mod tests {
             let expect: Vec<u64> = (0..17).collect();
             assert_eq!(covered, expect, "width={width} slide={slide}");
         }
-    }
-
-    #[test]
-    fn window_time_accessors() {
-        let ws = run(3, 1, 4);
-        assert_eq!(ws[0].start_time(), 0.0);
-        assert_eq!(ws[0].end_time(), 2.0);
     }
 
     #[test]

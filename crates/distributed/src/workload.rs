@@ -94,18 +94,11 @@ impl WorkloadTrace {
             let mut q = 0;
             let mut produced = 0u64;
             while !task.is_done() {
-                let mut samples = Vec::new();
-                let fired = task.run_quantum(&mut samples);
+                let batch = task.run_quantum_batch();
                 if q < quanta {
-                    events[q][i as usize] = fired;
+                    events[q][i as usize] = batch.events;
                 }
-                produced += samples.len() as u64;
-                let batch = cwcsim::task::SampleBatch {
-                    instance: i,
-                    samples,
-                    events: fired,
-                    finished: task.is_done(),
-                };
+                produced += batch.samples.len() as u64;
                 total_bytes += wire::encoded_size(&batch);
                 batches += 1;
                 q += 1;

@@ -122,11 +122,6 @@ impl<T> Scheduler<'_, T> {
         self.dispatch.ready.clear();
     }
 
-    /// Number of workers in the farm.
-    pub fn worker_count(&self) -> usize {
-        self.dispatch.inflight.len()
-    }
-
     /// Tasks submitted and not yet completed: waiting in the ready queue,
     /// queued at a worker, or executing.
     pub fn inflight(&self) -> usize {

@@ -123,7 +123,9 @@ mod tests {
             let mut clock = SampleClock::new(0.0, period);
             let mut samples = Vec::new();
             for &q in &quanta {
-                samples.extend(replica.advance_quantum(q, &mut clock).samples);
+                replica.run_sampled(q, &mut clock, |t, v| {
+                    samples.push((t, crate::trajectory::Row::from_slice(v)))
+                });
             }
             let mut scalar = SsaEngine::new(Arc::clone(&model), base_seed, instance);
             let mut clock = SampleClock::new(0.0, period);

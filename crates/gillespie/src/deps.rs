@@ -146,12 +146,6 @@ impl RuleDeps {
             kept,
         }
     }
-
-    /// True when the rule matches compartments (has LHS compartment
-    /// patterns).
-    pub fn reads_children(&self) -> bool {
-        !self.child_wrap_reads.is_empty() || !self.child_content_reads.is_empty()
-    }
 }
 
 /// `plus − minus` as a sparse signed delta, ascending species order,

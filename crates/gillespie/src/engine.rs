@@ -46,18 +46,6 @@ use crate::adaptive::AdaptiveTauEngine;
 use crate::deps::ModelDeps;
 use crate::flat::FlatModelError;
 use crate::ssa::{SampleClock, SsaEngine};
-use crate::trajectory::Row;
-
-/// Everything one quantum of one instance produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantumOutcome {
-    /// `(grid time, observable values)` pairs emitted in the quantum,
-    /// in time order.
-    pub samples: Vec<(f64, Row)>,
-    /// Reaction firings committed during the quantum (for workload
-    /// accounting; a leap counts every firing it commits).
-    pub events: u64,
-}
 
 /// Configuration-level engine selector.
 ///
@@ -387,8 +375,8 @@ pub enum EngineStep {
 /// generics in the task types).
 ///
 /// All methods dispatch to the wrapped engine. One call to
-/// [`advance_quantum`](Engine::advance_quantum) (or
-/// [`run_sampled`](Engine::run_sampled), its non-collecting form) is what
+/// [`run_sampled`](Engine::run_sampled), made by
+/// [`SimTask::run_quantum`](crate::task::SimTask::run_quantum), is what
 /// a farm worker, a remote farm or a GPGPU "kernel" executes per
 /// scheduling round, and every variant is *slicing-invariant*: any
 /// partition of `[0, t_end]` into quanta yields the same trajectory and
@@ -521,19 +509,25 @@ impl Engine {
             Engine::AdaptiveTau(e) => e.run_sampled(t_end, clock, on_sample),
         }
     }
-
-    /// Advances to `t_goal`, collecting the quantum's samples and events.
-    pub fn advance_quantum(&mut self, t_goal: f64, clock: &mut SampleClock) -> QuantumOutcome {
-        let mut samples = Vec::with_capacity(clock.due_by(t_goal));
-        let events = self.run_sampled(t_goal, clock, |t, v| samples.push((t, Row::from_slice(v))));
-        QuantumOutcome { samples, events }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::Row;
     use cwc::model::Model;
+
+    /// Advances `engine` to `t_goal`: the quantum's samples and events.
+    fn quantum(
+        engine: &mut Engine,
+        t_goal: f64,
+        clock: &mut SampleClock,
+    ) -> (Vec<(f64, Row)>, u64) {
+        let mut samples = Vec::new();
+        let events =
+            engine.run_sampled(t_goal, clock, |t, v| samples.push((t, Row::from_slice(v))));
+        (samples, events)
+    }
 
     fn decay_model(n: u64, rate: f64) -> Arc<Model> {
         let mut m = Model::new("decay");
@@ -636,9 +630,8 @@ mod tests {
             let mut wrapped = kind.build(m(), 7, 2).unwrap();
             assert_eq!(wrapped.instance(), 2, "{kind}");
             let mut clock = SampleClock::new(0.0, 0.25);
-            let outcome = wrapped.advance_quantum(3.0, &mut clock);
-            assert_eq!(outcome.samples, samples, "{kind}");
-            assert_eq!(outcome.events, events, "{kind}");
+            let outcome = quantum(&mut wrapped, 3.0, &mut clock);
+            assert_eq!(outcome, (samples, events), "{kind}");
             assert_eq!(wrapped.events(), events, "{kind}");
             assert_eq!(wrapped.time(), time, "{kind}");
         }
@@ -844,9 +837,9 @@ mod tests {
         let mut c2 = SampleClock::new(0.0, 0.25);
         let mut events = 0;
         for t in [0.6, 1.9, 4.0] {
-            let want = scalar.advance_quantum(t, &mut c1);
-            events += want.events;
-            assert_eq!(batch_built.advance_quantum(t, &mut c2), want, "t = {t}");
+            let want = quantum(&mut scalar, t, &mut c1);
+            events += want.1;
+            assert_eq!(quantum(&mut batch_built, t, &mut c2), want, "t = {t}");
         }
         assert!(events > 0, "the compartment rule never fired");
         assert_eq!(batch_built.term(), scalar.term());
@@ -865,8 +858,8 @@ mod tests {
         let mut c1 = SampleClock::new(0.0, 0.25);
         let mut c2 = SampleClock::new(0.0, 0.25);
         assert_eq!(
-            scalar.advance_quantum(3.0, &mut c1),
-            batch_built.advance_quantum(3.0, &mut c2),
+            quantum(&mut scalar, 3.0, &mut c1),
+            quantum(&mut batch_built, 3.0, &mut c2),
         );
     }
 

@@ -27,6 +27,10 @@
 //!   tree-matching propensities), and the SoA propensity row both cores
 //!   share — one ordered `-0.0`-identity prefix fold and one selection,
 //!   on the [`kernels`] layer's `row_fold_from`/`row_select`;
+//! - [`task`]: the unit of work of every back-end — [`task::SimTask`]
+//!   runs one quantum of one instance and packs it as a
+//!   [`task::SampleBatch`] (the only quantum runner, and the only thing a
+//!   quantum produces);
 //! - [`trajectory`]: the sample [`Row`] (a few counts, held inline) and
 //!   the time-aligned [`Cut`];
 //! - [`flat`]: the compiled flat form of a model — slot tables, the
@@ -60,12 +64,13 @@ pub mod flat;
 pub mod rng;
 pub mod ssa;
 pub mod table;
+pub mod task;
 pub mod trajectory;
 
 pub use adaptive::AdaptiveTauEngine;
 pub use batch::kernels;
 pub use deps::{KeptChild, ModelDeps, RuleDeps};
-pub use engine::{Engine, EngineError, EngineKind, EngineStep, QuantumOutcome};
+pub use engine::{Engine, EngineError, EngineKind, EngineStep};
 pub use flat::FlatModelError;
 pub use kernels::KernelDispatch;
 pub use rng::{instance_seed, sim_rng, SimRng};

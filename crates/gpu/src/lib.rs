@@ -11,25 +11,27 @@
 //! - [`executor`]: lockstep-warp timing with list-scheduled warp slots and
 //!   optional per-quantum re-packing of instances into warps;
 //! - [`map_device`]: the functional `ff_mapCUDA` equivalent — it advances
-//!   *real* engines behind the [`gillespie::engine::Engine`] abstraction
-//!   (any [`gillespie::engine::EngineKind`]: SSA, adaptive
-//!   tau-leaping, hybrid, batched SSA) under kernel-barrier semantics, so
-//!   simulation results are bit-identical to CPU execution while the timing comes from the
-//!   SIMT model.
+//!   one [`gillespie::task::SimTask`] per lane, the CPU farm's own quantum
+//!   runner (any [`gillespie::engine::EngineKind`]: SSA, adaptive
+//!   tau-leaping, hybrid, batched SSA), under kernel-barrier semantics, so
+//!   simulation results are bit-identical to CPU execution while the
+//!   timing comes from the SIMT model.
 //!
 //! ## Example
 //!
 //! ```
+//! use gillespie::engine::EngineKind;
 //! use simt::{DeviceMap, DeviceSpec, WarpPacking};
 //! use std::sync::Arc;
 //!
 //! let model = Arc::new(biomodels::simple::decay(50, 1.0));
-//! let mut device = DeviceMap::new(model, 8, 42, 2.0, 0.5, 0.25);
-//! let outputs = device.run_to_end();
+//! let mut device = DeviceMap::new(EngineKind::Ssa, model, 8, 42, 2.0, 0.5, 0.25)?;
+//! let outputs = device.run_to_end(); // the lanes' `SampleBatch`es, kernel by kernel
 //! assert!(!outputs.is_empty());
 //! let timing = device.device_timing(&DeviceSpec::tesla_k40(1e-6),
 //!                                   WarpPacking::RebalanceEachQuantum);
 //! assert!(timing.divergence >= 1.0);
+//! # Ok::<(), gillespie::engine::EngineError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -41,4 +43,4 @@ pub mod map_device;
 
 pub use device::DeviceSpec;
 pub use executor::{simulate_device_run, GpuRunReport, WarpPacking};
-pub use map_device::{DeviceMap, KernelOutput};
+pub use map_device::DeviceMap;

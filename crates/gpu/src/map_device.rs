@@ -6,76 +6,44 @@
 //! owns the set of resident simulation instances, advances all of them one
 //! quantum per "kernel" under the barrier semantics of the CUDA execution
 //! model (no outcome is visible until the whole kernel retires), and
-//! returns both the *real* simulation results — computed by the actual
-//! engines behind the [`Engine`] abstraction, so they are bit-identical to
-//! a CPU run with the same seeds and engine kind — and the *simulated*
-//! device timing from [`crate::executor::simulate_device_run`].
+//! returns both the *real* simulation results — each lane is the CPU
+//! farm's own [`SimTask`], stepped by the same
+//! [`SimTask::run_quantum`], so they are bit-identical to a CPU run with
+//! the same seeds and engine kind — and the *simulated* device timing from
+//! [`crate::executor::simulate_device_run`].
 
 use std::sync::Arc;
 
 use cwc::model::Model;
-use gillespie::engine::{Engine, EngineError, EngineKind};
-use gillespie::ssa::SampleClock;
-use gillespie::trajectory::Row;
+use gillespie::deps::ModelDeps;
+use gillespie::engine::{EngineError, EngineKind};
+use gillespie::task::{SampleBatch, SimTask};
 
 use crate::device::DeviceSpec;
 use crate::executor::{simulate_device_run, GpuRunReport, WarpPacking};
 
-/// A batch of samples produced by one instance during one kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelOutput {
-    /// Instance id.
-    pub instance: u64,
-    /// `(grid time, observable values)` pairs produced in the quantum.
-    pub samples: Vec<(f64, Row)>,
-}
-
 /// The device-resident map: all instances advance in lockstep quanta.
 #[derive(Debug)]
 pub struct DeviceMap {
-    /// One engine per lane, advanced lane by lane (a batched kind's
-    /// groups are scalar direct-method engines too, so its lanes are
-    /// laid out like every other kind's).
-    lanes: Vec<Engine>,
-    clocks: Vec<SampleClock>,
-    t_end: f64,
-    quantum: f64,
+    /// One task per lane, advanced lane by lane (a batched kind's groups
+    /// are scalar direct-method tasks too, so its lanes are laid out like
+    /// every other kind's).
+    lanes: Vec<SimTask>,
     /// Event counts per executed kernel (the timing model's input).
     events_log: Vec<Vec<u64>>,
-    time: f64,
 }
 
 impl DeviceMap {
-    /// Loads `instances` direct-method (SSA) trajectories of `model` onto
-    /// the device — the paper's configuration.
-    pub fn new(
-        model: Arc<Model>,
-        instances: u64,
-        base_seed: u64,
-        t_end: f64,
-        quantum: f64,
-        sample_period: f64,
-    ) -> Self {
-        Self::with_engine(
-            EngineKind::Ssa,
-            model,
-            instances,
-            base_seed,
-            t_end,
-            quantum,
-            sample_period,
-        )
-        .expect("SSA engine construction is infallible")
-    }
-
-    /// Loads `instances` trajectories driven by the given engine kind.
+    /// Loads `instances` trajectories of `model`, driven by the given
+    /// engine kind, onto the device ([`EngineKind::Ssa`] is the paper's
+    /// configuration).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] when `kind` cannot drive `model` (e.g.
     /// adaptive tau-leaping on a compartment model).
     #[allow(clippy::too_many_arguments)]
-    pub fn with_engine(
+    pub fn new(
         kind: EngineKind,
         model: Arc<Model>,
         instances: u64,
@@ -86,57 +54,56 @@ impl DeviceMap {
     ) -> Result<Self, EngineError> {
         // Compile the model once for the whole device load; every lane's
         // engine shares the dependency graph.
-        let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
+        let deps = Arc::new(ModelDeps::compile(&model));
         let lanes = (0..instances)
-            .map(|i| kind.build_with_deps(Arc::clone(&model), Arc::clone(&deps), base_seed, i))
+            .map(|i| {
+                SimTask::with_engine_deps(
+                    kind,
+                    Arc::clone(&model),
+                    Arc::clone(&deps),
+                    base_seed,
+                    i,
+                    t_end,
+                    quantum,
+                    sample_period,
+                )
+            })
             .collect::<Result<_, _>>()?;
-        let clocks = (0..instances)
-            .map(|_| SampleClock::new(0.0, sample_period))
-            .collect();
         Ok(DeviceMap {
             lanes,
-            clocks,
-            t_end,
-            quantum,
             events_log: Vec::new(),
-            time: 0.0,
         })
     }
 
     /// True when every instance reached the horizon.
     pub fn is_done(&self) -> bool {
-        self.time >= self.t_end
+        self.lanes.iter().all(SimTask::is_done)
     }
 
-    /// Executes one kernel: every unfinished instance advances one quantum.
+    /// Executes one kernel: every instance advances one quantum.
     ///
-    /// Returns the outputs of all instances (the kernel-wide barrier:
+    /// Returns the batches of all instances (the kernel-wide barrier:
     /// nothing is returned until everything in the kernel finished, exactly
     /// the "collection of outcomes could not start until all the instances
-    /// have completed the quantum" constraint).
-    pub fn run_kernel(&mut self) -> Vec<KernelOutput> {
-        let horizon = (self.time + self.quantum).min(self.t_end);
-        let mut events = vec![0u64; self.clocks.len()];
-        let mut outputs = Vec::with_capacity(self.clocks.len());
-        for (i, engine) in self.lanes.iter_mut().enumerate() {
-            // The "kernel" only needs advance-one-quantum, whatever the
-            // integrator.
-            let outcome = engine.advance_quantum(horizon, &mut self.clocks[i]);
-            events[i] = outcome.events;
-            if !outcome.samples.is_empty() {
-                outputs.push(KernelOutput {
-                    instance: engine.instance(),
-                    samples: outcome.samples,
-                });
+    /// have completed the quantum" constraint). Like the CPU farm's
+    /// workers, the map forwards a batch only when it carries samples or
+    /// finishes its trajectory.
+    pub fn run_kernel(&mut self) -> Vec<SampleBatch> {
+        let mut events = Vec::with_capacity(self.lanes.len());
+        let mut outputs = Vec::with_capacity(self.lanes.len());
+        for lane in &mut self.lanes {
+            let batch = lane.run_quantum_batch();
+            events.push(batch.events);
+            if !batch.samples.is_empty() || batch.finished {
+                outputs.push(batch);
             }
         }
         self.events_log.push(events);
-        self.time = horizon;
         outputs
     }
 
     /// Runs kernels until the horizon, returning all outputs.
-    pub fn run_to_end(&mut self) -> Vec<KernelOutput> {
+    pub fn run_to_end(&mut self) -> Vec<SampleBatch> {
         let mut all = Vec::new();
         while !self.is_done() {
             all.extend(self.run_kernel());
@@ -165,9 +132,20 @@ impl DeviceMap {
 mod tests {
     use super::*;
     use biomodels::simple::decay;
+    use gillespie::ssa::SampleClock;
+    use gillespie::trajectory::Row;
 
     fn map() -> DeviceMap {
-        DeviceMap::new(Arc::new(decay(30, 1.0)), 4, 9, 2.0, 0.5, 0.25)
+        DeviceMap::new(
+            EngineKind::Ssa,
+            Arc::new(decay(30, 1.0)),
+            4,
+            9,
+            2.0,
+            0.5,
+            0.25,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -199,13 +177,16 @@ mod tests {
             EngineKind::Batched { width: 3 },
         ] {
             let mut device =
-                DeviceMap::with_engine(kind, Arc::clone(&model), 4, 9, 2.0, 0.5, 0.25).unwrap();
+                DeviceMap::new(kind, Arc::clone(&model), 4, 9, 2.0, 0.5, 0.25).unwrap();
             let outputs = device.run_to_end();
 
             for i in 0..4u64 {
                 let mut engine = kind.build(Arc::clone(&model), 9, i).unwrap();
                 let mut clock = SampleClock::new(0.0, 0.25);
-                let expected = engine.advance_quantum(2.0, &mut clock).samples;
+                let mut expected = Vec::new();
+                engine.run_sampled(2.0, &mut clock, |t, v| {
+                    expected.push((t, Row::from_slice(v)))
+                });
                 let got: Vec<(f64, Row)> = outputs
                     .iter()
                     .filter(|o| o.instance == i)

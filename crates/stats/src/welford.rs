@@ -86,11 +86,6 @@ impl Running {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min

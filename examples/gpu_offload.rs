@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use cwc_repro::biomodels::neurospora::{neurospora_flat, NeurosporaParams};
 use cwc_repro::distrt::workload::CostModel;
+use cwc_repro::gillespie::engine::EngineKind;
 use cwc_repro::simt::{DeviceMap, DeviceSpec, WarpPacking};
 
 fn main() {
@@ -19,7 +20,16 @@ fn main() {
     let tau = 0.5;
 
     eprintln!("running {instances} instances on the simulated device ...");
-    let mut device_map = DeviceMap::new(Arc::clone(&model), instances, 11, t_end, quantum, tau);
+    let mut device_map = DeviceMap::new(
+        EngineKind::Ssa,
+        Arc::clone(&model),
+        instances,
+        11,
+        t_end,
+        quantum,
+        tau,
+    )
+    .expect("the direct method drives every model");
     let outputs = device_map.run_to_end();
     let samples: usize = outputs.iter().map(|o| o.samples.len()).sum();
     println!("device produced {samples} samples from {instances} instances");

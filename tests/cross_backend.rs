@@ -71,9 +71,10 @@ fn sharded_farm_matches_multicore_for_every_engine_kind() {
 }
 
 /// Runs `kind` on the simulated device and asserts every instance's
-/// samples equal those of the plain engine driven to the horizon at once.
+/// samples and events equal those of the plain engine driven to the
+/// horizon at once, and that exactly its last batch is marked finished.
 fn assert_device_matches_plain_engines(kind: EngineKind, model: &Arc<Model>, cfg: &SimConfig) {
-    let mut device = DeviceMap::with_engine(
+    let mut device = DeviceMap::new(
         kind,
         Arc::clone(model),
         cfg.instances,
@@ -88,13 +89,23 @@ fn assert_device_matches_plain_engines(kind: EngineKind, model: &Arc<Model>, cfg
     for i in 0..cfg.instances {
         let mut engine = kind.build(Arc::clone(model), cfg.base_seed, i).unwrap();
         let mut clock = SampleClock::new(0.0, cfg.sample_period);
-        let expected = engine.advance_quantum(cfg.t_end, &mut clock).samples;
-        let got: Vec<(f64, Row)> = outputs
-            .iter()
-            .filter(|o| o.instance == i)
-            .flat_map(|o| o.samples.clone())
-            .collect();
+        let mut expected = Vec::new();
+        let fired = engine.run_sampled(cfg.t_end, &mut clock, |t, v| {
+            expected.push((t, Row::from_slice(v)))
+        });
+        let batches: Vec<_> = outputs.iter().filter(|o| o.instance == i).collect();
+        let got: Vec<(f64, Row)> = batches.iter().flat_map(|o| o.samples.clone()).collect();
         assert_eq!(got, expected, "{kind}: instance {i} diverged on the device");
+        let events: u64 = batches.iter().map(|o| o.events).sum();
+        assert_eq!(events, fired, "{kind}: instance {i} batch events");
+        let logged: u64 = device.events_log().iter().map(|k| k[i as usize]).sum();
+        assert_eq!(logged, fired, "{kind}: instance {i} kernel event log");
+        let finished: Vec<bool> = batches.iter().map(|o| o.finished).collect();
+        let mut last_only = vec![false; finished.len()];
+        *last_only
+            .last_mut()
+            .expect("every instance forwards a batch") = true;
+        assert_eq!(finished, last_only, "{kind}: instance {i} finished flags");
     }
 }
 
@@ -147,7 +158,7 @@ fn gpu_quantum_size_does_not_change_results() {
     for kind in engine_kinds() {
         let run = |quantum: f64| {
             let mut device =
-                DeviceMap::with_engine(kind, Arc::clone(&model), 6, 5, 2.0, quantum, 0.25).unwrap();
+                DeviceMap::new(kind, Arc::clone(&model), 6, 5, 2.0, quantum, 0.25).unwrap();
             let mut out = device.run_to_end();
             out.sort_by_key(|o| o.instance);
             out.into_iter()
@@ -164,20 +175,24 @@ fn gpu_quantum_size_does_not_change_results() {
 fn wire_codec_round_trips_real_batches() {
     use cwc_repro::cwcsim::task::{SampleBatch, SimTask};
     use cwc_repro::distrt::{from_bytes, to_bytes};
+    use cwc_repro::gillespie::deps::ModelDeps;
 
     let model = Arc::new(biomodels::simple::decay(30, 1.0));
+    let deps = Arc::new(ModelDeps::compile(&model));
     for kind in engine_kinds() {
-        let mut task =
-            SimTask::with_engine(kind, Arc::clone(&model), 3, 0, 2.0, 0.5, 0.25).unwrap();
+        let mut task = SimTask::with_engine_deps(
+            kind,
+            Arc::clone(&model),
+            Arc::clone(&deps),
+            3,
+            0,
+            2.0,
+            0.5,
+            0.25,
+        )
+        .unwrap();
         while !task.is_done() {
-            let mut samples = Vec::new();
-            let events = task.run_quantum(&mut samples);
-            let batch = SampleBatch {
-                instance: task.instance(),
-                samples,
-                events,
-                finished: task.is_done(),
-            };
+            let batch = task.run_quantum_batch();
             let bytes = to_bytes(&batch);
             let back: SampleBatch = from_bytes(&bytes).unwrap();
             assert_eq!(back, batch, "{kind}");

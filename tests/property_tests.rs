@@ -330,7 +330,8 @@ proptest! {
         // stream carries one batch per instance and quantum and yields
         // one cut per sample. Monotonicity is not asserted: more
         // bandwidth, less latency or faster cores can lengthen a run
-        // (ROADMAP item 17).
+        // (CHANGES.md's FOUND on `simulate_cluster` monotonicity gives a
+        // reproducing case).
         let trace = WorkloadTrace {
             events: events
                 .chunks(12)

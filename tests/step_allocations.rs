@@ -39,6 +39,7 @@ use cwc_repro::biomodels::{
 use cwc_repro::cwcsim::task::SimTask;
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
+use cwc_repro::gillespie::deps::ModelDeps;
 use cwc_repro::gillespie::engine::{Engine, EngineKind, EngineStep};
 use cwc_repro::gillespie::ssa::SampleClock;
 use cwc_repro::gillespie::trajectory::{Cut, Row};
@@ -219,8 +220,19 @@ fn a_sampled_quantum_batch_is_one_allocation_whatever_its_sample_count() {
     // sample vector once from the clock, so a quantum's batch is one
     // allocation, not one per sample.
     let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
+    let deps = Arc::new(ModelDeps::compile(&model));
     for period in [0.002, 0.02] {
-        let mut task = SimTask::new(Arc::clone(&model), 2014, 3, 0.8, 0.1, period);
+        let mut task = SimTask::with_engine_deps(
+            EngineKind::Ssa,
+            Arc::clone(&model),
+            Arc::clone(&deps),
+            2014,
+            3,
+            0.8,
+            0.1,
+            period,
+        )
+        .unwrap();
         // Warm-up quantum: the engine sizes its reusable buffers.
         drop(task.run_quantum_batch());
         let (mut quanta, mut samples) = (0u64, 0usize);
