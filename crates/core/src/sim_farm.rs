@@ -195,12 +195,10 @@ impl<T> TaskMaster<T> {
 
 /// Worker node of the simulation farm: runs one quantum per task.
 ///
-/// An instance's batch is forwarded only when it carries samples or
-/// finishes the trajectory — the same rule for both task grains, so the
-/// sample streams reaching the downstream stages do not depend on the
-/// unit of scheduling. Events are counted here, at the source, because a
-/// quantum shorter than the sampling period fires events and forwards
-/// nothing.
+/// An instance's batch is forwarded under [`SampleBatch::should_forward`]
+/// — the same rule for both task grains and the GPU map. Events are
+/// counted here, at the source, because a quantum shorter than the
+/// sampling period fires events and forwards nothing.
 #[derive(Debug)]
 pub struct SimWorker<T> {
     steering: Steering,
@@ -232,7 +230,7 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
         let mut events = 0;
         task.quantum(|batch| {
             events += batch.events;
-            if !batch.samples.is_empty() || batch.finished {
+            if batch.should_forward() {
                 out.push(batch);
             }
         });

@@ -123,6 +123,17 @@ pub struct SampleBatch {
     pub finished: bool,
 }
 
+impl SampleBatch {
+    /// The forwarding rule of every back-end: a batch travels downstream
+    /// only when it carries samples or finishes its trajectory, so the
+    /// sample streams do not depend on the unit of scheduling. (A quantum
+    /// shorter than the sampling period can fire events and emit nothing;
+    /// its events are counted where it ran.)
+    pub fn should_forward(&self) -> bool {
+        !self.samples.is_empty() || self.finished
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,15 +86,15 @@ impl DeviceMap {
     /// nothing is returned until everything in the kernel finished, exactly
     /// the "collection of outcomes could not start until all the instances
     /// have completed the quantum" constraint). Like the CPU farm's
-    /// workers, the map forwards a batch only when it carries samples or
-    /// finishes its trajectory.
+    /// workers, the map returns only the batches that
+    /// [`SampleBatch::should_forward`].
     pub fn run_kernel(&mut self) -> Vec<SampleBatch> {
         let mut events = Vec::with_capacity(self.lanes.len());
         let mut outputs = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
             let batch = lane.run_quantum_batch();
             events.push(batch.events);
-            if !batch.samples.is_empty() || batch.finished {
+            if batch.should_forward() {
                 outputs.push(batch);
             }
         }
