@@ -81,6 +81,7 @@ impl SimTask {
 
     /// Runs one quantum and packs it as the instance's [`SampleBatch`]
     /// (the unit the farm forwards towards alignment).
+    #[inline]
     pub fn run_quantum_batch(&mut self) -> SampleBatch {
         let mut samples = Vec::new();
         let events = self.run_quantum(&mut samples);
@@ -96,6 +97,12 @@ impl SimTask {
     /// samples to `out`.
     ///
     /// Returns the number of reactions fired in the quantum.
+    ///
+    /// `#[inline]` (here and on [`SimTask::run_quantum_batch`]) lets the
+    /// engine loop this instantiates be compiled in the calling crate, next
+    /// to the farm worker: compiled inside this crate instead, the
+    /// Neurospora farm ran ≈ 4 % slower end to end.
+    #[inline]
     pub fn run_quantum(&mut self, out: &mut Vec<(f64, Row)>) -> u64 {
         let horizon = (self.engine.time() + self.quantum).min(self.t_end);
         // The clock knows the quantum's sample count: grow `out` once, then

@@ -80,7 +80,7 @@ impl DeviceMap {
         self.lanes.iter().all(SimTask::is_done)
     }
 
-    /// Executes one kernel: every instance advances one quantum.
+    /// Executes one kernel: every unfinished instance advances one quantum.
     ///
     /// Returns the batches of all instances (the kernel-wide barrier:
     /// nothing is returned until everything in the kernel finished, exactly
@@ -92,6 +92,11 @@ impl DeviceMap {
         let mut events = Vec::with_capacity(self.lanes.len());
         let mut outputs = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
+            if lane.is_done() {
+                // Its final batch has been returned already: it idles.
+                events.push(0);
+                continue;
+            }
             let batch = lane.run_quantum_batch();
             events.push(batch.events);
             if batch.should_forward() {
@@ -156,8 +161,13 @@ mod tests {
         assert_eq!(m.events_log().len(), 1);
         m.run_kernel();
         m.run_kernel();
-        m.run_kernel();
+        let last = m.run_kernel();
+        assert_eq!(last.len(), 4);
+        assert!(last.iter().all(|b| b.finished));
         assert!(m.is_done());
+        // A kernel past the horizon finds every lane idle.
+        assert!(m.run_kernel().is_empty());
+        assert_eq!(m.events_log().last(), Some(&vec![0; 4]));
     }
 
     #[test]
