@@ -101,7 +101,8 @@ impl SimTask {
     /// `#[inline]` (here and on [`SimTask::run_quantum_batch`]) lets the
     /// engine loop this instantiates be compiled in the calling crate, next
     /// to the farm worker: compiled inside this crate instead, the
-    /// Neurospora farm ran ≈ 4 % slower end to end.
+    /// Neurospora farm ran ≈ 4 % slower end to end (2-vCPU Xeon, default
+    /// release profile).
     #[inline]
     pub fn run_quantum(&mut self, out: &mut Vec<(f64, Row)>) -> u64 {
         let horizon = (self.engine.time() + self.quantum).min(self.t_end);
