@@ -9,11 +9,14 @@
 
 use gillespie::trajectory::Cut;
 use streamstat::histogram::Histogram;
-use streamstat::kmeans::kmeans1d;
+use streamstat::kmeans::{kmeans1d, kmeans1d_counts, KMeansScratch};
 use streamstat::quantile::P2Quantile;
 use streamstat::welford::Running;
 
 use crate::windows::Window;
+
+/// Lloyd iteration cap of the k-means engine.
+const KMEANS_ITERATIONS: usize = 50;
 
 /// Selection of statistical engines to run on every window.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,37 +111,85 @@ impl StatEngineSet {
     }
 
     /// Analyses a single cut across all configured engines.
+    ///
+    /// One pass per observable: its counts are gathered once, in instance
+    /// order, and — when k-means or the quantile engine runs — sorted once
+    /// into a copy both read. Every buffer of the call is allocated once,
+    /// whatever the cut's width; only the row's own vectors outlive it.
     pub fn analyse_cut(&self, cut: &Cut) -> StatRow {
+        let width = cut.width();
         let n_obs = cut.values.first().map(|v| v.len()).unwrap_or(0);
-        let mut observables = Vec::with_capacity(n_obs);
+        let mut observables = vec![ObsStats::default(); n_obs];
+        if width == 0 {
+            return StatRow {
+                time: cut.time,
+                instances: 0,
+                observables,
+            };
+        }
+        // Observable-major copy of the cut: chunk `k` is observable `k`
+        // across the trajectories, in instance order.
+        let mut series = Vec::with_capacity(n_obs * width);
         for k in 0..n_obs {
-            let series = cut.observable(k);
-            let mut stats = ObsStats::default();
-            for engine in &self.engines {
-                match engine {
-                    StatEngineKind::MeanVariance => {
-                        let r: Running = series.iter().copied().collect();
+            series.extend(cut.values.iter().map(|v| v[k]));
+        }
+        let mut sorted = Vec::new();
+        if self.engines.iter().any(|e| {
+            matches!(
+                e,
+                StatEngineKind::KMeans { .. } | StatEngineKind::Quantile { .. }
+            )
+        }) {
+            sorted.extend_from_slice(&series);
+            for obs in sorted.chunks_exact_mut(width) {
+                obs.sort_unstable();
+            }
+        }
+        let columns = series.chunks_exact(width);
+        let sorted_columns = sorted.chunks_exact(width);
+
+        for engine in &self.engines {
+            match engine {
+                StatEngineKind::MeanVariance => {
+                    for (stats, xs) in observables.iter_mut().zip(columns.clone()) {
+                        let r: Running = xs.iter().map(|&x| x as f64).collect();
                         stats.mean = r.mean();
                         stats.variance = r.population_variance();
                         stats.min = r.min();
                         stats.max = r.max();
                     }
-                    StatEngineKind::KMeans { k } => {
-                        if let Some(c) = kmeans1d(&series, *k, 50) {
-                            stats.centroids = c.centroids;
-                        }
+                }
+                StatEngineKind::KMeans { k } => {
+                    let mut scratch = KMeansScratch::default();
+                    let pairs = columns.clone().zip(sorted_columns.clone());
+                    for (stats, (xs, sorted)) in observables.iter_mut().zip(pairs) {
+                        stats.centroids =
+                            kmeans1d_counts(sorted, *k, KMEANS_ITERATIONS, &mut scratch)
+                                .unwrap_or_else(|| {
+                                    // Not vouched for bit for bit: the
+                                    // reference, in instance order.
+                                    let points: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
+                                    kmeans1d(&points, *k, KMEANS_ITERATIONS)
+                                        .map(|c| c.centroids)
+                                        .unwrap_or_default()
+                                });
                     }
-                    StatEngineKind::Quantile { p } => {
+                }
+                StatEngineKind::Quantile { p } => {
+                    for (stats, xs) in observables.iter_mut().zip(columns.clone()) {
                         let mut q = P2Quantile::new(*p);
-                        for &x in &series {
-                            q.push(x);
+                        for &x in xs {
+                            q.push(x as f64);
                         }
                         stats.quantile = q.estimate();
                     }
-                    StatEngineKind::Histogram { lo, hi, bins } => {
-                        let mut h = Histogram::new(*lo, *hi, *bins);
-                        for &x in &series {
-                            h.push(x);
+                }
+                StatEngineKind::Histogram { lo, hi, bins } => {
+                    let mut h = Histogram::new(*lo, *hi, *bins);
+                    for (stats, xs) in observables.iter_mut().zip(columns.clone()) {
+                        h.clear();
+                        for &x in xs {
+                            h.push(x as f64);
                         }
                         stats.mode = h.mode_bin().map(|b| {
                             let (l, r) = h.bin_edges(b);
@@ -147,11 +198,10 @@ impl StatEngineSet {
                     }
                 }
             }
-            observables.push(stats);
         }
         StatRow {
             time: cut.time,
-            instances: cut.width(),
+            instances: width,
             observables,
         }
     }
@@ -228,6 +278,44 @@ mod tests {
         let s = &row.observables[0];
         assert_eq!(s.mean, 15.0);
         assert_eq!(s.centroids, vec![15.0]);
+    }
+
+    #[test]
+    fn kmeans_engine_falls_back_past_the_exact_sum_limit() {
+        // Sums from 2^51 up are not exact in every order: the engine runs
+        // `kmeans1d` on the counts in instance order.
+        let values = vec![1 << 50, 3, (1 << 50) + 5, 7, 1 << 49];
+        let points: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+        let set = StatEngineSet::new(vec![StatEngineKind::KMeans { k: 2 }]);
+        let row = set.analyse_cut(&cut(0.0, values));
+        let want = kmeans1d(&points, 2, KMEANS_ITERATIONS).unwrap().centroids;
+        assert_eq!(row.observables[0].centroids, want);
+    }
+
+    #[test]
+    fn each_observable_is_analysed_on_its_own_column() {
+        let set = StatEngineSet::new(vec![
+            StatEngineKind::MeanVariance,
+            StatEngineKind::KMeans { k: 2 },
+            StatEngineKind::Quantile { p: 0.25 },
+            StatEngineKind::Histogram {
+                lo: 0.0,
+                hi: 100.0,
+                bins: 10,
+            },
+        ]);
+        let rows: Vec<[u64; 3]> = (0..40).map(|i| [i % 7, 90 - i, (i * 37) % 23]).collect();
+        let whole = set.analyse_cut(&Cut {
+            time: 1.0,
+            values: rows.iter().map(|r| Row::from_slice(r)).collect(),
+        });
+        for k in 0..3 {
+            let column = set.analyse_cut(&cut(1.0, rows.iter().map(|r| r[k]).collect()));
+            assert_eq!(
+                whole.observables[k], column.observables[0],
+                "observable {k}"
+            );
+        }
     }
 
     #[test]

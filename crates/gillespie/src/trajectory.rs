@@ -136,11 +136,6 @@ impl Cut {
     pub fn width(&self) -> usize {
         self.values.len()
     }
-
-    /// Extracts observable `k` across all trajectories as `f64`s.
-    pub fn observable(&self, k: usize) -> Vec<f64> {
-        self.values.iter().map(|v| v[k] as f64).collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,17 +147,6 @@ mod tests {
         let mut h = DefaultHasher::new();
         value.hash(&mut h);
         h.finish()
-    }
-
-    #[test]
-    fn cut_accessors() {
-        let c = Cut {
-            time: 2.0,
-            values: vec![Row::from_slice(&[1, 10]), Row::from_slice(&[3, 30])],
-        };
-        assert_eq!(c.width(), 2);
-        assert_eq!(c.observable(0), vec![1.0, 3.0]);
-        assert_eq!(c.observable(1), vec![10.0, 30.0]);
     }
 
     #[test]

@@ -64,6 +64,13 @@ impl Histogram {
         self.count += 1;
     }
 
+    /// Forgets every observation, keeping the geometry and the bins'
+    /// allocation.
+    pub fn clear(&mut self) {
+        self.bins.fill(0);
+        self.count = 0;
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -129,6 +129,125 @@ pub fn kmeans1d(points: &[f64], k: usize, max_iterations: usize) -> Option<Clust
     })
 }
 
+/// Reusable buffers of [`kmeans1d_counts`]: the prefix sums and the
+/// cluster boundaries, grown once and kept across calls.
+#[derive(Debug, Clone, Default)]
+pub struct KMeansScratch {
+    /// `prefix[i]` is the sum of the first `i` sorted points.
+    prefix: Vec<u64>,
+    /// Cluster `c` is `sorted[bounds[c]..bounds[c + 1]]`.
+    bounds: Vec<usize>,
+}
+
+/// A cut whose sum stays below this has every `f64` partial sum exact,
+/// and every `p − c` of its points and centroids rounds by at most 1/8.
+const EXACT_SUM_LIMIT: u64 = 1 << 51;
+
+/// [`kmeans1d`]'s centroids, bit for bit, for integer points given sorted
+/// ascending — `O(k² log n)` per Lloyd step instead of `O(n·k)`.
+///
+/// Empty when [`kmeans1d`] returns `None`. Returns `None` itself when it
+/// cannot vouch for the bits; the caller then runs [`kmeans1d`] on the
+/// points in their own order, whose inexact sums depend on that order.
+///
+/// The initial centroids read straight off the sorted points. Each Lloyd
+/// step is exact on two conditions, checked as it runs:
+///
+/// - the sum stays below 2^51, so every partial sum is an exact integer
+///   in any order (a centroid is a prefix-sum difference over a count)
+///   and every `p − c` rounds by at most 1/8;
+/// - before each assignment step the centroids ascend with gaps ≥ 1,
+///   which every step that leaves no cluster empty restores (its clusters
+///   are runs of distinct integers).
+///
+/// Under both, the first nearest centroid of an integer point cannot
+/// decrease as the point grows, so each cluster is a contiguous range of
+/// the sorted points and its boundary is a binary search with the same
+/// predicate [`kmeans1d`] assigns by. A step "changes" when a boundary
+/// moves; the iteration cap, break rule and final sort are
+/// [`kmeans1d`]'s.
+///
+/// # Examples
+///
+/// ```
+/// use streamstat::kmeans::{kmeans1d, kmeans1d_counts, KMeansScratch};
+///
+/// let sorted = [1, 1, 2, 9, 10, 10];
+/// let mut scratch = KMeansScratch::default();
+/// let fast = kmeans1d_counts(&sorted, 2, 50, &mut scratch).unwrap();
+/// let points: Vec<f64> = sorted.iter().map(|&v| v as f64).collect();
+/// assert_eq!(fast, kmeans1d(&points, 2, 50).unwrap().centroids);
+/// ```
+pub fn kmeans1d_counts(
+    sorted: &[u64],
+    k: usize,
+    max_iterations: usize,
+    scratch: &mut KMeansScratch,
+) -> Option<Vec<f64>> {
+    let n = sorted.len();
+    if k == 0 || n < k {
+        return Some(Vec::new());
+    }
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "points are sorted");
+    let KMeansScratch { prefix, bounds } = scratch;
+    prefix.clear();
+    prefix.reserve(n + 1);
+    prefix.push(0);
+    let mut sum = 0u64;
+    for &p in sorted {
+        sum = sum.saturating_add(p);
+        prefix.push(sum);
+    }
+    if sum >= EXACT_SUM_LIMIT {
+        return None;
+    }
+
+    let mut centroids: Vec<f64> = Vec::with_capacity(k);
+    for i in 0..k {
+        let q = (2 * i + 1) as f64 / (2 * k) as f64;
+        let idx = ((n as f64 * q) as usize).min(n - 1);
+        centroids.push(sorted[idx] as f64);
+    }
+    centroids.dedup();
+    while centroids.len() < k {
+        let last = *centroids.last().expect("non-empty");
+        centroids.push(last + 1.0 + centroids.len() as f64);
+    }
+
+    // Every point starts in cluster 0, like `kmeans1d`'s assignment.
+    bounds.clear();
+    bounds.resize(k + 1, n);
+    bounds[0] = 0;
+    let mut iterations = 0;
+    for _ in 0..max_iterations {
+        iterations += 1;
+        if !centroids.windows(2).all(|w| w[1] - w[0] >= 1.0) {
+            return None;
+        }
+        let mut changed = false;
+        for c in 1..k {
+            let from = bounds[c - 1];
+            let b = from
+                + sorted[from..].partition_point(|&p| nearest_centroid(&centroids, p as f64) < c);
+            if b != bounds[c] {
+                bounds[c] = b;
+                changed = true;
+            }
+        }
+        for c in 0..k {
+            let (lo, hi) = (bounds[c], bounds[c + 1]);
+            if hi > lo {
+                centroids[c] = (prefix[hi] - prefix[lo]) as f64 / (hi - lo) as f64;
+            }
+        }
+        if !changed && iterations > 1 {
+            break;
+        }
+    }
+    centroids.sort_by(|a, b| a.partial_cmp(b).expect("not NaN"));
+    Some(centroids)
+}
+
 fn nearest_centroid(centroids: &[f64], p: f64) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
@@ -317,6 +436,108 @@ mod tests {
                 proptest::prop_assert_eq!(bits(got), bits(want));
             }
         }
+    }
+
+    /// `kmeans1d`'s centroids as raw bits, empty when it returns `None`.
+    fn oracle_bits(points: &[u64], k: usize) -> Vec<u64> {
+        let points: Vec<f64> = points.iter().map(|&v| v as f64).collect();
+        kmeans1d(&points, k, 50)
+            .map(|c| c.centroids.iter().map(|v| v.to_bits()).collect())
+            .unwrap_or_default()
+    }
+
+    fn sorted_copy(points: &[u64]) -> Vec<u64> {
+        let mut sorted = points.to_vec();
+        sorted.sort_unstable();
+        sorted
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorted_counts_cluster_like_kmeans1d_bit_for_bit(
+            draws in proptest::collection::vec(0u64..1 << 20, 1..200),
+            shape in 0u32..6,
+            short in 0u32..4,
+            k in 1usize..7,
+        ) {
+            let n = if short == 0 { draws.len().min(8) } else { draws.len() };
+            let draws = &draws[..n];
+            // A 2^51 / n base: a spread of ±8 around it lands the sum on
+            // either side of the fast path's limit.
+            let near_limit = (1u64 << 51) / n as u64;
+            let points: Vec<u64> = draws
+                .iter()
+                .map(|&d| match shape {
+                    // Ties from a small pool.
+                    0 => d % 12,
+                    // A single distinct value: every centroid past the
+                    // first is padding, its cluster empty.
+                    1 => 7,
+                    // Two far modes with a few outliers between them:
+                    // clusters empty out and keep stale centroids.
+                    2 => match d % 16 {
+                        0 => 500 + d % 400,
+                        1..=7 => d % 40,
+                        _ => 1000 + d % 40,
+                    },
+                    // Wide integers.
+                    3 => d,
+                    // Near-2^51 sums, about half of them past the limit.
+                    4 => near_limit - 8 + d % 17,
+                    // Mostly one value with a far outlier.
+                    _ => if d % 50 == 0 { d } else { 3 },
+                })
+                .collect();
+            let sorted = sorted_copy(&points);
+            let sum: u128 = points.iter().map(|&v| u128::from(v)).sum();
+            let mut scratch = KMeansScratch::default();
+            let want = oracle_bits(&points, k);
+            match kmeans1d_counts(&sorted, k, 50, &mut scratch) {
+                Some(got) => {
+                    proptest::prop_assert!(sum < 1 << 51 || k > n);
+                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    proptest::prop_assert_eq!(got, want);
+                }
+                // Not vouched for: the engine falls back to `kmeans1d`.
+                None => proptest::prop_assert!(k <= n),
+            }
+            if sum >= 1 << 51 && k <= n {
+                proptest::prop_assert!(kmeans1d_counts(&sorted, k, 50, &mut scratch).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_counts_take_the_fast_path_on_a_bimodal_cut() {
+        // 1024 integer counts in two noisy modes, like a multi-stable
+        // cut: the fast path answers, so the proptest compares something.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let points: Vec<u64> = (0..1024)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let base = if i % 3 == 0 { 40 } else { 900 };
+                base + state % 120
+            })
+            .collect();
+        let sorted = sorted_copy(&points);
+        let mut scratch = KMeansScratch::default();
+        for k in 1..=6 {
+            let got = kmeans1d_counts(&sorted, k, 50, &mut scratch)
+                .unwrap_or_else(|| panic!("k = {k} fell back"));
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, oracle_bits(&points, k), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn sorted_counts_handle_degenerate_requests() {
+        let mut scratch = KMeansScratch::default();
+        assert_eq!(kmeans1d_counts(&[1, 2], 3, 10, &mut scratch), Some(vec![]));
+        assert_eq!(kmeans1d_counts(&[1], 0, 10, &mut scratch), Some(vec![]));
+        assert_eq!(kmeans1d_counts(&[], 1, 10, &mut scratch), Some(vec![]));
+        assert_eq!(kmeans1d_counts(&[1 << 51], 1, 10, &mut scratch), None);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod welford;
 
 pub use filter::savitzky_golay;
 pub use histogram::Histogram;
-pub use kmeans::{bimodality_ratio, kmeans1d, Clustering};
+pub use kmeans::{bimodality_ratio, kmeans1d, kmeans1d_counts, Clustering, KMeansScratch};
 pub use merge::Mergeable;
 pub use period::{analyse_period, find_peaks, Peak, PeriodAnalysis};
 pub use quantile::P2Quantile;

@@ -27,7 +27,9 @@
 //!
 //! The same allocator pins the window layer: [`WindowGen`] hands each cut
 //! downstream by move, so a cut through it costs a small constant number
-//! of allocations whatever the instance count and window width.
+//! of allocations whatever the instance count and window width. And the
+//! stat engines: [`StatEngineSet::analyse_cut`] allocates its scratch once
+//! per call, so a cut's statistics cost the same allocations at any width.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,6 +38,7 @@ use std::sync::Arc;
 use cwc_repro::biomodels::{
     neurospora_compartments, neurospora_flat, schlogl, NeurosporaParams, SchloglParams,
 };
+use cwc_repro::cwcsim::engines::{StatEngineKind, StatEngineSet};
 use cwc_repro::cwcsim::task::SimTask;
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
@@ -289,4 +292,43 @@ fn window_generation_allocates_a_constant_per_cut() {
     // ... and the cost depends on neither instances nor width.
     assert_eq!(dense, window_allocations_per_cut(8, 10));
     assert!(window_allocations_per_cut(1024, 40) <= dense);
+}
+
+/// Heap allocations of one `analyse_cut` call with all four stat engines
+/// on a cut of `instances` trajectories × 3 observables.
+fn analyse_cut_allocations(instances: u64) -> u64 {
+    let set = StatEngineSet::new(vec![
+        StatEngineKind::MeanVariance,
+        StatEngineKind::KMeans { k: 2 },
+        StatEngineKind::Quantile { p: 0.5 },
+        StatEngineKind::Histogram {
+            lo: 0.0,
+            hi: 2000.0,
+            bins: 64,
+        },
+    ]);
+    // Two modes per observable, as on a multi-stable cut.
+    let cut = Cut {
+        time: 0.0,
+        values: (0..instances)
+            .map(|i| Row::from_slice(&[i % 7 + (i % 2) * 900, (i * 31) % 101, 5 + i % 3]))
+            .collect(),
+    };
+    let before = allocations();
+    let row = set.analyse_cut(&cut);
+    let allocated = allocations() - before;
+    assert_eq!(row.observables.len(), 3);
+    assert!(row.observables.iter().all(|o| o.centroids.len() == 2));
+    allocated
+}
+
+#[test]
+fn stat_engines_allocate_a_constant_per_cut() {
+    let narrow = analyse_cut_allocations(64);
+    assert_eq!(narrow, analyse_cut_allocations(1024));
+    // The row's own vectors (its observables, one centroid vector per
+    // observable) and the call's scratch, each allocated once: the
+    // observable-major counts, their sorted copy, k-means' prefix sums
+    // and cluster boundaries, and the histogram's bins.
+    assert_eq!(narrow, (1 + 3) + 5);
 }
