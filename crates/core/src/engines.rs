@@ -10,7 +10,6 @@
 use gillespie::trajectory::Cut;
 use streamstat::histogram::Histogram;
 use streamstat::kmeans::{kmeans1d, kmeans1d_counts, KMeansScratch};
-use streamstat::quantile::P2Quantile;
 use streamstat::welford::Running;
 
 use crate::windows::Window;
@@ -29,7 +28,9 @@ pub enum StatEngineKind {
         /// Number of clusters.
         k: usize,
     },
-    /// Per-observable quantile estimate across the window's population.
+    /// Per-observable `p`-quantile across the cut's trajectories: the
+    /// exact nearest-rank value `sorted[⌈p·n⌉ − 1]` (rank clamped to
+    /// `1..=n`), not an estimate.
     Quantile {
         /// Quantile in (0, 1).
         p: f64,
@@ -59,7 +60,7 @@ pub struct ObsStats {
     pub max: f64,
     /// K-means centroids (empty unless the k-means engine is enabled).
     pub centroids: Vec<f64>,
-    /// Quantile estimate (`None` unless the quantile engine is enabled).
+    /// Nearest-rank quantile (`None` unless the quantile engine is enabled).
     pub quantile: Option<f64>,
     /// Histogram mode-bin midpoint (`None` unless enabled).
     pub mode: Option<f64>,
@@ -176,12 +177,9 @@ impl StatEngineSet {
                     }
                 }
                 StatEngineKind::Quantile { p } => {
-                    for (stats, xs) in observables.iter_mut().zip(columns.clone()) {
-                        let mut q = P2Quantile::new(*p);
-                        for &x in xs {
-                            q.push(x as f64);
-                        }
-                        stats.quantile = q.estimate();
+                    let rank = ((p * width as f64).ceil() as usize).clamp(1, width);
+                    for (stats, sorted) in observables.iter_mut().zip(sorted_columns.clone()) {
+                        stats.quantile = Some(sorted[rank - 1] as f64);
                     }
                 }
                 StatEngineKind::Histogram { lo, hi, bins } => {
@@ -255,6 +253,26 @@ mod tests {
         let set = StatEngineSet::new(vec![StatEngineKind::Quantile { p: 0.5 }]);
         let row = set.analyse_cut(&cut(0.0, vec![1, 2, 3]));
         assert_eq!(row.observables[0].quantile, Some(2.0));
+    }
+
+    #[test]
+    fn quantile_engine_is_exact_nearest_rank() {
+        // Two modes, 60 low and 41 high values: P²'s five markers only
+        // approximate the order statistics of a cut like this.
+        let values: Vec<u64> = (0..101)
+            .map(|i| if i % 5 < 3 { i % 7 } else { 500 + i })
+            .collect();
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for (p, rank) in [(0.01, 2), (0.5, 51), (0.6, 61), (0.9, 91), (1.0, 101)] {
+            let set = StatEngineSet::new(vec![StatEngineKind::Quantile { p }]);
+            let row = set.analyse_cut(&cut(0.0, values.clone()));
+            assert_eq!(
+                row.observables[0].quantile,
+                Some(sorted[rank - 1] as f64),
+                "p = {p}"
+            );
+        }
     }
 
     #[test]
