@@ -31,6 +31,9 @@ pub struct DeviceMap {
     lanes: Vec<SimTask>,
     /// Event counts per executed kernel (the timing model's input).
     events_log: Vec<Vec<u64>>,
+    /// Samples each thread buffers per kernel, Q/τ: what the timing
+    /// model prices occupancy and transfers by.
+    samples_per_quantum: f64,
 }
 
 impl DeviceMap {
@@ -72,6 +75,7 @@ impl DeviceMap {
         Ok(DeviceMap {
             lanes,
             events_log: Vec::new(),
+            samples_per_quantum: quantum / sample_period,
         })
     }
 
@@ -116,9 +120,10 @@ impl DeviceMap {
         all
     }
 
-    /// Simulated device timing of the kernels executed so far.
+    /// Simulated device timing of the kernels executed so far, each
+    /// thread buffering the Q/τ samples of its quantum.
     pub fn device_timing(&self, device: &DeviceSpec, packing: WarpPacking) -> GpuRunReport {
-        simulate_device_run(&self.events_log, device, packing, 1.0)
+        simulate_device_run(&self.events_log, device, packing, self.samples_per_quantum)
     }
 
     /// Per-kernel event matrix (for external timing models, e.g. the CPU
@@ -217,5 +222,33 @@ mod tests {
         assert!(t.kernels >= 1);
         assert!(t.divergence >= 1.0);
         assert!(m.total_events() > 0);
+    }
+
+    #[test]
+    fn timing_prices_the_lanes_sample_buffers() {
+        // Q/τ = 2.0 / 0.5 = 4 samples per thread per kernel.
+        let mut m = DeviceMap::new(
+            EngineKind::Ssa,
+            Arc::new(decay(30, 1.0)),
+            4,
+            9,
+            8.0,
+            2.0,
+            0.5,
+        )
+        .unwrap();
+        m.run_to_end();
+        let device = DeviceSpec::tesla_k40(1e-6);
+        for packing in [WarpPacking::Static, WarpPacking::RebalanceEachQuantum] {
+            assert_eq!(
+                m.device_timing(&device, packing),
+                simulate_device_run(m.events_log(), &device, packing, 4.0)
+            );
+        }
+        assert_ne!(
+            m.device_timing(&device, WarpPacking::Static),
+            simulate_device_run(m.events_log(), &device, WarpPacking::Static, 1.0),
+            "the buffers cost transfer time"
+        );
     }
 }
