@@ -6,6 +6,14 @@
 //! estimators over each window's fresh cuts and produces one [`StatRow`]
 //! per cut; rows travel as a [`StatBlock`] tagged with the window sequence
 //! number so the ordered collector can re-order them.
+//!
+//! A cut is in memory whole, so no engine needs a streaming sketch: each
+//! observable's counts are gathered once and sorted once, and the k-means
+//! engine ([`streamstat::kmeans::kmeans1d_counts`], `kmeans1d`'s
+//! centroids bit for bit) and the exact nearest-rank quantile both read
+//! that sorted copy. Mean/variance and the histogram read the counts in
+//! instance order. The P² sketch summarises the whole run, in
+//! [`crate::merge::RunSummary`], which streams every sample.
 
 use gillespie::trajectory::Cut;
 use streamstat::histogram::Histogram;
@@ -257,14 +265,14 @@ mod tests {
 
     #[test]
     fn quantile_engine_is_exact_nearest_rank() {
-        // Two modes, 60 low and 41 high values: P²'s five markers only
+        // Two modes, 61 low and 40 high values: P²'s five markers only
         // approximate the order statistics of a cut like this.
         let values: Vec<u64> = (0..101)
             .map(|i| if i % 5 < 3 { i % 7 } else { 500 + i })
             .collect();
         let mut sorted = values.clone();
         sorted.sort_unstable();
-        for (p, rank) in [(0.01, 2), (0.5, 51), (0.6, 61), (0.9, 91), (1.0, 101)] {
+        for (p, rank) in [(0.01, 2), (0.5, 51), (0.6, 61), (0.9, 91), (0.999, 101)] {
             let set = StatEngineSet::new(vec![StatEngineKind::Quantile { p }]);
             let row = set.analyse_cut(&cut(0.0, values.clone()));
             assert_eq!(

@@ -131,7 +131,7 @@ pub fn kmeans1d(points: &[f64], k: usize, max_iterations: usize) -> Option<Clust
 
 /// Reusable buffers of [`kmeans1d_counts`]: the prefix sums and the
 /// cluster boundaries, grown once and kept across calls.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct KMeansScratch {
     /// `prefix[i]` is the sum of the first `i` sorted points.
     prefix: Vec<u64>,
@@ -218,9 +218,7 @@ pub fn kmeans1d_counts(
     bounds.clear();
     bounds.resize(k + 1, n);
     bounds[0] = 0;
-    let mut iterations = 0;
-    for _ in 0..max_iterations {
-        iterations += 1;
+    for iteration in 1..=max_iterations {
         if !centroids.windows(2).all(|w| w[1] - w[0] >= 1.0) {
             return None;
         }
@@ -240,7 +238,7 @@ pub fn kmeans1d_counts(
                 centroids[c] = (prefix[hi] - prefix[lo]) as f64 / (hi - lo) as f64;
             }
         }
-        if !changed && iterations > 1 {
+        if !changed && iteration > 1 {
             break;
         }
     }

@@ -1,10 +1,13 @@
 //! # streamstat — on-line statistics for simulation streams
 //!
 //! The statistical engines of the CWC simulator's analysis pipeline
-//! (Aldinucci et al., ICDCS 2014, Fig. 2): every estimator here is
-//! single-pass and mergeable, so it can run *while simulations are still
-//! running*, inside a farm of statistical engines fed by sliding windows of
-//! trajectory cuts.
+//! (Aldinucci et al., ICDCS 2014, Fig. 2). The streaming estimators here
+//! (Welford moments, histograms, P² quantiles) are single-pass and
+//! mergeable, so a whole-run summary can grow *while simulations are
+//! still running* and fold across shards. A per-cut engine holds the
+//! whole cut, so it uses exact forms where they are cheaper: k-means on
+//! the cut's sorted counts ([`kmeans1d_counts`]) and, in the pipeline, a
+//! nearest-rank quantile read off the same sorted copy.
 //!
 //! | Engine | Module | Paper reference |
 //! |---|---|---|
@@ -13,7 +16,7 @@
 //! | smoothing | [`filter`] | "filtered simulation results" in Fig. 2 |
 //! | peak & period detection | [`period`] | "compute the period of each oscillation" |
 //! | histogram | [`histogram`] | StochSimGPU-style population histograms |
-//! | on-line quantiles | [`quantile`] | big-data-safe distribution summaries |
+//! | on-line quantiles (P²) | [`quantile`] | big-data-safe distribution summaries |
 //! | partial-state merging | [`merge`] | StochKit-FF-style sharded farms |
 
 #![warn(missing_docs)]
