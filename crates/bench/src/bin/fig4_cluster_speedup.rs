@@ -5,8 +5,8 @@
 //!
 //! - **default** — the *real* sharded runner: `cwc-shard` child OS
 //!   processes (one per shard) simulate slices of the trajectory
-//!   ensemble and stream aligned partial cuts + mergeable statistics
-//!   back over a loopback socket each; the table reports measured wall-clock speedup vs
+//!   ensemble and stream aligned partial cuts back over a loopback
+//!   socket each; the table reports measured wall-clock speedup vs
 //!   the single-shard run, with the rows asserted bit-for-bit identical
 //!   across shard counts. Build the worker first
 //!   (`cargo build --release --bin cwc-shard`); when it cannot be
@@ -158,8 +158,8 @@ fn sharded(workers: Option<Vec<String>>) {
         &rows,
     );
     bench::note(
-        "\nsharding ships partial cuts + mergeable statistics, never raw\n\
-         trajectories; per-instance seeding keeps every shard count\n\
+        "\nsharding ships aligned partial cuts, merged back in instance\n\
+         order; per-instance seeding keeps every shard count\n\
          bit-for-bit identical (asserted above). Small configs are\n\
          dominated by process spawn + model compile per shard.",
     );

@@ -170,7 +170,7 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    fn new(field: &'static str, reason: impl Into<String>) -> Self {
+    pub(crate) fn new(field: &'static str, reason: impl Into<String>) -> Self {
         ConfigError {
             field,
             reason: reason.into(),
@@ -422,6 +422,9 @@ impl SimConfig {
         }
         if self.engines.is_empty() {
             return reject("engines", "at least one statistical engine".into());
+        }
+        for engine in &self.engines {
+            engine.validate()?;
         }
         if self.channel_capacity == 0 {
             return reject("channel_capacity", "channel_capacity must be > 0".into());
@@ -684,6 +687,68 @@ mod tests {
             .validate()
             .is_err());
         assert!(SimConfig::new(1, 10.0).shards(0).validate().is_err());
+    }
+
+    /// The reason `engine`, configured after a valid mean/variance
+    /// engine, is rejected for; the field is always `engines`.
+    fn stat_engine_rejection(engine: StatEngineKind) -> String {
+        let cfg = SimConfig::new(1, 10.0).engines(vec![StatEngineKind::MeanVariance, engine]);
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err.field(), "engines", "{err}");
+        err.reason()
+    }
+
+    #[test]
+    fn quantile_outside_the_open_unit_interval_is_rejected() {
+        for p in [0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let reason = stat_engine_rejection(StatEngineKind::Quantile { p });
+            assert!(reason.contains("(0, 1)"), "p={p}: {reason}");
+        }
+        let cfg = SimConfig::new(1, 10.0).engines(vec![StatEngineKind::Quantile { p: 0.99 }]);
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn histogram_without_bins_is_rejected() {
+        let reason = stat_engine_rejection(StatEngineKind::Histogram {
+            lo: 0.0,
+            hi: 1.0,
+            bins: 0,
+        });
+        assert!(reason.contains("bins"), "{reason}");
+    }
+
+    #[test]
+    fn histogram_with_an_empty_or_unbounded_range_is_rejected() {
+        let inf = f64::INFINITY;
+        for (lo, hi) in [
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (-inf, 1.0),
+            (0.0, inf),
+        ] {
+            let reason = stat_engine_rejection(StatEngineKind::Histogram { lo, hi, bins: 4 });
+            assert!(reason.contains("lo < hi"), "[{lo}, {hi}): {reason}");
+        }
+        let ok = StatEngineKind::Histogram {
+            lo: -1.0,
+            hi: 1.0,
+            bins: 1,
+        };
+        SimConfig::new(1, 10.0)
+            .engines(vec![ok])
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn kmeans_without_clusters_is_rejected() {
+        let reason = stat_engine_rejection(StatEngineKind::KMeans { k: 0 });
+        assert!(reason.contains("k >= 1"), "{reason}");
+        let cfg = SimConfig::new(1, 10.0).engines(vec![StatEngineKind::KMeans { k: 1 }]);
+        cfg.validate().unwrap();
     }
 
     #[test]

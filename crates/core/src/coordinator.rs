@@ -7,18 +7,18 @@
 //! [`ShardPlan`] into contiguous instance
 //! slices; each shard executes the standard farm + alignment pipeline on
 //! its slice ([`run_shard`] — the same code the single-process runner
-//! uses) and streams back *aligned partial cuts* plus one end-of-stream
-//! *partial statistics state*. The coordinator
-//! ([`run_simulation_sharded_with`]) zips the partial-cut streams with
-//! [`CutMerger`](crate::merge::CutMerger), folds the partial statistics with
-//! `streamstat::Mergeable`, and feeds the merged cut stream through the
-//! unchanged window/analysis stages.
+//! uses) and streams back *aligned partial cuts* plus an end-of-stream
+//! event count. The coordinator ([`run_simulation_sharded_with`]) zips
+//! the partial-cut streams with [`CutMerger`](crate::merge::CutMerger)
+//! and feeds the merged cut stream through the single-process runner's
+//! analysis stages — the `run-summary` stage included, so the whole-run
+//! [`RunSummary`] is computed once, over full cuts, where they meet.
 //!
 //! *Where* shards run is the [`ShardTransport`] seam: this crate
 //! provides [`InProcessTransport`] (one thread per shard — also the
 //! degenerate `shards = 1` path, which spawns no child process); the
 //! `distrt` crate adds the two out-of-process transports, which share
-//! one socket path and one length-prefixed wire-v8 protocol: the process
+//! one socket path and one length-prefixed wire-v9 protocol: the process
 //! transport spawns one `cwc-shard` child per shard attempt and connects
 //! to the loopback port it announces; the TCP transport places shard
 //! attempts on remote `cwc-workerd` daemons.
@@ -37,8 +37,8 @@
 //! `(base_seed, instance)`, alignment emits cuts in grid order, and the
 //! plan is contiguous in instance order — so the merged cut stream is
 //! bit-for-bit the single-process cut stream for *any* shard count, and
-//! therefore so are the [`StatRow`]s (the integration matrix in
-//! `tests/sharded_agreement.rs` pins this).
+//! therefore so are the [`StatRow`]s and the [`RunSummary`] (the
+//! integration matrix in `tests/sharded_agreement.rs` pins both).
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -54,10 +54,10 @@ use gillespie::KernelDispatch;
 
 use crate::alignment::Alignment;
 use crate::config::SimConfig;
-use crate::engines::{StatEngineKind, StatRow};
+use crate::engines::StatRow;
 use crate::merge::RunSummary;
 use crate::plan::{ShardPlan, ShardRange};
-use crate::runner::{analysis_tail, SimError, SimReport};
+use crate::runner::{analysis_tail, joined_summary, SimError, SimReport};
 use crate::sim_farm::{sim_farm, Steering};
 
 /// Everything a shard worker needs to run its slice of a simulation —
@@ -82,9 +82,6 @@ pub struct ShardSpec {
     pub sim_workers: usize,
     /// Capacity of the shard's inter-stage channels.
     pub channel_capacity: usize,
-    /// Statistical engine configuration (determines which accumulators
-    /// the shard's partial [`RunSummary`] carries).
-    pub engines: Vec<StatEngineKind>,
     /// Which attempt at this slice the shard is: 0 on first launch, and
     /// incremented by the supervisor on every requeue. Purely
     /// diagnostic for a healthy run — the slice's trajectories depend
@@ -116,7 +113,6 @@ impl ShardSpec {
             sample_period: cfg.sample_period,
             sim_workers: (cfg.sim_workers / cfg.shards.max(1)).max(1),
             channel_capacity: cfg.channel_capacity,
-            engines: cfg.engines.clone(),
             attempt: 0,
             heartbeat_period: cfg.heartbeat_period,
         }
@@ -130,16 +126,10 @@ pub enum ShardMsg {
     /// order.
     Cut(Cut),
     /// End of the shard's stream.
-    End(ShardEnd),
-}
-
-/// A shard's end-of-stream report.
-#[derive(Debug, Clone)]
-pub struct ShardEnd {
-    /// Reactions fired across the shard's trajectories.
-    pub events: u64,
-    /// The shard's partial whole-run statistics, ready to merge.
-    pub summary: RunSummary,
+    End {
+        /// Reactions fired across the shard's trajectories.
+        events: u64,
+    },
 }
 
 /// One failed attempt at a shard's slice, kept in the supervisor's
@@ -166,10 +156,10 @@ pub struct ShardError {
     /// (empty when the first failure was final — e.g. a zero retry
     /// budget, or a non-retryable worker-side simulation error).
     pub attempts: Vec<ShardAttempt>,
-    /// Graceful degradation: the partial [`RunSummary`] merged from the
-    /// shards that *did* complete before the run failed, surfaced for
-    /// diagnosis. Populated by the supervisor on retry-budget
-    /// exhaustion; `None` on pre-launch failures.
+    /// Graceful degradation: the [`RunSummary`] of every full cut merged
+    /// before the run failed, surfaced for diagnosis. Filled in by the
+    /// coordinator once its pipeline has drained; `None` when no cut was
+    /// merged.
     pub partial: Option<Box<RunSummary>>,
 }
 
@@ -382,7 +372,7 @@ impl ShardHandle {
 
 /// Runs one shard's slice through the standard farm + alignment
 /// pipeline, invoking `on_msg` with every aligned partial cut (in grid
-/// order) and finally with the end-of-stream report. This is the shard
+/// order) and finally with the end-of-stream event count. This is the shard
 /// *body*: the in-process transport calls it on a thread, the
 /// `cwc-shard` worker binary calls it with a frame-writing sink.
 ///
@@ -429,16 +419,13 @@ pub fn run_shard(
     );
 
     let (rx, handle) = pipeline.into_receiver();
-    let mut summary = RunSummary::new(spec.engines.clone());
     for cut in rx.iter() {
-        summary.push_cut(&cut);
         on_msg(ShardMsg::Cut(cut));
     }
     handle.join()?;
-    on_msg(ShardMsg::End(ShardEnd {
+    on_msg(ShardMsg::End {
         events: events.load(Ordering::Relaxed),
-        summary,
-    }));
+    });
     Ok(())
 }
 
@@ -494,10 +481,10 @@ impl ShardTransport for InProcessTransport {
 }
 
 /// Runs a sharded simulation over the given transport, merging the
-/// shards' partial cuts and partial statistics and feeding the same
-/// window/analysis stages as [`run_simulation`]. Produces bit-for-bit
-/// the same [`StatRow`]s as the single-process runner for any shard
-/// count (see the module docs for the argument).
+/// shards' partial cuts and feeding the same summary/window/analysis
+/// stages as [`run_simulation`]. Produces bit-for-bit the same
+/// [`StatRow`]s and [`RunSummary`] as the single-process runner for any
+/// shard count (see the module docs for the argument).
 ///
 /// [`run_simulation`]: crate::runner::run_simulation
 ///
@@ -531,7 +518,8 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
     // merged cut stream.
     let (cut_tx, cut_rx) = mpsc::sync_channel::<Cut>(cfg.channel_capacity);
     let cuts = Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity);
-    let (blocks_rx, handle) = analysis_tail(cuts, cfg).into_receiver();
+    let (tail, summary) = analysis_tail(cuts, cfg);
+    let (blocks_rx, handle) = tail.into_receiver();
     // Blocks are drained (and flattened into rows) concurrently so the
     // bounded channels above can never deadlock behind a full output
     // buffer.
@@ -540,9 +528,8 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
         rows.collect::<Vec<StatRow>>()
     });
 
-    // The supervision loop owns launch, watchdog, retry/requeue and
-    // cut/summary merging; full cuts are emitted here into the
-    // downstream pipeline. A send failure means downstream already
+    // The supervision loop owns launch, watchdog, retry/requeue and the
+    // cut merge; full cuts are emitted here into the downstream pipeline. A send failure means downstream already
     // died — the supervisor keeps draining (so shard drivers never
     // block forever on a sink nobody reads) and the panic surfaces via
     // the pipeline join below.
@@ -558,7 +545,17 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
         .join()
         .expect("row collector only reads from a channel");
     let run_stats = handle.join()?;
-    let (events, summary) = supervised.map_err(SimError::Shard)?;
+    let summary = joined_summary(summary);
+    let events = match supervised {
+        Ok(events) => events,
+        Err(mut e) => {
+            // Every cut merged before the failure has been summarised.
+            if summary.cuts() > 0 {
+                e.partial = Some(Box::new(summary));
+            }
+            return Err(SimError::Shard(e));
+        }
+    };
     Ok(SimReport::new(
         &model, rows, run_stats, start, events, summary,
     ))
@@ -582,6 +579,7 @@ pub fn run_simulation_sharded_in_process(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::StatEngineKind;
     use crate::runner::{run_sequential, run_simulation};
     use biomodels::simple::{birth_death, decay};
 
@@ -619,23 +617,26 @@ mod tests {
     #[test]
     fn sharded_summary_matches_single_process_exactly_where_exact() {
         let model = Arc::new(birth_death(20.0, 1.0, 10));
-        let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
-        let sharded =
-            run_simulation_sharded_in_process(Arc::clone(&model), &cfg().shards(3)).unwrap();
-        let (s, m) = (
-            &single.summary.observables()[0],
-            &sharded.summary.observables()[0],
+        let cfg = cfg().engines(vec![
+            StatEngineKind::MeanVariance,
+            StatEngineKind::Quantile { p: 0.9 },
+            StatEngineKind::Histogram {
+                lo: 0.0,
+                hi: 60.0,
+                bins: 12,
+            },
+        ]);
+        let single = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        assert_eq!(
+            single.summary,
+            run_sequential(Arc::clone(&model), &cfg).unwrap().summary
         );
-        assert_eq!(s.running.count(), m.running.count());
-        assert_eq!(s.running.min(), m.running.min());
-        assert_eq!(s.running.max(), m.running.max());
-        assert!((s.running.mean() - m.running.mean()).abs() < 1e-9);
-        assert!(
-            (s.running.population_variance() - m.running.population_variance()).abs() < 1e-6,
-            "variance {} vs {}",
-            s.running.population_variance(),
-            m.running.population_variance()
-        );
+        for shards in [1usize, 2, 3] {
+            let sharded =
+                run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(shards))
+                    .unwrap();
+            assert_eq!(sharded.summary, single.summary, "shards={shards}");
+        }
     }
 
     #[test]
@@ -667,24 +668,18 @@ mod tests {
         ));
         let ssa = run_simulation(Arc::clone(&model), &cfg()).unwrap();
         assert!(ssa.events > 0);
-        let summary = |report: &SimReport| format!("{:?}", report.summary);
         let batched_cfg = cfg().engine(EngineKind::Batched { width: 3 });
         let batched = run_simulation(Arc::clone(&model), &batched_cfg).unwrap();
         assert_eq!(batched.rows, ssa.rows);
         assert_eq!(batched.events, ssa.events);
-        assert_eq!(summary(&batched), summary(&ssa));
+        assert_eq!(batched.summary, ssa.summary);
         for shards in [1usize, 2, 3] {
             let sharded_cfg = batched_cfg.clone().shards(shards);
             let sharded =
                 run_simulation_sharded_in_process(Arc::clone(&model), &sharded_cfg).unwrap();
-            let ssa_sharded =
-                run_simulation_sharded_in_process(Arc::clone(&model), &cfg().shards(shards))
-                    .unwrap();
             assert_eq!(sharded.rows, ssa.rows, "shards={shards}");
             assert_eq!(sharded.events, ssa.events, "shards={shards}");
-            // A sharded summary is merged from partials: compare it with
-            // SSA's at the same shard count.
-            assert_eq!(summary(&sharded), summary(&ssa_sharded), "shards={shards}");
+            assert_eq!(sharded.summary, ssa.summary, "shards={shards}");
         }
     }
 
@@ -727,6 +722,37 @@ mod tests {
         let model = Arc::new(decay(10, 1.0));
         let err = run_simulation_sharded_in_process(model, &cfg().shards(0)).unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
+    }
+
+    #[test]
+    fn bad_stat_engine_parameters_fail_before_any_shard_launches() {
+        struct NoLaunch;
+        impl ShardTransport for NoLaunch {
+            fn launch_shard(
+                &mut self,
+                _model: Arc<Model>,
+                _deps: Arc<ModelDeps>,
+                _spec: &ShardSpec,
+                _steering: &Steering,
+                _sink: mpsc::SyncSender<ShardFeed>,
+            ) -> Result<ShardHandle, ShardError> {
+                panic!("a shard launched despite an invalid configuration")
+            }
+        }
+        let cfg = cfg()
+            .shards(2)
+            .engines(vec![StatEngineKind::Quantile { p: 1.0 }]);
+        let err = run_simulation_sharded_with(
+            Arc::new(decay(10, 1.0)),
+            &cfg,
+            &Steering::new(),
+            &mut NoLaunch,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SimError::Config(e) if e.field() == "engines"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use streamstat::histogram::Histogram;
 use streamstat::kmeans::{kmeans1d, kmeans1d_counts, KMeansScratch};
 use streamstat::welford::Running;
 
+use crate::config::ConfigError;
 use crate::windows::Window;
 
 /// Lloyd iteration cap of the k-means engine.
@@ -53,6 +54,35 @@ pub enum StatEngineKind {
         /// Bin count.
         bins: usize,
     },
+}
+
+impl StatEngineKind {
+    /// Checks the kind's parameters: `k ≥ 1`, `p` in (0, 1), and a
+    /// histogram with at least one bin over a finite `lo < hi`. The one
+    /// owner of these rules; [`SimConfig::validate`] calls it for every
+    /// configured engine, so a bad parameter fails before anything runs.
+    ///
+    /// [`SimConfig::validate`]: crate::config::SimConfig::validate
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] on field `engines` naming the rule.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let reason = match *self {
+            StatEngineKind::KMeans { k: 0 } => "k-means needs k >= 1, got 0".to_owned(),
+            StatEngineKind::Quantile { p } if !(p > 0.0 && p < 1.0) => {
+                format!("quantile p must be in (0, 1), got {p}")
+            }
+            StatEngineKind::Histogram { bins: 0, .. } => "histogram needs bins >= 1, got 0".into(),
+            StatEngineKind::Histogram { lo, hi, .. }
+                if !(lo < hi && lo.is_finite() && hi.is_finite()) =>
+            {
+                format!("histogram range must be finite with lo < hi, got [{lo}, {hi})")
+            }
+            _ => return Ok(()),
+        };
+        Err(ConfigError::new("engines", reason))
+    }
 }
 
 /// Statistics of one observable at one cut time.

@@ -35,9 +35,10 @@
 //!   the instances into shards ([`plan::ShardPlan`]), run each slice
 //!   through the same farm + alignment pipeline behind a
 //!   [`coordinator::ShardTransport`] (threads here; real `cwc-shard`
-//!   child processes in `distrt::shard`), and merge the partial cuts and
-//!   mergeable streaming statistics back into one stream
-//!   ([`merge::CutMerger`], [`merge::RunSummary`]);
+//!   child processes in `distrt::shard`), and merge the partial cuts
+//!   back into one cut stream ([`merge::CutMerger`]), which the
+//!   coordinator summarises ([`merge::RunSummary`]) and analyses like a
+//!   single-process run;
 //! - [`supervisor`]: fault tolerance for the sharded farm — watchdog
 //!   timeouts over per-shard heartbeats, deterministic retry/requeue of
 //!   a failed slice with bounded-exponential backoff, and typed
@@ -80,8 +81,8 @@ pub use alignment::Alignment;
 pub use config::{ConfigError, SimConfig, TransportKind};
 pub use coordinator::{
     run_shard, run_simulation_sharded_in_process, run_simulation_sharded_with, InProcessTransport,
-    ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
-    ShardSpec, ShardTransport,
+    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec,
+    ShardTransport,
 };
 pub use display::{ascii_chart, CsvRenderer};
 pub use engines::{ObsStats, StatBlock, StatEngineKind, StatEngineSet, StatRow};

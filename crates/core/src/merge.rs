@@ -1,23 +1,19 @@
-//! Merging per-shard partial state back into one stream.
+//! Merging per-shard cut streams back into one stream, and the
+//! whole-run summary computed on it.
 //!
-//! The sharded farm's coordinator receives two things from every shard:
-//! a stream of *partial cuts* (the shard's slice of the trajectories at
-//! each grid time, already aligned and time-ordered by the shard's own
-//! alignment stage) and one end-of-stream *partial statistics state*.
-//! This module owns both merges:
-//!
-//! - [`CutMerger`] zips the per-shard partial-cut streams back into full
+//! - [`CutMerger`] zips the per-shard partial-cut streams (each shard's
+//!   slice of the trajectories at each grid time, already aligned and
+//!   time-ordered by the shard's own alignment stage) back into full
 //!   [`Cut`]s by concatenating slices in shard order — which *is*
 //!   instance order, because the [`ShardPlan`](crate::plan::ShardPlan)
 //!   is contiguous. A merged cut is therefore byte-identical to the cut
 //!   the single-process alignment stage would have produced, which is
-//!   what makes the downstream window/analysis stages oblivious to
-//!   sharding.
-//! - [`RunSummary`] is the whole-run streaming statistic ("mergeable
-//!   streaming statistics"): per-observable accumulators fed by every
-//!   sample of every cut. Each shard accumulates one over its slice; the
-//!   coordinator folds them with [`Mergeable`] — no raw trajectories are
-//!   ever shipped for it.
+//!   what makes the downstream summary/window/analysis stages oblivious
+//!   to sharding.
+//! - [`RunSummary`] is the whole-run streaming statistic: per-observable
+//!   accumulators fed by every sample of every full cut, in the
+//!   `run-summary` stage every runner shares. Its accumulators are
+//!   [`Mergeable`], so summaries of disjoint runs can be pooled.
 
 use gillespie::trajectory::Cut;
 use std::collections::VecDeque;
@@ -98,7 +94,7 @@ impl CutMerger {
 /// k-means kind, which has no mergeable streaming state of its own);
 /// histogram and quantile states exist only when the corresponding
 /// engines are enabled.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsSummary {
     /// Welford moments plus min/max over every sample of the run.
     pub running: Running,
@@ -126,22 +122,16 @@ impl Mergeable for ObsSummary {
 
 /// Whole-run streaming statistics over every sample of every trajectory
 /// — the paper's "computed while simulations are still running" promise
-/// at run granularity, and the state the sharded farm merges instead of
-/// shipping raw trajectories (StochKit-FF's enabling idea).
+/// at run granularity.
 ///
-/// A shard accumulates one `RunSummary` over its partial cuts; the
-/// coordinator folds the per-shard partials with
-/// [`Mergeable::merge_from`]. Counts, minima/maxima and histogram bins
-/// merge exactly; means/variances merge up to `f64` reassociation;
-/// quantiles merge approximately (see `streamstat::merge`).
-///
-/// On steered termination the merged summary covers everything *each
-/// shard* simulated before draining — which can extend past the last
-/// emitted row, because rows stop at the grid frontier all shards
-/// completed while each shard's summary includes its own full frontier.
-/// (A single-process drained run has one frontier, so there summary and
-/// rows coincide.)
-#[derive(Debug, Clone)]
+/// Every runner folds it cut by cut over the full cut stream (the
+/// `run-summary` stage; `run_sequential` by hand), so a sharded run's
+/// summary is bit-for-bit a single-process run's, and a drained run's
+/// covers exactly the cuts it has rows for. Summaries of disjoint runs
+/// pool with [`Mergeable::merge_from`]: counts, minima/maxima and
+/// histogram bins merge exactly; means/variances merge up to `f64`
+/// reassociation; quantiles merge approximately (see `streamstat::merge`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     engines: Vec<StatEngineKind>,
     /// Per-observable accumulators (empty until the first cut arrives).
@@ -208,55 +198,14 @@ impl RunSummary {
         &self.obs
     }
 
-    /// The engine configuration this summary was built for.
-    pub fn engines(&self) -> &[StatEngineKind] {
-        &self.engines
-    }
-
-    /// Cuts folded in so far (merged summaries count every shard's).
+    /// Cuts folded in so far (a merged summary counts both sides').
     pub fn cuts(&self) -> u64 {
         self.cuts
-    }
-
-    /// Rebuilds a summary from its parts (the wire-format constructor).
-    pub fn from_parts(engines: Vec<StatEngineKind>, obs: Vec<ObsSummary>, cuts: u64) -> Self {
-        RunSummary { engines, obs, cuts }
-    }
-
-    /// True when every per-observable accumulator matches this summary's
-    /// own engine configuration (presence *and* parameters). Locally
-    /// built summaries always conform; the sharded coordinator checks
-    /// wire-decoded ones before merging, so a corrupt stream surfaces as
-    /// a typed shard error instead of a merge panic.
-    pub fn conforms(&self) -> bool {
-        let mut histogram = None;
-        let mut quantile = None;
-        for e in &self.engines {
-            match e {
-                StatEngineKind::Histogram { lo, hi, bins } => histogram = Some((*lo, *hi, *bins)),
-                StatEngineKind::Quantile { p } => quantile = Some(*p),
-                StatEngineKind::MeanVariance | StatEngineKind::KMeans { .. } => {}
-            }
-        }
-        self.obs.iter().all(|o| {
-            let hist_ok = match (&o.histogram, histogram) {
-                (Some(h), Some((lo, hi, bins))) => h.lo() == lo && h.hi() == hi && h.bins() == bins,
-                (None, None) => true,
-                _ => false,
-            };
-            let quant_ok = match (&o.quantile, quantile) {
-                (Some(q), Some(p)) => q.p() == p,
-                (None, None) => true,
-                _ => false,
-            };
-            hist_ok && quant_ok
-        })
     }
 }
 
 impl Mergeable for RunSummary {
-    /// Folds another run's (or shard's) summary in, observable by
-    /// observable.
+    /// Folds another run's summary in, observable by observable.
     ///
     /// # Panics
     ///

@@ -15,7 +15,7 @@
 //! correctness contract the integration tests enforce.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
@@ -46,9 +46,9 @@ pub struct SimReport {
     pub events: u64,
     /// Observable names, in row order.
     pub observable_names: Vec<String>,
-    /// Whole-run streaming statistics over every sample (mergeable: the
-    /// sharded runner folds per-shard partials into this instead of
-    /// shipping raw trajectories — see [`RunSummary`]).
+    /// Whole-run streaming statistics over every sample of every cut
+    /// (see [`RunSummary`]), folded by the `run-summary` stage — so every
+    /// runner, sharded or not, reports the same bits.
     pub summary: RunSummary,
 }
 
@@ -165,23 +165,52 @@ impl From<crate::coordinator::ShardError> for SimError {
     }
 }
 
-/// The analysis half of the Fig. 2 network: sliding windows over the cut
-/// stream and the ordered farm of statistical engines. It ends in the
-/// farm's window-ordered [`StatBlock`]s; both callers flatten them into
-/// time-ordered rows where they collect — a node that only unpacked a
-/// `Vec` would be a thread and a channel hop for nothing. The
-/// single-process runner feeds it its own aligned cuts, the sharded
-/// coordinator the merged cut stream.
-pub(crate) fn analysis_tail(cuts: Pipeline<Cut>, cfg: &SimConfig) -> Pipeline<StatBlock> {
+/// The analysis half of the Fig. 2 network, on the stream of full cuts:
+/// the `run-summary` stage folds every cut into the whole-run
+/// [`RunSummary`], then sliding windows feed the ordered farm of
+/// statistical engines. It ends in the farm's window-ordered
+/// [`StatBlock`]s; both callers flatten them into time-ordered rows where
+/// they collect — a node that only unpacked a `Vec` would be a thread and
+/// a channel hop for nothing. The single-process runner feeds it its own
+/// aligned cuts, the sharded coordinator the merged cut stream, so both
+/// summarise the same cuts in the same order. Read the summary with
+/// [`joined_summary`] once the pipeline has joined.
+pub(crate) fn analysis_tail(
+    cuts: Pipeline<Cut>,
+    cfg: &SimConfig,
+) -> (Pipeline<StatBlock>, Arc<Mutex<RunSummary>>) {
+    let summary = Arc::new(Mutex::new(RunSummary::new(cfg.engines.clone())));
+    let summary_in_stage = Arc::clone(&summary);
     let engine_set = StatEngineSet::new(cfg.engines.clone());
-    cuts.named_stage(
-        "window-gen",
-        WindowGen::new(cfg.window_width, cfg.window_slide),
-    )
-    .ordered_farm(cfg.stat_workers, |_| {
-        let set = engine_set.clone();
-        move |w: Window| set.analyse(&w)
-    })
+    let blocks = cuts
+        .named_stage(
+            "run-summary",
+            fastflow::node::map_stage(move |cut: Cut| {
+                summary_in_stage
+                    .lock()
+                    .expect("summary mutex poisoned")
+                    .push_cut(&cut);
+                cut
+            }),
+        )
+        .named_stage(
+            "window-gen",
+            WindowGen::new(cfg.window_width, cfg.window_slide),
+        )
+        .ordered_farm(cfg.stat_workers, |_| {
+            let set = engine_set.clone();
+            move |w: Window| set.analyse(&w)
+        });
+    (blocks, summary)
+}
+
+/// The summary [`analysis_tail`] folded, taken once its pipeline has
+/// joined (the stage's handle is gone with it).
+pub(crate) fn joined_summary(summary: Arc<Mutex<RunSummary>>) -> RunSummary {
+    Arc::try_unwrap(summary)
+        .expect("pipeline joined; no other summary holders")
+        .into_inner()
+        .expect("summary mutex poisoned")
 }
 
 /// Runs the full parallel simulation-analysis pipeline.
@@ -230,38 +259,21 @@ pub fn run_simulation_steered(
     )?;
 
     // Stage 3: alignment of trajectories; then the analysis pipeline.
-    let summary = Arc::new(std::sync::Mutex::new(RunSummary::new(cfg.engines.clone())));
-    let summary_in_stage = Arc::clone(&summary);
-    let cuts = farm
-        .named_stage(
-            "alignment",
-            Alignment::new(cfg.instances, cfg.sample_period),
-        )
-        .named_stage(
-            "run-summary",
-            fastflow::node::map_stage(move |cut: Cut| {
-                summary_in_stage
-                    .lock()
-                    .expect("summary mutex poisoned")
-                    .push_cut(&cut);
-                cut
-            }),
-        );
-
-    let (rx, handle) = analysis_tail(cuts, cfg).into_receiver();
+    let cuts = farm.named_stage(
+        "alignment",
+        Alignment::new(cfg.instances, cfg.sample_period),
+    );
+    let (tail, summary) = analysis_tail(cuts, cfg);
+    let (rx, handle) = tail.into_receiver();
     let rows: Vec<StatRow> = rx.iter().flat_map(|block| block.rows).collect();
     let run_stats = handle.join()?;
-    let summary = Arc::try_unwrap(summary)
-        .expect("pipeline joined; no other summary holders")
-        .into_inner()
-        .expect("summary mutex poisoned");
     Ok(SimReport::new(
         &model,
         rows,
         run_stats,
         start,
         events.load(Ordering::Relaxed),
-        summary,
+        joined_summary(summary),
     ))
 }
 

@@ -40,8 +40,8 @@
 //!    itself stays placement-agnostic.
 //! 3. **Graceful degradation.** When the budget is exhausted the run
 //!    fails with a [`ShardError`] carrying the full per-attempt history
-//!    ([`ShardAttempt`]) and — when any shard did complete — the
-//!    partial merged [`RunSummary`] for diagnosis.
+//!    ([`ShardAttempt`]); the coordinator attaches the summary of every
+//!    full cut merged before the failure for diagnosis.
 //!
 //! ## Determinism of the merge
 //!
@@ -49,10 +49,9 @@
 //! per grid round, in shard order (alignment emits one cut per grid
 //! point, so the rotation stays in lock-step). Receives *block* until
 //! the shard's next message, which makes the processed message sequence
-//! a pure function of the shard streams — not of thread timing — and
-//! end-of-stream summaries therefore fold in a deterministic order.
-//! Replays slot into the same sequence because the swallowed prefix is
-//! exactly the delivered prefix.
+//! — and so the merged cut stream — a pure function of the shard
+//! streams, not of thread timing. Replays slot into the same sequence
+//! because the swallowed prefix is exactly the delivered prefix.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -62,14 +61,13 @@ use std::time::{Duration, Instant};
 use cwc::model::Model;
 use gillespie::deps::ModelDeps;
 use gillespie::trajectory::Cut;
-use streamstat::merge::Mergeable;
 
 use crate::config::SimConfig;
 use crate::coordinator::{
-    ShardAttempt, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
-    ShardSpec, ShardTransport,
+    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec,
+    ShardTransport,
 };
-use crate::merge::{CutMerger, RunSummary};
+use crate::merge::CutMerger;
 use crate::plan::{ShardPlan, ShardRange};
 use crate::sim_farm::Steering;
 
@@ -95,7 +93,7 @@ impl<'a> ShardSupervisor<'a> {
     /// shard, emits each merged full [`Cut`] through `emit` (a `false`
     /// return means downstream is gone; the supervisor keeps draining
     /// so shard drivers never block forever), and returns the total
-    /// simulated event count plus the merged end-of-run statistics.
+    /// simulated event count.
     ///
     /// `deps` is `model`'s dependency graph, compiled once by the
     /// coordinator: the supervisor hands the same `Arc` to every
@@ -104,10 +102,9 @@ impl<'a> ShardSupervisor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the final [`ShardError`] — with attempt history and any
-    /// partial summary attached — when a shard fails beyond its retry
-    /// budget, fails non-retryably, or stalls past `shard_timeout`
-    /// with no budget left.
+    /// Returns the final [`ShardError`], with its attempt history
+    /// attached, when a shard fails beyond its retry budget, fails
+    /// non-retryably, or stalls past `shard_timeout` with no budget left.
     pub fn run<T: ShardTransport>(
         self,
         model: Arc<Model>,
@@ -115,7 +112,7 @@ impl<'a> ShardSupervisor<'a> {
         steering: &Steering,
         transport: &mut T,
         emit: impl FnMut(Cut) -> bool,
-    ) -> Result<(u64, RunSummary), ShardError> {
+    ) -> Result<u64, ShardError> {
         let states = self
             .plan
             .ranges()
@@ -133,13 +130,11 @@ impl<'a> ShardSupervisor<'a> {
             graveyard: Vec::new(),
             merger: CutMerger::new(self.plan.len()),
             full_cuts: Vec::new(),
-            summary: RunSummary::new(self.cfg.engines.clone()),
             events: 0,
-            ended_count: 0,
         };
         let result = sv.drive();
         sv.shutdown();
-        result.map(|()| (sv.events, sv.summary))
+        result.map(|()| sv.events)
     }
 }
 
@@ -170,7 +165,7 @@ struct ShardState {
     delivered: u64,
     /// Replayed cuts still to swallow on the current attempt.
     skip: u64,
-    /// The shard's end-of-stream report has been merged.
+    /// The shard's end-of-stream report has been taken.
     ended: bool,
 }
 
@@ -204,9 +199,7 @@ struct Supervision<'r, T: ShardTransport, F: FnMut(Cut) -> bool> {
     graveyard: Vec<ShardHandle>,
     merger: CutMerger,
     full_cuts: Vec<Cut>,
-    summary: RunSummary,
     events: u64,
-    ended_count: usize,
 }
 
 impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
@@ -234,11 +227,9 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
                             let _ = (self.emit)(cut);
                         }
                     }
-                    ShardMsg::End(end) => {
-                        self.events += end.events;
-                        self.summary.merge_from(&end.summary);
+                    ShardMsg::End { events } => {
+                        self.events += events;
                         self.states[s].ended = true;
-                        self.ended_count += 1;
                         remaining -= 1;
                     }
                 }
@@ -292,25 +283,7 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
                     st.delivered += 1;
                     return Ok(ShardMsg::Cut(cut));
                 }
-                Recv::Feed(ShardFeed::Msg(ShardMsg::End(end))) => {
-                    if !self.end_conforms(&end) {
-                        // Possible only through a corrupt wire stream;
-                        // a replay re-derives the summary from scratch.
-                        self.recover(
-                            s,
-                            ShardError::new(
-                                s,
-                                ShardErrorKind::Crashed(
-                                    "end-of-stream summary does not match the run's engine \
-                                     configuration"
-                                        .into(),
-                                ),
-                            ),
-                        )?;
-                        continue;
-                    }
-                    return Ok(ShardMsg::End(end));
-                }
+                Recv::Feed(ShardFeed::Msg(end @ ShardMsg::End { .. })) => return Ok(end),
                 Recv::Feed(ShardFeed::Heartbeat) => {}
                 Recv::Feed(ShardFeed::Failed(e)) => {
                     self.recover(s, e)?;
@@ -392,13 +365,6 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
         let used = self.states[s].attempts.len();
         if !retryable || used >= self.cfg.shard_retries {
             err.attempts = std::mem::take(&mut self.states[s].attempts);
-            // Graceful degradation: surface what the completed shards
-            // did manage to compute (queued end-of-stream reports
-            // included) for diagnosis.
-            self.drain_pending_ends();
-            if self.ended_count > 0 {
-                err.partial = Some(Box::new(self.summary.clone()));
-            }
             return Err(err);
         }
         let backoff = self.backoff(used);
@@ -423,40 +389,6 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
         let secs = (self.cfg.shard_backoff * 2f64.powi(used.min(i32::MAX as usize) as i32))
             .min(self.cfg.shard_backoff_max);
         Duration::from_secs_f64(secs.max(0.0))
-    }
-
-    /// Whether an end-of-stream report matches this run's statistical
-    /// configuration (it cannot not match through any code path in this
-    /// workspace — only via a corrupt wire stream).
-    fn end_conforms(&self, end: &ShardEnd) -> bool {
-        let n_obs = end.summary.observables().len();
-        end.summary.engines() == self.cfg.engines.as_slice()
-            && end.summary.conforms()
-            && (n_obs == 0 || n_obs == self.model.observables.len())
-    }
-
-    /// Opportunistically folds end-of-stream reports other shards have
-    /// already queued, so a final error's partial summary is as
-    /// complete as the run actually got.
-    fn drain_pending_ends(&mut self) {
-        let mut pending = Vec::new();
-        for st in &self.states {
-            if st.ended {
-                continue;
-            }
-            let Some(rx) = &st.rx else { continue };
-            while let Ok(feed) = rx.try_recv() {
-                if let ShardFeed::Msg(ShardMsg::End(end)) = feed {
-                    pending.push(end);
-                }
-            }
-        }
-        for end in pending {
-            if self.end_conforms(&end) {
-                self.summary.merge_from(&end.summary);
-                self.ended_count += 1;
-            }
-        }
     }
 
     /// Cancels every live attempt and reaps what finishes promptly. A
@@ -493,7 +425,6 @@ mod tests {
     use crate::runner::{run_simulation, SimError};
     use biomodels::simple::decay;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Condvar, Mutex};
 
     fn cfg() -> SimConfig {
         SimConfig::new(9, 3.0)
@@ -516,16 +447,6 @@ mod tests {
         faults: Vec<(usize, u32)>,
         /// Forward this many cuts before crashing.
         cuts: u64,
-        /// With `Some(n)`, a crashing attempt holds its `Failed` feed until
-        /// `n` healthy launches have sent their end-of-stream report
-        /// (counted by a wrapper around their sinks) — which orders "the
-        /// healthy shards ended" before "the budget ran out" without a
-        /// sleep.
-        hold_until_ends: Option<usize>,
-        /// End-of-stream reports the healthy launches have sent.
-        ends: Arc<(Mutex<usize>, Condvar)>,
-        /// The sink wrappers' forwarding threads, joined by the test.
-        forwarders: Vec<thread::JoinHandle<()>>,
         inner: InProcessTransport,
     }
 
@@ -534,30 +455,7 @@ mod tests {
             CrashingTransport {
                 faults,
                 cuts,
-                hold_until_ends: None,
-                ends: Arc::default(),
-                forwarders: Vec::new(),
                 inner: InProcessTransport,
-            }
-        }
-    }
-
-    /// Forwards every feed from `rx` to `sink`, bumping `ends` once an
-    /// end-of-stream report has been handed over.
-    fn count_ends(
-        rx: mpsc::Receiver<ShardFeed>,
-        sink: mpsc::SyncSender<ShardFeed>,
-        ends: Arc<(Mutex<usize>, Condvar)>,
-    ) {
-        for feed in rx {
-            let is_end = matches!(feed, ShardFeed::Msg(ShardMsg::End(_)));
-            if sink.send(feed).is_err() {
-                return;
-            }
-            if is_end {
-                let (count, cv) = &*ends;
-                *count.lock().unwrap() += 1;
-                cv.notify_all();
             }
         }
     }
@@ -573,18 +471,10 @@ mod tests {
         ) -> Result<ShardHandle, ShardError> {
             let shard = spec.range.shard;
             if !self.faults.contains(&(shard, spec.attempt)) {
-                if self.hold_until_ends.is_none() {
-                    return self.inner.launch_shard(model, deps, spec, steering, sink);
-                }
-                let (tx, rx) = mpsc::sync_channel(0);
-                let ends = Arc::clone(&self.ends);
-                self.forwarders
-                    .push(thread::spawn(move || count_ends(rx, sink, ends)));
-                return self.inner.launch_shard(model, deps, spec, steering, tx);
+                return self.inner.launch_shard(model, deps, spec, steering, sink);
             }
             let spec = spec.clone();
             let cuts = self.cuts;
-            let hold = self.hold_until_ends.map(|n| (n, Arc::clone(&self.ends)));
             let join = thread::spawn(move || {
                 let local = Steering::new();
                 let sent = AtomicU64::new(0);
@@ -598,10 +488,6 @@ mod tests {
                         }
                     }
                 });
-                if let Some((n, ends)) = hold {
-                    let (count, cv) = &*ends;
-                    let _ended = cv.wait_while(count.lock().unwrap(), |c| *c < n).unwrap();
-                }
                 let _ = sink.send(ShardFeed::Failed(ShardError::new(
                     shard,
                     ShardErrorKind::Crashed("injected fault".into()),
@@ -627,6 +513,7 @@ mod tests {
                 .unwrap();
                 assert_eq!(report.rows, single.rows, "shards={shards} faulty={faulty}");
                 assert_eq!(report.events, single.events);
+                assert_eq!(report.summary, single.summary);
             }
         }
     }
@@ -646,26 +533,19 @@ mod tests {
         .unwrap();
         assert_eq!(report.rows, single.rows);
         assert_eq!(report.events, single.events);
+        assert_eq!(report.summary, single.summary);
     }
 
     #[test]
     fn budget_exhaustion_carries_attempt_history_and_partial_summary() {
         let model = Arc::new(decay(40, 1.0));
-        // Shard 1 crashes on every attempt. "Partial present iff ≥ 1 shard
-        // ended" is the contract, so the test orders the two healthy
-        // shards' end-of-stream reports before shard 1's failures: each
-        // crash waits until both are in their channels (capacity 64 holds
-        // a shard's 13 cuts and its report, so nothing blocks on the merge
-        // that is itself waiting on shard 1).
-        let mut transport = CrashingTransport {
-            hold_until_ends: Some(2),
-            ..CrashingTransport::new((0..4).map(|a| (1usize, a)).collect(), 1)
-        };
+        // Shard 1 crashes on every attempt after one cut; its replays
+        // deliver nothing new, so exactly one full cut is merged.
         let err = run_simulation_sharded_with(
             Arc::clone(&model),
-            &cfg().shards(3).retries(2).channel_capacity(64),
+            &cfg().shards(3).retries(2),
             &Steering::new(),
-            &mut transport,
+            &mut CrashingTransport::new((0..4).map(|a| (1usize, a)).collect(), 1),
         )
         .unwrap_err();
         let SimError::Shard(e) = err else {
@@ -679,14 +559,10 @@ mod tests {
         assert!(e.attempts.iter().all(|a| a.error.contains("injected")));
         let rendered = e.to_string();
         assert!(rendered.contains("after 2 failed attempts"), "{rendered}");
-        // The two healthy shards finished their slices; their merged
-        // partial statistics ride along for diagnosis.
+        // The summary of that one merged cut rides along for diagnosis.
         let partial = e.partial.as_deref().expect("partial summary attached");
-        assert!(partial.cuts() > 0);
-        // Every healthy driver has ended, so every forwarder has too.
-        for forwarder in transport.forwarders.drain(..) {
-            forwarder.join().expect("sink forwarder panicked");
-        }
+        assert_eq!(partial.cuts(), 1);
+        assert_eq!(partial.observables()[0].running.count(), 9);
     }
 
     #[test]
@@ -724,6 +600,7 @@ mod tests {
         };
         assert!(matches!(e.kind, ShardErrorKind::Sim(_)), "{e}");
         assert!(e.attempts.is_empty(), "sim errors must not be retried");
+        assert!(e.partial.is_none(), "no cut was merged");
     }
 
     /// Stalls chosen attempts (launches a watched driver that never
@@ -807,6 +684,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.rows, single.rows);
         assert_eq!(report.events, single.events);
+        assert_eq!(report.summary, single.summary);
     }
 
     /// Shard 0 is slow: it feeds a cut every 0.25 s, with a heartbeat
@@ -932,9 +810,7 @@ mod tests {
             graveyard: Vec::new(),
             merger: CutMerger::new(plan.len()),
             full_cuts: Vec::new(),
-            summary: RunSummary::new(cfg.engines.clone()),
             events: 0,
-            ended_count: 0,
         };
         assert_eq!(sv.backoff(0), Duration::from_secs_f64(0.05));
         assert_eq!(sv.backoff(1), Duration::from_secs_f64(0.1));

@@ -7,9 +7,9 @@
 //! pipeline adds around unchanged stages), [`shard`] (the shard protocol,
 //! the worker body and the *multi-process* deployment: one `cwc-shard`
 //! child OS process per shard attempt, a one-shot worker on a loopback
-//! port streaming aligned partial cuts plus mergeable partial statistics
-//! back as length-prefixed wire-v8 frames — bit-for-bit identical
-//! analysis rows to the single-process runner; the same sharded farm
+//! port streaming aligned partial cuts back as length-prefixed wire-v9
+//! frames — bit-for-bit identical analysis rows and run summary to the
+//! single-process runner; the same sharded farm
 //! runs on threads behind `cwcsim::InProcessTransport`) and [`net`] (the
 //! socket path both out-of-process transports run on: `cwc-workerd`
 //! daemons on real hosts serve shard attempts behind the same

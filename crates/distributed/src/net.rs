@@ -1,7 +1,7 @@
 //! The socket path every out-of-process shard runs on.
 //!
 //! A shard attempt outside the coordinator is one TCP connection to a
-//! worker that speaks the length-prefixed wire-v8 shard protocol of
+//! worker that speaks the length-prefixed wire-v9 shard protocol of
 //! [`crate::shard`]. Two workers serve it, both through
 //! [`serve_connection`]: the `cwc-workerd` daemon (repo root,
 //! `src/bin/cwc-workerd.rs`), one per host, and the one-shot `cwc-shard`
@@ -858,6 +858,7 @@ mod tests {
 
         assert_eq!(report.rows, single.rows);
         assert_eq!(report.events, single.events);
+        assert_eq!(report.summary, single.summary);
         let placements = transport.placements();
         assert_eq!(placements.len(), 2);
         assert!(placements.iter().all(|p| p.worker == 0 && p.attempt == 0));

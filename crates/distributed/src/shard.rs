@@ -14,7 +14,7 @@
 //! ## Protocol
 //!
 //! Every frame is a `u32` little-endian byte length followed by that
-//! many bytes of a standard enveloped wire-v8 message (magic, version,
+//! many bytes of a standard enveloped wire-v9 message (magic, version,
 //! payload — see [`crate::wire`]).
 //!
 //! ```text
@@ -22,7 +22,7 @@
 //! worker ──socket──▶ coordinator:  WorkerHello{protocol, capacity}
 //! coordinator ──socket──▶ worker:  Job(model text + ShardSpec + deps) [Terminate]
 //! worker ──socket──▶ coordinator:  (Cut | Progress)* (cuts in grid order)
-//!                                  End{events, summary} | Error(message)
+//!                                  End{events} | Error(message)
 //! ```
 //!
 //! The first line is the process transport's only use of the child's
@@ -79,10 +79,9 @@ use std::time::Duration;
 use cwc::model::Model;
 use cwcsim::config::{SimConfig, TransportKind};
 use cwcsim::coordinator::{
-    run_shard, run_simulation_sharded_with, InProcessTransport, ShardEnd, ShardError,
-    ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec, ShardTransport,
+    run_shard, run_simulation_sharded_with, InProcessTransport, ShardError, ShardErrorKind,
+    ShardFeed, ShardHandle, ShardMsg, ShardSpec, ShardTransport,
 };
-use cwcsim::merge::RunSummary;
 use cwcsim::runner::{SimError, SimReport};
 use cwcsim::sim_farm::Steering;
 use gillespie::deps::ModelDeps;
@@ -130,8 +129,6 @@ pub enum ToCoordinator {
     End {
         /// Reactions fired across the shard's trajectories.
         events: u64,
-        /// The shard's mergeable partial statistics.
-        summary: RunSummary,
     },
     /// The shard hit a simulation error (bad engine/model pairing, node
     /// panic); no further frames follow.
@@ -198,10 +195,9 @@ impl Wire for ToCoordinator {
                 buf.push(0);
                 cut.encode(buf);
             }
-            ToCoordinator::End { events, summary } => {
+            ToCoordinator::End { events } => {
                 buf.push(1);
                 events.encode(buf);
-                summary.encode(buf);
             }
             ToCoordinator::Error(msg) => {
                 buf.push(2);
@@ -219,7 +215,6 @@ impl Wire for ToCoordinator {
             0 => Ok(ToCoordinator::Cut(Cut::decode(r)?)),
             1 => Ok(ToCoordinator::End {
                 events: u64::decode(r)?,
-                summary: RunSummary::decode(r)?,
             }),
             2 => Ok(ToCoordinator::Error(String::decode(r)?)),
             3 => Ok(ToCoordinator::Progress {
@@ -572,9 +567,7 @@ where
             }
             let frame = match msg {
                 ShardMsg::Cut(cut) => ToCoordinator::Cut(cut),
-                ShardMsg::End(ShardEnd { events, summary }) => {
-                    ToCoordinator::End { events, summary }
-                }
+                ShardMsg::End { events } => ToCoordinator::End { events },
             };
             let mut out = output.lock().expect("output mutex");
             if let Err(e) = write_frame(&mut *out, &frame) {
@@ -639,8 +632,8 @@ pub(crate) fn pump_frames(
         let feed = match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
             Ok(Some(ToCoordinator::Progress { .. })) => ShardFeed::Heartbeat,
             Ok(Some(ToCoordinator::Cut(cut))) => ShardFeed::Msg(ShardMsg::Cut(cut)),
-            Ok(Some(ToCoordinator::End { events, summary })) => {
-                let _ = sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
+            Ok(Some(ToCoordinator::End { events })) => {
+                let _ = sink.send(ShardFeed::Msg(ShardMsg::End { events }));
                 return Ok(());
             }
             Ok(Some(ToCoordinator::Error(msg))) => return Err(ShardErrorKind::Sim(msg)),
@@ -982,10 +975,7 @@ mod tests {
     }
 
     fn end() -> ToCoordinator {
-        ToCoordinator::End {
-            events: 5,
-            summary: RunSummary::new(Vec::new()),
-        }
+        ToCoordinator::End { events: 5 }
     }
 
     fn stream(frames: &[ToCoordinator]) -> Vec<u8> {
@@ -1029,7 +1019,7 @@ mod tests {
         assert_eq!(times, [0.0, 0.5]);
         assert_eq!(feeds.len(), 3);
         assert!(
-            matches!(&feeds[2], ShardFeed::Msg(ShardMsg::End(e)) if e.events == 5),
+            matches!(&feeds[2], ShardFeed::Msg(ShardMsg::End { events: 5 })),
             "{feeds:?}"
         );
     }
@@ -1119,11 +1109,7 @@ mod tests {
         }
         assert!(times.windows(2).all(|w| w[0] < w[1]));
         match &frames[9] {
-            ToCoordinator::End { events, summary } => {
-                assert!(*events > 0);
-                assert_eq!(summary.cuts(), 9);
-                assert_eq!(summary.observables()[0].running.count(), 18);
-            }
+            ToCoordinator::End { events } => assert!(*events > 0),
             other => panic!("expected end, got {other:?}"),
         }
     }

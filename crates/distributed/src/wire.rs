@@ -10,17 +10,12 @@
 //! testable.
 
 use cwc::species::{Label, Species};
-use cwcsim::engines::StatEngineKind;
-use cwcsim::merge::{ObsSummary, RunSummary};
 use cwcsim::plan::ShardRange;
 use cwcsim::task::SampleBatch;
 use cwcsim::ShardSpec;
 use gillespie::deps::{KeptChild, ModelDeps, RuleDeps};
 use gillespie::engine::EngineKind;
 use gillespie::trajectory::{Cut, Row};
-use streamstat::histogram::Histogram;
-use streamstat::quantile::P2Quantile;
-use streamstat::welford::Running;
 
 /// Magic bytes of an encoded message envelope.
 pub const MAGIC: [u8; 4] = *b"CWCS";
@@ -30,8 +25,8 @@ pub const MAGIC: [u8; 4] = *b"CWCS";
 /// adaptive-tau and hybrid engine kinds (tags 3 and 4); version 4 added
 /// the sharded-farm messages — full CWC models (so `cwc-shard` child
 /// processes receive arbitrary models, not a registry name), aligned
-/// partial [`Cut`]s, and the mergeable partial-statistics state
-/// ([`RunSummary`] with its Welford/histogram/P² accumulators) — plus the
+/// partial [`Cut`]s, and the mergeable partial-statistics state (a run
+/// summary of Welford/histogram/P² accumulators) — plus the
 /// [`crate::shard`] frame envelope around them; version 5 added the
 /// batched engine kind (tag 5 + batch width); version 6 added the
 /// supervision fields — the heartbeat frame
@@ -47,8 +42,11 @@ pub const MAGIC: [u8; 4] = *b"CWCS";
 /// dependency graph on every attempt; version 8 ships the job's model as
 /// model text ([`cwc::render_model`], read back by [`cwc::parse_model`])
 /// in place of a structural model codec, so the text format is the one
-/// way a model is read, from a file or off the wire.
-pub const VERSION: u16 = 8;
+/// way a model is read, from a file or off the wire; version 9 drops the
+/// statistics from the wire — a shard's `End` frame carries its event
+/// count alone and [`ShardSpec`] no longer lists the stat engines — since
+/// the coordinator summarises the merged cut stream itself.
+pub const VERSION: u16 = 9;
 
 /// Error produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -354,149 +352,6 @@ impl Wire for Cut {
     }
 }
 
-/// Tag 0 = mean/variance, 1 = k-means, 2 = quantile, 3 = histogram.
-impl Wire for StatEngineKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            StatEngineKind::MeanVariance => buf.push(0),
-            StatEngineKind::KMeans { k } => {
-                buf.push(1);
-                (*k as u64).encode(buf);
-            }
-            StatEngineKind::Quantile { p } => {
-                buf.push(2);
-                p.encode(buf);
-            }
-            StatEngineKind::Histogram { lo, hi, bins } => {
-                buf.push(3);
-                lo.encode(buf);
-                hi.encode(buf);
-                (*bins as u64).encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(StatEngineKind::MeanVariance),
-            1 => Ok(StatEngineKind::KMeans {
-                k: u64::decode(r)? as usize,
-            }),
-            2 => Ok(StatEngineKind::Quantile { p: f64::decode(r)? }),
-            3 => Ok(StatEngineKind::Histogram {
-                lo: f64::decode(r)?,
-                hi: f64::decode(r)?,
-                bins: u64::decode(r)? as usize,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for Running {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.count().encode(buf);
-        self.mean().encode(buf);
-        self.m2().encode(buf);
-        self.min().encode(buf);
-        self.max().encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Running::from_parts(
-            u64::decode(r)?,
-            f64::decode(r)?,
-            f64::decode(r)?,
-            f64::decode(r)?,
-            f64::decode(r)?,
-        ))
-    }
-}
-
-impl Wire for Histogram {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.lo().encode(buf);
-        self.hi().encode(buf);
-        let counts: Vec<u64> = (0..self.bins()).map(|i| self.bin_count(i)).collect();
-        counts.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let lo = f64::decode(r)?;
-        let hi = f64::decode(r)?;
-        let counts: Vec<u64> = Vec::decode(r)?;
-        // Validate before the constructor would panic on hostile input.
-        if counts.is_empty() || hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
-            return Err(WireError::BadTag(0xFE));
-        }
-        Ok(Histogram::from_parts(lo, hi, counts))
-    }
-}
-
-impl Wire for P2Quantile {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let (p, heights, positions, desired, seen) = self.raw_parts();
-        p.encode(buf);
-        for x in heights.iter().chain(&positions).chain(&desired) {
-            x.encode(buf);
-        }
-        seen.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let p = f64::decode(r)?;
-        if !(p > 0.0 && p < 1.0) {
-            return Err(WireError::BadTag(0xFE));
-        }
-        let mut arrays = [[0.0f64; 5]; 3];
-        for a in &mut arrays {
-            for x in a.iter_mut() {
-                *x = f64::decode(r)?;
-            }
-        }
-        let [heights, positions, desired] = arrays;
-        Ok(P2Quantile::from_raw_parts(
-            p,
-            heights,
-            positions,
-            desired,
-            u64::decode(r)?,
-        ))
-    }
-}
-
-impl Wire for ObsSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.running.encode(buf);
-        self.histogram.encode(buf);
-        self.quantile.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ObsSummary {
-            running: Running::decode(r)?,
-            histogram: Option::decode(r)?,
-            quantile: Option::decode(r)?,
-        })
-    }
-}
-
-impl Wire for RunSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.engines().to_vec().encode(buf);
-        self.observables().to_vec().encode(buf);
-        self.cuts().encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RunSummary::from_parts(
-            Vec::decode(r)?,
-            Vec::decode(r)?,
-            u64::decode(r)?,
-        ))
-    }
-}
-
 impl Wire for ShardRange {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.shard as u64).encode(buf);
@@ -523,7 +378,6 @@ impl Wire for ShardSpec {
         self.sample_period.encode(buf);
         (self.sim_workers as u64).encode(buf);
         (self.channel_capacity as u64).encode(buf);
-        self.engines.encode(buf);
         self.attempt.encode(buf);
         self.heartbeat_period.encode(buf);
     }
@@ -538,7 +392,6 @@ impl Wire for ShardSpec {
             sample_period: f64::decode(r)?,
             sim_workers: u64::decode(r)? as usize,
             channel_capacity: u64::decode(r)? as usize,
-            engines: Vec::decode(r)?,
             attempt: u32::decode(r)?,
             heartbeat_period: f64::decode(r)?,
         })
@@ -830,14 +683,15 @@ mod tests {
         // The v7 cut layout written out by hand: envelope, time, row
         // count, then every row as its length and its values — the bytes
         // of a `Vec<Vec<u64>>`, whether the row is inline or spilled. v8
-        // changed the job only, so a cut differs from v7 in its envelope's
-        // version field alone.
+        // changed the job and v9 the end-of-stream frame and the spec
+        // only, so a cut differs from v7 in its envelope's version field
+        // alone.
         let three = Cut {
             time: 0.5,
             values: vec![Row::from_slice(&[1, 2, 3]), Row::from_slice(&[4, 5, 6])],
         };
         let three_v7 = hex("
-            43574353 0800 000000000000e03f 0200000000000000
+            43574353 0900 000000000000e03f 0200000000000000
             0300000000000000 0100000000000000 0200000000000000 0300000000000000
             0300000000000000 0400000000000000 0500000000000000 0600000000000000");
         let six = Cut {
@@ -845,7 +699,7 @@ mod tests {
             values: vec![Row::from_slice(&[1, 2, 3, 4, 5, 6])],
         };
         let six_v7 = hex("
-            43574353 0800 0000000000000040 0100000000000000
+            43574353 0900 0000000000000040 0100000000000000
             0600000000000000 0100000000000000 0200000000000000 0300000000000000
                              0400000000000000 0500000000000000 0600000000000000");
         for (cut, v7) in [(three, three_v7), (six, six_v7)] {
@@ -868,86 +722,6 @@ mod tests {
         let mut bytes = to_bytes(&Row::from_slice(&[1, 2, 3, 4, 5]));
         bytes.truncate(bytes.len() - 8);
         assert_eq!(from_bytes::<Row>(&bytes), Err(WireError::UnexpectedEof));
-    }
-
-    #[test]
-    fn stat_engine_kinds_roundtrip() {
-        roundtrip(StatEngineKind::MeanVariance);
-        roundtrip(StatEngineKind::KMeans { k: 3 });
-        roundtrip(StatEngineKind::Quantile { p: 0.9 });
-        roundtrip(StatEngineKind::Histogram {
-            lo: -1.0,
-            hi: 9.0,
-            bins: 12,
-        });
-    }
-
-    #[test]
-    fn accumulators_roundtrip() {
-        let r: Running = [1.0, 2.5, -3.0, 8.0].into_iter().collect();
-        roundtrip(r);
-
-        let mut h = Histogram::new(0.0, 10.0, 4);
-        for x in [0.5, 3.0, 9.9, 12.0] {
-            h.push(x);
-        }
-        roundtrip(h);
-
-        let mut q = P2Quantile::new(0.5);
-        for i in 0..100 {
-            q.push(i as f64);
-        }
-        let bytes = to_bytes(&q);
-        let back: P2Quantile = from_bytes(&bytes).unwrap();
-        assert_eq!(back.raw_parts(), q.raw_parts());
-        assert_eq!(back.estimate(), q.estimate());
-    }
-
-    #[test]
-    fn hostile_accumulator_parameters_are_rejected_not_panicked() {
-        // Histogram with hi <= lo.
-        let h = Histogram::new(0.0, 1.0, 2);
-        let mut bytes = to_bytes(&h);
-        // hi is the second f64 after the envelope (4 magic + 2 version + 8 lo).
-        bytes[14..22].copy_from_slice(&(-5.0f64).to_le_bytes());
-        assert!(from_bytes::<Histogram>(&bytes).is_err());
-        // Quantile with p outside (0, 1).
-        let q = P2Quantile::new(0.5);
-        let mut bytes = to_bytes(&q);
-        bytes[6..14].copy_from_slice(&(2.0f64).to_le_bytes());
-        assert!(from_bytes::<P2Quantile>(&bytes).is_err());
-    }
-
-    #[test]
-    fn run_summary_roundtrips_and_keeps_merging() {
-        use streamstat::merge::Mergeable;
-        let engines = vec![
-            StatEngineKind::MeanVariance,
-            StatEngineKind::Histogram {
-                lo: 0.0,
-                hi: 100.0,
-                bins: 10,
-            },
-            StatEngineKind::Quantile { p: 0.5 },
-        ];
-        let mut s = RunSummary::new(engines);
-        s.push_cut(&Cut {
-            time: 0.0,
-            values: vec![
-                Row::from_slice(&[10]),
-                Row::from_slice(&[20]),
-                Row::from_slice(&[30]),
-            ],
-        });
-        let bytes = to_bytes(&s);
-        let mut back: RunSummary = from_bytes(&bytes).unwrap();
-        assert_eq!(back.cuts(), 1);
-        let (a, b) = (&s.observables()[0], &back.observables()[0]);
-        assert_eq!(a.running, b.running);
-        assert_eq!(a.histogram, b.histogram);
-        // A decoded summary must still merge with a live one.
-        back.merge_from(&s);
-        assert_eq!(back.observables()[0].running.count(), 6);
     }
 
     #[test]
@@ -975,10 +749,6 @@ mod tests {
                 sample_period: 0.5,
                 sim_workers: 4,
                 channel_capacity: 64,
-                engines: vec![
-                    StatEngineKind::MeanVariance,
-                    StatEngineKind::KMeans { k: 2 },
-                ],
                 attempt: 3,
                 heartbeat_period: 0.25,
             });

@@ -86,25 +86,6 @@ impl Histogram {
         self.hi
     }
 
-    /// Reassembles a histogram from its geometry and raw bin counts (the
-    /// wire-format constructor; the total count is recomputed).
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty `bins` or `hi <= lo`, like [`Histogram::new`].
-    pub fn from_parts(lo: f64, hi: f64, bins: Vec<u64>) -> Self {
-        assert!(!bins.is_empty(), "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        let count = bins.iter().sum();
-        Histogram {
-            lo,
-            hi,
-            width: (hi - lo) / bins.len() as f64,
-            bins,
-            count,
-        }
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.bins.len()

@@ -4,7 +4,7 @@
 //! (Aldinucci et al., ICDCS 2014, Fig. 2). The streaming estimators here
 //! (Welford moments, histograms, P² quantiles) are single-pass and
 //! mergeable, so a whole-run summary can grow *while simulations are
-//! still running* and fold across shards. A per-cut engine holds the
+//! still running*. A per-cut engine holds the
 //! whole cut, so it uses exact forms where they are cheaper: k-means on
 //! the cut's sorted counts ([`kmeans1d_counts`]) and, in the pipeline, a
 //! nearest-rank quantile read off the same sorted copy.

@@ -1,12 +1,12 @@
-//! The [`Mergeable`] contract: combine per-shard partial statistics.
+//! The [`Mergeable`] contract: combine partial statistics.
 //!
-//! The sharded simulation farm computes statistics *per shard* and ships
-//! the partial accumulator state — not raw trajectories — back to the
-//! coordinator (the StochKit-FF design: "mergeable online statistics
-//! instead of trajectory shipping"). Every estimator that can travel that
-//! way implements `Mergeable`; the merge logic used to be an ad hoc
-//! inherent method per type, this trait is the single seam the
-//! coordinator (and any future tree-reduction) programs against.
+//! A farm that does not ship its raw samples can still summarise them
+//! by merging partial accumulator states (the StochKit-FF design:
+//! "mergeable online statistics instead of trajectory shipping"). Every
+//! estimator that supports it implements `Mergeable`, the one seam a
+//! tree reduction programs against. (The CWC simulation pipeline ships
+//! every sample to its coordinator and summarises the full stream once,
+//! so it does not merge partials in a run.)
 //!
 //! Implementations in this crate:
 //!

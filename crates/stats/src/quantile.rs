@@ -19,7 +19,7 @@
 /// let median = q.estimate().unwrap();
 /// assert!((median - 501.0).abs() < 10.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights (q0..q4).
@@ -151,8 +151,7 @@ impl P2Quantile {
     /// fewer observations exist, where the raw values are returned
     /// verbatim (possibly more than `k`) so small samples stay exact.
     /// This is the "downsample" half of the
-    /// [`Mergeable`](crate::merge::Mergeable) merge and the portable form
-    /// the sharded farm ships over the wire.
+    /// [`Mergeable`](crate::merge::Mergeable) merge.
     pub fn downsample(&self, k: usize) -> Vec<f64> {
         let n = self.seen;
         if n == 0 || k == 0 {
@@ -186,39 +185,6 @@ impl P2Quantile {
             }
         }
         self.heights[4]
-    }
-
-    /// Raw marker state `(p, heights, positions, desired, seen)` — the
-    /// wire form (the increments are a pure function of `p` and are not
-    /// included).
-    pub fn raw_parts(&self) -> (f64, [f64; 5], [f64; 5], [f64; 5], u64) {
-        (
-            self.p,
-            self.heights,
-            self.positions,
-            self.desired,
-            self.seen as u64,
-        )
-    }
-
-    /// Reassembles an estimator from [`P2Quantile::raw_parts`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside (0, 1), like [`P2Quantile::new`].
-    pub fn from_raw_parts(
-        p: f64,
-        heights: [f64; 5],
-        positions: [f64; 5],
-        desired: [f64; 5],
-        seen: u64,
-    ) -> Self {
-        let mut q = P2Quantile::new(p);
-        q.heights = heights;
-        q.positions = positions;
-        q.desired = desired;
-        q.seen = seen as usize;
-        q
     }
 }
 

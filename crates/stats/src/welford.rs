@@ -96,27 +96,6 @@ impl Running {
         self.max
     }
 
-    /// Sum of squared deviations from the mean (the Welford `M2` term) —
-    /// exposed, with [`Running::from_parts`], so the accumulator can cross
-    /// process boundaries in the sharded farm's wire format.
-    pub fn m2(&self) -> f64 {
-        self.m2
-    }
-
-    /// Reassembles an accumulator from its raw state
-    /// (`count`/`mean`/`m2`/`min`/`max`, as produced by the accessors).
-    /// Exists for deserialisation; feeding inconsistent parts yields an
-    /// accumulator that reports them verbatim.
-    pub fn from_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        Running {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Merges another accumulator (Chan et al. parallel combination).
     pub fn merge(&mut self, other: &Running) {
         if other.count == 0 {

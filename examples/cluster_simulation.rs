@@ -34,6 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sharded = run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(3))?;
     assert_eq!(local.rows, sharded.rows, "distribution changed results!");
     assert_eq!(local.events, sharded.events);
+    assert_eq!(local.summary, sharded.summary);
     println!("functional: 3 shards produced identical results to local execution");
     println!(
         "            {} rows, {} reactions fired across the shards",

@@ -14,20 +14,20 @@
 //! With `-- --shards N` the run is repeated through the sharded farm —
 //! N real `cwc-shard` child processes (build the worker first:
 //! `cargo build --release --bin cwc-shard`), each simulating a slice of
-//! the trajectories and streaming partial cuts + mergeable statistics
-//! back — and the rows are asserted **bit-for-bit identical** to the
+//! the trajectories and streaming partial cuts back — and the rows and
+//! the whole-run summary are asserted **bit-for-bit identical** to the
 //! single-process run (exit code 1 otherwise; the CI sharded smoke leg
 //! runs exactly this). `-- --retries N` arms the supervisor's retry
 //! budget and `-- --shard-timeout SECS` its watchdog, so the same smoke
 //! run also survives an injected worker fault (`CWC_SHARD_FAULT`; the
 //! CI fault-injection leg kills one shard mid-run this way and still
-//! demands bit-for-bit rows).
+//! demands bit-for-bit rows and summary).
 //!
 //! With `-- --transport tcp --workers host:port,host:port` the sharded
 //! re-run places its shards on running `cwc-workerd` daemons over TCP
 //! instead of spawning local children (`--connect-timeout SECS` bounds
 //! the per-worker connect/handshake). The bit-for-bit assertion is
-//! unchanged — worker placement must be invisible in the rows; the CI
+//! unchanged — worker placement must be invisible in the report; the CI
 //! loopback-cluster leg runs exactly this, killing one daemon mid-run.
 
 use std::sync::Arc;
@@ -89,7 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sharded re-run: same model, same seeds, N child processes — and
-    // the per-instance seeding makes the rows bit-for-bit identical.
+    // the per-instance seeding makes the rows bit-for-bit identical; the
+    // coordinator summarises the merged cuts, so the summary is too.
     // With a retry budget and/or watchdog armed, that still holds when a
     // worker dies mid-run: the supervisor requeues the slice and the
     // deterministic replay slots straight back into the merge.
@@ -112,7 +113,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let sharded =
             cwc_repro::distrt::shard::run_simulation_sharded(Arc::clone(&model), &sharded_cfg)?;
-        if sharded.rows != report.rows || sharded.events != report.events {
+        if sharded.rows != report.rows
+            || sharded.events != report.events
+            || sharded.summary != report.summary
+        {
             eprintln!("sharded run DIVERGED from the single-process run");
             std::process::exit(1);
         }
@@ -126,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         eprintln!(
             "sharded re-run across {}: {} reactions in {:?} — \
-             rows bit-for-bit identical to the single-process run",
+             rows and summary bit-for-bit identical to the single-process run",
             where_, sharded.events, sharded.wall
         );
     }

@@ -7,7 +7,7 @@
 //! the shard worker body `cwc-workerd` runs per connection: a `Job`
 //! frame carrying the model, the slice spec and the coordinator's
 //! pre-compiled dependency graph in; aligned partial cuts, `Progress`
-//! heartbeats and one mergeable statistics state out; a `Terminate`
+//! heartbeats and one end-of-stream event count out; a `Terminate`
 //! frame drains the shard at the next quantum boundaries. See
 //! `distrt::shard` for the full contract.
 //!

@@ -8,7 +8,7 @@
 //! frame (protocol version + capacity) out, then a `Job` frame carrying
 //! the model, the slice spec and the coordinator's pre-compiled
 //! dependency graph in, aligned partial cuts plus heartbeats plus one
-//! mergeable statistics state out.
+//! end-of-stream event count out.
 //!
 //! ```text
 //! cwc-workerd --listen 0.0.0.0:7701 --capacity 8

@@ -3,13 +3,15 @@
 //! harness (`distrt::fault`):
 //!
 //! - a worker that crashes, stalls or corrupts its stream mid-run is
-//!   detected, its slice is requeued, and the merged report is
-//!   **bit-for-bit** identical to a fault-free single-process run — for
-//!   every engine kind, including the batched kind;
+//!   detected, its slice is requeued, and the merged report — rows,
+//!   events and run summary — is **bit-for-bit** identical to a
+//!   fault-free single-process run, for every engine kind, including the
+//!   batched kind;
 //! - with a zero retry budget the same faults surface as *typed* errors
 //!   (`Crashed`, `Frame { offset, .. }`, `Timeout { silent_for }`),
 //!   never as a hang;
-//! - budget exhaustion carries the full per-attempt history.
+//! - budget exhaustion carries the full per-attempt history and the
+//!   summary of the cuts merged before it.
 //!
 //! Each test arms its own transport via `ProcessTransport::env`, so the
 //! fault plan rides the child's environment and tests stay parallel-safe.
@@ -92,6 +94,7 @@ fn fault_matrix_recovers_bit_for_bit_or_fails_typed() {
                     Ok(report) if retries >= 1 => {
                         assert_eq!(report.rows, reference.rows, "{label}: rows diverged");
                         assert_eq!(report.events, reference.events, "{label}: events diverged");
+                        assert_eq!(report.summary, reference.summary, "{label}: summary");
                     }
                     Ok(_) => panic!("{label}: succeeded with no retry budget"),
                     Err(SimError::Shard(e)) if retries == 0 => {
@@ -136,6 +139,7 @@ fn recovery_is_bit_for_bit_for_every_engine_kind() {
             recovered.events, reference.events,
             "{kind}: events diverged"
         );
+        assert_eq!(recovered.summary, reference.summary, "{kind}: summary");
     }
 }
 
@@ -181,11 +185,13 @@ fn delayed_start_within_the_deadline_still_completes() {
     )
     .expect("a 0.3s delay under a 3s deadline must not be fatal");
     assert_eq!(report.rows, reference.rows);
+    assert_eq!(report.summary, reference.summary);
 }
 
 /// Budget exhaustion: a shard that faults on every attempt burns the
 /// whole budget, and the error carries one history entry per failed
-/// attempt plus the blamed shard.
+/// attempt, the blamed shard, and the summary of the one full cut that
+/// was merged (every attempt writes one cut, so replays add nothing).
 #[test]
 fn exhausted_budget_reports_the_full_attempt_history() {
     let err = run_faulted(
@@ -208,6 +214,7 @@ fn exhausted_budget_reports_the_full_attempt_history() {
             }
             let rendered = e.to_string();
             assert!(rendered.contains("after 2 failed attempts"), "{rendered}");
+            assert_eq!(e.partial.map(|p| p.cuts()), Some(1));
         }
         other => panic!("expected SimError::Shard, got {other}"),
     }
@@ -422,6 +429,7 @@ fn tcp_fault_matrix_recovers_on_a_survivor_or_fails_typed() {
                     Ok(report) if retries >= 1 => {
                         assert_eq!(report.rows, reference.rows, "{label}: rows diverged");
                         assert_eq!(report.events, reference.events, "{label}: events diverged");
+                        assert_eq!(report.summary, reference.summary, "{label}: summary");
                         // Requeue-on-survivor: every retry attempt sits
                         // on a different worker than the one that just
                         // failed the same shard.

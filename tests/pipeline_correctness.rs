@@ -250,7 +250,7 @@ fn steering_terminates_a_running_simulation_early() {
             steering.terminate();
             times.push(cut.time);
         }
-        ShardMsg::End(end) => events = end.events,
+        ShardMsg::End { events: e } => events = e,
     })
     .unwrap();
     assert!(

@@ -1,8 +1,8 @@
 //! The sharded farm's core contract: `run_simulation_sharded` with any
 //! shard count produces **bit-for-bit** the same `StatRow`s as the
-//! single-process `run_simulation` — across models, engine kinds and
-//! shard counts — and a failing shard surfaces as a typed error, never a
-//! hang.
+//! single-process `run_simulation`, and the same `RunSummary` as
+//! `run_sequential` — across models, engine kinds and shard counts — and
+//! a failing shard surfaces as a typed error, never a hang.
 //!
 //! `shards > 1` spawns real `cwc-shard` child processes (cargo builds
 //! the binary alongside this test; `distrt` resolves it next to the test
@@ -17,7 +17,6 @@ use cwc_repro::cwcsim::{
     SimConfig, SimError, SimReport, StatEngineKind,
 };
 use cwc_repro::distrt::shard::run_simulation_sharded;
-use cwc_repro::distrt::wire;
 
 fn engine_kinds() -> Vec<EngineKind> {
     vec![
@@ -75,6 +74,8 @@ fn sharded_rows_are_bit_for_bit_identical_across_the_matrix() {
             let single = run_simulation(Arc::clone(&model), &base)
                 .unwrap_or_else(|e| panic!("{name}/{kind}: single-process run failed: {e}"));
             assert!(!single.rows.is_empty(), "{name}/{kind}: empty reference");
+            let seq = run_sequential(Arc::clone(&model), &base).unwrap();
+            assert_eq!(single.summary, seq.summary, "{name}/{kind}: farm summary");
             for shards in [1usize, 2, 3] {
                 let sharded =
                     run_simulation_sharded(Arc::clone(&model), &base.clone().shards(shards))
@@ -86,6 +87,10 @@ fn sharded_rows_are_bit_for_bit_identical_across_the_matrix() {
                 assert_eq!(
                     sharded.events, single.events,
                     "{name}/{kind}/shards={shards}: event counts diverged"
+                );
+                assert_eq!(
+                    sharded.summary, seq.summary,
+                    "{name}/{kind}/shards={shards}: summaries diverged"
                 );
             }
         }
@@ -120,16 +125,11 @@ fn six_observable_chain() -> Arc<Model> {
     Arc::new(m)
 }
 
-/// Rows, events and the merged `RunSummary` (through its canonical wire
-/// encoding) of two reports.
+/// Rows, events and the whole-run `RunSummary` of two reports.
 fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
     assert_eq!(a.rows, b.rows, "{label}: rows diverged");
     assert_eq!(a.events, b.events, "{label}: event counts diverged");
-    assert_eq!(
-        wire::to_bytes(&a.summary),
-        wire::to_bytes(&b.summary),
-        "{label}: summaries diverged"
-    );
+    assert_eq!(a.summary, b.summary, "{label}: summaries diverged");
 }
 
 #[test]
@@ -152,45 +152,16 @@ fn spilled_rows_agree_bit_for_bit_on_every_runner() {
         let seq = run_sequential(Arc::clone(&model), &base).unwrap();
         assert_reports_identical(&farm, &seq, &format!("{kind}: farm vs sequential"));
 
-        // A sharded summary folds one partial per shard, so it is compared
-        // at equal shard counts; rows and events against the farm.
-        let two = base.clone().shards(2);
-        let in_process = run_simulation_sharded_in_process(Arc::clone(&model), &two).unwrap();
-        let processes = run_simulation_sharded(Arc::clone(&model), &two).unwrap();
-        assert_eq!(in_process.rows, farm.rows, "{kind}: in-process shards");
-        assert_eq!(in_process.events, farm.events, "{kind}: in-process shards");
-        assert_reports_identical(
-            &processes,
-            &in_process,
-            &format!("{kind}: process vs in-process shards"),
-        );
-    }
-}
-
-#[test]
-fn sharded_summary_merges_the_exact_parts_exactly() {
-    let model = Arc::new(biomodels::simple::decay(80, 1.0));
-    let base = cfg().engines(vec![
-        StatEngineKind::MeanVariance,
-        StatEngineKind::Histogram {
-            lo: 0.0,
-            hi: 100.0,
-            bins: 20,
-        },
-    ]);
-    let single = run_simulation(Arc::clone(&model), &base).unwrap();
-    let sharded = run_simulation_sharded(model, &base.clone().shards(3)).unwrap();
-    let (s, m) = (
-        &single.summary.observables()[0],
-        &sharded.summary.observables()[0],
-    );
-    assert_eq!(s.running.count(), m.running.count());
-    assert_eq!(s.running.min(), m.running.min());
-    assert_eq!(s.running.max(), m.running.max());
-    assert!((s.running.mean() - m.running.mean()).abs() < 1e-9);
-    let (sh, mh) = (s.histogram.as_ref().unwrap(), m.histogram.as_ref().unwrap());
-    for b in 0..sh.bins() {
-        assert_eq!(sh.bin_count(b), mh.bin_count(b), "bin {b}");
+        for shards in [1usize, 2, 3] {
+            let sharded = base.clone().shards(shards);
+            let in_process =
+                run_simulation_sharded_in_process(Arc::clone(&model), &sharded).unwrap();
+            let processes = run_simulation_sharded(Arc::clone(&model), &sharded).unwrap();
+            for (report, runner) in [(in_process, "in-process"), (processes, "process")] {
+                let label = format!("{kind}: {shards} {runner} shards vs sequential");
+                assert_reports_identical(&report, &seq, &label);
+            }
+        }
     }
 }
 

@@ -64,6 +64,12 @@ fn assert_prefix(kind: EngineKind, label: &str, drained: &SimReport, full: &SimR
         drained.events <= full.events,
         "{label}/{kind}: drained counted more events than the full run"
     );
+    // The summary covers exactly the cuts the drained run has rows for.
+    assert_eq!(
+        drained.summary.cuts(),
+        drained.rows.len() as u64,
+        "{label}/{kind}: summary and rows cover different cuts"
+    );
 }
 
 /// Fires `terminate` from another thread shortly after the run starts.

@@ -1,11 +1,10 @@
 //! The TCP shard transport's core contract, end-to-end against real
 //! `cwc-workerd` daemon processes on loopback:
 //!
-//! - a farm of 2–3 daemons produces **bit-for-bit** the same merged
-//!   report (`StatRow`s, event count *and* the mergeable `RunSummary`,
-//!   compared by its wire encoding) as the single-process runner and as
-//!   the local `ProcessTransport` — for every engine kind, the batched
-//!   kind included, and every shard count;
+//! - a farm of 2–3 daemons produces **bit-for-bit** the same report
+//!   (`StatRow`s, event count *and* the whole-run `RunSummary`) as the
+//!   sequential reference and the local `ProcessTransport` — for every
+//!   engine kind, the batched kind included, and every shard count;
 //! - a worker killed mid-run (SIGKILL, no protocol goodbye) is detected
 //!   and its slice requeued onto a *surviving* worker, and the merged
 //!   report is still bit-for-bit identical;
@@ -24,12 +23,11 @@ use std::time::Duration;
 use cwc_repro::biomodels;
 use cwc_repro::cwc::model::Model;
 use cwc_repro::cwcsim::{
-    run_simulation, run_simulation_sharded_with, EngineKind, InProcessTransport, SimConfig,
-    SimReport, Steering, TransportKind,
+    run_sequential, run_simulation, run_simulation_sharded_with, EngineKind, SimConfig, SimReport,
+    Steering, TransportKind,
 };
 use cwc_repro::distrt::net::TcpShardTransport;
 use cwc_repro::distrt::shard::ProcessTransport;
-use cwc_repro::distrt::wire;
 
 /// One spawned `cwc-workerd` child on an ephemeral loopback port.
 /// Killed on drop so no daemon outlives its test.
@@ -103,32 +101,19 @@ fn run_tcp(model: &Arc<Model>, cfg: &SimConfig) -> (SimReport, TcpShardTransport
     (report, transport)
 }
 
-/// The portable bit-for-bit contract: merged `StatRow`s and the event
-/// count are identical regardless of deployment (single process,
-/// in-process shards, child processes, TCP farm).
-fn assert_rows_identical(a: &SimReport, b: &SimReport, label: &str) {
+/// The bit-for-bit contract: `StatRow`s, the event count and the
+/// whole-run `RunSummary` are identical regardless of deployment (single
+/// process, in-process shards, child processes, TCP farm).
+fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
     assert_eq!(a.rows, b.rows, "{label}: rows diverged");
     assert_eq!(a.events, b.events, "{label}: event counts diverged");
-}
-
-/// Whole-report bit-for-bit equality, including the merged `RunSummary`
-/// compared through its canonical wire encoding. The summary folds one
-/// partial cut per shard, so its bytes are only comparable between runs
-/// with the *same* shard count — rows and events are comparable across
-/// any deployment (see [`assert_rows_identical`]).
-fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_rows_identical(a, b, label);
-    assert_eq!(
-        wire::to_bytes(&a.summary),
-        wire::to_bytes(&b.summary),
-        "{label}: merged summaries diverged"
-    );
+    assert_eq!(a.summary, b.summary, "{label}: summaries diverged");
 }
 
 /// The loopback-cluster matrix: every engine kind × shards {1, 2, 3}
 /// against two live daemons, asserted bit-for-bit against the
-/// single-process runner — and, per kind, against the local
-/// `ProcessTransport` too, so all three deployments agree exactly.
+/// sequential reference — and, per kind, the local `ProcessTransport`
+/// too, so every deployment agrees exactly.
 #[test]
 fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
     let daemons = [Workerd::spawn(), Workerd::spawn()];
@@ -144,12 +129,11 @@ fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
     ];
     for kind in kinds {
         let base = cfg().engine(kind);
-        let single = run_simulation(Arc::clone(&model), &base)
-            .unwrap_or_else(|e| panic!("{kind}: single-process reference failed: {e}"));
+        let single = run_sequential(Arc::clone(&model), &base)
+            .unwrap_or_else(|e| panic!("{kind}: sequential reference failed: {e}"));
         assert!(!single.rows.is_empty(), "{kind}: empty reference");
 
-        // The same slices through local child processes, for the
-        // three-way agreement below.
+        // The same slices through local child processes.
         let mut process = ProcessTransport::new().expect("cwc-shard built alongside this test");
         let via_process = run_simulation_sharded_with(
             Arc::clone(&model),
@@ -158,27 +142,12 @@ fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
             &mut process,
         )
         .unwrap_or_else(|e| panic!("{kind}: process-transport run failed: {e}"));
-        assert_rows_identical(&via_process, &single, &format!("{kind}/process"));
+        assert_reports_identical(&via_process, &single, &format!("{kind}/process"));
 
         for shards in [1usize, 2, 3] {
             let label = format!("{kind}/tcp/shards={shards}");
-            let sharded_cfg = tcp_cfg(&base, shards, &daemons);
-            // Same shard count through the in-process transport: the
-            // reference for whole-report (summary included) equality.
-            let in_process = run_simulation_sharded_with(
-                Arc::clone(&model),
-                &sharded_cfg,
-                &Steering::new(),
-                &mut InProcessTransport,
-            )
-            .unwrap_or_else(|e| panic!("{label}: in-process reference failed: {e}"));
-
-            let (report, transport) = run_tcp(&model, &sharded_cfg);
-            assert_rows_identical(&report, &single, &label);
-            assert_reports_identical(&report, &in_process, &label);
-            if shards == 3 {
-                assert_reports_identical(&report, &via_process, &label);
-            }
+            let (report, transport) = run_tcp(&model, &tcp_cfg(&base, shards, &daemons));
+            assert_reports_identical(&report, &single, &label);
             // Every shard was placed exactly once, all on first attempts.
             let placements = transport.placements();
             assert_eq!(placements.len(), shards, "{label}: {placements:?}");
@@ -216,7 +185,7 @@ fn sigkill_mid_run_recovers_bit_for_bit_on_survivors() {
 
     let (report, transport) = run_tcp(&model, &run_cfg);
     killer.join().unwrap();
-    assert_rows_identical(&report, &single, "sigkill/tcp");
+    assert_reports_identical(&report, &single, "sigkill/tcp");
 
     // Any requeued slice must have moved to a different worker than its
     // previous attempt — the transport records every placement.
@@ -276,7 +245,7 @@ fn killing_every_worker_is_a_typed_error_not_a_hang() {
         // run must then still be bit-for-bit.
         Ok(report) => {
             let single = run_simulation(Arc::clone(&model), &heavy).expect("reference");
-            assert_rows_identical(&report, &single, "all-killed-but-finished");
+            assert_reports_identical(&report, &single, "all-killed-but-finished");
         }
         Err(SimError::Shard(e)) => {
             assert!(!e.to_string().is_empty());
