@@ -144,7 +144,10 @@ fn sharded(workers: Option<Vec<String>>) {
             if tcp {
                 format!("cwc-workerd daemons over TCP: {}", base.workers.join(", "))
             } else {
-                "cwc-shard worker processes, wire-v8 over loopback sockets".to_string()
+                format!(
+                    "cwc-shard worker processes, wire-v{} over loopback sockets",
+                    distrt::wire::VERSION
+                )
             }
         ),
         &[

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use fastflow::node::{Flow, Outbox, Stage};
+use fastflow::node::{Outbox, Stage};
 use gillespie::trajectory::{Cut, Row};
 
 use crate::task::SampleBatch;
@@ -141,13 +141,12 @@ impl Stage for Alignment {
     type In = SampleBatch;
     type Out = Cut;
 
-    fn on_item(&mut self, batch: SampleBatch, out: &mut Outbox<'_, Cut>) -> Flow {
+    fn on_item(&mut self, batch: SampleBatch, out: &mut Outbox<'_, Cut>) {
         let mut cuts = Vec::new();
         self.ingest(batch, &mut cuts);
         for cut in cuts {
             out.push(cut);
         }
-        Flow::Continue
     }
 }
 

@@ -88,15 +88,14 @@ pub struct SimConfig {
     /// instances instead of single instances, each stepped by scalar SSA;
     /// results are bit-for-bit the SSA results for every width and model.
     pub engine: EngineKind,
-    /// Kernel selection for the propensity rows of the batched kind's
-    /// replicas ([`gillespie::KernelDispatch`]): `Auto` (the default) uses
-    /// the AVX2 row kernels whenever the CPU supports them, `Scalar` and
+    /// Kernel selection for the propensity rows of every farm task
+    /// ([`gillespie::KernelDispatch`]): `Auto` (the default) uses the
+    /// AVX2 row kernels whenever the CPU supports them, `Scalar` and
     /// `Simd` force one side. Every kernel produces bit-for-bit the same
     /// trajectories, so this knob changes throughput only. It is honoured
-    /// by the in-process farm ([`run_simulation`]) with
-    /// [`EngineKind::Batched`] only: the other kinds resolve `Auto`, and
-    /// shard workers — threads, child processes and TCP daemons alike —
-    /// never receive it and always resolve `Auto` locally.
+    /// by the in-process farm ([`run_simulation`]), for every engine
+    /// kind; shard workers — threads, child processes and TCP daemons
+    /// alike — never receive it and always resolve `Auto` locally.
     ///
     /// [`run_simulation`]: crate::runner::run_simulation
     pub kernel_dispatch: gillespie::KernelDispatch,
@@ -250,8 +249,8 @@ impl SimConfig {
         self
     }
 
-    /// Selects the row kernels of the batched kind's replicas (see
-    /// [`SimConfig::kernel_dispatch`]); a no-op for the other kinds.
+    /// Selects the row kernels of every farm task (see
+    /// [`SimConfig::kernel_dispatch`]).
     pub fn kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
         self.kernel_dispatch = dispatch;
         self

@@ -20,9 +20,10 @@
 //! - [`task`]: the engine-agnostic simulation task objects streamed
 //!   through the farm (any [`EngineKind`]: SSA, adaptive tau-leaping,
 //!   hybrid SSA/tau, batched SSA) — `gillespie`'s one quantum runner,
-//!   re-exported, and the batched kind's coarser grain;
+//!   re-exported, and the farm's one task type, a span of instances;
 //! - [`sim_farm`]: the farm of simulation engines — one master, one
-//!   worker, one constructor — with per-quantum rescheduling;
+//!   worker, one task type, one constructor — with per-quantum
+//!   rescheduling;
 //! - [`alignment`]: re-groups interleaved samples into time-ordered cuts;
 //! - [`windows`]: windows of cuts, the stat farm's unit of scheduling;
 //! - [`engines`]: mean/variance, k-means, quantile and histogram engines;
@@ -90,7 +91,7 @@ pub use gillespie::engine::{Engine, EngineError, EngineKind};
 pub use merge::{CutMerger, ObsSummary, RunSummary};
 pub use plan::{ShardPlan, ShardRange};
 pub use runner::{run_sequential, run_simulation, run_simulation_steered, SimError, SimReport};
-pub use sim_farm::{QuantumTask, SimWorker, Steering, SteeringWatch, TaskMaster};
+pub use sim_farm::{SimWorker, Steering, SteeringWatch, TaskMaster};
 pub use supervisor::ShardSupervisor;
 pub use task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 pub use windows::{Window, WindowGen};

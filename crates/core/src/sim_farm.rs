@@ -6,21 +6,19 @@
 //! simulation time (simulation quantum). Then it reschedules back the
 //! operation along the feedback channel."
 //!
-//! One master, one worker, one constructor. [`TaskMaster`] implements the
-//! dispatch-with-load-balancing policy — new and rescheduled tasks join
-//! one FIFO and go to the least-loaded worker with room (see
-//! [`fastflow::master_worker`]) — and [`SimWorker`] runs one quantum per
-//! task, counts its events, forwards the produced [`SampleBatch`]es
-//! towards the alignment stage and feeds incomplete tasks back. Both are
-//! generic over the unit of scheduling, a [`QuantumTask`]: a [`SimTask`]
-//! (one instance) or a [`BatchSimTask`] (`width` consecutive instances,
-//! the batched kind's task grain).
-//! [`sim_farm`] assembles the farm half of the Fig. 2 network for a run
-//! or a shard's slice of one; it holds the only task-grain branch, and
-//! both arms settle on the same per-instance `SampleBatch` stream — bit
-//! for bit — so everything downstream is grain-agnostic.
+//! One master, one worker, one task type, one constructor.
+//! [`TaskMaster`] implements the dispatch-with-load-balancing policy — new
+//! and rescheduled tasks join one FIFO and go to the least-loaded worker
+//! with room (see [`fastflow::master_worker`]) — and [`SimWorker`] runs
+//! one quantum of every instance of a task, counts its events, forwards
+//! the produced [`SampleBatch`]es towards the alignment stage and feeds
+//! incomplete tasks back. The unit of scheduling is a [`BatchSimTask`], a
+//! span of consecutive instances: `width` of them with the batched kind,
+//! one with every other kind. [`sim_farm`] assembles the farm half of the
+//! Fig. 2 network for a run or a shard's slice of one; every instance
+//! yields the same per-instance `SampleBatch` stream — bit for bit —
+//! whatever its span, so everything downstream is grain-agnostic.
 
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,78 +111,21 @@ impl Drop for SteeringWatch {
     }
 }
 
-/// The farm's unit of scheduling — what travels the master → worker →
-/// (feedback) → master cycle until its trajectories reach the horizon.
-pub trait QuantumTask: Send + 'static {
-    /// Advances one quantum, handing `emit` one [`SampleBatch`] per
-    /// instance the task carries, in instance order.
-    fn quantum(&mut self, emit: impl FnMut(SampleBatch));
-
-    /// True when every trajectory of the task reached the horizon.
-    fn is_done(&self) -> bool;
-}
-
-impl QuantumTask for SimTask {
-    fn quantum(&mut self, mut emit: impl FnMut(SampleBatch)) {
-        emit(self.run_quantum_batch());
-    }
-
-    fn is_done(&self) -> bool {
-        SimTask::is_done(self)
-    }
-}
-
-impl QuantumTask for BatchSimTask {
-    fn quantum(&mut self, mut emit: impl FnMut(SampleBatch)) {
-        for task in &mut self.tasks {
-            emit(task.run_quantum_batch());
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        BatchSimTask::is_done(self)
-    }
-}
-
-/// Master node of the simulation farm, generic over its unit of
-/// scheduling.
+/// Master node of the simulation farm.
 #[derive(Debug)]
-pub struct TaskMaster<T> {
+pub struct TaskMaster {
     steering: Steering,
-    _task: PhantomData<fn(T)>,
 }
 
-impl<T> TaskMaster<T> {
+impl TaskMaster {
     /// Creates a master controlled by a [`Steering`] handle.
     pub fn new(steering: Steering) -> Self {
-        TaskMaster {
-            steering,
-            _task: PhantomData,
-        }
-    }
-}
-
-impl<T: Send + 'static> Master for TaskMaster<T> {
-    type In = T;
-    type Task = T;
-    type Fb = T;
-
-    fn on_upstream(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        self.schedule(task, sched);
+        TaskMaster { steering }
     }
 
-    // Rescheduling after each quantum is the load-balancing strategy: a
-    // long-running trajectory never pins its worker, because the next
-    // quantum may be dispatched anywhere.
-    fn on_feedback(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        self.schedule(task, sched);
-    }
-}
-
-impl<T> TaskMaster<T> {
     /// Queues the next quantum of `task` — or, once terminated, drops it
     /// together with every task still waiting for a worker.
-    fn schedule(&self, task: T, sched: &mut Scheduler<'_, T>) {
+    fn schedule(&self, task: BatchSimTask, sched: &mut Scheduler<'_, BatchSimTask>) {
         if self.steering.is_terminated() {
             sched.discard_ready();
         } else {
@@ -193,53 +134,71 @@ impl<T> TaskMaster<T> {
     }
 }
 
-/// Worker node of the simulation farm: runs one quantum per task.
-///
-/// An instance's batch is forwarded under [`SampleBatch::should_forward`]
-/// — the same rule for both task grains and the GPU map. Events are
-/// counted here, at the source, because a quantum shorter than the
-/// sampling period fires events and forwards nothing.
-#[derive(Debug)]
-pub struct SimWorker<T> {
-    steering: Steering,
-    events: Arc<AtomicU64>,
-    _task: PhantomData<fn(T)>,
-}
+impl Master for TaskMaster {
+    type In = BatchSimTask;
+    type Task = BatchSimTask;
+    type Fb = BatchSimTask;
 
-impl<T> SimWorker<T> {
-    /// Creates a worker that stops starting quanta once `steering` is
-    /// terminated and adds every quantum's events to `events`.
-    pub fn new(steering: Steering, events: Arc<AtomicU64>) -> Self {
-        SimWorker {
-            steering,
-            events,
-            _task: PhantomData,
-        }
+    fn on_upstream(&mut self, task: BatchSimTask, sched: &mut Scheduler<'_, BatchSimTask>) {
+        self.schedule(task, sched);
+    }
+
+    // Rescheduling after each quantum is the load-balancing strategy: a
+    // long-running trajectory never pins its worker, because the next
+    // quantum may be dispatched anywhere.
+    fn on_feedback(&mut self, task: BatchSimTask, sched: &mut Scheduler<'_, BatchSimTask>) {
+        self.schedule(task, sched);
     }
 }
 
-impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
-    type Task = T;
-    type Fb = T;
+/// Worker node of the simulation farm: runs one quantum of every
+/// instance of the span it is handed.
+///
+/// An instance's batch is forwarded under [`SampleBatch::should_forward`]
+/// — the same rule as the GPU map's. Events are counted here, at the
+/// source, because a quantum shorter than the sampling period fires
+/// events and forwards nothing.
+#[derive(Debug)]
+pub struct SimWorker {
+    steering: Steering,
+    events: Arc<AtomicU64>,
+}
+
+impl SimWorker {
+    /// Creates a worker that stops starting quanta once `steering` is
+    /// terminated and adds every quantum's events to `events`.
+    pub fn new(steering: Steering, events: Arc<AtomicU64>) -> Self {
+        SimWorker { steering, events }
+    }
+}
+
+impl FeedbackWorker for SimWorker {
+    type Task = BatchSimTask;
+    type Fb = BatchSimTask;
     type Out = SampleBatch;
 
-    fn on_task(&mut self, mut task: T, out: &mut Outbox<'_, SampleBatch>) -> Option<T> {
+    fn on_task(
+        &mut self,
+        mut span: BatchSimTask,
+        out: &mut Outbox<'_, SampleBatch>,
+    ) -> Option<BatchSimTask> {
         if self.steering.is_terminated() {
             return None; // queued before the termination: never started
         }
         let mut events = 0;
-        task.quantum(|batch| {
+        for task in &mut span.tasks {
+            let batch = task.run_quantum_batch();
             events += batch.events;
             if batch.should_forward() {
                 out.push(batch);
             }
-        });
+        }
         // Relaxed: a statistic, read after the farm's threads are joined.
         self.events.fetch_add(events, Ordering::Relaxed);
-        if task.is_done() {
+        if span.is_done() {
             None
         } else {
-            Some(task)
+            Some(span)
         }
     }
 }
@@ -250,13 +209,18 @@ impl<T: QuantumTask> FeedbackWorker for SimWorker<T> {
 /// feedback. `deps` is `model`'s dependency graph, compiled once by the
 /// caller and shared by every instance's incremental propensity row.
 ///
+/// Every task is a span of consecutive instances ([`batch_spans`]):
+/// `width` of them with [`EngineKind::Batched`], one with every other
+/// kind. Each instance is stepped by its own [`SimTask`] of the
+/// configured kind, so the span a trajectory travels in never changes
+/// its samples.
+///
 /// Returns the stream of sample batches and the run's event counter: the
 /// reactions fired by every quantum the farm executed, complete once the
 /// pipeline has been joined.
 ///
-/// `kernel_dispatch` selects the propensity-row kernels of the batched
-/// kind's replicas (every other kind resolves `Auto`); every kernel is
-/// bit-for-bit identical, so it never changes the stream.
+/// `kernel_dispatch` selects the propensity-row kernels of every task;
+/// every kernel is bit-for-bit identical, so it never changes the stream.
 ///
 /// # Errors
 ///
@@ -277,62 +241,39 @@ pub fn sim_farm(
     channel_capacity: usize,
     steering: &Steering,
 ) -> Result<(Pipeline<SampleBatch>, Arc<AtomicU64>), EngineError> {
-    match engine {
-        // Batched kind: workers pull tasks of `width` replicas (the last
-        // may be narrower) instead of single instances.
-        EngineKind::Batched { width } => {
-            let count = instances.end - instances.start;
-            let tasks = batch_spans(instances.start, count, width)
-                .into_iter()
-                .map(|(first, w)| {
-                    BatchSimTask::with_engine_deps(
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        base_seed,
-                        first,
-                        w,
-                        t_end,
-                        quantum,
-                        sample_period,
-                    )
-                    .map(|task| task.with_kernel_dispatch(kernel_dispatch))
-                })
+    let width = match engine {
+        EngineKind::Batched { width } => width,
+        _ => 1,
+    };
+    let new_task = |instance| {
+        SimTask::with_engine_deps(
+            engine,
+            Arc::clone(&model),
+            Arc::clone(&deps),
+            base_seed,
+            instance,
+            t_end,
+            quantum,
+            sample_period,
+        )
+    };
+    let spans = batch_spans(instances.start, instances.end - instances.start, width)
+        .into_iter()
+        .map(|(first, w)| {
+            let tasks = (first..first + w as u64)
+                .map(&new_task)
                 .collect::<Result<_, _>>()?;
-            Ok(spawn_farm(tasks, workers, channel_capacity, steering))
-        }
-        _ => {
-            let tasks = instances
-                .map(|i| {
-                    SimTask::with_engine_deps(
-                        engine,
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        base_seed,
-                        i,
-                        t_end,
-                        quantum,
-                        sample_period,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(spawn_farm(tasks, workers, channel_capacity, steering))
-        }
-    }
-}
+            Ok(BatchSimTask { tasks }.with_kernel_dispatch(kernel_dispatch))
+        })
+        .collect::<Result<Vec<_>, EngineError>>()?;
 
-fn spawn_farm<T: QuantumTask>(
-    tasks: Vec<T>,
-    workers: usize,
-    channel_capacity: usize,
-    steering: &Steering,
-) -> (Pipeline<SampleBatch>, Arc<AtomicU64>) {
     let events = Arc::new(AtomicU64::new(0));
-    let workers: Vec<SimWorker<T>> = (0..workers.max(1))
+    let workers: Vec<SimWorker> = (0..workers.max(1))
         .map(|_| SimWorker::new(steering.clone(), Arc::clone(&events)))
         .collect();
-    let farm = Pipeline::from_source_with_capacity(tasks.into_iter(), channel_capacity)
+    let farm = Pipeline::from_source_with_capacity(spans.into_iter(), channel_capacity)
         .master_worker_farm(TaskMaster::new(steering.clone()), workers);
-    (farm, events)
+    Ok((farm, events))
 }
 
 #[cfg(test)]
@@ -553,8 +494,9 @@ mod tests {
         let deps = Arc::new(ModelDeps::compile(&model));
         let task =
             SimTask::with_engine_deps(EngineKind::Ssa, model, deps, 1, 0, 2.0, 1.0, 0.5).unwrap();
+        let span = BatchSimTask { tasks: vec![task] };
         steering.terminate();
-        assert!(worker.on_task(task, &mut Outbox::new(&tx)).is_none());
+        assert!(worker.on_task(span, &mut Outbox::new(&tx)).is_none());
         assert!(rx.try_recv().is_err());
         assert_eq!(events.load(Ordering::Relaxed), 0);
     }

@@ -9,7 +9,8 @@
 //! farm's message types keep one path: `cwcsim::task::{SimTask,
 //! SampleBatch}`.
 //!
-//! What stays here is the farm's coarser task grain, [`BatchSimTask`].
+//! What stays here is the farm's one task type, [`BatchSimTask`]: a span
+//! of consecutive instances.
 
 use std::sync::Arc;
 
@@ -19,16 +20,15 @@ use gillespie::deps::ModelDeps;
 use gillespie::engine::{Engine, EngineError, EngineKind};
 pub use gillespie::task::{SampleBatch, SimTask};
 
-/// A farm task of `width` consecutive instances — the unit of scheduling
-/// of [`EngineKind::Batched`]: one scalar direct-method [`SimTask`] per
-/// replica, advanced one quantum each per visit.
+/// A farm task: a span of consecutive instances, one [`SimTask`] each,
+/// advanced one quantum each per visit.
 ///
-/// With [`EngineKind::Batched`], the task generation stage chunks the
-/// instance range into `ceil(instances / width)` of these
-/// ([`batch_spans`]), and the sim workers pull whole tasks through the
-/// feedback cycle instead of single instances. Every replica *is* the
-/// scalar SSA task of its instance, so its sample stream and event count
-/// are what the run would produce with [`EngineKind::Ssa`].
+/// Task generation ([`crate::sim_farm::sim_farm`]) chunks the instance
+/// range into spans with [`batch_spans`] — `width` instances wide with
+/// [`EngineKind::Batched`], one instance wide with every other kind — and
+/// the sim workers pull whole spans through the feedback cycle. Every
+/// replica is the task of its own instance, so its sample stream and
+/// event count never depend on the span it travels in.
 #[derive(Debug, Clone)]
 pub struct BatchSimTask {
     /// The replicas, in instance order.
@@ -36,9 +36,10 @@ pub struct BatchSimTask {
 }
 
 impl BatchSimTask {
-    /// Creates the task for replicas `first_instance ..
-    /// first_instance + width`, sharing an already-compiled dependency
-    /// graph across the run's tasks.
+    /// Creates the span of scalar direct-method replicas
+    /// `first_instance .. first_instance + width` (the tasks
+    /// [`EngineKind::Batched`] runs), sharing an already-compiled
+    /// dependency graph across the run's tasks.
     ///
     /// # Errors
     ///
@@ -72,10 +73,10 @@ impl BatchSimTask {
         Ok(BatchSimTask { tasks })
     }
 
-    /// Selects the kernels of every replica's propensity row (scalar /
-    /// SIMD / auto-detected; see [`gillespie::KernelDispatch`]). Purely a
-    /// throughput knob — every kernel produces bit-for-bit the same
-    /// trajectories.
+    /// Selects the kernels of every replica's propensity rows (scalar /
+    /// SIMD / auto-detected; see [`gillespie::KernelDispatch`]), whatever
+    /// its engine. Purely a throughput knob — every kernel produces
+    /// bit-for-bit the same trajectories.
     #[must_use]
     pub fn with_kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
         self.tasks = self
@@ -84,7 +85,9 @@ impl BatchSimTask {
             .map(|task| SimTask {
                 engine: match task.engine {
                     Engine::Ssa(engine) => Engine::Ssa(engine.with_kernel_dispatch(dispatch)),
-                    other => other,
+                    Engine::AdaptiveTau(engine) => {
+                        Engine::AdaptiveTau(Box::new(engine.with_kernel_dispatch(dispatch)))
+                    }
                 },
                 ..task
             })
@@ -207,5 +210,16 @@ mod tests {
             replicas(KernelDispatch::Simd),
             [KernelDispatch::Simd.resolve(); 3]
         );
+
+        // A span of another kind gets the dispatch too.
+        let kind = EngineKind::AdaptiveTau { epsilon: 0.03 };
+        let task = SimTask::with_engine_deps(kind, model, deps, 42, 0, 2.0, 0.5, 0.25).unwrap();
+        let span = BatchSimTask { tasks: vec![task] }.with_kernel_dispatch(KernelDispatch::Scalar);
+        match &span.tasks[0].engine {
+            Engine::AdaptiveTau(engine) => {
+                assert_eq!(engine.kernel_dispatch(), KernelDispatch::Scalar);
+            }
+            other => panic!("expected an adaptive engine, got {}", other.kind()),
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! `streamstat::period`) would carry its own ring of per-cut summaries,
 //! not of raw trajectories.
 
-use fastflow::node::{Flow, Outbox, Stage};
+use fastflow::node::{Outbox, Stage};
 use gillespie::trajectory::Cut;
 
 /// A block of consecutive cuts, owned by whoever analyses it.
@@ -79,12 +79,11 @@ impl Stage for WindowGen {
     type In = Cut;
     type Out = Window;
 
-    fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) -> Flow {
+    fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) {
         self.pending.push(cut);
         if self.pending.len() == self.block {
             self.emit(out);
         }
-        Flow::Continue
     }
 
     fn on_end(&mut self, out: &mut Outbox<'_, Window>) {
@@ -178,13 +177,12 @@ mod tests {
         type In = Cut;
         type Out = Window;
 
-        fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) -> Flow {
+        fn on_item(&mut self, cut: Cut, out: &mut Outbox<'_, Window>) {
             self.unanalysed += 1;
             if let Some(cuts) = self.push(cut) {
                 let w = self.make_window(cuts);
                 out.push(w);
             }
-            Flow::Continue
         }
 
         fn on_end(&mut self, out: &mut Outbox<'_, Window>) {

@@ -342,18 +342,6 @@ impl TcpShardTransport {
         Self::new(cfg.workers.clone(), timeout)
     }
 
-    /// Indices of workers still considered alive (a worker is marked
-    /// dead when a connection, handshake or job send to it fails).
-    pub fn alive_workers(&self) -> Vec<usize> {
-        let reg = self.registry.lock().expect("registry mutex");
-        reg.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Every placement made so far, in launch order — one record per
     /// `(shard, attempt)` that reached a worker.
     pub fn placements(&self) -> Vec<Placement> {
@@ -822,7 +810,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err.kind, ShardErrorKind::Spawn(_)), "{err}");
         assert!(err.to_string().contains("no live worker"), "{err}");
-        assert!(transport.alive_workers().is_empty());
+        let registry = transport.registry.lock().expect("registry mutex");
+        assert!(registry.workers.iter().all(|w| !w.alive));
+        drop(registry);
         assert!(transport.placements().is_empty());
     }
 

@@ -721,11 +721,6 @@ impl ProcessTransport {
         self
     }
 
-    /// The worker binary this transport spawns.
-    pub fn binary(&self) -> &std::path::Path {
-        &self.binary
-    }
-
     fn resolve_binary() -> Option<PathBuf> {
         if let Ok(p) = std::env::var(SHARD_BIN_ENV) {
             let p = PathBuf::from(p);
@@ -883,9 +878,10 @@ fn announced_addr(stdout: ChildStdout) -> Result<String, String> {
 /// Runs a sharded simulation with real `cwc-shard` child processes (one
 /// per shard attempt, each serving one loopback connection;
 /// `cfg.shards = 1` degenerates to a single in-process shard with no
-/// child spawn) and merges the shards' partial cuts and
-/// mergeable streaming statistics. Bit-for-bit identical [`StatRow`]s to
-/// `cwcsim::run_simulation` for any shard count.
+/// child spawn), merges the shards' partial cuts and analyses the
+/// merged stream, run summary included, in this process. Bit-for-bit
+/// identical [`StatRow`]s and summary to `cwcsim::run_simulation` for any
+/// shard count.
 ///
 /// [`StatRow`]: cwcsim::StatRow
 ///

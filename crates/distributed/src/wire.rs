@@ -25,9 +25,9 @@ pub const MAGIC: [u8; 4] = *b"CWCS";
 /// adaptive-tau and hybrid engine kinds (tags 3 and 4); version 4 added
 /// the sharded-farm messages — full CWC models (so `cwc-shard` child
 /// processes receive arbitrary models, not a registry name), aligned
-/// partial [`Cut`]s, and the mergeable partial-statistics state (a run
-/// summary of Welford/histogram/P² accumulators) — plus the
-/// [`crate::shard`] frame envelope around them; version 5 added the
+/// partial [`Cut`]s, and a mergeable partial-statistics state (a run
+/// summary of Welford/histogram/P² accumulators, gone again in version
+/// 9) — plus the [`crate::shard`] frame envelope around them; version 5 added the
 /// batched engine kind (tag 5 + batch width); version 6 added the
 /// supervision fields — the heartbeat frame
 /// ([`crate::shard::ToCoordinator::Progress`], tag 3) and the
@@ -310,9 +310,8 @@ impl Wire for EngineKind {
 // ---------------------------------------------------------------------
 // The sharded farm's payloads. A shard worker receives its model (as
 // model text, see `crate::shard::ShardJob`), its shard spec and the
-// model's dependency table, and streams aligned partial cuts and one
-// mergeable partial-statistics state back — everything below is that
-// vocabulary. Interned handles in the dependency table travel as their
+// model's dependency table, and streams aligned partial cuts and its
+// event count back — everything below is that vocabulary. Interned handles in the dependency table travel as their
 // raw u32: the model text interns the same names in the same order, so
 // raw ids mean the same thing on both sides (`Label::TOP`'s sentinel
 // raw value round-trips unchanged).

@@ -13,12 +13,14 @@
 //! worker with room, never blocking on one worker — is the one scheduler
 //! the crate has (`plain_farm` in this module's tests is all it takes).
 //!
-//! The emitter here is strict round-robin on purpose: it keeps every
-//! worker's sequence numbers monotone, which is what lets the collector
-//! restore input order by looking at one head item per worker.
+//! The emitter is strict round-robin and sends bare items: item `k` goes
+//! to worker `k mod n`, so output `k` can only come from that worker, and
+//! the collector restores input order by a blocking receive on it — no
+//! sequence numbers, no polling. The first worker found hung up at its
+//! turn ends the stream, cleanly or because it panicked (`join_all`
+//! reports which).
 
-use crate::backoff::Backoff;
-use crate::channel::{self, Receiver, Sender, TryRecvError};
+use crate::channel;
 use crate::pipeline::Pipeline;
 
 impl<T: Send + 'static> Pipeline<T> {
@@ -49,54 +51,47 @@ impl<T: Send + 'static> Pipeline<T> {
         assert!(n > 0, "a farm needs at least one worker");
         let name = "ofarm";
         let mut to_worker_tx = Vec::with_capacity(n);
-        let mut to_worker_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::bounded::<(u64, T)>(2);
-            to_worker_tx.push(tx);
-            to_worker_rx.push(rx);
-        }
-        let mut from_worker_tx = Vec::with_capacity(n);
         let mut from_worker_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::bounded::<(u64, U)>(self.capacity);
-            from_worker_tx.push(tx);
-            from_worker_rx.push(rx);
-        }
-        let (out_tx, out_rx) = channel::bounded(self.capacity);
-
-        // Emitter: round-robin keeps per-worker sequence monotone, which the
-        // reordering collector relies on for O(workers) merging.
-        let upstream = self.rx;
-        let emitter_name = format!("{name}.emitter");
-        let emitter = crate::pipeline::spawn_named(emitter_name.clone(), move || {
-            let mut seq = 0u64;
-            let mut next = 0usize;
-            while let Some(item) = upstream.recv() {
-                if to_worker_tx[next].send((seq, item)).is_err() {
-                    break;
-                }
-                seq += 1;
-                next = (next + 1) % to_worker_tx.len();
-            }
-        });
-        self.handles.push((emitter_name, emitter));
-
-        for (i, (rx, tx)) in to_worker_rx.into_iter().zip(from_worker_tx).enumerate() {
+        for i in 0..n {
+            let (tx, rx) = channel::bounded::<T>(2);
+            let (out_tx, out_rx) = channel::bounded::<U>(self.capacity);
+            to_worker_tx.push(tx);
+            from_worker_rx.push(out_rx);
             let mut f = factory(i);
             let wname = format!("{name}.worker.{i}");
             let handle = crate::pipeline::spawn_named(wname.clone(), move || {
-                while let Some((seq, item)) = rx.recv() {
-                    if tx.send((seq, f(item))).is_err() {
+                while let Some(item) = rx.recv() {
+                    if out_tx.send(f(item)).is_err() {
                         break;
                     }
                 }
             });
             self.handles.push((wname, handle));
         }
+        let (out_tx, out_rx) = channel::bounded(self.capacity);
 
+        let upstream = self.rx;
+        let emitter_name = format!("{name}.emitter");
+        let emitter = crate::pipeline::spawn_named(emitter_name.clone(), move || {
+            for worker in to_worker_tx.iter().cycle() {
+                let Some(item) = upstream.recv() else { break };
+                if worker.send(item).is_err() {
+                    break;
+                }
+            }
+        });
+        self.handles.push((emitter_name, emitter));
+
+        // Returning drops `out_tx` and every receiver, which unblocks the
+        // workers still sending.
         let collector_name = format!("{name}.collector");
         let collector = crate::pipeline::spawn_named(collector_name.clone(), move || {
-            run_ordered_collector(from_worker_rx, out_tx);
+            for worker in from_worker_rx.iter().cycle() {
+                let Some(item) = worker.recv() else { break };
+                if out_tx.send(item).is_err() {
+                    break;
+                }
+            }
         });
         self.handles.push((collector_name, collector));
 
@@ -105,63 +100,6 @@ impl<T: Send + 'static> Pipeline<T> {
             handles: self.handles,
             stats: self.stats,
             capacity: self.capacity,
-        }
-    }
-}
-
-fn run_ordered_collector<T: Send>(workers: Vec<Receiver<(u64, T)>>, out: Sender<T>) {
-    let n = workers.len();
-    let mut done = vec![false; n];
-    let mut heads: Vec<Option<(u64, T)>> = (0..n).map(|_| None).collect();
-    let mut next_seq = 0u64;
-    let mut backoff = Backoff::new();
-    loop {
-        let mut progressed = false;
-        // Refill per-worker head slots.
-        for i in 0..n {
-            if heads[i].is_none() && !done[i] {
-                match workers[i].try_recv() {
-                    Ok(pair) => {
-                        heads[i] = Some(pair);
-                        progressed = true;
-                    }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => done[i] = true,
-                }
-            }
-        }
-        // Emit while the next sequence number is available. Round-robin
-        // emission means it can only sit in one head slot.
-        let mut emitted = true;
-        while emitted {
-            emitted = false;
-            for head in heads.iter_mut() {
-                if let Some((seq, _)) = head {
-                    if *seq == next_seq {
-                        let (_, item) = head.take().expect("checked above");
-                        if out.send(item).is_err() {
-                            return;
-                        }
-                        next_seq += 1;
-                        emitted = true;
-                        progressed = true;
-                    }
-                }
-            }
-        }
-        // The emitter is strict round-robin, so `next_seq` can only come
-        // from worker `next_seq % n`. Once that worker has hung up (`done`
-        // is only ever set on a drained queue and an empty head slot) it
-        // will never arrive: the stream ended there, cleanly or because
-        // the worker panicked. Returning drops `out` and the receivers,
-        // which unblocks the other workers; `join_all` reports a panic.
-        if done[(next_seq % n as u64) as usize] {
-            return;
-        }
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
         }
     }
 }
@@ -298,32 +236,94 @@ mod tests {
     }
 
     #[test]
-    fn ordered_farm_worker_panic_is_reported() {
-        // On a helper thread, so a collector that waits forever for the
-        // dead worker's sequence number fails the test instead of hanging
-        // the suite.
+    fn ordered_farm_keeps_order_for_every_width_and_length() {
+        // Lengths 0..=3n cover the empty stream and every remainder mod
+        // n; a pseudo-random yield per item varies which worker runs late.
+        for n in 1..=5usize {
+            for len in 0..=3 * n as u64 {
+                for seed in 0..4u64 {
+                    let out: Vec<u64> = Pipeline::from_source(0..len)
+                        .ordered_farm(n, move |i| {
+                            let mut state = seed * 31 + i as u64 + 1;
+                            move |x: u64| {
+                                // SplitMix64's increment and finaliser.
+                                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                                if (z ^ (z >> 27)) & 1 == 1 {
+                                    std::thread::yield_now();
+                                }
+                                x * 10 + 1
+                            }
+                        })
+                        .collect()
+                        .unwrap();
+                    let want: Vec<u64> = (0..len).map(|x| x * 10 + 1).collect();
+                    assert_eq!(out, want, "n = {n}, len = {len}, seed = {seed}");
+                }
+            }
+        }
+    }
+
+    /// Runs `items` through a 4-worker ordered farm on a helper thread, so
+    /// a collector that waits forever for a dead worker fails the test
+    /// instead of hanging the suite.
+    fn ordered_farm_within_timeout<W>(
+        items: std::ops::Range<u64>,
+        worker: fn(usize) -> W,
+    ) -> crate::Result<Vec<u64>>
+    where
+        W: FnMut(u64) -> u64 + Send + 'static,
+    {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let result = Pipeline::from_source(0..10_000u64)
-                .ordered_farm(4, |_| {
-                    |x: u64| {
-                        if x == 777 {
-                            panic!("unlucky");
-                        }
-                        x
-                    }
-                })
+            let result = Pipeline::from_source(items)
+                .ordered_farm(4, worker)
                 .collect();
             let _ = tx.send(result);
         });
-        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
-            Ok(Err(crate::error::Error::StagePanicked { stage, message })) => {
-                assert!(stage.starts_with("ofarm.worker."), "{stage}");
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("ordered farm hung on a panicked worker")
+    }
+
+    fn assert_worker_panicked(result: crate::Result<Vec<u64>>, worker: &str) {
+        match result {
+            Err(crate::error::Error::StagePanicked { stage, message }) => {
+                assert!(stage.starts_with(worker), "{stage}");
                 assert_eq!(message, "unlucky");
             }
-            Ok(other) => panic!("expected panic, got {:?}", other.map(|v| v.len())),
-            Err(_) => panic!("ordered farm hung on a panicked worker"),
+            other => panic!("expected panic, got {:?}", other.map(|v| v.len())),
         }
+    }
+
+    #[test]
+    fn ordered_farm_worker_panic_is_reported() {
+        let result = ordered_farm_within_timeout(0..10_000, |_| {
+            |x: u64| {
+                if x == 777 {
+                    panic!("unlucky");
+                }
+                x
+            }
+        });
+        assert_worker_panicked(result, "ofarm.worker.");
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_not_next_in_turn_ends_the_farm() {
+        // Worker 2 dies on its first item while the collector still waits
+        // on worker 0, slowed down on item 0.
+        let result = ordered_farm_within_timeout(0..10_000, |i| {
+            move |x: u64| {
+                if i == 2 {
+                    panic!("unlucky");
+                }
+                if x == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                x
+            }
+        });
+        assert_worker_panicked(result, "ofarm.worker.2");
     }
 
     #[test]

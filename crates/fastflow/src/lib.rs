@@ -66,7 +66,7 @@ pub mod spsc;
 pub use error::{Error, Result};
 pub use master_worker::{FeedbackWorker, Master, Scheduler};
 pub use metrics::{NodeStats, RunStats};
-pub use node::{map_stage, Flow, Outbox, Source, Stage};
+pub use node::{map_stage, Outbox, Source, Stage};
 pub use pipeline::Pipeline;
 
 #[cfg(test)]

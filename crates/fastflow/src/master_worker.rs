@@ -65,7 +65,6 @@ struct Dispatch<T> {
     inflight: Vec<usize>,
     /// Slots in each worker's task queue.
     capacity: usize,
-    submitted: u64,
 }
 
 impl<T> Dispatch<T> {
@@ -74,7 +73,6 @@ impl<T> Dispatch<T> {
             ready: VecDeque::new(),
             inflight: vec![0; workers],
             capacity,
-            submitted: 0,
         }
     }
 
@@ -112,7 +110,6 @@ impl<T> Scheduler<'_, T> {
     /// waits in the master's ready queue, behind those submitted before
     /// it, until a worker has room.
     pub fn submit(&mut self, task: T) {
-        self.dispatch.submitted += 1;
         self.dispatch.ready.push_back(task);
     }
 
@@ -120,17 +117,6 @@ impl<T> Scheduler<'_, T> {
     /// handed to a worker are out of the master's reach).
     pub fn discard_ready(&mut self) {
         self.dispatch.ready.clear();
-    }
-
-    /// Tasks submitted and not yet completed: waiting in the ready queue,
-    /// queued at a worker, or executing.
-    pub fn inflight(&self) -> usize {
-        self.dispatch.pending()
-    }
-
-    /// Total tasks submitted since the farm started.
-    pub fn submitted(&self) -> u64 {
-        self.dispatch.submitted
     }
 }
 

@@ -34,15 +34,6 @@ impl NodeStats {
             self.busy.as_secs_f64() / self.wall.as_secs_f64()
         }
     }
-
-    /// Mean service time per consumed item.
-    pub fn mean_service_time(&self) -> Duration {
-        if self.items_in == 0 {
-            Duration::ZERO
-        } else {
-            self.busy / u32::try_from(self.items_in.min(u64::from(u32::MAX))).unwrap_or(1)
-        }
-    }
 }
 
 /// Aggregate statistics returned by running a pattern.
@@ -60,20 +51,6 @@ impl RunStats {
     /// Looks a node up by exact name.
     pub fn node(&self, name: &str) -> Option<&NodeStats> {
         self.nodes.iter().find(|n| n.name == name)
-    }
-
-    /// Total items consumed by nodes whose name starts with `prefix`.
-    pub fn items_in(&self, prefix: &str) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.name.starts_with(prefix))
-            .map(|n| n.items_in)
-            .sum()
-    }
-
-    /// Merges statistics from another run (used by nested patterns).
-    pub fn merge(&mut self, other: RunStats) {
-        self.nodes.extend(other.nodes);
     }
 
     /// Renders the per-node statistics as an aligned text table (the
@@ -142,14 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_service_time_divides_by_items() {
-        let s = stats("n", 10, 100, 100);
-        assert_eq!(s.mean_service_time(), Duration::from_millis(10));
-        let empty = stats("n", 0, 100, 100);
-        assert_eq!(empty.mean_service_time(), Duration::ZERO);
-    }
-
-    #[test]
     fn collector_gathers_across_clones() {
         let c = StatsCollector::new();
         let c2 = c.clone();
@@ -159,7 +128,7 @@ mod tests {
         let run = c.finish();
         assert_eq!(run.nodes().len(), 2);
         assert!(run.node("a").is_some());
-        assert_eq!(run.items_in(""), 3);
+        assert_eq!(run.node("b").map(|n| n.items_in), Some(2));
     }
 
     #[test]
@@ -172,17 +141,5 @@ mod tests {
         assert!(table.contains("farm.worker.0"));
         assert!(table.contains("42"));
         assert_eq!(table.lines().count(), 3); // header + 2 nodes
-    }
-
-    #[test]
-    fn merge_concatenates_node_lists() {
-        let mut a = RunStats {
-            nodes: vec![stats("x", 1, 1, 1)],
-        };
-        let b = RunStats {
-            nodes: vec![stats("y", 2, 2, 2)],
-        };
-        a.merge(b);
-        assert_eq!(a.nodes().len(), 2);
     }
 }

@@ -12,15 +12,6 @@
 
 use crate::channel::Sender;
 
-/// Control-flow decision returned by [`Stage::on_item`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// Keep processing the input stream.
-    Continue,
-    /// Stop this node; end-of-stream propagates downstream.
-    Break,
-}
-
 /// Stream head: produces the input stream of a network.
 ///
 /// Equivalent to a FastFlow node whose `svc` is fed `GO_ON` until it returns
@@ -58,7 +49,7 @@ pub trait Stage: Send + 'static {
     type Out: Send + 'static;
 
     /// Processes one input item, emitting any outputs into `out`.
-    fn on_item(&mut self, item: Self::In, out: &mut Outbox<'_, Self::Out>) -> Flow;
+    fn on_item(&mut self, item: Self::In, out: &mut Outbox<'_, Self::Out>);
 
     /// Called once at end of stream; a last chance to flush buffered state.
     fn on_end(&mut self, out: &mut Outbox<'_, Self::Out>) {
@@ -154,9 +145,8 @@ where
     type In = In;
     type Out = Out;
 
-    fn on_item(&mut self, item: In, out: &mut Outbox<'_, Out>) -> Flow {
+    fn on_item(&mut self, item: In, out: &mut Outbox<'_, Out>) {
         out.push((self.f)(item));
-        Flow::Continue
     }
 }
 
@@ -215,7 +205,7 @@ mod tests {
         let (tx, rx) = channel::bounded(4);
         let mut stage = map_stage(|x: i32| x + 1);
         let mut out = Outbox::new(&tx);
-        assert_eq!(stage.on_item(41, &mut out), Flow::Continue);
+        stage.on_item(41, &mut out);
         assert_eq!(rx.recv(), Some(42));
     }
 }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use crate::channel::{self, Receiver, Sender};
 use crate::error::{panic_message, Error, Result};
 use crate::metrics::{NodeStats, RunStats, StatsCollector};
-use crate::node::{Flow, Outbox, Source, Stage};
+use crate::node::{Outbox, Source, Stage};
 
 /// Default capacity of inter-stage channels.
 ///
@@ -221,9 +221,9 @@ where
         while let Some(item) = rx.recv() {
             items_in += 1;
             let t0 = Instant::now();
-            let flow = stage.on_item(item, &mut outbox);
+            stage.on_item(item, &mut outbox);
             busy += t0.elapsed();
-            if flow == Flow::Break || outbox.is_disconnected() {
+            if outbox.is_disconnected() {
                 break;
             }
         }
@@ -279,11 +279,10 @@ mod tests {
         impl Stage for Repeat {
             type In = u32;
             type Out = u32;
-            fn on_item(&mut self, n: u32, out: &mut Outbox<'_, u32>) -> Flow {
+            fn on_item(&mut self, n: u32, out: &mut Outbox<'_, u32>) {
                 for _ in 0..n {
                     out.push(n);
                 }
-                Flow::Continue
             }
         }
         let out: Vec<u32> = Pipeline::from_source(vec![2u32, 0, 3].into_iter())

@@ -17,10 +17,11 @@ pub mod kernels;
 /// Chunks the instance range `first .. first + count` into batch spans of
 /// at most `width` replicas: `(first_instance, width)` pairs in instance
 /// order, the last span possibly narrower. This is the single chunking
-/// rule of the batched kind — the runner, the shard workers and the traced
-/// benchmark all derive their tasks from it, so a replica's batch
-/// membership (and hence nothing at all, thanks to per-instance RNG
-/// streams) never depends on the execution back-end.
+/// rule of the farm's tasks (width 1 for every kind but the batched one)
+/// — the runner, the shard workers and the traced benchmark all derive
+/// their tasks from it, so a replica's batch membership (and hence
+/// nothing at all, thanks to per-instance RNG streams) never depends on
+/// the execution back-end.
 ///
 /// # Panics
 ///
