@@ -114,10 +114,12 @@ pub struct SimConfig {
     /// Retry budget of the shard supervisor: how many times a *failed*
     /// shard (crash, corrupt stream, watchdog timeout) is relaunched and
     /// its slice replayed before the run fails with a typed error
-    /// carrying the full attempt history. Per-instance seeding makes the
-    /// replay bit-for-bit deterministic, so a recovered run is identical
-    /// to a fault-free one. 0 (the default) fails fast on the first
-    /// shard failure, exactly like the pre-supervision farm.
+    /// carrying the full attempt history and the count of full cuts
+    /// merged before the failure. A failed slice is requeued at once,
+    /// with no backoff: every retry runs on a fresh worker. Per-instance
+    /// seeding makes the replay bit-for-bit deterministic, so a recovered
+    /// run is identical to a fault-free one. 0 (the default) fails fast
+    /// on the first shard failure.
     pub shard_retries: usize,
     /// Watchdog deadline, in seconds: a shard attempt from which the
     /// supervisor takes no feed (cut, end-of-stream *or* heartbeat) for
@@ -130,12 +132,6 @@ pub struct SimConfig {
     /// connections alike send heartbeats); in-process shards share the
     /// coordinator's failure domain and are unwatched.
     pub shard_timeout: Option<f64>,
-    /// Base delay, in seconds, of the bounded-exponential retry backoff:
-    /// attempt `k` waits `min(shard_backoff * 2^k, shard_backoff_max)`
-    /// before relaunching.
-    pub shard_backoff: f64,
-    /// Upper bound, in seconds, on a single retry backoff delay.
-    pub shard_backoff_max: f64,
     /// Period, in seconds, between the heartbeat (`Progress`) frames an
     /// out-of-process worker (`cwc-shard` or `cwc-workerd`) emits so the
     /// watchdog can tell a slow shard from a stalled one. Shipped to
@@ -234,8 +230,6 @@ impl SimConfig {
             shards: 1,
             shard_retries: 0,
             shard_timeout: None,
-            shard_backoff: 0.05,
-            shard_backoff_max: 2.0,
             heartbeat_period: 0.2,
             transport: TransportKind::Process,
             workers: Vec::new(),
@@ -326,14 +320,6 @@ impl SimConfig {
     /// killed and retried (see [`SimConfig::shard_timeout`]).
     pub fn shard_timeout(mut self, secs: f64) -> Self {
         self.shard_timeout = Some(secs);
-        self
-    }
-
-    /// Sets the bounded-exponential retry backoff: attempt `k` waits
-    /// `min(base * 2^k, max)` seconds before relaunching.
-    pub fn shard_backoff(mut self, base: f64, max: f64) -> Self {
-        self.shard_backoff = base;
-        self.shard_backoff_max = max;
         self
     }
 
@@ -441,16 +427,6 @@ impl SimConfig {
                     format!("shard_timeout ({timeout}) must be positive and finite when set"),
                 );
             }
-        }
-        let (base, max) = (self.shard_backoff, self.shard_backoff_max);
-        if !(base >= 0.0 && base.is_finite() && max.is_finite() && max >= base) {
-            return reject(
-                "shard_backoff",
-                format!(
-                    "shard_backoff base ({base}) must be non-negative and finite, and the cap \
-                     ({max}) finite and >= the base"
-                ),
-            );
         }
         let period = self.heartbeat_period;
         if !positive_finite(period) {
@@ -765,14 +741,9 @@ mod tests {
         assert_eq!(cfg.shard_retries, 0);
         assert_eq!(cfg.shard_timeout, None);
         assert!(cfg.heartbeat_period > 0.0);
-        let cfg = cfg
-            .retries(3)
-            .shard_timeout(5.0)
-            .shard_backoff(0.01, 0.5)
-            .heartbeat_period(0.1);
+        let cfg = cfg.retries(3).shard_timeout(5.0).heartbeat_period(0.1);
         assert_eq!(cfg.shard_retries, 3);
         assert_eq!(cfg.shard_timeout, Some(5.0));
-        assert_eq!((cfg.shard_backoff, cfg.shard_backoff_max), (0.01, 0.5));
         assert_eq!(cfg.heartbeat_period, 0.1);
         cfg.validate().unwrap();
     }
@@ -787,24 +758,6 @@ mod tests {
             assert_eq!(err.field(), "shard_timeout", "timeout={timeout}");
             assert!(err.to_string().contains("shard_timeout"), "{err}");
         }
-    }
-
-    #[test]
-    fn invalid_backoff_is_rejected_with_specific_message() {
-        // Negative base, non-finite base, and a cap below the base.
-        for (base, max) in [(-0.1, 1.0), (f64::NAN, 1.0), (0.5, 0.1), (0.1, f64::NAN)] {
-            let err = SimConfig::new(1, 10.0)
-                .shard_backoff(base, max)
-                .validate()
-                .unwrap_err();
-            assert_eq!(err.field(), "shard_backoff", "base={base} max={max}");
-            assert!(err.to_string().contains("backoff"), "{err}");
-        }
-        // Zero backoff (retry immediately) is legal.
-        SimConfig::new(1, 10.0)
-            .shard_backoff(0.0, 0.0)
-            .validate()
-            .unwrap();
     }
 
     #[test]

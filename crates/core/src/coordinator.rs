@@ -12,7 +12,8 @@
 //! the partial-cut streams with [`CutMerger`](crate::merge::CutMerger)
 //! and feeds the merged cut stream through the single-process runner's
 //! analysis stages — the `run-summary` stage included, so the whole-run
-//! [`RunSummary`] is computed once, over full cuts, where they meet.
+//! [`RunSummary`](crate::merge::RunSummary) is computed once, over full
+//! cuts, where they meet.
 //!
 //! *Where* shards run is the [`ShardTransport`] seam: this crate
 //! provides [`InProcessTransport`] (one thread per shard — also the
@@ -23,13 +24,17 @@
 //! to the loopback port it announces; the TCP transport places shard
 //! attempts on remote `cwc-workerd` daemons.
 //!
-//! Shard *failures* — crash, corrupt stream, watchdog timeout — are
-//! handled by the [`ShardSupervisor`](crate::supervisor::ShardSupervisor)
-//! sitting between the transport and the merge: a failed shard's slice
-//! is requeued onto a fresh worker (bounded-exponential backoff, budget
+//! Everything a shard attempt streams back — and every way it can end —
+//! reaches the [`ShardSupervisor`](crate::supervisor::ShardSupervisor),
+//! sitting between the transport and the merge, as one [`ShardFeed`]: a
+//! cut, the end-of-stream event count, a heartbeat, or a typed failure
+//! (crash, corrupt stream, watchdog timeout). A failed shard's slice is
+//! requeued at once onto a fresh worker (budget
 //! `SimConfig::shard_retries`) and replayed deterministically from the
 //! per-instance seeds, so a recovered run is bit-for-bit identical to a
-//! fault-free one. See the supervisor module for the state machine.
+//! fault-free one. A run that fails anyway reports how many full cuts it
+//! had sent downstream ([`ShardError::merged_cuts`]). See the supervisor
+//! module for the state machine.
 //!
 //! ## Determinism
 //!
@@ -37,8 +42,9 @@
 //! `(base_seed, instance)`, alignment emits cuts in grid order, and the
 //! plan is contiguous in instance order — so the merged cut stream is
 //! bit-for-bit the single-process cut stream for *any* shard count, and
-//! therefore so are the [`StatRow`]s and the [`RunSummary`] (the
-//! integration matrix in `tests/sharded_agreement.rs` pins both).
+//! therefore so are the [`StatRow`]s and the
+//! [`RunSummary`](crate::merge::RunSummary) (the integration matrix in
+//! `tests/sharded_agreement.rs` pins both).
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -55,7 +61,6 @@ use gillespie::KernelDispatch;
 use crate::alignment::Alignment;
 use crate::config::SimConfig;
 use crate::engines::StatRow;
-use crate::merge::RunSummary;
 use crate::plan::{ShardPlan, ShardRange};
 use crate::runner::{analysis_tail, joined_summary, SimError, SimReport};
 use crate::sim_farm::{sim_farm, Steering};
@@ -119,19 +124,6 @@ impl ShardSpec {
     }
 }
 
-/// One message from a shard to the coordinator.
-#[derive(Debug, Clone)]
-pub enum ShardMsg {
-    /// An aligned partial cut over the shard's instance slice, in grid
-    /// order.
-    Cut(Cut),
-    /// End of the shard's stream.
-    End {
-        /// Reactions fired across the shard's trajectories.
-        events: u64,
-    },
-}
-
 /// One failed attempt at a shard's slice, kept in the supervisor's
 /// per-shard history and attached to the final [`ShardError`] when the
 /// retry budget is exhausted.
@@ -141,8 +133,6 @@ pub struct ShardAttempt {
     pub attempt: usize,
     /// What the attempt died of, rendered.
     pub error: String,
-    /// The bounded-exponential backoff waited before the *next* attempt.
-    pub backoff: Duration,
 }
 
 /// What went wrong in one shard of a sharded run.
@@ -156,11 +146,9 @@ pub struct ShardError {
     /// (empty when the first failure was final — e.g. a zero retry
     /// budget, or a non-retryable worker-side simulation error).
     pub attempts: Vec<ShardAttempt>,
-    /// Graceful degradation: the [`RunSummary`] of every full cut merged
-    /// before the run failed, surfaced for diagnosis. Filled in by the
-    /// coordinator once its pipeline has drained; `None` when no cut was
-    /// merged.
-    pub partial: Option<Box<RunSummary>>,
+    /// Graceful degradation: how many full cuts the coordinator sent
+    /// downstream before the run failed (0 when none was merged).
+    pub merged_cuts: u64,
 }
 
 impl ShardError {
@@ -170,7 +158,7 @@ impl ShardError {
             shard,
             kind,
             attempts: Vec::new(),
-            partial: None,
+            merged_cuts: 0,
         }
     }
 }
@@ -244,16 +232,24 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// What a shard's driver feeds the supervisor over the shard's bounded
-/// channel — the only sign of life the supervisor reads from a shard.
+/// Everything one shard attempt tells the supervisor, in one type: what
+/// its driver sends over the attempt's bounded channel, and what the
+/// supervisor makes of that channel's disconnect (`Failed(Crashed)`) or
+/// silence (`Failed(Timeout)`). The channel is the only sign of life the
+/// supervisor reads from a shard.
 #[derive(Debug)]
 pub enum ShardFeed {
-    /// A message from the live shard (a partial cut or the
-    /// end-of-stream report).
-    Msg(ShardMsg),
-    /// The worker is alive but has no message yet (a `Progress` frame
-    /// on the wire). The merge drops it; taking it from the channel is
-    /// what keeps a slow shard clear of the watchdog.
+    /// An aligned partial cut over the shard's instance slice, in grid
+    /// order.
+    Cut(Cut),
+    /// End of the shard's stream.
+    End {
+        /// Reactions fired across the shard's trajectories.
+        events: u64,
+    },
+    /// The worker is alive but has no cut yet (a `Progress` frame on the
+    /// wire). The merge drops it; taking it from the channel is what
+    /// keeps a slow shard clear of the watchdog.
     Heartbeat,
     /// The attempt failed; no further feeds follow from it.
     Failed(ShardError),
@@ -269,10 +265,13 @@ pub enum ShardFeed {
 /// and requeueing needs no transport cooperation.
 pub trait ShardTransport {
     /// Launches one shard worker for `spec`'s slice, streaming its
-    /// messages into `sink`. The launched driver must eventually send
-    /// [`ShardMsg::End`] or [`ShardFeed::Failed`] and then finish (a
-    /// driver that vanishes without either is treated as crashed); it
+    /// [`ShardFeed`]s into `sink`. The launched driver must eventually
+    /// send [`ShardFeed::End`] or [`ShardFeed::Failed`] and then finish
+    /// (a driver that vanishes without either is treated as crashed); it
     /// observes `steering` and drains early when the run is terminated.
+    /// A failed attempt's slice is launched again at once, on a fresh
+    /// worker, with no backoff: the transport only has to make each
+    /// launch a new worker (a new child, or a surviving daemon).
     ///
     /// `deps` is the model's dependency graph, compiled **once** by the
     /// coordinator: transports hand it to the worker (in-process) or
@@ -308,15 +307,12 @@ pub trait ShardTransport {
 /// cancel hook the supervisor uses to put failed or superseded attempts
 /// down.
 pub struct ShardHandle {
-    /// The shard this handle belongs to.
-    pub shard: usize,
     /// The shard's driver thread (the shard itself in the in-process
     /// transport; the socket reader in the out-of-process transports).
     pub join: std::thread::JoinHandle<()>,
     /// Best-effort cancellation: kill the child process / terminate the
-    /// shard-local steering. `None` when the transport has no way to
-    /// interrupt the attempt.
-    cancel: Option<Box<dyn Fn() + Send>>,
+    /// shard-local steering.
+    cancel: Box<dyn Fn() + Send>,
     /// Whether the supervisor's watchdog times this attempt out.
     watched: bool,
 }
@@ -324,29 +320,21 @@ pub struct ShardHandle {
 impl std::fmt::Debug for ShardHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardHandle")
-            .field("shard", &self.shard)
-            .field("cancel", &self.cancel.is_some())
             .field("watched", &self.watched)
             .finish_non_exhaustive()
     }
 }
 
 impl ShardHandle {
-    /// A watched handle with no cancel hook.
-    pub fn new(shard: usize, join: std::thread::JoinHandle<()>) -> Self {
+    /// A watched handle whose `cancel` hook (kill the child, flip a local
+    /// steering flag, …) puts the attempt down. The hook must be
+    /// idempotent and non-blocking.
+    pub fn new(join: std::thread::JoinHandle<()>, cancel: impl Fn() + Send + 'static) -> Self {
         ShardHandle {
-            shard,
             join,
-            cancel: None,
+            cancel: Box::new(cancel),
             watched: true,
         }
-    }
-
-    /// Attaches a cancel hook (kill the child, flip a local steering
-    /// flag, …). Must be idempotent and non-blocking.
-    pub fn with_cancel(mut self, cancel: impl Fn() + Send + 'static) -> Self {
-        self.cancel = Some(Box::new(cancel));
-        self
     }
 
     /// Exempts the attempt from the watchdog: the supervisor waits on
@@ -362,19 +350,18 @@ impl ShardHandle {
         self.watched
     }
 
-    /// Fires the cancel hook, if any.
+    /// Fires the cancel hook.
     pub fn cancel(&self) {
-        if let Some(c) = &self.cancel {
-            c();
-        }
+        (self.cancel)();
     }
 }
 
 /// Runs one shard's slice through the standard farm + alignment
-/// pipeline, invoking `on_msg` with every aligned partial cut (in grid
-/// order) and finally with the end-of-stream event count. This is the shard
-/// *body*: the in-process transport calls it on a thread, the
-/// `cwc-shard` worker binary calls it with a frame-writing sink.
+/// pipeline, invoking `on_cut` with every aligned partial cut (in grid
+/// order), and returns the reactions fired across the slice. This is the
+/// shard *body*: the in-process transport calls it on a thread, the
+/// `cwc-shard` worker binary calls it with a frame-writing sink; each
+/// caller reports the returned count as its end of stream.
 ///
 /// `deps` is `model`'s pre-compiled dependency graph — the caller owns
 /// the (single) compilation, so a worker serving shipped deps and a
@@ -389,8 +376,8 @@ pub fn run_shard(
     deps: Arc<ModelDeps>,
     spec: &ShardSpec,
     steering: &Steering,
-    mut on_msg: impl FnMut(ShardMsg),
-) -> Result<(), SimError> {
+    on_cut: impl FnMut(Cut),
+) -> Result<u64, SimError> {
     // Shard workers keep the default `Auto` kernel dispatch and detect
     // CPU features locally: every kernel is bit-for-bit identical, so the
     // merged results cannot depend on which side each worker picks.
@@ -419,14 +406,9 @@ pub fn run_shard(
     );
 
     let (rx, handle) = pipeline.into_receiver();
-    for cut in rx.iter() {
-        on_msg(ShardMsg::Cut(cut));
-    }
+    rx.iter().for_each(on_cut);
     handle.join()?;
-    on_msg(ShardMsg::End {
-        events: events.load(Ordering::Relaxed),
-    });
-    Ok(())
+    Ok(events.load(Ordering::Relaxed))
 }
 
 /// The in-process transport: one thread per shard, no serialisation.
@@ -458,33 +440,32 @@ impl ShardTransport for InProcessTransport {
             // A dropped receiver means the supervisor already moved on
             // (run failed or this attempt was cancelled); finishing
             // quietly is fine.
-            let result = run_shard(model, deps, &spec, &local, |msg| {
-                let _ = sink.send(ShardFeed::Msg(msg));
+            let result = run_shard(model, deps, &spec, &local, |cut| {
+                let _ = sink.send(ShardFeed::Cut(cut));
             });
             drop(watch);
-            if let Err(e) = result {
-                let _ = sink.send(ShardFeed::Failed(ShardError::new(
-                    shard,
-                    ShardErrorKind::Sim(e.to_string()),
-                )));
-            }
+            let _ = sink.send(match result {
+                Ok(events) => ShardFeed::End { events },
+                Err(e) => {
+                    ShardFeed::Failed(ShardError::new(shard, ShardErrorKind::Sim(e.to_string())))
+                }
+            });
         });
         // In-process shards share the coordinator's failure domain: a
         // wedged shard thread cannot be killed anyway, so the watchdog
         // would only convert a shared-process bug into a misleading
         // per-shard timeout. They are unwatched; the watchdog supervises
         // *worker processes* (see `distrt`'s transports).
-        Ok(ShardHandle::new(shard, join)
-            .with_cancel(move || cancel.terminate())
-            .unwatched())
+        Ok(ShardHandle::new(join, move || cancel.terminate()).unwatched())
     }
 }
 
 /// Runs a sharded simulation over the given transport, merging the
 /// shards' partial cuts and feeding the same summary/window/analysis
 /// stages as [`run_simulation`]. Produces bit-for-bit the same
-/// [`StatRow`]s and [`RunSummary`] as the single-process runner for any
-/// shard count (see the module docs for the argument).
+/// [`StatRow`]s and [`RunSummary`](crate::merge::RunSummary) as the
+/// single-process runner for any shard count (see the module docs for
+/// the argument).
 ///
 /// [`run_simulation`]: crate::runner::run_simulation
 ///
@@ -528,36 +509,40 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
         rows.collect::<Vec<StatRow>>()
     });
 
-    // The supervision loop owns launch, watchdog, retry/requeue and the
-    // cut merge; full cuts are emitted here into the downstream pipeline. A send failure means downstream already
-    // died — the supervisor keeps draining (so shard drivers never
-    // block forever on a sink nobody reads) and the panic surfaces via
-    // the pipeline join below.
+    // The supervision loop owns launch, watchdog, requeue and the cut
+    // merge; full cuts are emitted here into the downstream pipeline,
+    // and counted for a failed run's `ShardError::merged_cuts`. A send
+    // failure means downstream already died — the supervisor keeps
+    // draining (so shard drivers never block forever on a sink nobody
+    // reads) and the panic surfaces via the pipeline join below.
+    let mut merged_cuts = 0;
     let supervised = crate::supervisor::ShardSupervisor::new(cfg, &plan).run(
         Arc::clone(&model),
         deps,
         steering,
         transport,
-        |cut| cut_tx.send(cut).is_ok(),
+        |cut| {
+            let sent = cut_tx.send(cut).is_ok();
+            merged_cuts += u64::from(sent);
+            sent
+        },
     );
     drop(cut_tx);
     let rows: Vec<StatRow> = collector
         .join()
         .expect("row collector only reads from a channel");
     let run_stats = handle.join()?;
-    let summary = joined_summary(summary);
-    let events = match supervised {
-        Ok(events) => events,
-        Err(mut e) => {
-            // Every cut merged before the failure has been summarised.
-            if summary.cuts() > 0 {
-                e.partial = Some(Box::new(summary));
-            }
-            return Err(SimError::Shard(e));
-        }
-    };
+    let events = supervised.map_err(|mut e| {
+        e.merged_cuts = merged_cuts;
+        SimError::Shard(e)
+    })?;
     Ok(SimReport::new(
-        &model, rows, run_stats, start, events, summary,
+        &model,
+        rows,
+        run_stats,
+        start,
+        events,
+        joined_summary(summary),
     ))
 }
 
@@ -801,15 +786,15 @@ mod tests {
                 &mut self,
                 _model: Arc<Model>,
                 _deps: Arc<ModelDeps>,
-                spec: &ShardSpec,
+                _spec: &ShardSpec,
                 _steering: &Steering,
                 sink: mpsc::SyncSender<ShardFeed>,
             ) -> Result<ShardHandle, ShardError> {
                 Ok(ShardHandle::new(
-                    spec.range.shard,
                     std::thread::spawn(move || {
                         drop(sink); // die without a trace
                     }),
+                    || {},
                 ))
             }
         }

@@ -41,10 +41,9 @@
 //!   coordinator summarises ([`merge::RunSummary`]) and analyses like a
 //!   single-process run;
 //! - [`supervisor`]: fault tolerance for the sharded farm — watchdog
-//!   timeouts over per-shard heartbeats, deterministic retry/requeue of
-//!   a failed slice with bounded-exponential backoff, and typed
-//!   attempt-history errors on budget exhaustion
-//!   ([`supervisor::ShardSupervisor`]).
+//!   timeouts over per-shard heartbeats, deterministic immediate requeue
+//!   of a failed slice on a fresh worker, and typed attempt-history
+//!   errors on budget exhaustion ([`supervisor::ShardSupervisor`]).
 //!
 //! ## Quickstart
 //!
@@ -82,8 +81,7 @@ pub use alignment::Alignment;
 pub use config::{ConfigError, SimConfig, TransportKind};
 pub use coordinator::{
     run_shard, run_simulation_sharded_in_process, run_simulation_sharded_with, InProcessTransport,
-    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec,
-    ShardTransport,
+    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 pub use display::{ascii_chart, CsvRenderer};
 pub use engines::{ObsStats, StatBlock, StatEngineKind, StatEngineSet, StatRow};

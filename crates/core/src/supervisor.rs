@@ -10,20 +10,23 @@
 //! 1. **Detection.** Each shard attempt feeds one *bounded* channel
 //!    (capacity `SimConfig::channel_capacity` — a fast shard
 //!    back-pressures against the merge instead of buffering its whole
-//!    lead in memory, closing the PR-5 flow-control leftover), and that
-//!    channel is the attempt's only liveness signal. A failure is a
-//!    typed [`ShardError`] fed by the driver (crash, nonzero exit,
-//!    corrupt frame), a vanished driver (channel disconnect without an
-//!    end-of-stream report), or a **watchdog timeout**: the supervisor's
-//!    receive on a watched attempt's channel takes no feed —
-//!    heartbeats included — for `SimConfig::shard_timeout` seconds
-//!    since the last one it took (the launch counts as one). A driver
-//!    blocked on a full channel cannot trip it: the receive returns at
-//!    once.
-//! 2. **Recovery.** A failed slice is requeued onto a fresh worker with
-//!    a bounded-exponential backoff (`shard_backoff · 2^attempt`,
-//!    capped at `shard_backoff_max`) and a retry budget of
-//!    `SimConfig::shard_retries`. Because every trajectory's RNG stream
+//!    lead in memory), and that channel is the attempt's only liveness
+//!    signal. Every receive on it yields one [`ShardFeed`]: a cut, the
+//!    end-of-stream report, a heartbeat, or `Failed` — a typed
+//!    [`ShardError`] fed by the driver (crash, nonzero exit, corrupt
+//!    frame), `Crashed` for a vanished driver (channel disconnect
+//!    without an end-of-stream report), or `Timeout` when the
+//!    **watchdog** fires: the receive on a watched attempt's channel
+//!    takes no feed — heartbeats included — for
+//!    `SimConfig::shard_timeout` seconds since the last one it took (the
+//!    launch counts as one). A driver blocked on a full channel cannot
+//!    trip it: the receive returns at once.
+//! 2. **Recovery.** A failed attempt is cancelled and its slice
+//!    requeued at once onto a fresh worker, within a retry budget of
+//!    `SimConfig::shard_retries`. No backoff is needed: every requeue
+//!    lands on a new worker (a new `cwc-shard` child, or a TCP survivor
+//!    the registry picks away from the one that failed), so there is no
+//!    sick worker to give time to. Because every trajectory's RNG stream
 //!    is a pure function of `(base_seed, instance)`, the replacement
 //!    worker *replays the slice bit-for-bit*; the supervisor swallows
 //!    the first `delivered` replayed cuts (already handed to the
@@ -40,8 +43,8 @@
 //!    itself stays placement-agnostic.
 //! 3. **Graceful degradation.** When the budget is exhausted the run
 //!    fails with a [`ShardError`] carrying the full per-attempt history
-//!    ([`ShardAttempt`]); the coordinator attaches the summary of every
-//!    full cut merged before the failure for diagnosis.
+//!    ([`ShardAttempt`]); the coordinator adds how many full cuts it had
+//!    sent downstream before the failure (`merged_cuts`).
 //!
 //! ## Determinism of the merge
 //!
@@ -64,8 +67,7 @@ use gillespie::trajectory::Cut;
 
 use crate::config::SimConfig;
 use crate::coordinator::{
-    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg, ShardSpec,
-    ShardTransport,
+    ShardAttempt, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 use crate::merge::CutMerger;
 use crate::plan::{ShardPlan, ShardRange};
@@ -73,9 +75,8 @@ use crate::sim_farm::Steering;
 
 /// Supervises the shards of one sharded run: launches every planned
 /// shard over a [`ShardTransport`], merges their cut streams with
-/// per-shard bounded channels, and requeues failed slices with a
-/// bounded-exponential-backoff retry budget. See the module docs for
-/// the state machine.
+/// per-shard bounded channels, and requeues failed slices at once within
+/// a retry budget. See the module docs for the state machine.
 #[derive(Debug)]
 pub struct ShardSupervisor<'a> {
     cfg: &'a SimConfig,
@@ -83,8 +84,8 @@ pub struct ShardSupervisor<'a> {
 }
 
 impl<'a> ShardSupervisor<'a> {
-    /// A supervisor for one run's plan, reading its retry/timeout/
-    /// backoff knobs from `cfg`.
+    /// A supervisor for one run's plan, reading its retry and timeout
+    /// knobs from `cfg`.
     pub fn new(cfg: &'a SimConfig, plan: &'a ShardPlan) -> Self {
         ShardSupervisor { cfg, plan }
     }
@@ -136,17 +137,6 @@ impl<'a> ShardSupervisor<'a> {
         sv.shutdown();
         result.map(|()| sv.events)
     }
-}
-
-/// What one blocking receive on a shard's channel produced.
-enum Recv {
-    /// A feed arrived.
-    Feed(ShardFeed),
-    /// The driver dropped its sender (and everything buffered has been
-    /// read) without an end-of-stream report or a failure notice.
-    Disconnected,
-    /// The watchdog fired: the shard has fed nothing for this long.
-    Stalled(Duration),
 }
 
 /// Per-shard supervision state.
@@ -207,31 +197,10 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
         for s in 0..self.states.len() {
             self.relaunch(s)?;
         }
-        let mut remaining = self.states.len();
-        while remaining > 0 {
+        while self.states.iter().any(|st| !st.ended) {
             for s in 0..self.states.len() {
-                if self.states[s].ended {
-                    continue;
-                }
-                match self.next_msg(s)? {
-                    ShardMsg::Cut(cut) => {
-                        self.merger.push(s, cut, &mut self.full_cuts);
-                        // A terminated run forwards no more cuts: a shard
-                        // may emit some before it hears the termination,
-                        // and dropping a suffix keeps the drained rows a
-                        // prefix of the full run's.
-                        for cut in self.full_cuts.drain(..) {
-                            if self.steering.is_terminated() {
-                                break;
-                            }
-                            let _ = (self.emit)(cut);
-                        }
-                    }
-                    ShardMsg::End { events } => {
-                        self.events += events;
-                        self.states[s].ended = true;
-                        remaining -= 1;
-                    }
+                if !self.states[s].ended {
+                    self.step(s)?;
                 }
             }
         }
@@ -269,46 +238,42 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
         }
     }
 
-    /// Blocks for shard `s`'s next *deliverable* message, absorbing
-    /// replay prefixes and recovering from failures along the way.
-    fn next_msg(&mut self, s: usize) -> Result<ShardMsg, ShardError> {
+    /// Blocks for shard `s`'s next *deliverable* feed and takes it: a
+    /// cut goes to the merger, the end-of-stream report ends the shard.
+    /// Replay prefixes and heartbeats are absorbed, and a failed attempt
+    /// is requeued, along the way.
+    fn step(&mut self, s: usize) -> Result<(), ShardError> {
         loop {
             match self.recv_feed(s) {
-                Recv::Feed(ShardFeed::Msg(ShardMsg::Cut(cut))) => {
+                ShardFeed::Cut(cut) => {
                     let st = &mut self.states[s];
                     if st.skip > 0 {
                         st.skip -= 1;
                         continue;
                     }
                     st.delivered += 1;
-                    return Ok(ShardMsg::Cut(cut));
-                }
-                Recv::Feed(ShardFeed::Msg(end @ ShardMsg::End { .. })) => return Ok(end),
-                Recv::Feed(ShardFeed::Heartbeat) => {}
-                Recv::Feed(ShardFeed::Failed(e)) => {
-                    self.recover(s, e)?;
-                }
-                Recv::Disconnected => {
-                    self.recover(
-                        s,
-                        ShardError::new(
-                            s,
-                            ShardErrorKind::Crashed(
-                                "shard driver vanished without an end-of-stream report".into(),
-                            ),
-                        ),
-                    )?;
-                }
-                Recv::Stalled(silent_for) => {
-                    // Put the stalled attempt down first (kills the
-                    // child process, so its reader unblocks and exits).
-                    if let Some(h) = &self.states[s].handle {
-                        h.cancel();
+                    self.merger.push(s, cut, &mut self.full_cuts);
+                    // A terminated run forwards no more cuts: a shard may
+                    // emit some before it hears the termination, and
+                    // dropping a suffix keeps the drained rows a prefix
+                    // of the full run's.
+                    for cut in self.full_cuts.drain(..) {
+                        if self.steering.is_terminated() {
+                            break;
+                        }
+                        let _ = (self.emit)(cut);
                     }
-                    self.recover(
-                        s,
-                        ShardError::new(s, ShardErrorKind::Timeout { silent_for }),
-                    )?;
+                    return Ok(());
+                }
+                ShardFeed::End { events } => {
+                    self.events += events;
+                    self.states[s].ended = true;
+                    return Ok(());
+                }
+                ShardFeed::Heartbeat => {}
+                ShardFeed::Failed(e) => {
+                    self.note_failure(s, e)?;
+                    self.relaunch(s)?;
                 }
             }
         }
@@ -316,49 +281,40 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
 
     /// One blocking receive on shard `s`'s channel. With a watchdog
     /// configured and the attempt watched, it gives up `shard_timeout`
-    /// after the last feed taken from the attempt.
-    fn recv_feed(&mut self, s: usize) -> Recv {
+    /// after the last feed taken from the attempt. A disconnect becomes
+    /// `Failed(Crashed)` and an expired watchdog `Failed(Timeout)`.
+    fn recv_feed(&mut self, s: usize) -> ShardFeed {
         let st = &mut self.states[s];
         let rx = st.rx.as_ref().expect("live shard has a receiver");
         let watched = st.handle.as_ref().is_some_and(ShardHandle::is_watched);
-        let received = match self.cfg.shard_timeout.filter(|_| watched) {
-            // No watchdog: failures still surface as `Failed` feeds or a
-            // disconnect.
-            None => rx
-                .recv()
-                .map_err(|mpsc::RecvError| mpsc::RecvTimeoutError::Disconnected),
-            Some(timeout) => {
-                let timeout = Duration::from_secs_f64(timeout);
-                rx.recv_timeout(timeout.saturating_sub(st.last_feed.elapsed()))
+        let wait = match self.cfg.shard_timeout {
+            Some(timeout) if watched => {
+                Duration::from_secs_f64(timeout).saturating_sub(st.last_feed.elapsed())
             }
+            // No watchdog: a deadline past `Instant`'s range makes the
+            // receive a plain blocking `recv`.
+            _ => Duration::MAX,
         };
-        match received {
+        let kind = match rx.recv_timeout(wait) {
             Ok(feed) => {
                 st.last_feed = Instant::now();
-                Recv::Feed(feed)
+                return feed;
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Recv::Disconnected,
-            Err(mpsc::RecvTimeoutError::Timeout) => Recv::Stalled(st.last_feed.elapsed()),
-        }
+            Err(mpsc::RecvTimeoutError::Disconnected) => ShardErrorKind::Crashed(
+                "shard driver vanished without an end-of-stream report".into(),
+            ),
+            Err(mpsc::RecvTimeoutError::Timeout) => ShardErrorKind::Timeout {
+                silent_for: st.last_feed.elapsed(),
+            },
+        };
+        ShardFeed::Failed(ShardError::new(s, kind))
     }
 
-    /// Handles a failure of shard `s`'s current attempt: either
-    /// schedules a retry (recording the attempt, backing off, and
-    /// relaunching) or returns the final error with history attached.
-    fn recover(&mut self, s: usize, err: ShardError) -> Result<(), ShardError> {
-        self.note_failure(s, err)?;
-        self.relaunch(s)
-    }
-
-    /// Records a failed attempt and backs off, or finalises the error
-    /// when the budget is exhausted (or the failure is non-retryable).
+    /// Records a failed attempt, or finalises the error when the budget
+    /// is exhausted (or the failure is non-retryable).
     fn note_failure(&mut self, s: usize, mut err: ShardError) -> Result<(), ShardError> {
-        // Retire the failed attempt's driver; its channel dies with it.
-        if let Some(h) = self.states[s].handle.take() {
-            h.cancel();
-            self.graveyard.push(h);
-        }
-        self.states[s].rx = None;
+        // A stalled child is killed, so its reader unblocks and exits.
+        self.retire(s);
         // Worker-side simulation errors are deterministic: the replay
         // would fail identically, so don't burn the budget on it.
         let retryable = !matches!(err.kind, ShardErrorKind::Sim(_));
@@ -367,28 +323,21 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
             err.attempts = std::mem::take(&mut self.states[s].attempts);
             return Err(err);
         }
-        let backoff = self.backoff(used);
         self.states[s].attempts.push(ShardAttempt {
             attempt: used,
             error: err.kind.to_string(),
-            backoff,
         });
-        // Interruptible bounded-exponential backoff: a terminated run
-        // should not sit out a multi-second wait.
-        let deadline = Instant::now() + backoff;
-        while Instant::now() < deadline && !self.steering.is_terminated() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            thread::sleep(left.min(Duration::from_millis(5)));
-        }
         Ok(())
     }
 
-    /// The backoff before attempt `used + 1`:
-    /// `shard_backoff · 2^used`, capped at `shard_backoff_max`.
-    fn backoff(&self, used: usize) -> Duration {
-        let secs = (self.cfg.shard_backoff * 2f64.powi(used.min(i32::MAX as usize) as i32))
-            .min(self.cfg.shard_backoff_max);
-        Duration::from_secs_f64(secs.max(0.0))
+    /// Drops shard `s`'s channel and cancels its current attempt, if
+    /// any, keeping the driver handle to reap at the end.
+    fn retire(&mut self, s: usize) {
+        self.states[s].rx = None;
+        if let Some(h) = self.states[s].handle.take() {
+            h.cancel();
+            self.graveyard.push(h);
+        }
     }
 
     /// Cancels every live attempt and reaps what finishes promptly. A
@@ -396,12 +345,8 @@ impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
     /// abandoned (its sends fail once the receivers are gone, and it
     /// dies with the process).
     fn shutdown(&mut self) {
-        for st in &mut self.states {
-            st.rx = None;
-            if let Some(h) = st.handle.take() {
-                h.cancel();
-                self.graveyard.push(h);
-            }
+        for s in 0..self.states.len() {
+            self.retire(s);
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         for h in self.graveyard.drain(..) {
@@ -434,7 +379,6 @@ mod tests {
             .stat_workers(2)
             .window(4, 2)
             .seed(33)
-            .shard_backoff(0.0, 0.0)
     }
 
     /// A transport that injects a crash into chosen attempts of chosen
@@ -479,13 +423,11 @@ mod tests {
                 let local = Steering::new();
                 let sent = AtomicU64::new(0);
                 let killer = local.clone();
-                let _ = run_shard(model, deps, &spec, &local, |msg| {
-                    if let ShardMsg::Cut(cut) = msg {
-                        if sent.fetch_add(1, Ordering::Relaxed) < cuts {
-                            let _ = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut)));
-                        } else {
-                            killer.terminate();
-                        }
+                let _ = run_shard(model, deps, &spec, &local, |cut| {
+                    if sent.fetch_add(1, Ordering::Relaxed) < cuts {
+                        let _ = sink.send(ShardFeed::Cut(cut));
+                    } else {
+                        killer.terminate();
                     }
                 });
                 let _ = sink.send(ShardFeed::Failed(ShardError::new(
@@ -493,7 +435,7 @@ mod tests {
                     ShardErrorKind::Crashed("injected fault".into()),
                 )));
             });
-            Ok(ShardHandle::new(shard, join).unwatched())
+            Ok(ShardHandle::new(join, || {}).unwatched())
         }
     }
 
@@ -537,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_carries_attempt_history_and_partial_summary() {
+    fn budget_exhaustion_carries_attempt_history_and_merged_cuts() {
         let model = Arc::new(decay(40, 1.0));
         // Shard 1 crashes on every attempt after one cut; its replays
         // deliver nothing new, so exactly one full cut is merged.
@@ -559,10 +501,8 @@ mod tests {
         assert!(e.attempts.iter().all(|a| a.error.contains("injected")));
         let rendered = e.to_string();
         assert!(rendered.contains("after 2 failed attempts"), "{rendered}");
-        // The summary of that one merged cut rides along for diagnosis.
-        let partial = e.partial.as_deref().expect("partial summary attached");
-        assert_eq!(partial.cuts(), 1);
-        assert_eq!(partial.observables()[0].running.count(), 9);
+        // The count of that one merged cut rides along for diagnosis.
+        assert_eq!(e.merged_cuts, 1);
     }
 
     #[test]
@@ -584,7 +524,7 @@ mod tests {
                         ShardErrorKind::Sim("deterministic model failure".into()),
                     )));
                 });
-                Ok(ShardHandle::new(shard, join))
+                Ok(ShardHandle::new(join, || {}))
             }
         }
         let model = Arc::new(decay(10, 1.0));
@@ -600,7 +540,7 @@ mod tests {
         };
         assert!(matches!(e.kind, ShardErrorKind::Sim(_)), "{e}");
         assert!(e.attempts.is_empty(), "sim errors must not be retried");
-        assert!(e.partial.is_none(), "no cut was merged");
+        assert_eq!(e.merged_cuts, 0, "no cut was merged");
     }
 
     /// Stalls chosen attempts (launches a watched driver that never
@@ -634,7 +574,7 @@ mod tests {
                     thread::sleep(Duration::from_millis(2));
                 }
             });
-            Ok(ShardHandle::new(shard, join).with_cancel(move || cancel.terminate()))
+            Ok(ShardHandle::new(join, move || cancel.terminate()))
         }
     }
 
@@ -704,17 +644,23 @@ mod tests {
             let shard = spec.range.shard;
             let spec = spec.clone();
             let join = thread::spawn(move || {
-                let _ = run_shard(model, deps, &spec, &Steering::new(), |msg| {
+                let feed = |next| {
                     if shard == 0 {
                         for _ in 0..5 {
                             thread::sleep(Duration::from_millis(50));
                             let _ = sink.send(ShardFeed::Heartbeat);
                         }
                     }
-                    let _ = sink.send(ShardFeed::Msg(msg));
-                });
+                    let _ = sink.send(next);
+                };
+                let steering = Steering::new();
+                if let Ok(events) = run_shard(model, deps, &spec, &steering, |cut| {
+                    feed(ShardFeed::Cut(cut));
+                }) {
+                    feed(ShardFeed::End { events });
+                }
             });
-            Ok(ShardHandle::new(shard, join))
+            Ok(ShardHandle::new(join, || {}))
         }
     }
 
@@ -758,14 +704,16 @@ mod tests {
             _steering: &Steering,
             sink: mpsc::SyncSender<ShardFeed>,
         ) -> Result<ShardHandle, ShardError> {
-            let shard = spec.range.shard;
             let spec = spec.clone();
             let join = thread::spawn(move || {
-                let _ = run_shard(model, deps, &spec, &Steering::new(), |msg| {
-                    let _ = sink.send(ShardFeed::Msg(msg));
-                });
+                let steering = Steering::new();
+                if let Ok(events) = run_shard(model, deps, &spec, &steering, |cut| {
+                    let _ = sink.send(ShardFeed::Cut(cut));
+                }) {
+                    let _ = sink.send(ShardFeed::End { events });
+                }
             });
-            Ok(ShardHandle::new(shard, join).unwatched())
+            Ok(ShardHandle::new(join, || {}).unwatched())
         }
     }
 
@@ -791,31 +739,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(full.rows, run_simulation(model, &cfg()).unwrap().rows);
-    }
-
-    #[test]
-    fn backoff_is_bounded_exponential() {
-        let cfg = cfg().shard_backoff(0.05, 0.2);
-        let plan = ShardPlan::new(4, 2);
-        let model = Arc::new(decay(1, 1.0));
-        let deps = Arc::new(ModelDeps::compile(&model));
-        let sv = Supervision {
-            cfg: &cfg,
-            model,
-            deps,
-            steering: &Steering::new(),
-            transport: &mut InProcessTransport,
-            emit: |_| true,
-            states: plan.ranges().iter().map(|&r| ShardState::new(r)).collect(),
-            graveyard: Vec::new(),
-            merger: CutMerger::new(plan.len()),
-            full_cuts: Vec::new(),
-            events: 0,
-        };
-        assert_eq!(sv.backoff(0), Duration::from_secs_f64(0.05));
-        assert_eq!(sv.backoff(1), Duration::from_secs_f64(0.1));
-        assert_eq!(sv.backoff(2), Duration::from_secs_f64(0.2));
-        assert_eq!(sv.backoff(3), Duration::from_secs_f64(0.2)); // capped
-        assert_eq!(sv.backoff(1000), Duration::from_secs_f64(0.2));
     }
 }

@@ -567,7 +567,7 @@ impl ShardTransport for TcpShardTransport {
                 attempt: spec.attempt,
                 worker: w,
             });
-            return Ok(ShardHandle::new(shard, join).with_cancel(cancel));
+            return Ok(ShardHandle::new(join, cancel));
         }
     }
 }

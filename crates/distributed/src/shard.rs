@@ -80,7 +80,7 @@ use cwc::model::Model;
 use cwcsim::config::{SimConfig, TransportKind};
 use cwcsim::coordinator::{
     run_shard, run_simulation_sharded_with, InProcessTransport, ShardError, ShardErrorKind,
-    ShardFeed, ShardHandle, ShardMsg, ShardSpec, ShardTransport,
+    ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 use cwcsim::runner::{SimError, SimReport};
 use cwcsim::sim_farm::Steering;
@@ -528,14 +528,15 @@ where
             }
         });
 
-        let result = run_shard(model, Arc::clone(&deps), &job.spec, &steering, |msg| {
+        // Writes one frame, unless the coordinator is gone or the fault
+        // fires at this write instead of performing it.
+        let mut send = |frame: ToCoordinator| {
             if write_err.is_some() || fired.is_some() {
                 return; // coordinator gone or fault fired; draining out
             }
             if let Some(p) = &fault {
                 if p.kind != FaultKind::DelayStart && cuts_written.load(Ordering::Relaxed) >= p.cuts
                 {
-                    // Fire at this write instead of performing it.
                     fired = Some(p.kind);
                     let mut out = output.lock().expect("output mutex");
                     match p.kind {
@@ -565,10 +566,6 @@ where
                     return;
                 }
             }
-            let frame = match msg {
-                ShardMsg::Cut(cut) => ToCoordinator::Cut(cut),
-                ShardMsg::End { events } => ToCoordinator::End { events },
-            };
             let mut out = output.lock().expect("output mutex");
             if let Err(e) = write_frame(&mut *out, &frame) {
                 // Nobody is listening (EPIPE): stop simulating at the next
@@ -579,7 +576,13 @@ where
             } else if matches!(frame, ToCoordinator::Cut(_)) {
                 cuts_written.fetch_add(1, Ordering::Relaxed);
             }
+        };
+        let result = run_shard(model, Arc::clone(&deps), &job.spec, &steering, |cut| {
+            send(ToCoordinator::Cut(cut));
         });
+        if let Ok(events) = result {
+            send(ToCoordinator::End { events });
+        }
         let _ = hb_stop.send(());
         result
     });
@@ -610,11 +613,11 @@ where
 /// another. The attempt body both out-of-process transports share drives
 /// its reader with it.
 ///
-/// Every frame is forwarded into the bounded `sink` — a `Progress`
-/// heartbeat as [`ShardFeed::Heartbeat`], a `Cut` as a message — and
-/// `End` is forwarded and finishes the pump. A dropped receiver (attempt
-/// cancelled, run over) finishes it quietly too. `label` names the
-/// worker in error details.
+/// Every frame is forwarded into the bounded `sink` as the
+/// [`ShardFeed`] of the same name (a `Progress` heartbeat as
+/// [`ShardFeed::Heartbeat`]), and `End` finishes the pump. A dropped
+/// receiver (attempt cancelled, run over) finishes it quietly too.
+/// `label` names the worker in error details.
 ///
 /// # Errors
 ///
@@ -631,9 +634,9 @@ pub(crate) fn pump_frames(
         let frame_start = offset;
         let feed = match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
             Ok(Some(ToCoordinator::Progress { .. })) => ShardFeed::Heartbeat,
-            Ok(Some(ToCoordinator::Cut(cut))) => ShardFeed::Msg(ShardMsg::Cut(cut)),
+            Ok(Some(ToCoordinator::Cut(cut))) => ShardFeed::Cut(cut),
             Ok(Some(ToCoordinator::End { events })) => {
-                let _ = sink.send(ShardFeed::Msg(ShardMsg::End { events }));
+                let _ = sink.send(ShardFeed::End { events });
                 return Ok(());
             }
             Ok(Some(ToCoordinator::Error(msg))) => return Err(ShardErrorKind::Sim(msg)),
@@ -809,7 +812,7 @@ impl ShardTransport for ProcessTransport {
                 }
             }
         });
-        Ok(ShardHandle::new(shard, join).with_cancel(move || {
+        Ok(ShardHandle::new(join, move || {
             if let Some(c) = child.lock().expect("child mutex").as_mut() {
                 let _ = c.kill();
             }
@@ -1008,14 +1011,14 @@ mod tests {
         let times: Vec<f64> = feeds
             .iter()
             .filter_map(|f| match f {
-                ShardFeed::Msg(ShardMsg::Cut(c)) => Some(c.time),
+                ShardFeed::Cut(c) => Some(c.time),
                 _ => None,
             })
             .collect();
         assert_eq!(times, [0.0, 0.5]);
         assert_eq!(feeds.len(), 3);
         assert!(
-            matches!(&feeds[2], ShardFeed::Msg(ShardMsg::End { events: 5 })),
+            matches!(&feeds[2], ShardFeed::End { events: 5 }),
             "{feeds:?}"
         );
     }

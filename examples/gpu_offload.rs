@@ -3,6 +3,11 @@
 //! bit-identical to CPU execution, and report the SIMT timing with its
 //! divergence factor.
 //!
+//! 2 048 lanes make 64 warps, more than the 57 warp slots a K40 keeps at
+//! Q/τ = 4, so warps queue for slots and the packing decides the kernel
+//! makespan: the example exits non-zero unless rebalancing the warps each
+//! quantum changes the total and does not slow it down.
+//!
 //! Run: `cargo run --release --example gpu_offload`
 
 use std::sync::Arc;
@@ -14,10 +19,10 @@ use cwc_repro::simt::{DeviceMap, DeviceSpec, WarpPacking};
 
 fn main() {
     let model = Arc::new(neurospora_flat(NeurosporaParams::default()));
-    let instances = 256;
-    let t_end = 48.0;
-    let quantum = 2.0;
-    let tau = 0.5;
+    let instances = 2048;
+    let t_end = 8.0;
+    let quantum = 1.0;
+    let tau = 0.25;
 
     eprintln!("running {instances} instances on the simulated device ...");
     let mut device_map = DeviceMap::new(
@@ -36,11 +41,13 @@ fn main() {
 
     let costs = CostModel::measure(model);
     let device = DeviceSpec::tesla_k40(costs.sec_per_event);
+    let mut totals = Vec::new();
     for (name, packing) in [
         ("static warps", WarpPacking::Static),
         ("rebalanced warps", WarpPacking::RebalanceEachQuantum),
     ] {
         let t = device_map.device_timing(&device, packing);
+        totals.push(t.total_s);
         println!(
             "{name}: {:.2} ms total ({:.2} ms compute, {:.2} ms overhead), divergence {:.3}, {} kernels",
             t.total_s * 1e3,
@@ -55,4 +62,9 @@ fn main() {
         "for comparison, 32 ideal CPU cores need ≈ {:.2} ms for the same events",
         cpu_equivalent * 1e3
     );
+    let (fixed, rebalanced) = (totals[0], totals[1]);
+    if rebalanced >= fixed {
+        eprintln!("rebalancing bought nothing: {fixed} s static vs {rebalanced} s rebalanced");
+        std::process::exit(1);
+    }
 }

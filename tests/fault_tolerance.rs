@@ -42,7 +42,6 @@ fn cfg() -> SimConfig {
         .stat_workers(2)
         .window(4, 2)
         .seed(211)
-        .shard_backoff(0.0, 0.0) // no backoff sleeps in tests
 }
 
 fn transport(plan: &str) -> ProcessTransport {
@@ -214,7 +213,7 @@ fn exhausted_budget_reports_the_full_attempt_history() {
             }
             let rendered = e.to_string();
             assert!(rendered.contains("after 2 failed attempts"), "{rendered}");
-            assert_eq!(e.partial.map(|p| p.cuts()), Some(1));
+            assert_eq!(e.merged_cuts, 1);
         }
         other => panic!("expected SimError::Shard, got {other}"),
     }

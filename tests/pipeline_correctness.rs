@@ -222,7 +222,7 @@ fn all_engine_kinds_flow_through_the_pipeline() {
 
 #[test]
 fn steering_terminates_a_running_simulation_early() {
-    use cwc_repro::cwcsim::coordinator::{run_shard, ShardMsg, ShardSpec};
+    use cwc_repro::cwcsim::coordinator::{run_shard, ShardSpec};
     use cwc_repro::cwcsim::{ShardPlan, Steering};
     use cwc_repro::gillespie::deps::ModelDeps;
 
@@ -244,13 +244,9 @@ fn steering_terminates_a_running_simulation_early() {
     let spec = ShardSpec::from_config(&cfg, ShardPlan::new(cfg.instances, 1).ranges()[0]);
     let deps = Arc::new(ModelDeps::compile(&model));
     let mut times = Vec::new();
-    let mut events = 0;
-    run_shard(model, deps, &spec, &steering, |msg| match msg {
-        ShardMsg::Cut(cut) => {
-            steering.terminate();
-            times.push(cut.time);
-        }
-        ShardMsg::End { events: e } => events = e,
+    let events = run_shard(model, deps, &spec, &steering, |cut| {
+        steering.terminate();
+        times.push(cut.time);
     })
     .unwrap();
     assert!(

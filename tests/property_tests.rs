@@ -18,10 +18,14 @@ use cwc_repro::cwc::rule::{Pattern, Production, RateLaw, Rule};
 use cwc_repro::cwc::species::{Label, Species};
 use cwc_repro::cwc::term::{Compartment, Path, Term};
 use cwc_repro::cwcsim::task::SampleBatch;
+use cwc_repro::cwcsim::{ShardPlan, ShardSpec, SimConfig};
+use cwc_repro::distrt::shard::{ShardJob, ToCoordinator, ToShard};
 use cwc_repro::distrt::{
-    from_bytes, simulate_cluster, to_bytes, ClusterParams, HostProfile, NetworkProfile,
-    WorkloadTrace,
+    from_bytes, simulate_cluster, to_bytes, ClusterParams, HostProfile, NetworkProfile, Wire,
+    WorkerHello, WorkloadTrace,
 };
+use cwc_repro::gillespie::deps::ModelDeps;
+use cwc_repro::gillespie::trajectory::Cut;
 use cwc_repro::streamstat::welford::Running;
 
 fn arb_multiset() -> impl Strategy<Value = Multiset> {
@@ -31,6 +35,42 @@ fn arb_multiset() -> impl Strategy<Value = Multiset> {
             .map(|(s, n)| (Species::from_raw(s), n))
             .collect()
     })
+}
+
+/// Decodes bytes as one message type, discarding the result.
+type Decode = fn(&[u8]);
+
+/// `message`'s valid encoding, with the decoder of its type.
+fn encoded<T: Wire>(message: &T) -> (Vec<u8>, Decode) {
+    (to_bytes(message), |b| drop(from_bytes::<T>(b)))
+}
+
+/// Every message that crosses a shard socket, encoded.
+fn socket_messages() -> Vec<(Vec<u8>, Decode)> {
+    // A job as the coordinator sends it: model text, spec and shipped deps.
+    let model = cwc_repro::biomodels::simple::birth_death(5.0, 1.0, 3);
+    let job = ShardJob {
+        deps: Some(ModelDeps::compile(&model)),
+        spec: ShardSpec::from_config(&SimConfig::new(4, 1.0), ShardPlan::new(4, 2).ranges()[1]),
+        model,
+    };
+    // One inline row and one spilled (wider than four values).
+    let cut = Cut {
+        time: 0.5,
+        values: vec![
+            Row::from_slice(&[1, 2]),
+            Row::from_slice(&[3, 4, 5, 6, 7, 8]),
+        ],
+    };
+    vec![
+        encoded(&ToCoordinator::Cut(cut)),
+        encoded(&ToCoordinator::End { events: 7 }),
+        encoded(&ToCoordinator::Error("model failed".into())),
+        encoded(&ToCoordinator::Progress { cuts: 3 }),
+        encoded(&ToShard::Job(Box::new(job))),
+        encoded(&ToShard::Terminate),
+        encoded(&WorkerHello::current(4)),
+    ]
 }
 
 proptest! {
@@ -159,6 +199,8 @@ proptest! {
     fn wire_never_panics_on_corrupted_input(
         mut bytes in proptest::collection::vec(any::<u8>(), 0..200),
         flip in any::<u8>(),
+        at in any::<usize>(),
+        keep in any::<usize>(),
     ) {
         // Arbitrary bytes: decoding must fail gracefully, never panic.
         let _ = from_bytes::<SampleBatch>(&bytes);
@@ -174,6 +216,14 @@ proptest! {
             let idx = flip as usize % bytes.len();
             bytes[idx] ^= 0x5A;
             let _ = from_bytes::<SampleBatch>(&bytes); // no panic
+        }
+        // The same for every frame that crosses a socket: one byte
+        // flipped, and the message cut short.
+        for (valid, decode) in socket_messages() {
+            let mut flipped = valid.clone();
+            flipped[at % valid.len()] ^= 0x5A;
+            decode(&flipped);
+            decode(&valid[..keep % valid.len()]);
         }
     }
 

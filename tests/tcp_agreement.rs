@@ -82,7 +82,6 @@ fn cfg() -> SimConfig {
         .stat_workers(2)
         .window(4, 2)
         .seed(101)
-        .shard_backoff(0.0, 0.0)
 }
 
 fn tcp_cfg(base: &SimConfig, shards: usize, daemons: &[Workerd]) -> SimConfig {
