@@ -351,9 +351,14 @@ impl SimConfig {
         self
     }
 
-    /// Number of samples each instance produces (grid 0, τ, 2τ, … ≤ t_end).
+    /// Number of samples each instance produces (grid 0, τ, 2τ, … ≤ t_end),
+    /// counted on the engines' own [`SampleClock`], whose grid points are
+    /// running sums of τ. `floor(t_end / τ) + 1` can disagree with it:
+    /// 3.0 / 0.1 is exactly 30, but thirty steps of 0.1 sum past 3.0.
+    ///
+    /// [`SampleClock`]: gillespie::ssa::SampleClock
     pub fn samples_per_instance(&self) -> u64 {
-        (self.t_end / self.sample_period).floor() as u64 + 1
+        gillespie::ssa::SampleClock::new(0.0, self.sample_period).due_by(self.t_end) as u64
     }
 
     /// Checks the configuration for consistency.
@@ -492,6 +497,10 @@ mod tests {
     fn samples_per_instance_counts_grid_points() {
         let cfg = SimConfig::new(1, 10.0).sample_period(1.0);
         assert_eq!(cfg.samples_per_instance(), 11); // t = 0..=10
+
+        // Thirty steps of 0.1 sum past 3.0: the runners emit 30 samples.
+        let cfg = SimConfig::new(1, 3.0).sample_period(0.1);
+        assert_eq!(cfg.samples_per_instance(), 30);
     }
 
     fn rejection_message(cfg: &SimConfig) -> String {

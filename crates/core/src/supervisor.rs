@@ -194,6 +194,12 @@ struct Supervision<'r, T: ShardTransport, F: FnMut(Cut) -> bool> {
 
 impl<T: ShardTransport, F: FnMut(Cut) -> bool> Supervision<'_, T, F> {
     fn drive(&mut self) -> Result<(), ShardError> {
+        // A run terminated before it starts launches nothing, so it fires
+        // no event, like the farm: a worker out of process would hear the
+        // termination only after its first quanta.
+        if self.steering.is_terminated() {
+            return Ok(());
+        }
         for s in 0..self.states.len() {
             self.relaunch(s)?;
         }

@@ -470,6 +470,9 @@ impl Attempt {
     ) {
         let result = pump_frames(&self.stream, sink, label);
         drop(self.watch);
+        // Our EOF tells the worker its last frame was taken: it holds
+        // the connection open until it reads it (see `serve_shard`).
+        let _ = self.stream.shutdown(Shutdown::Write);
         if let Err(mut kind) = finish(result) {
             if let Some(note) = self
                 .terminate_note

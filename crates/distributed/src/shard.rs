@@ -436,42 +436,52 @@ where
     R: Read + Send + 'static,
     W: Write + Send,
 {
-    let job = match read_frame::<ToShard>(&mut input)? {
+    let mut job = match read_frame::<ToShard>(&mut input)? {
         Some(ToShard::Job(job)) => *job,
         Some(ToShard::Terminate) => {
             return Err(ServeError::Protocol("terminate before job".into()))
         }
         None => return Err(ServeError::Protocol("empty input stream".into())),
     };
-    // Re-validate the shipped model before running anything (a model
-    // text can parse and still be invalid, e.g. hold no rule): an invalid
-    // model is a graceful Error frame for the coordinator, not a worker
-    // panic.
-    if let Err(e) = job.model.validate() {
-        write_frame(
-            &mut output,
-            &ToCoordinator::Error(format!("invalid model: {e}")),
-        )
-        .map_err(|e| ServeError::Frame(FrameError::Io(e)))?;
-        return Ok(());
-    }
-    // Resolve the dependency graph. Shipped deps (wire v7) are checked
-    // against the model — a mismatched payload is a graceful Error
-    // frame, like an invalid model — and reused as-is; only a job
-    // without them pays a worker-side compile.
-    let deps = match job.deps {
-        Some(d) => match d.validate_for(&job.model) {
-            Ok(()) => Arc::new(d),
-            Err(e) => {
-                write_frame(
-                    &mut output,
-                    &ToCoordinator::Error(format!("invalid model deps: {e}")),
-                )
+    // Control thread: later frames can only be Terminate, then EOF when
+    // the coordinator has taken our last frame. A worker that returns
+    // joins it first: closing a socket over unread input (a Terminate
+    // sent while the last frame was in flight) resets the connection,
+    // which can destroy that last frame before the coordinator reads it.
+    // A worker that fails abruptly leaves it detached.
+    let steering = Steering::new();
+    let steer = steering.clone();
+    let control = std::thread::spawn(move || loop {
+        match read_frame::<ToShard>(&mut input) {
+            Ok(Some(ToShard::Terminate)) => steer.terminate(),
+            Ok(Some(ToShard::Job(_))) => {} // duplicate job: ignore
+            Ok(None) | Err(_) => break,
+        }
+    });
+    // Check the job before running anything: the spec by the rules
+    // `SimConfig::validate` owns (a decoded spec never passed them), the
+    // model (a model text can parse and still be invalid, e.g. hold no
+    // rule) and shipped deps (wire v7) against the model, which are then
+    // reused as-is; only a job without them pays a worker-side compile.
+    // A refused job is a graceful Error frame for the coordinator, not a
+    // worker panic.
+    let admitted = (job.spec.validate())
+        .map_err(|e| format!("invalid shard spec: {e}"))
+        .and_then(|()| (job.model.validate()).map_err(|e| format!("invalid model: {e}")))
+        .and_then(|()| match job.deps.take() {
+            Some(d) => (d.validate_for(&job.model))
+                .map(|()| Arc::new(d))
+                .map_err(|e| format!("invalid model deps: {e}")),
+            None => Ok(Arc::new(ModelDeps::compile(&job.model))),
+        });
+    let deps = match admitted {
+        Ok(deps) => deps,
+        Err(refusal) => {
+            write_frame(&mut output, &ToCoordinator::Error(refusal))
                 .map_err(|e| ServeError::Frame(FrameError::Io(e)))?;
-                return Ok(());
-            }
-        },
-        None => Arc::new(ModelDeps::compile(&job.model)),
+            let _ = control.join();
+            return Ok(());
+        }
     };
     // Arm the fault-injection harness for this shard/attempt, if any.
     let fault = FaultPlan::from_env()
@@ -486,25 +496,12 @@ where
         }
     }
 
-    // Control thread: later frames can only be Terminate (or EOF when the
-    // coordinator has nothing more to say). Detached on purpose — it ends
-    // with the input stream, at the latest when the process exits.
-    let steering = Steering::new();
-    let steer = steering.clone();
-    std::thread::spawn(move || loop {
-        match read_frame::<ToShard>(&mut input) {
-            Ok(Some(ToShard::Terminate)) => steer.terminate(),
-            Ok(Some(ToShard::Job(_))) => {} // duplicate job: ignore
-            Ok(None) | Err(_) => break,
-        }
-    });
-
     let model = Arc::new(job.model);
     // The heartbeat thread and the pipeline drain share the output
     // stream; frames are whole-frame atomic under this mutex.
     let output = Mutex::new(&mut output);
-    // Stops the heartbeat thread: sent by a stall fault and at the end
-    // of the drain.
+    // Stops the heartbeat thread: sent by a stall fault, and dropped when
+    // the scope body ends, however it ends (see below).
     let (hb_stop, hb_stopped) = mpsc::channel::<()>();
     let cuts_written = AtomicU64::new(0);
     let mut write_err: Option<io::Error> = None;
@@ -512,6 +509,11 @@ where
     let write_steer = steering.clone();
 
     let result = std::thread::scope(|scope| {
+        // The body owns the heartbeat's stop sender: a shard body that
+        // panics drops it while unwinding, so the heartbeat thread sees
+        // `Disconnected` and exits before the scope joins it, instead of
+        // feeding the coordinator's watchdog forever.
+        let hb_stop = hb_stop;
         let (output, cuts_written) = (&output, &cuts_written);
         scope.spawn(move || {
             let period = Duration::from_secs_f64(job.spec.heartbeat_period.max(1e-3));
@@ -583,7 +585,6 @@ where
         if let Ok(events) = result {
             send(ToCoordinator::End { events });
         }
-        let _ = hb_stop.send(());
         result
     });
 
@@ -605,6 +606,7 @@ where
         write_frame(&mut *out, &ToCoordinator::Error(e.to_string()))
             .map_err(|e| ServeError::Frame(FrameError::Io(e)))?;
     }
+    let _ = control.join();
     Ok(())
 }
 
@@ -966,6 +968,15 @@ mod tests {
         frames
     }
 
+    /// Serves `job` over in-memory pipes; its frames, heartbeats dropped.
+    fn serve(job: ShardJob) -> Vec<ToCoordinator> {
+        let mut input = Vec::new();
+        write_frame(&mut input, &ToShard::Job(Box::new(job))).unwrap();
+        let mut output = Vec::new();
+        serve_shard(Cursor::new(input), &mut output).unwrap();
+        frames_from(&output)
+    }
+
     fn cut(time: f64) -> ToCoordinator {
         ToCoordinator::Cut(Cut {
             time,
@@ -1088,12 +1099,7 @@ mod tests {
     #[test]
     fn serve_shard_streams_cuts_then_end_over_in_memory_pipes() {
         let j = job(4, 2, 1);
-        let mut input = Vec::new();
-        write_frame(&mut input, &ToShard::Job(Box::new(j.clone()))).unwrap();
-        let mut output = Vec::new();
-        serve_shard(Cursor::new(input), &mut output).unwrap();
-
-        let frames = frames_from(&output);
+        let frames = serve(j.clone());
         // Grid 0, 0.25, ..., 2.0 = 9 cuts, then End.
         assert_eq!(frames.len(), 10);
         let mut times = Vec::new();
@@ -1162,11 +1168,7 @@ mod tests {
         let mut j = job(2, 2, 0);
         let other = biomodels::cell_transport(biomodels::CellTransportParams::default());
         j.deps = Some(ModelDeps::compile(&other));
-        let mut input = Vec::new();
-        write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
-        let mut output = Vec::new();
-        serve_shard(Cursor::new(input), &mut output).unwrap();
-        let frames = frames_from(&output);
+        let frames = serve(j);
         assert_eq!(frames.len(), 1);
         assert!(
             matches!(&frames[0], ToCoordinator::Error(m) if m.contains("invalid model deps")),
@@ -1188,11 +1190,7 @@ mod tests {
         assert!((0..deps.len()).any(|r| deps.same_site_affected(r).contains(&(last as u32))));
         j.model.rules[last].rate = 0.0;
         j.deps = Some(deps);
-        let mut input = Vec::new();
-        write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
-        let mut output = Vec::new();
-        serve_shard(Cursor::new(input), &mut output).unwrap();
-        let frames = frames_from(&output);
+        let frames = serve(j);
         assert_eq!(frames.len(), 1);
         assert!(
             matches!(&frames[0], ToCoordinator::Error(m)
@@ -1207,11 +1205,7 @@ mod tests {
         // Leaping over a compartment model is a worker-side sim error.
         j.model = biomodels::cell_transport(biomodels::CellTransportParams::default());
         j.spec.engine = gillespie::engine::EngineKind::AdaptiveTau { epsilon: 0.05 };
-        let mut input = Vec::new();
-        write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
-        let mut output = Vec::new();
-        serve_shard(Cursor::new(input), &mut output).unwrap();
-        let frames = frames_from(&output);
+        let frames = serve(j);
         assert_eq!(frames.len(), 1);
         assert!(
             matches!(&frames[0], ToCoordinator::Error(m) if m.contains('`')),
@@ -1223,16 +1217,55 @@ mod tests {
     fn serve_shard_reports_invalid_models_as_error_frames() {
         let mut j = job(2, 2, 0);
         j.model = cwc::model::Model::new("empty"); // no rules: fails validate
-        let mut input = Vec::new();
-        write_frame(&mut input, &ToShard::Job(Box::new(j))).unwrap();
-        let mut output = Vec::new();
-        serve_shard(Cursor::new(input), &mut output).unwrap();
-        let frames = frames_from(&output);
+        let frames = serve(j);
         assert_eq!(frames.len(), 1);
         assert!(
             matches!(&frames[0], ToCoordinator::Error(m) if m.contains("invalid model")),
             "{frames:?}"
         );
+    }
+
+    /// Every spec field the rules of `SimConfig::validate` cover is
+    /// checked before any thread starts: a bad value is one Error frame
+    /// naming the rule (a `Sim` failure, never retried). The first three
+    /// values once panicked the shard body and left its heartbeat thread
+    /// feeding the coordinator's watchdog forever.
+    #[test]
+    fn serve_shard_refuses_an_invalid_spec_with_an_error_frame() {
+        use gillespie::engine::EngineKind;
+        type Spoil = fn(&mut ShardSpec);
+        let cases: [(&str, Spoil); 13] = [
+            ("channel_capacity", |s| s.channel_capacity = 0),
+            ("engine", |s| s.engine = EngineKind::Batched { width: 0 }),
+            ("instances", |s| s.range.count = 0),
+            ("engine", |s| {
+                s.engine = EngineKind::AdaptiveTau { epsilon: 1.5 }
+            }),
+            ("engine", |s| {
+                s.engine = EngineKind::Hybrid {
+                    epsilon: 0.05,
+                    threshold: f64::NAN,
+                };
+            }),
+            ("t_end", |s| s.t_end = 0.0),
+            ("t_end", |s| s.t_end = f64::INFINITY),
+            ("quantum", |s| s.quantum = -1.0),
+            ("quantum", |s| s.quantum = f64::NAN),
+            ("sample_period", |s| s.sample_period = 0.0),
+            ("sample_period", |s| s.sample_period = 3.0), // past t_end = 2
+            ("heartbeat_period", |s| s.heartbeat_period = f64::INFINITY),
+            ("sim_workers", |s| s.sim_workers = 0),
+        ];
+        for (field, spoil) in cases {
+            let mut j = job(2, 2, 0);
+            spoil(&mut j.spec);
+            assert_eq!(j.spec.validate().unwrap_err().field(), field);
+            let frames = serve(j);
+            assert!(
+                matches!(&frames[..], [ToCoordinator::Error(m)] if m.contains("invalid shard spec")),
+                "{field}: {frames:?}"
+            );
+        }
     }
 
     /// A job whose model text nests 100 000 compartments deep (a 600 kB

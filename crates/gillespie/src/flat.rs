@@ -237,24 +237,6 @@ std::thread_local! {
     static FLAT_COMPILE_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Size of the dense index space of `model`: the alphabet, widened to any
-/// species handle the rules, the initial root or the observables use
-/// beyond it (hand-built models may mint handles with `from_raw`).
-fn species_space(model: &Model) -> usize {
-    let mut n = model.alphabet.species_count();
-    let mut cover = |s: Species| n = n.max(s.raw() as usize + 1);
-    for rule in &model.rules {
-        rule.lhs.atoms.iter().for_each(|(s, _)| cover(s));
-        rule.rhs.atoms.iter().for_each(|(s, _)| cover(s));
-        if let Some((i, _)) = law_input(&rule.law) {
-            cover(Species::from_raw(i as u32));
-        }
-    }
-    model.initial.atoms.iter().for_each(|(s, _)| cover(s));
-    model.observables.iter().for_each(|o| cover(o.species));
-    n
-}
-
 /// The propensity of one slot, for every count-stepping engine — the
 /// tree matcher's `h` replayed on dense counts: the exact `u64` product
 /// of per-reactant binomial selection counts (saturating, zero as soon as
@@ -368,7 +350,9 @@ impl FlatModel {
         debug_assert!(Self::accepts(model));
         #[cfg(test)]
         FLAT_COMPILE_COUNT.with(|c| c.set(c.get() + 1));
-        let ns = species_space(model);
+        // The dense index space is the alphabet: a validated model holds
+        // no handle beyond it (`Model::validate` refuses a dangling one).
+        let ns = model.alphabet.species_count();
         let index_of = |s: Species| s.raw() as usize;
         let nrules = model.rules.len();
 
@@ -482,7 +466,7 @@ impl FlatModel {
             .map(|(r, _)| r);
         self.source.initial == model.initial
             && self.source.observables == model.observables
-            && self.initial.len() == species_space(model)
+            && self.initial.len() == model.alphabet.species_count()
             && live.eq(self.rule.iter().map(|&r| r as usize))
             && (self.rule.iter().zip(&self.rates).zip(&self.laws)).all(|((&r, rate), law)| {
                 let rule = &model.rules[r as usize];

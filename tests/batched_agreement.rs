@@ -24,18 +24,12 @@ use cwc_repro::gillespie::engine::Engine;
 use cwc_repro::gillespie::ssa::{SampleClock, SsaEngine};
 use cwc_repro::gillespie::KernelDispatch;
 
+mod common;
+use common::fnv1a;
+
 // ---------------------------------------------------------------------------
 // Golden trajectory fingerprints
 // ---------------------------------------------------------------------------
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The irregular quantum schedule: cycles through uneven fractions of the
 /// horizon so quantum boundaries land between, on, and beyond event times.

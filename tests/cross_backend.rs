@@ -1,7 +1,7 @@
-//! Integration: every execution back-end — multicore pipeline, sharded
-//! farm (in-process shards; `sharded_agreement` covers real child
-//! processes), simulated GPGPU — must produce *identical* simulation
-//! results for identical seeds, under *every* engine kind.
+//! Integration: the simulated GPGPU must produce *identical* simulation
+//! results to the CPU engines for identical seeds, under *every* engine
+//! kind (`agreement_matrix` holds the farm and the sharded runners to the
+//! sequential reference).
 //! Portability without silent numerical drift is the paper's core promise;
 //! the engine abstraction must not weaken it.
 
@@ -9,65 +9,19 @@ use std::sync::Arc;
 
 use cwc_repro::biomodels;
 use cwc_repro::cwc::model::Model;
-use cwc_repro::cwcsim::{
-    run_sequential, run_simulation, run_simulation_sharded_in_process, EngineKind, SimConfig,
-};
+use cwc_repro::cwcsim::{run_sequential, run_simulation, EngineKind, SimConfig};
 use cwc_repro::gillespie::ssa::SampleClock;
 use cwc_repro::gillespie::trajectory::Row;
 use cwc_repro::simt::DeviceMap;
 
+mod common;
+use common::engine_kinds;
+
+/// The transport suites' configuration over 10 instances and 3 s.
 fn cfg() -> SimConfig {
-    SimConfig::new(10, 3.0)
-        .quantum(0.5)
-        .sample_period(0.25)
-        .sim_workers(3)
-        .stat_workers(2)
-        .window(4, 2)
-        .seed(2024)
-}
-
-/// The engine matrix of the correctness tests (the leaping kinds need
-/// flat models, under any kinetic law; every model used here qualifies).
-fn engine_kinds() -> [EngineKind; 4] {
-    [
-        EngineKind::Ssa,
-        EngineKind::AdaptiveTau { epsilon: 0.05 },
-        EngineKind::Hybrid {
-            epsilon: 0.05,
-            threshold: 8.0,
-        },
-        // Width 3 over 10 instances: batches of 3, 3, 3 and 1 — every
-        // replica must be bit-identical to scalar SSA on every backend.
-        EngineKind::Batched { width: 3 },
-    ]
-}
-
-#[test]
-fn sharded_farm_matches_multicore() {
-    let model = Arc::new(biomodels::simple::decay(50, 1.0));
-    let cfg = cfg();
-    let local = run_simulation(Arc::clone(&model), &cfg).unwrap();
-    for shards in [1usize, 2, 5] {
-        let sharded =
-            run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(shards))
-                .unwrap();
-        assert_eq!(sharded.rows, local.rows, "{shards} shards");
-    }
-}
-
-#[test]
-fn sharded_farm_matches_multicore_for_every_engine_kind() {
-    // The engine kind reaches every shard inside its ShardSpec; each
-    // shard's farm must rebuild the exact same integrators — tasks of
-    // `width` instances on the batched kind.
-    let model = Arc::new(biomodels::simple::birth_death(30.0, 1.0, 10));
-    for kind in engine_kinds() {
-        let cfg = cfg().engine(kind);
-        let local = run_simulation(Arc::clone(&model), &cfg).unwrap();
-        let sharded =
-            run_simulation_sharded_in_process(Arc::clone(&model), &cfg.shards(3)).unwrap();
-        assert_eq!(sharded.rows, local.rows, "{kind}");
-    }
+    let mut cfg = common::cfg().sim_workers(3).seed(2024);
+    (cfg.instances, cfg.t_end) = (10, 3.0);
+    cfg
 }
 
 /// Runs `kind` on the simulated device and asserts every instance's

@@ -27,22 +27,15 @@ use std::time::{Duration, Instant};
 
 use cwc_repro::biomodels;
 use cwc_repro::cwcsim::{
-    run_simulation, run_simulation_sharded_with, EngineKind, ShardErrorKind, SimConfig, SimError,
-    SimReport, Steering,
+    run_simulation, run_simulation_sharded_with, ShardErrorKind, SimConfig, SimError, SimReport,
+    Steering,
 };
 use cwc_repro::distrt::fault::FAULT_ENV;
 use cwc_repro::distrt::net::TcpShardTransport;
 use cwc_repro::distrt::shard::ProcessTransport;
 
-fn cfg() -> SimConfig {
-    SimConfig::new(6, 2.0)
-        .quantum(0.5)
-        .sample_period(0.25)
-        .sim_workers(2)
-        .stat_workers(2)
-        .window(4, 2)
-        .seed(211)
-}
+mod common;
+use common::{assert_reports_identical, cfg, engine_kinds, Workerd};
 
 fn transport(plan: &str) -> ProcessTransport {
     ProcessTransport::new()
@@ -91,9 +84,7 @@ fn fault_matrix_recovers_bit_for_bit_or_fails_typed() {
                 let label = format!("{fault}/shards={shards}/retries={retries}");
                 match run_faulted(&run_cfg, &plan) {
                     Ok(report) if retries >= 1 => {
-                        assert_eq!(report.rows, reference.rows, "{label}: rows diverged");
-                        assert_eq!(report.events, reference.events, "{label}: events diverged");
-                        assert_eq!(report.summary, reference.summary, "{label}: summary");
+                        assert_reports_identical(&report, &reference, &label);
                     }
                     Ok(_) => panic!("{label}: succeeded with no retry budget"),
                     Err(SimError::Shard(e)) if retries == 0 => {
@@ -113,16 +104,7 @@ fn fault_matrix_recovers_bit_for_bit_or_fails_typed() {
 #[test]
 fn recovery_is_bit_for_bit_for_every_engine_kind() {
     let model = Arc::new(biomodels::simple::decay(60, 1.0));
-    let kinds = [
-        EngineKind::Ssa,
-        EngineKind::AdaptiveTau { epsilon: 0.05 },
-        EngineKind::Hybrid {
-            epsilon: 0.05,
-            threshold: 8.0,
-        },
-        EngineKind::Batched { width: 3 },
-    ];
-    for kind in kinds {
+    for kind in engine_kinds() {
         let base = cfg().engine(kind);
         let reference =
             run_simulation(Arc::clone(&model), &base).unwrap_or_else(|e| panic!("{kind}: {e}"));
@@ -133,12 +115,7 @@ fn recovery_is_bit_for_bit_for_every_engine_kind() {
             &mut transport("crash:shard=1,cuts=2"),
         )
         .unwrap_or_else(|e| panic!("{kind}: recovery failed: {e}"));
-        assert_eq!(recovered.rows, reference.rows, "{kind}: rows diverged");
-        assert_eq!(
-            recovered.events, reference.events,
-            "{kind}: events diverged"
-        );
-        assert_eq!(recovered.summary, reference.summary, "{kind}: summary");
+        assert_reports_identical(&recovered, &reference, &kind.to_string());
     }
 }
 
@@ -333,46 +310,6 @@ fn orphaned_cwc_shard_exits_on_its_own() {
     orphan_and_wait(child, "stalled, then abandoned");
 }
 
-/// A fault-armed `cwc-workerd` daemon on an ephemeral loopback port,
-/// killed on drop. The fault plan rides the daemon's environment, same
-/// as the process-transport tests above.
-struct FaultedWorkerd {
-    child: Child,
-    addr: String,
-}
-
-impl FaultedWorkerd {
-    fn spawn(plan: &str) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cwc-workerd"))
-            .args(["--listen", "127.0.0.1:0"])
-            .env(FAULT_ENV, plan)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn cwc-workerd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("workerd announces its address");
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("addr token")
-            .to_string();
-        assert!(addr.contains(':'), "unexpected announcement: {line:?}");
-        FaultedWorkerd { child, addr }
-    }
-}
-
-impl Drop for FaultedWorkerd {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 /// The fault matrix again, but over the network: {crash, stall,
 /// corrupt-frame} × retry budget {0, 1, 2} × shards {1, 2, 3}, served
 /// by two fault-armed `cwc-workerd` daemons. A budget ≥ 1 must recover
@@ -409,7 +346,10 @@ fn tcp_fault_matrix_recovers_on_a_survivor_or_fails_typed() {
             for retries in [0usize, 1, 2] {
                 let label = format!("tcp/{fault}/shards={shards}/retries={retries}");
                 // Fresh daemons per run: a faulted daemon is dead.
-                let daemons = [FaultedWorkerd::spawn(&plan), FaultedWorkerd::spawn(&plan)];
+                let daemons = [
+                    Workerd::spawn(&[(FAULT_ENV, &plan)]),
+                    Workerd::spawn(&[(FAULT_ENV, &plan)]),
+                ];
                 let mut run_cfg = cfg().shards(shards).retries(retries);
                 if needs_watchdog {
                     run_cfg = run_cfg.shard_timeout(0.75);

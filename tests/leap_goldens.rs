@@ -17,44 +17,9 @@ use cwc_repro::biomodels::{
 };
 use cwc_repro::cwc::model::Model;
 use cwc_repro::gillespie::engine::EngineKind;
-use cwc_repro::gillespie::ssa::SampleClock;
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Runs `kind` on `model` in irregular quanta and fingerprints the entire
-/// sample stream (times and values bit-for-bit, via `f64::to_bits`).
-fn fingerprint(
-    model: Arc<Model>,
-    kind: EngineKind,
-    seed: u64,
-    instance: u64,
-    t_end: f64,
-) -> (u64, u64, Vec<u64>) {
-    let mut engine = kind.build(Arc::clone(&model), seed, instance).unwrap();
-    let mut clock = SampleClock::new(0.0, t_end / 40.0);
-    let mut hash = 0u64;
-    let mut events = 0u64;
-    let quanta = [0.13, 0.29, 0.5, 0.77, 1.0];
-    let mut t = 0.0;
-    while t < t_end {
-        let q = quanta[(events as usize) % quanta.len()] * t_end / 10.0;
-        t = (t + q).min(t_end);
-        events += engine.run_sampled(t, &mut clock, |ts, v| {
-            hash = fnv1a(hash, &ts.to_bits().to_le_bytes());
-            for &x in v {
-                hash = fnv1a(hash, &x.to_le_bytes());
-            }
-        });
-    }
-    (hash, events, engine.observe())
-}
+mod common;
+use common::{fingerprint, GoldenRow};
 
 /// The approximate-tier golden matrix: small models exercise the
 /// full-recompute (legacy) adaptive path, the wide conversion cycles
@@ -130,17 +95,6 @@ fn horizon(model: &str) -> f64 {
         _ => unreachable!(),
     }
 }
-
-/// (model, engine, seed, instance, sample_hash, events, final_observables).
-type GoldenRow = (
-    &'static str,
-    &'static str,
-    u64,
-    u64,
-    u64,
-    u64,
-    &'static [u64],
-);
 
 /// Recorded by running the pre-hot-path engines (full-scan draws, commit
 /// `d87ece0`); regenerate with the ignored `record` test below. The

@@ -9,12 +9,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cwc_repro::biomodels;
-use cwc_repro::cwc::model::{Model, ObservableSite};
+use cwc_repro::cwc::model::Model;
 use cwc_repro::cwc::multiset::Multiset;
-use cwc_repro::cwc::rule::{CompPattern, CompProduction, Pattern, Production, RateLaw, Rule};
-use cwc_repro::cwc::species::{Label, Species};
 use cwc_repro::cwc::term::{Compartment, Term};
 use cwc_repro::cwc::{parse_model, render_model};
+
+mod common;
+use common::{random_model, Mix};
 
 /// A small species vocabulary the parser can re-intern deterministically.
 const SPECIES: [&str; 4] = ["A", "B", "C", "D"];
@@ -178,144 +179,6 @@ fn neurospora_parsed_from_its_rendering_runs_the_same_rows() {
     assert!(a.events > 0);
     assert_eq!(a.events, b.events);
     assert_eq!(a.rows, b.rows);
-}
-
-/// SplitMix64: the random models and mutations below are seeded and
-/// deterministic.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// A positive finite `f64` from anywhere in the range, subnormals
-    /// included.
-    fn positive(&mut self) -> f64 {
-        let x = f64::from_bits(self.next() & 0x7fef_ffff_ffff_ffff);
-        if x > 0.0 {
-            x
-        } else {
-            0.25
-        }
-    }
-}
-
-/// A random valid model: up to four species and three labels, a nested
-/// initial term, rules with every law, site, pattern and production kind,
-/// and observables at every site kind.
-fn random_model(seed: u64) -> Model {
-    let mut r = Mix(seed);
-    let mut m = Model::new(&format!("random {seed}: x->y"));
-    let species: Vec<Species> = (0..1 + r.below(4))
-        .map(|i| m.species(&format!("S{i}_'")))
-        .collect();
-    let labels: Vec<Label> = (0..r.below(4)).map(|i| m.label(&format!("L{i}"))).collect();
-    let label = |r: &mut Mix| match labels.len() {
-        0 => Label::TOP,
-        n => labels[r.below(n)],
-    };
-    let atoms = |r: &mut Mix| -> Multiset {
-        (0..r.below(3))
-            .map(|_| {
-                let n = [1, 2, 7, u64::MAX / 4][r.below(4)];
-                (species[r.below(species.len())], n)
-            })
-            .collect()
-    };
-    fn term(
-        r: &mut Mix,
-        depth: usize,
-        atoms: &dyn Fn(&mut Mix) -> Multiset,
-        label: &dyn Fn(&mut Mix) -> Label,
-    ) -> Term {
-        let mut t = Term::from_atoms(atoms(r));
-        for _ in 0..if depth < 3 { r.below(3) } else { 0 } {
-            let content = term(r, depth + 1, atoms, label);
-            t.add_compartment(Compartment::new(label(r), atoms(r), content));
-        }
-        t
-    }
-    m.initial = term(&mut r, 0, &atoms, &label);
-    for i in 0..1 + r.below(5) {
-        let lhs = Pattern {
-            atoms: atoms(&mut r),
-            comps: (0..r.below(3))
-                .map(|_| CompPattern {
-                    label: label(&mut r),
-                    wrap: atoms(&mut r),
-                    atoms: atoms(&mut r),
-                })
-                .collect(),
-        };
-        let mut comps = Vec::new();
-        for index in 0..lhs.comps.len() {
-            match r.below(3) {
-                0 => comps.push(CompProduction::Keep {
-                    index,
-                    add_wrap: atoms(&mut r),
-                    add_atoms: atoms(&mut r),
-                }),
-                1 => comps.push(CompProduction::Dissolve { index }),
-                _ => {} // destroyed
-            }
-            if r.below(2) == 0 {
-                comps.push(CompProduction::New {
-                    label: label(&mut r),
-                    wrap: atoms(&mut r),
-                    atoms: atoms(&mut r),
-                });
-            }
-        }
-        let s = species[r.below(species.len())];
-        let law = match r.below(4) {
-            0 => RateLaw::MassAction,
-            1 => RateLaw::HillRepression {
-                inhibitor: s,
-                k: r.positive(),
-                n: r.positive(),
-            },
-            2 => RateLaw::HillActivation {
-                activator: s,
-                k: r.positive(),
-                n: r.positive(),
-            },
-            _ => RateLaw::Saturating {
-                substrate: s,
-                km: r.positive(),
-            },
-        };
-        let rule = Rule {
-            name: format!("r{i}(x)->y"),
-            site: label(&mut r),
-            lhs,
-            rhs: Production {
-                atoms: atoms(&mut r),
-                comps,
-            },
-            rate: if r.below(5) == 0 { 0.0 } else { r.positive() },
-            law,
-        };
-        m.push_rule(rule).unwrap();
-    }
-    for i in 0..r.below(5) {
-        let site = match r.below(3) {
-            0 => ObservableSite::Everywhere,
-            1 => ObservableSite::TopOnly,
-            _ => ObservableSite::AtLabel(label(&mut r)),
-        };
-        let s = species[r.below(species.len())];
-        m.observe_at(&format!("obs {i}"), s, site);
-    }
-    m
 }
 
 proptest! {

@@ -3,8 +3,10 @@
 //!
 //! - a farm of 2–3 daemons produces **bit-for-bit** the same report
 //!   (`StatRow`s, event count *and* the whole-run `RunSummary`) as the
-//!   sequential reference and the local `ProcessTransport` — for every
-//!   engine kind, the batched kind included, and every shard count;
+//!   sequential reference — for every engine kind, the batched kind
+//!   included, and every shard count (`agreement_matrix` holds the local
+//!   `cwc-shard` children to the same reference on this model and
+//!   configuration);
 //! - a worker killed mid-run (SIGKILL, no protocol goodbye) is detected
 //!   and its slice requeued onto a *surviving* worker, and the merged
 //!   report is still bit-for-bit identical;
@@ -15,74 +17,20 @@
 //! port parsed from the `cwc-workerd listening on <addr>` stdout line —
 //! the same discovery the CI loopback-cluster leg uses.
 
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cwc_repro::biomodels;
 use cwc_repro::cwc::model::Model;
 use cwc_repro::cwcsim::{
-    run_sequential, run_simulation, run_simulation_sharded_with, EngineKind, SimConfig, SimReport,
-    Steering, TransportKind,
+    run_sequential, run_simulation, run_simulation_sharded_with, SimConfig, SimReport, Steering,
+    TransportKind,
 };
 use cwc_repro::distrt::net::TcpShardTransport;
-use cwc_repro::distrt::shard::ProcessTransport;
 
-/// One spawned `cwc-workerd` child on an ephemeral loopback port.
-/// Killed on drop so no daemon outlives its test.
-struct Workerd {
-    child: Child,
-    addr: String,
-}
-
-impl Workerd {
-    fn spawn() -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cwc-workerd"))
-            .args(["--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn cwc-workerd");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("workerd announces its address");
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("addr token")
-            .to_string();
-        assert!(
-            line.contains("listening on") && addr.contains(':'),
-            "unexpected announcement: {line:?}"
-        );
-        Workerd { child, addr }
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for Workerd {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn cfg() -> SimConfig {
-    SimConfig::new(7, 2.0)
-        .quantum(0.5)
-        .sample_period(0.25)
-        .sim_workers(2)
-        .stat_workers(2)
-        .window(4, 2)
-        .seed(101)
-}
+mod common;
+use common::{assert_reports_identical, cfg, engine_kinds, Workerd};
 
 fn tcp_cfg(base: &SimConfig, shards: usize, daemons: &[Workerd]) -> SimConfig {
     base.clone()
@@ -100,49 +48,18 @@ fn run_tcp(model: &Arc<Model>, cfg: &SimConfig) -> (SimReport, TcpShardTransport
     (report, transport)
 }
 
-/// The bit-for-bit contract: `StatRow`s, the event count and the
-/// whole-run `RunSummary` are identical regardless of deployment (single
-/// process, in-process shards, child processes, TCP farm).
-fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_eq!(a.rows, b.rows, "{label}: rows diverged");
-    assert_eq!(a.events, b.events, "{label}: event counts diverged");
-    assert_eq!(a.summary, b.summary, "{label}: summaries diverged");
-}
-
 /// The loopback-cluster matrix: every engine kind × shards {1, 2, 3}
 /// against two live daemons, asserted bit-for-bit against the
-/// sequential reference — and, per kind, the local `ProcessTransport`
-/// too, so every deployment agrees exactly.
+/// sequential reference.
 #[test]
 fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
-    let daemons = [Workerd::spawn(), Workerd::spawn()];
+    let daemons = [Workerd::spawn(&[]), Workerd::spawn(&[])];
     let model = Arc::new(biomodels::simple::decay(60, 1.0));
-    let kinds = [
-        EngineKind::Ssa,
-        EngineKind::AdaptiveTau { epsilon: 0.05 },
-        EngineKind::Hybrid {
-            epsilon: 0.05,
-            threshold: 8.0,
-        },
-        EngineKind::Batched { width: 3 },
-    ];
-    for kind in kinds {
+    for kind in engine_kinds() {
         let base = cfg().engine(kind);
         let single = run_sequential(Arc::clone(&model), &base)
             .unwrap_or_else(|e| panic!("{kind}: sequential reference failed: {e}"));
         assert!(!single.rows.is_empty(), "{kind}: empty reference");
-
-        // The same slices through local child processes.
-        let mut process = ProcessTransport::new().expect("cwc-shard built alongside this test");
-        let via_process = run_simulation_sharded_with(
-            Arc::clone(&model),
-            &base.clone().shards(3),
-            &Steering::new(),
-            &mut process,
-        )
-        .unwrap_or_else(|e| panic!("{kind}: process-transport run failed: {e}"));
-        assert_reports_identical(&via_process, &single, &format!("{kind}/process"));
-
         for shards in [1usize, 2, 3] {
             let label = format!("{kind}/tcp/shards={shards}");
             let (report, transport) = run_tcp(&model, &tcp_cfg(&base, shards, &daemons));
@@ -170,7 +87,11 @@ fn sigkill_mid_run_recovers_bit_for_bit_on_survivors() {
     let model = Arc::new(biomodels::simple::decay(120, 1.0));
     let single = run_simulation(Arc::clone(&model), &heavy).expect("reference");
 
-    let mut daemons = vec![Workerd::spawn(), Workerd::spawn(), Workerd::spawn()];
+    let mut daemons = vec![
+        Workerd::spawn(&[]),
+        Workerd::spawn(&[]),
+        Workerd::spawn(&[]),
+    ];
     let run_cfg = tcp_cfg(&heavy, 3, &daemons).retries(2).shard_timeout(10.0);
 
     let victim_pid = daemons[0].child.id();
@@ -214,7 +135,7 @@ fn killing_every_worker_is_a_typed_error_not_a_hang() {
     let mut heavy = cfg().seed(4242);
     heavy.instances = 24;
     let model = Arc::new(biomodels::simple::decay(120, 1.0));
-    let mut daemons = vec![Workerd::spawn(), Workerd::spawn()];
+    let mut daemons = vec![Workerd::spawn(&[]), Workerd::spawn(&[])];
     let run_cfg = tcp_cfg(&heavy, 2, &daemons).retries(3).connect_timeout(2.0);
 
     let pids: Vec<u32> = daemons.iter().map(|d| d.child.id()).collect();
