@@ -585,7 +585,8 @@ pub fn run_simulation_sharded_in_process(
 mod tests {
     use super::*;
     use crate::engines::StatEngineKind;
-    use biomodels::simple::decay;
+    use crate::runner::{run_sequential, run_simulation};
+    use biomodels::simple::{birth_death, decay};
 
     fn cfg() -> SimConfig {
         SimConfig::new(9, 3.0)
@@ -595,6 +596,96 @@ mod tests {
             .stat_workers(2)
             .window(4, 2)
             .seed(33)
+    }
+
+    #[test]
+    fn sharded_rows_equal_single_process_rows() {
+        let model = Arc::new(decay(40, 1.0));
+        // Second leg: sparse sampling — three quanta in four forward no
+        // batch, so only the shard's workers ever see their events.
+        for cfg in [cfg(), cfg().quantum(0.25).sample_period(1.0)] {
+            let single = run_simulation(Arc::clone(&model), &cfg).unwrap();
+            let seq = run_sequential(Arc::clone(&model), &cfg).unwrap();
+            assert_eq!(single.events, seq.events);
+            for shards in [1usize, 2, 3, 5] {
+                let sharded = run_simulation_sharded_in_process(
+                    Arc::clone(&model),
+                    &cfg.clone().shards(shards),
+                )
+                .unwrap();
+                assert_eq!(sharded.rows, single.rows, "shards={shards}");
+                assert_eq!(sharded.events, seq.events, "shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_summary_matches_single_process_exactly_where_exact() {
+        let model = Arc::new(birth_death(20.0, 1.0, 10));
+        let cfg = cfg().engines(vec![
+            StatEngineKind::MeanVariance,
+            StatEngineKind::Quantile { p: 0.9 },
+            StatEngineKind::Histogram {
+                lo: 0.0,
+                hi: 60.0,
+                bins: 12,
+            },
+        ]);
+        let single = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        assert_eq!(
+            single.summary,
+            run_sequential(Arc::clone(&model), &cfg).unwrap().summary
+        );
+        for shards in [1usize, 2, 3] {
+            let sharded =
+                run_simulation_sharded_in_process(Arc::clone(&model), &cfg.clone().shards(shards))
+                    .unwrap();
+            assert_eq!(sharded.summary, single.summary, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn batched_sharded_rows_equal_single_process_rows() {
+        // The batched kind through the sharded path: every shard runs a
+        // farm of `width`-instance tasks over its slice, and the merged
+        // stream must still be bit-for-bit the single-process scalar run.
+        let model = Arc::new(decay(40, 1.0));
+        let single = run_simulation(Arc::clone(&model), &cfg()).unwrap();
+        let batched_cfg = cfg().engine(EngineKind::Batched { width: 4 });
+        for shards in [1usize, 2, 3] {
+            let sharded = run_simulation_sharded_in_process(
+                Arc::clone(&model),
+                &batched_cfg.clone().shards(shards),
+            )
+            .unwrap();
+            assert_eq!(sharded.rows, single.rows, "shards={shards}");
+            assert_eq!(sharded.events, single.events, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn batched_kind_on_a_compartment_model_equals_ssa() {
+        // `cell_transport` steps on the tree core (transport, division,
+        // death): the batched kind must give SSA's rows, events and
+        // whole-run summary, in process and sharded.
+        let model = Arc::new(biomodels::cell_transport(
+            biomodels::CellTransportParams::default(),
+        ));
+        let ssa = run_simulation(Arc::clone(&model), &cfg()).unwrap();
+        assert!(ssa.events > 0);
+        let batched_cfg = cfg().engine(EngineKind::Batched { width: 3 });
+        let batched = run_simulation(Arc::clone(&model), &batched_cfg).unwrap();
+        assert_eq!(batched.rows, ssa.rows);
+        assert_eq!(batched.events, ssa.events);
+        assert_eq!(batched.summary, ssa.summary);
+        for shards in [1usize, 2, 3] {
+            let sharded_cfg = batched_cfg.clone().shards(shards);
+            let sharded =
+                run_simulation_sharded_in_process(Arc::clone(&model), &sharded_cfg).unwrap();
+            assert_eq!(sharded.rows, ssa.rows, "shards={shards}");
+            assert_eq!(sharded.events, ssa.events, "shards={shards}");
+            assert_eq!(sharded.summary, ssa.summary, "shards={shards}");
+        }
     }
 
     #[test]

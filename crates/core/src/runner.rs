@@ -375,6 +375,73 @@ mod tests {
     }
 
     #[test]
+    fn parallel_equals_sequential_bit_for_bit() {
+        let model = Arc::new(decay(40, 1.0));
+        let cfg = small_cfg();
+        let par = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        let seq = run_sequential(model, &cfg).unwrap();
+        assert_eq!(par.rows, seq.rows);
+        assert_eq!(par.events, seq.events);
+    }
+
+    #[test]
+    fn parallel_equals_sequential_for_every_engine_kind() {
+        use gillespie::engine::EngineKind;
+        let model = Arc::new(decay(40, 1.0));
+        for kind in [
+            EngineKind::Ssa,
+            EngineKind::AdaptiveTau { epsilon: 0.05 },
+            EngineKind::Hybrid {
+                epsilon: 0.05,
+                threshold: 8.0,
+            },
+            // The sequential reference runs scalar engines, so this is
+            // the batched kind vs its per-instance definition.
+            EngineKind::Batched { width: 4 },
+        ] {
+            let cfg = small_cfg().engine(kind);
+            let par = run_simulation(Arc::clone(&model), &cfg).unwrap();
+            let seq = run_sequential(Arc::clone(&model), &cfg).unwrap();
+            assert_eq!(par.rows, seq.rows, "{kind}");
+            assert_eq!(par.events, seq.events, "{kind}");
+        }
+    }
+
+    #[test]
+    fn batched_run_equals_ssa_run_for_every_width() {
+        use gillespie::engine::EngineKind;
+        let model = Arc::new(birth_death(25.0, 1.0, 5));
+        let cfg = small_cfg();
+        let reference = run_simulation(Arc::clone(&model), &cfg).unwrap();
+        // Widths below, at, and above the instance count (6), including
+        // widths that don't divide it — batch membership must not matter.
+        for width in [1usize, 2, 4, 6, 9] {
+            let cfg = small_cfg().engine(EngineKind::Batched { width });
+            let batched = run_simulation(Arc::clone(&model), &cfg).unwrap();
+            assert_eq!(batched.rows, reference.rows, "width {width}");
+            assert_eq!(batched.events, reference.events, "width {width}");
+        }
+    }
+
+    #[test]
+    fn kernel_dispatch_knob_never_changes_the_report() {
+        use gillespie::engine::EngineKind;
+        use gillespie::KernelDispatch;
+        // 40 rules: past the short-row cutoff, so the replicas' rows fold
+        // and select on the dispatched kernels, not the inline scans.
+        let model = Arc::new(biomodels::simple::conversion_cycle(40, 400, 1.0));
+        let auto = run_simulation(Arc::clone(&model), &small_cfg()).unwrap();
+        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
+            let cfg = small_cfg()
+                .engine(EngineKind::Batched { width: 4 })
+                .kernel_dispatch(dispatch);
+            let run = run_simulation(Arc::clone(&model), &cfg).unwrap();
+            assert_eq!(run.rows, auto.rows, "{dispatch}");
+            assert_eq!(run.events, auto.events, "{dispatch}");
+        }
+    }
+
+    #[test]
     fn flat_only_kinds_on_compartment_model_are_rejected_as_engine_errors() {
         use gillespie::engine::EngineKind;
         let model = Arc::new(biomodels::cell_transport(

@@ -2,36 +2,30 @@
 //! `run_sequential`, bit for bit (rows, event count, observable names,
 //! `RunSummary`) whatever the model and configuration.
 //!
-//! Pinned cases are the bundled models under fixed configurations.
-//! Random cases draw a model as model text and a configuration (see
-//! `Case::random`). Every case checks the farm and in-process shards
-//! against the oracle, and the oracle's rows against the τ grid and the
-//! configured stat engines; a subset covering every engine kind also runs
-//! `cwc-shard` child processes, and terminates runs at a drawn instant,
-//! which must leave a prefix of the full run. Seeds and case count are
-//! fixed; a tally checked at the end asserts the coverage, so nothing is
-//! covered by luck. A failing case prints its seed, configuration and
-//! model text, and `Case::random(seed)` replays it.
+//! Pinned cases are the bundled models under fixed configurations, in
+//! the named groups of `common::matrix` (the suites that name a group
+//! also run it alone). Random cases draw a model as model text and a
+//! configuration (see `Case::random`). Every case checks the farm and
+//! in-process shards against the oracle, and the oracle's rows against
+//! the τ grid and the configured stat engines; a subset covering every
+//! engine kind also runs `cwc-shard` child processes, and terminates runs
+//! at a drawn instant, which must leave a prefix of the full run. Seeds
+//! and case count are fixed; a tally checked at the end asserts the
+//! coverage, so nothing is covered by luck. A failing case prints its
+//! seed, configuration and model text, and `Case::random(seed)` replays
+//! it.
 
-use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use cwc_repro::biomodels;
-use cwc_repro::cwc::model::{Model, ObservableSite};
+use cwc_repro::cwc::model::ObservableSite;
+use cwc_repro::cwc::parse_model;
 use cwc_repro::cwc::rule::RateLaw;
-use cwc_repro::cwc::{parse_model, render_model};
-use cwc_repro::cwcsim::{
-    run_sequential, run_simulation, run_simulation_sharded_with, run_simulation_steered,
-    EngineKind, InProcessTransport, SimConfig, SimError, SimReport, StatEngineKind, Steering,
-};
-use cwc_repro::distrt::shard::{run_simulation_sharded, run_simulation_sharded_steered};
+use cwc_repro::cwcsim::{EngineKind, SimConfig, StatEngineKind};
 use cwc_repro::gillespie::KernelDispatch::{Auto, Scalar, Simd};
 
 mod common;
-use common::{assert_reports_identical, engine_kinds, Mix};
+use common::matrix::{check_all, pinned, stat_engines, Case, Tally};
+use common::{engine_kinds, Mix};
 
 /// Random cases, seeded `0..RANDOM_CASES`.
 const RANDOM_CASES: u64 = 64;
@@ -44,33 +38,7 @@ const REQUIRED: &str = "law mass-action, law hill-repress, law hill-activate, \
     terminated before start, compartment model/ssa, compartment model/batched, \
     inert compartments/ssa, inert compartments/batched";
 
-struct Case {
-    /// The model text the model was read from (or rendered to); a random
-    /// model is named `random <seed>`.
-    text: String,
-    model: Arc<Model>,
-    cfg: SimConfig,
-    /// Shard counts for in-process shards.
-    shards: Vec<usize>,
-    /// Shard counts for child processes (each ≥ 2).
-    processes: Vec<usize>,
-    /// Also terminate a run this many ms after it starts (0: before), on
-    /// the farm and on `shards[0]` shards in process and out (≥ 2).
-    terminate_ms: Option<u64>,
-}
-
 impl Case {
-    fn pinned(model: Model, cfg: SimConfig, shards: &[usize]) -> Self {
-        Case {
-            text: render_model(&model),
-            model: Arc::new(model),
-            cfg,
-            shards: shards.to_vec(),
-            processes: Vec::new(),
-            terminate_ms: None,
-        }
-    }
-
     /// The random case of `seed`: a `random_model_text` model (inert
     /// compartments on the exact kinds only) under a drawn configuration —
     /// Q/τ either way round, window geometry, 1–4 sim and 1–3 stat
@@ -133,17 +101,6 @@ impl Case {
             terminate_ms: out_of_process.then(|| r.pick(&[0, 1, 2, 4, 8])),
         }
     }
-}
-
-/// The four stat engines: mean/variance, k-means, a quantile and a
-/// histogram over `[0, hi)`.
-fn stat_engines(k: usize, p: f64, hi: f64, bins: usize) -> Vec<StatEngineKind> {
-    vec![
-        StatEngineKind::MeanVariance,
-        StatEngineKind::KMeans { k },
-        StatEngineKind::Quantile { p },
-        StatEngineKind::Histogram { lo: 0.0, hi, bins },
-    ]
 }
 
 /// A random flat model as model text: up to four species, up to six
@@ -214,152 +171,6 @@ fn random_model_text(r: &mut Mix, seed: u64, inert: bool) -> String {
     text
 }
 
-/// The pinned cases: the bundled models under the fixed configurations,
-/// engine kinds and shard counts the matrix grew from.
-fn pinned() -> Vec<Case> {
-    use biomodels::simple::{birth_death, conversion_cycle, decay, dimerisation};
-    use EngineKind::{Batched, Ssa};
-    use StatEngineKind::{MeanVariance, Quantile};
-    let on = |kinds: &[EngineKind], model: &Model, cfg: &SimConfig, shards: &[usize]| {
-        (kinds.iter())
-            .map(|&kind| Case::pinned(model.clone(), cfg.clone().engine(kind), shards))
-            .collect::<Vec<_>>()
-    };
-    let (all, ssa) = (engine_kinds(), [Ssa]);
-    let grid = |n, t_end, q, tau| SimConfig::new(n, t_end).quantum(q).sample_period(tau);
-    let with = |instances, t_end, seed| {
-        let mut cfg = common::cfg().seed(seed);
-        (cfg.instances, cfg.t_end) = (instances, t_end);
-        cfg
-    };
-
-    // Through child processes: the sharded matrix, the spill path (six
-    // observables) and more shards than instances; then termination
-    // mid-run (busy enough that 8 ms often lands inside the run).
-    let mut cases = Vec::new();
-    for model in [
-        decay(60, 1.0),
-        dimerisation(0.01, 0.1, 120),
-        biomodels::schlogl(Default::default()),
-        biomodels::neurospora_flat(Default::default()),
-    ] {
-        cases.extend(on(&all, &model, &common::cfg(), &[1]));
-    }
-    let spill = common::cfg().engines(stat_engines(2, 0.5, 60.0, 12));
-    cases.extend(on(&all, &six_observable_chain(), &spill, &[1, 2, 3]));
-    cases.iter_mut().for_each(|c| c.processes = vec![2, 3]);
-    let mut more_shards = Case::pinned(decay(30, 1.0), with(3, 2.0, 101), &[8]);
-    more_shards.processes = vec![8];
-    cases.push(more_shards);
-    let busy = with(6, 4.0, 77).quantum(0.25).sample_period(0.125);
-    for mut case in on(&all, &birth_death(400.0, 1.0, 200), &busy, &[2]) {
-        case.terminate_ms = Some(8);
-        cases.push(case);
-    }
-
-    // Q/τ either way round, a single instance on one worker with
-    // capacity-1 channels, sparse sampling.
-    let grids = [
-        grid(4, 2.0, 0.5, 0.25),
-        (grid(12, 3.0, 0.3, 0.1).sim_workers(4).stat_workers(3)).window(6, 3),
-        grid(1, 1.0, 10.0, 0.5).sim_workers(1).channel_capacity(1),
-        grid(6, 4.0, 0.25, 1.0).stat_workers(2),
-    ];
-    let lotka_volterra = biomodels::lotka_volterra(Default::default());
-    for model in [decay(60, 1.0), birth_death(30.0, 1.0, 5), lotka_volterra] {
-        for (seed, cfg) in (1..).zip(&grids) {
-            cases.extend(on(&all[..3], &model, &cfg.clone().seed(seed), &[1]));
-        }
-    }
-    // Worker counts, window geometry, the four stat engines, the whole
-    // grid over 8 instances.
-    let mm = biomodels::michaelis_menten(Default::default());
-    for workers in [1, 4, 8] {
-        let cfg = grid(8, 1.0, 0.2, 0.1).sim_workers(workers).seed(77);
-        cases.extend(on(&ssa, &mm, &cfg.stat_workers(workers.min(3)), &[1]));
-    }
-    let median = vec![MeanVariance, Quantile { p: 0.5 }];
-    for (width, slide) in [(1, 1), (4, 2), (10, 1), (30, 30)] {
-        let cfg = grid(8, 2.0, 0.3, 0.125).stat_workers(2).seed(9);
-        let cfg = cfg.window(width, slide).engines(median.clone());
-        cases.extend(on(&ssa, &birth_death(30.0, 1.0, 5), &cfg, &[1]));
-    }
-    let cfg = grid(10, 2.0, 0.5, 0.25).stat_workers(2).seed(4);
-    let cfg = cfg.engines(stat_engines(2, 0.9, 100.0, 10));
-    cases.extend(on(&ssa, &birth_death(40.0, 1.0, 0), &cfg, &[1]));
-    let cfg = grid(8, 4.0, 1.0, 0.25).seed(5);
-    cases.extend(on(&ssa, &decay(40, 2.0), &cfg, &[1]));
-
-    // In-process shards: sparse sampling (three quanta in four forward
-    // no batch), the summary's stat columns, batched shards.
-    let ten = with(10, 3.0, 2024).sim_workers(3);
-    cases.extend(on(&ssa, &decay(50, 1.0), &ten, &[1, 2, 5]));
-    cases.extend(on(&all, &birth_death(30.0, 1.0, 10), &ten, &[3]));
-    let nine = with(9, 3.0, 33);
-    for cfg in [nine.clone(), nine.clone().quantum(0.25).sample_period(1.0)] {
-        cases.extend(on(&ssa, &decay(40, 1.0), &cfg, &[1, 2, 3, 5]));
-    }
-    let mut summary = stat_engines(2, 0.9, 60.0, 12);
-    summary.remove(1); // no k-means
-    let cfg = nine.clone().engines(summary);
-    cases.extend(on(&ssa, &birth_death(20.0, 1.0, 10), &cfg, &[1, 2, 3]));
-    let batched4 = [Batched { width: 4 }];
-    cases.extend(on(&batched4, &decay(40, 1.0), &nine, &[1, 2, 3]));
-
-    // Batch widths below, at and above the instance count; 40 rules, so
-    // rows past the short-row cutoff fold and select on the dispatched
-    // kernels.
-    let six = with(6, 3.0, 11);
-    let widths = [1, 2, 4, 6, 9].map(|width| Batched { width });
-    cases.extend(on(&all, &decay(40, 1.0), &six, &[1]));
-    cases.extend(on(&widths, &birth_death(25.0, 1.0, 5), &six, &[1]));
-    let cycle = conversion_cycle(40, 400, 1.0);
-    for dispatch in [Scalar, Simd] {
-        let cfg = six.clone().kernel_dispatch(dispatch);
-        cases.extend(on(&batched4, &cycle, &cfg, &[1]));
-    }
-
-    // A compartment model on the tree core, on the exact kinds only.
-    let transport = biomodels::cell_transport(Default::default());
-    let small = grid(6, 2.0, 0.25, 0.125).sim_workers(3).stat_workers(2);
-    for cfg in [small.seed(9), nine] {
-        cases.extend(on(&[Ssa, all[3]], &transport, &cfg, &[1, 2, 3]));
-    }
-    cases
-}
-
-/// A flat source → six-species chain → sink network observing all six
-/// species: more observables than a sample row holds inline, so every
-/// sample, cut and cut frame of its runs takes the spilled-row path.
-fn six_observable_chain() -> Model {
-    let mut text = String::from("model six-observable-chain\nspecies A B C D E F\n");
-    text += "term: A*10 B*10 C*10 D*10 E*10 F*10\nrule source @ 20.0 : => A\n";
-    for pair in ["A", "B", "C", "D", "E", "F"].windows(2) {
-        text += &format!("rule {0}->{1} @ 1.0 : {0} => {1}\n", pair[0], pair[1]);
-    }
-    text += "rule sink @ 0.5 : F =>\n";
-    for name in ["A", "B", "C", "D", "E", "F"] {
-        text += &format!("observe {name} = {name}\n");
-    }
-    parse_model(&text).unwrap()
-}
-
-/// Counts what the matrix ran, by tag.
-#[derive(Default)]
-struct Tally(BTreeMap<String, usize>);
-
-impl Tally {
-    fn add(&mut self, tag: impl Into<String>) {
-        *self.0.entry(tag.into()).or_default() += 1;
-    }
-
-    fn when(&mut self, holds: bool, tag: impl Into<String>) {
-        if holds {
-            self.add(tag);
-        }
-    }
-}
-
 /// Tags the model features and configuration knobs `case` exercises.
 fn tally_features(case: &Case, tally: &mut Tally) {
     let (m, cfg, kind) = (&case.model, &case.cfg, case.cfg.engine.name());
@@ -398,143 +209,15 @@ fn tally_features(case: &Case, tally: &mut Tally) {
     tally.add(format!("dispatch {}", cfg.kernel_dispatch));
 }
 
-/// One row per τ-grid point, in order, over every instance; each
-/// configured stat engine fills its column and no other column is set.
-fn assert_grid(report: &SimReport, case: &Case) {
-    let cfg = &case.cfg;
-    assert_eq!(report.rows.len() as u64, cfg.samples_per_instance());
-    let (mut k, mut quantile, mut histogram) = (0, false, false);
-    for engine in &cfg.engines {
-        match *engine {
-            StatEngineKind::KMeans { k: n } => k = n,
-            StatEngineKind::Quantile { .. } => quantile = true,
-            StatEngineKind::Histogram { .. } => histogram = true,
-            StatEngineKind::MeanVariance => {}
-        }
-    }
-    for (i, row) in report.rows.iter().enumerate() {
-        let off_grid = (row.time - i as f64 * cfg.sample_period).abs();
-        assert!(off_grid < 1e-9, "row {i} at {}", row.time);
-        assert_eq!(row.instances as u64, cfg.instances, "row {i}");
-        assert_eq!(row.observables.len(), case.model.observables.len());
-        for obs in &row.observables {
-            assert!(obs.min <= obs.max, "row {i}: {obs:?}");
-            assert_eq!(obs.centroids.len(), k, "row {i}: {obs:?}");
-            assert_eq!(obs.quantile.is_some(), quantile, "row {i}: {obs:?}");
-            assert_eq!(obs.mode.is_some(), histogram, "row {i}: {obs:?}");
-        }
-    }
-}
-
-/// Runs `run` with a `Steering` terminated `ms` after the start (before
-/// it, for 0) and checks that the drained report is a prefix of `full`.
-fn assert_terminated_prefix(
-    ms: u64,
-    full: &SimReport,
-    label: &str,
-    run: impl FnOnce(&Steering) -> Result<SimReport, SimError>,
-) {
-    let steering = Steering::new();
-    if ms == 0 {
-        steering.terminate();
-    }
-    let terminator = steering.clone();
-    let timer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(ms));
-        terminator.terminate();
-    });
-    let drained = run(&steering).unwrap_or_else(|e| panic!("{label}: {e}"));
-    timer.join().unwrap();
-    let n = drained.rows.len();
-    assert!(n <= full.rows.len(), "{label}: {n} rows");
-    assert_eq!(drained.rows[..], full.rows[..n], "{label}: not a prefix");
-    assert!(drained.events <= full.events, "{label}: events");
-    assert_eq!(drained.summary.cuts(), n as u64, "{label}: summary cuts");
-    if ms == 0 {
-        assert_eq!((n, drained.events), (0, 0), "{label}: ran after terminate");
-    }
-}
-
-/// Every check of one case, tallied.
-fn check(case: &Case, tally: &mut Tally) {
-    let (model, cfg, kind) = (&case.model, &case.cfg, case.cfg.engine.name());
-    let oracle = run_sequential(Arc::clone(model), cfg).expect("oracle");
-    assert_grid(&oracle, case);
-    let farm = run_simulation(Arc::clone(model), cfg).expect("farm");
-    assert_reports_identical(&farm, &oracle, "farm");
-    tally.add(format!("farm/{kind}"));
-    let in_process = |cfg: &SimConfig, steering: &Steering| {
-        run_simulation_sharded_with(Arc::clone(model), cfg, steering, &mut InProcessTransport)
-    };
-    for &shards in &case.shards {
-        let report = in_process(&cfg.clone().shards(shards), &Steering::new());
-        let label = format!("{shards} in-process shards");
-        assert_reports_identical(&report.expect(&label), &oracle, &label);
-        tally.add(format!("in-process/{kind}"));
-    }
-    for &shards in &case.processes {
-        let report = run_simulation_sharded(Arc::clone(model), &cfg.clone().shards(shards));
-        let label = format!("{shards} shard processes");
-        assert_reports_identical(&report.expect(&label), &oracle, &label);
-        tally.add(format!("processes/{kind}"));
-    }
-    if let Some(ms) = case.terminate_ms {
-        let sharded = cfg.clone().shards(case.shards[0]);
-        assert_terminated_prefix(ms, &farm, "terminated farm", |s| {
-            run_simulation_steered(Arc::clone(model), cfg, s)
-        });
-        assert_terminated_prefix(ms, &farm, "terminated in-process shards", |s| {
-            in_process(&sharded, s)
-        });
-        assert_terminated_prefix(ms, &farm, "terminated shard processes", |s| {
-            run_simulation_sharded_steered(Arc::clone(model), &sharded, s)
-        });
-        tally.add(format!("terminated/{kind}"));
-        if ms == 0 {
-            tally.add("terminated before start");
-        }
-    }
-    tally_features(case, tally);
-    tally.when(case.model.name.starts_with("random "), "random model");
-}
-
 #[test]
 fn every_runner_agrees_with_the_sequential_oracle() {
     let random = (0..RANDOM_CASES).map(Case::random);
     let cases: Vec<Case> = pinned().into_iter().chain(random).collect();
-    // Three case runners: a case spends much of its time waiting on its
-    // pipeline's hand-offs and on child processes.
-    let next = AtomicUsize::new(0);
-    let mut tally = Tally::default();
-    std::thread::scope(|scope| {
-        let runner = || {
-            let mut tally = Tally::default();
-            while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let checked =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| check(case, &mut tally)));
-                let Case {
-                    cfg,
-                    shards,
-                    processes,
-                    terminate_ms: ms,
-                    text,
-                    ..
-                } = case;
-                assert!(
-                    checked.is_ok(),
-                    "case failed (`Case::random(seed)` replays a random one): {cfg:?}\n\
-                     shards {shards:?}, processes {processes:?}, terminate {ms:?} ms\n{text}"
-                );
-            }
-            tally
-        };
-        let runners: Vec<_> = (0..3).map(|_| scope.spawn(runner)).collect();
-        for runner in runners {
-            for (tag, n) in runner.join().expect("a case failed").0 {
-                *tally.0.entry(tag).or_default() += n;
-            }
-        }
-    });
+    let mut tally = check_all(&cases);
+    for case in &cases {
+        tally_features(case, &mut tally);
+        tally.when(case.model.name.starts_with("random "), "random model");
+    }
 
     let runners = ["farm", "in-process", "processes", "terminated"];
     let per_kind = runners.map(|r| engine_kinds().map(|k| format!("{r}/{}", k.name())));

@@ -1,8 +1,11 @@
 //! What the integration suites share: one engine kind of each sort, the
 //! base configuration of the transport suites, the bit-for-bit report
 //! check, the seeded model generator, the golden suites' trajectory
-//! fingerprint and a `cwc-workerd` daemon. Each suite uses a subset.
+//! fingerprint, a `cwc-workerd` daemon and the agreement harness with
+//! its pinned cases (`matrix`). Each suite uses a subset.
 #![allow(dead_code)]
+
+pub mod matrix;
 
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};

@@ -1,7 +1,8 @@
 //! Integration: the simulated GPGPU must produce *identical* simulation
 //! results to the CPU engines for identical seeds, under *every* engine
-//! kind (`agreement_matrix` holds the farm and the sharded runners to the
-//! sequential reference).
+//! kind, and a sharded farm must reproduce the multicore one. (The matrix
+//! in `agreement_matrix` holds every runner to the sequential reference
+//! on generated cases too.)
 //! Portability without silent numerical drift is the paper's core promise;
 //! the engine abstraction must not weaken it.
 
@@ -16,12 +17,26 @@ use cwc_repro::simt::DeviceMap;
 
 mod common;
 use common::engine_kinds;
+use common::matrix::{check_all, in_process_shards, in_process_shards_every_kind};
 
 /// The transport suites' configuration over 10 instances and 3 s.
 fn cfg() -> SimConfig {
     let mut cfg = common::cfg().sim_workers(3).seed(2024);
     (cfg.instances, cfg.t_end) = (10, 3.0);
     cfg
+}
+
+#[test]
+fn sharded_farm_matches_multicore() {
+    check_all(&in_process_shards());
+}
+
+#[test]
+fn sharded_farm_matches_multicore_for_every_engine_kind() {
+    // The engine kind reaches every shard inside its ShardSpec; each
+    // shard's farm must rebuild the exact same integrators — tasks of
+    // `width` instances on the batched kind.
+    check_all(&in_process_shards_every_kind());
 }
 
 /// Runs `kind` on the simulated device and asserts every instance's

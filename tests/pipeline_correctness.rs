@@ -1,13 +1,67 @@
-//! Integration: seeds set the results, and steering ends a run early.
-//! (Agreement of the parallel pipeline with the sequential reference is
-//! `agreement_matrix`'s.)
+//! Integration: the parallel pipeline must produce exactly the sequential
+//! reference results, for every model family and a range of
+//! configurations; seeds set the results, and steering ends a run early.
 
 use std::sync::Arc;
 
 use cwc_repro::biomodels;
 use cwc_repro::cwcsim::coordinator::{run_shard, ShardSpec};
-use cwc_repro::cwcsim::{run_simulation, ShardPlan, SimConfig, Steering};
+use cwc_repro::cwcsim::{run_simulation, EngineKind, ShardPlan, SimConfig, Steering};
 use cwc_repro::gillespie::deps::ModelDeps;
+
+mod common;
+use common::engine_kinds;
+use common::matrix::{
+    check_all, compartment, flat_grids, four_stat_engines, terminated_before_start, whole_grid,
+    window_geometries, worker_counts,
+};
+
+#[test]
+fn parallel_equals_sequential_for_flat_models() {
+    check_all(&flat_grids(&[EngineKind::Ssa]));
+}
+
+#[test]
+fn parallel_equals_sequential_for_every_engine_kind() {
+    // The engine abstraction must not leak scheduling into trajectories.
+    check_all(&flat_grids(&engine_kinds()[..3]));
+}
+
+#[test]
+fn parallel_equals_sequential_for_compartment_models() {
+    check_all(&compartment());
+}
+
+#[test]
+fn rows_cover_the_whole_grid_in_order() {
+    // `check` asserts one row per τ-grid point, in order, over every
+    // instance.
+    check_all(&whole_grid());
+}
+
+#[test]
+fn worker_count_does_not_change_results() {
+    check_all(&worker_counts());
+}
+
+#[test]
+fn window_geometry_does_not_change_results() {
+    // Every cut is analysed exactly once, whichever window carries it to
+    // the stat farm: width and slide set the farm's grain, never the rows.
+    // 17 cuts: a partial tail under (4, 2), nothing to flush under (10, 1).
+    check_all(&window_geometries());
+}
+
+#[test]
+fn all_engine_kinds_flow_through_the_pipeline() {
+    // `check` asserts every configured stat engine fills its column.
+    check_all(&four_stat_engines());
+}
+
+#[test]
+fn pre_terminated_run_produces_no_rows() {
+    check_all(&terminated_before_start());
+}
 
 #[test]
 fn different_seeds_give_different_results_same_seed_identical() {

@@ -1,6 +1,8 @@
-//! A sharded run that cannot start or whose worker dies surfaces as a
-//! typed error, never a hang. (Bit-for-bit agreement of the sharded
-//! runners with the single-process ones is `agreement_matrix`'s.)
+//! The sharded farm's core contract: any shard count reproduces the
+//! sequential reference bit for bit (rows, events, observable names,
+//! `RunSummary`) across models, engine kinds and shard counts, and a
+//! sharded run that cannot start or whose worker dies surfaces as a typed
+//! error, never a hang.
 //!
 //! `shards > 1` spawns real `cwc-shard` child processes (cargo builds
 //! the binary alongside this test; `distrt` resolves it next to the test
@@ -17,6 +19,23 @@ use cwc_repro::distrt::shard::{run_simulation_sharded, ProcessTransport};
 
 mod common;
 use common::cfg;
+use common::matrix::{check_all, more_shards_than_instances, sharded_models, spilled_chain};
+
+#[test]
+fn sharded_rows_are_bit_for_bit_identical_across_the_matrix() {
+    check_all(&sharded_models());
+}
+
+#[test]
+fn spilled_rows_agree_bit_for_bit_on_every_runner() {
+    check_all(&spilled_chain());
+}
+
+#[test]
+fn more_shards_than_instances_still_agrees() {
+    // Empty shards own no instances and contribute nothing to any cut.
+    check_all(&more_shards_than_instances());
+}
 
 #[test]
 fn crashing_shard_process_is_a_typed_error_not_a_hang() {
