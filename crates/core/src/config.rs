@@ -351,14 +351,19 @@ impl SimConfig {
         self
     }
 
-    /// Number of samples each instance produces (grid 0, τ, 2τ, … ≤ t_end),
-    /// counted on the engines' own [`SampleClock`], whose grid points are
-    /// running sums of τ. `floor(t_end / τ) + 1` can disagree with it:
-    /// 3.0 / 0.1 is exactly 30, but thirty steps of 0.1 sum past 3.0.
+    /// Number of samples each instance produces (grid 0, τ, 2τ, … ≤ t_end).
     ///
-    /// [`SampleClock`]: gillespie::ssa::SampleClock
+    /// `floor(t_end / τ) + 1`, with the quotient's rounding corrected by
+    /// the test the engines' clock makes, `k·τ ≤ t_end`.
     pub fn samples_per_instance(&self) -> u64 {
-        gillespie::ssa::SampleClock::new(0.0, self.sample_period).due_by(self.t_end) as u64
+        let (t_end, tau) = (self.t_end, self.sample_period);
+        let mut last = (t_end / tau).floor() as u64;
+        if last > 0 && last as f64 * tau > t_end {
+            last -= 1;
+        } else if (last + 1) as f64 * tau <= t_end {
+            last += 1;
+        }
+        last + 1
     }
 
     /// Checks the configuration for consistency.
@@ -498,9 +503,12 @@ mod tests {
         let cfg = SimConfig::new(1, 10.0).sample_period(1.0);
         assert_eq!(cfg.samples_per_instance(), 11); // t = 0..=10
 
-        // Thirty steps of 0.1 sum past 3.0: the runners emit 30 samples.
+        // 30 × 0.1 is exactly 3.0, so t_end 3 is a grid point; 0.3 / 0.1
+        // rounds below 3 and 3 × 0.1 lies past 0.3, so 0.3 is not.
         let cfg = SimConfig::new(1, 3.0).sample_period(0.1);
-        assert_eq!(cfg.samples_per_instance(), 30);
+        assert_eq!(cfg.samples_per_instance(), 31);
+        let cfg = SimConfig::new(1, 0.3).sample_period(0.1);
+        assert_eq!(cfg.samples_per_instance(), 3);
     }
 
     fn rejection_message(cfg: &SimConfig) -> String {

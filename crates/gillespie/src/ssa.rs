@@ -718,10 +718,12 @@ fn tree_core(model: &Model) -> Core {
 /// Fixed-step sampling clock (the τ grid of the paper's Q/τ ratio).
 ///
 /// Persistent across quanta: the simulator keeps one clock per instance so
-/// samples align on a global grid regardless of quantum boundaries.
+/// samples align on a global grid regardless of quantum boundaries. Grid
+/// point `k` is `start + k·period`, computed afresh rather than summed, so
+/// rounding never accumulates: at τ 0.1 the thirtieth point is exactly 3.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleClock {
-    next: f64,
+    start: f64,
     period: f64,
     emitted: u64,
     limit: Option<u64>,
@@ -739,7 +741,7 @@ impl SampleClock {
             "sample period must be positive"
         );
         SampleClock {
-            next: start,
+            start,
             period,
             emitted: 0,
             limit: None,
@@ -756,14 +758,13 @@ impl SampleClock {
     pub fn peek(&self) -> Option<f64> {
         match self.limit {
             Some(l) if self.emitted >= l => None,
-            _ => Some(self.next),
+            _ => Some(self.start + self.emitted as f64 * self.period),
         }
     }
 
     /// Moves to the following grid point.
     pub fn advance(&mut self) {
         self.emitted += 1;
-        self.next += self.period;
     }
 
     /// Number of grid points the clock will yield up to and including
@@ -884,6 +885,9 @@ mod tests {
         c.advance();
         assert_eq!(c.peek(), None);
         assert_eq!(c.emitted(), 3);
+
+        // Thirty running sums of 0.1 land past 3.0; 30 × 0.1 is 3.0.
+        assert_eq!(SampleClock::new(0.0, 0.1).due_by(3.0), 31);
     }
 
     #[test]

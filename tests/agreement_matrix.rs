@@ -2,18 +2,18 @@
 //! `run_sequential`, bit for bit (rows, event count, observable names,
 //! `RunSummary`) whatever the model and configuration.
 //!
-//! Pinned cases are the bundled models under fixed configurations, in
-//! the named groups of `common::matrix` (the suites that name a group
-//! also run it alone). Random cases draw a model as model text and a
+//! Pinned cases are the bundled models under fixed configurations
+//! (`common::matrix::pinned`; the named groups there run in the suite
+//! tests that name them). Random cases draw a model as model text and a
 //! configuration (see `Case::random`). Every case checks the farm and
 //! in-process shards against the oracle, and the oracle's rows against
 //! the τ grid and the configured stat engines; a subset covering every
 //! engine kind also runs `cwc-shard` child processes, and terminates runs
 //! at a drawn instant, which must leave a prefix of the full run. Seeds
 //! and case count are fixed; a tally checked at the end asserts the
-//! coverage, so nothing is covered by luck. A failing case prints its
-//! seed, configuration and model text, and `Case::random(seed)` replays
-//! it.
+//! coverage of these cases and the named groups together, so nothing is
+//! covered by luck. A failing case prints its seed, configuration and
+//! model text, and `Case::random(seed)` replays it.
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use cwc_repro::cwcsim::{EngineKind, SimConfig, StatEngineKind};
 use cwc_repro::gillespie::KernelDispatch::{Auto, Scalar, Simd};
 
 mod common;
-use common::matrix::{check_all, pinned, stat_engines, Case, Tally};
+use common::matrix::{check_all, named_groups, pinned, stat_engines, Case, Tally};
 use common::{engine_kinds, Mix};
 
 /// Random cases, seeded `0..RANDOM_CASES`.
@@ -213,8 +213,10 @@ fn tally_features(case: &Case, tally: &mut Tally) {
 fn every_runner_agrees_with_the_sequential_oracle() {
     let random = (0..RANDOM_CASES).map(Case::random);
     let cases: Vec<Case> = pinned().into_iter().chain(random).collect();
-    let mut tally = check_all(&cases);
-    for case in &cases {
+    check_all(&cases);
+    let mut tally = Tally::default();
+    for case in cases.iter().chain(&named_groups()) {
+        tally.runners(case);
         tally_features(case, &mut tally);
         tally.when(case.model.name.starts_with("random "), "random model");
     }

@@ -2,8 +2,9 @@
 //! the shard counts and termination it also runs, and `check` holds every
 //! runner to the sequential oracle, `run_sequential`, on it bit for bit
 //! (rows, event count, observable names, `RunSummary`). The pinned cases
-//! live here, in named groups: `agreement_matrix` runs all of them next
-//! to its random cases, and the suites that name a group run it alone.
+//! live here, in named groups: each group runs once, in the suite test
+//! that names it (`named_groups` lists them), and `pinned` holds the rows
+//! only `agreement_matrix` runs, next to its random cases.
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
@@ -216,23 +217,31 @@ pub fn compartment() -> Vec<Case> {
     cases
 }
 
-/// Every pinned case: the named groups, then the sharded and batched
-/// rows only the matrix runs.
-pub fn pinned() -> Vec<Case> {
+/// Every group a suite test runs under its own name, as it runs it:
+/// `sharded_agreement`, `cross_backend` and `pipeline_correctness`.
+pub fn named_groups() -> Vec<Case> {
     let all = engine_kinds();
     let mut cases = sharded_models();
     cases.extend(spilled_chain());
     cases.extend(more_shards_than_instances());
-    cases.extend(terminated_mid_run());
-    cases.extend(terminated_before_start());
-    cases.extend(flat_grids(&all[..3]));
+    cases.extend(in_process_shards());
+    cases.extend(in_process_shards_every_kind());
+    cases.extend(flat_grids(&all[..1]));
+    cases.extend(flat_grids(&all[1..3]));
+    cases.extend(compartment());
+    cases.extend(whole_grid());
     cases.extend(worker_counts());
     cases.extend(window_geometries());
     cases.extend(four_stat_engines());
-    cases.extend(whole_grid());
-    cases.extend(in_process_shards());
-    cases.extend(in_process_shards_every_kind());
-    cases.extend(compartment());
+    cases.extend(terminated_before_start());
+    cases
+}
+
+/// The pinned rows only the matrix runs: termination mid-run on every
+/// kind, sharded and batched rows.
+pub fn pinned() -> Vec<Case> {
+    let all = engine_kinds();
+    let mut cases = terminated_mid_run();
 
     // Sparse sampling on shards (three quanta in four forward no batch),
     // the summary's stat columns, batched shards.
@@ -278,11 +287,27 @@ pub fn six_observable_chain() -> Model {
     parse_model(&text).unwrap()
 }
 
-/// Counts what a set of cases ran, by tag.
+/// Counts what a set of cases runs, by tag.
 #[derive(Default)]
 pub struct Tally(pub BTreeMap<String, usize>);
 
 impl Tally {
+    /// Tags the runners `check` holds to the oracle on `case`.
+    pub fn runners(&mut self, case: &Case) {
+        let kind = case.cfg.engine.name();
+        self.add(format!("farm/{kind}"));
+        for _ in &case.shards {
+            self.add(format!("in-process/{kind}"));
+        }
+        for _ in &case.processes {
+            self.add(format!("processes/{kind}"));
+        }
+        if let Some(ms) = case.terminate_ms {
+            self.add(format!("terminated/{kind}"));
+            self.when(ms == 0, "terminated before start");
+        }
+    }
+
     pub fn add(&mut self, tag: impl Into<String>) {
         *self.0.entry(tag.into()).or_default() += 1;
     }
@@ -309,8 +334,7 @@ pub fn assert_grid(report: &SimReport, case: &Case) {
         }
     }
     for (i, row) in report.rows.iter().enumerate() {
-        let off_grid = (row.time - i as f64 * cfg.sample_period).abs();
-        assert!(off_grid < 1e-9, "row {i} at {}", row.time);
+        assert_eq!(row.time, i as f64 * cfg.sample_period, "row {i}");
         assert_eq!(row.instances as u64, cfg.instances, "row {i}");
         assert_eq!(row.observables.len(), case.model.observables.len());
         for obs in &row.observables {
@@ -351,14 +375,13 @@ pub fn assert_terminated_prefix(
     }
 }
 
-/// Every check of one case; tallies the runners it held to the oracle.
-pub fn check(case: &Case, tally: &mut Tally) {
-    let (model, cfg, kind) = (&case.model, &case.cfg, case.cfg.engine.name());
+/// Every check of one case; returns the oracle's report.
+pub fn check(case: &Case) -> SimReport {
+    let (model, cfg) = (&case.model, &case.cfg);
     let oracle = run_sequential(Arc::clone(model), cfg).expect("oracle");
     assert_grid(&oracle, case);
     let farm = run_simulation(Arc::clone(model), cfg).expect("farm");
     assert_reports_identical(&farm, &oracle, "farm");
-    tally.add(format!("farm/{kind}"));
     let in_process = |cfg: &SimConfig, steering: &Steering| {
         run_simulation_sharded_with(Arc::clone(model), cfg, steering, &mut InProcessTransport)
     };
@@ -366,13 +389,11 @@ pub fn check(case: &Case, tally: &mut Tally) {
         let report = in_process(&cfg.clone().shards(shards), &Steering::new());
         let label = format!("{shards} in-process shards");
         assert_reports_identical(&report.expect(&label), &oracle, &label);
-        tally.add(format!("in-process/{kind}"));
     }
     for &shards in &case.processes {
         let report = run_simulation_sharded(Arc::clone(model), &cfg.clone().shards(shards));
         let label = format!("{shards} shard processes");
         assert_reports_identical(&report.expect(&label), &oracle, &label);
-        tally.add(format!("processes/{kind}"));
     }
     if let Some(ms) = case.terminate_ms {
         let sharded = cfg.clone().shards(case.shards[0]);
@@ -385,26 +406,26 @@ pub fn check(case: &Case, tally: &mut Tally) {
         assert_terminated_prefix(ms, &farm, "terminated shard processes", |s| {
             run_simulation_sharded_steered(Arc::clone(model), &sharded, s)
         });
-        tally.add(format!("terminated/{kind}"));
-        if ms == 0 {
-            tally.add("terminated before start");
-        }
     }
+    oracle
 }
 
 /// Checks every case on three case runners (a case spends much of its
 /// time waiting on its pipeline's hand-offs and on child processes) and
-/// returns the runners' tally. A failing case prints its configuration,
-/// shard counts, termination and model text.
-pub fn check_all(cases: &[Case]) -> Tally {
+/// returns the oracles' reports in case order. A failing case prints its
+/// configuration, shard counts, termination and model text.
+pub fn check_all(cases: &[Case]) -> Vec<SimReport> {
     let next = AtomicUsize::new(0);
-    let mut tally = Tally::default();
+    let mut oracles = Vec::new();
     std::thread::scope(|scope| {
         let runner = || {
-            let mut tally = Tally::default();
-            while let Some(case) = cases.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let checked =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| check(case, &mut tally)));
+            let mut checked = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(case) = cases.get(i) else {
+                    return checked;
+                };
+                let oracle = std::panic::catch_unwind(AssertUnwindSafe(|| check(case)));
                 let Case {
                     cfg,
                     shards,
@@ -413,20 +434,20 @@ pub fn check_all(cases: &[Case]) -> Tally {
                     text,
                     ..
                 } = case;
-                assert!(
-                    checked.is_ok(),
-                    "case failed (`Case::random(seed)` replays a random one): {cfg:?}\n\
-                     shards {shards:?}, processes {processes:?}, terminate {ms:?} ms\n{text}"
-                );
+                let oracle = oracle.unwrap_or_else(|_| {
+                    panic!(
+                        "case failed (`Case::random(seed)` replays a random one): {cfg:?}\n\
+                         shards {shards:?}, processes {processes:?}, terminate {ms:?} ms\n{text}"
+                    )
+                });
+                checked.push((i, oracle));
             }
-            tally
         };
         let runners: Vec<_> = (0..3).map(|_| scope.spawn(runner)).collect();
         for runner in runners {
-            for (tag, n) in runner.join().expect("a case failed").0 {
-                *tally.0.entry(tag).or_default() += n;
-            }
+            oracles.extend(runner.join().expect("a case failed"));
         }
     });
-    tally
+    oracles.sort_unstable_by_key(|&(i, _)| i);
+    oracles.into_iter().map(|(_, oracle)| oracle).collect()
 }

@@ -28,7 +28,10 @@ fn sharded_rows_are_bit_for_bit_identical_across_the_matrix() {
 
 #[test]
 fn spilled_rows_agree_bit_for_bit_on_every_runner() {
-    check_all(&spilled_chain());
+    for oracle in check_all(&spilled_chain()) {
+        assert_eq!(oracle.summary.observables().len(), 6);
+        assert!(oracle.events > 0, "nothing fired");
+    }
 }
 
 #[test]

@@ -3,10 +3,8 @@
 //!
 //! - a farm of 2–3 daemons produces **bit-for-bit** the same report
 //!   (`StatRow`s, event count *and* the whole-run `RunSummary`) as the
-//!   sequential reference — for every engine kind, the batched kind
-//!   included, and every shard count (`agreement_matrix` holds the local
-//!   `cwc-shard` children to the same reference on this model and
-//!   configuration);
+//!   sequential reference and the local `ProcessTransport` — for every
+//!   engine kind, the batched kind included, and every shard count;
 //! - a worker killed mid-run (SIGKILL, no protocol goodbye) is detected
 //!   and its slice requeued onto a *surviving* worker, and the merged
 //!   report is still bit-for-bit identical;
@@ -28,6 +26,7 @@ use cwc_repro::cwcsim::{
     TransportKind,
 };
 use cwc_repro::distrt::net::TcpShardTransport;
+use cwc_repro::distrt::shard::ProcessTransport;
 
 mod common;
 use common::{assert_reports_identical, cfg, engine_kinds, Workerd};
@@ -50,7 +49,8 @@ fn run_tcp(model: &Arc<Model>, cfg: &SimConfig) -> (SimReport, TcpShardTransport
 
 /// The loopback-cluster matrix: every engine kind × shards {1, 2, 3}
 /// against two live daemons, asserted bit-for-bit against the
-/// sequential reference.
+/// sequential reference — and, per kind, the local `ProcessTransport`
+/// too, so every deployment agrees exactly.
 #[test]
 fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
     let daemons = [Workerd::spawn(&[]), Workerd::spawn(&[])];
@@ -60,6 +60,18 @@ fn tcp_farm_agrees_bit_for_bit_across_the_matrix() {
         let single = run_sequential(Arc::clone(&model), &base)
             .unwrap_or_else(|e| panic!("{kind}: sequential reference failed: {e}"));
         assert!(!single.rows.is_empty(), "{kind}: empty reference");
+
+        // The same slices through local child processes.
+        let mut process = ProcessTransport::new().expect("cwc-shard built alongside this test");
+        let via_process = run_simulation_sharded_with(
+            Arc::clone(&model),
+            &base.clone().shards(3),
+            &Steering::new(),
+            &mut process,
+        )
+        .unwrap_or_else(|e| panic!("{kind}: process-transport run failed: {e}"));
+        assert_reports_identical(&via_process, &single, &format!("{kind}/process"));
+
         for shards in [1usize, 2, 3] {
             let label = format!("{kind}/tcp/shards={shards}");
             let (report, transport) = run_tcp(&model, &tcp_cfg(&base, shards, &daemons));
