@@ -210,6 +210,18 @@ impl From<gillespie::engine::EngineError> for ConfigError {
 }
 
 impl SimConfig {
+    /// The most trajectories a run, or a shard's slice, may ask for. A
+    /// run builds every farm task before it starts, and each pending cut
+    /// holds one slot per trajectory, so a job frame above this would ask
+    /// a worker for memory before any check could stop it.
+    pub const MAX_INSTANCES: u64 = 1 << 24;
+    /// The most simulation-farm workers a run may ask for: each is a
+    /// thread.
+    pub const MAX_SIM_WORKERS: usize = 1024;
+    /// The largest channel capacity: every pipeline edge allocates its
+    /// whole ring up front.
+    pub const MAX_CHANNEL_CAPACITY: usize = 1 << 16;
+
     /// Creates a configuration with sensible defaults for the given number
     /// of instances and time horizon.
     pub fn new(instances: u64, t_end: f64) -> Self {
@@ -423,6 +435,26 @@ impl SimConfig {
         }
         if self.channel_capacity == 0 {
             return reject("channel_capacity", "channel_capacity must be > 0".into());
+        }
+        // The ceilings: sizes a decoded job could otherwise ask a worker to
+        // allocate before anything else is checked. (`usize` is at most 64
+        // bits on every supported target, so the casts are lossless.)
+        for (field, value, max) in [
+            ("instances", self.instances, Self::MAX_INSTANCES),
+            (
+                "sim_workers",
+                self.sim_workers as u64,
+                Self::MAX_SIM_WORKERS as u64,
+            ),
+            (
+                "channel_capacity",
+                self.channel_capacity as u64,
+                Self::MAX_CHANNEL_CAPACITY as u64,
+            ),
+        ] {
+            if value > max {
+                return reject(field, format!("{field} ({value}) must not exceed {max}"));
+            }
         }
         if self.shards == 0 {
             return reject(
@@ -679,6 +711,35 @@ mod tests {
             .validate()
             .is_err());
         assert!(SimConfig::new(1, 10.0).shards(0).validate().is_err());
+    }
+
+    /// Each ceiling admits its own value and refuses the next, naming the
+    /// field. Only validated: no run starts.
+    #[test]
+    fn sizes_are_refused_above_their_ceilings() {
+        let base = || SimConfig::new(1, 10.0);
+        let at = [
+            SimConfig::new(SimConfig::MAX_INSTANCES, 10.0),
+            base().sim_workers(SimConfig::MAX_SIM_WORKERS),
+            base().channel_capacity(SimConfig::MAX_CHANNEL_CAPACITY),
+        ];
+        for cfg in &at {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        let above = [
+            (
+                "instances",
+                SimConfig::new(SimConfig::MAX_INSTANCES + 1, 10.0),
+            ),
+            (
+                "sim_workers",
+                base().sim_workers(SimConfig::MAX_SIM_WORKERS + 1),
+            ),
+            ("channel_capacity", base().channel_capacity(usize::MAX)),
+        ];
+        for (field, cfg) in above {
+            assert_eq!(cfg.validate().unwrap_err().field(), field);
+        }
     }
 
     /// The reason `engine`, configured after a valid mean/variance

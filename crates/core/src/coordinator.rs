@@ -125,15 +125,27 @@ impl ShardSpec {
 
     /// Checks the spec by the rules [`SimConfig::validate`] owns: the
     /// engine's parameters, a positive finite `t_end`, `quantum` and
-    /// `heartbeat_period`, `sample_period ≤ t_end`, and a non-zero slice,
-    /// worker count and channel capacity. A worker checks a decoded job
-    /// with it before any thread starts.
+    /// `heartbeat_period`, `sample_period ≤ t_end`, a non-zero slice,
+    /// worker count and channel capacity, each within its ceiling
+    /// ([`SimConfig::MAX_INSTANCES`] and the others) — and a slice that
+    /// ends below `u64::MAX`. A worker checks a decoded job with it before
+    /// any thread starts.
     ///
     /// # Errors
     ///
     /// Returns the [`ConfigError`] of the first violated rule.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        SimConfig::new(self.range.count, self.t_end)
+        let range = self.range;
+        if range.first_instance.checked_add(range.count).is_none() {
+            return Err(ConfigError::new(
+                "instances",
+                format!(
+                    "the slice of {} instances from instance {} ends past u64::MAX",
+                    range.count, range.first_instance
+                ),
+            ));
+        }
+        SimConfig::new(range.count, self.t_end)
             .engine(self.engine)
             .quantum(self.quantum)
             .sample_period(self.sample_period)

@@ -21,8 +21,15 @@ pub struct ShardRange {
 
 impl ShardRange {
     /// One past the last instance id of the slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that id overflows `u64`, which a planned range never
+    /// does and `ShardSpec::validate` refuses in a decoded one.
     pub fn end(&self) -> u64 {
-        self.first_instance + self.count
+        self.first_instance
+            .checked_add(self.count)
+            .expect("a shard's slice ends below u64::MAX")
     }
 }
 

@@ -21,9 +21,8 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, Thread};
 
 use cwc::model::Model;
 use fastflow::master_worker::{FeedbackWorker, Master, Scheduler};
@@ -44,7 +43,15 @@ use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 /// master drops its ready queue and a worker drops what it dequeues.
 #[derive(Debug, Clone, Default)]
 pub struct Steering {
-    stop: Arc<AtomicBool>,
+    shared: Arc<SteeringState>,
+}
+
+#[derive(Debug, Default)]
+struct SteeringState {
+    /// The flag the engines read once per quantum.
+    stop: AtomicBool,
+    /// The live [`Steering::watch`] threads, unparked by `terminate`.
+    watchers: Mutex<Vec<Thread>>,
 }
 
 impl Steering {
@@ -56,12 +63,17 @@ impl Steering {
     /// Requests termination: in-flight quanta finish, nothing is
     /// rescheduled, the pipeline drains and completes early.
     pub fn terminate(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
+        // A watcher registers before it first reads the flag, under this
+        // lock: either it is in the list now, or it reads `true`.
+        for watcher in self.watchers().iter() {
+            watcher.unpark();
+        }
     }
 
     /// True once termination has been requested.
     pub fn is_terminated(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.shared.stop.load(Ordering::Acquire)
     }
 
     /// Spawns a watcher that runs `on_terminate` once, on its own thread,
@@ -69,29 +81,40 @@ impl Steering {
     /// a boundary it cannot cross by itself (a shard-local handle, a
     /// socket). The watcher lives exactly as long as the
     /// returned guard — dropping it, on return or on unwind, stops and
-    /// joins the thread, and `on_terminate` never runs afterwards.
+    /// joins the thread, and `on_terminate` never runs afterwards. It
+    /// parks until [`terminate`](Steering::terminate) or the guard's drop
+    /// wakes it; it never polls.
     pub fn watch(&self, on_terminate: impl FnOnce() + Send + 'static) -> SteeringWatch {
         let steering = self.clone();
         let released = Arc::new(AtomicBool::new(false));
         let stop = Arc::clone(&released);
         let thread = std::thread::spawn(move || {
+            let me = std::thread::current();
+            steering.watchers().push(me.clone());
             while !stop.load(Ordering::Acquire) {
                 if steering.is_terminated() {
                     on_terminate();
-                    return;
+                    break;
                 }
-                std::thread::park_timeout(WATCH_PERIOD);
+                std::thread::park();
             }
+            steering.watchers().retain(|t| t.id() != me.id());
         });
         SteeringWatch {
             released,
             thread: Some(thread),
         }
     }
-}
 
-/// How often a [`Steering::watch`] thread looks at the flag.
-const WATCH_PERIOD: Duration = Duration::from_millis(2);
+    /// The live watchers. Every update is a whole push or retain, so a
+    /// poisoned lock still guards a valid list.
+    fn watchers(&self) -> MutexGuard<'_, Vec<Thread>> {
+        self.shared
+            .watchers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Guard of a [`Steering::watch`] thread; dropping it ends the watcher.
 #[derive(Debug)]
@@ -284,6 +307,7 @@ mod tests {
     use gillespie::trajectory::Row;
     use std::collections::HashMap;
     use std::sync::mpsc::TryRecvError;
+    use std::time::Duration;
 
     type Samples = Vec<(f64, Row)>;
 

@@ -1234,7 +1234,7 @@ mod tests {
     fn serve_shard_refuses_an_invalid_spec_with_an_error_frame() {
         use gillespie::engine::EngineKind;
         type Spoil = fn(&mut ShardSpec);
-        let cases: [(&str, Spoil); 13] = [
+        let cases: [(&str, Spoil); 17] = [
             ("channel_capacity", |s| s.channel_capacity = 0),
             ("engine", |s| s.engine = EngineKind::Batched { width: 0 }),
             ("instances", |s| s.range.count = 0),
@@ -1255,6 +1255,16 @@ mod tests {
             ("sample_period", |s| s.sample_period = 3.0), // past t_end = 2
             ("heartbeat_period", |s| s.heartbeat_period = f64::INFINITY),
             ("sim_workers", |s| s.sim_workers = 0),
+            // Sizes past their ceilings, and a slice that ends past
+            // u64::MAX: all refused before any thread or ring exists.
+            ("instances", |s| s.range.first_instance = u64::MAX),
+            ("instances", |s| {
+                s.range.count = SimConfig::MAX_INSTANCES + 1
+            }),
+            ("sim_workers", |s| {
+                s.sim_workers = SimConfig::MAX_SIM_WORKERS + 1;
+            }),
+            ("channel_capacity", |s| s.channel_capacity = usize::MAX),
         ];
         for (field, spoil) in cases {
             let mut j = job(2, 2, 0);

@@ -1,16 +1,23 @@
-//! Progressive backoff used by blocking queue operations.
+//! The bounded spin a blocking operation tries before it parks.
 //!
-//! FastFlow's run-time busy-waits on its lock-free queues; on a dedicated
-//! many-core node that is the right call, but on shared (or single-core)
-//! machines pure spinning starves the peer thread. [`Backoff`] implements the
-//! usual escalation ladder: a few `spin_loop` hints, then `yield_now`, then
-//! short sleeps, so progress is made even when producer and consumer share
-//! one hardware thread.
+//! FastFlow's run-time busy-waits on its lock-free queues, which is the
+//! right call when every node has a core to itself. Here a pipeline has
+//! more node threads than the machine has cores, so a node that finds
+//! nothing to do spins only briefly and then parks its thread until the
+//! peer it waits for wakes it (the protocol is in [`crate::channel`]'s
+//! module docs). The spin is two short phases: a few rounds of
+//! `spin_loop` hints, enough to catch a peer that is about to act on
+//! another core, then a few `yield_now`s, which hand this core to a peer
+//! that needs it to act at all. Both are bounded; nothing here sleeps, so
+//! after the spin the only way on is a wake-up.
+//!
+//! The yields earn their place on dense streams: a peer that finds the
+//! node parked pays a futex wake for its item, and where items come a few
+//! microseconds apart (the farm's quanta on `neuro_analysis_stream`), a
+//! spin-only wait parked about 40 times as often and ran that workload
+//! about 20 % slower on a 2-vCPU machine.
 
-use std::thread;
-use std::time::Duration;
-
-/// Escalating wait strategy for lock-free retry loops.
+/// Doubling rounds of `spin_loop` hints, a few yields, then "park now".
 ///
 /// # Examples
 ///
@@ -18,57 +25,51 @@ use std::time::Duration;
 /// use fastflow::backoff::Backoff;
 ///
 /// let mut backoff = Backoff::new();
-/// let mut tries = 0;
-/// loop {
-///     tries += 1;
-///     if tries == 3 {
-///         break;
-///     }
-///     backoff.wait();
+/// let mut rounds = 0;
+/// while backoff.spin() {
+///     rounds += 1;
 /// }
-/// assert_eq!(tries, 3);
+/// assert!(rounds > 0, "a fresh backoff spins before it gives up");
+/// assert!(!backoff.spin(), "a spent one stays spent until reset");
+/// backoff.reset();
+/// assert!(backoff.spin());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Backoff {
     step: u32,
 }
 
-/// Number of rounds spent issuing `spin_loop` hints before yielding.
+/// Rounds of spinning; round `k` issues `2^k` `spin_loop` hints, so the
+/// phase is 63 hints.
 const SPIN_ROUNDS: u32 = 6;
-/// Number of rounds spent yielding before sleeping.
+/// Rounds of `yield_now` after the spin, before the caller parks.
 const YIELD_ROUNDS: u32 = 16;
-/// Sleep quantum once the ladder is exhausted.
-const SLEEP: Duration = Duration::from_micros(50);
 
 impl Backoff {
-    /// Creates a fresh backoff at the start of the ladder.
+    /// Creates a fresh backoff with its whole budget.
     pub fn new() -> Self {
         Backoff { step: 0 }
     }
 
-    /// Waits one round, escalating from spinning to yielding to sleeping.
-    pub fn wait(&mut self) {
+    /// Spins or yields one round and returns `true`, or returns `false` at
+    /// once when the budget is spent: the caller should park.
+    pub fn spin(&mut self) -> bool {
         if self.step < SPIN_ROUNDS {
-            for _ in 0..(1 << self.step) {
+            for _ in 0..(1u32 << self.step) {
                 std::hint::spin_loop();
             }
         } else if self.step < SPIN_ROUNDS + YIELD_ROUNDS {
-            thread::yield_now();
+            std::thread::yield_now();
         } else {
-            thread::sleep(SLEEP);
+            return false;
         }
-        self.step = self.step.saturating_add(1);
+        self.step += 1;
+        true
     }
 
-    /// Resets the ladder after a successful operation.
+    /// Restores the whole budget after a successful operation.
     pub fn reset(&mut self) {
         self.step = 0;
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::new()
     }
 }
 
@@ -79,13 +80,13 @@ mod tests {
     #[test]
     fn ladder_escalates_and_resets() {
         let mut b = Backoff::new();
-        assert_eq!(b.step, 0);
-        for _ in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
-            b.wait();
+        for _ in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+            assert!(b.spin());
         }
-        assert_eq!(b.step, SPIN_ROUNDS + YIELD_ROUNDS, "next wait sleeps");
+        assert!(!b.spin(), "the budget is bounded: park next");
         b.reset();
         assert_eq!(b.step, 0);
+        assert!(b.spin());
     }
 
     #[test]
@@ -96,9 +97,13 @@ mod tests {
     #[test]
     fn wait_saturates_instead_of_overflowing() {
         let mut b = Backoff::new();
-        b.step = u32::MAX - 1;
-        b.wait();
-        b.wait();
-        assert_eq!(b.step, u32::MAX);
+        for _ in 0..1000 {
+            b.spin();
+        }
+        assert_eq!(
+            b.step,
+            SPIN_ROUNDS + YIELD_ROUNDS,
+            "a spent budget stops counting"
+        );
     }
 }

@@ -14,7 +14,12 @@
 //! bounded lock-free single-producer single-consumer FIFO queue — the
 //! CSP/actor hybrid model of the paper. FastFlow puts the feedback channel
 //! on an unbounded queue; here the farm master never blocks, so the tasks
-//! it has in flight bound that edge too. Every pattern is generated from user-provided [`node`]
+//! it has in flight bound that edge too. FastFlow also busy-waits on its
+//! queues, assuming a core per node; here a node that finds nothing to do
+//! spins and yields briefly ([`backoff`]) and then parks its thread until
+//! the peer it waits for — the sender of an empty edge, the receiver of a
+//! full one, or either end closing it — wakes it, so an idle network
+//! costs no CPU. The wake protocol is in [`channel`]'s docs. Every pattern is generated from user-provided [`node`]
 //! implementations (the white boxes of the paper's figures); dispatching,
 //! gathering, scheduling and feedback plumbing are produced by the pattern
 //! combinators (the grey boxes).

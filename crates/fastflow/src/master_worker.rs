@@ -30,9 +30,13 @@
 //!    `try_send` cannot be refused, so the master never parks on one
 //!    worker's full queue while another worker's notices go unread;
 //!
-//! and backs off only when a whole sweep found nothing to do. The farm ends
-//! when upstream is closed and nothing is pending; that is the whole
-//! termination rule.
+//! and waits only when a whole sweep found nothing to do: after a brief
+//! spin and a few yields it arms the waiter slot of every notice channel, and of upstream
+//! while upstream is open, re-checks that none is readable and parks (the
+//! protocol is in [`crate::channel`]'s module docs). A notice or an
+//! upstream item wakes it; nothing else can make it runnable, since its
+//! task sends never wait. The farm ends when upstream is closed and
+//! nothing is pending; that is the whole termination rule.
 //!
 //! A task queue holds the pipeline's channel `capacity`, like every other
 //! edge. Deep queues keep a worker busy across the master's reaction time;
@@ -51,7 +55,7 @@
 use std::collections::VecDeque;
 
 use crate::backoff::Backoff;
-use crate::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
+use crate::channel::{self, park_until, Receiver, Sender, TryRecvError, TrySendError};
 use crate::node::Outbox;
 use crate::pipeline::{spawn_named, Pipeline};
 
@@ -289,11 +293,25 @@ impl<M: Master> MasterLoop<M> {
         loop {
             match self.sweep() {
                 Sweep::Progressed => backoff.reset(),
-                Sweep::Idle => backoff.wait(),
+                Sweep::Idle => {
+                    if !backoff.spin() {
+                        self.park();
+                    }
+                }
                 Sweep::Done => break,
             }
         }
         // Dropping the task senders broadcasts EOS to the workers.
+    }
+
+    /// Parks until a notice arrives, or upstream sends or closes while it
+    /// is open: the inputs an idle sweep waits for.
+    fn park(&self) {
+        let upstream = self.upstream_open.then_some(&self.upstream);
+        let notices = self.fb_rx.iter().map(Receiver::waiter);
+        park_until(notices.chain(upstream.map(Receiver::waiter)), || {
+            self.fb_rx.iter().any(Receiver::is_ready) || upstream.is_some_and(Receiver::is_ready)
+        });
     }
 
     /// One pass: completions, admission, hand-out, termination check — in
@@ -402,19 +420,17 @@ fn run_feedback_worker<W: FeedbackWorker>(
 }
 
 /// Merges several channels into one, preserving per-channel order (the
-/// unordered collector; [`crate::farm`] has the reordering one).
+/// unordered collector; [`crate::farm`] has the reordering one). Parks,
+/// after a brief spin and a few yields, on the inputs still open when a
+/// sweep finds nothing, and returns on the sweep that sees the last one
+/// close.
 pub(crate) fn merge_channels<T: Send>(inputs: Vec<Receiver<T>>, out: Sender<T>) {
-    let n = inputs.len();
-    let mut done = vec![false; n];
-    let mut remaining = n;
+    let mut open = vec![true; inputs.len()];
     let mut backoff = Backoff::new();
-    while remaining > 0 {
+    while open.contains(&true) {
         let mut progressed = false;
-        for (i, rx) in inputs.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            loop {
+        for (rx, open) in inputs.iter().zip(&mut open) {
+            while *open {
                 match rx.try_recv() {
                     Ok(item) => {
                         progressed = true;
@@ -423,18 +439,22 @@ pub(crate) fn merge_channels<T: Send>(inputs: Vec<Receiver<T>>, out: Sender<T>) 
                         }
                     }
                     Err(TryRecvError::Empty) => break,
+                    // A close is progress too: nothing is left to wake a
+                    // collector that parks on its last closed input.
                     Err(TryRecvError::Disconnected) => {
-                        done[i] = true;
-                        remaining -= 1;
-                        break;
+                        progressed = true;
+                        *open = false;
                     }
                 }
             }
         }
         if progressed {
             backoff.reset();
-        } else {
-            backoff.wait();
+        } else if !backoff.spin() {
+            let waiting = || inputs.iter().zip(&open).filter(|(_, open)| **open);
+            park_until(waiting().map(|(rx, _)| rx.waiter()), || {
+                waiting().any(|(rx, _)| rx.is_ready())
+            });
         }
     }
 }
