@@ -19,9 +19,11 @@
 //! spins and yields briefly ([`backoff`]) and then parks its thread until
 //! the peer it waits for — the sender of an empty edge, the receiver of a
 //! full one, or either end closing it — wakes it, so an idle network
-//! costs no CPU. The wake protocol is in [`channel`]'s docs. Every pattern is generated from user-provided [`node`]
-//! implementations (the white boxes of the paper's figures); dispatching,
-//! gathering, scheduling and feedback plumbing are produced by the pattern
+//! costs no CPU. The wake protocol is in [`channel`]'s docs.
+//!
+//! Every pattern is generated from user-provided [`node`] implementations
+//! (the white boxes of the paper's figures); dispatching, gathering,
+//! scheduling and feedback plumbing are produced by the pattern
 //! combinators (the grey boxes).
 //!
 //! ## Quickstart

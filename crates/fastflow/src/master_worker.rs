@@ -31,12 +31,12 @@
 //!    worker's full queue while another worker's notices go unread;
 //!
 //! and waits only when a whole sweep found nothing to do: after a brief
-//! spin and a few yields it arms the waiter slot of every notice channel, and of upstream
-//! while upstream is open, re-checks that none is readable and parks (the
-//! protocol is in [`crate::channel`]'s module docs). A notice or an
-//! upstream item wakes it; nothing else can make it runnable, since its
-//! task sends never wait. The farm ends when upstream is closed and
-//! nothing is pending; that is the whole termination rule.
+//! spin and a few yields it arms the waiter slot of every notice channel,
+//! and of upstream while upstream is open, re-checks that none is
+//! readable and parks (the protocol is in [`crate::channel`]'s module
+//! docs). A notice or an upstream item wakes it; nothing else can make it
+//! runnable, since its task sends never wait. The farm ends when upstream
+//! is closed and nothing is pending; that is the whole termination rule.
 //!
 //! A task queue holds the pipeline's channel `capacity`, like every other
 //! edge. Deep queues keep a worker busy across the master's reaction time;
