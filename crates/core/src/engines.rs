@@ -8,12 +8,13 @@
 //! number so the ordered collector can re-order them.
 //!
 //! A cut is in memory whole, so no engine needs a streaming sketch: each
-//! observable's counts are gathered once and sorted once, and the k-means
-//! engine ([`streamstat::kmeans::kmeans1d_counts`], `kmeans1d`'s
-//! centroids bit for bit) and the exact nearest-rank quantile both read
-//! that sorted copy. Mean/variance and the histogram read the counts in
-//! instance order. The P² sketch summarises the whole run, in
-//! [`crate::merge::RunSummary`], which streams every sample.
+//! observable's counts are gathered once and sorted once, by an LSD radix
+//! sort over just the bytes in which they differ. The k-means engine
+//! ([`streamstat::kmeans::kmeans1d_counts`], `kmeans1d`'s centroids bit
+//! for bit) and the exact nearest-rank quantile read that sorted copy,
+//! and the histogram bins its runs of equal counts, one
+//! [`Histogram::push_n`] a run. Mean/variance reads the counts in
+//! instance order, which its Welford bits depend on.
 
 use gillespie::trajectory::Cut;
 use streamstat::histogram::Histogram;
@@ -152,9 +153,10 @@ impl StatEngineSet {
     /// Analyses a single cut across all configured engines.
     ///
     /// One pass per observable: its counts are gathered once, in instance
-    /// order, and — when k-means or the quantile engine runs — sorted once
-    /// into a copy both read. Every buffer of the call is allocated once,
-    /// whatever the cut's width; only the row's own vectors outlive it.
+    /// order, and — when k-means, the quantile or the histogram engine
+    /// runs — sorted once into a copy they all read. Every buffer of the
+    /// call is allocated once, whatever the cut's width; only the row's
+    /// own vectors outlive it.
     pub fn analyse_cut(&self, cut: &Cut) -> StatRow {
         let width = cut.width();
         let n_obs = cut.values.first().map(|v| v.len()).unwrap_or(0);
@@ -176,12 +178,15 @@ impl StatEngineSet {
         if self.engines.iter().any(|e| {
             matches!(
                 e,
-                StatEngineKind::KMeans { .. } | StatEngineKind::Quantile { .. }
+                StatEngineKind::KMeans { .. }
+                    | StatEngineKind::Quantile { .. }
+                    | StatEngineKind::Histogram { .. }
             )
         }) {
             sorted.extend_from_slice(&series);
+            let mut buf = Vec::with_capacity(width);
             for obs in sorted.chunks_exact_mut(width) {
-                obs.sort_unstable();
+                radix_sort(obs, &mut buf);
             }
         }
         let columns = series.chunks_exact(width);
@@ -222,11 +227,9 @@ impl StatEngineSet {
                 }
                 StatEngineKind::Histogram { lo, hi, bins } => {
                     let mut h = Histogram::new(*lo, *hi, *bins);
-                    for (stats, xs) in observables.iter_mut().zip(columns.clone()) {
+                    for (stats, sorted) in observables.iter_mut().zip(sorted_columns.clone()) {
                         h.clear();
-                        for &x in xs {
-                            h.push(x as f64);
-                        }
+                        bin_runs(&mut h, sorted);
                         stats.mode = h.mode_bin().map(|b| {
                             let (l, r) = h.bin_edges(b);
                             (l + r) / 2.0
@@ -240,6 +243,53 @@ impl StatEngineSet {
             instances: width,
             observables,
         }
+    }
+}
+
+/// Bins sorted counts one run of equal values at a time: equal counts
+/// share a bin, and a bin's count does not depend on the order its
+/// values came in.
+fn bin_runs(h: &mut Histogram, sorted: &[u64]) {
+    let mut rest = sorted;
+    while let Some(&x) = rest.first() {
+        let run = rest.iter().take_while(|&&y| y == x).count();
+        h.push_n(x as f64, run as u64);
+        rest = &rest[run..];
+    }
+}
+
+/// Sorts `xs` ascending through `buf`: an LSD radix sort with one
+/// counting pass per byte in which `xs`'s values differ (an OR/AND pass
+/// finds them), so a column of counts below 2^16 takes two passes, and a
+/// constant one none.
+fn radix_sort(xs: &mut [u64], buf: &mut Vec<u64>) {
+    let (or, and) = xs
+        .iter()
+        .fold((0, u64::MAX), |(or, and), &x| (or | x, and & x));
+    let varying = or ^ and;
+    buf.clear();
+    buf.resize(xs.len(), 0);
+    let mut in_buf = false;
+    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+        let (src, dst): (&[u64], &mut [u64]) = if in_buf { (buf, xs) } else { (xs, buf) };
+        let digit = |x: u64| (x >> shift) as usize & 0xff;
+        let mut offsets = [0usize; 256];
+        for &x in src.iter() {
+            offsets[digit(x)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut offsets {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &x in src.iter() {
+            let d = digit(x);
+            dst[offsets[d]] = x;
+            offsets[d] += 1;
+        }
+        in_buf = !in_buf;
+    }
+    if in_buf {
+        xs.copy_from_slice(buf);
     }
 }
 
@@ -295,8 +345,9 @@ mod tests {
 
     #[test]
     fn quantile_engine_is_exact_nearest_rank() {
-        // Two modes, 61 low and 40 high values: P²'s five markers only
-        // approximate the order statistics of a cut like this.
+        // Two modes, 61 low and 40 high values: a five-marker streaming
+        // sketch (P²) only approximates the order statistics of a cut
+        // like this.
         let values: Vec<u64> = (0..101)
             .map(|i| if i % 5 < 3 { i % 7 } else { 500 + i })
             .collect();
@@ -372,6 +423,85 @@ mod tests {
                 "observable {k}"
             );
         }
+    }
+
+    #[test]
+    fn radix_sort_equals_sort_unstable() {
+        let mut state = 0x2014u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut buf = Vec::new();
+        for len in [0usize, 1, 2, 3, 17, 256, 1000] {
+            // (offset, span): constant, small spans, spans crossing one
+            // and several byte boundaries, and the top of the range.
+            for (offset, span) in [
+                (0, 1),
+                (7, 1),
+                (0, 10),
+                (250, 10),
+                (65_530, 12),
+                (0, 70_000),
+                (1 << 40, 1 << 33),
+                (0, u64::MAX),
+                (u64::MAX - 300, 301),
+                (u64::MAX - 5, 6),
+            ] {
+                let mut xs: Vec<u64> = (0..len).map(|_| offset + next() % span).collect();
+                let mut want = xs.clone();
+                want.sort_unstable();
+                radix_sort(&mut xs, &mut buf);
+                assert_eq!(xs, want, "len {len}, offset {offset}, span {span}");
+            }
+        }
+    }
+
+    #[test]
+    fn binning_runs_equals_a_push_per_value() {
+        // Below lo, on the lo edge, on inner bin edges, inside bins, on
+        // the hi edge and above it, each repeated a few times.
+        let values: Vec<u64> = [0u64, 2, 3, 4, 5, 6, 9, 10, 12, 13, 14, 15, 20, 40]
+            .iter()
+            .flat_map(|&v| std::iter::repeat(v).take(1 + (v % 3) as usize))
+            .collect();
+        for (lo, hi, bins) in [
+            (3.0, 15.0, 4),
+            (4.0, 14.0, 5),
+            (0.0, 40.0, 7),
+            (10.0, 11.0, 1),
+        ] {
+            let mut one_by_one = Histogram::new(lo, hi, bins);
+            for &v in &values {
+                one_by_one.push(v as f64);
+            }
+            let mut runs = Histogram::new(lo, hi, bins);
+            bin_runs(&mut runs, &values);
+            assert_eq!(runs, one_by_one, "[{lo}, {hi}) in {bins} bins");
+        }
+    }
+
+    #[test]
+    fn histogram_engine_on_a_wide_column_keeps_its_mode() {
+        // Counts spread over three bytes, most of them in one bin.
+        let values: Vec<u64> = (0..500u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    70_000 + i
+                } else {
+                    1_000 + i % 50
+                }
+            })
+            .collect();
+        let set = StatEngineSet::new(vec![StatEngineKind::Histogram {
+            lo: 0.0,
+            hi: 100_000.0,
+            bins: 100,
+        }]);
+        let row = set.analyse_cut(&cut(0.0, values));
+        assert_eq!(row.observables[0].mode, Some(1_500.0));
     }
 
     #[test]

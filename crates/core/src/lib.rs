@@ -86,7 +86,7 @@ pub use coordinator::{
 pub use display::{ascii_chart, CsvRenderer};
 pub use engines::{ObsStats, StatBlock, StatEngineKind, StatEngineSet, StatRow};
 pub use gillespie::engine::{Engine, EngineError, EngineKind};
-pub use merge::{CutMerger, ObsSummary, RunSummary};
+pub use merge::{CutMerger, RunSummary};
 pub use plan::{ShardPlan, ShardRange};
 pub use runner::{run_sequential, run_simulation, run_simulation_steered, SimError, SimReport};
 pub use sim_farm::{SimWorker, Steering, SteeringWatch, TaskMaster};

@@ -10,16 +10,15 @@
 //!   the single-process alignment stage would have produced, which is
 //!   what makes the downstream summary/window/analysis stages oblivious
 //!   to sharding.
-//! - [`RunSummary`] is the whole-run streaming statistic: per-observable
-//!   accumulators fed by every sample of every full cut, in the
-//!   `run-summary` stage every runner shares. Its accumulators are
-//!   [`Mergeable`], so summaries of disjoint runs can be pooled.
+//! - [`RunSummary`] is the whole-run streaming statistic: per observable
+//!   the Welford moments, minimum and maximum ([`Running`]) of every
+//!   sample of every full cut, folded in the `run-summary` stage every
+//!   runner shares. It is [`Mergeable`], so summaries of disjoint runs
+//!   can be pooled.
 
 use gillespie::trajectory::Cut;
 use std::collections::VecDeque;
-use streamstat::histogram::Histogram;
 use streamstat::merge::Mergeable;
-use streamstat::quantile::P2Quantile;
 use streamstat::welford::Running;
 
 use crate::engines::StatEngineKind;
@@ -87,39 +86,6 @@ impl CutMerger {
     }
 }
 
-/// Per-observable whole-run accumulators of a [`RunSummary`].
-///
-/// Which fields are populated follows the run's configured
-/// [`StatEngineKind`]s: moments are always kept (they also serve the
-/// k-means kind, which has no mergeable streaming state of its own);
-/// histogram and quantile states exist only when the corresponding
-/// engines are enabled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsSummary {
-    /// Welford moments plus min/max over every sample of the run.
-    pub running: Running,
-    /// Population histogram (when a histogram engine is configured).
-    pub histogram: Option<Histogram>,
-    /// Streaming quantile sketch (when a quantile engine is configured).
-    pub quantile: Option<P2Quantile>,
-}
-
-impl Mergeable for ObsSummary {
-    fn merge_from(&mut self, other: &Self) {
-        self.running.merge_from(&other.running);
-        match (&mut self.histogram, &other.histogram) {
-            (Some(a), Some(b)) => a.merge_from(b),
-            (None, None) => {}
-            _ => panic!("cannot merge summaries with different histogram configs"),
-        }
-        match (&mut self.quantile, &other.quantile) {
-            (Some(a), Some(b)) => a.merge_from(b),
-            (None, None) => {}
-            _ => panic!("cannot merge summaries with different quantile configs"),
-        }
-    }
-}
-
 /// Whole-run streaming statistics over every sample of every trajectory
 /// — the paper's "computed while simulations are still running" promise
 /// at run granularity.
@@ -127,15 +93,17 @@ impl Mergeable for ObsSummary {
 /// Every runner folds it cut by cut over the full cut stream (the
 /// `run-summary` stage; `run_sequential` by hand), so a sharded run's
 /// summary is bit-for-bit a single-process run's, and a drained run's
-/// covers exactly the cuts it has rows for. Summaries of disjoint runs
-/// pool with [`Mergeable::merge_from`]: counts, minima/maxima and
-/// histogram bins merge exactly; means/variances merge up to `f64`
-/// reassociation; quantiles merge approximately (see `streamstat::merge`).
+/// covers exactly the cuts it has rows for. It keeps moments only: the
+/// per-cut engines already read every distribution the run reports.
+/// Summaries of disjoint runs pool with [`Mergeable::merge_from`]: counts
+/// and minima/maxima merge exactly, means/variances up to `f64`
+/// reassociation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
+    /// The run's engine configuration; only equal ones merge.
     engines: Vec<StatEngineKind>,
-    /// Per-observable accumulators (empty until the first cut arrives).
-    obs: Vec<ObsSummary>,
+    /// Per-observable moments (empty until the first cut arrives).
+    obs: Vec<Running>,
     cuts: u64,
 }
 
@@ -149,52 +117,26 @@ impl RunSummary {
         }
     }
 
-    fn blank_obs(&self) -> ObsSummary {
-        let mut histogram = None;
-        let mut quantile = None;
-        for e in &self.engines {
-            match e {
-                StatEngineKind::Histogram { lo, hi, bins } => {
-                    histogram = Some(Histogram::new(*lo, *hi, *bins));
-                }
-                StatEngineKind::Quantile { p } => quantile = Some(P2Quantile::new(*p)),
-                StatEngineKind::MeanVariance | StatEngineKind::KMeans { .. } => {}
-            }
-        }
-        ObsSummary {
-            running: Running::new(),
-            histogram,
-            quantile,
-        }
-    }
-
     /// Folds one (full or partial) cut into the summary.
     pub fn push_cut(&mut self, cut: &Cut) {
         let n_obs = cut.values.first().map(|v| v.len()).unwrap_or(0);
         if self.obs.is_empty() {
-            self.obs = (0..n_obs).map(|_| self.blank_obs()).collect();
+            self.obs = vec![Running::new(); n_obs];
         }
-        // One row-major pass: every observable's accumulators still see
-        // their values in instance order, so the bits are those of a pass
-        // per observable.
+        // One row-major pass: every observable's moments still see their
+        // values in instance order, so the bits are those of a pass per
+        // observable.
         for row in &cut.values {
-            for (s, &v) in self.obs.iter_mut().zip(row.iter()) {
-                let x = v as f64;
-                s.running.push(x);
-                if let Some(h) = &mut s.histogram {
-                    h.push(x);
-                }
-                if let Some(q) = &mut s.quantile {
-                    q.push(x);
-                }
+            for (r, &v) in self.obs.iter_mut().zip(row.iter()) {
+                r.push(v as f64);
             }
         }
         self.cuts += 1;
     }
 
-    /// Per-observable accumulators, in model observable order (empty
-    /// before any cut was folded in).
-    pub fn observables(&self) -> &[ObsSummary] {
+    /// Per-observable moments, in model observable order (empty before
+    /// any cut was folded in).
+    pub fn observables(&self) -> &[Running] {
         &self.obs
     }
 
@@ -299,30 +241,43 @@ mod tests {
                 bins: 10,
             },
         ];
-        // One "run" over full cuts...
+        // One "run" over full cuts of two observables...
         let mut pooled = RunSummary::new(engines.clone());
-        pooled.push_cut(&cut(0.0, &[&[10], &[20], &[30], &[40]]));
-        pooled.push_cut(&cut(1.0, &[&[11], &[21], &[31], &[41]]));
+        pooled.push_cut(&cut(0.0, &[&[10, 1], &[20, 2], &[30, 3], &[40, 4]]));
+        pooled.push_cut(&cut(1.0, &[&[11, 5], &[21, 6], &[31, 7], &[41, 8]]));
         // ...vs two shards over the halves, merged.
         let mut left = RunSummary::new(engines.clone());
-        left.push_cut(&cut(0.0, &[&[10], &[20]]));
-        left.push_cut(&cut(1.0, &[&[11], &[21]]));
+        left.push_cut(&cut(0.0, &[&[10, 1], &[20, 2]]));
+        left.push_cut(&cut(1.0, &[&[11, 5], &[21, 6]]));
         let mut right = RunSummary::new(engines);
-        right.push_cut(&cut(0.0, &[&[30], &[40]]));
-        right.push_cut(&cut(1.0, &[&[31], &[41]]));
+        right.push_cut(&cut(0.0, &[&[30, 3], &[40, 4]]));
+        right.push_cut(&cut(1.0, &[&[31, 7], &[41, 8]]));
         left.merge_from(&right);
 
-        let (p, m) = (&pooled.observables()[0], &left.observables()[0]);
-        assert_eq!(p.running.count(), m.running.count());
-        assert_eq!(p.running.min(), m.running.min());
-        assert_eq!(p.running.max(), m.running.max());
-        assert!((p.running.mean() - m.running.mean()).abs() < 1e-12);
-        let (ph, mh) = (p.histogram.as_ref().unwrap(), m.histogram.as_ref().unwrap());
-        for b in 0..ph.bins() {
-            assert_eq!(ph.bin_count(b), mh.bin_count(b));
+        assert_eq!(pooled.observables().len(), 2);
+        for (p, m) in pooled.observables().iter().zip(left.observables()) {
+            assert_eq!(p.count(), 8);
+            assert_eq!(p.count(), m.count());
+            assert_eq!(p.min(), m.min());
+            assert_eq!(p.max(), m.max());
+            assert!((p.mean() - m.mean()).abs() < 1e-12);
+            assert!((p.population_variance() - m.population_variance()).abs() < 1e-9);
         }
+        assert_eq!(pooled.observables()[1].min(), 1.0);
+        assert_eq!(pooled.observables()[1].max(), 8.0);
         assert_eq!(pooled.cuts(), 2);
         assert_eq!(left.cuts(), 4, "merged summaries count every shard's cuts");
+    }
+
+    #[test]
+    fn summary_moments_are_a_pass_per_observable() {
+        let c = cut(0.0, &[&[3, 900], &[7, 2], &[5, 41]]);
+        let mut s = RunSummary::new(vec![StatEngineKind::MeanVariance]);
+        s.push_cut(&c);
+        for (k, got) in s.observables().iter().enumerate() {
+            let want: Running = c.values.iter().map(|row| row[k] as f64).collect();
+            assert_eq!(*got, want, "observable {k}");
+        }
     }
 
     #[test]
@@ -331,11 +286,11 @@ mod tests {
         let mut full = RunSummary::new(vec![StatEngineKind::MeanVariance]);
         full.push_cut(&cut(0.0, &[&[5]]));
         empty.merge_from(&full);
-        assert_eq!(empty.observables()[0].running.count(), 1);
+        assert_eq!(empty.observables()[0].count(), 1);
         // And the other way round is a no-op.
-        let before = full.observables()[0].running;
+        let before = full.observables()[0];
         full.merge_from(&RunSummary::new(vec![StatEngineKind::MeanVariance]));
-        assert_eq!(full.observables()[0].running, before);
+        assert_eq!(full.observables()[0], before);
     }
 
     #[test]

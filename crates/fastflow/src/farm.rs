@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use crate::master_worker::{FeedbackWorker, Master, Scheduler};
     use crate::node::{map_stage, Outbox};
+    use crate::tests::within_timeout;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -152,7 +153,7 @@ mod tests {
 
     #[test]
     fn farm_processes_all_items_once() {
-        let out = plain_farm(0..500, vec![|x| x; 3]).collect().unwrap();
+        let out = within_timeout(|| plain_farm(0..500, vec![|x| x; 3]).collect()).unwrap();
         let set: HashSet<u32> = out.iter().copied().collect();
         assert_eq!(out.len(), 500, "lost or duplicated items");
         assert_eq!(set.len(), 500, "duplicated items");
@@ -166,7 +167,7 @@ mod tests {
             }
             x
         };
-        match plain_farm(0..100, vec![risky; 2]).collect() {
+        match within_timeout(move || plain_farm(0..100, vec![risky; 2]).collect()) {
             Err(crate::error::Error::StagePanicked { stage, message }) => {
                 assert!(stage.starts_with("mwfarm.worker."), "{stage}");
                 assert_eq!(message, "unlucky");
@@ -242,21 +243,19 @@ mod tests {
         for n in 1..=5usize {
             for len in 0..=3 * n as u64 {
                 for seed in 0..4u64 {
-                    let out: Vec<u64> = Pipeline::from_source(0..len)
-                        .ordered_farm(n, move |i| {
-                            let mut state = seed * 31 + i as u64 + 1;
-                            move |x: u64| {
-                                // SplitMix64's increment and finaliser.
-                                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                                if (z ^ (z >> 27)) & 1 == 1 {
-                                    std::thread::yield_now();
-                                }
-                                x * 10 + 1
+                    let farm = Pipeline::from_source(0..len).ordered_farm(n, move |i| {
+                        let mut state = seed * 31 + i as u64 + 1;
+                        move |x: u64| {
+                            // SplitMix64's increment and finaliser.
+                            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                            if (z ^ (z >> 27)) & 1 == 1 {
+                                std::thread::yield_now();
                             }
-                        })
-                        .collect()
-                        .unwrap();
+                            x * 10 + 1
+                        }
+                    });
+                    let out: Vec<u64> = within_timeout(|| farm.collect()).unwrap();
                     let want: Vec<u64> = (0..len).map(|x| x * 10 + 1).collect();
                     assert_eq!(out, want, "n = {n}, len = {len}, seed = {seed}");
                 }
@@ -264,9 +263,9 @@ mod tests {
         }
     }
 
-    /// Runs `items` through a 4-worker ordered farm on a helper thread, so
-    /// a collector that waits forever for a dead worker fails the test
-    /// instead of hanging the suite.
+    /// Runs `items` through a 4-worker ordered farm under
+    /// [`within_timeout`], so a collector that waits forever for a dead
+    /// worker fails the test instead of hanging the suite.
     fn ordered_farm_within_timeout<W>(
         items: std::ops::Range<u64>,
         worker: fn(usize) -> W,
@@ -274,15 +273,11 @@ mod tests {
     where
         W: FnMut(u64) -> u64 + Send + 'static,
     {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let result = Pipeline::from_source(items)
+        within_timeout(move || {
+            Pipeline::from_source(items)
                 .ordered_farm(4, worker)
-                .collect();
-            let _ = tx.send(result);
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(30))
-            .expect("ordered farm hung on a panicked worker")
+                .collect()
+        })
     }
 
     fn assert_worker_panicked(result: crate::Result<Vec<u64>>, worker: &str) {

@@ -78,6 +78,26 @@ pub use pipeline::Pipeline;
 
 #[cfg(test)]
 mod tests {
+    /// Runs `f` on a helper thread and returns its result, failing the
+    /// test if it takes longer than 30 s: no wait in this crate has a
+    /// timer, so a lost wake-up hangs rather than errs, and this turns
+    /// the hang into a failure instead of a stalled suite. A panic in `f`
+    /// is passed on.
+    pub(crate) fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Timeout) => panic!("no result within 30 s: the network hung"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(helper.join().expect_err("the helper sent nothing"))
+            }
+        }
+    }
+
     #[test]
     fn public_types_are_send() {
         fn assert_send<T: Send>() {}

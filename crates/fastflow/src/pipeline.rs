@@ -335,10 +335,12 @@ mod tests {
 
     #[test]
     fn tiny_capacity_still_completes() {
-        let out: Vec<u32> = Pipeline::from_source_with_capacity(0..1000u32, 1)
-            .stage(map_stage(|x| x))
-            .collect()
-            .unwrap();
+        let out: Vec<u32> = crate::tests::within_timeout(|| {
+            Pipeline::from_source_with_capacity(0..1000u32, 1)
+                .stage(map_stage(|x| x))
+                .collect()
+        })
+        .unwrap();
         assert_eq!(out.len(), 1000);
     }
 

@@ -52,6 +52,13 @@ impl Histogram {
 
     /// Adds one observation (clamped into the edge bins when out of range).
     pub fn push(&mut self, x: f64) {
+        self.push_n(x, 1);
+    }
+
+    /// Adds `n` observations of the value `x` — what `n` calls of
+    /// [`Histogram::push`] do, in one bin update (a sorted column bins
+    /// its runs of equal values this way).
+    pub fn push_n(&mut self, x: f64, n: u64) {
         let nbins = self.bins.len();
         let idx = if x < self.lo {
             0
@@ -60,8 +67,8 @@ impl Histogram {
         } else {
             (((x - self.lo) / self.width) as usize).min(nbins - 1)
         };
-        self.bins[idx] += 1;
-        self.count += 1;
+        self.bins[idx] += n;
+        self.count += n;
     }
 
     /// Forgets every observation, keeping the geometry and the bins'
@@ -128,32 +135,6 @@ impl Histogram {
             .max_by_key(|(_, &c)| c)
             .map(|(i, _)| i)
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram ranges differ");
-        assert_eq!(self.hi, other.hi, "histogram ranges differ");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-}
-
-impl crate::merge::Mergeable for Histogram {
-    /// Exact bin-wise sum (same as [`Histogram::merge`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two histograms' ranges or bin counts differ.
-    fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
-    }
 }
 
 #[cfg(test)]
@@ -212,24 +193,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(0.0, 2.0, 2);
-        a.push(0.5);
-        let mut b = Histogram::new(0.0, 2.0, 2);
-        b.push(1.5);
-        b.push(0.1);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bin_count(0), 2);
-        assert_eq!(a.bin_count(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "ranges differ")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = Histogram::new(0.0, 2.0, 2);
-        let b = Histogram::new(0.0, 3.0, 2);
-        a.merge(&b);
+    fn push_n_is_n_pushes() {
+        let mut one_by_one = Histogram::new(0.0, 4.0, 4);
+        let mut runs = Histogram::new(0.0, 4.0, 4);
+        for (x, n) in [(-1.0, 2), (0.0, 3), (1.0, 1), (2.5, 4), (4.0, 2), (9.0, 5)] {
+            for _ in 0..n {
+                one_by_one.push(x);
+            }
+            runs.push_n(x, n);
+        }
+        assert_eq!(runs, one_by_one);
+        assert_eq!(runs.count(), 17);
+        assert_eq!(runs.bin_count(0), 5, "below lo and on the lo edge");
+        assert_eq!(runs.bin_count(3), 7, "at and above hi");
+        runs.push_n(1.5, 0);
+        assert_eq!(runs, one_by_one, "a run of none adds nothing");
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! sample vector, sized once from the sampling clock. Samples are inline
 //! rows, so the count does not grow with the samples in the quantum.
 //!
+//! Alignment builds each cut by a transpose of the batches it holds: a
+//! cut costs its own row vector and nothing per sample, so the count per
+//! cut does not grow with the instance count.
+//!
 //! The same allocator pins the window layer: [`WindowGen`] hands each cut
 //! downstream by move, so a cut through it costs a small constant number
 //! of allocations whatever the instance count and window width. And the
@@ -38,8 +42,9 @@ use std::sync::Arc;
 use cwc_repro::biomodels::{
     neurospora_compartments, neurospora_flat, schlogl, NeurosporaParams, SchloglParams,
 };
+use cwc_repro::cwcsim::alignment::Alignment;
 use cwc_repro::cwcsim::engines::{StatEngineKind, StatEngineSet};
-use cwc_repro::cwcsim::task::SimTask;
+use cwc_repro::cwcsim::task::{SampleBatch, SimTask};
 use cwc_repro::cwcsim::windows::WindowGen;
 use cwc_repro::fastflow::node::{Outbox, Stage};
 use cwc_repro::gillespie::deps::ModelDeps;
@@ -256,6 +261,52 @@ fn a_sampled_quantum_batch_is_one_allocation_whatever_its_sample_count() {
     }
 }
 
+/// Heap allocations `Alignment` makes per cut emitted, the aligner's
+/// construction excluded: `instances` trajectories of 3 observables, in
+/// quanta of 5 grid points, each quantum delivered for every instance
+/// before the next.
+fn alignment_allocations_per_cut(instances: u64) -> f64 {
+    const QUANTA: u64 = 40;
+    const POINTS: u64 = 5;
+    let batches: Vec<SampleBatch> = (0..QUANTA)
+        .flat_map(|q| {
+            (0..instances).map(move |i| SampleBatch {
+                instance: i,
+                samples: (q * POINTS..(q + 1) * POINTS)
+                    .map(|k| (k as f64 * 0.5, Row::from_slice(&[i, k, 7])))
+                    .collect(),
+                events: 0,
+                finished: q + 1 == QUANTA,
+            })
+        })
+        .collect();
+    let mut alignment = Alignment::new(instances, 0.5);
+    let (tx, rx) = cwc_repro::fastflow::channel::unbounded();
+    let mut out = Outbox::new(&tx);
+    let mut cuts = Vec::with_capacity((QUANTA * POINTS) as usize);
+    let before = allocations();
+    for batch in batches {
+        alignment.on_item(batch, &mut out);
+        while let Ok(cut) = rx.try_recv() {
+            cuts.push(cut);
+        }
+    }
+    let after = allocations();
+    assert_eq!(cuts.len() as u64, QUANTA * POINTS, "every cut emitted");
+    assert!(cuts.iter().all(|c| c.width() == instances as usize));
+    (after - before) as f64 / cuts.len() as f64
+}
+
+#[test]
+fn alignment_allocates_a_constant_per_cut() {
+    // The Fig. 3 stream's 1024 trajectories: one allocation a cut, its
+    // row vector, plus the report ring's and the channel's growth.
+    let dense = alignment_allocations_per_cut(1024);
+    assert!(dense <= 1.05, "{dense} allocations per 1024-instance cut");
+    // ... and the cost does not depend on the instance count.
+    assert_eq!(dense, alignment_allocations_per_cut(8));
+}
+
 /// Heap allocations `WindowGen` makes per cut at slide 1, emitted windows
 /// included.
 fn window_allocations_per_cut(instances: usize, width: usize) -> f64 {
@@ -328,7 +379,8 @@ fn stat_engines_allocate_a_constant_per_cut() {
     assert_eq!(narrow, analyse_cut_allocations(1024));
     // The row's own vectors (its observables, one centroid vector per
     // observable) and the call's scratch, each allocated once: the
-    // observable-major counts, their sorted copy, k-means' prefix sums
-    // and cluster boundaries, and the histogram's bins.
-    assert_eq!(narrow, (1 + 3) + 5);
+    // observable-major counts, their sorted copy, the radix sort's
+    // buffer, k-means' prefix sums and cluster boundaries, and the
+    // histogram's bins.
+    assert_eq!(narrow, (1 + 3) + 6);
 }
